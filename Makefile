@@ -22,13 +22,14 @@ lint:
 test:
 	$(GO) test ./...
 
-# The concurrent packages (ring all-reduce, parallel bench collector,
-# data-parallel trainer, telemetry registry/tracer, ops server under
-# ./internal/obs/..., drift monitor) run under the race detector, plus
-# the lint package itself — its fixture suites drive the loader and
-# analyzers concurrently enough to be worth the coverage.
+# The concurrent packages (the kernel worker pool, ring all-reduce,
+# parallel bench collector, data-parallel trainer, telemetry
+# registry/tracer, ops server under ./internal/obs/..., drift monitor)
+# run under the race detector, plus the lint package itself — its
+# fixture suites drive the loader and analyzers concurrently enough to
+# be worth the coverage.
 race:
-	$(GO) test -race ./internal/allreduce/... ./internal/bench/... ./internal/train/... ./internal/obs/... ./internal/driftwatch/... ./internal/lint/... ./internal/dagrun/...
+	$(GO) test -race ./internal/exec/... ./internal/allreduce/... ./internal/bench/... ./internal/train/... ./internal/obs/... ./internal/driftwatch/... ./internal/lint/... ./internal/dagrun/...
 
 # obs-smoke: run real experiments with the observability flags and
 # validate the artefacts with cmd/obscheck — catches exposition/trace/
@@ -122,6 +123,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzGraphJSON -fuzztime $(FUZZTIME) ./internal/graph
 	$(GO) test -run '^$$' -fuzz FuzzParseConfig -fuzztime $(FUZZTIME) ./internal/lint
 	$(GO) test -run '^$$' -fuzz FuzzParseManifest -fuzztime $(FUZZTIME) ./internal/dagrun
+	$(GO) test -run '^$$' -fuzz FuzzConv2dShapes -fuzztime $(FUZZTIME) ./internal/exec
 
 # chaos: the fault-injection suites under the race detector, then a
 # fixed seed matrix of real end-to-end chaos runs (resilient training

@@ -34,8 +34,25 @@ func TestKernelsZeroAllocs(t *testing.T) {
 	convB := make([]float32, 3)
 	fill(convIn.Data)
 	fill(convW)
-	assertZeroAllocs(t, "conv2d", func() {
+	assertZeroAllocs(t, "conv2d k×k GEMM", func() {
 		conv2d(convIn, convOp, convW, convB, convOut)
+	})
+	pointOp := &graph.Conv2dOp{InC: 2, OutC: 4, KH: 1, KW: 1,
+		StrideH: 1, StrideW: 1, DilationH: 1, DilationW: 1, Groups: 1}
+	pointOut := NewTensor(2, graph.Shape{C: 4, H: 4, W: 4})
+	pointW := make([]float32, 4*2)
+	fill(pointW)
+	assertZeroAllocs(t, "conv2d 1×1 GEMM", func() {
+		conv2d(convIn, pointOp, pointW, nil, pointOut)
+	})
+	dwOp := &graph.Conv2dOp{InC: 2, OutC: 2, KH: 3, KW: 3,
+		StrideH: 1, StrideW: 1, PadH: 1, PadW: 1,
+		DilationH: 1, DilationW: 1, Groups: 2, Bias: true}
+	dwOut := NewTensor(2, graph.Shape{C: 2, H: 4, W: 4})
+	dwW := make([]float32, 2*3*3)
+	fill(dwW)
+	assertZeroAllocs(t, "conv2d depthwise direct", func() {
+		conv2d(convIn, dwOp, dwW, convB[:2], dwOut)
 	})
 
 	linOp := &graph.LinearOp{In: 8, Out: 4, Bias: true}

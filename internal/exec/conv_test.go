@@ -1,0 +1,145 @@
+package exec
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"sync"
+	"testing"
+
+	"convmeter/internal/graph"
+)
+
+// convShape builds a square-kernel conv op with equal strides, padding
+// and dilation on both axes.
+func convShape(inC, outC, groups, k, stride, pad, dil int, bias bool) graph.Conv2dOp {
+	return graph.Conv2dOp{InC: inC, OutC: outC, KH: k, KW: k,
+		StrideH: stride, StrideW: stride, PadH: pad, PadW: pad,
+		DilationH: dil, DilationW: dil, Groups: groups, Bias: bias}
+}
+
+// gemmShapes is the ConvBench-style matrix of GEMM-routed conv shapes.
+var gemmShapes = []struct {
+	name string
+	in   graph.Shape
+	op   graph.Conv2dOp
+}{
+	{"1x1-s1", graph.Shape{C: 8, H: 5, W: 5}, convShape(8, 12, 1, 1, 1, 0, 1, true)},
+	{"1x1-s2", graph.Shape{C: 6, H: 7, W: 7}, convShape(6, 8, 1, 1, 2, 0, 1, false)},
+	{"1x1-pad1", graph.Shape{C: 4, H: 3, W: 3}, convShape(4, 4, 1, 1, 1, 1, 1, true)},
+	{"3x3-p1", graph.Shape{C: 5, H: 6, W: 6}, convShape(5, 8, 1, 3, 1, 1, 1, true)},
+	{"7x7-s2-p3-stem", graph.Shape{C: 3, H: 16, W: 16}, convShape(3, 8, 1, 7, 2, 3, 1, false)},
+	{"3x3-d2-p2", graph.Shape{C: 4, H: 7, W: 7}, convShape(4, 6, 1, 3, 1, 2, 2, true)},
+	{"3x3-g2", graph.Shape{C: 6, H: 6, W: 6}, convShape(6, 8, 2, 3, 1, 1, 1, true)},
+	{"3x3-g3", graph.Shape{C: 6, H: 5, W: 5}, convShape(6, 9, 3, 3, 2, 1, 1, false)},
+	{"1x1-g2-pointwise", graph.Shape{C: 2, H: 3, W: 3}, convShape(2, 6, 2, 1, 1, 0, 1, true)},
+	{"KN-not-mult4", graph.Shape{C: 3, H: 7, W: 5}, convShape(3, 7, 1, 3, 1, 0, 1, true)},
+	{"kernel-covers-input", graph.Shape{C: 4, H: 1, W: 1}, convShape(4, 8, 1, 3, 1, 1, 1, true)},
+	{"tap-never-in-bounds", graph.Shape{C: 2, H: 2, W: 2}, convShape(2, 4, 1, 3, 1, 3, 3, false)},
+	{"1x3-s2x1-asym", graph.Shape{C: 3, H: 6, W: 5}, graph.Conv2dOp{InC: 3, OutC: 5, KH: 1, KW: 3,
+		StrideH: 2, StrideW: 1, PadH: 0, PadW: 1, DilationH: 1, DilationW: 1, Groups: 1, Bias: true}},
+}
+
+// compareGEMMToDirect runs op through conv2d and through the direct
+// kernel on seeded normal inputs and returns the first output whose
+// bits differ.
+func compareGEMMToDirect(batch int, inShape graph.Shape, op *graph.Conv2dOp, seed int64) error {
+	outShape, err := op.OutShape([]graph.Shape{inShape})
+	if err != nil {
+		return err
+	}
+	rng := rand.New(rand.NewSource(seed))
+	normal := func(v []float32) {
+		for i := range v {
+			v[i] = float32(rng.NormFloat64())
+		}
+	}
+	in := NewTensor(batch, inShape)
+	normal(in.Data)
+	w := make([]float32, op.OutC*(op.InC/op.Groups)*op.KH*op.KW)
+	normal(w)
+	var bias []float32
+	if op.Bias {
+		bias = make([]float32, op.OutC)
+		normal(bias)
+	}
+	got, want := NewTensor(batch, outShape), NewTensor(batch, outShape)
+	conv2d(in, op, w, bias, got)
+	convDirect(in, op, w, bias, want)
+	for i, v := range want.Data {
+		if math.Float32bits(got.Data[i]) != math.Float32bits(v) {
+			return fmt.Errorf("out[%d] = %g (%#08x), direct kernel %g (%#08x)",
+				i, got.Data[i], math.Float32bits(got.Data[i]), v, math.Float32bits(v))
+		}
+	}
+	return nil
+}
+
+// TestConv2dGEMMMatchesDirect pins the numerics contract of the
+// im2col + GEMM path: bit-identical to the direct kernel on every shape
+// of the matrix, at batch 1 and 3.
+func TestConv2dGEMMMatchesDirect(t *testing.T) {
+	for _, c := range gemmShapes {
+		for _, batch := range []int{1, 3} {
+			op := c.op
+			if err := compareGEMMToDirect(batch, c.in, &op, int64(batch)); err != nil {
+				t.Errorf("%s batch %d: %v", c.name, batch, err)
+			}
+		}
+	}
+}
+
+// TestConv2dConcurrentCallers runs the matrix from several goroutines at
+// once, as data-parallel replicas do on the shared worker pool: every
+// call's column buffer must stay its own.
+func TestConv2dConcurrentCallers(t *testing.T) {
+	var wg sync.WaitGroup
+	for w := 0; w < 3; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for _, c := range gemmShapes {
+				op := c.op
+				if err := compareGEMMToDirect(1+w, c.in, &op, int64(w)); err != nil {
+					t.Errorf("%s batch %d: %v", c.name, 1+w, err)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+}
+
+// FuzzConv2dShapes extends the matrix to arbitrary small geometries:
+// every valid non-depthwise shape must match the direct kernel bit for
+// bit. Each parameter is folded into a small range, so one case stays
+// cheap; the seed corpus is the matrix at batch 1 and 3.
+func FuzzConv2dShapes(f *testing.F) {
+	for i, c := range gemmShapes {
+		op := c.op
+		f.Add(uint8(2*(i%2)), uint8(op.Groups-1), uint8(op.InC/op.Groups-1), uint8(op.OutC/op.Groups-1),
+			uint8(c.in.H-1), uint8(c.in.W-1), uint8(op.KH-1), uint8(op.KW-1),
+			uint8(op.StrideH-1), uint8(op.StrideW-1), uint8(op.PadH), uint8(op.PadW),
+			uint8(op.DilationH-1), uint8(op.DilationW-1), op.Bias, int64(i))
+	}
+	f.Fuzz(func(t *testing.T, batch, groups, icPerG, ocPerG, h, w, kh, kw, sh, sw, ph, pw, dh, dw uint8, bias bool, seed int64) {
+		g := int(groups%3) + 1
+		in := graph.Shape{C: g * (int(icPerG%8) + 1), H: int(h%16) + 1, W: int(w%16) + 1}
+		op := graph.Conv2dOp{
+			InC: in.C, OutC: g * (int(ocPerG%12) + 1), Groups: g,
+			KH: int(kh%7) + 1, KW: int(kw%7) + 1,
+			StrideH: int(sh%3) + 1, StrideW: int(sw%3) + 1,
+			PadH: int(ph % 4), PadW: int(pw % 4),
+			DilationH: int(dh%3) + 1, DilationW: int(dw%3) + 1,
+			Bias: bias,
+		}
+		if op.InC/op.Groups == 1 && op.KH*op.KW > 1 {
+			t.Skip("depthwise shapes run the direct kernel itself")
+		}
+		if _, err := op.OutShape([]graph.Shape{in}); err != nil {
+			t.Skip(err)
+		}
+		if err := compareGEMMToDirect(int(batch%3)+1, in, &op, seed); err != nil {
+			t.Fatalf("%+v on %v: %v", op, in, err)
+		}
+	})
+}

@@ -7,75 +7,12 @@ import (
 	"convmeter/internal/graph"
 )
 
-// The parallel kernels below split their work over a flattened index
-// space (batch × output-channel, batch × head, …) and hand it to the
-// persistent worker pool via a pooled task struct — see pool.go. Every
-// item writes a disjoint set of output elements, so scheduling cannot
-// change the numerics, and the per-invocation allocation count is zero.
-
-// convTask is one conv2d invocation; item i enumerates the flattened
-// (batch, out-channel) space.
-type convTask struct {
-	in, out        *Tensor
-	op             *graph.Conv2dOp
-	weight, bias   []float32
-	icPerG, ocPerG int
-	kArea          int
-}
-
-var convTaskPool = sync.Pool{New: func() any { return new(convTask) }}
-
-func (t *convTask) run(i int, _ *kernelScratch) {
-	b, oc := i/t.op.OutC, i%t.op.OutC
-	in, out, op := t.in, t.out, t.op
-	g := oc / t.ocPerG
-	icBase := g * t.icPerG
-	wBase := oc * t.icPerG * t.kArea
-	outPlane := out.channel(b, oc)
-	var bv float32
-	if t.bias != nil {
-		bv = t.bias[oc]
-	}
-	for oh := 0; oh < out.Shape.H; oh++ {
-		for ow := 0; ow < out.Shape.W; ow++ {
-			acc := bv
-			for ic := 0; ic < t.icPerG; ic++ {
-				inPlane := in.channel(b, icBase+ic)
-				wRow := t.weight[wBase+ic*t.kArea:]
-				for kh := 0; kh < op.KH; kh++ {
-					ih := oh*op.StrideH - op.PadH + kh*op.DilationH
-					if ih < 0 || ih >= in.Shape.H {
-						continue
-					}
-					rowOff := ih * in.Shape.W
-					kOff := kh * op.KW
-					for kw := 0; kw < op.KW; kw++ {
-						iw := ow*op.StrideW - op.PadW + kw*op.DilationW
-						if iw < 0 || iw >= in.Shape.W {
-							continue
-						}
-						acc += inPlane[rowOff+iw] * wRow[kOff+kw]
-					}
-				}
-			}
-			outPlane[oh*out.Shape.W+ow] = acc
-		}
-	}
-}
-
-// conv2d computes a grouped, strided, padded, dilated 2-D convolution.
-// Weight layout: [outC][inC/groups][KH][KW]; bias may be nil.
-func conv2d(in *Tensor, op *graph.Conv2dOp, weight, bias []float32, out *Tensor) {
-	t := convTaskPool.Get().(*convTask)
-	*t = convTask{
-		in: in, out: out, op: op, weight: weight, bias: bias,
-		icPerG: op.InC / op.Groups, ocPerG: op.OutC / op.Groups,
-		kArea: op.KH * op.KW,
-	}
-	parallelRun(t, in.Batch*op.OutC)
-	*t = convTask{}
-	convTaskPool.Put(t)
-}
+// The parallel kernels below and in conv.go split their work over a
+// flattened index space (batch × output-channel, batch × head, …) and
+// hand it to the persistent worker pool via a pooled task struct — see
+// pool.go. Every item writes a disjoint set of output elements, so
+// scheduling cannot change the numerics, and the per-invocation
+// allocation count is zero.
 
 // linearTask is one linear invocation; item i enumerates the flattened
 // (batch, output) space.
@@ -193,11 +130,46 @@ func layerNorm(in *Tensor, scale, shift []float32, out *Tensor) {
 	}
 }
 
-// activation applies fn elementwise.
+// activation applies fn elementwise. ReLU and ReLU6 run their own
+// branch-free loops: a normalised tensor's signs are random, so a
+// compare-and-branch per element mispredicts about half the time. They
+// select on the float's bit pattern and reproduce applyAct bit for bit,
+// -0, ±Inf and NaN included; the other functions go through applyAct.
 func activation(in *Tensor, fn graph.ActFunc, out *Tensor) {
-	for i, v := range in.Data {
-		out.Data[i] = applyAct(fn, v)
+	dst := out.Data[:len(in.Data)]
+	switch fn {
+	case graph.ReLU:
+		for i, v := range in.Data {
+			b := math.Float32bits(v)
+			dst[i] = math.Float32frombits(b &^ bitsIn(b, negLoBits, negInfBits))
+		}
+	case graph.ReLU6:
+		for i, v := range in.Data {
+			b := math.Float32bits(v)
+			big := bitsIn(b, sixBits+1, posInfBits)
+			dst[i] = math.Float32frombits(b&^(bitsIn(b, negLoBits, negInfBits)|big) | sixBits&big)
+		}
+	default:
+		for i, v := range in.Data {
+			dst[i] = applyAct(fn, v)
+		}
 	}
+}
+
+// Float32 bit patterns for activation's clamps: v < 0 holds exactly for
+// the patterns in [negLoBits, negInfBits] (negative non-zero numbers and
+// -Inf; -0 and the negative NaNs lie outside), and v > 6 exactly for
+// those in (sixBits, posInfBits].
+const (
+	negLoBits  = 0x80000001
+	negInfBits = 0xFF800000
+	sixBits    = 0x40C00000
+	posInfBits = 0x7F800000
+)
+
+// bitsIn returns all ones when lo <= b <= hi, else zero, without a branch.
+func bitsIn(b, lo, hi uint32) uint32 {
+	return uint32((int64(b-lo) - int64(hi-lo) - 1) >> 63)
 }
 
 // pool2d computes max or average pooling.

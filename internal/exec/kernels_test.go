@@ -208,6 +208,24 @@ func TestActivationNumerics(t *testing.T) {
 	if g := applyAct(graph.GELU, -10); math.Abs(float64(g)) > 1e-3 {
 		t.Errorf("GELU(-10) = %g", g)
 	}
+	// activation's own ReLU and ReLU6 loops must match applyAct bit for
+	// bit, on both sides of every bit-pattern boundary they select on:
+	// ±0, the smallest negative subnormal, 6, ±Inf and NaNs of both signs.
+	edge := []float32{float32(math.Copysign(0, -1)), 0, -1, 3, 6, 6.5,
+		math.Float32frombits(0x80000001), math.Nextafter32(6, 7), math.Nextafter32(6, 0),
+		float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN()),
+		math.Float32frombits(0x7F800001), math.Float32frombits(0xFF800001), math.Float32frombits(0xFFC00000)}
+	in := NewTensor(1, graph.Shape{C: len(edge), H: 1, W: 1})
+	copy(in.Data, edge)
+	out := NewTensor(1, in.Shape)
+	for _, fn := range []graph.ActFunc{graph.ReLU, graph.ReLU6, graph.HardSwish} {
+		activation(in, fn, out)
+		for i, x := range edge {
+			if want := applyAct(fn, x); math.Float32bits(out.Data[i]) != math.Float32bits(want) {
+				t.Errorf("activation %s(%g) = %g, applyAct %g", fn, x, out.Data[i], want)
+			}
+		}
+	}
 }
 
 func TestMaxAndAvgPool(t *testing.T) {

@@ -22,6 +22,20 @@
 // over a persistent worker pool and allocate nothing per invocation —
 // they are declared hot-path roots in lint.config, and the hotpath
 // analyzer plus testing.AllocsPerRun enforce the discipline.
+//
+// Forward convolution, where nearly all inference time goes, runs as
+// im2col + a register-blocked GEMM (conv.go), with the column matrix in
+// a pooled kernelScratch buffer; a 1×1 stride-1 unpadded conv multiplies
+// its input planes directly. Depthwise convs stay on the direct kernel,
+// which is also the tests' reference. The contract is bit-identity: the
+// GEMM sums bias + Σ w·x over (ic, kh, kw) ascending in one running sum,
+// exactly the direct kernel's order, adding w·0 where the direct kernel
+// skips a padded tap, so outputs and every golden built on them are
+// unchanged. The backward convolution stays direct: it skips the zero
+// output gradients ReLU leaves (about half of them), which a dense GEMM
+// cannot, and data-parallel training already keeps every core busy with
+// one replica each, so splitting a replica's backward over the shared
+// pool only adds contention.
 package exec
 
 import (

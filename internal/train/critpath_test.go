@@ -51,10 +51,10 @@ func critpathRun(t *testing.T, transport Transport, prof *faults.Profile, steps 
 
 // verifyBlame checks one run-plus-replay pair of a seeded-straggler
 // scenario: every slowed step wait-dominated with worker 0 named and at
-// least one full delay of caused idle, every verdict identical across
-// the replay. Returns the violations instead of failing, so the caller
-// can retry the whole scenario when the host's scheduler drowned the
-// injected signal.
+// least one full delay of caused idle, every slowed step's verdict
+// identical across the replay, no earlier step blamed in either run.
+// Returns the violations instead of failing, so the caller can retry the
+// whole scenario when the host's scheduler drowned the injected signal.
 func verifyBlame(t *testing.T, rep, rep2 critpath.Report, steps, onset int, delay time.Duration) []string {
 	t.Helper()
 	var problems []string
@@ -80,14 +80,20 @@ func verifyBlame(t *testing.T, rep, rep2 critpath.Report, steps, onset int, dela
 		}
 	}
 	// Seed replay: the blame sequence is a pure function of the seeded
-	// schedule, not of host timing.
+	// schedule, not of host timing. Before the onset nothing is injected,
+	// so wait vs compute there is decided by host timing: those steps
+	// must only blame no one in both runs.
 	for i := range rep.Steps {
 		if i >= len(rep2.Steps) {
 			problems = append(problems, fmt.Sprintf("replay produced %d steps, want %d", len(rep2.Steps), len(rep.Steps)))
 			break
 		}
 		a, b := rep.Steps[i], rep2.Steps[i]
-		if a.Step != b.Step || a.Blame != b.Blame || a.Dominant != b.Dominant {
+		diverged := a.Step != b.Step || a.Blame != b.Blame || a.Dominant != b.Dominant
+		if a.Step < onset {
+			diverged = a.Step != b.Step || a.Blame != -1 || b.Blame != -1
+		}
+		if diverged {
 			problems = append(problems, fmt.Sprintf("replay diverged at step %d: (%q, blame %d) vs (%q, blame %d)",
 				a.Step, a.Dominant, a.Blame, b.Dominant, b.Blame))
 		}
