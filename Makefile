@@ -22,35 +22,31 @@ lint:
 test:
 	$(GO) test ./...
 
-# The concurrent packages (the kernel worker pool, ring all-reduce,
-# parallel bench collector, data-parallel trainer, telemetry
-# registry/tracer, ops server under ./internal/obs/..., drift monitor)
-# run under the race detector, plus the lint package itself — its
-# fixture suites drive the loader and analyzers concurrently enough to
-# be worth the coverage.
+# Every race-detector test runs here, once. The concurrent packages (the
+# kernel worker pool, ring all-reduce, parallel bench collector,
+# data-parallel trainer with its chaos and critical-path blame suites,
+# telemetry registry/tracer, ops server under ./internal/obs/..., drift
+# monitor, fault injector, DAG executor with its crash-resume matrix,
+# the experiments harness with its DAG resume matrices) run under the
+# race detector, plus the lint package itself — its fixture suites drive
+# the loader and analyzers concurrently enough to be worth the coverage
+# — and the CLI legs that scrape a live ops server, fire alerts and
+# kill/resume a run.
 race:
-	$(GO) test -race ./internal/exec/... ./internal/allreduce/... ./internal/bench/... ./internal/train/... ./internal/obs/... ./internal/driftwatch/... ./internal/lint/... ./internal/dagrun/...
+	$(GO) test -race ./internal/exec/... ./internal/allreduce/... ./internal/bench/... ./internal/train/... ./internal/obs/... ./internal/driftwatch/... ./internal/lint/... ./internal/dagrun/... ./internal/faults/... ./internal/experiments/...
+	$(GO) test -race -count=1 -run 'TestRunWithOpsServer|TestRunAlerts|TestRunDagCrashResume' ./cmd/experiments
 
-# obs-smoke: run real experiments with the observability flags and
-# validate the artefacts with cmd/obscheck — catches exposition/trace/
-# drift formatting regressions that unit tests on the exporters alone
-# would miss. Three stages: (1) the telemetry fixture run, (2) a live
-# ops-server scrape under the race detector (concurrent /metrics and
-# /drift requests against a running chaos experiment), (3) a slowdown
-# chaos run whose drift artefact must report the detection, and a clean
-# run whose artefact must not.
+# obs-smoke: run the telemetry fixture experiment with the metrics and
+# trace flags and validate both artefacts with cmd/obscheck — catches
+# exposition/trace formatting regressions that unit tests on the
+# exporters alone would miss. (The live ops-server scrape runs under
+# the race detector in `race`; the drift artefacts are checked by
+# alerts-smoke's slowdown and clean runs.)
 obs-smoke:
 	rm -rf .obs-smoke && mkdir -p .obs-smoke
 	$(GO) run ./cmd/experiments -run exttrainreal -quick \
 		-metrics-out .obs-smoke/metrics.prom -trace-out .obs-smoke/trace.json > .obs-smoke/report.txt
 	$(GO) run ./cmd/obscheck -metrics .obs-smoke/metrics.prom -trace .obs-smoke/trace.json
-	$(GO) test -race -count=1 -run 'TestRunWithOpsServer' ./cmd/experiments
-	$(GO) run ./cmd/experiments -run exttrainfaults -quick -faults-seed 7 -faults-profile slowdown \
-		-drift-out .obs-smoke/drift-slow.json > .obs-smoke/report-slow.txt
-	$(GO) run ./cmd/obscheck -drift .obs-smoke/drift-slow.json -require-drift
-	$(GO) run ./cmd/experiments -run exttrainfaults -quick -faults-seed 7 -faults-profile none \
-		-drift-out .obs-smoke/drift-clean.json > .obs-smoke/report-clean.txt
-	$(GO) run ./cmd/obscheck -drift .obs-smoke/drift-clean.json -forbid-drift
 	rm -rf .obs-smoke
 
 # obs-bench: exporter and hot-path benchmarks; the Disabled* benchmarks
@@ -73,16 +69,16 @@ bench-snapshot:
 bench-check:
 	$(GO) run ./cmd/benchsnap -check BENCH_2.json
 
-# critpath-smoke: the distributed-tracing acceptance path. First the
-# blame chaos suite under the race detector (seeded straggler must be
-# deterministically blamed on both transports, clean seed must blame no
-# one), then end-to-end: a slowdown chaos run (persistent straggler on
-# worker 0) must export a critical-path report blaming worker 0 and a
-# well-formed multi-worker trace (resolvable span parents, no negative
-# durations, no cross-worker time-travel), and the clean run's report
-# must blame nobody.
+# critpath-smoke: the distributed-tracing acceptance path, end to end
+# (the blame chaos suite runs under the race detector in `race`): a
+# slowdown chaos run (persistent straggler on worker 0) must export a
+# critical-path report blaming worker 0 and a well-formed multi-worker
+# trace (resolvable span parents, no negative durations, no
+# cross-worker time-travel), and the clean run's report must blame
+# nobody. Kept apart from alerts-smoke's pair: -critpath-out turns on
+# clock alignment and an injected clock skew, and a clean run with
+# every flag on blamed a step in 1 of 43 tries.
 critpath-smoke:
-	$(GO) test -race -count=1 -run 'TestCritpath' ./internal/train
 	rm -rf .critpath-smoke && mkdir -p .critpath-smoke
 	$(GO) run ./cmd/experiments -run exttrainfaults -quick -faults-seed 7 -faults-profile slowdown \
 		-critpath-out .critpath-smoke/critpath-slow.json -trace-out .critpath-smoke/trace-slow.json \
@@ -94,26 +90,26 @@ critpath-smoke:
 	$(GO) run ./cmd/obscheck -critpath .critpath-smoke/critpath-clean.json -forbid-blame
 	rm -rf .critpath-smoke
 
-# alerts-smoke: the SLO-alerting acceptance path. First the live e2e
-# matrix under the race detector (slowdown chaos run must fire the
-# critical drift-burn-rate rule, gate /readyz to 503 and report the
-# incident on /alerts and /api/query; the clean run must stay silent),
-# then end-to-end through the real binary: the slowdown run's exported
-# alert report must pass obscheck -alerts with drift-burn-rate required
-# to have fired, and the clean run's report with it forbidden. The
+# alerts-smoke: the SLO-alerting and drift acceptance path, end to end
+# through the real binary (the live e2e matrix — /readyz gating,
+# /alerts, /api/query — runs under the race detector in `race`): the
+# slowdown run's exported alert report must pass obscheck -alerts with
+# drift-burn-rate required to have fired and its drift artefact must
+# report the detection; the clean run's reports must show neither. The
 # compressed -alerts-scale turns the 5m/1h SLO windows into a smoke-
 # sized timebase; -sample-interval matches the run's few-second span.
 alerts-smoke:
-	$(GO) test -race -count=1 -run 'TestRunAlerts' ./cmd/experiments
 	rm -rf .alerts-smoke && mkdir -p .alerts-smoke
 	$(GO) run ./cmd/experiments -run exttrainfaults -quick -faults-seed 7 -faults-profile slowdown \
 		-alerts-out .alerts-smoke/alerts-slow.json -alerts-scale 0.005 -sample-interval 25ms \
-		> .alerts-smoke/report-slow.txt
+		-drift-out .alerts-smoke/drift-slow.json > .alerts-smoke/report-slow.txt
 	$(GO) run ./cmd/obscheck -alerts .alerts-smoke/alerts-slow.json -require-firing drift-burn-rate
+	$(GO) run ./cmd/obscheck -drift .alerts-smoke/drift-slow.json -require-drift
 	$(GO) run ./cmd/experiments -run exttrainfaults -quick -faults-seed 7 -faults-profile none \
 		-alerts-out .alerts-smoke/alerts-clean.json -alerts-scale 0.005 -sample-interval 25ms \
-		> .alerts-smoke/report-clean.txt
+		-drift-out .alerts-smoke/drift-clean.json > .alerts-smoke/report-clean.txt
 	$(GO) run ./cmd/obscheck -alerts .alerts-smoke/alerts-clean.json -forbid-firing drift-burn-rate
+	$(GO) run ./cmd/obscheck -drift .alerts-smoke/drift-clean.json -forbid-drift
 	rm -rf .alerts-smoke
 
 # Short fuzz smoke of every fuzz target; seed corpora live under the
@@ -125,13 +121,12 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParseManifest -fuzztime $(FUZZTIME) ./internal/dagrun
 	$(GO) test -run '^$$' -fuzz FuzzConv2dShapes -fuzztime $(FUZZTIME) ./internal/exec
 
-# chaos: the fault-injection suites under the race detector, then a
-# fixed seed matrix of real end-to-end chaos runs (resilient training
-# under crashes, drops and corruption) validated with
-# obscheck -require-faults, which fails if no fault was injected.
+# chaos: a fixed seed matrix of real end-to-end chaos runs (resilient
+# training under crashes, drops and corruption) validated with
+# obscheck -require-faults, which fails if no fault was injected. The
+# fault-injection suites run under the race detector in `race`.
 CHAOS_SEEDS ?= 1 7 42
 chaos:
-	$(GO) test -race ./internal/faults/... ./internal/checkpoint/... ./internal/allreduce/... ./internal/train/... ./internal/experiments/...
 	rm -rf .chaos-smoke && mkdir -p .chaos-smoke
 	for seed in $(CHAOS_SEEDS); do \
 		$(GO) run ./cmd/experiments -run exttrainfaults -quick -faults-seed $$seed \
@@ -140,16 +135,15 @@ chaos:
 	done
 	rm -rf .chaos-smoke
 
-# dag-smoke: the crash-resume acceptance path. First the resume
-# matrices under the race detector (every node boundary and mid-node
-# point, clean seed and chaos profile, resumed stats bit-identical),
-# then end-to-end through the real binary: an uninterrupted chaos run,
-# a -dag-crash run that must die with exit code 3 after committing its
-# upstream manifests, a resume over the same -dag-dir whose report must
-# be byte-identical to the uninterrupted run's, and obscheck -manifest
-# validating the surviving manifest chain.
+# dag-smoke: the crash-resume acceptance path, end to end through the
+# real binary (the resume matrices — every node boundary and mid-node
+# point, clean seed and chaos profile — run under the race detector in
+# `race`): an uninterrupted chaos run, a -dag-crash run that must die
+# with exit code 3 after committing its upstream manifests, a resume
+# over the same -dag-dir whose report must be byte-identical to the
+# uninterrupted run's, and obscheck -manifest validating the surviving
+# manifest chain.
 dag-smoke:
-	$(GO) test -race -count=1 -run 'TestCrashResumeMatrix|TestDagResumeMatrix|TestRunDagCrashResume' ./internal/dagrun ./internal/experiments ./cmd/experiments
 	rm -rf .dag-smoke && mkdir -p .dag-smoke
 	$(GO) build -o .dag-smoke/experiments ./cmd/experiments
 	.dag-smoke/experiments -run exttrainfaults -quick -seed 5 -faults-seed 11 \

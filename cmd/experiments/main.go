@@ -28,7 +28,6 @@ import (
 	"time"
 
 	"convmeter"
-	"convmeter/internal/checkpoint"
 	"convmeter/internal/driftwatch"
 	"convmeter/internal/faults"
 	"convmeter/internal/obs"
@@ -46,12 +45,11 @@ func main() {
 	flag.BoolVar(&opts.quick, "quick", false, "use reduced sweeps (for smoke runs)")
 	flag.Int64Var(&opts.faultsSeed, "faults-seed", 0, "fault-injection schedule seed for exttrainfaults (0 = use -seed); the same seed reproduces the identical fault schedule")
 	flag.StringVar(&opts.faultsProfile, "faults-profile", "", "fault profile for exttrainfaults: none, light, heavy, chaos or slowdown (default chaos)")
-	flag.StringVar(&opts.checkpointPath, "checkpoint", "", "checkpoint file: completed experiments and LOMO evaluations are recorded here and skipped on re-run, so a killed sweep resumes from the last completed unit")
 	flag.StringVar(&opts.outPath, "out", "", "also write the output to this file")
 	flag.StringVar(&opts.csvDir, "csvdir", "", "write figure data series as CSV files into this directory")
 	flag.StringVar(&opts.metricsOut, "metrics-out", "", "write collected runtime metrics to this file (Prometheus text; JSONL when the path ends in .jsonl)")
 	flag.StringVar(&opts.traceOut, "trace-out", "", "write recorded spans as Chrome trace-event JSON to this file (open in Perfetto)")
-	flag.StringVar(&opts.opsAddr, "ops-addr", "", "serve the live ops endpoints (/metrics, /healthz, /readyz, /trace, /drift, /critpath, /api/query, /alerts, /profiles, /dashboard, /debug/pprof) on this address (e.g. localhost:6060) while experiments run; off by default")
+	flag.StringVar(&opts.opsAddr, "ops-addr", "", "serve the live ops endpoints (/metrics, /healthz, /readyz, /trace, /drift, /critpath, /dag, /api/query, /alerts, /dashboard, /debug/pprof) on this address (e.g. localhost:6060) while experiments run; off by default")
 	flag.StringVar(&opts.opsAddrOut, "ops-addr-out", "", "write the ops server's actual bound address to this file (useful with -ops-addr :0)")
 	flag.StringVar(&opts.driftOut, "drift-out", "", "write the final drift-monitor state as JSON to this file")
 	flag.BoolVar(&opts.driftRefit, "drift-refit", false, "on a drift event, recalibrate the affected stream onto the new regime instead of staying latched")
@@ -82,7 +80,6 @@ type options struct {
 	quick                bool
 	faultsSeed           int64
 	faultsProfile        string
-	checkpointPath       string
 	outPath, csvDir      string
 	metricsOut, traceOut string
 	opsAddr, opsAddrOut  string
@@ -119,20 +116,6 @@ func run(opts options) (err error) {
 	cfg := convmeter.ExperimentConfig{
 		Seed: opts.seed, Quick: opts.quick,
 		FaultsSeed: opts.faultsSeed, FaultsProfile: opts.faultsProfile,
-	}
-	if opts.checkpointPath != "" {
-		// The fingerprint binds the file to the settings that shaped its
-		// results; changing any of them discards the stale entries.
-		fp := fmt.Sprintf("seed=%d quick=%t faults-seed=%d faults-profile=%s",
-			opts.seed, opts.quick, opts.faultsSeed, opts.faultsProfile)
-		store, err := checkpoint.Open(opts.checkpointPath, fp)
-		if err != nil {
-			return err
-		}
-		if n := store.Resumed(); n > 0 {
-			fmt.Fprintf(os.Stderr, "experiments: resuming, %d completed unit(s) loaded from %s\n", n, opts.checkpointPath)
-		}
-		cfg.Checkpoint = store
 	}
 	var bundle *obs.Obs
 	var mon *driftwatch.Monitor
@@ -199,7 +182,7 @@ func run(opts options) (err error) {
 	if opts.opsAddr != "" {
 		srv, err := ops.Start(ops.Config{
 			Addr: opts.opsAddr, Obs: bundle, Drift: mon, Crit: crit, Dag: runner,
-			TSDB: db, Alerts: eng, Prof: prof,
+			TSDB: db, Alerts: eng,
 		})
 		if err != nil {
 			return err

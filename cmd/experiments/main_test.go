@@ -113,20 +113,20 @@ func TestRunWithTelemetry(t *testing.T) {
 	}
 }
 
-// TestRunChaosWithCheckpoint is the acceptance test for the fault flags:
-// a seeded exttrainfaults run must survive the chaos profile (crash,
-// drops, corruption — the experiment asserts survivor correctness
-// itself), export positive fault counters, and resume from its
-// checkpoint on re-run.
-func TestRunChaosWithCheckpoint(t *testing.T) {
+// TestRunChaosResumesFromDagDir is the acceptance test for the fault
+// flags: a seeded exttrainfaults run must survive the chaos profile
+// (crash, drops, corruption — the experiment asserts survivor
+// correctness itself) and export positive fault counters, and a re-run
+// over the same -dag-dir must be served from its manifests.
+func TestRunChaosResumesFromDagDir(t *testing.T) {
 	dir := t.TempDir()
 	metricsPath := filepath.Join(dir, "metrics.prom")
-	ckptPath := filepath.Join(dir, "ckpt.json")
 	opts := options{
 		id: "exttrainfaults", seed: 1, quick: true, faultsSeed: 7,
-		outPath:        filepath.Join(dir, "report.txt"),
-		metricsOut:     metricsPath,
-		checkpointPath: ckptPath,
+		outPath:    filepath.Join(dir, "report.txt"),
+		metricsOut: metricsPath,
+		dagDir:     filepath.Join(dir, "run"),
+		dagWorkers: 2,
 	}
 	if err := run(opts); err != nil {
 		t.Fatal(err)
@@ -141,12 +141,11 @@ func TestRunChaosWithCheckpoint(t *testing.T) {
 	if values["convmeter_train_workers_removed_total"] < 1 {
 		t.Fatal("no worker removal recorded despite the scheduled crash")
 	}
-	if _, err := os.Stat(ckptPath); err != nil {
-		t.Fatalf("checkpoint file not written: %v", err)
-	}
 
-	// Re-run against the same checkpoint: the experiment is served from
-	// the store, so the trainer never runs and its counters stay dark.
+	// Re-run over the same directory: both nodes (the experiment and the
+	// report) are served from their manifests, so the trainer never runs
+	// and its counters stay dark.
+	first := opts.outPath
 	metrics2 := filepath.Join(dir, "metrics2.prom")
 	opts.metricsOut = metrics2
 	opts.outPath = filepath.Join(dir, "report2.txt")
@@ -154,18 +153,22 @@ func TestRunChaosWithCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	values2 := parsePromFile(t, metrics2)
-	if got := values2["convmeter_experiments_resumed_total"]; got != 1 {
-		t.Fatalf("convmeter_experiments_resumed_total = %g, want 1", got)
+	if got := values2["convmeter_dag_resumed_total"]; got != 2 {
+		t.Fatalf("convmeter_dag_resumed_total = %g, want 2", got)
 	}
 	if got := values2["convmeter_train_steps_total"]; got != 0 {
 		t.Fatalf("resumed run re-trained: %g steps", got)
 	}
-	report, err := os.ReadFile(opts.outPath)
+	want, err := os.ReadFile(first)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(report), "survivor checksums identical") {
-		t.Fatal("resumed report missing the cached experiment text")
+	got, err := os.ReadFile(opts.outPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Fatalf("resumed report differs from the first run:\n--- first ---\n%s\n--- resumed ---\n%s", want, got)
 	}
 }
 

@@ -20,10 +20,12 @@
 // Trace validation additionally checks span-graph well-formedness when
 // events carry span args: unique ids, resolvable parents, non-negative
 // durations, and no cross-worker time-travel through causal links
-// beyond the clock-alignment tolerance. CI's obs-smoke, chaos,
-// critpath-smoke and alerts-smoke targets run it against real artefacts so a formatting
-// regression fails the build rather than silently producing files
-// Grafana, Perfetto or benchsnap -check reject.
+// beyond the clock-alignment tolerance. CI's obs-smoke (metrics,
+// trace), chaos (metrics), critpath-smoke (critpath, trace),
+// alerts-smoke (alerts, drift) and dag-smoke (manifest) targets run it
+// against real artefacts so a formatting regression fails the build
+// rather than silently producing files Grafana, Perfetto or
+// benchsnap -check reject.
 package main
 
 import (

@@ -225,9 +225,12 @@ func RunExperiment(id string, cfg ExperimentConfig) (*ExperimentResult, error) {
 	return experiments.Run(id, cfg)
 }
 
-// RunAllExperiments reproduces every table and figure in order.
+// RunAllExperiments reproduces every table and figure, returning the
+// results in the paper's order. Independent experiments run in parallel
+// as one in-memory DAG, the same path cmd/experiments takes.
 func RunAllExperiments(cfg ExperimentConfig) ([]*ExperimentResult, error) {
-	return experiments.All(cfg)
+	res, _, err := experiments.RunDAG(experiments.IDs(), cfg, experiments.DagConfig{})
+	return res, err
 }
 
 // ExperimentIDs lists every experiment id in the paper's order.

@@ -120,6 +120,22 @@ func TestFacadeBlocksAndExperiments(t *testing.T) {
 	}
 }
 
+func TestRunAllExperiments(t *testing.T) {
+	res, err := RunAllExperiments(ExperimentConfig{Seed: 1, Quick: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := ExperimentIDs()
+	if len(res) != len(ids) {
+		t.Fatalf("%d results, want one per experiment (%d)", len(res), len(ids))
+	}
+	for i, id := range ids {
+		if res[i].ID != id {
+			t.Errorf("result %d is %q, want %q", i, res[i].ID, id)
+		}
+	}
+}
+
 func TestFacadeGraphBuilder(t *testing.T) {
 	b, x := NewGraph("custom", Shape{C: 3, H: 32, W: 32})
 	x = b.Conv(x, "c1", 16, 3, 1, 1)

@@ -3,13 +3,13 @@
 // manifests. Independent nodes run in parallel on a bounded worker pool;
 // each completed node commits a manifest (internal/dagrun/manifest)
 // binding its JSON output to a fingerprint of (code fingerprint, node
-// config, input-manifest hashes, faults seed/profile), written with the
-// checkpoint store's power-loss-durable atomic write. A later run over
-// the same directory resumes: a node whose manifest parses, whose
-// content hash verifies and whose fingerprint matches the current run is
-// served from disk; anything else — corrupt file, tampered output,
-// edited config, changed dependency — fails closed and re-runs. Trust is
-// never assumed, only re-derived.
+// config, input-manifest hashes, faults seed/profile), written with a
+// power-loss-durable atomic write. A later run over the same directory
+// resumes: a node whose manifest parses, whose content hash verifies and
+// whose fingerprint matches the current run is served from disk;
+// anything else — corrupt file, tampered output, edited config, changed
+// dependency — fails closed and re-runs. Trust is never assumed, only
+// re-derived.
 //
 // Crash-resume is provable, not hoped for: the fault injector
 // (internal/faults) schedules process-level ClassCrash faults at node
@@ -33,7 +33,6 @@ import (
 	"sync"
 	"time"
 
-	"convmeter/internal/checkpoint"
 	"convmeter/internal/dagrun/manifest"
 	"convmeter/internal/faults"
 	"convmeter/internal/obs"
@@ -430,7 +429,7 @@ func (r *Runner) runNode(n *node) bool {
 			r.fail(n, secs, err)
 			return false
 		}
-		if err := checkpoint.WriteFileAtomic(manifestPath(r.cfg.Dir, n.def.ID), data); err != nil {
+		if err := writeFileAtomic(manifestPath(r.cfg.Dir, n.def.ID), data); err != nil {
 			r.fail(n, secs, fmt.Errorf("commit manifest: %w", err))
 			return false
 		}

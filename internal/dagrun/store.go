@@ -49,3 +49,47 @@ func loadManifest(dir, id string) (*manifest.Manifest, string) {
 	}
 	return m, ""
 }
+
+// writeFileAtomic commits data to path with crash *and* power-loss
+// durability: write to a temp file in the same directory, fsync the file
+// so its contents reach stable storage before the rename, rename over
+// the target (atomic on POSIX), then fsync the parent directory so the
+// rename itself is durable. Rename-without-fsync only survives process
+// death — after a power cut the filesystem may replay the rename against
+// an unwritten inode and leave an empty or truncated "committed" file,
+// which is exactly the torn state a fail-close manifest must never
+// present.
+func writeFileAtomic(path string, data []byte) error {
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, ".atomic-*")
+	if err != nil {
+		return err
+	}
+	if _, err := tmp.Write(data); err != nil {
+		_ = tmp.Close()
+		_ = os.Remove(tmp.Name())
+		return err
+	}
+	if err := tmp.Sync(); err != nil {
+		_ = tmp.Close()
+		_ = os.Remove(tmp.Name())
+		return err
+	}
+	if err := tmp.Close(); err != nil {
+		_ = os.Remove(tmp.Name())
+		return err
+	}
+	if err := os.Rename(tmp.Name(), path); err != nil {
+		_ = os.Remove(tmp.Name())
+		return err
+	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	if err := d.Sync(); err != nil {
+		_ = d.Close()
+		return err
+	}
+	return d.Close()
+}

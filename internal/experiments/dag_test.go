@@ -78,7 +78,7 @@ func sameStats(t *testing.T, label string, got, want []*Result) {
 // TestDagResumeMatrixTable1 is the acceptance proof on the clean seed:
 // kill the fit→lomo→report DAG at every node boundary (and mid-node),
 // resume, and require Result.Stats bit-identical to an uninterrupted
-// run. Runs under -race via the dag-smoke target.
+// run. Runs under -race via the race target.
 func TestDagResumeMatrixTable1(t *testing.T) {
 	cfg := Config{Seed: 5, Quick: true}
 	ids := []string{"table1"}

@@ -1,39 +1,31 @@
 package experiments
 
 import (
-	"path/filepath"
 	"testing"
 
-	"convmeter/internal/checkpoint"
 	"convmeter/internal/core"
 	"convmeter/internal/driftwatch"
 )
 
-// TestLomoEvalFeedsDrift: a freshly computed LOMO evaluation streams its
+// TestLomoEvalFeedsDrift: a completed LOMO evaluation streams its
 // scatter pairs into the drift monitor — inference evaluations on the
-// "fwd" phase, training evaluations on "iter" — while a checkpoint-served
-// repeat feeds nothing (its pairs were already streamed by the run that
-// computed it).
+// "fwd" phase, training evaluations on "iter".
 func TestLomoEvalFeedsDrift(t *testing.T) {
-	store, err := checkpoint.Open(filepath.Join(t.TempDir(), "ckpt.json"), "test")
-	if err != nil {
-		t.Fatal(err)
-	}
 	mon := driftwatch.New(driftwatch.Config{})
-	cfg := Config{Checkpoint: store, Drift: mon}
+	cfg := Config{Drift: mon}
 
 	infer := &core.Evaluation{Pairs: []core.PredPair{
 		{Model: "alexnet", Actual: 0.010, Pred: 0.011},
 		{Model: "alexnet", Actual: 0.020, Pred: 0.019},
 		{Model: "vgg16", Actual: 0.100, Pred: 0.104},
 	}}
-	if _, err := lomoEval(cfg, "drift/infer", func() (*core.Evaluation, error) { return infer, nil }); err != nil {
+	if _, err := lomoEval(cfg, func() (*core.Evaluation, error) { return infer, nil }); err != nil {
 		t.Fatal(err)
 	}
 	train := &core.TrainEvaluation{Evaluation: core.Evaluation{Pairs: []core.PredPair{
 		{Model: "resnet50", Actual: 0.300, Pred: 0.310},
 	}}}
-	if _, err := lomoEval(cfg, "drift/train", func() (*core.TrainEvaluation, error) { return train, nil }); err != nil {
+	if _, err := lomoEval(cfg, func() (*core.TrainEvaluation, error) { return train, nil }); err != nil {
 		t.Fatal(err)
 	}
 
@@ -54,17 +46,6 @@ func TestLomoEvalFeedsDrift(t *testing.T) {
 		if !ok || st.Phase != w.phase || st.Pairs != w.pairs {
 			t.Errorf("stream %s/%s with %d pairs, want %+v", st.Model, st.Phase, st.Pairs, want)
 		}
-	}
-
-	// Checkpoint-served repeat: no new pairs.
-	if _, err := lomoEval(cfg, "drift/infer", func() (*core.Evaluation, error) {
-		t.Fatal("checkpointed eval re-ran")
-		return nil, nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if got := mon.Stream("alexnet", "fwd").Snapshot().Pairs; got != 2 {
-		t.Errorf("checkpoint-served eval fed the monitor: %d pairs, want 2", got)
 	}
 
 	// Disabled monitoring and unrelated result types are no-ops.

@@ -13,7 +13,6 @@ import (
 	"strings"
 	"text/tabwriter"
 
-	"convmeter/internal/checkpoint"
 	"convmeter/internal/driftwatch"
 	"convmeter/internal/obs"
 	"convmeter/internal/obs/critpath"
@@ -33,10 +32,6 @@ type Config struct {
 	// instrumented layers underneath (bench, exec, allreduce, train)
 	// record. Nil disables telemetry at zero cost.
 	Obs *obs.Obs
-	// Checkpoint, when non-nil, records completed experiments and LOMO
-	// evaluations so a killed sweep resumes from the last completed unit.
-	// Nil disables checkpointing.
-	Checkpoint *checkpoint.Store
 	// FaultsSeed drives the chaos experiment's fault schedule; 0 falls
 	// back to Seed. The same FaultsSeed reproduces the identical schedule.
 	FaultsSeed int64
@@ -151,17 +146,4 @@ func Run(id string, cfg Config) (*Result, error) {
 		}
 	}
 	return nil, fmt.Errorf("experiments: unknown experiment %q", id)
-}
-
-// All runs every experiment in order, failing fast on the first error.
-func All(cfg Config) ([]*Result, error) {
-	var out []*Result
-	for _, r := range Runners() {
-		res, err := runOne(r, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", r.ID, err)
-		}
-		out = append(out, res)
-	}
-	return out, nil
 }

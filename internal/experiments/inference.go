@@ -48,7 +48,7 @@ func Fig2(cfg Config) (*Result, error) {
 	var rows [][]string
 	for _, mask := range masks {
 		mask := mask
-		ev, err := lomoEval(cfg, "fig2/"+mask.String(), func() (*core.Evaluation, error) {
+		ev, err := lomoEval(cfg, func() (*core.Evaluation, error) {
 			return baselines.EvaluateAblationLOMO(samples, mask)
 		})
 		if err != nil {
@@ -127,7 +127,7 @@ func table1FromSamples(cfg Config, byDev map[string][]core.Sample) (*Result, err
 		if !ok {
 			return nil, fmt.Errorf("experiments: table1 samples missing device %s", dev.Name)
 		}
-		ev, err := lomoEval(cfg, "table1/"+dev.Name, func() (*core.Evaluation, error) {
+		ev, err := lomoEval(cfg, func() (*core.Evaluation, error) {
 			return core.EvaluateInferenceLOMO(samples)
 		})
 		if err != nil {
@@ -171,7 +171,7 @@ func Table2(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	ev, err := lomoEval(cfg, "table2/blocks", func() (*core.Evaluation, error) {
+	ev, err := lomoEval(cfg, func() (*core.Evaluation, error) {
 		return core.EvaluateInferenceLOMO(samples)
 	})
 	if err != nil {

@@ -7,38 +7,14 @@ import (
 	"convmeter/internal/obs"
 )
 
-// runOne executes one runner under telemetry and checkpointing. With a
-// checkpoint store configured, a previously completed experiment is
-// served from the store (the resume path of a killed sweep) and a fresh
-// completion is persisted before returning. Under telemetry the run is
-// wrapped in an "experiment:<id>" span (which child spans — bench tasks,
-// LOMO evaluations, training steps — attach to via Config.Obs), timed
-// into a per-experiment gauge, and its headline statistics are exported
-// as convmeter_experiment_stat gauges so fit quality and residuals are
-// scrapeable alongside the runtime metrics. With both disabled this is
-// exactly r.Run.
+// runOne executes one runner. Under telemetry the run is wrapped in an
+// "experiment:<id>" span (which child spans — bench tasks, LOMO
+// evaluations, training steps — attach to via Config.Obs), timed into a
+// per-experiment gauge, and its headline statistics are exported as
+// convmeter_experiment_stat gauges so fit quality and residuals are
+// scrapeable alongside the runtime metrics. With telemetry disabled this
+// is exactly r.Run.
 func runOne(r Runner, cfg Config) (*Result, error) {
-	key := "experiment/" + r.ID
-	var cached Result
-	if cfg.Checkpoint.Get(key, &cached) {
-		if cfg.Obs != nil {
-			cfg.Obs.Counter("convmeter_experiments_resumed_total",
-				"experiments served from a checkpoint instead of re-run").Inc()
-		}
-		return &cached, nil
-	}
-	res, err := runLive(r, cfg)
-	if err != nil {
-		return nil, err
-	}
-	// Checkpointing is best-effort: a failed write must not fail an
-	// otherwise completed experiment, it only costs resume coverage.
-	_ = cfg.Checkpoint.Put(key, res)
-	return res, nil
-}
-
-// runLive is runOne without the checkpoint layer.
-func runLive(r Runner, cfg Config) (*Result, error) {
 	if cfg.Obs == nil {
 		return r.Run(cfg)
 	}
@@ -64,21 +40,12 @@ func runLive(r Runner, cfg Config) (*Result, error) {
 }
 
 // lomoEval wraps one leave-one-model-out evaluation in a "lomo" span,
-// feeds its duration into a shared histogram, and checkpoints the result
-// under key: a sweep killed mid-campaign resumes from the last completed
-// evaluation instead of from scratch. The evaluation itself runs in
-// analytical packages (core, baselines), which the boundary rule keeps
-// telemetry- and checkpoint-free — so both are applied here, at the
-// measured-side call site.
-func lomoEval[T any](cfg Config, key string, eval func() (T, error)) (T, error) {
-	var cached T
-	if key != "" && cfg.Checkpoint.Get("lomo/"+key, &cached) {
-		if cfg.Obs != nil {
-			cfg.Obs.Counter("convmeter_experiment_lomo_resumed_total",
-				"LOMO evaluations served from a checkpoint instead of re-run").Inc()
-		}
-		return cached, nil
-	}
+// feeds its duration into a shared histogram, and streams its scatter
+// pairs into the drift monitor. The evaluation itself runs in analytical
+// packages (core, baselines), which the boundary rule keeps
+// telemetry-free — so both are applied here, at the measured-side call
+// site.
+func lomoEval[T any](cfg Config, eval func() (T, error)) (T, error) {
 	run := func() (T, error) {
 		if cfg.Obs == nil {
 			return eval()
@@ -95,10 +62,6 @@ func lomoEval[T any](cfg Config, key string, eval func() (T, error)) (T, error) 
 	out, err := run()
 	if err == nil {
 		feedDriftEval(cfg, any(out))
-		if key != "" {
-			// Best-effort, like the experiment-level checkpoint above.
-			_ = cfg.Checkpoint.Put("lomo/"+key, out)
-		}
 	}
 	return out, err
 }
@@ -106,9 +69,7 @@ func lomoEval[T any](cfg Config, key string, eval func() (T, error)) (T, error) 
 // feedDriftEval streams a completed LOMO evaluation's scatter pairs into
 // the drift monitor, one stream per held-out model: inference
 // evaluations land on the "fwd" phase, training evaluations on "iter".
-// Only freshly computed evaluations feed (checkpoint-served ones were
-// already fed by the run that produced them); with no monitor configured
-// this is a no-op.
+// With no monitor configured this is a no-op.
 func feedDriftEval(cfg Config, out any) {
 	if cfg.Drift == nil {
 		return

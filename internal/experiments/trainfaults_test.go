@@ -1,11 +1,9 @@
 package experiments
 
 import (
-	"path/filepath"
 	"reflect"
 	"testing"
 
-	"convmeter/internal/checkpoint"
 	"convmeter/internal/driftwatch"
 )
 
@@ -122,65 +120,5 @@ func TestExtTrainFaultsDriftDetection(t *testing.T) {
 	}
 	if clean.Pairs == 0 {
 		t.Errorf("fault-free run fed no pairs: %+v", clean)
-	}
-}
-
-// TestRunServesExperimentFromCheckpoint: a completed experiment recorded
-// in the checkpoint store must be served from it on re-run — the resume
-// path of a killed sweep.
-func TestRunServesExperimentFromCheckpoint(t *testing.T) {
-	store, err := checkpoint.Open(filepath.Join(t.TempDir(), "ckpt.json"), "test")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sentinel := &Result{ID: "exttrainreal", Title: "served from checkpoint"}
-	if err := store.Put("experiment/exttrainreal", sentinel); err != nil {
-		t.Fatal(err)
-	}
-	cfg := quickCfg
-	cfg.Checkpoint = store
-	res, err := Run("exttrainreal", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Title != sentinel.Title {
-		t.Fatalf("checkpointed experiment re-ran: title %q", res.Title)
-	}
-}
-
-// TestLomoEvalCheckpoints: a completed LOMO evaluation is persisted under
-// its key and not recomputed on the next call.
-func TestLomoEvalCheckpoints(t *testing.T) {
-	store, err := checkpoint.Open(filepath.Join(t.TempDir(), "ckpt.json"), "test")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{Checkpoint: store}
-	type evalOut struct{ Score float64 }
-	calls := 0
-	eval := func() (*evalOut, error) {
-		calls++
-		return &evalOut{Score: 0.93}, nil
-	}
-	first, err := lomoEval(cfg, "unit/a", eval)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := lomoEval(cfg, "unit/a", eval)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls != 1 {
-		t.Fatalf("eval ran %d times, want 1", calls)
-	}
-	if first.Score != second.Score {
-		t.Fatalf("checkpointed result diverged: %v vs %v", first, second)
-	}
-	// A different key is a different unit and must run.
-	if _, err := lomoEval(cfg, "unit/b", eval); err != nil {
-		t.Fatal(err)
-	}
-	if calls != 2 {
-		t.Fatalf("distinct key served from cache (calls=%d)", calls)
 	}
 }

@@ -77,7 +77,7 @@ func Table3Single(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	ev, err := lomoEval(cfg, "table3/single", func() (*core.TrainEvaluation, error) {
+	ev, err := lomoEval(cfg, func() (*core.TrainEvaluation, error) {
 		return core.EvaluateTrainingLOMO(samples)
 	})
 	if err != nil {
@@ -98,7 +98,7 @@ func Table3Multi(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	ev, err := lomoEval(cfg, "table3/multi", func() (*core.TrainEvaluation, error) {
+	ev, err := lomoEval(cfg, func() (*core.TrainEvaluation, error) {
 		return core.EvaluateTrainingLOMO(samples)
 	})
 	if err != nil {

@@ -45,7 +45,7 @@ allow      convmeter/internal/core convmeter/internal/exec
 func TestParseConfigScopes(t *testing.T) {
 	cfg, err := ParseConfig(strings.NewReader(`
 deterministic convmeter/internal/metrics
-deterministic convmeter/internal/checkpoint
+deterministic convmeter/internal/faults
 lockcheck     convmeter/internal/allreduce
 unit          convmeter/internal/metrics.Seconds
 unit          convmeter/internal/metrics.FLOPs
@@ -59,7 +59,7 @@ hotpath       convmeter/internal/obs.Counter.Add
 	if !cfg.deterministicScope("convmeter/internal/metrics") {
 		t.Error("deterministic scope misses a declared package")
 	}
-	if !cfg.deterministicScope("convmeter/internal/checkpoint/sub") {
+	if !cfg.deterministicScope("convmeter/internal/faults/sub") {
 		t.Error("deterministic scope must match path-segment prefixes")
 	}
 	if cfg.deterministicScope("convmeter/internal/metricsplus") {
@@ -100,7 +100,7 @@ lifetime  convmeter/internal/allreduce
 ctxflow   convmeter/internal/obs
 chanproto convmeter/internal/exec
 acquire   convmeter/internal/obs.Tracer.Start End
-acquire   convmeter/internal/checkpoint.Open Close
+acquire   convmeter/internal/obs/ops.Start Close
 transfer  convmeter/internal/faults.WrapConn
 ctxroot   convmeter/internal/obs/ops.Server.Close
 `), "v4.config")
@@ -123,7 +123,7 @@ ctxroot   convmeter/internal/obs/ops.Server.Close
 		t.Error("chanproto scope misses a declared package")
 	}
 	acq := cfg.acquireSet()
-	if acq["convmeter/internal/obs.Tracer.Start"] != "End" || acq["convmeter/internal/checkpoint.Open"] != "Close" {
+	if acq["convmeter/internal/obs.Tracer.Start"] != "End" || acq["convmeter/internal/obs/ops.Start"] != "Close" {
 		t.Errorf("acquire set %v misses declared pairs", acq)
 	}
 	if len(acq) != 2 {
@@ -243,7 +243,7 @@ func TestRepoConfig(t *testing.T) {
 	}
 	// The replayability contract (DESIGN.md §6): the analytical side plus
 	// the measured packages whose output is replayed or diffed.
-	for _, p := range []string{"core", "metrics", "graph", "regress", "linalg", "faults", "checkpoint", "tracefmt", "driftwatch/streamstat", "dagrun/manifest", "obs/tsdb/seriesq"} {
+	for _, p := range []string{"core", "metrics", "graph", "regress", "linalg", "faults", "tracefmt", "driftwatch/streamstat", "dagrun/manifest", "obs/tsdb/seriesq"} {
 		if !cfg.deterministicScope("convmeter/internal/" + p) {
 			t.Errorf("lint.config drops %s from the deterministic scope; the replayability contract must stay enforced", p)
 		}

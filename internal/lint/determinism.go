@@ -10,7 +10,7 @@ import (
 // contract of packages declared `deterministic` in lint.config: their
 // exported results, serialized output and hash/fingerprint inputs must
 // be bit-identical across runs, retries and goroutine schedules — the
-// property the fault-injection framework and the checkpoint store are
+// property the fault-injection framework and the dagrun manifests are
 // built on, and the reason the paper's analytical metrics can be
 // regression-tested against golden values at all.
 //

@@ -9,7 +9,7 @@ import (
 
 // TestDeterminismCatchesFingerprintRegression demonstrates the exact
 // regression the determinism analyzer exists to stop: feeding a map
-// range into a fingerprint. Checkpoint resume compares fingerprints
+// range into a fingerprint. Manifest resume compares fingerprints
 // across process restarts, so an iteration-order-dependent fingerprint
 // silently discards valid resume state on a random fraction of runs —
 // the kind of bug that passes every unit test and only bites in

@@ -4,14 +4,12 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"convmeter/internal/obs"
 	"convmeter/internal/obs/alert"
-	"convmeter/internal/obs/runtimeprof"
 	"convmeter/internal/obs/tsdb"
 )
 
@@ -184,50 +182,6 @@ func TestAlertsEndpoint(t *testing.T) {
 	}
 }
 
-func TestProfilesEndpoints(t *testing.T) {
-	o := obs.New()
-	prof := runtimeprof.New(runtimeprof.Config{Obs: o, Profiles: 4})
-	if _, err := prof.Capture("goroutine"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := prof.Capture("heap"); err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(Handler(Config{Obs: o, Prof: prof}))
-	defer ts.Close()
-
-	status, body, _ := get(t, ts.URL+"/profiles")
-	if status != http.StatusOK {
-		t.Fatalf("/profiles status %d", status)
-	}
-	var listing struct {
-		Profiles []runtimeprof.Profile `json:"profiles"`
-	}
-	if err := json.Unmarshal([]byte(body), &listing); err != nil {
-		t.Fatal(err)
-	}
-	if len(listing.Profiles) != 2 || listing.Profiles[0].Kind != "goroutine" {
-		t.Fatalf("/profiles listing = %+v", listing.Profiles)
-	}
-	id := listing.Profiles[1].ID
-	status, body, hdr := get(t, ts.URL+"/profiles/"+strconv.Itoa(id))
-	if status != http.StatusOK {
-		t.Fatalf("/profiles/%d status %d", id, status)
-	}
-	if ct := hdr.Get("Content-Type"); ct != "application/octet-stream" {
-		t.Errorf("profile download content type %q", ct)
-	}
-	if len(body) != listing.Profiles[1].SizeBytes {
-		t.Errorf("downloaded %d bytes, listing said %d", len(body), listing.Profiles[1].SizeBytes)
-	}
-	if status, _, _ := get(t, ts.URL+"/profiles/999"); status != http.StatusNotFound {
-		t.Errorf("unknown profile id status %d, want 404", status)
-	}
-	if status, _, _ := get(t, ts.URL+"/profiles/xyz"); status != http.StatusBadRequest {
-		t.Errorf("malformed profile id status %d, want 400", status)
-	}
-}
-
 func TestDashboardServed(t *testing.T) {
 	ts := httptest.NewServer(Handler(Config{}))
 	defer ts.Close()
@@ -255,9 +209,6 @@ func TestNilObsSurfacesServeValidPayloads(t *testing.T) {
 	var rep alert.Report
 	if status != http.StatusOK || json.Unmarshal([]byte(body), &rep) != nil || rep.Schema != alert.ReportSchema {
 		t.Errorf("nil-Alerts /alerts = %d %q", status, body)
-	}
-	if status, body, _ := get(t, ts.URL+"/profiles"); status != http.StatusOK || !strings.Contains(body, `"profiles"`) {
-		t.Errorf("nil-Prof /profiles = %d %q", status, body)
 	}
 	if status, _, _ := get(t, ts.URL+"/readyz"); status != http.StatusOK {
 		t.Errorf("nil-Alerts /readyz = %d, want 200", status)

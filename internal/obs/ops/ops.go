@@ -16,8 +16,6 @@
 //	                   op=series|range|rate|stats|quantile
 //	GET /alerts        the alert engine's statuses and transition history
 //	                   (schema convmeter/alerts/v1)
-//	GET /profiles      the runtimeprof pprof capture ring; /profiles/{id}
-//	                   downloads one profile
 //	GET /dashboard     a self-contained live HTML dashboard over
 //	                   /api/query and /alerts
 //	GET /debug/pprof/  the standard profiling endpoints (obs.PprofHandler)
@@ -35,14 +33,11 @@ package ops
 import (
 	"context"
 	_ "embed"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
-	"strconv"
-	"strings"
 	"time"
 
 	"convmeter/internal/dagrun"
@@ -50,7 +45,6 @@ import (
 	"convmeter/internal/obs"
 	"convmeter/internal/obs/alert"
 	"convmeter/internal/obs/critpath"
-	"convmeter/internal/obs/runtimeprof"
 	"convmeter/internal/obs/tsdb"
 )
 
@@ -81,8 +75,6 @@ type Config struct {
 	// Alerts supplies /alerts and gates /readyz: the server answers 503
 	// while any critical alert fires. May be nil (no alert gating).
 	Alerts *alert.Engine
-	// Prof supplies /profiles. May be nil (empty listing).
-	Prof *runtimeprof.Sampler
 	// Ready gates /readyz; nil means ready as soon as the server is up.
 	// Composed with the alert gate: both must pass.
 	Ready func() bool
@@ -230,32 +222,6 @@ func Handler(cfg Config) http.Handler {
 		w.Header().Set("Content-Type", "application/json")
 		_ = cfg.Alerts.WriteJSON(w, cfg.TSDB.Now())
 	})
-	handle("/profiles", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		list := cfg.Prof.Profiles()
-		if list == nil {
-			list = []runtimeprof.Profile{}
-		}
-		_ = json.NewEncoder(w).Encode(struct {
-			Profiles []runtimeprof.Profile `json:"profiles"`
-		}{list})
-	})
-	handle("/profiles/", func(w http.ResponseWriter, r *http.Request) {
-		id, err := strconv.Atoi(strings.TrimPrefix(r.URL.Path, "/profiles/"))
-		if err != nil {
-			http.Error(w, "profile id must be an integer", http.StatusBadRequest)
-			return
-		}
-		p, ok := cfg.Prof.Profile(id)
-		if !ok {
-			http.NotFound(w, r)
-			return
-		}
-		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Header().Set("Content-Disposition",
-			fmt.Sprintf("attachment; filename=%q", fmt.Sprintf("%s-%d.pprof", p.Kind, p.ID)))
-		_, _ = w.Write(p.Data())
-	})
 	handle("/dashboard", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/html; charset=utf-8")
 		_, _ = w.Write(dashboardHTML)
@@ -288,7 +254,6 @@ func Handler(cfg Config) http.Handler {
 			"GET /dag           experiment DAG audit trail\n"+
 			"GET /api/query     windowed queries over retained series\n"+
 			"GET /alerts        alert statuses and transition history\n"+
-			"GET /profiles      pprof capture ring\n"+
 			"GET /dashboard     live HTML dashboard\n"+
 			"GET /debug/pprof/  profiling\n")
 	})

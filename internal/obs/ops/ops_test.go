@@ -194,6 +194,11 @@ func TestEndpoints(t *testing.T) {
 	if status, body, _ := get(t, base+"/debug/pprof/"); status != http.StatusOK || !strings.Contains(body, "goroutine") {
 		t.Errorf("/debug/pprof/ = %d %q", status, body)
 	}
+	for _, prof := range []string{"heap", "goroutine"} {
+		if status, body, _ := get(t, base+"/debug/pprof/"+prof); status != http.StatusOK || len(body) == 0 {
+			t.Errorf("/debug/pprof/%s = %d with %d bytes", prof, status, len(body))
+		}
+	}
 	if status, body, _ := get(t, base+"/"); status != http.StatusOK || !strings.Contains(body, "/drift") || !strings.Contains(body, "/critpath") {
 		t.Errorf("index = %d %q", status, body)
 	}

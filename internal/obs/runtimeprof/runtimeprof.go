@@ -1,25 +1,21 @@
 // Package runtimeprof is ConvMeter's runtime self-telemetry: a sampler
 // that projects the Go runtime's own metrics — GC pauses, heap size,
 // goroutine count, scheduler latency — into the obs registry as
-// convmeter_runtime_* series (so the tsdb retention layer, the alert
+// convmeter_runtime_* series, so the tsdb retention layer, the alert
 // engine and the dashboard see the process the same way they see the
-// workload), plus a bounded ring of pprof profiles captured
-// periodically and downloadable over the ops server.
+// workload. Profiles come from the ops server's /debug/pprof.
 //
 // Like tsdb, sampling splits into a cold Sync (which sizes the
 // histogram conversion buffers to the runtime's current bucket shapes)
-// and a hot Sample (pure reads and ring-buffer writes; a histogram
-// whose bucket count changed since the last Sync is skipped until the
-// next one). Quantiles over the runtime's cumulative pause and latency
+// and a hot Sample (pure reads and gauge writes; a histogram whose
+// bucket count changed since the last Sync is skipped until the next
+// one). Quantiles over the runtime's cumulative pause and latency
 // histograms reuse the deterministic seriesq estimator. A nil *Sampler
 // is a zero-cost no-op.
 package runtimeprof
 
 import (
-	"bytes"
-	"fmt"
 	"runtime/metrics"
-	"runtime/pprof"
 	"sync"
 	"time"
 
@@ -42,17 +38,8 @@ type Config struct {
 	// Obs receives the convmeter_runtime_* series. Required: New
 	// returns a nil (disabled) sampler without it.
 	Obs *obs.Obs
-	// Clock stamps captured profiles; defaults to a monotonic clock
-	// with its epoch at New.
-	Clock obs.Clock
 	// Interval is Start's sampling cadence. Default 10s.
 	Interval time.Duration
-	// Profiles caps the profile ring. Default 8.
-	Profiles int
-	// CaptureEvery captures a heap and a goroutine profile every N
-	// samples from the Start loop; 0 disables periodic capture.
-	// Default 6 (once a minute at the default interval).
-	CaptureEvery int
 }
 
 // histProj is one runtime histogram projected to two quantile gauges,
@@ -64,37 +51,17 @@ type histProj struct {
 	cum      []uint64  // len(upper)+1 scratch
 }
 
-// Profile is one captured pprof snapshot in the ring.
-type Profile struct {
-	ID           int     `json:"id"`
-	Kind         string  `json:"kind"`
-	TakenSeconds float64 `json:"taken_seconds"`
-	SizeBytes    int     `json:"size_bytes"`
-	data         []byte
-}
-
-// Sampler projects runtime self-telemetry into a registry and retains
-// a ring of pprof profiles.
+// Sampler projects runtime self-telemetry into a registry.
 type Sampler struct {
-	clock    obs.Clock
 	interval time.Duration
-	every    int
 
 	goroutinesG *obs.Gauge
 	heapG       *obs.Gauge
 	gcCyclesG   *obs.Gauge
-	profilesG   *obs.Gauge
-	capturesC   *obs.Counter
 	samplesC    *obs.Counter
 
 	samples []metrics.Sample
 	hists   []*histProj
-
-	mu       sync.Mutex
-	ring     []Profile
-	ringNext int
-	ringFull bool
-	nextID   int
 
 	loopMu  sync.Mutex
 	quit    chan struct{}
@@ -109,19 +76,13 @@ func New(cfg Config) *Sampler {
 		return nil
 	}
 	s := &Sampler{
-		clock:    cfg.Clock,
 		interval: cfg.Interval,
-		every:    cfg.CaptureEvery,
 		goroutinesG: cfg.Obs.Gauge("convmeter_runtime_goroutines",
 			"live goroutines"),
 		heapG: cfg.Obs.Gauge("convmeter_runtime_heap_bytes",
 			"bytes of live heap objects"),
 		gcCyclesG: cfg.Obs.Gauge("convmeter_runtime_gc_cycles",
 			"completed GC cycles since process start"),
-		profilesG: cfg.Obs.Gauge("convmeter_runtime_profiles",
-			"pprof profiles retained in the ring"),
-		capturesC: cfg.Obs.Counter("convmeter_runtime_profile_captures_total",
-			"pprof profile captures"),
 		samplesC: cfg.Obs.Counter("convmeter_runtime_samples_total",
 			"runtime/metrics sampling sweeps"),
 		samples: []metrics.Sample{
@@ -141,20 +102,9 @@ func New(cfg Config) *Sampler {
 					"99th-percentile goroutine scheduling latency since process start")},
 		},
 	}
-	if s.clock == nil {
-		base := time.Now()
-		s.clock = func() time.Duration { return time.Since(base) }
-	}
 	if s.interval <= 0 {
 		s.interval = 10 * time.Second
 	}
-	if cfg.Profiles <= 0 {
-		cfg.Profiles = 8
-	}
-	if cfg.CaptureEvery == 0 {
-		s.every = 6
-	}
-	s.ring = make([]Profile, cfg.Profiles)
 	s.Sync()
 	return s
 }
@@ -266,86 +216,7 @@ func (s *Sampler) Sample() {
 	s.samplesC.Inc()
 }
 
-// Capture records one pprof profile (a runtime/pprof profile name:
-// "heap", "goroutine", "allocs", "block", "mutex", "threadcreate")
-// into the ring, evicting the oldest entry when full. Nil-safe.
-func (s *Sampler) Capture(kind string) (Profile, error) {
-	if s == nil {
-		return Profile{}, nil
-	}
-	p := pprof.Lookup(kind)
-	if p == nil {
-		return Profile{}, fmt.Errorf("runtimeprof: unknown profile kind %q", kind)
-	}
-	var buf bytes.Buffer
-	if err := p.WriteTo(&buf, 0); err != nil {
-		return Profile{}, fmt.Errorf("runtimeprof: capture %s: %w", kind, err)
-	}
-	s.mu.Lock()
-	s.nextID++
-	prof := Profile{
-		ID: s.nextID, Kind: kind,
-		TakenSeconds: s.clock().Seconds(),
-		SizeBytes:    buf.Len(), data: buf.Bytes(),
-	}
-	s.ring[s.ringNext] = prof
-	s.ringNext++
-	if s.ringNext == len(s.ring) {
-		s.ringNext = 0
-		s.ringFull = true
-	}
-	n := s.ringNext
-	if s.ringFull {
-		n = len(s.ring)
-	}
-	s.mu.Unlock()
-	s.capturesC.Inc()
-	s.profilesG.Set(float64(n))
-	return prof, nil
-}
-
-// Profiles lists the retained profiles, oldest first, without their
-// payloads. Nil-safe (nil).
-func (s *Sampler) Profiles() []Profile {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n, start := s.ringNext, 0
-	if s.ringFull {
-		n, start = len(s.ring), s.ringNext
-	}
-	out := make([]Profile, 0, n)
-	for i := 0; i < n; i++ {
-		p := s.ring[(start+i)%len(s.ring)]
-		p.data = nil
-		out = append(out, p)
-	}
-	return out
-}
-
-// Profile returns a retained profile's payload by id. Nil-safe
-// (false).
-func (s *Sampler) Profile(id int) (Profile, bool) {
-	if s == nil {
-		return Profile{}, false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i := range s.ring {
-		if s.ring[i].ID == id && s.ring[i].ID != 0 {
-			return s.ring[i], true
-		}
-	}
-	return Profile{}, false
-}
-
-// Data returns the profile's raw pprof payload.
-func (p Profile) Data() []byte { return p.data }
-
-// Start launches the background sampling loop: a Sync+Sample per tick,
-// plus a heap and goroutine profile capture every CaptureEvery ticks.
+// Start launches the background sampling loop: a Sync+Sample per tick.
 // Stop terminates it. Nil-safe and idempotent.
 func (s *Sampler) Start() {
 	if s == nil {
@@ -366,20 +237,11 @@ func (s *Sampler) loop(quit, done chan struct{}) {
 	tick := time.NewTicker(s.interval)
 	defer tick.Stop()
 	defer close(done)
-	ticks := 0
 	for {
 		select {
 		case <-tick.C:
 			s.Sync()
 			s.Sample()
-			ticks++
-			if s.every > 0 && ticks%s.every == 0 {
-				// A capture failing (profile kind unavailable) is not worth
-				// killing the loop over; the captures counter stops moving,
-				// which is what an operator would notice.
-				_, _ = s.Capture("heap")
-				_, _ = s.Capture("goroutine")
-			}
 		case <-quit:
 			return
 		}

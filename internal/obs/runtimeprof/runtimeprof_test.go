@@ -14,15 +14,6 @@ func TestNilSamplerIsDisabled(t *testing.T) {
 	s.Sample()
 	s.Start()
 	s.Stop()
-	if got := s.Profiles(); got != nil {
-		t.Errorf("nil Profiles = %v", got)
-	}
-	if _, ok := s.Profile(1); ok {
-		t.Error("nil Profile reported ok")
-	}
-	if _, err := s.Capture("heap"); err != nil {
-		t.Errorf("nil Capture: %v", err)
-	}
 	if New(Config{}) != nil {
 		t.Error("New without an Obs must return a nil (disabled) sampler")
 	}
@@ -74,61 +65,16 @@ func TestSampleProjectsRuntimeMetrics(t *testing.T) {
 	}
 }
 
-func TestProfileRing(t *testing.T) {
-	o := obs.New()
-	now := time.Duration(0)
-	s := New(Config{Obs: o, Profiles: 3, Clock: func() time.Duration { return now }})
-	if _, err := s.Capture("no-such-profile"); err == nil {
-		t.Error("unknown profile kind must error")
-	}
-	for i := 0; i < 5; i++ {
-		now += time.Second
-		p, err := s.Capture("goroutine")
-		if err != nil {
-			t.Fatalf("capture %d: %v", i, err)
-		}
-		if p.SizeBytes <= 0 || len(p.Data()) != p.SizeBytes {
-			t.Fatalf("capture %d payload malformed: %+v", i, p)
-		}
-	}
-	list := s.Profiles()
-	if len(list) != 3 {
-		t.Fatalf("ring holds %d profiles, capacity is 3", len(list))
-	}
-	// Oldest first, oldest two evicted.
-	if list[0].ID != 3 || list[2].ID != 5 {
-		t.Errorf("ring ids = %d..%d, want 3..5", list[0].ID, list[2].ID)
-	}
-	for i := 1; i < len(list); i++ {
-		if list[i].TakenSeconds <= list[i-1].TakenSeconds {
-			t.Errorf("ring not chronological: %+v", list)
-		}
-	}
-	// Listings carry no payload; the by-id accessor does.
-	if list[0].Data() != nil {
-		t.Error("listing leaked profile payload")
-	}
-	p, ok := s.Profile(4)
-	if !ok || p.Kind != "goroutine" || len(p.Data()) == 0 {
-		t.Errorf("Profile(4) = (%+v, %t)", p, ok)
-	}
-	if _, ok := s.Profile(1); ok {
-		t.Error("evicted profile still accessible")
-	}
-	if _, ok := s.Profile(99); ok {
-		t.Error("unknown profile id reported ok")
-	}
-}
-
 func TestStartStopLoop(t *testing.T) {
 	o := obs.New()
-	s := New(Config{Obs: o, Interval: time.Millisecond, CaptureEvery: 2, Profiles: 4})
+	s := New(Config{Obs: o, Interval: time.Millisecond})
+	samples := o.Counter("convmeter_runtime_samples_total", "")
 	s.Start()
 	s.Start() // idempotent
 	deadline := time.Now().Add(5 * time.Second)
-	for len(s.Profiles()) < 2 {
+	for samples.Value() < 2 {
 		if time.Now().After(deadline) {
-			t.Fatal("loop never captured profiles")
+			t.Fatal("loop never sampled")
 		}
 		time.Sleep(time.Millisecond)
 	}
