@@ -126,21 +126,46 @@ func TestKernelsZeroAllocs(t *testing.T) {
 func TestBackwardKernelsZeroAllocs(t *testing.T) {
 	testrace.SkipIfRace(t)
 
-	convOp := &graph.Conv2dOp{InC: 2, OutC: 3, KH: 3, KW: 3,
-		StrideH: 1, StrideW: 1, PadH: 1, PadW: 1,
-		DilationH: 1, DilationW: 1, Groups: 1, Bias: true}
-	in := NewTensor(2, graph.Shape{C: 2, H: 4, W: 4})
-	dIn := NewTensor(2, graph.Shape{C: 2, H: 4, W: 4})
-	dOut := NewTensor(2, graph.Shape{C: 3, H: 4, W: 4})
-	w := make([]float32, 3*2*3*3)
-	dW := make([]float32, len(w))
-	dB := make([]float32, 3)
-	fill(in.Data)
-	fill(dOut.Data)
-	fill(w)
-	assertZeroAllocs(t, "conv2dBackward", func() {
-		conv2dBackward(in, convOp, w, dOut, dIn, dW, dB)
-	})
+	// One conv2dBackward case per route and staging (conv_backward.go),
+	// and two without an input gradient.
+	for _, c := range []struct {
+		name   string
+		in     graph.Shape
+		op     graph.Conv2dOp
+		nilDIn bool
+	}{
+		{"taps padded", graph.Shape{C: 2, H: 4, W: 4}, convShape(2, 3, 1, 3, 1, 1, 1, true), false},
+		{"taps 1×1", graph.Shape{C: 6, H: 5, W: 5}, convShape(6, 8, 1, 1, 1, 0, 1, true), false},
+		{"taps strided", graph.Shape{C: 3, H: 9, W: 9}, convShape(3, 8, 1, 3, 2, 0, 1, true), false},
+		{"taps depthwise", graph.Shape{C: 4, H: 5, W: 5}, convShape(4, 4, 4, 3, 1, 1, 1, false), false},
+		{"pixel flat", graph.Shape{C: 8, H: 1, W: 1}, convShape(8, 6, 1, 1, 1, 0, 1, true), false},
+		{"pixel taps", graph.Shape{C: 4, H: 1, W: 1}, convShape(4, 6, 1, 3, 1, 1, 1, true), false},
+		{"taps padded nil dIn", graph.Shape{C: 6, H: 5, W: 5}, convShape(6, 8, 1, 3, 1, 1, 1, true), true},
+		{"pixel flat nil dIn", graph.Shape{C: 8, H: 1, W: 1}, convShape(8, 6, 1, 1, 1, 0, 1, true), true},
+	} {
+		op := c.op
+		outShape, err := op.OutShape([]graph.Shape{c.in})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rIn, rDOut := NewTensor(2, c.in), NewTensor(2, outShape)
+		fill(rIn.Data)
+		fill(rDOut.Data)
+		var rDIn *Tensor
+		if !c.nilDIn {
+			rDIn = NewTensor(2, c.in)
+		}
+		rW := make([]float32, op.OutC*op.InC/op.Groups*op.KH*op.KW)
+		rDW := make([]float32, len(rW))
+		var rDB []float32
+		if op.Bias {
+			rDB = make([]float32, op.OutC)
+		}
+		fill(rW)
+		assertZeroAllocs(t, "conv2dBackward "+c.name, func() {
+			conv2dBackward(rIn, &op, rW, rDOut, rDIn, rDW, rDB)
+		})
+	}
 
 	linOp := &graph.LinearOp{In: 8, Out: 4, Bias: true}
 	linIn := NewTensor(2, graph.Shape{C: 8, H: 1, W: 1})

@@ -98,8 +98,12 @@ func (e *Executor) Gradients(input *Tensor, labels []int) (float64, map[int]*Wei
 		}
 		ins := make([]*Tensor, len(n.Inputs))
 		dIns := make([]*Tensor, len(n.Inputs))
+		_, isConv := n.Op.(*graph.Conv2dOp)
 		for j, id := range n.Inputs {
 			ins[j] = acts[id]
+			if id == 0 && isConv {
+				continue // nothing reads the graph input's gradient: a conv skips it
+			}
 			if dActs[id] == nil {
 				dActs[id] = NewTensor(batch, e.g.Nodes[id].Out)
 			}
@@ -298,52 +302,6 @@ func mulBackward(full, gate, dOut, dFull, dGate *Tensor) {
 	}
 }
 
-// conv2dBackward accumulates dIn, dW and dB for a convolution.
-func conv2dBackward(in *Tensor, op *graph.Conv2dOp, weight []float32, dOut, dIn *Tensor, dW, dB []float32) {
-	icPerG := op.InC / op.Groups
-	ocPerG := op.OutC / op.Groups
-	kArea := op.KH * op.KW
-	outH, outW := dOut.Shape.H, dOut.Shape.W
-	for b := 0; b < in.Batch; b++ {
-		for oc := 0; oc < op.OutC; oc++ {
-			g := oc / ocPerG
-			icBase := g * icPerG
-			wBase := oc * icPerG * kArea
-			dOutPlane := dOut.channel(b, oc)
-			for oh := 0; oh < outH; oh++ {
-				for ow := 0; ow < outW; ow++ {
-					d := dOutPlane[oh*outW+ow]
-					if d == 0 {
-						continue
-					}
-					if dB != nil {
-						dB[oc] += d
-					}
-					for ic := 0; ic < icPerG; ic++ {
-						inPlane := in.channel(b, icBase+ic)
-						dInPlane := dIn.channel(b, icBase+ic)
-						for kh := 0; kh < op.KH; kh++ {
-							ih := oh*op.StrideH - op.PadH + kh*op.DilationH
-							if ih < 0 || ih >= in.Shape.H {
-								continue
-							}
-							for kw := 0; kw < op.KW; kw++ {
-								iw := ow*op.StrideW - op.PadW + kw*op.DilationW
-								if iw < 0 || iw >= in.Shape.W {
-									continue
-								}
-								wIdx := wBase + ic*kArea + kh*op.KW + kw
-								dW[wIdx] += d * inPlane[ih*in.Shape.W+iw]
-								dInPlane[ih*in.Shape.W+iw] += d * weight[wIdx]
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
 // linearBackward accumulates dIn, dW and dB for a fully connected layer.
 func linearBackward(in *Tensor, op *graph.LinearOp, weight []float32, dOut, dIn *Tensor, dW, dB []float32) {
 	for b := 0; b < in.Batch; b++ {
@@ -358,12 +316,7 @@ func linearBackward(in *Tensor, op *graph.LinearOp, weight []float32, dOut, dIn 
 			if dB != nil {
 				dB[o] += d
 			}
-			row := weight[o*op.In : (o+1)*op.In]
-			dRow := dW[o*op.In : (o+1)*op.In]
-			for i := 0; i < op.In; i++ {
-				dRow[i] += d * x[i]
-				dx[i] += d * row[i]
-			}
+			gradRow(d, x, weight[o*op.In:(o+1)*op.In], dW[o*op.In:(o+1)*op.In], dx)
 		}
 	}
 }
@@ -524,9 +477,14 @@ func (e *Executor) ApplyAdam(st *AdamState, grads map[int]*WeightGrads, lr float
 }
 
 // FlattenGrads serialises gradients into one vector in node order — the
-// payload a gradient all-reduce synchronises.
+// payload a gradient all-reduce synchronises. It sizes the vector first,
+// so the only allocation is the vector itself.
 func (e *Executor) FlattenGrads(grads map[int]*WeightGrads) []float32 {
-	var out []float32
+	n := 0
+	for _, g := range grads {
+		n += len(g.W) + len(g.B)
+	}
+	out := make([]float32, 0, n)
 	for i := range e.g.Nodes {
 		if g, ok := grads[i]; ok {
 			out = append(out, g.W...)

@@ -344,6 +344,26 @@ func TestFlattenUnflattenGradsRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFlattenGradsAllocatesOnce pins FlattenGrads to one allocation,
+// the exactly sized vector, where growing it by append reallocated.
+func TestFlattenGradsAllocatesOnce(t *testing.T) {
+	e, err := NewExecutor(tinyCNN(t, 3), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, err := e.RandomInput(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, grads, err := e.Gradients(in, []int{0, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(20, func() { e.FlattenGrads(grads) }); n != 1 {
+		t.Errorf("FlattenGrads allocates %.2f/op, want 1", n)
+	}
+}
+
 func TestWeightChecksumTracksChanges(t *testing.T) {
 	g := tinyCNN(t, 3)
 	e, err := NewExecutor(g, 4)

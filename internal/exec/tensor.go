@@ -31,11 +31,13 @@
 // GEMM sums bias + Σ w·x over (ic, kh, kw) ascending in one running sum,
 // exactly the direct kernel's order, adding w·0 where the direct kernel
 // skips a padded tap, so outputs and every golden built on them are
-// unchanged. The backward convolution stays direct: it skips the zero
-// output gradients ReLU leaves (about half of them), which a dense GEMM
-// cannot, and data-parallel training already keeps every core busy with
-// one replica each, so splitting a replica's backward over the shared
-// pool only adds contention.
+// unchanged. Backward convolution (conv_backward.go) keeps the same
+// contract against its own direct reference. It runs serially in the
+// calling replica — data-parallel training already keeps every core
+// busy with one replica each — and visits only the nonzero output
+// gradients ReLU leaves, in a loop structure picked from the shapes: a
+// 1×1 output map in linearBackward's row form, every larger map tap by
+// tap over the gathered nonzeros of each output channel.
 package exec
 
 import (
