@@ -143,15 +143,22 @@ type chanMsg struct {
 	clock  time.Duration
 }
 
-// crcFloats checksums the bit pattern of a float32 slice (IEEE CRC-32).
-// It feeds crc32.Update directly instead of a hash.Hash32 so the hot
-// ring step validates chunks without allocating the hasher.
-func crcFloats(data []float32) uint32 {
+// crcFloats checksums the little-endian bit pattern of a float32 slice
+// (IEEE CRC-32), encoding it through scratch, whose length must be a
+// non-zero multiple of 4. It feeds crc32.Update directly instead of a
+// hash.Hash32, and a caller-owned scratch instead of a local array that
+// would escape through crc32's dispatch, so the hot ring step validates
+// chunks without allocating.
+func crcFloats(data []float32, scratch []byte) uint32 {
 	var crc uint32
-	var b [4]byte
-	for _, v := range data {
-		binary.LittleEndian.PutUint32(b[:], math.Float32bits(v))
-		crc = crc32.Update(crc, crc32.IEEETable, b[:])
+	per := len(scratch) / 4
+	for len(data) > 0 {
+		n := min(len(data), per)
+		for i, v := range data[:n] {
+			binary.LittleEndian.PutUint32(scratch[4*i:], math.Float32bits(v))
+		}
+		crc = crc32.Update(crc, crc32.IEEETable, scratch[:4*n])
+		data = data[n:]
 	}
 	return crc
 }
@@ -175,7 +182,7 @@ func RingObs(vectors [][]float32, o *obs.Obs) error {
 // and fault injection. The zero Options is exactly Ring. On failure the
 // returned error is a *RingError attributing blame per worker.
 func RingOpts(vectors [][]float32, opts Options) error {
-	n, length, err := validate(vectors)
+	n, _, err := validate(vectors)
 	if err != nil {
 		return err
 	}
@@ -197,7 +204,7 @@ func RingOpts(vectors [][]float32, opts Options) error {
 		wg.Add(1)
 		go func(me int) {
 			defer wg.Done()
-			errs[me] = chanWorker(vectors, me, length, links, opts, rt)
+			errs[me] = chanWorker(vectors, me, links, opts, rt)
 		}(w)
 	}
 	wg.Wait()
@@ -205,11 +212,12 @@ func RingOpts(vectors [][]float32, opts Options) error {
 }
 
 // chanRing is one worker's state for a channel-transport ring run: the
-// ring wiring, three rotating send buffers, and a reusable op timer.
-// Its step method is a declared hot-path root (lint.config): in steady
-// state one ring step allocates nothing, so the step latencies the
-// telemetry histograms record measure communication, not the garbage
-// collector.
+// ring wiring, three rotating send buffers for runs with a fault
+// injector, and a reusable op timer. Its step method is a declared
+// hot-path root (lint.config): one ring step allocates nothing — with a
+// fault injector, once the send buffers are warm — so the step latencies
+// the telemetry histograms record measure communication, not the
+// garbage collector.
 type chanRing struct {
 	v          []float32
 	me, n      int
@@ -222,14 +230,14 @@ type chanRing struct {
 	timer      *time.Timer // armed per resilient op, nil on the fast path
 	bufs       [3][]float32
 	bufIdx     int
+	crcBuf     []byte // crcFloats scratch, nil without a fault injector
 }
 
-// chanWorker runs one worker's 2·(n−1) ring steps over the channels.
-func chanWorker(vectors [][]float32, me, length int, links []chan chanMsg, opts Options, rt *ringTelemetry) *WorkerError {
-	n := len(links)
+// newChanRing builds one worker's ring state: v is its vector, send the
+// link to its successor and recv the link from its predecessor.
+func newChanRing(v []float32, me, n int, send, recv chan chanMsg, opts Options, rt *ringTelemetry) *chanRing {
 	r := &chanRing{
-		v: vectors[me], me: me, n: n, length: length,
-		send: links[(me+1)%n], recv: links[me],
+		v: v, me: me, n: n, length: len(v), send: send, recv: recv,
 		opts: opts, rt: rt, resilient: opts.resilient(),
 		// The worker-attributed handle is built once per run, outside the
 		// hot step loop; a nil Obs flows through as nil.
@@ -242,6 +250,18 @@ func chanWorker(vectors [][]float32, me, length int, links []chan chanMsg, opts 
 		if !r.timer.Stop() {
 			<-r.timer.C
 		}
+	}
+	if opts.Faults != nil {
+		r.crcBuf = make([]byte, 4096)
+	}
+	return r
+}
+
+// chanWorker runs one worker's 2·(n−1) ring steps over the channels.
+func chanWorker(vectors [][]float32, me int, links []chan chanMsg, opts Options, rt *ringTelemetry) *WorkerError {
+	n := len(links)
+	r := newChanRing(vectors[me], me, n, links[(me+1)%n], links[me], opts, rt)
+	if r.timer != nil {
 		defer r.timer.Stop()
 	}
 	// Phase 1 — reduce-scatter: after step s, worker me holds the partial
@@ -261,8 +281,10 @@ func chanWorker(vectors [][]float32, me, length int, links []chan chanMsg, opts 
 	return nil
 }
 
-// sendBuf returns the next rotating send buffer resliced to size.
-// Three buffers suffice on the fault-free path: the ring links have
+// sendBuf returns the next rotating send buffer resliced to size. Only
+// runs with a fault injector copy chunks into send buffers, so that an
+// injected corruption hits the copy and never the worker's own vector.
+// Three buffers suffice while no send is skipped: the ring links have
 // capacity 1, so this worker's send of step s+2 completing proves the
 // successor dequeued step s+1 — which it only does after fully
 // processing step s — so the buffer reused at step s+3 has no readers
@@ -296,13 +318,29 @@ func (r *chanRing) step(opIdx uint64, sendChunk, recvChunk int, reduce bool) *Wo
 		t0 = time.Now()
 	}
 	a, b := chunkBounds(r.length, r.n, sendChunk)
-	out := r.sendBuf(b - a)
-	copy(out, r.v[a:b])
+	// Without a fault injector the message is a view of this worker's own
+	// chunk, not a copy. At step t a worker sends chunk me−t and writes
+	// the chunk it receives, me−t−1 (mod n), so it next writes the chunk
+	// it sent at step t+n−1. Every link has capacity 1, so that write
+	// waits until the successor has finished reading the view:
+	//   - n = 2: the write follows this worker's receive of step t+1, and
+	//     the predecessor, who is also the reader, sends that message
+	//     only after processing step t;
+	//   - n ≥ 3: the write follows this worker's send of step t+2, which
+	//     completes only once the successor has dequeued step t+1, after
+	//     processing step t.
+	// A failed send or receive ends the worker before its next write, and
+	// Ring returns only after every worker has finished.
+	out := r.v[a:b:b]
+	if r.opts.Faults != nil {
+		out = r.sendBuf(b - a)
+		copy(out, r.v[a:b])
+	}
 	ssp := r.obs.Start("ar.send")
 	msg := chanMsg{seq: opIdx, data: out, ctx: ssp.Context()}
 	skip := false
 	if r.opts.Faults != nil {
-		msg.crc, msg.hasCRC = crcFloats(out), true
+		msg.crc, msg.hasCRC = crcFloats(out, r.crcBuf), true
 		f := r.opts.Faults.Decide(faults.Op{
 			Transport: "chan", Worker: r.opts.workerID(r.me), Dir: "send", Seq: r.opts.SeqBase + opIdx,
 		})
@@ -350,7 +388,7 @@ func (r *chanRing) step(opIdx uint64, sendChunk, recvChunk int, reduce bool) *Wo
 			Err: fmt.Errorf("lost ring message: got step %d, want %d", in.seq, opIdx)}
 	}
 	rsp := r.obs.Start("ar.recv")
-	if in.hasCRC && crcFloats(in.data) != in.crc {
+	if in.hasCRC && crcFloats(in.data, r.crcBuf) != in.crc {
 		r.rt.crcFailure()
 		rsp.End()
 		return &WorkerError{Worker: pred, Primary: true, Err: fmt.Errorf("chunk CRC mismatch at step %d", opIdx)}

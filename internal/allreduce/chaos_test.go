@@ -108,6 +108,30 @@ func TestChaosFaultClasses(t *testing.T) {
 	}
 }
 
+// TestChaosCorruptionHitsCopy: an injected bit flip lands in the copy of
+// the chunk the worker sends, never in the worker's own vector.
+func TestChaosCorruptionHitsCopy(t *testing.T) {
+	const length = 64
+	r := newStepRing(t, length, Options{Faults: newInjector(t, 21, faults.Profile{Corrupt: 1})})
+	own := append([]float32(nil), r.v...)
+	a, b := chunkBounds(length, 2, 1)
+	msg := oneStep(t, r, make([]float32, b-a))
+	flipped := 0
+	for i, v := range msg.data {
+		if v != own[i] { //lint:ignore floatcmp a bit flip must change the sent value exactly
+			flipped++
+		}
+	}
+	if flipped != 1 {
+		t.Fatalf("sent chunk differs from the vector in %d elements, want 1", flipped)
+	}
+	for i := range msg.data {
+		if r.v[i] != own[i] { //lint:ignore floatcmp the worker's own chunk must be bit-for-bit untouched
+			t.Fatalf("corruption reached the worker's own vector at %d", i)
+		}
+	}
+}
+
 // TestChaosTCPBlameTargets: hard write-side faults on a single targeted
 // worker must blame exactly that worker — the property the elastic
 // trainer's degradation relies on to drop the right ring member.

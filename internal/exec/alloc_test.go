@@ -225,6 +225,22 @@ func TestBackwardKernelsZeroAllocs(t *testing.T) {
 	})
 }
 
+// TestOptimizersZeroAllocs pins the fused updates, declared hotpath
+// roots in lint.config: one pass over the vectors, nothing allocated.
+func TestOptimizersZeroAllocs(t *testing.T) {
+	testrace.SkipIfRace(t)
+
+	e, err := NewExecutor(tinyCNN(t, 3), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grads := make([]float32, len(e.params))
+	fill(grads)
+	assertZeroAllocs(t, "ApplySGD", func() { e.ApplySGD(grads, 0.5, 1e-3) })
+	st := e.NewAdamState()
+	assertZeroAllocs(t, "ApplyAdam", func() { e.ApplyAdam(st, grads, 0.5, 1e-3) })
+}
+
 // fill writes a deterministic non-trivial pattern.
 func fill(v []float32) {
 	for i := range v {

@@ -7,8 +7,9 @@ import (
 	"convmeter/internal/graph"
 )
 
-// WeightGrads accumulates the parameter gradients of one node, mirroring
-// the nodeWeights layout (W: main tensor, B: bias/shift).
+// WeightGrads is one node's slice of the gradient vector, shaped like
+// its parameters (W: main tensor, B: bias/shift; nil where the node has
+// none).
 type WeightGrads struct {
 	W, B []float32
 }
@@ -16,14 +17,19 @@ type WeightGrads struct {
 // Gradients runs a full training computation: forward pass, softmax
 // cross-entropy loss against the labels, and a backward pass producing
 // parameter gradients for every trainable node. It returns the mean loss
-// over the batch.
+// over the batch and the gradient vector, laid out like the parameter
+// vector: node order, each node's W before its B.
+//
+// The gradient vector is the executor's own. The first call allocates
+// it; every call clears it and accumulates into it. It, and every view
+// NodeGrads hands out, stays valid only until the next Gradients call.
 //
 // The supported backward op set covers plain ConvNets (convolution,
 // linear, ReLU, batch norm, max/avg/adaptive pooling, add, concat,
 // channel slice, flatten, dropout); ops outside it return an error. This
 // is the real counterpart of trainsim's *modelled* backward pass, used by
 // the data-parallel reference trainer (internal/train).
-func (e *Executor) Gradients(input *Tensor, labels []int) (float64, map[int]*WeightGrads, error) {
+func (e *Executor) Gradients(input *Tensor, labels []int) (float64, []float32, error) {
 	inShape, err := e.g.InputShape()
 	if err != nil {
 		return 0, nil, err
@@ -39,7 +45,7 @@ func (e *Executor) Gradients(input *Tensor, labels []int) (float64, map[int]*Wei
 	// Forward pass, keeping every activation.
 	acts := make([]*Tensor, len(e.g.Nodes))
 	fwdSp := e.o.Start("fwd")
-	if err := e.forwardAll(input, acts); err != nil {
+	if _, err := e.runInternal(input, acts); err != nil {
 		fwdSp.End()
 		return 0, nil, err
 	}
@@ -89,7 +95,11 @@ func (e *Executor) Gradients(input *Tensor, labels []int) (float64, map[int]*Wei
 	// Backward pass in reverse topological order.
 	bwdSp := e.o.Start("bwd")
 	defer bwdSp.End()
-	grads := map[int]*WeightGrads{}
+	if e.grads == nil {
+		e.grads = make([]float32, len(e.params))
+	} else {
+		clear(e.grads)
+	}
 	for i := len(e.g.Nodes) - 1; i >= 1; i-- {
 		n := e.g.Nodes[i]
 		dOut := dActs[i]
@@ -110,29 +120,13 @@ func (e *Executor) Gradients(input *Tensor, labels []int) (float64, map[int]*Wei
 			dIns[j] = dActs[id]
 		}
 		nw := e.weights[i]
-		var wg *WeightGrads
-		ensure := func(wLen, bLen int) *WeightGrads {
-			if wg == nil {
-				wg = &WeightGrads{}
-				if wLen > 0 {
-					wg.W = make([]float32, wLen)
-				}
-				if bLen > 0 {
-					wg.B = make([]float32, bLen)
-				}
-				grads[i] = wg
-			}
-			return wg
-		}
+		g := e.NodeGrads(i)
 		switch op := n.Op.(type) {
 		case *graph.Conv2dOp:
-			g := ensure(len(nw.w), len(nw.b))
 			conv2dBackward(ins[0], op, nw.w, dOut, dIns[0], g.W, g.B)
 		case *graph.LinearOp:
-			g := ensure(len(nw.w), len(nw.b))
 			linearBackward(ins[0], op, nw.w, dOut, dIns[0], g.W, g.B)
 		case *graph.BatchNormOp:
-			g := ensure(len(nw.w), len(nw.b))
 			batchNormBackward(ins[0], nw.w, dOut, dIns[0], g.W, g.B)
 		case *graph.ActivationOp:
 			if err := activationBackward(op.Fn, ins[0], acts[i], dOut, dIns[0]); err != nil {
@@ -179,7 +173,6 @@ func (e *Executor) Gradients(input *Tensor, labels []int) (float64, map[int]*Wei
 		case *graph.MulOp:
 			mulBackward(ins[0], ins[1], dOut, dIns[0], dIns[1])
 		case *graph.ScaleOp:
-			g := ensure(len(nw.w), 0)
 			for b := 0; b < batch; b++ {
 				for c := 0; c < op.C; c++ {
 					gv := nw.w[c]
@@ -209,17 +202,23 @@ func (e *Executor) Gradients(input *Tensor, labels []int) (float64, map[int]*Wei
 			return 0, nil, fmt.Errorf("exec: backward for op kind %q not supported", n.Op.Kind())
 		}
 	}
-	return loss, grads, nil
+	return loss, e.grads, nil
 }
 
-// forwardAll is Run with all activations retained.
-func (e *Executor) forwardAll(input *Tensor, acts []*Tensor) error {
-	out, err := e.runInternal(input, acts)
-	if err != nil {
-		return err
+// NodeGrads returns node i's views into the gradient vector. Like the
+// vector, they stay valid only until the next Gradients call; before the
+// first one there is no vector and both views are nil.
+func (e *Executor) NodeGrads(i int) WeightGrads {
+	nw := e.weights[i]
+	if e.grads == nil || nw.w == nil {
+		return WeightGrads{}
 	}
-	_ = out
-	return nil
+	end := nw.off + len(nw.w)
+	g := WeightGrads{W: e.grads[nw.off:end:end]}
+	if nw.b != nil {
+		g.B = e.grads[end : end+len(nw.b) : end+len(nw.b)]
+	}
+	return g
 }
 
 // activationBackward accumulates input gradients through an elementwise
@@ -413,106 +412,61 @@ func adaptiveAvgPoolBackward(in *Tensor, dOut, dIn *Tensor) {
 	}
 }
 
-// ApplySGD performs an in-place SGD step on the executor's weights.
-func (e *Executor) ApplySGD(grads map[int]*WeightGrads, lr float32) {
-	for id, g := range grads {
-		nw := e.weights[id]
-		for k := range g.W {
-			nw.w[k] -= lr * g.W[k]
-		}
-		for k := range g.B {
-			nw.b[k] -= lr * g.B[k]
-		}
+// ApplySGD performs one SGD step on the parameter vector from grads, a
+// vector laid out like it: w -= lr·(scale·g), element by element in one
+// pass. With grads the sum of N replicas' gradients and scale = 1/N it
+// steps on their average; scale = 1 steps on grads as given.
+func (e *Executor) ApplySGD(grads []float32, scale, lr float32) {
+	w := e.params
+	if len(grads) != len(w) {
+		panic("exec: gradient vector does not match the parameter vector")
+	}
+	for k, v := range grads {
+		g := float32(v * scale)
+		w[k] -= lr * g
 	}
 }
 
-// AdamState holds per-parameter first/second-moment estimates for the
-// Adam optimizer — the optimizer of the paper's training setup ("we
-// deploy Horovod with PyTorch and Adam as the optimizer").
+// AdamState holds the Adam optimizer's step count and moment vectors,
+// laid out like the parameter vector. Adam is the optimizer of the
+// paper's training setup ("we deploy Horovod with PyTorch and Adam as
+// the optimizer").
 type AdamState struct {
 	step int
-	m, v map[int]*WeightGrads // moments, keyed like the gradient maps
+	m, v []float32
 }
 
-// NewAdamState returns empty moment buffers.
-func NewAdamState() *AdamState {
-	return &AdamState{m: map[int]*WeightGrads{}, v: map[int]*WeightGrads{}}
+// NewAdamState returns zero moments sized to the executor's parameters.
+func (e *Executor) NewAdamState() *AdamState {
+	return &AdamState{m: make([]float32, len(e.params)), v: make([]float32, len(e.params))}
 }
 
-// ApplyAdam performs an in-place Adam step with the standard defaults
-// (β₁ = 0.9, β₂ = 0.999, ε = 1e-8) and bias correction. State buffers are
-// allocated lazily per node; the update is fully deterministic, so
-// data-parallel replicas applying identical averaged gradients stay
-// identical.
-func (e *Executor) ApplyAdam(st *AdamState, grads map[int]*WeightGrads, lr float32) {
+// ApplyAdam performs one Adam step with the standard defaults (β₁ = 0.9,
+// β₂ = 0.999, ε = 1e-8) and bias correction, taking the gradient as
+// scale·grads like ApplySGD, in one pass over the vectors. The update is
+// fully deterministic, so data-parallel replicas applying identical
+// averaged gradients stay identical.
+func (e *Executor) ApplyAdam(st *AdamState, grads []float32, scale, lr float32) {
 	const (
 		beta1 = 0.9
 		beta2 = 0.999
 		eps   = 1e-8
 	)
+	w, m, v := e.params, st.m, st.v
+	if len(grads) != len(w) || len(m) != len(w) || len(v) != len(w) {
+		panic("exec: gradient or moment vector does not match the parameter vector")
+	}
 	st.step++
 	bc1 := 1 - float32(math.Pow(beta1, float64(st.step)))
 	bc2 := 1 - float32(math.Pow(beta2, float64(st.step)))
-	update := func(w, g, m, v []float32) {
-		for k := range g {
-			m[k] = beta1*m[k] + (1-beta1)*g[k]
-			v[k] = beta2*v[k] + (1-beta2)*g[k]*g[k]
-			mHat := m[k] / bc1
-			vHat := v[k] / bc2
-			w[k] -= lr * mHat / (float32(math.Sqrt(float64(vHat))) + eps)
-		}
+	for k, gv := range grads {
+		g := float32(gv * scale)
+		m[k] = beta1*m[k] + (1-beta1)*g
+		v[k] = beta2*v[k] + (1-beta2)*g*g
+		mHat := m[k] / bc1
+		vHat := v[k] / bc2
+		w[k] -= lr * mHat / (float32(math.Sqrt(float64(vHat))) + eps)
 	}
-	for id, g := range grads {
-		nw := e.weights[id]
-		mg, ok := st.m[id]
-		if !ok {
-			mg = &WeightGrads{W: make([]float32, len(g.W)), B: make([]float32, len(g.B))}
-			st.m[id] = mg
-			st.v[id] = &WeightGrads{W: make([]float32, len(g.W)), B: make([]float32, len(g.B))}
-		}
-		vg := st.v[id]
-		update(nw.w, g.W, mg.W, vg.W)
-		update(nw.b, g.B, mg.B, vg.B)
-	}
-}
-
-// FlattenGrads serialises gradients into one vector in node order — the
-// payload a gradient all-reduce synchronises. It sizes the vector first,
-// so the only allocation is the vector itself.
-func (e *Executor) FlattenGrads(grads map[int]*WeightGrads) []float32 {
-	n := 0
-	for _, g := range grads {
-		n += len(g.W) + len(g.B)
-	}
-	out := make([]float32, 0, n)
-	for i := range e.g.Nodes {
-		if g, ok := grads[i]; ok {
-			out = append(out, g.W...)
-			out = append(out, g.B...)
-		}
-	}
-	return out
-}
-
-// UnflattenGrads writes a vector produced by FlattenGrads back into the
-// gradient maps (after an all-reduce).
-func (e *Executor) UnflattenGrads(vec []float32, grads map[int]*WeightGrads) error {
-	off := 0
-	for i := range e.g.Nodes {
-		if g, ok := grads[i]; ok {
-			n := len(g.W) + len(g.B)
-			if off+n > len(vec) {
-				return fmt.Errorf("exec: gradient vector too short")
-			}
-			copy(g.W, vec[off:off+len(g.W)])
-			copy(g.B, vec[off+len(g.W):off+n])
-			off += n
-		}
-	}
-	if off != len(vec) {
-		return fmt.Errorf("exec: gradient vector has %d extra elements", len(vec)-off)
-	}
-	return nil
 }
 
 // WeightChecksum returns a deterministic digest of all weights, used to

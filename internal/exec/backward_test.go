@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -48,16 +49,63 @@ func TestGradientsLossFinite(t *testing.T) {
 	if math.IsNaN(loss) || loss <= 0 {
 		t.Fatalf("loss = %g", loss)
 	}
-	if len(grads) == 0 {
-		t.Fatal("no gradients produced")
+	if int64(len(grads)) != g.TotalParams() {
+		t.Fatalf("gradient vector has %d entries, want %d", len(grads), g.TotalParams())
 	}
-	for id, wg := range grads {
-		for _, v := range append(append([]float32{}, wg.W...), wg.B...) {
-			if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
-				t.Fatalf("node %d: non-finite gradient", id)
-			}
+	for k, v := range grads {
+		if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
+			t.Fatalf("gradient %d is non-finite", k)
 		}
 	}
+}
+
+// numericalCheck compares sampled analytic gradients with central finite
+// differences of the loss, trials samples per weight tensor, walking the
+// nodes in graph order so every run checks the same weights. It copies
+// the analytic gradients first: lossAt re-runs Gradients, which
+// overwrites the executor's gradient vector. It returns the number of
+// checks made.
+func numericalCheck(t *testing.T, e *Executor, in *Tensor, labels []int, rngSeed int64, tol float64) int {
+	t.Helper()
+	if _, _, err := e.Gradients(in, labels); err != nil {
+		t.Fatal(err)
+	}
+	analytic := make([][]float32, len(e.g.Nodes))
+	for id := range e.g.Nodes {
+		analytic[id] = append([]float32(nil), e.NodeGrads(id).W...)
+	}
+	lossAt := func() float64 {
+		l, _, err := e.Gradients(in, labels)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return l
+	}
+	rng := rand.New(rand.NewSource(rngSeed))
+	const eps = 1e-3
+	checked := 0
+	for id, gw := range analytic {
+		nw := e.weights[id]
+		for trial := 0; trial < 3 && len(gw) > 0; trial++ {
+			k := rng.Intn(len(gw))
+			orig := nw.w[k]
+			nw.w[k] = orig + eps
+			up := lossAt()
+			nw.w[k] = orig - eps
+			down := lossAt()
+			nw.w[k] = orig
+			numeric := (up - down) / (2 * eps)
+			a := float64(gw[k])
+			diff := math.Abs(numeric - a)
+			scale := math.Max(1e-3, math.Max(math.Abs(numeric), math.Abs(a)))
+			if diff/scale > tol {
+				t.Fatalf("node %d (%s) weight %d: analytic %g vs numeric %g",
+					id, e.g.Nodes[id].Name, k, a, numeric)
+			}
+			checked++
+		}
+	}
+	return checked
 }
 
 func TestGradientsNumericalCheck(t *testing.T) {
@@ -72,43 +120,7 @@ func TestGradientsNumericalCheck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	labels := []int{1, 2}
-	_, grads, err := e.Gradients(in, labels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lossAt := func() float64 {
-		l, _, err := e.Gradients(in, labels)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return l
-	}
-	rng := rand.New(rand.NewSource(9))
-	const eps = 1e-3
-	checked := 0
-	for id, wg := range grads {
-		nw := e.weights[id]
-		// Sample a few weights per node.
-		for trial := 0; trial < 3 && len(wg.W) > 0; trial++ {
-			k := rng.Intn(len(wg.W))
-			orig := nw.w[k]
-			nw.w[k] = orig + eps
-			up := lossAt()
-			nw.w[k] = orig - eps
-			down := lossAt()
-			nw.w[k] = orig
-			numeric := (up - down) / (2 * eps)
-			analytic := float64(wg.W[k])
-			diff := math.Abs(numeric - analytic)
-			scale := math.Max(1e-3, math.Max(math.Abs(numeric), math.Abs(analytic)))
-			if diff/scale > 0.08 {
-				t.Fatalf("node %d weight %d: analytic %g vs numeric %g", id, k, analytic, numeric)
-			}
-			checked++
-		}
-	}
-	if checked < 10 {
+	if checked := numericalCheck(t, e, in, []int{1, 2}, 9, 0.08); checked < 10 {
 		t.Fatalf("only %d gradient checks performed", checked)
 	}
 }
@@ -154,43 +166,7 @@ func TestGradientsNumericalCheckMobileOps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	labels := []int{0, 2}
-	_, grads, err := e.Gradients(in, labels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lossAt := func() float64 {
-		l, _, err := e.Gradients(in, labels)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return l
-	}
-	rng := rand.New(rand.NewSource(31))
-	const eps = 1e-3
-	checked := 0
-	for id, wg := range grads {
-		nw := e.weights[id]
-		for trial := 0; trial < 3 && len(wg.W) > 0; trial++ {
-			k := rng.Intn(len(wg.W))
-			orig := nw.w[k]
-			nw.w[k] = orig + eps
-			up := lossAt()
-			nw.w[k] = orig - eps
-			down := lossAt()
-			nw.w[k] = orig
-			numeric := (up - down) / (2 * eps)
-			analytic := float64(wg.W[k])
-			diff := math.Abs(numeric - analytic)
-			scale := math.Max(1e-3, math.Max(math.Abs(numeric), math.Abs(analytic)))
-			if diff/scale > 0.1 {
-				t.Fatalf("node %d (%s) weight %d: analytic %g vs numeric %g",
-					id, g.Nodes[id].Name, k, analytic, numeric)
-			}
-			checked++
-		}
-	}
-	if checked < 12 {
+	if checked := numericalCheck(t, e, in, []int{0, 2}, 31, 0.1); checked < 12 {
 		t.Fatalf("only %d gradient checks performed", checked)
 	}
 }
@@ -214,7 +190,7 @@ func TestSGDTrainsMobileStyleNet(t *testing.T) {
 	// higher rate over more steps still has to overfit the fixed batch.
 	loss := first
 	for step := 0; step < 250; step++ {
-		e.ApplySGD(grads, 0.5)
+		e.ApplySGD(grads, 1, 0.5)
 		loss, grads, err = e.Gradients(in, labels)
 		if err != nil {
 			t.Fatal(err)
@@ -293,7 +269,7 @@ func TestSGDStepReducesLossOnFixedBatch(t *testing.T) {
 	}
 	loss := first
 	for step := 0; step < 40; step++ {
-		e.ApplySGD(grads, 0.1)
+		e.ApplySGD(grads, 1, 0.1)
 		loss, grads, err = e.Gradients(in, labels)
 		if err != nil {
 			t.Fatal(err)
@@ -304,8 +280,12 @@ func TestSGDStepReducesLossOnFixedBatch(t *testing.T) {
 	}
 }
 
-func TestFlattenUnflattenGradsRoundTrip(t *testing.T) {
-	g := tinyCNN(t, 3)
+// TestGradientVectorLayout pins the layout the trainer and the ring rely
+// on: parameters and gradients are one vector each, node by node in
+// graph order with W before B, and the gradient vector exists only once
+// Gradients has run.
+func TestGradientVectorLayout(t *testing.T) {
+	g := mobileStyleNet(t)
 	e, err := NewExecutor(g, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -314,40 +294,48 @@ func TestFlattenUnflattenGradsRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := e.Run(in); err != nil {
+		t.Fatal(err)
+	}
+	if e.grads != nil || e.NodeGrads(1).W != nil {
+		t.Fatal("an inference-only executor holds a gradient vector")
+	}
 	_, grads, err := e.Gradients(in, []int{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	vec := e.FlattenGrads(grads)
-	if int64(len(vec)) != g.TotalParams() {
-		t.Fatalf("gradient vector has %d entries, want %d", len(vec), g.TotalParams())
+	if int64(len(e.params)) != g.TotalParams() || len(grads) != len(e.params) {
+		t.Fatalf("%d parameters and %d gradients, graph has %d", len(e.params), len(grads), g.TotalParams())
 	}
-	// Scale the vector, write it back, and verify the maps changed.
-	for i := range vec {
-		vec[i] *= 2
-	}
-	if err := e.UnflattenGrads(vec, grads); err != nil {
-		t.Fatal(err)
-	}
-	back := e.FlattenGrads(grads)
-	for i := range vec {
-		if back[i] != vec[i] {
-			t.Fatalf("round trip mismatch at %d", i)
+	off := 0
+	for i := range g.Nodes {
+		nw, ng := e.weights[i], e.NodeGrads(i)
+		for _, v := range []struct {
+			name       string
+			param, grd []float32
+		}{{"W", nw.w, ng.W}, {"B", nw.b, ng.B}} {
+			if len(v.param) != len(v.grd) {
+				t.Fatalf("node %d %s: %d parameters, %d gradients", i, v.name, len(v.param), len(v.grd))
+			}
+			if len(v.param) == 0 {
+				continue
+			}
+			if &v.param[0] != &e.params[off] || &v.grd[0] != &grads[off] {
+				t.Fatalf("node %d %s is not the view at offset %d", i, v.name, off)
+			}
+			off += len(v.param)
 		}
 	}
-	// Length errors.
-	if err := e.UnflattenGrads(vec[:len(vec)-1], grads); err == nil {
-		t.Fatal("expected short-vector error")
-	}
-	if err := e.UnflattenGrads(append(vec, 0), grads); err == nil {
-		t.Fatal("expected long-vector error")
+	if off != len(e.params) {
+		t.Fatalf("node views cover %d of %d parameters", off, len(e.params))
 	}
 }
 
-// TestFlattenGradsAllocatesOnce pins FlattenGrads to one allocation,
-// the exactly sized vector, where growing it by append reallocated.
-func TestFlattenGradsAllocatesOnce(t *testing.T) {
-	e, err := NewExecutor(tinyCNN(t, 3), 2)
+// TestGradientsRepeatable: a second Gradients call on the same input
+// clears the vector before accumulating, so it returns the same vector
+// holding the same bits.
+func TestGradientsRepeatable(t *testing.T) {
+	e, err := NewExecutor(tinyCNN(t, 3), 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,12 +343,77 @@ func TestFlattenGradsAllocatesOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, grads, err := e.Gradients(in, []int{0, 1})
+	_, first, err := e.Gradients(in, []int{0, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := testing.AllocsPerRun(20, func() { e.FlattenGrads(grads) }); n != 1 {
-		t.Errorf("FlattenGrads allocates %.2f/op, want 1", n)
+	want := append([]float32(nil), first...)
+	_, again, err := e.Gradients(in, []int{0, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &again[0] != &first[0] {
+		t.Fatal("Gradients handed out a new vector")
+	}
+	for k := range want {
+		if math.Float32bits(again[k]) != math.Float32bits(want[k]) {
+			t.Fatalf("gradient %d: %g, then %g", k, want[k], again[k])
+		}
+	}
+}
+
+// TestFusedUpdatesMatchTwoPasses: ApplySGD and ApplyAdam fold averaging
+// into the step; every weight must come out bit-identical to scaling the
+// summed vector first and then stepping, as separate passes.
+func TestFusedUpdatesMatchTwoPasses(t *testing.T) {
+	g := tinyCNN(t, 3)
+	fused, err := NewExecutor(g, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := make([]float32, len(fused.params))
+	rng := rand.New(rand.NewSource(4))
+	for k := range sum {
+		sum[k] = float32(rng.NormFloat64())
+	}
+	const scale, lr = float32(1) / 3, float32(0.01)
+	avg := make([]float32, len(sum))
+	for k, v := range sum {
+		avg[k] = v * scale
+	}
+
+	ref := append([]float32(nil), fused.params...)
+	for k := range ref {
+		ref[k] -= lr * avg[k]
+	}
+	fused.ApplySGD(sum, scale, lr)
+	equalBits(t, "ApplySGD", fused.params, ref)
+
+	const beta1, beta2, eps = 0.9, 0.999, 1e-8
+	m, v := make([]float32, len(sum)), make([]float32, len(sum))
+	st := fused.NewAdamState()
+	for step := 1; step <= 3; step++ {
+		bc1 := 1 - float32(math.Pow(beta1, float64(step)))
+		bc2 := 1 - float32(math.Pow(beta2, float64(step)))
+		for k := range ref {
+			m[k] = beta1*m[k] + (1-beta1)*avg[k]
+			v[k] = beta2*v[k] + (1-beta2)*avg[k]*avg[k]
+			mHat := m[k] / bc1
+			vHat := v[k] / bc2
+			ref[k] -= lr * mHat / (float32(math.Sqrt(float64(vHat))) + eps)
+		}
+		fused.ApplyAdam(st, sum, scale, lr)
+		equalBits(t, fmt.Sprintf("ApplyAdam step %d", step), fused.params, ref)
+	}
+}
+
+// equalBits fails the test unless got and want hold the same bits.
+func equalBits(t *testing.T, name string, got, want []float32) {
+	t.Helper()
+	for k := range want {
+		if math.Float32bits(got[k]) != math.Float32bits(want[k]) {
+			t.Fatalf("%s: element %d is %g, want %g", name, k, got[k], want[k])
+		}
 	}
 }
 
@@ -379,7 +432,7 @@ func TestWeightChecksumTracksChanges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.ApplySGD(grads, 0.05)
+	e.ApplySGD(grads, 1, 0.05)
 	if e.WeightChecksum() == a {
 		t.Fatal("checksum unchanged after an SGD step")
 	}

@@ -10,10 +10,13 @@ import (
 	"convmeter/internal/obs"
 )
 
-// nodeWeights holds the initialised parameters of one node (nil slices
-// for parameter-free ops).
+// nodeWeights holds one node's parameters as views into the executor's
+// parameter vector (nil slices for parameter-free ops). off is where w
+// starts in that vector, and so where the node's gradient starts in the
+// gradient vector.
 type nodeWeights struct {
-	w, b []float32 // conv/linear weight+bias, bn/ln scale+shift, tokens pos+cls
+	w, b []float32 // conv/linear weight+bias, bn/ln scale+shift, tokens pos+cls, scale gamma
+	off  int
 }
 
 // Executor runs a validated graph with deterministic, seeded weights.
@@ -21,7 +24,11 @@ type nodeWeights struct {
 type Executor struct {
 	g       *graph.Graph
 	weights []nodeWeights
-	seed    int64
+	// params holds every parameter in node order, each node's w before
+	// its b. grads mirrors its layout; the first Gradients call allocates
+	// it, so an inference-only executor never pays for it.
+	params, grads []float32
+	seed          int64
 
 	// Telemetry (see SetObs). opCount/opTime are per-node handles indexed
 	// like g.Nodes; both nil when telemetry is detached.
@@ -31,76 +38,84 @@ type Executor struct {
 }
 
 // NewExecutor validates the graph and initialises every parameterised
-// node with He-style random weights from the seed. The same (graph, seed)
-// pair always yields identical numerics.
+// node with He-style random weights from the seed. All parameters live
+// in one vector of the graph's W floats, in node order with each node's
+// w before its b; the weights are drawn straight into it, from one RNG
+// per node. The same (graph, seed) pair always yields identical numerics.
 func NewExecutor(g *graph.Graph, seed int64) (*Executor, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	e := &Executor{g: g, weights: make([]nodeWeights, len(g.Nodes)), seed: seed}
+	e := &Executor{g: g, weights: make([]nodeWeights, len(g.Nodes)),
+		params: make([]float32, g.TotalParams()), seed: seed}
+	// take hands out the next n parameters. Every op takes exactly its
+	// Params() count, so the views tile the vector.
+	off := 0
+	take := func(n int) []float32 {
+		v := e.params[off : off+n : off+n]
+		off += n
+		return v
+	}
+	// Biases, shifts and the class token start at zero.
 	for i, n := range g.Nodes {
-		rng := rand.New(rand.NewSource(seed + int64(i)*1000003))
-		he := func(n int, fanIn int) []float32 {
-			out := make([]float32, n)
-			std := float32(math.Sqrt(2 / float64(fanIn)))
-			for j := range out {
-				out[j] = float32(rng.NormFloat64()) * std
-			}
-			return out
-		}
+		nw := &e.weights[i]
+		nw.off = off
 		switch op := n.Op.(type) {
 		case *graph.Conv2dOp:
 			fanIn := op.InC / op.Groups * op.KH * op.KW
-			w := he(op.OutC*fanIn, fanIn)
-			var b []float32
+			nw.w = heInit(take(op.OutC*fanIn), fanIn, nodeRNG(seed, i))
 			if op.Bias {
-				b = make([]float32, op.OutC)
+				nw.b = take(op.OutC)
 			}
-			e.weights[i] = nodeWeights{w: w, b: b}
 		case *graph.LinearOp:
-			w := he(op.Out*op.In, op.In)
-			var b []float32
+			nw.w = heInit(take(op.Out*op.In), op.In, nodeRNG(seed, i))
 			if op.Bias {
-				b = make([]float32, op.Out)
+				nw.b = take(op.Out)
 			}
-			e.weights[i] = nodeWeights{w: w, b: b}
 		case *graph.TokenLinearOp:
-			w := he(op.Out*op.In, op.In)
-			var b []float32
+			nw.w = heInit(take(op.Out*op.In), op.In, nodeRNG(seed, i))
 			if op.Bias {
-				b = make([]float32, op.Out)
+				nw.b = take(op.Out)
 			}
-			e.weights[i] = nodeWeights{w: w, b: b}
 		case *graph.BatchNormOp:
-			scale := make([]float32, op.C)
-			shift := make([]float32, op.C)
-			for j := range scale {
-				scale[j] = 1
-			}
-			e.weights[i] = nodeWeights{w: scale, b: shift}
+			nw.w, nw.b = ones(take(op.C)), take(op.C)
 		case *graph.LayerNormOp:
-			scale := make([]float32, op.Dim)
-			shift := make([]float32, op.Dim)
-			for j := range scale {
-				scale[j] = 1
-			}
-			e.weights[i] = nodeWeights{w: scale, b: shift}
+			nw.w, nw.b = ones(take(op.Dim)), take(op.Dim)
 		case *graph.ToTokensOp:
-			pos := make([]float32, op.Tokens*op.Dim)
-			for j := range pos {
-				pos[j] = float32(rng.NormFloat64()) * 0.02
+			nw.w = take(op.Tokens * op.Dim)
+			rng := nodeRNG(seed, i)
+			for j := range nw.w {
+				nw.w[j] = float32(rng.NormFloat64()) * 0.02
 			}
-			cls := make([]float32, op.Dim)
-			e.weights[i] = nodeWeights{w: pos, b: cls}
+			nw.b = take(op.Dim)
 		case *graph.ScaleOp:
-			gamma := make([]float32, op.C)
-			for j := range gamma {
-				gamma[j] = 1
-			}
-			e.weights[i] = nodeWeights{w: gamma}
+			nw.w = ones(take(op.C))
 		}
 	}
 	return e, nil
+}
+
+// nodeRNG returns node i's own weight stream, so a node's draws do not
+// depend on any other node's.
+func nodeRNG(seed int64, i int) *rand.Rand {
+	return rand.New(rand.NewSource(seed + int64(i)*1000003))
+}
+
+// heInit fills w with He-normal draws for the given fan-in and returns it.
+func heInit(w []float32, fanIn int, rng *rand.Rand) []float32 {
+	std := float32(math.Sqrt(2 / float64(fanIn)))
+	for j := range w {
+		w[j] = float32(rng.NormFloat64()) * std
+	}
+	return w
+}
+
+// ones sets every element of v to 1 and returns it.
+func ones(v []float32) []float32 {
+	for j := range v {
+		v[j] = 1
+	}
+	return v
 }
 
 // RandomInput builds a deterministic pseudo-random input tensor for the

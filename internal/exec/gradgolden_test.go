@@ -11,8 +11,8 @@ import (
 )
 
 // gradientHash runs Gradients on the executor's seeded random input and
-// returns the FNV-64a hash of every gradient's bits, node by node in
-// graph order, W before B.
+// returns the FNV-64a hash of the gradient vector's bits in order: node
+// by node in graph order, W before B.
 func gradientHash(t *testing.T, g *graph.Graph, seed int64, labels []int) uint64 {
 	t.Helper()
 	e, err := NewExecutor(g, seed)
@@ -29,17 +29,9 @@ func gradientHash(t *testing.T, g *graph.Graph, seed int64, labels []int) uint64
 	}
 	h := fnv.New64a()
 	var buf [4]byte
-	for i := range g.Nodes {
-		wg, ok := grads[i]
-		if !ok {
-			continue
-		}
-		for _, vs := range [][]float32{wg.W, wg.B} {
-			for _, v := range vs {
-				binary.LittleEndian.PutUint32(buf[:], math.Float32bits(v))
-				h.Write(buf[:])
-			}
-		}
+	for _, v := range grads {
+		binary.LittleEndian.PutUint32(buf[:], math.Float32bits(v))
+		h.Write(buf[:])
 	}
 	return h.Sum64()
 }

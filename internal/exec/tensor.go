@@ -38,6 +38,16 @@
 // gradients ReLU leaves, in a loop structure picked from the shapes: a
 // 1×1 output map in linearBackward's row form, every larger map tap by
 // tap over the gathered nonzeros of each output channel.
+//
+// An Executor holds its parameters in one vector, node by node in graph
+// order with each node's W before its B; the per-node weights are views
+// into it. Training adds a gradient vector of the same layout, which the
+// first Gradients call allocates, so inference never pays for it.
+// Gradients clears and refills that vector on every call and returns it
+// rather than a copy: it, and every NodeGrads view into it, stays valid
+// only until the next Gradients call. A data-parallel trainer hands it
+// straight to the all-reduce, and ApplySGD and ApplyAdam average and
+// step in one pass over the vectors.
 package exec
 
 import (

@@ -298,7 +298,7 @@ func TestRepoConfig(t *testing.T) {
 	// observe paths must stay declared, or the hotpath analyzer stops
 	// guarding the numbers the paper's predictions are fitted to.
 	for pkg, roots := range map[string][]string{
-		"convmeter/internal/exec":                  {"conv2d", "convTask.run", "im2colTask.run", "gemmTask.run", "linear", "attentionCore", "conv2dBackward"},
+		"convmeter/internal/exec":                  {"conv2d", "convTask.run", "im2colTask.run", "gemmTask.run", "linear", "attentionCore", "conv2dBackward", "Executor.ApplySGD", "Executor.ApplyAdam"},
 		"convmeter/internal/allreduce":             {"chanRing.step"},
 		"convmeter/internal/obs":                   {"Counter.Add", "Gauge.Set", "Histogram.Observe", "Span.Context", "Span.LinkTo"},
 		"convmeter/internal/driftwatch":            {"Stream.Observe"},

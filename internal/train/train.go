@@ -3,10 +3,18 @@
 // replicas (one goroutine each) compute gradients on their own data
 // shards with the real execution engine (internal/exec), synchronise them
 // with the real ring all-reduce (internal/allreduce), and apply identical
-// SGD updates, exactly the Horovod data-parallel semantics of §2. The
-// tests verify the properties the paper's performance model presumes:
-// replicas stay bit-synchronised, and N-way data parallelism computes the
-// same update as one large batch.
+// SGD or Adam updates, exactly the Horovod data-parallel semantics of §2.
+// The tests verify the properties the paper's performance model
+// presumes: replicas stay bit-synchronised, and N-way data parallelism
+// computes the same update as one large batch.
+//
+// A step moves each replica's gradient as one contiguous vector, the
+// role Horovod's tensor-fusion buffer plays: Gradients accumulates into
+// the replica's persistent gradient vector, the ring reduces that vector
+// in place, and the update averages and steps in one pass over it and
+// the parameter vector. Only the resilient path — faults, an op
+// deadline, or the TCP transport — reduces copies, one snapshot per
+// attempt, so that a failed ring never poisons the originals.
 //
 // The trainer is elastic, in the style of the fault-tolerant Horovod
 // deployments the paper's measurements come from: when a worker crashes
@@ -78,8 +86,10 @@ type Config struct {
 	Obs *obs.Obs
 
 	// Transport selects the all-reduce transport (default TransportChan).
-	// GroupSize-based hierarchical reduction applies only to the chan
-	// transport with resilience off; otherwise a flat ring is used.
+	// A TCP run always goes through the resilient ring (RingTCPOpts,
+	// with per-attempt snapshots), as a run with Faults or OpTimeout
+	// does. GroupSize-based hierarchical reduction applies only to the
+	// chan transport with neither set; every other run uses a flat ring.
 	Transport Transport
 	// Faults, when non-nil, injects deterministic faults into the
 	// transports and schedules worker crashes at step boundaries.
@@ -134,9 +144,11 @@ func (c Config) skewOf(w int) time.Duration {
 	return 0
 }
 
-// resilient reports whether the run needs the fault-tolerant paths.
+// resilient reports whether the run needs the fault-tolerant paths:
+// faults, an op deadline, or the TCP transport, which only the resilient
+// ring speaks.
 func (c Config) resilient() bool {
-	return c.Faults != nil || c.OpTimeout > 0
+	return c.Faults != nil || c.OpTimeout > 0 || c.Transport == TransportTCP
 }
 
 func (c Config) stepRetries() int {
@@ -228,7 +240,7 @@ func NewTrainer(g *graph.Graph, cfg Config) (*Trainer, error) {
 		}
 		t.replicas[w] = e
 		if cfg.Optimizer == Adam {
-			t.adam[w] = exec.NewAdamState()
+			t.adam[w] = e.NewAdamState()
 		}
 		t.live = append(t.live, w)
 	}
@@ -346,9 +358,10 @@ func (t *Trainer) Step(data DataSource) (float64, error) {
 	nCompute := n
 	defer stepSp.End()
 
-	// Local gradients, concurrently, with first-error capture.
+	// Local gradients, concurrently, with first-error capture. Each
+	// vector is the replica's own gradient vector, valid until its next
+	// Gradients call.
 	losses := make([]float64, n)
-	gradMaps := make([]map[int]*exec.WeightGrads, n)
 	vectors := make([][]float32, n)
 	if err := join(n, func(i int) error {
 		w := live[i]
@@ -377,16 +390,13 @@ func (t *Trainer) Step(data DataSource) (float64, error) {
 		if err != nil {
 			return fmt.Errorf("train: worker %d step %d gradients: %w", w, step, err)
 		}
-		losses[i] = loss
-		gradMaps[i] = grads
-		vectors[i] = t.replicas[w].FlattenGrads(grads)
+		losses[i], vectors[i] = loss, grads
 		return nil
 	}); err != nil {
 		return 0, err
 	}
 
-	// Gradient synchronisation with elastic degradation. Each attempt
-	// reduces snapshots so a failed ring never poisons the originals.
+	// Gradient synchronisation with elastic degradation.
 	reduced, err := t.syncGradients(stepObs, step, live, vectors)
 	if err != nil {
 		return 0, err
@@ -399,38 +409,28 @@ func (t *Trainer) Step(data DataSource) (float64, error) {
 		}
 		live = t.live
 		kept := make([][]float32, 0, len(live))
-		keptGrads := make([]map[int]*exec.WeightGrads, 0, len(live))
 		keptLosses := make([]float64, 0, len(live))
 		for _, w := range live {
 			kept = append(kept, reduced[idx[w]])
-			keptGrads = append(keptGrads, gradMaps[idx[w]])
 			keptLosses = append(keptLosses, losses[idx[w]])
 		}
-		reduced, gradMaps, losses = kept, keptGrads, keptLosses
+		reduced, losses = kept, keptLosses
 		n = len(live)
 	}
 
-	// Average and apply — every live replica performs the identical
-	// update, renormalised over the survivor count.
+	// Average and apply in one pass per replica — every live replica
+	// performs the identical update, renormalised over the survivor
+	// count. The update cannot fail.
 	scale := float32(1) / float32(n)
-	if err := join(n, func(i int) error {
+	_ = join(n, func(i int) error {
 		w := live[i]
-		v := reduced[i]
-		for k := range v {
-			v[k] *= scale
-		}
-		if err := t.replicas[w].UnflattenGrads(v, gradMaps[i]); err != nil {
-			return fmt.Errorf("train: worker %d step %d: %w", w, step, err)
-		}
 		if t.cfg.Optimizer == Adam {
-			t.replicas[w].ApplyAdam(t.adam[w], gradMaps[i], t.cfg.LR)
+			t.replicas[w].ApplyAdam(t.adam[w], reduced[i], scale, t.cfg.LR)
 		} else {
-			t.replicas[w].ApplySGD(gradMaps[i], t.cfg.LR)
+			t.replicas[w].ApplySGD(reduced[i], scale, t.cfg.LR)
 		}
 		return nil
-	}); err != nil {
-		return 0, err
-	}
+	})
 
 	mean := 0.0
 	for _, l := range losses {
@@ -460,7 +460,9 @@ func (t *Trainer) Step(data DataSource) (float64, error) {
 // syncGradients all-reduces the live workers' gradient vectors with
 // retry and blame-based elastic degradation. It returns the reduced
 // (summed) vectors indexed like the input; entries of workers that died
-// mid-sync are stale and must be discarded by the caller.
+// mid-sync are stale and must be discarded by the caller. The fast path
+// reduces the replicas' own vectors in place; the resilient path reduces
+// snapshots, so that a failed attempt never poisons the originals.
 func (t *Trainer) syncGradients(stepObs *obs.Obs, step int, live []int, vectors [][]float32) ([][]float32, error) {
 	gradSp := stepObs.Start("grad")
 	defer gradSp.End()

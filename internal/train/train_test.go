@@ -2,10 +2,14 @@ package train
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"convmeter/internal/exec"
 	"convmeter/internal/graph"
+	"convmeter/internal/models"
+	"convmeter/internal/obs"
+	"convmeter/internal/testrace"
 )
 
 // trainNet builds a small trainable CNN (3 classes).
@@ -175,5 +179,81 @@ func TestPrototypeTaskValidation(t *testing.T) {
 	g := trainNet(t)
 	if _, err := NewPrototypeTask(g, 1, 0.3, 1); err == nil {
 		t.Fatal("expected class-count error")
+	}
+}
+
+// TestTransportTCPCarriesGradients: a TCP run must reduce its gradients
+// over the sockets even with no fault injector or op deadline, and, two
+// workers summing in either order, train bit for bit like the channel
+// ring.
+func TestTransportTCPCarriesGradients(t *testing.T) {
+	g := trainNet(t)
+	task, err := NewPrototypeTask(g, 3, 0.3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := obs.New()
+	tcp, err := DataParallel(g, Config{Workers: 2, LR: 0.1, Seed: 7, Transport: TransportTCP, Obs: o}, 4, task.Source(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sent := o.Counter(obs.Label("convmeter_allreduce_tcp_bytes_total", "dir", "sent"), "").Value(); sent <= 0 {
+		t.Fatalf("TCP run sent %g bytes over the ring sockets", sent)
+	}
+	ch, err := DataParallel(g, Config{Workers: 2, LR: 0.1, Seed: 7}, 4, task.Source(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range ch.Losses {
+		if math.Float64bits(tcp.Losses[i]) != math.Float64bits(ch.Losses[i]) {
+			t.Fatalf("step %d: TCP loss %g, channel loss %g", i, tcp.Losses[i], ch.Losses[i])
+		}
+	}
+	for i := range ch.Checksums {
+		if math.Float64bits(tcp.Checksums[i]) != math.Float64bits(ch.Checksums[i]) {
+			t.Fatalf("replica %d: TCP checksum %g, channel checksum %g", i, tcp.Checksums[i], ch.Checksums[i])
+		}
+	}
+}
+
+// TestStepAllocatesLessThanOneGradientVector pins the steady-state
+// allocation of a training step in perfbench's train shape (squeezenet1_1
+// at 32×32, 2 workers × batch 2, SGD, the channel ring): the gradients
+// accumulate into each replica's persistent vector, the ring reduces it
+// in place without send copies and the update reads it in place, so a
+// step allocates less than one gradient vector (4·W bytes). What it does
+// allocate is the batch and the activations.
+func TestStepAllocatesLessThanOneGradientVector(t *testing.T) {
+	testrace.SkipIfRace(t)
+
+	g, err := models.Build("squeezenet1_1", 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	task, err := NewPrototypeTask(g, 10, 0.3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := NewTrainer(g, Config{Workers: 2, LR: 0.01, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := task.Source(2)
+	step := func() {
+		if _, err := tr.Step(src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	step() // the first step allocates the gradient vectors
+	const steps = 4
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < steps; i++ {
+		step()
+	}
+	runtime.ReadMemStats(&after)
+	perStep := (after.TotalAlloc - before.TotalAlloc) / steps
+	if limit := 4 * uint64(g.TotalParams()); perStep >= limit {
+		t.Errorf("a step allocates %d bytes, want < %d (one gradient vector)", perStep, limit)
 	}
 }
