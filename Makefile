@@ -4,7 +4,7 @@
 GO       ?= go
 FUZZTIME ?= 15s
 
-.PHONY: build vet lint test race fuzz obs-smoke obs-bench bench-snapshot bench-check chaos critpath-smoke dag-smoke alerts-smoke ci
+.PHONY: build vet lint test race fuzz obs-smoke obs-bench bench-snapshot bench-check chaos critpath-smoke dag-smoke drift-smoke ci
 
 build:
 	$(GO) build ./...
@@ -30,18 +30,18 @@ test:
 # the experiments harness with its DAG resume matrices) run under the
 # race detector, plus the lint package itself — its fixture suites drive
 # the loader and analyzers concurrently enough to be worth the coverage
-# — and the CLI legs that scrape a live ops server, fire alerts and
-# kill/resume a run.
+# — and the CLI legs that scrape a live ops server and kill/resume a
+# run.
 race:
 	$(GO) test -race ./internal/exec/... ./internal/allreduce/... ./internal/bench/... ./internal/train/... ./internal/obs/... ./internal/driftwatch/... ./internal/lint/... ./internal/dagrun/... ./internal/faults/... ./internal/experiments/...
-	$(GO) test -race -count=1 -run 'TestRunWithOpsServer|TestRunAlerts|TestRunDagCrashResume' ./cmd/experiments
+	$(GO) test -race -count=1 -run 'TestRunWithOpsServer|TestRunDagCrashResume' ./cmd/experiments
 
 # obs-smoke: run the telemetry fixture experiment with the metrics and
 # trace flags and validate both artefacts with cmd/obscheck — catches
 # exposition/trace formatting regressions that unit tests on the
 # exporters alone would miss. (The live ops-server scrape runs under
 # the race detector in `race`; the drift artefacts are checked by
-# alerts-smoke's slowdown and clean runs.)
+# drift-smoke's slowdown and clean runs.)
 obs-smoke:
 	rm -rf .obs-smoke && mkdir -p .obs-smoke
 	$(GO) run ./cmd/experiments -run exttrainreal -quick \
@@ -75,7 +75,7 @@ bench-check:
 # critical-path report blaming worker 0 and a well-formed multi-worker
 # trace (resolvable span parents, no negative durations, no
 # cross-worker time-travel), and the clean run's report must blame
-# nobody. Kept apart from alerts-smoke's pair: -critpath-out turns on
+# nobody. Kept apart from drift-smoke's pair: -critpath-out turns on
 # clock alignment and an injected clock skew, and a clean run with
 # every flag on blamed a step in 1 of 43 tries.
 critpath-smoke:
@@ -90,27 +90,20 @@ critpath-smoke:
 	$(GO) run ./cmd/obscheck -critpath .critpath-smoke/critpath-clean.json -forbid-blame
 	rm -rf .critpath-smoke
 
-# alerts-smoke: the SLO-alerting and drift acceptance path, end to end
-# through the real binary (the live e2e matrix — /readyz gating,
-# /alerts, /api/query — runs under the race detector in `race`): the
-# slowdown run's exported alert report must pass obscheck -alerts with
-# drift-burn-rate required to have fired and its drift artefact must
-# report the detection; the clean run's reports must show neither. The
-# compressed -alerts-scale turns the 5m/1h SLO windows into a smoke-
-# sized timebase; -sample-interval matches the run's few-second span.
-alerts-smoke:
-	rm -rf .alerts-smoke && mkdir -p .alerts-smoke
+# drift-smoke: the prediction-drift acceptance path, end to end through
+# the real binary (the live /drift scrape runs under the race detector
+# in `race`): the slowdown run's drift artefact must report a detection
+# on a drifting stream; the clean run's must report none, with the
+# detector armed (a stream in state ok) so its silence means something.
+drift-smoke:
+	rm -rf .drift-smoke && mkdir -p .drift-smoke
 	$(GO) run ./cmd/experiments -run exttrainfaults -quick -faults-seed 7 -faults-profile slowdown \
-		-alerts-out .alerts-smoke/alerts-slow.json -alerts-scale 0.005 -sample-interval 25ms \
-		-drift-out .alerts-smoke/drift-slow.json > .alerts-smoke/report-slow.txt
-	$(GO) run ./cmd/obscheck -alerts .alerts-smoke/alerts-slow.json -require-firing drift-burn-rate
-	$(GO) run ./cmd/obscheck -drift .alerts-smoke/drift-slow.json -require-drift
+		-drift-out .drift-smoke/drift-slow.json > .drift-smoke/report-slow.txt
+	$(GO) run ./cmd/obscheck -drift .drift-smoke/drift-slow.json -require-drift
 	$(GO) run ./cmd/experiments -run exttrainfaults -quick -faults-seed 7 -faults-profile none \
-		-alerts-out .alerts-smoke/alerts-clean.json -alerts-scale 0.005 -sample-interval 25ms \
-		-drift-out .alerts-smoke/drift-clean.json > .alerts-smoke/report-clean.txt
-	$(GO) run ./cmd/obscheck -alerts .alerts-smoke/alerts-clean.json -forbid-firing drift-burn-rate
-	$(GO) run ./cmd/obscheck -drift .alerts-smoke/drift-clean.json -forbid-drift
-	rm -rf .alerts-smoke
+		-drift-out .drift-smoke/drift-clean.json > .drift-smoke/report-clean.txt
+	$(GO) run ./cmd/obscheck -drift .drift-smoke/drift-clean.json -forbid-drift
+	rm -rf .drift-smoke
 
 # Short fuzz smoke of every fuzz target; seed corpora live under the
 # packages' testdata/fuzz/ directories and always run as part of `test`.
@@ -159,4 +152,4 @@ dag-smoke:
 	$(GO) run ./cmd/obscheck -manifest .dag-smoke/run
 	rm -rf .dag-smoke
 
-ci: build vet lint test race obs-smoke chaos critpath-smoke dag-smoke alerts-smoke bench-check
+ci: build vet lint test race obs-smoke chaos critpath-smoke dag-smoke drift-smoke bench-check

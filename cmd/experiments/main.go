@@ -25,17 +25,13 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"time"
 
 	"convmeter"
 	"convmeter/internal/driftwatch"
 	"convmeter/internal/faults"
 	"convmeter/internal/obs"
-	"convmeter/internal/obs/alert"
 	"convmeter/internal/obs/critpath"
 	"convmeter/internal/obs/ops"
-	"convmeter/internal/obs/runtimeprof"
-	"convmeter/internal/obs/tsdb"
 )
 
 func main() {
@@ -49,14 +45,11 @@ func main() {
 	flag.StringVar(&opts.csvDir, "csvdir", "", "write figure data series as CSV files into this directory")
 	flag.StringVar(&opts.metricsOut, "metrics-out", "", "write collected runtime metrics to this file (Prometheus text; JSONL when the path ends in .jsonl)")
 	flag.StringVar(&opts.traceOut, "trace-out", "", "write recorded spans as Chrome trace-event JSON to this file (open in Perfetto)")
-	flag.StringVar(&opts.opsAddr, "ops-addr", "", "serve the live ops endpoints (/metrics, /healthz, /readyz, /trace, /drift, /critpath, /dag, /api/query, /alerts, /dashboard, /debug/pprof) on this address (e.g. localhost:6060) while experiments run; off by default")
+	flag.StringVar(&opts.opsAddr, "ops-addr", "", "serve the live ops endpoints (/metrics, /healthz, /trace, /drift, /critpath, /dag, /debug/pprof) on this address (e.g. localhost:6060) while experiments run; off by default")
 	flag.StringVar(&opts.opsAddrOut, "ops-addr-out", "", "write the ops server's actual bound address to this file (useful with -ops-addr :0)")
 	flag.StringVar(&opts.driftOut, "drift-out", "", "write the final drift-monitor state as JSON to this file")
 	flag.BoolVar(&opts.driftRefit, "drift-refit", false, "on a drift event, recalibrate the affected stream onto the new regime instead of staying latched")
 	flag.StringVar(&opts.critpathOut, "critpath-out", "", "write the chaos trainer's per-step critical-path attribution report as JSON to this file (also enables clock alignment and /critpath)")
-	flag.StringVar(&opts.alertsOut, "alerts-out", "", "write the final alert report (schema convmeter/alerts/v1) as JSON to this file; enables the in-process retention store and alert engine")
-	flag.Float64Var(&opts.alertsScale, "alerts-scale", 1, "scale factor applied to the built-in alert rules' SLO windows and latches (1 = production cadence; 0.005 compresses 5m to 1.5s for smoke runs)")
-	flag.DurationVar(&opts.sampleInterval, "sample-interval", time.Second, "retention-store sampling and alert evaluation cadence")
 	flag.StringVar(&opts.dagDir, "dag-dir", "", "durable run directory: every completed DAG node commits a content-addressed manifest here, and a re-run over the same directory resumes fail-close from fingerprint-matching manifests")
 	flag.IntVar(&opts.dagWorkers, "dag-workers", 2, "worker pool size for independent DAG nodes")
 	flag.StringVar(&opts.dagCrash, "dag-crash", "", "inject a process crash at node@point (point: boundary or mid) for crash-resume testing; the run dies with exit code 3 and resumes via -dag-dir")
@@ -86,9 +79,6 @@ type options struct {
 	driftOut             string
 	driftRefit           bool
 	critpathOut          string
-	alertsOut            string
-	alertsScale          float64
-	sampleInterval       time.Duration
 	dagDir               string
 	dagWorkers           int
 	dagCrash             string
@@ -120,7 +110,7 @@ func run(opts options) (err error) {
 	var bundle *obs.Obs
 	var mon *driftwatch.Monitor
 	var crit *critpath.Tracker
-	if opts.metricsOut != "" || opts.traceOut != "" || opts.opsAddr != "" || opts.driftOut != "" || opts.critpathOut != "" || opts.alertsOut != "" {
+	if opts.metricsOut != "" || opts.traceOut != "" || opts.opsAddr != "" || opts.driftOut != "" || opts.critpathOut != "" {
 		bundle = obs.New()
 		cfg.Obs = bundle
 		dcfg := driftwatch.Config{Obs: bundle}
@@ -137,30 +127,6 @@ func run(opts options) (err error) {
 	if opts.critpathOut != "" || opts.opsAddr != "" {
 		crit = critpath.NewTracker(bundle)
 		cfg.Crit = crit
-	}
-	// The retention store samples the registry on a cadence, the alert
-	// engine evaluates the built-in SLO rules against it, and the runtime
-	// sampler projects runtime/metrics into the registry so the store
-	// retains the process's own health alongside the experiment metrics.
-	var db *tsdb.DB
-	var eng *alert.Engine
-	var prof *runtimeprof.Sampler
-	if opts.alertsOut != "" || opts.opsAddr != "" {
-		db = tsdb.New(tsdb.Config{Obs: bundle, Interval: opts.sampleInterval})
-		eng = alert.New(alert.Config{
-			Obs: bundle, DB: db,
-			Rules:    alert.BuiltinRules(opts.alertsScale),
-			Interval: opts.sampleInterval,
-		})
-		prof = runtimeprof.New(runtimeprof.Config{Obs: bundle, Interval: opts.sampleInterval})
-		prof.Start()
-		db.Start()
-		eng.Start()
-		// Idempotent: the quiesce before the report write stops them
-		// first on the happy path; these cover the error returns.
-		defer eng.Stop()
-		defer db.Stop()
-		defer prof.Stop()
 	}
 	// The run itself is a DAG: independent experiments execute in
 	// parallel on a bounded pool, and with -dag-dir every completed node
@@ -182,7 +148,6 @@ func run(opts options) (err error) {
 	if opts.opsAddr != "" {
 		srv, err := ops.Start(ops.Config{
 			Addr: opts.opsAddr, Obs: bundle, Drift: mon, Crit: crit, Dag: runner,
-			TSDB: db, Alerts: eng,
 		})
 		if err != nil {
 			return err
@@ -251,29 +216,6 @@ func run(opts options) (err error) {
 			return err
 		}
 		if err := crit.WriteJSON(f); err != nil {
-			_ = f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-	}
-	if opts.alertsOut != "" {
-		// Quiesce the loops, take one final synchronous sweep so metric
-		// increments from the run's tail are retained and judged, then
-		// export. Stop is idempotent; the deferred stops become no-ops.
-		eng.Stop()
-		db.Stop()
-		prof.Stop()
-		now := db.Now()
-		db.Sync()
-		db.Sample(now)
-		eng.Eval(now)
-		f, err := os.Create(opts.alertsOut)
-		if err != nil {
-			return err
-		}
-		if err := eng.WriteJSON(f, now); err != nil {
 			_ = f.Close()
 			return err
 		}

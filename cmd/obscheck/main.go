@@ -13,19 +13,18 @@
 // durable DAG run directories written by experiments -dag-dir
 // (-manifest: every manifest parses, fingerprints and hashes are
 // well-formed, input hashes resolve to committed manifests, and the
-// input graph is acyclic) and alert reports written by experiments
-// -alerts-out or served at /alerts (-alerts: schema, legal lifecycle
-// edges, monotone transition timestamps, no resolve before a fire —
-// optionally asserting that a specific rule did, or did not, fire).
+// input graph is acyclic). The clean-run gates (-forbid-drift,
+// -forbid-blame) also require proof that something watched: an armed
+// drift stream, an analyzed step.
 // Trace validation additionally checks span-graph well-formedness when
 // events carry span args: unique ids, resolvable parents, non-negative
 // durations, and no cross-worker time-travel through causal links
 // beyond the clock-alignment tolerance. CI's obs-smoke (metrics,
 // trace), chaos (metrics), critpath-smoke (critpath, trace),
-// alerts-smoke (alerts, drift) and dag-smoke (manifest) targets run it
-// against real artefacts so a formatting regression fails the build
-// rather than silently producing files Grafana, Perfetto or
-// benchsnap -check reject.
+// drift-smoke (drift) and dag-smoke (manifest) targets run it against
+// real artefacts so a formatting regression fails the build rather
+// than silently producing files Grafana, Perfetto or benchsnap -check
+// reject.
 package main
 
 import (
@@ -47,25 +46,14 @@ func main() {
 	bench := flag.String("bench", "", "benchmark snapshot JSON to validate (from benchsnap -out, e.g. BENCH_1.json)")
 	critpath := flag.String("critpath", "", "critical-path attribution report JSON to validate (from -critpath-out or GET /critpath)")
 	manifest := flag.String("manifest", "", "DAG run directory to validate (from experiments -dag-dir): every manifest parses, fingerprints/hashes are well-formed, input hashes resolve to committed manifests, and the input graph is acyclic")
-	alerts := flag.String("alerts", "", "alert report JSON to validate (from experiments -alerts-out or GET /alerts): schema, legal states and lifecycle edges, monotone transition timestamps, no resolve before a fire")
-	requireFiring := flag.String("require-firing", "", "additionally require this rule to have fired at least once in the -alerts report (incident-run validation)")
-	forbidFiring := flag.String("forbid-firing", "", "additionally require this rule to never have fired in the -alerts report (clean-run validation)")
 	requireFaults := flag.Bool("require-faults", false, "additionally require a convmeter_faults_injected_total sample with value > 0 (chaos-run validation)")
 	requireDrift := flag.Bool("require-drift", false, "additionally require at least one drift event and a drifting stream in the -drift snapshot (slowdown-run validation)")
-	forbidDrift := flag.Bool("forbid-drift", false, "additionally require zero drift events in the -drift snapshot (clean-run validation)")
+	forbidDrift := flag.Bool("forbid-drift", false, "additionally require zero drift events and at least one armed (state ok) stream in the -drift snapshot (clean-run validation)")
 	requireBlame := flag.Int("require-blame", -1, "additionally require at least one -critpath step blaming this worker (straggler-run validation); -1 disables")
-	forbidBlame := flag.Bool("forbid-blame", false, "additionally require zero blamed steps in the -critpath report (clean-run validation)")
+	forbidBlame := flag.Bool("forbid-blame", false, "additionally require zero blamed steps and at least one analyzed step in the -critpath report (clean-run validation)")
 	flag.Parse()
-	if *metrics == "" && *trace == "" && *drift == "" && *bench == "" && *critpath == "" && *manifest == "" && *alerts == "" {
-		fmt.Fprintln(os.Stderr, "obscheck: nothing to check (pass -metrics, -trace, -drift, -bench, -critpath, -manifest and/or -alerts)")
-		os.Exit(2)
-	}
-	if (*requireFiring != "" || *forbidFiring != "") && *alerts == "" {
-		fmt.Fprintln(os.Stderr, "obscheck: -require-firing/-forbid-firing need -alerts")
-		os.Exit(2)
-	}
-	if *requireFiring != "" && *requireFiring == *forbidFiring {
-		fmt.Fprintln(os.Stderr, "obscheck: -require-firing and -forbid-firing name the same rule")
+	if *metrics == "" && *trace == "" && *drift == "" && *bench == "" && *critpath == "" && *manifest == "" {
+		fmt.Fprintln(os.Stderr, "obscheck: nothing to check (pass -metrics, -trace, -drift, -bench, -critpath and/or -manifest)")
 		os.Exit(2)
 	}
 	if *requireFaults && *metrics == "" {
@@ -130,182 +118,6 @@ func main() {
 		}
 		fmt.Printf("obscheck: %s ok\n", *manifest)
 	}
-	if *alerts != "" {
-		if err := checkAlerts(*alerts, *requireFiring, *forbidFiring); err != nil {
-			fmt.Fprintln(os.Stderr, "obscheck:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("obscheck: %s ok\n", *alerts)
-	}
-}
-
-// alertsSchema is the report format internal/obs/alert writes; keep in
-// sync with alert.ReportSchema.
-const alertsSchema = "convmeter/alerts/v1"
-
-// alertStates are the lifecycle states a rule may legally report, and
-// alertEdges the legal transitions between them: a rule fires from
-// inactive or resolved, and resolves only from firing — so a resolve
-// can never precede a fire.
-var alertStates = map[string]bool{
-	"inactive": true, "firing": true, "resolved": true,
-}
-
-var alertEdges = map[[2]string]bool{
-	{"inactive", "firing"}: true,
-	{"resolved", "firing"}: true,
-	{"firing", "resolved"}: true,
-}
-
-// alertSeverities and alertKinds mirror the alert package's enums.
-var alertSeverities = map[string]bool{"critical": true, "warning": true}
-
-var alertKinds = map[string]bool{
-	"threshold": true, "absence": true, "burnrate": true,
-}
-
-// checkAlerts validates an alert report: the schema tag, a status entry
-// per rule (sorted, unique, legal severity/kind/state, finite values),
-// and a well-formed transition history — monotone non-decreasing
-// timestamps, legal lifecycle edges only, per-rule edges that chain
-// (each From equals the rule's previous To, starting from inactive, so
-// no rule resolves before it ever fired), and a final per-rule state
-// that matches the status table. With requireFiring it additionally
-// demands that the named rule fired at least once (an incident run must
-// have been caught); with forbidFiring it demands the named rule never
-// fired (a clean run must not false-positive).
-func checkAlerts(path, requireFiring, forbidFiring string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var doc struct {
-		Schema string   `json:"schema"`
-		Now    *float64 `json:"now_seconds"`
-		Alerts []struct {
-			Rule     string  `json:"rule"`
-			Severity string  `json:"severity"`
-			Kind     string  `json:"kind"`
-			State    string  `json:"state"`
-			Since    float64 `json:"since_seconds"`
-			Value    float64 `json:"value"`
-		} `json:"alerts"`
-		Transitions []struct {
-			Rule     string  `json:"rule"`
-			Severity string  `json:"severity"`
-			From     string  `json:"from"`
-			To       string  `json:"to"`
-			T        float64 `json:"t_seconds"`
-			Value    float64 `json:"value"`
-		} `json:"transitions"`
-	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		return fmt.Errorf("%s: invalid alerts JSON: %v", path, err)
-	}
-	if doc.Schema != alertsSchema {
-		return fmt.Errorf("%s: schema %q, want %q", path, doc.Schema, alertsSchema)
-	}
-	if doc.Now == nil || math.IsNaN(*doc.Now) || math.IsInf(*doc.Now, 0) || *doc.Now < 0 {
-		return fmt.Errorf("%s: now_seconds missing or not finite non-negative", path)
-	}
-	if doc.Alerts == nil || doc.Transitions == nil {
-		return fmt.Errorf("%s: alerts or transitions missing or null", path)
-	}
-	ruleState := map[string]string{} // rule -> status-table state
-	prevRule := ""
-	for i, a := range doc.Alerts {
-		if a.Rule == "" {
-			return fmt.Errorf("%s: alert %d has no rule name", path, i)
-		}
-		if a.Rule <= prevRule {
-			return fmt.Errorf("%s: alert rules not sorted/unique at %q", path, a.Rule)
-		}
-		prevRule = a.Rule
-		if !alertSeverities[a.Severity] {
-			return fmt.Errorf("%s: alert %s: unknown severity %q", path, a.Rule, a.Severity)
-		}
-		if !alertKinds[a.Kind] {
-			return fmt.Errorf("%s: alert %s: unknown kind %q", path, a.Rule, a.Kind)
-		}
-		if !alertStates[a.State] {
-			return fmt.Errorf("%s: alert %s: unknown state %q", path, a.Rule, a.State)
-		}
-		for what, v := range map[string]float64{"since_seconds": a.Since, "value": a.Value} {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return fmt.Errorf("%s: alert %s: %s = %v, want finite", path, a.Rule, what, v)
-			}
-		}
-		if a.Since < 0 {
-			return fmt.Errorf("%s: alert %s: since_seconds %v, want >= 0", path, a.Rule, a.Since)
-		}
-		ruleState[a.Rule] = a.State
-	}
-	last := map[string]string{} // rule -> state after its latest transition
-	fired := map[string]bool{}  // rule -> ever fired in the history
-	prevT := math.Inf(-1)
-	for i, tr := range doc.Transitions {
-		if tr.Rule == "" {
-			return fmt.Errorf("%s: transition %d has no rule name", path, i)
-		}
-		if _, ok := ruleState[tr.Rule]; !ok {
-			return fmt.Errorf("%s: transition %d names unknown rule %q", path, i, tr.Rule)
-		}
-		if !alertSeverities[tr.Severity] {
-			return fmt.Errorf("%s: transition %d (%s): unknown severity %q", path, i, tr.Rule, tr.Severity)
-		}
-		if math.IsNaN(tr.T) || math.IsInf(tr.T, 0) || tr.T < 0 {
-			return fmt.Errorf("%s: transition %d (%s): t_seconds %v, want finite non-negative", path, i, tr.Rule, tr.T)
-		}
-		if tr.T < prevT {
-			return fmt.Errorf("%s: transition %d (%s): t_seconds %v < previous %v — history not monotone", path, i, tr.Rule, tr.T, prevT)
-		}
-		prevT = tr.T
-		if tr.T > *doc.Now {
-			return fmt.Errorf("%s: transition %d (%s): t_seconds %v after now_seconds %v", path, i, tr.Rule, tr.T, *doc.Now)
-		}
-		if !alertStates[tr.From] || !alertStates[tr.To] {
-			return fmt.Errorf("%s: transition %d (%s): unknown state in %s -> %s", path, i, tr.Rule, tr.From, tr.To)
-		}
-		if !alertEdges[[2]string{tr.From, tr.To}] {
-			return fmt.Errorf("%s: transition %d (%s): illegal edge %s -> %s", path, i, tr.Rule, tr.From, tr.To)
-		}
-		from := last[tr.Rule]
-		if from == "" {
-			from = "inactive"
-		}
-		if tr.From != from {
-			return fmt.Errorf("%s: transition %d (%s): from %q but the rule's prior state is %q — an edge was skipped or reordered", path, i, tr.Rule, tr.From, from)
-		}
-		last[tr.Rule] = tr.To
-		if tr.To == "firing" {
-			fired[tr.Rule] = true
-		}
-		if math.IsNaN(tr.Value) || math.IsInf(tr.Value, 0) {
-			return fmt.Errorf("%s: transition %d (%s): value %v, want finite", path, i, tr.Rule, tr.Value)
-		}
-	}
-	for rule, state := range last {
-		if ruleState[rule] != state {
-			return fmt.Errorf("%s: rule %s: status table says %q but its last transition leaves it %q", path, rule, ruleState[rule], state)
-		}
-	}
-	if requireFiring != "" {
-		if _, ok := ruleState[requireFiring]; !ok {
-			return fmt.Errorf("%s: -require-firing rule %q is not in the report", path, requireFiring)
-		}
-		if !fired[requireFiring] {
-			return fmt.Errorf("%s: rule %q never fired (states: %v) — the incident was missed", path, requireFiring, ruleState[requireFiring])
-		}
-	}
-	if forbidFiring != "" {
-		if _, ok := ruleState[forbidFiring]; !ok {
-			return fmt.Errorf("%s: -forbid-firing rule %q is not in the report", path, forbidFiring)
-		}
-		if fired[forbidFiring] {
-			return fmt.Errorf("%s: rule %q fired on a clean run (false positive)", path, forbidFiring)
-		}
-	}
-	return nil
 }
 
 // manifestSchema is the run-manifest format internal/dagrun/manifest
@@ -463,7 +275,9 @@ var critpathClasses = map[string]bool{
 // blame consistency (a blamed worker exists in the step's worker list
 // and the step is wait-dominated). With requireBlame >= 0 it demands at
 // least one step blaming that worker (a straggler run must have been
-// attributed); with forbidBlame it demands no blamed steps at all.
+// attributed); with forbidBlame it demands no blamed steps at all, and
+// at least one analyzed step — an empty report watched nothing, so its
+// silence proves nothing.
 func checkCritpath(path string, requireBlame int, forbidBlame bool) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -558,6 +372,9 @@ func checkCritpath(path string, requireBlame int, forbidBlame bool) error {
 	}
 	if forbidBlame && len(blamed) > 0 {
 		return fmt.Errorf("%s: %d blamed step(s) on a clean run (false positive)", path, len(blamed))
+	}
+	if forbidBlame && len(doc.Steps) == 0 {
+		return fmt.Errorf("%s: no analyzed steps — the clean run's silence proves nothing", path)
 	}
 	if requireBlame >= 0 {
 		if blamed[requireBlame] == 0 {
@@ -741,7 +558,9 @@ var driftStates = map[string]bool{
 // pair/event counts that are consistent with the top-level total. With
 // requireDrift it additionally demands at least one event on a drifting
 // stream (a slowdown run must have been caught); with forbidDrift it
-// demands zero events (a clean run must not false-positive).
+// demands zero events (a clean run must not false-positive) and at least
+// one stream in state ok — a detector still calibrating or warming up
+// was never armed, so its silence proves nothing.
 func checkDrift(path string, requireDrift, forbidDrift bool) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -763,7 +582,7 @@ func checkDrift(path string, requireDrift, forbidDrift bool) error {
 	if doc.Streams == nil || doc.Events == nil {
 		return fmt.Errorf("%s: streams or events_total missing", path)
 	}
-	total, drifting := 0, false
+	total, drifting, armed := 0, false, false
 	for i, st := range doc.Streams {
 		if st.Model == "" || st.Phase == "" {
 			return fmt.Errorf("%s: stream %d has no model/phase", path, i)
@@ -775,8 +594,11 @@ func checkDrift(path string, requireDrift, forbidDrift bool) error {
 			return fmt.Errorf("%s: stream %s/%s has negative counts", path, st.Model, st.Phase)
 		}
 		total += st.Events
-		if st.State == "drifting" {
+		switch st.State {
+		case "drifting":
 			drifting = true
+		case "ok":
+			armed = true
 		}
 	}
 	if total != *doc.Events {
@@ -787,6 +609,9 @@ func checkDrift(path string, requireDrift, forbidDrift bool) error {
 	}
 	if forbidDrift && total != 0 {
 		return fmt.Errorf("%s: %d drift event(s) on a clean run (false positive)", path, total)
+	}
+	if forbidDrift && !armed {
+		return fmt.Errorf("%s: no stream in state ok — the detector never armed, so the clean run's silence proves nothing", path)
 	}
 	return nil
 }

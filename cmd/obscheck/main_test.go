@@ -6,18 +6,14 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"convmeter/internal/dagrun"
-	"convmeter/internal/obs"
-	"convmeter/internal/obs/alert"
-	"convmeter/internal/obs/tsdb"
 )
 
-// writeDrift drops a drift snapshot fixture and returns its path.
-func writeDrift(t *testing.T, doc string) string {
+// writeFixture drops a JSON artefact fixture and returns its path.
+func writeFixture(t *testing.T, doc string) string {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), "drift.json")
+	path := filepath.Join(t.TempDir(), "fixture.json")
 	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -28,6 +24,8 @@ func TestCheckDrift(t *testing.T) {
 	drifting := `{"streams":[{"model":"trainreal","phase":"iter","state":"drifting","pairs":10,"events":2}],"events_total":2}`
 	clean := `{"streams":[{"model":"trainreal","phase":"iter","state":"ok","pairs":10,"events":0}],"events_total":0}`
 	empty := `{"streams":[],"events_total":0}`
+	// A stream still in warmup has not armed Page-Hinkley yet.
+	warmup := `{"streams":[{"model":"trainreal","phase":"iter","state":"warmup","pairs":3,"events":0}],"events_total":0}`
 
 	cases := []struct {
 		name                      string
@@ -41,8 +39,10 @@ func TestCheckDrift(t *testing.T) {
 		{"clean-plain", clean, false, false, false},
 		{"clean-required", clean, true, false, true},
 		{"clean-forbidden", clean, false, true, false},
-		{"empty-forbidden", empty, false, true, false},
+		{"empty-forbidden", empty, false, true, true},
 		{"empty-required", empty, true, false, true},
+		{"warmup-plain", warmup, false, false, false},
+		{"warmup-forbidden", warmup, false, true, true},
 		{"bad-json", `{"streams":`, false, false, true},
 		{"missing-total", `{"streams":[]}`, false, false, true},
 		{"unknown-state", `{"streams":[{"model":"a","phase":"fwd","state":"panic","pairs":1,"events":0}],"events_total":0}`, false, false, true},
@@ -51,7 +51,7 @@ func TestCheckDrift(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := checkDrift(writeDrift(t, tc.doc), tc.requireDrift, tc.forbidDrift)
+			err := checkDrift(writeFixture(t, tc.doc), tc.requireDrift, tc.forbidDrift)
 			if (err != nil) != tc.wantErr {
 				t.Fatalf("checkDrift err = %v, wantErr = %t", err, tc.wantErr)
 			}
@@ -234,139 +234,48 @@ func TestCheckBench(t *testing.T) {
 	}
 }
 
-// realAlertReport drives a real obs+tsdb+alert stack through a fire and
-// a resolve on a manual clock and exports its report, so the fixture is
-// exactly what experiments -alerts-out writes, not a hand-rolled
-// imitation that could drift from the writer.
-func realAlertReport(t *testing.T) string {
-	t.Helper()
-	o := obs.New()
-	now := time.Duration(0)
-	db := tsdb.New(tsdb.Config{Obs: o, Clock: func() time.Duration { return now }, Capacity: 256})
-	g := o.Gauge("convmeter_alertfix_gauge", "fixture gauge")
-	e := alert.New(alert.Config{Obs: o, DB: db, Rules: []alert.Rule{
-		alert.ThresholdValue("fixture-hot", alert.SevCritical, "convmeter_alertfix_gauge",
-			alert.OpAbove, 5, 10*time.Second),
-		alert.ThresholdValue("fixture-quiet", alert.SevWarning, "convmeter_alertfix_gauge",
-			alert.OpAbove, 1e9, 10*time.Second),
-	}})
-	if e == nil {
-		t.Fatal("alert.New returned nil for an enabled config")
+func TestCheckCritpath(t *testing.T) {
+	clean := `{"schema":"convmeter/critpath/v1","steps":[
+		{"step":0,"total_seconds":0.1,"compute_seconds":0.08,"comm_seconds":0.01,"wait_seconds":0.01,"dominant":"compute","blame":-1,"blame_wait_seconds":0,
+		 "workers":[{"worker":0,"compute_seconds":0.04},{"worker":1,"compute_seconds":0.04}]}]}`
+	blamed := `{"schema":"convmeter/critpath/v1","steps":[
+		{"step":0,"total_seconds":0.1,"compute_seconds":0.03,"comm_seconds":0.01,"wait_seconds":0.06,"dominant":"wait","blame":0,"blame_wait_seconds":0.05,
+		 "workers":[{"worker":0,"compute_seconds":0.03,"caused_wait_seconds":0.05},{"worker":1,"wait_seconds":0.06}]}]}`
+	empty := `{"schema":"convmeter/critpath/v1","steps":[]}`
+	step := func(fields string) string {
+		return `{"schema":"convmeter/critpath/v1","steps":[{"step":0,` + fields + `}]}`
 	}
-	tick := func(v float64) {
-		now += time.Second
-		g.Set(v)
-		db.Sync()
-		db.Sample(now)
-		e.Eval(now)
-	}
-	for i := 0; i < 5; i++ {
-		tick(1) // quiet
-	}
-	for i := 0; i < 5; i++ {
-		tick(10) // fire fixture-hot
-	}
-	for i := 0; i < 15; i++ {
-		tick(1) // recover: the 10s window must drain below the threshold
-	}
-	path := filepath.Join(t.TempDir(), "alerts.json")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.WriteJSON(f, now); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
 
-func TestCheckAlertsRealReport(t *testing.T) {
-	path := realAlertReport(t)
-	if err := checkAlerts(path, "", ""); err != nil {
-		t.Fatalf("real report rejected: %v", err)
-	}
-	if err := checkAlerts(path, "fixture-hot", ""); err != nil {
-		t.Errorf("require-firing on a fired rule rejected: %v", err)
-	}
-	if err := checkAlerts(path, "", "fixture-quiet"); err != nil {
-		t.Errorf("forbid-firing on a quiet rule rejected: %v", err)
-	}
-	if err := checkAlerts(path, "fixture-quiet", ""); err == nil {
-		t.Error("require-firing on a never-fired rule passed")
-	}
-	if err := checkAlerts(path, "", "fixture-hot"); err == nil {
-		t.Error("forbid-firing on a fired rule passed")
-	}
-	if err := checkAlerts(path, "no-such-rule", ""); err == nil {
-		t.Error("require-firing on an unknown rule passed")
-	}
-}
-
-func TestCheckAlerts(t *testing.T) {
-	good := `{"schema":"convmeter/alerts/v1","now_seconds":30,
-		"alerts":[{"rule":"a","severity":"critical","kind":"threshold","state":"resolved","since_seconds":20,"value":1}],
-		"transitions":[
-			{"rule":"a","severity":"critical","from":"inactive","to":"firing","t_seconds":10,"value":9},
-			{"rule":"a","severity":"critical","from":"firing","to":"resolved","t_seconds":20,"value":1}]}`
 	cases := []struct {
-		name    string
-		doc     string
-		wantErr bool
+		name         string
+		doc          string
+		requireBlame int
+		forbidBlame  bool
+		wantErr      bool
 	}{
-		{"good", good, false},
-		{"bad-json", `{"schema":`, true},
-		{"wrong-schema", `{"schema":"v0","now_seconds":1,"alerts":[],"transitions":[]}`, true},
-		{"missing-now", `{"schema":"convmeter/alerts/v1","alerts":[],"transitions":[]}`, true},
-		{"null-alerts", `{"schema":"convmeter/alerts/v1","now_seconds":1,"transitions":[]}`, true},
-		{"empty-ok", `{"schema":"convmeter/alerts/v1","now_seconds":1,"alerts":[],"transitions":[]}`, false},
-		{"unsorted-alerts", `{"schema":"convmeter/alerts/v1","now_seconds":1,
-			"alerts":[{"rule":"b","severity":"warning","kind":"absence","state":"inactive","since_seconds":0,"value":0},
-			          {"rule":"a","severity":"warning","kind":"absence","state":"inactive","since_seconds":0,"value":0}],
-			"transitions":[]}`, true},
-		{"bad-severity", `{"schema":"convmeter/alerts/v1","now_seconds":1,
-			"alerts":[{"rule":"a","severity":"page","kind":"threshold","state":"inactive","since_seconds":0,"value":0}],
-			"transitions":[]}`, true},
-		{"bad-kind", `{"schema":"convmeter/alerts/v1","now_seconds":1,
-			"alerts":[{"rule":"a","severity":"warning","kind":"vibes","state":"inactive","since_seconds":0,"value":0}],
-			"transitions":[]}`, true},
-		{"bad-state", `{"schema":"convmeter/alerts/v1","now_seconds":1,
-			"alerts":[{"rule":"a","severity":"warning","kind":"threshold","state":"paging","since_seconds":0,"value":0}],
-			"transitions":[]}`, true},
-		{"unknown-transition-rule", `{"schema":"convmeter/alerts/v1","now_seconds":30,
-			"alerts":[{"rule":"a","severity":"critical","kind":"threshold","state":"inactive","since_seconds":0,"value":0}],
-			"transitions":[{"rule":"ghost","severity":"critical","from":"inactive","to":"firing","t_seconds":10,"value":9}]}`, true},
-		{"resolve-before-fire", `{"schema":"convmeter/alerts/v1","now_seconds":30,
-			"alerts":[{"rule":"a","severity":"critical","kind":"threshold","state":"resolved","since_seconds":10,"value":0}],
-			"transitions":[{"rule":"a","severity":"critical","from":"firing","to":"resolved","t_seconds":10,"value":1}]}`, true},
-		{"illegal-edge", `{"schema":"convmeter/alerts/v1","now_seconds":30,
-			"alerts":[{"rule":"a","severity":"critical","kind":"threshold","state":"resolved","since_seconds":10,"value":0}],
-			"transitions":[{"rule":"a","severity":"critical","from":"inactive","to":"resolved","t_seconds":10,"value":1}]}`, true},
-		{"non-monotone", `{"schema":"convmeter/alerts/v1","now_seconds":30,
-			"alerts":[{"rule":"a","severity":"critical","kind":"threshold","state":"resolved","since_seconds":5,"value":0},
-			          {"rule":"b","severity":"warning","kind":"threshold","state":"firing","since_seconds":20,"value":9}],
-			"transitions":[
-				{"rule":"b","severity":"warning","from":"inactive","to":"firing","t_seconds":20,"value":9},
-				{"rule":"a","severity":"critical","from":"inactive","to":"firing","t_seconds":2,"value":9},
-				{"rule":"a","severity":"critical","from":"firing","to":"resolved","t_seconds":5,"value":0}]}`, true},
-		{"after-now", `{"schema":"convmeter/alerts/v1","now_seconds":5,
-			"alerts":[{"rule":"a","severity":"critical","kind":"threshold","state":"firing","since_seconds":10,"value":9}],
-			"transitions":[{"rule":"a","severity":"critical","from":"inactive","to":"firing","t_seconds":10,"value":9}]}`, true},
-		{"state-mismatch", `{"schema":"convmeter/alerts/v1","now_seconds":30,
-			"alerts":[{"rule":"a","severity":"critical","kind":"threshold","state":"inactive","since_seconds":0,"value":0}],
-			"transitions":[{"rule":"a","severity":"critical","from":"inactive","to":"firing","t_seconds":10,"value":9}]}`, true},
+		{"clean-plain", clean, -1, false, false},
+		{"clean-forbidden", clean, -1, true, false},
+		{"clean-required", clean, 0, false, true},
+		{"blamed-required", blamed, 0, false, false},
+		{"blamed-required-other", blamed, 1, false, true},
+		{"blamed-forbidden", blamed, -1, true, true},
+		{"empty-plain", empty, -1, false, false},
+		{"empty-forbidden", empty, -1, true, true},
+		{"bad-json", `{"schema":`, -1, false, true},
+		{"wrong-schema", `{"schema":"v0","steps":[]}`, -1, false, true},
+		{"null-steps", `{"schema":"convmeter/critpath/v1"}`, -1, false, true},
+		{"missing-blame", step(`"dominant":"compute"`), -1, false, true},
+		{"unknown-dominant", step(`"dominant":"io","blame":-1`), -1, false, true},
+		{"negative-duration", step(`"dominant":"compute","blame":-1,"wait_seconds":-1`), -1, false, true},
+		{"blame-not-wait", step(`"dominant":"compute","blame":0,"workers":[{"worker":0}]`), -1, false, true},
+		{"blamed-worker-absent", step(`"dominant":"wait","blame":2,"workers":[{"worker":0}]`), -1, false, true},
+		{"unsorted-workers", step(`"dominant":"compute","blame":-1,"workers":[{"worker":1},{"worker":0}]`), -1, false, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			path := filepath.Join(t.TempDir(), "alerts.json")
-			if err := os.WriteFile(path, []byte(tc.doc), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			err := checkAlerts(path, "", "")
+			err := checkCritpath(writeFixture(t, tc.doc), tc.requireBlame, tc.forbidBlame)
 			if (err != nil) != tc.wantErr {
-				t.Fatalf("checkAlerts err = %v, wantErr = %t", err, tc.wantErr)
+				t.Fatalf("checkCritpath err = %v, wantErr = %t", err, tc.wantErr)
 			}
 		})
 	}

@@ -29,7 +29,7 @@ func addObsFlags(fs *flag.FlagSet) obsOpts {
 		traceOut: fs.String("trace-out", "",
 			"write recorded spans as Chrome trace-event JSON to this file (open in Perfetto)"),
 		opsAddr: fs.String("ops-addr", "",
-			"serve the live ops endpoints (/metrics, /healthz, /readyz, /trace, /drift, /debug/pprof) on this address (e.g. localhost:6060) while the command runs; off by default"),
+			"serve the live ops endpoints (/metrics, /healthz, /trace, /drift, /debug/pprof) on this address (e.g. localhost:6060) while the command runs; off by default"),
 	}
 }
 

@@ -134,7 +134,6 @@ type Runner struct {
 	resumedCtr  *obs.Counter
 	failcloseP  *obs.Counter // reason="parse"
 	failcloseF  *obs.Counter // reason="fingerprint"
-	heartbeatG  *obs.Gauge
 
 	mu         sync.Mutex
 	started    bool
@@ -238,8 +237,6 @@ func New(cfg Config, nodes []Node) (*Runner, error) {
 			"manifests rejected fail-close, forcing a re-run")
 		r.failcloseF = o.Counter(obs.Label("convmeter_dag_failclose_total", "reason", "fingerprint"),
 			"manifests rejected fail-close, forcing a re-run")
-		r.heartbeatG = o.Gauge("convmeter_dag_heartbeat_seconds",
-			"seconds into Execute at the most recent node completion; a stale value under a running DAG means the executor is wedged")
 	}
 	r.publishStates()
 	return r, nil
@@ -260,7 +257,6 @@ func (r *Runner) Execute() (*Report, error) {
 	if workers <= 0 {
 		workers = 2
 	}
-	execT0 := time.Now()
 	sem := make(chan struct{}, workers)
 	var wg sync.WaitGroup
 	var launch func(n *node)
@@ -271,7 +267,6 @@ func (r *Runner) Execute() (*Report, error) {
 			sem <- struct{}{} // bounded pool slot
 			ok := r.runNode(n)
 			<-sem
-			r.heartbeatG.Set(time.Since(execT0).Seconds())
 			if !ok {
 				return
 			}

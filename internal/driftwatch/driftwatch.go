@@ -120,19 +120,14 @@ type Config struct {
 // Monitor multiplexes drift streams keyed by (model, phase). A nil
 // *Monitor is a valid disabled monitor.
 type Monitor struct {
-	cfg      Config
-	streamsG *obs.Gauge
-	mu       sync.Mutex
-	streams  map[string]*Stream
+	cfg     Config
+	mu      sync.Mutex
+	streams map[string]*Stream
 }
 
 // New returns an enabled monitor.
 func New(cfg Config) *Monitor {
-	return &Monitor{
-		cfg: cfg, streams: make(map[string]*Stream),
-		streamsG: cfg.Obs.Gauge("convmeter_drift_streams",
-			"drift streams currently monitored"),
-	}
+	return &Monitor{cfg: cfg, streams: make(map[string]*Stream)}
 }
 
 // Stream returns the stream for (model, phase), creating it with the
@@ -167,9 +162,7 @@ func (m *Monitor) StreamOpts(model, phase string, opts Options) *Stream {
 	} else {
 		m.streams[key] = s
 	}
-	n := len(m.streams)
 	m.mu.Unlock()
-	m.streamsG.Set(float64(n))
 	return s
 }
 

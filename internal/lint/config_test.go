@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -233,7 +234,7 @@ func TestRepoConfig(t *testing.T) {
 			t.Errorf("lint.config classifies %s as %q, want analytical", p, got)
 		}
 	}
-	for _, p := range []string{"exec", "hwsim", "hwreal", "netsim", "trainsim", "pipesim", "allreduce", "obs", "obs/ops", "obs/tsdb", "obs/alert", "obs/runtimeprof", "driftwatch", "tracefmt", "dagrun"} {
+	for _, p := range []string{"exec", "hwsim", "hwreal", "netsim", "trainsim", "pipesim", "allreduce", "obs", "obs/ops", "driftwatch", "tracefmt", "dagrun"} {
 		if got := cfg.classify("convmeter/internal/" + p); got != "measured" {
 			t.Errorf("lint.config classifies %s as %q, want measured", p, got)
 		}
@@ -243,13 +244,13 @@ func TestRepoConfig(t *testing.T) {
 	}
 	// The replayability contract (DESIGN.md §6): the analytical side plus
 	// the measured packages whose output is replayed or diffed.
-	for _, p := range []string{"core", "metrics", "graph", "regress", "linalg", "faults", "tracefmt", "driftwatch/streamstat", "dagrun/manifest", "obs/tsdb/seriesq"} {
+	for _, p := range []string{"core", "metrics", "graph", "regress", "linalg", "faults", "tracefmt", "driftwatch/streamstat", "dagrun/manifest"} {
 		if !cfg.deterministicScope("convmeter/internal/" + p) {
 			t.Errorf("lint.config drops %s from the deterministic scope; the replayability contract must stay enforced", p)
 		}
 	}
 	// Packages whose job is to observe real time must stay out of it.
-	for _, p := range []string{"exec", "hwreal", "obs", "driftwatch", "obs/tsdb", "obs/alert", "obs/runtimeprof"} {
+	for _, p := range []string{"exec", "hwreal", "obs", "driftwatch"} {
 		if cfg.deterministicScope("convmeter/internal/" + p) {
 			t.Errorf("lint.config declares %s deterministic; it times real work and cannot honour the contract", p)
 		}
@@ -265,7 +266,7 @@ func TestRepoConfig(t *testing.T) {
 			t.Errorf("lint.config drops unit metrics.%s; unitcheck would stop guarding it", u)
 		}
 	}
-	// The daemon-readiness contract (DESIGN.md §6c): resource lifetimes,
+	// The resource-lifetime contract (DESIGN.md §6c): resource lifetimes,
 	// context discipline and channel protocol are enforced module-wide —
 	// analytical packages simply have nothing to report.
 	for _, scope := range []struct {
@@ -278,7 +279,7 @@ func TestRepoConfig(t *testing.T) {
 	} {
 		for _, p := range []string{"convmeter/internal/allreduce", "convmeter/internal/obs/ops", "convmeter/internal/dagrun", "convmeter/cmd/convmeter"} {
 			if !scope.in(p) {
-				t.Errorf("lint.config drops %s from the %s scope; the daemon-readiness contract must stay module-wide", p, scope.name)
+				t.Errorf("lint.config drops %s from the %s scope; the resource-lifetime contract must stay module-wide", p, scope.name)
 			}
 		}
 	}
@@ -303,9 +304,6 @@ func TestRepoConfig(t *testing.T) {
 		"convmeter/internal/obs":                   {"Counter.Add", "Gauge.Set", "Histogram.Observe", "Span.Context", "Span.LinkTo"},
 		"convmeter/internal/driftwatch":            {"Stream.Observe"},
 		"convmeter/internal/driftwatch/streamstat": {"Window.Add", "Window.Summary"},
-		"convmeter/internal/obs/tsdb":              {"DB.Sample"},
-		"convmeter/internal/obs/alert":             {"Engine.Eval"},
-		"convmeter/internal/obs/runtimeprof":       {"Sampler.Sample"},
 	} {
 		declared := map[string]bool{}
 		for _, r := range cfg.hotpathRoots(pkg) {
@@ -317,6 +315,63 @@ func TestRepoConfig(t *testing.T) {
 			}
 		}
 	}
+	// Every module path a stanza names must resolve to a package in the
+	// tree. The analyzers match prefixes against, and look roots up in,
+	// the packages they load, so a stanza naming a deleted package
+	// guards nothing and still passes every run.
+	root := repoRoot(t)
+	for _, p := range configPackages(cfg) {
+		rel, ok := strings.CutPrefix(p, "convmeter")
+		if !ok || (rel != "" && rel[0] != '/') {
+			continue
+		}
+		if !hasGoFiles(filepath.Join(root, filepath.FromSlash(rel))) {
+			t.Errorf("lint.config names %s, which is not a package in the module; drop the stale stanza", p)
+		}
+	}
+}
+
+// configPackages lists the import path behind every stanza entry: a
+// prefix stanza's argument as is, a qualified entry
+// (<import-path>.<Name> or <import-path>.<Recv>.<Method>) up to the
+// first '.' after its last '/'.
+func configPackages(cfg *Config) []string {
+	var paths []string
+	for _, list := range [][]string{cfg.Analytical, cfg.Measured, cfg.Deterministic, cfg.Lockcheck, cfg.Lifetime, cfg.Ctxflow, cfg.Chanproto} {
+		paths = append(paths, list...)
+	}
+	for _, a := range cfg.Allow {
+		paths = append(paths, a[0], a[1])
+	}
+	var qualified []string
+	for _, list := range [][]string{cfg.Units, cfg.Hotpath, cfg.Transfer, cfg.Ctxroot} {
+		qualified = append(qualified, list...)
+	}
+	for _, a := range cfg.Acquire {
+		qualified = append(qualified, a[0])
+	}
+	for _, q := range qualified {
+		slash := strings.LastIndexByte(q, '/')
+		if dot := strings.IndexByte(q[slash+1:], '.'); dot >= 0 {
+			q = q[:slash+1+dot]
+		}
+		paths = append(paths, q)
+	}
+	return paths
+}
+
+// hasGoFiles reports whether dir exists and holds at least one .go file.
+func hasGoFiles(dir string) bool {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return false
+	}
+	for _, e := range entries {
+		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
+			return true
+		}
+	}
+	return false
 }
 
 // TestBoundaryAllowlist exercises the allow mechanics end to end on a

@@ -6,10 +6,10 @@ import (
 )
 
 // NewCtxflow constructs the context-discipline analyzer for packages
-// declared `ctxflow` in lint.config. The measured stack is about to
-// become a long-running daemon (ROADMAP item 1), and a daemon's
-// cancellation story is only as good as its context plumbing. Four
-// rules:
+// declared `ctxflow` in lint.config. The measured stack dials sockets,
+// serves HTTP and runs worker pools (the TCP ring, the ops server, the
+// DAG executor), and its cancellation story is only as good as its
+// context plumbing. Four rules:
 //
 //  1. A context.Context parameter must come first. Context-last (or
 //     context-in-the-middle) signatures break the call-site convention

@@ -82,7 +82,6 @@ type Tracker struct {
 	compute, comm, wait *obs.Gauge
 	blame, blameWait    *obs.Gauge
 	count               *obs.Counter
-	blamed              *obs.Counter
 }
 
 // NewTracker returns a tracker publishing gauges on o (which may be nil
@@ -101,8 +100,6 @@ func NewTracker(o *obs.Obs) *Tracker {
 			"waiting time attributed to the blamed worker; 0 when no blame"),
 		count: o.Counter("convmeter_critpath_steps_total",
 			"training steps analyzed by the critical-path engine"),
-		blamed: o.Counter("convmeter_critpath_blamed_steps_total",
-			"analyzed steps whose waits were blamed on a specific worker"),
 	}
 }
 
@@ -127,11 +124,6 @@ func (t *Tracker) Record(a StepAttribution) {
 	t.blame.Set(float64(a.Blame))
 	t.blameWait.Set(a.BlameWait)
 	t.count.Inc()
-	if a.Blame >= 0 {
-		// A rate over this counter is what the critpath-blame alert rule
-		// watches: blamed steps, not merely analyzed ones.
-		t.blamed.Inc()
-	}
 }
 
 // Report snapshots the retained attributions, oldest first. Nil-safe

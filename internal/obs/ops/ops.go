@@ -5,19 +5,11 @@
 //
 //	GET /metrics       live Prometheus text from the running registry
 //	GET /healthz       liveness (200 once the listener is up)
-//	GET /readyz        readiness (503 until the configured probe passes,
-//	                   or while any critical alert fires)
 //	GET /trace         Chrome trace-event JSON of the spans finished so far
 //	GET /drift         the driftwatch monitor's prediction-quality state
 //	GET /critpath      the critical-path tracker's per-step attributions
 //	GET /dag           the experiment DAG's audit trail: per-node state,
 //	                   manifest hash, attempt count, blame
-//	GET /api/query     windowed queries over the tsdb retention store:
-//	                   op=series|range|rate|stats|quantile
-//	GET /alerts        the alert engine's statuses and transition history
-//	                   (schema convmeter/alerts/v1)
-//	GET /dashboard     a self-contained live HTML dashboard over
-//	                   /api/query and /alerts
 //	GET /debug/pprof/  the standard profiling endpoints (obs.PprofHandler)
 //
 // The server instruments itself through the same registry it serves:
@@ -32,7 +24,6 @@ package ops
 
 import (
 	"context"
-	_ "embed"
 	"errors"
 	"fmt"
 	"io"
@@ -43,13 +34,8 @@ import (
 	"convmeter/internal/dagrun"
 	"convmeter/internal/driftwatch"
 	"convmeter/internal/obs"
-	"convmeter/internal/obs/alert"
 	"convmeter/internal/obs/critpath"
-	"convmeter/internal/obs/tsdb"
 )
-
-//go:embed dashboard.html
-var dashboardHTML []byte
 
 // contentTypePrometheus is the Prometheus text exposition content type
 // matching the 0.0.4 format obs.WritePrometheus emits.
@@ -69,15 +55,6 @@ type Config struct {
 	// Dag supplies /dag — the experiment executor's live audit trail.
 	// May be nil (empty, schema-stamped report).
 	Dag *dagrun.Runner
-	// TSDB supplies /api/query and the dashboard's history. May be nil
-	// (queries answer with empty results).
-	TSDB *tsdb.DB
-	// Alerts supplies /alerts and gates /readyz: the server answers 503
-	// while any critical alert fires. May be nil (no alert gating).
-	Alerts *alert.Engine
-	// Ready gates /readyz; nil means ready as soon as the server is up.
-	// Composed with the alert gate: both must pass.
-	Ready func() bool
 }
 
 // Server is a running ops server.
@@ -154,7 +131,7 @@ func Handler(cfg Config) http.Handler {
 			// Deferred, not sequential: a panicking handler (including
 			// http.ErrAbortHandler, which net/http re-raises per request)
 			// must still decrement the gauge and record the request, or
-			// inflight drifts upward until the daemon looks saturated.
+			// inflight drifts upward until the server looks saturated.
 			defer func() {
 				durH.Observe(time.Since(t0).Seconds())
 				inflight.Add(-1)
@@ -175,23 +152,6 @@ func Handler(cfg Config) http.Handler {
 	})
 	handle("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		_, _ = io.WriteString(w, "ok\n")
-	})
-	handle("/readyz", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		if cfg.Ready != nil && !cfg.Ready() {
-			w.WriteHeader(http.StatusServiceUnavailable)
-			_, _ = io.WriteString(w, "not ready\n")
-			return
-		}
-		// A firing critical alert means the workload is violating an SLO
-		// right now: report unready so orchestrators stop routing to it.
-		// The gate releases the moment the alert resolves.
-		if n := cfg.Alerts.FiringCritical(); n > 0 {
-			w.WriteHeader(http.StatusServiceUnavailable)
-			_, _ = fmt.Fprintf(w, "not ready: %d critical alert(s) firing\n", n)
-			return
-		}
 		_, _ = io.WriteString(w, "ok\n")
 	})
 	handle("/trace", func(w http.ResponseWriter, r *http.Request) {
@@ -215,17 +175,6 @@ func Handler(cfg Config) http.Handler {
 		w.Header().Set("Content-Type", "application/json")
 		_ = cfg.Dag.WriteJSON(w)
 	})
-	handle("/api/query", func(w http.ResponseWriter, r *http.Request) {
-		serveQuery(cfg.TSDB, w, r)
-	})
-	handle("/alerts", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_ = cfg.Alerts.WriteJSON(w, cfg.TSDB.Now())
-	})
-	handle("/dashboard", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/html; charset=utf-8")
-		_, _ = w.Write(dashboardHTML)
-	})
 	// The pprof mux carries its own sub-routing; instrument it as one
 	// logical path.
 	pprofReqs := cfg.Obs.Counter(obs.Label("convmeter_ops_requests_total", "path", "/debug/pprof/"), "ops requests served")
@@ -247,14 +196,10 @@ func Handler(cfg Config) http.Handler {
 		_, _ = io.WriteString(w, "convmeter ops server\n\n"+
 			"GET /metrics       live Prometheus text\n"+
 			"GET /healthz       liveness\n"+
-			"GET /readyz        readiness\n"+
 			"GET /trace         Chrome trace-event JSON\n"+
 			"GET /drift         prediction-drift monitor state\n"+
 			"GET /critpath      per-step critical-path attribution\n"+
 			"GET /dag           experiment DAG audit trail\n"+
-			"GET /api/query     windowed queries over retained series\n"+
-			"GET /alerts        alert statuses and transition history\n"+
-			"GET /dashboard     live HTML dashboard\n"+
 			"GET /debug/pprof/  profiling\n")
 	})
 	return mux

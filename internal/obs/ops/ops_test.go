@@ -8,7 +8,6 @@ import (
 	"runtime"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -84,8 +83,7 @@ func TestEndpoints(t *testing.T) {
 	if _, err := dag.Execute(); err != nil {
 		t.Fatal(err)
 	}
-	var ready atomic.Bool
-	srv := startTestServer(t, Config{Obs: o, Drift: mon, Ready: ready.Load, Crit: crit, Dag: dag})
+	srv := startTestServer(t, Config{Obs: o, Drift: mon, Crit: crit, Dag: dag})
 	base := "http://" + srv.Addr()
 
 	status, body, hdr := get(t, base+"/metrics")
@@ -113,13 +111,6 @@ func TestEndpoints(t *testing.T) {
 
 	if status, body, _ := get(t, base+"/healthz"); status != http.StatusOK || body != "ok\n" {
 		t.Errorf("/healthz = %d %q", status, body)
-	}
-	if status, _, _ := get(t, base+"/readyz"); status != http.StatusServiceUnavailable {
-		t.Errorf("/readyz before ready = %d, want 503", status)
-	}
-	ready.Store(true)
-	if status, _, _ := get(t, base+"/readyz"); status != http.StatusOK {
-		t.Errorf("/readyz after ready = %d", status)
 	}
 
 	status, body, hdr = get(t, base+"/trace")
@@ -208,13 +199,10 @@ func TestEndpoints(t *testing.T) {
 }
 
 func TestNilHandlesServeValidPayloads(t *testing.T) {
-	srv := startTestServer(t, Config{}) // no Obs, no Drift, no Ready
+	srv := startTestServer(t, Config{}) // no Obs, no Drift
 	base := "http://" + srv.Addr()
 	if status, body, _ := get(t, base+"/metrics"); status != http.StatusOK || body != "" {
 		t.Errorf("/metrics on nil obs = %d %q, want empty 200", status, body)
-	}
-	if status, _, _ := get(t, base+"/readyz"); status != http.StatusOK {
-		t.Errorf("/readyz with nil probe = %d, want ready", status)
 	}
 	status, body, _ := get(t, base+"/drift")
 	if status != http.StatusOK {
@@ -394,22 +382,29 @@ func TestCloseLeavesNoGoroutines(t *testing.T) {
 	}
 }
 
+// abortingWriter panics with http.ErrAbortHandler on the first body
+// write — what a handler does to drop a response mid-flight.
+type abortingWriter struct{ header http.Header }
+
+func (w abortingWriter) Header() http.Header     { return w.header }
+func (abortingWriter) WriteHeader(int)           {}
+func (abortingWriter) Write([]byte) (int, error) { panic(http.ErrAbortHandler) }
+
 // TestInstrumentationSurvivesHandlerPanic guards the deferred
 // instrumentation in Handler: a panicking handler (net/http re-raises
-// http.ErrAbortHandler per request, and probe callbacks can blow up)
-// must still decrement the inflight gauge and count the request. The
-// pre-fix sequential form left the gauge permanently elevated until the
-// daemon looked saturated.
+// http.ErrAbortHandler per request) must still decrement the inflight
+// gauge and count the request. The pre-fix sequential form left the
+// gauge permanently elevated until the server looked saturated.
 func TestInstrumentationSurvivesHandlerPanic(t *testing.T) {
 	o := obs.New()
-	h := Handler(Config{Obs: o, Ready: func() bool { panic("probe exploded") }})
+	h := Handler(Config{Obs: o})
 	func() {
 		defer func() {
-			if recover() == nil {
+			if recover() != http.ErrAbortHandler {
 				t.Fatal("handler panic did not propagate")
 			}
 		}()
-		h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/readyz", nil))
+		h.ServeHTTP(abortingWriter{http.Header{}}, httptest.NewRequest("GET", "/healthz", nil))
 	}()
 	var sb strings.Builder
 	if err := o.Reg.WritePrometheus(&sb); err != nil {
@@ -419,7 +414,7 @@ func TestInstrumentationSurvivesHandlerPanic(t *testing.T) {
 	if !strings.Contains(out, "convmeter_ops_inflight_requests 0") {
 		t.Errorf("inflight gauge leaked after a handler panic:\n%s", out)
 	}
-	if !strings.Contains(out, `convmeter_ops_requests_total{path="/readyz"} 1`) {
+	if !strings.Contains(out, `convmeter_ops_requests_total{path="/healthz"} 1`) {
 		t.Errorf("panicking request was not counted:\n%s", out)
 	}
 }
