@@ -15,13 +15,6 @@
 // annotations. The exit status contract is unchanged, and an empty run
 // prints [].
 //
-// With -sarif, findings are emitted as a SARIF 2.1.0 log on stdout —
-// the interchange format GitHub code scanning ingests, so findings
-// surface as PR alerts via codeql-action/upload-sarif. Each analyzer
-// becomes a rule in the tool driver, each finding a result with a
-// repo-relative location; -why chains travel in the message text.
-// -json and -sarif are mutually exclusive.
-//
 // With -why, text output appends each finding's explanation chain —
 // for the hotpath family, the lint.config root → … → function call
 // chain that made the code hot — as an indented "why:" line. JSON
@@ -35,7 +28,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 
 	"convmeter/internal/lint"
 )
@@ -43,14 +35,18 @@ import (
 func main() {
 	configPath := flag.String("config", "", "path to lint.config (default: auto-discovered next to go.mod)")
 	jsonOut := flag.Bool("json", false, "emit findings as a JSON array on stdout")
-	sarifOut := flag.Bool("sarif", false, "emit findings as a SARIF 2.1.0 log on stdout")
 	why := flag.Bool("why", false, "print each finding's explanation chain (hotpath reachability)")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: convlint [-config lint.config] [-json|-sarif] [-why] [packages...]\n")
+		fmt.Fprintf(os.Stderr, "usage: convlint [-config lint.config] [-json] [-why] [packages...]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
-	os.Exit(run(os.Stdout, *configPath, *jsonOut, *sarifOut, *why, flag.Args()))
+	wd, err := os.Getwd()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "convlint:", err)
+		os.Exit(2)
+	}
+	os.Exit(run(os.Stdout, wd, *configPath, *jsonOut, *why, flag.Args()))
 }
 
 // jsonFinding is the -json wire shape of one finding.
@@ -63,18 +59,11 @@ type jsonFinding struct {
 	Why      string `json:"why,omitempty"`
 }
 
-func run(stdout io.Writer, configPath string, jsonOut, sarifOut, why bool, patterns []string) int {
-	if jsonOut && sarifOut {
-		fmt.Fprintln(os.Stderr, "convlint: -json and -sarif are mutually exclusive")
-		return 2
-	}
+// run analyses the packages matching patterns, resolved in the module
+// at wd, and reports findings with paths relative to wd.
+func run(stdout io.Writer, wd, configPath string, jsonOut, why bool, patterns []string) int {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
-	}
-	wd, err := os.Getwd()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "convlint:", err)
-		return 2
 	}
 	if configPath == "" {
 		configPath = findConfig(wd)
@@ -93,8 +82,7 @@ func run(stdout io.Writer, configPath string, jsonOut, sarifOut, why bool, patte
 		fmt.Fprintln(os.Stderr, "convlint:", err)
 		return 2
 	}
-	suite := lint.Suite(cfg)
-	findings := lint.Run(pkgs, suite)
+	findings := lint.Run(pkgs, lint.Suite(cfg))
 	for i := range findings {
 		findings[i] = relFinding(wd, findings[i])
 	}
@@ -107,12 +95,9 @@ func run(stdout io.Writer, configPath string, jsonOut, sarifOut, why bool, patte
 				Analyzer: f.Analyzer, Message: f.Message, Why: f.Why,
 			})
 		}
-		if err := encodeIndented(stdout, out); err != nil {
-			fmt.Fprintln(os.Stderr, "convlint:", err)
-			return 2
-		}
-	case sarifOut:
-		if err := encodeIndented(stdout, sarifReport(suite, findings)); err != nil {
+		enc := json.NewEncoder(stdout)
+		enc.SetIndent("", " ")
+		if err := enc.Encode(out); err != nil {
 			fmt.Fprintln(os.Stderr, "convlint:", err)
 			return 2
 		}
@@ -132,122 +117,6 @@ func run(stdout io.Writer, configPath string, jsonOut, sarifOut, why bool, patte
 		return 1
 	}
 	return 0
-}
-
-func encodeIndented(w io.Writer, v any) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(v)
-}
-
-// --- SARIF 2.1.0 ------------------------------------------------------
-//
-// The minimal subset GitHub code scanning ingests: one run, one tool
-// driver listing every suite analyzer as a rule, one result per finding
-// with a physical location whose uri is repo-relative (uriBaseId
-// %SRCROOT% is what upload-sarif resolves against the checkout root).
-
-type sarifLog struct {
-	Schema  string     `json:"$schema"`
-	Version string     `json:"version"`
-	Runs    []sarifRun `json:"runs"`
-}
-
-type sarifRun struct {
-	Tool    sarifTool     `json:"tool"`
-	Results []sarifResult `json:"results"`
-}
-
-type sarifTool struct {
-	Driver sarifDriver `json:"driver"`
-}
-
-type sarifDriver struct {
-	Name           string      `json:"name"`
-	InformationURI string      `json:"informationUri,omitempty"`
-	Rules          []sarifRule `json:"rules"`
-}
-
-type sarifRule struct {
-	ID               string       `json:"id"`
-	ShortDescription sarifMessage `json:"shortDescription"`
-}
-
-type sarifResult struct {
-	RuleID    string          `json:"ruleId"`
-	Level     string          `json:"level"`
-	Message   sarifMessage    `json:"message"`
-	Locations []sarifLocation `json:"locations"`
-}
-
-type sarifMessage struct {
-	Text string `json:"text"`
-}
-
-type sarifLocation struct {
-	PhysicalLocation sarifPhysicalLocation `json:"physicalLocation"`
-}
-
-type sarifPhysicalLocation struct {
-	ArtifactLocation sarifArtifactLocation `json:"artifactLocation"`
-	Region           sarifRegion           `json:"region"`
-}
-
-type sarifArtifactLocation struct {
-	URI       string `json:"uri"`
-	URIBaseID string `json:"uriBaseId"`
-}
-
-type sarifRegion struct {
-	StartLine   int `json:"startLine"`
-	StartColumn int `json:"startColumn,omitempty"`
-}
-
-// sarifReport renders the suite's findings as a SARIF log. Every suite
-// analyzer appears as a rule even when silent, so code scanning knows
-// the full rule set that ran; findings reference rules by id.
-func sarifReport(suite []*lint.Analyzer, findings []lint.Finding) sarifLog {
-	rules := make([]sarifRule, 0, len(suite)+1)
-	seen := map[string]bool{}
-	for _, a := range suite {
-		rules = append(rules, sarifRule{ID: a.Name, ShortDescription: sarifMessage{Text: a.Doc}})
-		seen[a.Name] = true
-	}
-	// Findings can carry pseudo-rule ids the suite does not list (the
-	// "lint" directive-hygiene analyzer); register them too.
-	for _, f := range findings {
-		if !seen[f.Analyzer] {
-			seen[f.Analyzer] = true
-			rules = append(rules, sarifRule{ID: f.Analyzer, ShortDescription: sarifMessage{Text: "lint directive hygiene"}})
-		}
-	}
-	sort.Slice(rules, func(i, j int) bool { return rules[i].ID < rules[j].ID })
-	results := make([]sarifResult, 0, len(findings))
-	for _, f := range findings {
-		text := f.Message
-		if f.Why != "" {
-			text += " (why: " + f.Why + ")"
-		}
-		results = append(results, sarifResult{
-			RuleID:  f.Analyzer,
-			Level:   "error",
-			Message: sarifMessage{Text: text},
-			Locations: []sarifLocation{{
-				PhysicalLocation: sarifPhysicalLocation{
-					ArtifactLocation: sarifArtifactLocation{
-						URI:       filepath.ToSlash(f.Pos.Filename),
-						URIBaseID: "%SRCROOT%",
-					},
-					Region: sarifRegion{StartLine: f.Pos.Line, StartColumn: f.Pos.Column},
-				},
-			}},
-		})
-	}
-	return sarifLog{
-		Schema:  "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/Schemata/sarif-schema-2.1.0.json",
-		Version: "2.1.0",
-		Runs:    []sarifRun{{Tool: sarifTool{Driver: sarifDriver{Name: "convlint", Rules: rules}}, Results: results}},
-	}
 }
 
 // findConfig walks from dir toward the root looking for lint.config.

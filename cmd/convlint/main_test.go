@@ -1,102 +1,71 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
-	"go/token"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
-
-	"convmeter/internal/lint"
 )
 
-// TestSarifReportShape pins the SARIF subset GitHub code scanning
-// needs: schema/version header, one run whose driver lists every suite
-// analyzer as a rule, and per-finding results with repo-relative
-// %SRCROOT% locations. A silent run still declares its rules.
-func TestSarifReportShape(t *testing.T) {
-	suite := lint.Suite(&lint.Config{})
-	findings := []lint.Finding{
-		{
-			Analyzer: "lifetime",
-			Pos:      token.Position{Filename: "internal/allreduce/tcp.go", Line: 42, Column: 7},
-			Message:  "connection is not released on every path",
-			Why:      "acquired by net.Dial",
-		},
-		{
-			Analyzer: "lint",
-			Pos:      token.Position{Filename: "internal/obs/obs.go", Line: 3, Column: 1},
-			Message:  "stale //lint:ignore directive",
-		},
+// TestJSONOutput pins the -json contract that CI's annotation step
+// reads with jq: a clean run prints [] and exits 0; a finding carries
+// file, line, col, analyzer and message, and exits 1; why is omitted
+// when empty.
+func TestJSONOutput(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, src string) {
+		t.Helper()
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	log := sarifReport(suite, findings)
+	write("go.mod", "module example.com/fix\n\ngo 1.22\n")
+	write("lint.config", "analytical example.com/fix\n")
+	config := filepath.Join(dir, "lint.config")
 
-	if log.Version != "2.1.0" || !strings.Contains(log.Schema, "sarif-schema-2.1.0") {
-		t.Fatalf("not a SARIF 2.1.0 log: version=%q schema=%q", log.Version, log.Schema)
+	write("fix.go", "package fix\n\nfunc Same(a, b int) bool { return a == b }\n")
+	var out bytes.Buffer
+	if code := run(&out, dir, config, true, false, nil); code != 0 {
+		t.Fatalf("clean run exited %d, want 0; stdout:\n%s", code, out.String())
 	}
-	if len(log.Runs) != 1 {
-		t.Fatalf("got %d runs, want 1", len(log.Runs))
-	}
-	run := log.Runs[0]
-	if run.Tool.Driver.Name != "convlint" {
-		t.Errorf("driver name = %q", run.Tool.Driver.Name)
-	}
-	ruleIDs := map[string]bool{}
-	for _, r := range run.Tool.Driver.Rules {
-		if ruleIDs[r.ID] {
-			t.Errorf("duplicate rule id %q", r.ID)
-		}
-		ruleIDs[r.ID] = true
-		if r.ShortDescription.Text == "" {
-			t.Errorf("rule %q has no description", r.ID)
-		}
-	}
-	for _, want := range []string{"boundary", "hotpath", "lifetime", "ctxflow", "chanproto", "lint"} {
-		if !ruleIDs[want] {
-			t.Errorf("driver rules missing %q (got %v)", want, ruleIDs)
-		}
-	}
-	if len(run.Results) != 2 {
-		t.Fatalf("got %d results, want 2", len(run.Results))
-	}
-	r0 := run.Results[0]
-	if r0.RuleID != "lifetime" || r0.Level != "error" {
-		t.Errorf("result 0 = %+v", r0)
-	}
-	if !strings.Contains(r0.Message.Text, "why: acquired by net.Dial") {
-		t.Errorf("why chain dropped from message: %q", r0.Message.Text)
-	}
-	loc := r0.Locations[0].PhysicalLocation
-	if loc.ArtifactLocation.URI != "internal/allreduce/tcp.go" || loc.ArtifactLocation.URIBaseID != "%SRCROOT%" {
-		t.Errorf("artifact location = %+v", loc.ArtifactLocation)
-	}
-	if loc.Region.StartLine != 42 || loc.Region.StartColumn != 7 {
-		t.Errorf("region = %+v", loc.Region)
-	}
-	if !ruleIDs[run.Results[1].RuleID] {
-		t.Errorf("result rule %q not declared by the driver", run.Results[1].RuleID)
+	if got := strings.TrimSpace(out.String()); got != "[]" {
+		t.Errorf("clean run printed %q, want []", got)
 	}
 
-	// The log must serialise to valid JSON with the fields GitHub keys
-	// on spelled exactly.
-	raw, err := json.Marshal(log)
-	if err != nil {
-		t.Fatal(err)
+	line := "func Same(a, b float64) bool { return a == b }"
+	write("fix.go", "package fix\n\n"+line+"\n")
+	out.Reset()
+	if code := run(&out, dir, config, true, false, nil); code != 1 {
+		t.Fatalf("run with a finding exited %d, want 1; stdout:\n%s", code, out.String())
 	}
-	for _, key := range []string{`"$schema"`, `"ruleId"`, `"uriBaseId"`, `"startLine"`, `"physicalLocation"`} {
-		if !strings.Contains(string(raw), key) {
-			t.Errorf("serialised SARIF missing key %s", key)
+	var findings []map[string]any
+	if err := json.Unmarshal(out.Bytes(), &findings); err != nil {
+		t.Fatalf("stdout is not a JSON array: %v\n%s", err, out.String())
+	}
+	if len(findings) != 1 {
+		t.Fatalf("got %d findings, want the one float comparison: %v", len(findings), findings)
+	}
+	f := findings[0]
+	want := map[string]any{
+		"file":     "fix.go",
+		"line":     float64(3),
+		"col":      float64(strings.Index(line, "==") + 1),
+		"analyzer": "floatcmp",
+	}
+	for key, v := range want {
+		if f[key] != v {
+			t.Errorf("finding %s = %v, want %v", key, f[key], v)
 		}
 	}
-}
-
-// TestSarifEmptyRun: a clean repo still produces a structurally valid
-// log (runs[0].results == [] — never null, which upload-sarif rejects).
-func TestSarifEmptyRun(t *testing.T) {
-	raw, err := json.Marshal(sarifReport(lint.Suite(&lint.Config{}), nil))
-	if err != nil {
-		t.Fatal(err)
+	if msg, _ := f["message"].(string); msg == "" {
+		t.Errorf("finding has no message: %v", f)
 	}
-	if !strings.Contains(string(raw), `"results":[]`) {
-		t.Errorf("empty run must serialise results as [], got:\n%s", raw)
+	if why, ok := f["why"]; ok {
+		t.Errorf("finding carries why %q; an empty why must be omitted", why)
+	}
+	if len(f) != 5 {
+		t.Errorf("finding has keys %v, want exactly file, line, col, analyzer and message", f)
 	}
 }

@@ -69,7 +69,6 @@ type Options struct {
 	// The options-struct idiom: Options is consumed once at the top of a
 	// run and never outlives it, so the stored-context hazard (a context
 	// outliving its request) cannot arise.
-	//lint:ignore ctxflow options struct consumed at run start, does not outlive the request
 	Ctx context.Context
 	// OpTimeout is the deadline for one chunk send or receive; 0 means
 	// defaultOpTimeout when any resilience feature is active.

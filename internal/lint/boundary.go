@@ -14,7 +14,6 @@ import (
 func NewBoundary(cfg *Config) *Analyzer {
 	return &Analyzer{
 		Name: "boundary",
-		Doc:  "analytical packages must not import measurement/simulation packages",
 		Run: func(pass *Pass) {
 			if cfg.classify(pass.Pkg.ImportPath) != "analytical" {
 				return

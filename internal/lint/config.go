@@ -12,8 +12,8 @@ import (
 // into analytical and measured sides of the paper's boundary, an
 // allowlist of explicitly sanctioned analytical→measured imports, and
 // the scopes of the dataflow analyzers — which packages promise
-// deterministic (replayable) results, which named types carry physical
-// units, and which packages are subject to lock-discipline checks.
+// deterministic (replayable) results, which functions are hot-path
+// roots, and which packages track resource lifetimes.
 //
 // The file format is line-oriented:
 //
@@ -22,47 +22,24 @@ import (
 //	measured      <import-path-prefix>
 //	allow         <importer-prefix> <imported-prefix>
 //	deterministic <import-path-prefix>
-//	lockcheck     <import-path-prefix>
-//	unit          <import-path>.<TypeName>
 //	hotpath       <import-path>.<Func>
 //	hotpath       <import-path>.<Recv>.<Method>
 //	lifetime      <import-path-prefix>
-//	ctxflow       <import-path-prefix>
-//	chanproto     <import-path-prefix>
-//	acquire       <import-path>.<Func-or-Recv.Method> <ReleaseMethod>
-//	transfer      <import-path>.<Func-or-Recv.Method>
-//	ctxroot       <import-path>.<Func-or-Recv.Method>
 //
 // Prefixes match whole path segments: "convmeter/internal/core" covers
-// that package and everything below it. A unit entry names one defined
-// type treated as a physical dimension by the unitcheck analyzer. A
-// hotpath entry declares one function (or method, via its receiver type
-// name) as a hot-path root: everything reachable from it inside its own
-// package must stay allocation-free, which the hotpath and hotdefer
-// analyzers enforce.
-//
-// The resource-lifetime family (DESIGN.md §6c) reads the last four
-// stanzas: lifetime/ctxflow/chanproto scope the three analyzers of the
-// same names; an acquire entry declares a custom constructor whose
-// result carries a release obligation (the named method must be called
-// on every path); a transfer entry declares a sink that takes ownership
-// of a resource argument (passing a tracked resource to it discharges
-// the obligation); a ctxroot entry names an entry-point function
-// permitted to mint context.Background/TODO.
+// that package and everything below it. A hotpath entry declares one
+// function (or method, via its receiver type name) as a hot-path root:
+// everything reachable from it inside its own package must stay
+// allocation-free, which the hotpath and hotdefer analyzers enforce.
+// A lifetime entry scopes the resource-lifetime analyzer (DESIGN.md
+// §6c).
 type Config struct {
 	Analytical    []string
 	Measured      []string
 	Allow         [][2]string
 	Deterministic []string
-	Lockcheck     []string
-	Units         []string    // qualified "import/path.TypeName" entries
-	Hotpath       []string    // qualified "import/path.Func" or "import/path.Recv.Method" roots
-	Lifetime      []string    // lifetime analyzer scope prefixes
-	Ctxflow       []string    // ctxflow analyzer scope prefixes
-	Chanproto     []string    // chanproto analyzer scope prefixes
-	Acquire       [][2]string // {qualified acquire func, release method name}
-	Transfer      []string    // qualified ownership-taking sinks
-	Ctxroot       []string    // qualified functions allowed to mint root contexts
+	Hotpath       []string // qualified "import/path.Func" or "import/path.Recv.Method" roots
+	Lifetime      []string // lifetime analyzer scope prefixes
 }
 
 // ParseConfig reads a lint.config stream. Every malformed line is
@@ -73,7 +50,7 @@ type Config struct {
 func ParseConfig(r io.Reader, name string) (*Config, error) {
 	cfg := &Config{}
 	var errs []string
-	seen := map[string]bool{} // stanza-qualified prefix or unit entries
+	seen := map[string]bool{} // stanza-qualified entries
 	declare := func(ln int, stanza, key string) bool {
 		if seen[stanza+"\x00"+key] {
 			errs = append(errs, fmt.Sprintf("%s:%d: duplicate %s entry %q", name, ln, stanza, key))
@@ -91,19 +68,8 @@ func ParseConfig(r io.Reader, name string) (*Config, error) {
 			continue
 		}
 		fields := strings.Fields(line)
-		// qualified reports (and records) whether an entry names a single
-		// function or type as <import-path>.<Name>; bare names cannot
-		// resolve and would silently guard nothing.
-		qualified := func(stanza, entry, want string) bool {
-			if !strings.Contains(entry, ".") {
-				errs = append(errs, fmt.Sprintf("%s:%d: %s entry %q is not a qualified %s (want %s)", name, ln, stanza, entry, stanza, want))
-				return false
-			}
-			return true
-		}
 		switch fields[0] {
-		case "analytical", "measured", "deterministic", "lockcheck", "unit", "hotpath",
-			"lifetime", "ctxflow", "chanproto", "transfer", "ctxroot":
+		case "analytical", "measured", "deterministic", "hotpath", "lifetime":
 			if len(fields) != 2 {
 				errs = append(errs, fmt.Sprintf("%s:%d: %q takes exactly one argument, got %d fields", name, ln, fields[0], len(fields)-1))
 				continue
@@ -118,15 +84,8 @@ func ParseConfig(r io.Reader, name string) (*Config, error) {
 				cfg.Measured = append(cfg.Measured, fields[1])
 			case "deterministic":
 				cfg.Deterministic = append(cfg.Deterministic, fields[1])
-			case "lockcheck":
-				cfg.Lockcheck = append(cfg.Lockcheck, fields[1])
-			case "unit":
-				if !strings.Contains(fields[1], ".") {
-					errs = append(errs, fmt.Sprintf("%s:%d: unit entry %q is not a qualified type (want <import-path>.<TypeName>)", name, ln, fields[1]))
-					continue
-				}
-				cfg.Units = append(cfg.Units, fields[1])
 			case "hotpath":
+				// Bare names cannot resolve and would silently guard nothing.
 				if !strings.Contains(fields[1], ".") {
 					errs = append(errs, fmt.Sprintf("%s:%d: hotpath entry %q is not a qualified function (want <import-path>.<Func> or <import-path>.<Recv>.<Method>)", name, ln, fields[1]))
 					continue
@@ -134,39 +93,7 @@ func ParseConfig(r io.Reader, name string) (*Config, error) {
 				cfg.Hotpath = append(cfg.Hotpath, fields[1])
 			case "lifetime":
 				cfg.Lifetime = append(cfg.Lifetime, fields[1])
-			case "ctxflow":
-				cfg.Ctxflow = append(cfg.Ctxflow, fields[1])
-			case "chanproto":
-				cfg.Chanproto = append(cfg.Chanproto, fields[1])
-			case "transfer":
-				if !qualified("transfer", fields[1], "<import-path>.<Func> or <import-path>.<Recv>.<Method>") {
-					continue
-				}
-				cfg.Transfer = append(cfg.Transfer, fields[1])
-			case "ctxroot":
-				if !qualified("ctxroot", fields[1], "<import-path>.<Func> or <import-path>.<Recv>.<Method>") {
-					continue
-				}
-				cfg.Ctxroot = append(cfg.Ctxroot, fields[1])
 			}
-		case "acquire":
-			if len(fields) != 3 {
-				errs = append(errs, fmt.Sprintf("%s:%d: \"acquire\" takes a qualified function and a release method name, got %d fields", name, ln, len(fields)-1))
-				continue
-			}
-			if !qualified("acquire", fields[1], "<import-path>.<Func> or <import-path>.<Recv>.<Method>") {
-				continue
-			}
-			if strings.Contains(fields[2], ".") || strings.Contains(fields[2], "/") {
-				errs = append(errs, fmt.Sprintf("%s:%d: acquire release %q must be a bare method name", name, ln, fields[2]))
-				continue
-			}
-			// Keyed by the acquire function alone: the same constructor
-			// declared with two release methods is a contradiction.
-			if !declare(ln, "acquire", fields[1]) {
-				continue
-			}
-			cfg.Acquire = append(cfg.Acquire, [2]string{fields[1], fields[2]})
 		case "allow":
 			if len(fields) != 3 {
 				errs = append(errs, fmt.Sprintf("%s:%d: \"allow\" takes importer and imported paths, got %d fields", name, ln, len(fields)-1))
@@ -174,7 +101,7 @@ func ParseConfig(r io.Reader, name string) (*Config, error) {
 			}
 			cfg.Allow = append(cfg.Allow, [2]string{fields[1], fields[2]})
 		default:
-			errs = append(errs, fmt.Sprintf("%s:%d: unknown directive %q (want analytical, measured, allow, deterministic, lockcheck, unit, hotpath, lifetime, ctxflow, chanproto, acquire, transfer or ctxroot)", name, ln, fields[0]))
+			errs = append(errs, fmt.Sprintf("%s:%d: unknown directive %q (want analytical, measured, allow, deterministic, hotpath or lifetime)", name, ln, fields[0]))
 		}
 	}
 	// A package on both sides of the boundary is a contradiction the
@@ -250,27 +177,6 @@ func (c *Config) deterministicScope(importPath string) bool {
 	return false
 }
 
-// lockcheckScope reports whether a package opted into the
-// mutex-across-blocking-operation discipline.
-func (c *Config) lockcheckScope(importPath string) bool {
-	for _, p := range c.Lockcheck {
-		if pathHasPrefix(importPath, p) {
-			return true
-		}
-	}
-	return false
-}
-
-// unitSet returns the configured unit types as a lookup set of
-// qualified "import/path.TypeName" names.
-func (c *Config) unitSet() map[string]bool {
-	set := make(map[string]bool, len(c.Units))
-	for _, u := range c.Units {
-		set[u] = true
-	}
-	return set
-}
-
 // hotpathRoots returns the local names ("Func" or "Recv.Method") of the
 // hot-path roots declared for exactly the given package. Hotpath entries
 // name single functions, so — unlike the prefix stanzas — the package
@@ -297,57 +203,4 @@ func (c *Config) lifetimeScope(importPath string) bool {
 		}
 	}
 	return false
-}
-
-// ctxflowScope reports whether a package opted into the
-// context-discipline checks.
-func (c *Config) ctxflowScope(importPath string) bool {
-	for _, p := range c.Ctxflow {
-		if pathHasPrefix(importPath, p) {
-			return true
-		}
-	}
-	return false
-}
-
-// chanprotoScope reports whether a package opted into the
-// channel-protocol checks.
-func (c *Config) chanprotoScope(importPath string) bool {
-	for _, p := range c.Chanproto {
-		if pathHasPrefix(importPath, p) {
-			return true
-		}
-	}
-	return false
-}
-
-// acquireSet returns the configured custom acquire functions as a map
-// from qualified name ("import/path.Func" or "import/path.Recv.Method")
-// to the release method the returned resource owes.
-func (c *Config) acquireSet() map[string]string {
-	set := make(map[string]string, len(c.Acquire))
-	for _, a := range c.Acquire {
-		set[a[0]] = a[1]
-	}
-	return set
-}
-
-// transferSet returns the configured ownership-taking sinks as a
-// qualified-name lookup set.
-func (c *Config) transferSet() map[string]bool {
-	set := make(map[string]bool, len(c.Transfer))
-	for _, t := range c.Transfer {
-		set[t] = true
-	}
-	return set
-}
-
-// ctxrootSet returns the functions allowed to mint root contexts as a
-// qualified-name lookup set.
-func (c *Config) ctxrootSet() map[string]bool {
-	set := make(map[string]bool, len(c.Ctxroot))
-	for _, r := range c.Ctxroot {
-		set[r] = true
-	}
-	return set
 }

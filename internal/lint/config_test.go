@@ -40,16 +40,14 @@ allow      convmeter/internal/core convmeter/internal/exec
 }
 
 // TestParseConfigScopes covers the dataflow-analyzer stanzas:
-// deterministic and lockcheck scopes match on path segments like the
-// boundary classification, unit entries form a qualified-name set, and
-// hotpath entries resolve to per-package local root names.
+// deterministic scopes match on path segments like the boundary
+// classification, and hotpath entries resolve to per-package local
+// root names.
 func TestParseConfigScopes(t *testing.T) {
 	cfg, err := ParseConfig(strings.NewReader(`
 deterministic convmeter/internal/metrics
 deterministic convmeter/internal/faults
-lockcheck     convmeter/internal/allreduce
-unit          convmeter/internal/metrics.Seconds
-unit          convmeter/internal/metrics.FLOPs
+lifetime      convmeter/internal/allreduce
 hotpath       convmeter/internal/exec.conv2d
 hotpath       convmeter/internal/exec.convTask.run
 hotpath       convmeter/internal/obs.Counter.Add
@@ -67,17 +65,7 @@ hotpath       convmeter/internal/obs.Counter.Add
 		t.Error("deterministic scope matched a non-segment prefix")
 	}
 	if cfg.deterministicScope("convmeter/internal/allreduce") {
-		t.Error("lockcheck declaration leaked into the deterministic scope")
-	}
-	if !cfg.lockcheckScope("convmeter/internal/allreduce") {
-		t.Error("lockcheck scope misses a declared package")
-	}
-	units := cfg.unitSet()
-	if !units["convmeter/internal/metrics.Seconds"] || !units["convmeter/internal/metrics.FLOPs"] {
-		t.Errorf("unit set %v misses declared entries", units)
-	}
-	if len(units) != 2 {
-		t.Errorf("unit set %v has stray entries", units)
+		t.Error("lifetime declaration leaked into the deterministic scope")
 	}
 	// hotpathRoots strips the exact package prefix and keeps the local
 	// name, including the Recv.Method form; other packages see nothing.
@@ -92,18 +80,13 @@ hotpath       convmeter/internal/obs.Counter.Add
 	}
 }
 
-// TestParseConfigV4Scopes covers the convlint v4 stanzas: the three
-// analyzer scopes match on path segments, acquire pairs map function to
-// release method, and transfer/ctxroot form qualified-name sets.
+// TestParseConfigV4Scopes covers the lifetime stanza convlint v4
+// added: its scope matches on path segments and stays apart from the
+// other stanzas' scopes.
 func TestParseConfigV4Scopes(t *testing.T) {
 	cfg, err := ParseConfig(strings.NewReader(`
-lifetime  convmeter/internal/allreduce
-ctxflow   convmeter/internal/obs
-chanproto convmeter/internal/exec
-acquire   convmeter/internal/obs.Tracer.Start End
-acquire   convmeter/internal/obs/ops.Start Close
-transfer  convmeter/internal/faults.WrapConn
-ctxroot   convmeter/internal/obs/ops.Server.Close
+lifetime      convmeter/internal/allreduce
+deterministic convmeter/internal/obs
 `), "v4.config")
 	if err != nil {
 		t.Fatal(err)
@@ -115,26 +98,7 @@ ctxroot   convmeter/internal/obs/ops.Server.Close
 		t.Error("lifetime scope matched a non-segment prefix")
 	}
 	if cfg.lifetimeScope("convmeter/internal/obs") {
-		t.Error("ctxflow declaration leaked into the lifetime scope")
-	}
-	if !cfg.ctxflowScope("convmeter/internal/obs") {
-		t.Error("ctxflow scope misses a declared package")
-	}
-	if !cfg.chanprotoScope("convmeter/internal/exec") {
-		t.Error("chanproto scope misses a declared package")
-	}
-	acq := cfg.acquireSet()
-	if acq["convmeter/internal/obs.Tracer.Start"] != "End" || acq["convmeter/internal/obs/ops.Start"] != "Close" {
-		t.Errorf("acquire set %v misses declared pairs", acq)
-	}
-	if len(acq) != 2 {
-		t.Errorf("acquire set %v has stray entries", acq)
-	}
-	if !cfg.transferSet()["convmeter/internal/faults.WrapConn"] {
-		t.Errorf("transfer set %v misses the declared sink", cfg.transferSet())
-	}
-	if !cfg.ctxrootSet()["convmeter/internal/obs/ops.Server.Close"] {
-		t.Errorf("ctxroot set %v misses the declared entry point", cfg.ctxrootSet())
+		t.Error("deterministic declaration leaked into the lifetime scope")
 	}
 }
 
@@ -147,13 +111,11 @@ analytical convmeter/internal/core
 deterministic convmeter/internal/metrics
 deterministic convmeter/internal/metrics
 measured convmeter/internal/core
-unit convmeter/internal/metrics.Seconds
-unit convmeter/internal/metrics.Seconds
-unit NoDotHere
+hotpath convmeter/internal/exec.conv2d
+hotpath convmeter/internal/exec.conv2d
+hotpath NoDotHere
 lifetime convmeter/internal/allreduce
 lifetime convmeter/internal/allreduce
-acquire convmeter/internal/obs.Tracer.Start End
-acquire convmeter/internal/obs.Tracer.Start Stop
 `), "dup.config")
 	if err == nil {
 		t.Fatal("duplicate and contradictory config parsed without error")
@@ -162,13 +124,10 @@ acquire convmeter/internal/obs.Tracer.Start Stop
 	for _, want := range []string{
 		`dup.config:2: duplicate analytical entry`,
 		`dup.config:4: duplicate deterministic entry`,
-		`dup.config:7: duplicate unit entry`,
-		`"NoDotHere" is not a qualified type`,
+		`dup.config:7: duplicate hotpath entry`,
+		`"NoDotHere" is not a qualified function`,
 		`classified both analytical and measured`,
 		`dup.config:10: duplicate lifetime entry`,
-		// Two release methods for one acquire func is a contradiction,
-		// so the dup check keys on the function alone.
-		`dup.config:12: duplicate acquire entry`,
 	} {
 		if !strings.Contains(msg, want) {
 			t.Errorf("error does not report %q:\n%s", want, msg)
@@ -191,17 +150,15 @@ analytycal convmeter/internal/metrics
 measured
 allow convmeter/internal/core
 analytical a b c
-acquire convmeter/internal/obs.Tracer.Start
-acquire NoDot End
-acquire convmeter/internal/obs.Tracer.Start pkg.End
-transfer NoDot
-ctxroot NoDot
+lifetime
+hotpath NoDot
+deterministic a b
 `), "bad.config")
 	if err == nil {
 		t.Fatal("malformed config parsed without error")
 	}
 	msg := err.Error()
-	for _, wantLine := range []string{"bad.config:2", "bad.config:3", "bad.config:4", "bad.config:5", "bad.config:6", "bad.config:7", "bad.config:8", "bad.config:9", "bad.config:10"} {
+	for _, wantLine := range []string{"bad.config:2", "bad.config:3", "bad.config:4", "bad.config:5", "bad.config:6", "bad.config:7", "bad.config:8"} {
 		if !strings.Contains(msg, wantLine) {
 			t.Errorf("error does not report %s:\n%s", wantLine, msg)
 		}
@@ -210,11 +167,9 @@ ctxroot NoDot
 		t.Errorf("error does not name the unknown directive:\n%s", msg)
 	}
 	for _, want := range []string{
-		`"acquire" takes a qualified function and a release method name`,
-		`acquire entry "NoDot" is not a qualified acquire`,
-		`acquire release "pkg.End" must be a bare method name`,
-		`transfer entry "NoDot" is not a qualified transfer`,
-		`ctxroot entry "NoDot" is not a qualified ctxroot`,
+		`"lifetime" takes exactly one argument, got 0 fields`,
+		`hotpath entry "NoDot" is not a qualified function`,
+		`"deterministic" takes exactly one argument, got 2 fields`,
 	} {
 		if !strings.Contains(msg, want) {
 			t.Errorf("error does not report %q:\n%s", want, msg)
@@ -255,44 +210,12 @@ func TestRepoConfig(t *testing.T) {
 			t.Errorf("lint.config declares %s deterministic; it times real work and cannot honour the contract", p)
 		}
 	}
-	for _, p := range []string{"allreduce", "obs", "train", "driftwatch"} {
-		if !cfg.lockcheckScope("convmeter/internal/" + p) {
-			t.Errorf("lint.config drops %s from the lockcheck scope", p)
+	// The resource-lifetime contract (DESIGN.md §6c) is enforced
+	// module-wide — analytical packages simply have nothing to report.
+	for _, p := range []string{"convmeter/internal/allreduce", "convmeter/internal/obs/ops", "convmeter/internal/dagrun", "convmeter/cmd/convmeter"} {
+		if !cfg.lifetimeScope(p) {
+			t.Errorf("lint.config drops %s from the lifetime scope; the resource-lifetime contract must stay module-wide", p)
 		}
-	}
-	units := cfg.unitSet()
-	for _, u := range []string{"Seconds", "FLOPs", "Bytes", "Count"} {
-		if !units["convmeter/internal/metrics."+u] {
-			t.Errorf("lint.config drops unit metrics.%s; unitcheck would stop guarding it", u)
-		}
-	}
-	// The resource-lifetime contract (DESIGN.md §6c): resource lifetimes,
-	// context discipline and channel protocol are enforced module-wide —
-	// analytical packages simply have nothing to report.
-	for _, scope := range []struct {
-		name string
-		in   func(string) bool
-	}{
-		{"lifetime", cfg.lifetimeScope},
-		{"ctxflow", cfg.ctxflowScope},
-		{"chanproto", cfg.chanprotoScope},
-	} {
-		for _, p := range []string{"convmeter/internal/allreduce", "convmeter/internal/obs/ops", "convmeter/internal/dagrun", "convmeter/cmd/convmeter"} {
-			if !scope.in(p) {
-				t.Errorf("lint.config drops %s from the %s scope; the resource-lifetime contract must stay module-wide", p, scope.name)
-			}
-		}
-	}
-	// Every ctxroot entry is a hole in the cancellation-propagation
-	// contract: growing this set needs a test update with justification.
-	ctxroots := cfg.ctxrootSet()
-	for _, q := range []string{"convmeter/internal/obs/ops.Server.Close", "convmeter/internal/allreduce.Options.ctx"} {
-		if !ctxroots[q] {
-			t.Errorf("lint.config drops ctxroot %s; ctxflow would flag its deliberate root context", q)
-		}
-	}
-	if len(ctxroots) != 2 {
-		t.Errorf("lint.config has %d ctxroot entries; each one detaches work from caller deadlines and needs a test update with justification", len(ctxroots))
 	}
 	// The hot-path allocation contract: the kernels the runtime model
 	// measures, the collective inner step, and the always-on telemetry
@@ -332,25 +255,18 @@ func TestRepoConfig(t *testing.T) {
 }
 
 // configPackages lists the import path behind every stanza entry: a
-// prefix stanza's argument as is, a qualified entry
-// (<import-path>.<Name> or <import-path>.<Recv>.<Method>) up to the
+// prefix stanza's argument as is, a hotpath entry
+// (<import-path>.<Func> or <import-path>.<Recv>.<Method>) up to the
 // first '.' after its last '/'.
 func configPackages(cfg *Config) []string {
 	var paths []string
-	for _, list := range [][]string{cfg.Analytical, cfg.Measured, cfg.Deterministic, cfg.Lockcheck, cfg.Lifetime, cfg.Ctxflow, cfg.Chanproto} {
+	for _, list := range [][]string{cfg.Analytical, cfg.Measured, cfg.Deterministic, cfg.Lifetime} {
 		paths = append(paths, list...)
 	}
 	for _, a := range cfg.Allow {
 		paths = append(paths, a[0], a[1])
 	}
-	var qualified []string
-	for _, list := range [][]string{cfg.Units, cfg.Hotpath, cfg.Transfer, cfg.Ctxroot} {
-		qualified = append(qualified, list...)
-	}
-	for _, a := range cfg.Acquire {
-		qualified = append(qualified, a[0])
-	}
-	for _, q := range qualified {
+	for _, q := range cfg.Hotpath {
 		slash := strings.LastIndexByte(q, '/')
 		if dot := strings.IndexByte(q[slash+1:], '.'); dot >= 0 {
 			q = q[:slash+1+dot]

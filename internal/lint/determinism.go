@@ -42,7 +42,6 @@ import (
 func NewDeterminism(cfg *Config) *Analyzer {
 	return &Analyzer{
 		Name: "determinism",
-		Doc:  "flag nondeterminism sources reachable from the exported surface of packages declared deterministic",
 		Run: func(pass *Pass) {
 			if !cfg.deterministicScope(pass.Pkg.ImportPath) {
 				return

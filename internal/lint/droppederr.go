@@ -18,7 +18,6 @@ import (
 // whose Write methods are documented never to return an error.
 var DroppedErr = &Analyzer{
 	Name: "droppederr",
-	Doc:  "flag call statements whose error result is silently discarded in non-test code",
 	Run: func(pass *Pass) {
 		for _, file := range pass.Pkg.Files {
 			if isTestFile(pass.Pkg.Fset, file.Pos()) {

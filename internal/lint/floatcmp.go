@@ -20,7 +20,6 @@ import (
 // or a //lint:ignore with a reason.
 var FloatCmp = &Analyzer{
 	Name: "floatcmp",
-	Doc:  "forbid ==/!= on float operands outside *_test.go (exact-zero guards exempt)",
 	Run: func(pass *Pass) {
 		for _, file := range pass.Pkg.Files {
 			if isTestFile(pass.Pkg.Fset, file.Pos()) {

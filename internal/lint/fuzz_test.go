@@ -16,22 +16,22 @@ func FuzzParseConfig(f *testing.F) {
 	f.Add("analytical convmeter/internal/core\nmeasured convmeter/internal/exec\n")
 	f.Add("# comment only\n\n   \n")
 	f.Add("allow a b\nallow a\n")
-	f.Add("unit convmeter/internal/metrics.Seconds\nunit NoDotHere\n")
+	f.Add("hotpath convmeter/internal/exec.conv2d\nhotpath NoDotHere\n")
 	f.Add("deterministic p\ndeterministic p\n")
 	f.Add("analytical p\nmeasured p\n")
 	f.Add("bogus directive here\n")
 	f.Add("analytical\tp\r\nmeasured\tq\r\n") // CRLF + tab separators
 	f.Add("analytical p extra\n")
-	f.Add("unit a.b\nunit a.b\nlockcheck x\nlockcheck x y\n")
+	f.Add("hotpath a.b\nhotpath a.b\ndeterministic x\ndeterministic x y\n")
 	f.Add("hotpath convmeter/internal/exec.conv2d\nhotpath convmeter/internal/obs.Counter.Add\n")
 	f.Add("hotpath NoDotHere\n")
 	f.Add("hotpath a.b\nhotpath a.b\n")
-	f.Add("lifetime convmeter/internal/allreduce\nctxflow convmeter/internal/obs\nchanproto convmeter/internal/exec\n")
-	f.Add("acquire convmeter/internal/obs.Tracer.Start End\nacquire a.b Close\n")
-	f.Add("acquire a.b End\nacquire a.b Stop\n") // contradictory release methods
-	f.Add("acquire a.b\nacquire NoDot End\nacquire a.b x.End\n")
-	f.Add("transfer a.b\ntransfer NoDot\nctxroot a.b\nctxroot NoDot\n")
-	f.Add("lifetime p\nlifetime p\nchanproto q\nchanproto q\n")
+	f.Add("lifetime convmeter/internal/allreduce\nlifetime convmeter/internal/obs\n")
+	f.Add("lifetime convmeter\nanalytical convmeter/internal/core\ndeterministic convmeter/internal/core\n")
+	f.Add("allow a b\nallow a b\n")                             // repeated allow entries must round-trip
+	f.Add("lifetime p # trailing comment\nhotpath a.b extra\n") // comments are whole-line only
+	f.Add("hotpath convmeter/internal/obs/ops.Server.Close\nhotpath a.b.c\n")
+	f.Add("lifetime p\nlifetime p\n")
 
 	f.Fuzz(func(t *testing.T, input string) {
 		cfg, err := ParseConfig(strings.NewReader(input), "fuzz.config")
@@ -46,19 +46,13 @@ func FuzzParseConfig(f *testing.F) {
 		}
 		// Accepted configs must be internally consistent: no duplicates
 		// within a stanza, no package on both sides of the boundary, and
-		// every unit entry qualified.
+		// every hotpath entry qualified.
 		for stanza, entries := range map[string][]string{
 			"analytical":    cfg.Analytical,
 			"measured":      cfg.Measured,
 			"deterministic": cfg.Deterministic,
-			"lockcheck":     cfg.Lockcheck,
-			"unit":          cfg.Units,
 			"hotpath":       cfg.Hotpath,
 			"lifetime":      cfg.Lifetime,
-			"ctxflow":       cfg.Ctxflow,
-			"chanproto":     cfg.Chanproto,
-			"transfer":      cfg.Transfer,
-			"ctxroot":       cfg.Ctxroot,
 		} {
 			seen := map[string]bool{}
 			for _, e := range entries {
@@ -78,38 +72,10 @@ func FuzzParseConfig(f *testing.F) {
 				}
 			}
 		}
-		for _, u := range cfg.Units {
-			if !strings.Contains(u, ".") {
-				t.Fatalf("accepted unqualified unit entry %q", u)
-			}
-		}
 		for _, h := range cfg.Hotpath {
 			if !strings.Contains(h, ".") {
 				t.Fatalf("accepted unqualified hotpath entry %q", h)
 			}
-		}
-		for _, e := range cfg.Transfer {
-			if !strings.Contains(e, ".") {
-				t.Fatalf("accepted unqualified transfer entry %q", e)
-			}
-		}
-		for _, e := range cfg.Ctxroot {
-			if !strings.Contains(e, ".") {
-				t.Fatalf("accepted unqualified ctxroot entry %q", e)
-			}
-		}
-		acqSeen := map[string]bool{}
-		for _, a := range cfg.Acquire {
-			if !strings.Contains(a[0], ".") {
-				t.Fatalf("accepted unqualified acquire entry %q", a[0])
-			}
-			if strings.Contains(a[1], ".") || strings.Contains(a[1], "/") || a[1] == "" {
-				t.Fatalf("accepted acquire release %q that is not a bare method name", a[1])
-			}
-			if acqSeen[a[0]] {
-				t.Fatalf("accepted two release methods for acquire func %q", a[0])
-			}
-			acqSeen[a[0]] = true
 		}
 		// An accepted config must round-trip: re-serialising its entries
 		// as config lines and re-parsing yields the identical Config.
@@ -126,32 +92,11 @@ func FuzzParseConfig(f *testing.F) {
 		for _, e := range cfg.Deterministic {
 			fmt.Fprintf(&sb, "deterministic %s\n", e)
 		}
-		for _, e := range cfg.Lockcheck {
-			fmt.Fprintf(&sb, "lockcheck %s\n", e)
-		}
-		for _, e := range cfg.Units {
-			fmt.Fprintf(&sb, "unit %s\n", e)
-		}
 		for _, e := range cfg.Hotpath {
 			fmt.Fprintf(&sb, "hotpath %s\n", e)
 		}
 		for _, e := range cfg.Lifetime {
 			fmt.Fprintf(&sb, "lifetime %s\n", e)
-		}
-		for _, e := range cfg.Ctxflow {
-			fmt.Fprintf(&sb, "ctxflow %s\n", e)
-		}
-		for _, e := range cfg.Chanproto {
-			fmt.Fprintf(&sb, "chanproto %s\n", e)
-		}
-		for _, a := range cfg.Acquire {
-			fmt.Fprintf(&sb, "acquire %s %s\n", a[0], a[1])
-		}
-		for _, e := range cfg.Transfer {
-			fmt.Fprintf(&sb, "transfer %s\n", e)
-		}
-		for _, e := range cfg.Ctxroot {
-			fmt.Fprintf(&sb, "ctxroot %s\n", e)
 		}
 		back, err := ParseConfig(strings.NewReader(sb.String()), "roundtrip.config")
 		if err != nil {
@@ -176,21 +121,12 @@ func equalConfig(a, b *Config) bool {
 		return true
 	}
 	if !eq(a.Analytical, b.Analytical) || !eq(a.Measured, b.Measured) ||
-		!eq(a.Deterministic, b.Deterministic) || !eq(a.Lockcheck, b.Lockcheck) ||
-		!eq(a.Units, b.Units) || !eq(a.Hotpath, b.Hotpath) ||
-		!eq(a.Lifetime, b.Lifetime) || !eq(a.Ctxflow, b.Ctxflow) ||
-		!eq(a.Chanproto, b.Chanproto) || !eq(a.Transfer, b.Transfer) ||
-		!eq(a.Ctxroot, b.Ctxroot) ||
-		len(a.Allow) != len(b.Allow) || len(a.Acquire) != len(b.Acquire) {
+		!eq(a.Deterministic, b.Deterministic) || !eq(a.Hotpath, b.Hotpath) ||
+		!eq(a.Lifetime, b.Lifetime) || len(a.Allow) != len(b.Allow) {
 		return false
 	}
 	for i := range a.Allow {
 		if a.Allow[i] != b.Allow[i] {
-			return false
-		}
-	}
-	for i := range a.Acquire {
-		if a.Acquire[i] != b.Acquire[i] {
 			return false
 		}
 	}

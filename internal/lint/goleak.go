@@ -16,7 +16,6 @@ import (
 // take a //lint:ignore goleak <reason> stating why.
 var GoLeak = &Analyzer{
 	Name: "goleak",
-	Doc:  "flag go func literals with no WaitGroup.Done/channel-send join in their body",
 	Run: func(pass *Pass) {
 		for _, file := range pass.Pkg.Files {
 			if isTestFile(pass.Pkg.Fset, file.Pos()) {

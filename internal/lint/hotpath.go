@@ -62,7 +62,6 @@ import (
 func NewHotPath(cfg *Config) *Analyzer {
 	return &Analyzer{
 		Name: "hotpath",
-		Doc:  "flag heap allocations, boxing and allocating calls reachable from declared hot-path roots",
 		Run: func(pass *Pass) {
 			scanHot(pass, cfg, true, func(analyzer string, pos token.Pos, why, format string, args ...any) {
 				if analyzer == "hotpath" {
@@ -77,7 +76,6 @@ func NewHotPath(cfg *Config) *Analyzer {
 func NewHotDefer(cfg *Config) *Analyzer {
 	return &Analyzer{
 		Name: "hotdefer",
-		Doc:  "flag defer in loops and per-iteration capturing closures on declared hot paths",
 		Run: func(pass *Pass) {
 			scanHot(pass, cfg, false, func(analyzer string, pos token.Pos, why, format string, args ...any) {
 				if analyzer == "hotdefer" {

@@ -131,20 +131,16 @@ func cmp(a, b float64) bool {
 func TestIgnoreMustNameAnalyzer(t *testing.T) {
 	pkg := loadSource(t, `package fix
 
-import "sync"
-
-type box struct{ mu sync.Mutex }
-
 func cmp(a, b float64) bool {
-	//lint:ignore synccopy wrong name: the finding below is floatcmp
+	//lint:ignore droppederr wrong name: the finding below is floatcmp
 	return a == b
 }
 `)
-	findings := Run([]*Package{pkg}, []*Analyzer{FloatCmp, SyncCopy})
+	findings := Run([]*Package{pkg}, []*Analyzer{FloatCmp, DroppedErr})
 	var sawStale, sawFloatcmp bool
 	for _, f := range findings {
 		switch {
-		case f.Analyzer == "lint" && strings.Contains(f.Message, "stale //lint:ignore synccopy"):
+		case f.Analyzer == "lint" && strings.Contains(f.Message, "stale //lint:ignore droppederr"):
 			sawStale = true
 		case f.Analyzer == "floatcmp":
 			sawFloatcmp = true

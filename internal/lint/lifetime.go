@@ -14,7 +14,7 @@ import (
 // context cancel func — must, on every path out of the function, be
 // released, deferred, or have its ownership visibly transferred
 // (returned to the caller, stored in a struct, handed to a goroutine,
-// or passed to a `transfer`-declared sink). A return statement reachable
+// or passed to a function that takes it). A return statement reachable
 // with a live, unreleased obligation is the leak the daemonised
 // measured stack cannot afford.
 //
@@ -36,13 +36,13 @@ import (
 // function consults that callee's body: a callee that releases the
 // parameter discharges the obligation, one that stores or forwards it
 // takes ownership, and one that merely uses it borrows — the caller
-// still owes the release. Cross-package calls (other than configured
-// `transfer` sinks) conservatively take ownership.
+// still owes the release. Cross-package calls conservatively take
+// ownership.
 //
-// Custom acquire→release pairs come from `acquire` stanzas in
-// lint.config; the built-in set covers net dials/listens/accepts,
-// os file opens, time.NewTicker/NewTimer, and the cancel funcs of
-// context.WithCancel/WithTimeout/WithDeadline.
+// The acquire set is built in: net dials/listens/accepts, os file
+// opens, time.NewTicker/NewTimer, and the cancel funcs of
+// context.WithCancel/WithTimeout/WithDeadline, plus the same-package
+// constructors inferred from them.
 //
 // Separately, the analyzer checks sync.WaitGroup accounting around
 // goroutine launches: an Add inside the goroutine it accounts for races
@@ -51,12 +51,11 @@ import (
 func NewLifetime(cfg *Config) *Analyzer {
 	return &Analyzer{
 		Name: "lifetime",
-		Doc:  "track acquire→release obligations (conns, files, tickers, cancel funcs, WaitGroups) through branches, error paths, defers and ownership transfers",
 		Run: func(pass *Pass) {
 			if pass.Pkg.TypesInfo == nil || !cfg.lifetimeScope(pass.Pkg.ImportPath) {
 				return
 			}
-			w := newLifeWalker(pass, cfg)
+			w := newLifeWalker(pass)
 			w.inferConstructors()
 			for _, fd := range w.declOrder {
 				w.checkFunc(fd)
@@ -73,8 +72,8 @@ type acquireSpec struct {
 	via     string // constructor chain for -why, "" for direct acquires
 }
 
-// builtinAcquires is the always-on acquire set; lint.config `acquire`
-// stanzas and inferred same-package constructors extend it.
+// builtinAcquires is the always-on acquire set; inferred same-package
+// constructors extend it.
 func builtinAcquires() map[string]acquireSpec {
 	m := map[string]acquireSpec{}
 	add := func(spec acquireSpec, names ...string) {
@@ -193,12 +192,11 @@ type paramUse struct {
 }
 
 // lifeWalker holds the per-package machinery shared by every function
-// walk: the acquire set (builtin + configured + inferred constructors),
-// transfer sinks, declaration index and the callee-disposition cache.
+// walk: the acquire set (builtin + inferred constructors), declaration
+// index and the callee-disposition cache.
 type lifeWalker struct {
 	pass      *Pass
 	acquires  map[string]acquireSpec
-	transfer  map[string]bool
 	decls     map[*types.Func]*ast.FuncDecl
 	declOrder []*ast.FuncDecl
 	dispos    map[string]paramUse // keyed by qualifiedName + "\x00" + paramIndex
@@ -206,16 +204,12 @@ type lifeWalker struct {
 	retSpec   *acquireSpec        // set in infer mode when an owned resource escapes via return
 }
 
-func newLifeWalker(pass *Pass, cfg *Config) *lifeWalker {
+func newLifeWalker(pass *Pass) *lifeWalker {
 	w := &lifeWalker{
 		pass:     pass,
 		acquires: builtinAcquires(),
-		transfer: cfg.transferSet(),
 		decls:    map[*types.Func]*ast.FuncDecl{},
 		dispos:   map[string]paramUse{},
-	}
-	for q, release := range cfg.acquireSet() {
-		w.acquires[q] = acquireSpec{release: release, what: "resource from " + q}
 	}
 	info := pass.Pkg.TypesInfo
 	for _, file := range pass.Pkg.Files {
@@ -739,9 +733,9 @@ func (w *lifeWalker) returnExpr(e ast.Expr, st *lifeState) {
 // scanUses walks an expression, classifying every appearance of a
 // tracked resource. Benign uses (method receiver, field access,
 // comparisons) keep the obligation; release calls discharge it; call
-// arguments consult the transfer set and same-package callee
-// dispositions; everything else — captures, stores, sends, unknown
-// sinks — conservatively transfers ownership and stops tracking.
+// arguments consult same-package callee dispositions; everything else
+// — captures, stores, sends, unknown sinks — conservatively transfers
+// ownership and stops tracking.
 func (w *lifeWalker) scanUses(e ast.Expr, st *lifeState) {
 	switch x := e.(type) {
 	case nil:
@@ -808,7 +802,6 @@ func (w *lifeWalker) scanUses(e ast.Expr, st *lifeState) {
 // callArgs applies the ownership policy to a call's arguments.
 func (w *lifeWalker) callArgs(call *ast.CallExpr, st *lifeState) {
 	callee := calleeFunc(w.pass.Pkg.TypesInfo, call)
-	q := qualifiedFuncName(callee)
 	for i, arg := range call.Args {
 		id, ok := arg.(*ast.Ident)
 		if !ok {
@@ -821,8 +814,6 @@ func (w *lifeWalker) callArgs(call *ast.CallExpr, st *lifeState) {
 			continue
 		}
 		switch {
-		case w.transfer[q]:
-			delete(st.pending, r) // declared sink takes ownership
 		case callee != nil && callee.Pkg() == w.pass.Pkg.TypesPkg:
 			use := w.paramDisposition(callee, i, map[string]bool{})
 			switch {

@@ -4,13 +4,14 @@
 // to enforce invariants the paper's method depends on — most
 // importantly the boundary between packages that compute the five
 // inherent metrics *analytically* and packages that *measure or
-// simulate* execution — plus float-safety and goroutine hygiene in the
-// regression and concurrency hot paths.
+// simulate* execution — plus replayable results, allocation-free hot
+// paths, released resources, float-safety, handled errors and
+// goroutine hygiene. Suite lists the eight analyzers.
 //
 // The framework is deliberately small: an Analyzer inspects one fully
-// type-checked package at a time and returns Findings; the Runner loads
-// packages, applies every analyzer, and filters findings through
-// //lint:ignore suppression comments.
+// type-checked package at a time and returns Findings; the Loader
+// type-checks packages, and Run applies every analyzer and filters
+// findings through //lint:ignore suppression comments.
 package lint
 
 import (
@@ -88,7 +89,6 @@ func (p *Pass) TypeOf(e ast.Expr) types.Type {
 // An Analyzer checks one package and reports findings through the pass.
 type Analyzer struct {
 	Name string
-	Doc  string
 	Run  func(*Pass)
 }
 

@@ -68,37 +68,25 @@ func fixtureConfig() *Config {
 			{"convmeter/internal/lint/testdata/boundary", "convmeter/internal/netsim"},
 		},
 		Deterministic: []string{"convmeter/internal/lint/testdata/determinism"},
-		Lockcheck:     []string{"convmeter/internal/lint/testdata/lockcheck"},
-		Units: []string{
-			"convmeter/internal/lint/testdata/unitcheck.Seconds",
-			"convmeter/internal/lint/testdata/unitcheck.FLOPs",
-			"convmeter/internal/lint/testdata/unitcheck.Count",
-			"convmeter/internal/lint/testdata/unitcheck.Bytes",
-		},
 		Hotpath: []string{
 			"convmeter/internal/lint/testdata/hotpath.Root",
 			"convmeter/internal/lint/testdata/hotpath.ring.step",
 			"convmeter/internal/lint/testdata/hotdefer.Root",
 		},
-		Lifetime:  []string{"convmeter/internal/lint/testdata/lifetime"},
-		Ctxflow:   []string{"convmeter/internal/lint/testdata/ctxflow"},
-		Chanproto: []string{"convmeter/internal/lint/testdata/chanproto"},
-		Acquire: [][2]string{
-			{"convmeter/internal/lint/testdata/lifetime.newHandle", "Release"},
-		},
-		Transfer: []string{"convmeter/internal/lint/testdata/lifetime.register"},
-		Ctxroot:  []string{"convmeter/internal/lint/testdata/ctxflow.Main"},
+		Lifetime: []string{"convmeter/internal/lint/testdata/lifetime"},
 	}
 }
 
-// TestAnalyzerFixtures drives every analyzer against its seeded
-// fixture package: each `// want <analyzer>` marker must produce
-// exactly one finding, nothing else may fire, and the //lint:ignore
-// lines embedded in the fixtures must stay silent.
+// TestAnalyzerFixtures drives every suite analyzer against its seeded
+// fixture package, testdata/<analyzer name>: each `// want <analyzer>`
+// marker must produce exactly one finding, nothing else may fire, and
+// the //lint:ignore lines embedded in the fixtures must stay silent. An
+// analyzer without a fixture directory fails to load.
 func TestAnalyzerFixtures(t *testing.T) {
 	root := repoRoot(t)
 	loader := NewLoader(root)
-	for _, name := range []string{"boundary", "floatcmp", "droppederr", "synccopy", "goleak", "determinism", "unitcheck", "lockcheck", "hotpath", "hotdefer", "lifetime", "ctxflow", "chanproto"} {
+	for _, a := range Suite(fixtureConfig()) {
+		name := a.Name
 		t.Run(name, func(t *testing.T) {
 			dir := filepath.Join(root, "internal", "lint", "testdata", name)
 			pkg, err := loader.LoadDir(dir, "convmeter/internal/lint/testdata/"+name)
@@ -180,39 +168,11 @@ func TestHotpathWhyChain(t *testing.T) {
 	}
 }
 
-// TestChanprotoHotChain drives chanproto's hot-reachability rule in
-// isolation: with HotRoot declared a hotpath root, the unbuffered
-// channel two frames down is a finding carrying the root→callee chain.
-// (The full-suite fixture run leaves the root undeclared so the hotpath
-// analyzer's own allocation findings stay out of the marker set.)
-func TestChanprotoHotChain(t *testing.T) {
-	root := repoRoot(t)
-	dir := filepath.Join(root, "internal", "lint", "testdata", "chanproto")
-	pkg, err := NewLoader(root).LoadDir(dir, "convmeter/internal/lint/testdata/chanproto")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := fixtureConfig()
-	cfg.Hotpath = []string{"convmeter/internal/lint/testdata/chanproto.HotRoot"}
-	var hot []Finding
-	for _, f := range Run([]*Package{pkg}, []*Analyzer{NewChanproto(cfg)}) {
-		if strings.Contains(f.Message, "hot path") {
-			hot = append(hot, f)
-		}
-	}
-	if len(hot) != 1 {
-		t.Fatalf("got %d hot-path chanproto findings, want 1: %v", len(hot), hot)
-	}
-	if want := "declared root HotRoot → hotInner"; !strings.Contains(hot[0].Why, want) {
-		t.Errorf("finding why = %q, want it to contain %q", hot[0].Why, want)
-	}
-}
-
 // TestConvlintRepoClean runs the full convlint suite over the whole
 // repository with the checked-in lint.config. Tier-1 (`go test ./...`)
 // therefore enforces the analyzers' verdict on every future change: a
-// new boundary violation, float comparison, dropped error, sync copy
-// or joinless goroutine fails the build.
+// new boundary violation, float comparison, dropped error or joinless
+// goroutine fails the build.
 func TestConvlintRepoClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("repo-wide lint load is not short")

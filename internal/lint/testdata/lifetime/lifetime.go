@@ -66,17 +66,6 @@ func leakViaConstructor(dir string, strict bool) error {
 	return f.Close()
 }
 
-// leakHandle exercises a config-declared acquire/release pair
-// (`acquire …lifetime.newHandle Release` in the fixture config).
-func leakHandle(bad bool) error {
-	h := newHandle() // want lifetime
-	if bad {
-		return errors.New("no release on this path")
-	}
-	h.Release()
-	return nil
-}
-
 // addInsideGoroutine races Wait: nothing guarantees the Add runs
 // before the spawner's Wait returns.
 func addInsideGoroutine() {
@@ -147,23 +136,8 @@ func newServer(addr string) (*server, error) {
 	return &server{ln: ln}, nil
 }
 
-// register only borrows its argument, but the fixture config declares
-// it a `transfer` sink: handOff's obligation moves with the call.
-func register(c net.Conn) {
-	_ = c.RemoteAddr()
-}
-
-func handOff(addr string) error {
-	c, err := net.Dial("tcp", addr)
-	if err != nil {
-		return err
-	}
-	register(c)
-	return nil
-}
-
 // closeQuietly releases its parameter, so helperRelease's obligation is
-// discharged interprocedurally — no transfer stanza needed.
+// discharged interprocedurally.
 func closeQuietly(f *os.File) {
 	_ = f.Close()
 }
@@ -184,13 +158,6 @@ func tickForever(d time.Duration) {
 	//lint:ignore lifetime ticker deliberately runs for the process lifetime
 	time.NewTicker(d)
 }
-
-// handle is the resource behind the config-declared acquire pair.
-type handle struct{ closed bool }
-
-func (h *handle) Release() { h.closed = true }
-
-func newHandle() *handle { return &handle{} }
 
 // --- select exhaustiveness --------------------------------------------
 

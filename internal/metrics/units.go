@@ -1,12 +1,11 @@
 package metrics
 
 // The quantity types below give the model's numbers physical
-// dimensions the type system can see. The unitcheck analyzer (see
-// internal/lint) treats each as a dimension: converting one unit
-// directly into another, multiplying two values of the same unit, or
-// dividing them without de-dimensioning is reported. The sanctioned
-// way to change dimension is explicit — drop to float64, apply the
-// factor that changes the quantity, tag the result:
+// dimensions the type system can see. The compiler keeps them apart:
+// a value of one unit cannot be assigned to, compared with or combined
+// in arithmetic with another without a conversion. Change dimension
+// explicitly — drop to float64, apply the factor that changes the
+// quantity, tag the result:
 //
 //	secs := Seconds(float64(flops) * secondsPerFLOP)
 //

@@ -1,16 +1,14 @@
 package obs
 
 import (
-	"net"
 	"net/http"
 	"net/http/pprof"
-	"time"
 )
 
 // PprofHandler returns the net/http/pprof endpoints on a private mux
 // rooted at /debug/pprof/, so nothing is registered on
 // http.DefaultServeMux. The ops server (internal/obs/ops) folds this
-// into its listener; StartPprof serves it standalone.
+// into its listener.
 func PprofHandler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -19,27 +17,4 @@ func PprofHandler() http.Handler {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
-}
-
-// StartPprof serves the profiling endpoints on addr (e.g.
-// "localhost:6060") and returns the actual bound address — so ":0"
-// callers learn the kernel-chosen port — plus a stop function. It
-// listens before returning so a bad address fails fast. Profiling is
-// strictly opt-in: nothing in this package starts a server unless asked.
-func StartPprof(addr string) (bound string, stop func(), err error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", nil, err
-	}
-	srv := &http.Server{Handler: PprofHandler(), ReadHeaderTimeout: 5 * time.Second}
-	go servePprof(srv, ln)
-	return ln.Addr().String(), func() { _ = srv.Close() }, nil
-}
-
-// servePprof runs the profiling server until Close. Serve always
-// returns a non-nil error — http.ErrServerClosed after a clean stop —
-// and there is no channel to report an unclean one on; the endpoint is
-// best-effort diagnostics, never load-bearing.
-func servePprof(srv *http.Server, ln net.Listener) {
-	_ = srv.Serve(ln)
 }
