@@ -4,7 +4,7 @@
 GO       ?= go
 FUZZTIME ?= 15s
 
-.PHONY: build vet lint test race fuzz obs-smoke obs-bench bench-snapshot bench-check chaos critpath-smoke dag-smoke drift-smoke ci
+.PHONY: build vet lint test race fuzz obs-smoke obs-bench bench-snapshot bench-check chaos dag-smoke drift-smoke ci
 
 build:
 	$(GO) build ./...
@@ -69,40 +69,27 @@ bench-snapshot:
 bench-check:
 	$(GO) run ./cmd/benchsnap -check BENCH_2.json
 
-# critpath-smoke: the distributed-tracing acceptance path, end to end
-# (the blame chaos suite runs under the race detector in `race`): a
-# slowdown chaos run (persistent straggler on worker 0) must export a
-# critical-path report blaming worker 0 and a well-formed multi-worker
-# trace (resolvable span parents, no negative durations, no
-# cross-worker time-travel), and the clean run's report must blame
-# nobody. Kept apart from drift-smoke's pair: -critpath-out turns on
-# clock alignment and an injected clock skew, and a clean run with
-# every flag on blamed a step in 1 of 43 tries.
-critpath-smoke:
-	rm -rf .critpath-smoke && mkdir -p .critpath-smoke
-	$(GO) run ./cmd/experiments -run exttrainfaults -quick -faults-seed 7 -faults-profile slowdown \
-		-critpath-out .critpath-smoke/critpath-slow.json -trace-out .critpath-smoke/trace-slow.json \
-		> .critpath-smoke/report-slow.txt
-	$(GO) run ./cmd/obscheck -critpath .critpath-smoke/critpath-slow.json -require-blame 0
-	$(GO) run ./cmd/obscheck -trace .critpath-smoke/trace-slow.json
-	$(GO) run ./cmd/experiments -run exttrainfaults -quick -faults-seed 7 -faults-profile none \
-		-critpath-out .critpath-smoke/critpath-clean.json > .critpath-smoke/report-clean.txt
-	$(GO) run ./cmd/obscheck -critpath .critpath-smoke/critpath-clean.json -forbid-blame
-	rm -rf .critpath-smoke
-
-# drift-smoke: the prediction-drift acceptance path, end to end through
-# the real binary (the live /drift scrape runs under the race detector
-# in `race`): the slowdown run's drift artefact must report a detection
-# on a drifting stream; the clean run's must report none, with the
-# detector armed (a stream in state ok) so its silence means something.
+# drift-smoke: the drift and critical-path acceptance path, end to end
+# through the real binary (the live /drift scrape and the blame chaos
+# suite run under the race detector in `race`). The slowdown run
+# (persistent straggler on worker 0) must report a drift detection on a
+# drifting stream, a critical-path report blaming worker 0, and a
+# well-formed multi-worker trace (resolvable span parents, no negative
+# durations, no cross-worker time-travel). The clean run must report
+# neither drift nor blame, with proof that both watched: a stream in
+# state ok and at least one analyzed step.
 drift-smoke:
 	rm -rf .drift-smoke && mkdir -p .drift-smoke
 	$(GO) run ./cmd/experiments -run exttrainfaults -quick -faults-seed 7 -faults-profile slowdown \
-		-drift-out .drift-smoke/drift-slow.json > .drift-smoke/report-slow.txt
-	$(GO) run ./cmd/obscheck -drift .drift-smoke/drift-slow.json -require-drift
+		-drift-out .drift-smoke/drift-slow.json -critpath-out .drift-smoke/critpath-slow.json \
+		-trace-out .drift-smoke/trace-slow.json > .drift-smoke/report-slow.txt
+	$(GO) run ./cmd/obscheck -drift .drift-smoke/drift-slow.json -require-drift \
+		-critpath .drift-smoke/critpath-slow.json -require-blame 0 -trace .drift-smoke/trace-slow.json
 	$(GO) run ./cmd/experiments -run exttrainfaults -quick -faults-seed 7 -faults-profile none \
-		-drift-out .drift-smoke/drift-clean.json > .drift-smoke/report-clean.txt
-	$(GO) run ./cmd/obscheck -drift .drift-smoke/drift-clean.json -forbid-drift
+		-drift-out .drift-smoke/drift-clean.json -critpath-out .drift-smoke/critpath-clean.json \
+		> .drift-smoke/report-clean.txt
+	$(GO) run ./cmd/obscheck -drift .drift-smoke/drift-clean.json -forbid-drift \
+		-critpath .drift-smoke/critpath-clean.json -forbid-blame
 	rm -rf .drift-smoke
 
 # Short fuzz smoke of every fuzz target; seed corpora live under the
@@ -152,4 +139,4 @@ dag-smoke:
 	$(GO) run ./cmd/obscheck -manifest .dag-smoke/run
 	rm -rf .dag-smoke
 
-ci: build vet lint test race obs-smoke chaos critpath-smoke dag-smoke drift-smoke bench-check
+ci: build vet lint test race obs-smoke chaos dag-smoke drift-smoke bench-check

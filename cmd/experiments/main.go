@@ -43,13 +43,13 @@ func main() {
 	flag.StringVar(&opts.faultsProfile, "faults-profile", "", "fault profile for exttrainfaults: none, light, heavy, chaos or slowdown (default chaos)")
 	flag.StringVar(&opts.outPath, "out", "", "also write the output to this file")
 	flag.StringVar(&opts.csvDir, "csvdir", "", "write figure data series as CSV files into this directory")
-	flag.StringVar(&opts.metricsOut, "metrics-out", "", "write collected runtime metrics to this file (Prometheus text; JSONL when the path ends in .jsonl)")
+	flag.StringVar(&opts.metricsOut, "metrics-out", "", "write collected runtime metrics to this file as Prometheus text")
 	flag.StringVar(&opts.traceOut, "trace-out", "", "write recorded spans as Chrome trace-event JSON to this file (open in Perfetto)")
 	flag.StringVar(&opts.opsAddr, "ops-addr", "", "serve the live ops endpoints (/metrics, /healthz, /trace, /drift, /critpath, /dag, /debug/pprof) on this address (e.g. localhost:6060) while experiments run; off by default")
 	flag.StringVar(&opts.opsAddrOut, "ops-addr-out", "", "write the ops server's actual bound address to this file (useful with -ops-addr :0)")
 	flag.StringVar(&opts.driftOut, "drift-out", "", "write the final drift-monitor state as JSON to this file")
 	flag.BoolVar(&opts.driftRefit, "drift-refit", false, "on a drift event, recalibrate the affected stream onto the new regime instead of staying latched")
-	flag.StringVar(&opts.critpathOut, "critpath-out", "", "write the chaos trainer's per-step critical-path attribution report as JSON to this file (also enables clock alignment and /critpath)")
+	flag.StringVar(&opts.critpathOut, "critpath-out", "", "write the chaos trainer's per-step critical-path attribution report as JSON to this file")
 	flag.StringVar(&opts.dagDir, "dag-dir", "", "durable run directory: every completed DAG node commits a content-addressed manifest here, and a re-run over the same directory resumes fail-close from fingerprint-matching manifests")
 	flag.IntVar(&opts.dagWorkers, "dag-workers", 2, "worker pool size for independent DAG nodes")
 	flag.StringVar(&opts.dagCrash, "dag-crash", "", "inject a process crash at node@point (point: boundary or mid) for crash-resume testing; the run dies with exit code 3 and resumes via -dag-dir")

@@ -1,6 +1,6 @@
 // Command obscheck validates telemetry artefacts produced by the
 // --metrics-out/--trace-out/--drift-out flags: the metrics file must be
-// parseable Prometheus text exposition (or JSONL) containing at least
+// parseable Prometheus text exposition containing at least
 // one convmeter_ sample, the trace file must be a Chrome trace-event
 // JSON document with a traceEvents array, and the drift file must be a
 // well-formed drift-monitor snapshot (optionally asserting that drift
@@ -11,20 +11,19 @@
 // durations, legal dominant phases, blame consistency — optionally
 // asserting that a specific worker was, or no worker was, blamed) and
 // durable DAG run directories written by experiments -dag-dir
-// (-manifest: every manifest parses, fingerprints and hashes are
-// well-formed, input hashes resolve to committed manifests, and the
-// input graph is acyclic). The clean-run gates (-forbid-drift,
+// (-manifest: every manifest parses and its content hash verifies, as
+// dagrun demands before a resume trusts it, and input hashes resolve
+// to committed manifests). The clean-run gates (-forbid-drift,
 // -forbid-blame) also require proof that something watched: an armed
 // drift stream, an analyzed step.
 // Trace validation additionally checks span-graph well-formedness when
 // events carry span args: unique ids, resolvable parents, non-negative
 // durations, and no cross-worker time-travel through causal links
-// beyond the clock-alignment tolerance. CI's obs-smoke (metrics,
-// trace), chaos (metrics), critpath-smoke (critpath, trace),
-// drift-smoke (drift) and dag-smoke (manifest) targets run it against
-// real artefacts so a formatting regression fails the build rather
-// than silently producing files Grafana, Perfetto or benchsnap -check
-// reject.
+// beyond the scheduling tolerance. CI's obs-smoke (metrics, trace),
+// chaos (metrics), drift-smoke (drift, critpath, trace) and dag-smoke
+// (manifest) targets run it against real artefacts so a formatting
+// regression fails the build rather than silently producing files
+// Grafana, Perfetto or benchsnap -check reject.
 package main
 
 import (
@@ -34,25 +33,28 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
+
+	"convmeter/internal/dagrun/manifest"
 )
 
 func main() {
-	metrics := flag.String("metrics", "", "metrics file to validate (Prometheus text, or JSONL for .jsonl paths)")
+	metrics := flag.String("metrics", "", "Prometheus text metrics file to validate (from -metrics-out)")
 	trace := flag.String("trace", "", "Chrome trace-event JSON file to validate")
 	drift := flag.String("drift", "", "drift-monitor JSON snapshot to validate (from -drift-out or GET /drift)")
 	bench := flag.String("bench", "", "benchmark snapshot JSON to validate (from benchsnap -out, e.g. BENCH_1.json)")
 	critpath := flag.String("critpath", "", "critical-path attribution report JSON to validate (from -critpath-out or GET /critpath)")
-	manifest := flag.String("manifest", "", "DAG run directory to validate (from experiments -dag-dir): every manifest parses, fingerprints/hashes are well-formed, input hashes resolve to committed manifests, and the input graph is acyclic")
+	manifestDir := flag.String("manifest", "", "DAG run directory to validate (from experiments -dag-dir): every manifest parses and its content hash verifies, and input hashes resolve to committed manifests")
 	requireFaults := flag.Bool("require-faults", false, "additionally require a convmeter_faults_injected_total sample with value > 0 (chaos-run validation)")
 	requireDrift := flag.Bool("require-drift", false, "additionally require at least one drift event and a drifting stream in the -drift snapshot (slowdown-run validation)")
 	forbidDrift := flag.Bool("forbid-drift", false, "additionally require zero drift events and at least one armed (state ok) stream in the -drift snapshot (clean-run validation)")
 	requireBlame := flag.Int("require-blame", -1, "additionally require at least one -critpath step blaming this worker (straggler-run validation); -1 disables")
 	forbidBlame := flag.Bool("forbid-blame", false, "additionally require zero blamed steps and at least one analyzed step in the -critpath report (clean-run validation)")
 	flag.Parse()
-	if *metrics == "" && *trace == "" && *drift == "" && *bench == "" && *critpath == "" && *manifest == "" {
+	if *metrics == "" && *trace == "" && *drift == "" && *bench == "" && *critpath == "" && *manifestDir == "" {
 		fmt.Fprintln(os.Stderr, "obscheck: nothing to check (pass -metrics, -trace, -drift, -bench, -critpath and/or -manifest)")
 		os.Exit(2)
 	}
@@ -111,88 +113,49 @@ func main() {
 		}
 		fmt.Printf("obscheck: %s ok\n", *critpath)
 	}
-	if *manifest != "" {
-		if err := checkManifests(*manifest); err != nil {
+	if *manifestDir != "" {
+		if err := checkManifests(*manifestDir); err != nil {
 			fmt.Fprintln(os.Stderr, "obscheck:", err)
 			os.Exit(1)
 		}
-		fmt.Printf("obscheck: %s ok\n", *manifest)
+		fmt.Printf("obscheck: %s ok\n", *manifestDir)
 	}
-}
-
-// manifestSchema is the run-manifest format internal/dagrun/manifest
-// writes; keep in sync with manifest.SchemaV1.
-const manifestSchema = "convmeter/dag-manifest/v1"
-
-// hex64 reports whether s is a 64-digit lowercase hex string — the shape
-// of every fingerprint and content hash the manifest package produces.
-func hex64(s string) bool {
-	if len(s) != 64 {
-		return false
-	}
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return false
-		}
-	}
-	return true
 }
 
 // checkManifests validates a DAG run directory: every *.json file is a
-// well-formed manifest (schema tag, node id matching the file name,
-// 64-hex fingerprint and hash, attempt >= 1, valid JSON output), every
-// input hash resolves to a committed manifest in the same directory
-// whose stored hash matches (the content-address chain is unbroken),
-// and the input graph is acyclic. An empty directory fails: a run that
-// committed nothing has no resume to audit.
+// manifest that manifest.Parse accepts — the same check dagrun makes
+// before it trusts one on resume: schema tag, well-formed fingerprint
+// and hashes, attempt >= 1, valid JSON output, and a stored hash equal
+// to the recomputed content hash — and that names its own file stem as
+// its node. Every input hash must resolve to a committed manifest in the
+// same directory whose hash matches (the content-address chain is
+// unbroken). Verified hashes leave no room for an input cycle: one
+// would need a SHA-256 fixed point, so the chain check rejects it. An
+// empty directory fails: a run that committed nothing has no resume to
+// audit.
 func checkManifests(dir string) error {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return err
 	}
-	type man struct {
-		Schema      string            `json:"schema"`
-		Node        string            `json:"node"`
-		Fingerprint string            `json:"fingerprint"`
-		Inputs      map[string]string `json:"inputs"`
-		Attempt     int               `json:"attempt"`
-		Output      json.RawMessage   `json:"output"`
-		Hash        string            `json:"hash"`
-	}
-	mans := map[string]*man{}
+	mans := map[string]*manifest.Manifest{}
 	for _, e := range entries {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".json") {
 			continue
 		}
-		data, err := os.ReadFile(dir + "/" + name)
+		data, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
 			return err
 		}
-		var m man
-		if err := json.Unmarshal(data, &m); err != nil {
-			return fmt.Errorf("%s/%s: invalid manifest JSON: %v", dir, name, err)
+		m, err := manifest.Parse(data)
+		if err != nil {
+			return fmt.Errorf("%s/%s: %v", dir, name, err)
 		}
-		if m.Schema != manifestSchema {
-			return fmt.Errorf("%s/%s: schema %q, want %q", dir, name, m.Schema, manifestSchema)
-		}
-		if m.Node == "" || m.Node+".json" != name {
+		if m.Node+".json" != name {
 			return fmt.Errorf("%s/%s: names node %q, want the file's own stem", dir, name, m.Node)
 		}
-		if !hex64(m.Fingerprint) {
-			return fmt.Errorf("%s/%s: malformed fingerprint %q", dir, name, m.Fingerprint)
-		}
-		if !hex64(m.Hash) {
-			return fmt.Errorf("%s/%s: malformed hash %q", dir, name, m.Hash)
-		}
-		if m.Attempt < 1 {
-			return fmt.Errorf("%s/%s: attempt %d, want >= 1", dir, name, m.Attempt)
-		}
-		if len(m.Output) == 0 || !json.Valid(m.Output) {
-			return fmt.Errorf("%s/%s: output is not valid JSON", dir, name)
-		}
-		mans[m.Node] = &m
+		mans[m.Node] = m
 	}
 	if len(mans) == 0 {
 		return fmt.Errorf("%s: no manifests (*.json) found", dir)
@@ -209,13 +172,7 @@ func checkManifests(dir string) error {
 		}
 		sort.Strings(deps)
 		for _, d := range deps {
-			if d == "" {
-				return fmt.Errorf("%s: manifest %s has an input with an empty node id", dir, n)
-			}
 			h := mans[n].Inputs[d]
-			if !hex64(h) {
-				return fmt.Errorf("%s: manifest %s: malformed input hash %q for %s", dir, n, h, d)
-			}
 			dep, ok := mans[d]
 			if !ok {
 				return fmt.Errorf("%s: manifest %s consumes input %s, but no manifest for it exists — the chain is broken", dir, n, d)
@@ -223,39 +180,6 @@ func checkManifests(dir string) error {
 			if dep.Hash != h {
 				return fmt.Errorf("%s: manifest %s recorded input hash %s for %s, but its manifest's hash is %s — stale or tampered", dir, n, h, d, dep.Hash)
 			}
-		}
-	}
-	// Acyclicity: depth-first over sorted ids; a back edge is a cycle.
-	const (
-		visiting = 1
-		done     = 2
-	)
-	state := map[string]int{}
-	var visit func(n string, path []string) error
-	visit = func(n string, path []string) error {
-		switch state[n] {
-		case done:
-			return nil
-		case visiting:
-			return fmt.Errorf("%s: input cycle through %s (path %s)", dir, n, strings.Join(append(path, n), " -> "))
-		}
-		state[n] = visiting
-		deps := make([]string, 0, len(mans[n].Inputs))
-		for d := range mans[n].Inputs {
-			deps = append(deps, d)
-		}
-		sort.Strings(deps)
-		for _, d := range deps {
-			if err := visit(d, append(path, n)); err != nil {
-				return err
-			}
-		}
-		state[n] = done
-		return nil
-	}
-	for _, n := range nodes {
-		if err := visit(n, nil); err != nil {
-			return err
 		}
 	}
 	return nil
@@ -470,9 +394,6 @@ func checkMetrics(path string, requireFaults bool) error {
 		return err
 	}
 	defer f.Close()
-	if strings.HasSuffix(path, ".jsonl") {
-		return checkJSONL(path, f, requireFaults)
-	}
 	samples, faults := 0, 0.0
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
@@ -509,41 +430,6 @@ func checkMetrics(path string, requireFaults bool) error {
 	}
 	if requireFaults && faults <= 0 {
 		return fmt.Errorf("%s: no positive %s sample (chaos run injected nothing?)", path, faultsSeries)
-	}
-	return nil
-}
-
-// checkJSONL requires every line to be a standalone JSON object and at
-// least one to carry a convmeter_-prefixed name (plus, with
-// requireFaults, a positive fault-injection counter).
-func checkJSONL(path string, f *os.File, requireFaults bool) error {
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
-	line, named, faults := 0, 0, 0.0
-	for sc.Scan() {
-		line++
-		var rec map[string]any
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-			return fmt.Errorf("%s:%d: invalid JSONL record: %v", path, line, err)
-		}
-		name, _ := rec["name"].(string)
-		if strings.HasPrefix(name, "convmeter_") {
-			named++
-		}
-		if strings.HasPrefix(name, faultsSeries) {
-			if v, ok := rec["value"].(float64); ok {
-				faults += v
-			}
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return err
-	}
-	if named == 0 {
-		return fmt.Errorf("%s: no convmeter_ records", path)
-	}
-	if requireFaults && faults <= 0 {
-		return fmt.Errorf("%s: no positive %s record (chaos run injected nothing?)", path, faultsSeries)
 	}
 	return nil
 }
@@ -617,10 +503,11 @@ func checkDrift(path string, requireDrift, forbidDrift bool) error {
 }
 
 // linkTolerance is the cross-worker ordering slack checkTrace allows on
-// causal links, in trace microseconds: after clock alignment a wait may
-// still appear to end slightly before its cross-worker sender started
-// (the handshake is accurate to a fraction of one link round-trip), but
-// a gross violation means the alignment, or the trace, is broken.
+// causal links, in trace microseconds: every span reads one clock, but
+// a receiver can finish its wait before the sending goroutine is
+// scheduled again to stamp its send's end, so a send may appear to end
+// slightly after the wait it released; a gross violation means the
+// trace is broken.
 const linkTolerance = 10_000 // 10ms
 
 // checkTrace requires a well-formed Chrome trace-event document with a
@@ -630,7 +517,7 @@ const linkTolerance = 10_000 // 10ms
 // span in the document, durations must be non-negative, and a causal
 // link must not travel backwards in time beyond linkTolerance — the
 // linked sender must not *end* after the waiting span does by more than
-// the alignment slack. Dangling links (the sender faulted and never
+// the scheduling slack. Dangling links (the sender faulted and never
 // recorded) are tolerated.
 func checkTrace(path string) error {
 	data, err := os.ReadFile(path)

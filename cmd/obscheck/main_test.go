@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"convmeter/internal/dagrun"
+	"convmeter/internal/dagrun/manifest"
 )
 
 // writeFixture drops a JSON artefact fixture and returns its path.
@@ -106,6 +107,30 @@ func mutateManifest(t *testing.T, dir, node string, mutate func(map[string]json.
 	}
 }
 
+// resealManifest edits dir/node.json's fields and seals it again, so
+// its content hash verifies and only the checks after parsing can
+// reject it.
+func resealManifest(t *testing.T, dir, node string, edit func(*manifest.Manifest)) {
+	t.Helper()
+	path := filepath.Join(dir, node+".json")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := manifest.Parse(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edit(m)
+	out, err := manifest.Seal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, out, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestCheckManifests(t *testing.T) {
 	t.Run("real-run-passes", func(t *testing.T) {
 		if err := checkManifests(realManifestDir(t)); err != nil {
@@ -131,63 +156,81 @@ func TestCheckManifests(t *testing.T) {
 			t.Fatal("truncated manifest accepted")
 		}
 	})
+	zeros := strings.Repeat("0", 64)
+	// raw edits the bytes after sealing; sealed edits fields and
+	// reseals, so the content hash verifies.
 	mutations := []struct {
 		name   string
 		node   string
-		mutate func(map[string]json.RawMessage)
+		raw    func(map[string]json.RawMessage)
+		sealed func(*manifest.Manifest)
 		want   string
 	}{
-		{"wrong-schema", "fit", func(d map[string]json.RawMessage) { d["schema"] = json.RawMessage(`"v0"`) }, "schema"},
-		{"node-mismatch", "fit", func(d map[string]json.RawMessage) { d["node"] = json.RawMessage(`"other"`) }, "stem"},
-		{"short-fingerprint", "fit", func(d map[string]json.RawMessage) { d["fingerprint"] = json.RawMessage(`"abc"`) }, "fingerprint"},
-		{"upper-hash", "fit", func(d map[string]json.RawMessage) {
+		{name: "wrong-schema", node: "fit", raw: func(d map[string]json.RawMessage) { d["schema"] = json.RawMessage(`"v0"`) }, want: "schema"},
+		{name: "short-fingerprint", node: "fit", raw: func(d map[string]json.RawMessage) { d["fingerprint"] = json.RawMessage(`"abc"`) }, want: "fingerprint"},
+		{name: "upper-hash", node: "fit", raw: func(d map[string]json.RawMessage) {
 			d["hash"] = json.RawMessage(`"` + strings.Repeat("A", 64) + `"`)
-		}, "hash"},
-		{"zero-attempt", "fit", func(d map[string]json.RawMessage) { d["attempt"] = json.RawMessage(`0`) }, "attempt"},
-		{"no-output", "fit", func(d map[string]json.RawMessage) { delete(d, "output") }, "output"},
-		{"stale-input-hash", "report", func(d map[string]json.RawMessage) {
-			d["inputs"] = json.RawMessage(`{"fit":"` + strings.Repeat("0", 64) + `"}`)
-		}, "stale or tampered"},
-		{"dangling-input", "report", func(d map[string]json.RawMessage) {
-			d["inputs"] = json.RawMessage(`{"ghost":"` + strings.Repeat("0", 64) + `"}`)
-		}, "chain is broken"},
-		{"malformed-input-hash", "report", func(d map[string]json.RawMessage) {
+		}, want: "hash"},
+		{name: "zero-attempt", node: "fit", raw: func(d map[string]json.RawMessage) { d["attempt"] = json.RawMessage(`0`) }, want: "attempt"},
+		{name: "no-output", node: "fit", raw: func(d map[string]json.RawMessage) { delete(d, "output") }, want: "output"},
+		{name: "malformed-input-hash", node: "report", raw: func(d map[string]json.RawMessage) {
 			d["inputs"] = json.RawMessage(`{"fit":"xyz"}`)
-		}, "input hash"},
+		}, want: "input hash"},
+		// An output edited after sealing no longer matches the stored
+		// hash; dagrun re-runs such a node, so obscheck must reject it.
+		{name: "edited-output", node: "fit", raw: func(d map[string]json.RawMessage) {
+			d["output"] = json.RawMessage(`{"coef":2.5}`)
+		}, want: "recomputed"},
+		{name: "node-mismatch", node: "fit", sealed: func(m *manifest.Manifest) { m.Node = "other" }, want: "stem"},
+		{name: "stale-input-hash", node: "report", sealed: func(m *manifest.Manifest) {
+			m.Inputs = map[string]string{"fit": zeros}
+		}, want: "stale or tampered"},
+		{name: "dangling-input", node: "report", sealed: func(m *manifest.Manifest) {
+			m.Inputs = map[string]string{"ghost": zeros}
+		}, want: "chain is broken"},
 	}
 	for _, tc := range mutations {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := realManifestDir(t)
-			mutateManifest(t, dir, tc.node, tc.mutate)
+			if tc.sealed != nil {
+				resealManifest(t, dir, tc.node, tc.sealed)
+			} else {
+				mutateManifest(t, dir, tc.node, tc.raw)
+			}
 			err := checkManifests(dir)
 			if err == nil {
 				t.Fatal("mutated manifest accepted")
 			}
-			if !strings.Contains(err.Error(), tc.want) {
+			// The temp dir is named after the subtest, so match the
+			// message without it.
+			if msg := strings.ReplaceAll(err.Error(), dir, ""); !strings.Contains(msg, tc.want) {
 				t.Fatalf("error %q does not mention %q", err, tc.want)
 			}
 		})
 	}
 	t.Run("cycle", func(t *testing.T) {
 		dir := realManifestDir(t)
-		// Point fit's inputs back at report, matching report's committed
-		// hash so only the cycle check can catch it.
-		var rep struct {
-			Hash string `json:"hash"`
-		}
+		// Point fit's inputs back at report's committed hash and reseal.
+		// fit's hash changes with its inputs, so report's record of it
+		// goes stale: closing the cycle would need a hash fixed point.
 		data, err := os.ReadFile(filepath.Join(dir, "report.json"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := json.Unmarshal(data, &rep); err != nil {
+		rep, err := manifest.Parse(data)
+		if err != nil {
 			t.Fatal(err)
 		}
-		mutateManifest(t, dir, "fit", func(d map[string]json.RawMessage) {
-			d["inputs"] = json.RawMessage(`{"report":"` + rep.Hash + `"}`)
+		resealManifest(t, dir, "fit", func(m *manifest.Manifest) {
+			m.Inputs = map[string]string{"report": rep.Hash}
 		})
 		err = checkManifests(dir)
-		if err == nil || !strings.Contains(err.Error(), "cycle") {
-			t.Fatalf("cycle not detected: %v", err)
+		if err == nil {
+			t.Fatal("input cycle accepted")
+		}
+		if msg := strings.ReplaceAll(err.Error(), dir, ""); !strings.Contains(msg, "report recorded input hash") ||
+			!strings.Contains(msg, "stale or tampered") {
+			t.Fatalf("cycle not rejected by the chain check: %v", err)
 		}
 	})
 }

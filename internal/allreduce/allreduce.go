@@ -132,15 +132,13 @@ func validate(vectors [][]float32) (int, int, error) {
 // the logical step index it belongs to, and a CRC when fault injection
 // is active (an in-memory channel cannot corrupt data by itself). ctx
 // carries the sender's span context so the receiver's wait span can
-// link across workers; clock carries a clock sample during the
-// alignment handshake that precedes the ring steps.
+// link across workers.
 type chanMsg struct {
 	seq    uint64
 	data   []float32
 	crc    uint32
 	hasCRC bool
 	ctx    obs.SpanContext
-	clock  time.Duration
 }
 
 // crcFloats checksums the little-endian bit pattern of a float32 slice
@@ -195,9 +193,6 @@ func RingOpts(vectors [][]float32, opts Options) error {
 	for i := range links {
 		links[i] = make(chan chanMsg, 1)
 	}
-	if opts.alignClocks() {
-		chanClockSync(links, opts)
-	}
 	errs := make([]*WorkerError, n)
 	var wg sync.WaitGroup
 	for w := 0; w < n; w++ {
@@ -241,7 +236,7 @@ func newChanRing(v []float32, me, n int, send, recv chan chanMsg, opts Options, 
 		opts: opts, rt: rt, resilient: opts.resilient(),
 		// The worker-attributed handle is built once per run, outside the
 		// hot step loop; a nil Obs flows through as nil.
-		obs: opts.Obs.WithWorker(opts.workerID(me)).WithClockSkew(opts.skew(me)),
+		obs: opts.Obs.WithWorker(opts.workerID(me)),
 	}
 	if r.resilient {
 		// The reusable timer is born stopped and drained; each op arms
@@ -474,32 +469,6 @@ func (r *chanRing) recvResilient(self, pred int) (chanMsg, *WorkerError) {
 			}
 			r.rt.retry()
 		}
-	}
-}
-
-// chanClockSync measures each worker's clock offset relative to ring
-// position 0 and records it in the tracer's offset table. It runs
-// sequentially before the worker goroutines launch (no leak surface):
-// for each link a symmetric NTP-style exchange samples the predecessor's
-// clock between two local samples, so the link transfer delay cancels to
-// first order. Offsets chain around the ring: position j's offset is
-// position j-1's minus the measured pairwise delta.
-func chanClockSync(links []chan chanMsg, opts Options) {
-	trc := opts.Obs.Trc
-	offsets := trc.Offsets()
-	n := len(links)
-	offsets.Set(opts.workerID(0), 0)
-	var off time.Duration
-	for j := 1; j < n; j++ {
-		pred := j - 1
-		t0 := trc.Now() + opts.skew(j)
-		links[j] <- chanMsg{clock: trc.Now() + opts.skew(pred)}
-		in := <-links[j]
-		t1 := trc.Now() + opts.skew(j)
-		// d = pred's clock minus position j's clock.
-		d := in.clock - (t0+t1)/2
-		off -= d
-		offsets.Set(opts.workerID(j), off)
 	}
 }
 

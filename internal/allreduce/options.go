@@ -86,17 +86,6 @@ type Options struct {
 	// the fault injector. Callers re-running an all-reduce (a trainer
 	// retrying a step) advance it so each attempt draws fresh faults.
 	SeqBase uint64
-	// AlignClocks runs a clock-offset handshake over the transport
-	// before the ring workers start, writing per-worker offsets into
-	// Obs.Trc.Offsets() so exporters and the critical-path engine can
-	// place all workers on one timeline. No-op when Obs is nil.
-	AlignClocks bool
-	// ClockSkews simulates per-worker clock disagreement, indexed by
-	// ring position: worker i's spans and handshake samples read from a
-	// clock running ClockSkews[i] ahead of the tracer's. The handshake
-	// measures the skew back out — which is exactly what the alignment
-	// tests assert.
-	ClockSkews []time.Duration
 }
 
 // resilient reports whether the run needs deadlines/retry machinery.
@@ -124,19 +113,6 @@ func (o Options) workerID(i int) int {
 		return o.WorkerIDs[i]
 	}
 	return i
-}
-
-// skew returns ring position i's simulated clock skew.
-func (o Options) skew(i int) time.Duration {
-	if i < len(o.ClockSkews) {
-		return o.ClockSkews[i]
-	}
-	return 0
-}
-
-// alignClocks reports whether the clock handshake should run.
-func (o Options) alignClocks() bool {
-	return o.AlignClocks && o.Obs != nil && o.Obs.Trc != nil
 }
 
 // WorkerError attributes a transport failure to a worker. Primary marks

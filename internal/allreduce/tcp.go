@@ -123,11 +123,6 @@ func RingTCPOpts(vectors [][]float32, opts Options) error {
 		stop := context.AfterFunc(opts.Ctx, closeAll)
 		defer stop()
 	}
-	if opts.alignClocks() {
-		if err := tcpClockSync(inConns, outConns, opts); err != nil {
-			return err
-		}
-	}
 
 	workerErrs := make([]*WorkerError, n)
 	for w := 0; w < n; w++ {
@@ -150,7 +145,7 @@ func tcpWorker(me int, v []float32, n, length int, send, recv net.Conn, opts Opt
 	maxChunk := length/n + 1
 	fcOut, _ := send.(*faults.Conn)
 	fcIn, _ := recv.(*faults.Conn)
-	wObs := opts.Obs.WithWorker(self).WithClockSkew(opts.skew(me))
+	wObs := opts.Obs.WithWorker(self)
 	step := func(opIdx uint64, sendChunk, recvChunk int, reduce bool) *WorkerError {
 		var t0 time.Time
 		if rt != nil {
@@ -220,88 +215,6 @@ func tcpWorker(me int, v []float32, n, length int, send, recv net.Conn, opts Opt
 		if we := step(uint64(n-1+s), ((me-s+1)%n+n)%n, ((me-s)%n+n)%n, false); we != nil {
 			return we
 		}
-	}
-	return nil
-}
-
-// clockSyncSeq is the reserved fault sequence number for handshake
-// traffic, far above any real step index so the handshake draws its own
-// fault decisions instead of consuming a ring step's.
-const clockSyncSeq = 0xFFF
-
-// clockSyncRounds is the number of NTP-style ping-pong exchanges per
-// ring link; the sample with the smallest round-trip wins, the standard
-// filter against scheduler noise.
-const clockSyncRounds = 3
-
-// tcpClockSync measures each worker's clock offset relative to ring
-// position 0 over the already-wired socket pairs and records it in the
-// tracer's offset table. It runs sequentially before the worker
-// goroutines launch (no leak surface, no new connections): for each ring
-// link, the dial side writes a clock sample, the accept side replies
-// with its own, and the classic NTP estimate offset = t_reply −
-// (t0+t1)/2 cancels the symmetric wire delay. Offsets chain around the
-// ring. Every exchange runs under a deadline; a failure comes back as a
-// blame-attributed *RingError just like a ring-step failure.
-func tcpClockSync(inConns, outConns []net.Conn, opts Options) error {
-	trc := opts.Obs.Trc
-	offsets := trc.Offsets()
-	n := len(inConns)
-	offsets.Set(opts.workerID(0), 0)
-	var off time.Duration
-	var buf [8]byte
-	blame := func(w int, err error) error {
-		return &RingError{Errs: []*WorkerError{{Worker: w, Err: fmt.Errorf("clock sync: %w", err)}}}
-	}
-	for i := 0; i < n-1; i++ {
-		succ := i + 1
-		// The socket pair for link i→succ is full-duplex: outConns[i] is
-		// the dial side, inConns[succ] the accept side of the same
-		// connection, so the reply flows back without extra wiring.
-		a, b := outConns[i], inConns[succ]
-		if fc, ok := a.(*faults.Conn); ok {
-			fc.SetWriteSeq(opts.SeqBase + clockSyncSeq)
-			fc.SetReadSeq(opts.SeqBase + clockSyncSeq)
-		}
-		if fc, ok := b.(*faults.Conn); ok {
-			fc.SetWriteSeq(opts.SeqBase + clockSyncSeq)
-			fc.SetReadSeq(opts.SeqBase + clockSyncSeq)
-		}
-		deadline := time.Now().Add(opts.opTimeout())
-		_ = a.SetDeadline(deadline)
-		_ = b.SetDeadline(deadline)
-		bestRTT := time.Duration(1<<63 - 1)
-		var d time.Duration // succ's clock minus worker i's clock
-		for k := 0; k < clockSyncRounds; k++ {
-			t0 := trc.Now() + opts.skew(i)
-			binary.LittleEndian.PutUint64(buf[:], uint64(t0))
-			if _, err := a.Write(buf[:]); err != nil {
-				return blame(opts.workerID(i), err)
-			}
-			if _, err := io.ReadFull(b, buf[:]); err != nil {
-				return blame(opts.workerID(i), err)
-			}
-			tr := trc.Now() + opts.skew(succ)
-			binary.LittleEndian.PutUint64(buf[:], uint64(tr))
-			if _, err := b.Write(buf[:]); err != nil {
-				return blame(opts.workerID(succ), err)
-			}
-			if _, err := io.ReadFull(a, buf[:]); err != nil {
-				return blame(opts.workerID(succ), err)
-			}
-			reply := time.Duration(binary.LittleEndian.Uint64(buf[:]))
-			t1 := trc.Now() + opts.skew(i)
-			if rtt := t1 - t0; rtt < bestRTT {
-				bestRTT = rtt
-				d = reply - (t0+t1)/2
-			}
-		}
-		off += d
-		offsets.Set(opts.workerID(succ), off)
-		// Clear the handshake deadlines: the plain fast path expects
-		// deadline-free sockets, and resilient workers arm their own.
-		_ = a.SetDeadline(time.Time{})
-		_ = b.SetDeadline(time.Time{})
 	}
 	return nil
 }

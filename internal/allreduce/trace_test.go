@@ -2,51 +2,9 @@ package allreduce
 
 import (
 	"testing"
-	"time"
 
 	"convmeter/internal/obs"
 )
-
-// TestClockSyncMeasuresSkew injects known per-worker clock skews and
-// checks the alignment handshake measures them back out on both
-// transports: the offset table must hold each worker's skew relative to
-// worker 0 within a small handshake-error tolerance.
-func TestClockSyncMeasuresSkew(t *testing.T) {
-	skews := []time.Duration{0, 5 * time.Millisecond, -3 * time.Millisecond, 8 * time.Millisecond}
-	// The handshake's error is bounded by the asymmetry of one link
-	// round-trip; both transports run on in-process links where that is
-	// microseconds. 2ms absorbs scheduler noise on loaded CI hosts.
-	const tol = 2 * time.Millisecond
-	for _, transport := range []string{"chan", "tcp"} {
-		t.Run(transport, func(t *testing.T) {
-			o := obs.New()
-			vectors, want := makeVectors(len(skews), 64, 7)
-			opts := Options{Obs: o, AlignClocks: true, ClockSkews: skews}
-			var err error
-			if transport == "tcp" {
-				err = RingTCPOpts(vectors, opts)
-			} else {
-				err = RingOpts(vectors, opts)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkAllEqualSum(t, vectors, want)
-			off := o.Trc.Offsets().Snapshot()
-			if off == nil {
-				t.Fatal("no clock offsets measured")
-			}
-			for w := 1; w < len(skews); w++ {
-				wantOff := skews[w] - skews[0]
-				diff := off[w] - wantOff
-				if diff < -tol || diff > tol {
-					t.Errorf("worker %d offset = %v, want %v ± %v (table %v)",
-						w, off[w], wantOff, tol, off)
-				}
-			}
-		})
-	}
-}
 
 // TestRingSpansCarryCrossWorkerLinks runs a traced all-reduce and checks
 // the per-op span contract the critical-path engine depends on: every

@@ -25,7 +25,7 @@ type obsOpts struct {
 func addObsFlags(fs *flag.FlagSet) obsOpts {
 	return obsOpts{
 		metricsOut: fs.String("metrics-out", "",
-			"write collected metrics to this file (Prometheus text; JSONL when the path ends in .jsonl)"),
+			"write collected metrics to this file as Prometheus text"),
 		traceOut: fs.String("trace-out", "",
 			"write recorded spans as Chrome trace-event JSON to this file (open in Perfetto)"),
 		opsAddr: fs.String("ops-addr", "",

@@ -95,14 +95,6 @@ type Event struct {
 	Phase  string
 	Events int     // cumulative events on this stream, including this one
 	Stream *Stream // the stream that drifted; hooks may Recalibrate it
-
-	// CausePhase and CauseWorker carry the latest critical-path
-	// attribution fed via NoteCause at the moment the event fired:
-	// which phase (compute/comm/wait) dominated the last analyzed step
-	// and which worker, if any, was blamed for its waits. Empty / -1
-	// when no attribution source is wired.
-	CausePhase  string
-	CauseWorker int
 }
 
 // Config parameterises a Monitor.
@@ -246,8 +238,6 @@ type StreamSnapshot struct {
 	Kappa        float64      `json:"kappa"`
 	ResidualMean float64      `json:"residual_mean"`
 	ResidualStd  float64      `json:"residual_std"`
-	CausePhase   string       `json:"cause_phase,omitempty"`
-	CauseWorker  int          `json:"cause_worker"`
 	Window       WindowReport `json:"window"`
 }
 
@@ -270,19 +260,17 @@ type Stream struct {
 	nrmseG  *obs.Gauge
 	mapeG   *obs.Gauge
 
-	mu          sync.Mutex
-	calN        int
-	calPred     float64
-	calMeas     float64
-	kappa       float64
-	win         *streamstat.Window
-	res         streamstat.Welford
-	ph          *streamstat.PageHinkley
-	pairs       int
-	events      int
-	drifting    bool
-	causePhase  string
-	causeWorker int
+	mu       sync.Mutex
+	calN     int
+	calPred  float64
+	calMeas  float64
+	kappa    float64
+	win      *streamstat.Window
+	res      streamstat.Welford
+	ph       *streamstat.PageHinkley
+	pairs    int
+	events   int
+	drifting bool
 }
 
 func newStream(model, phase string, opts Options, cfg Config) *Stream {
@@ -307,9 +295,8 @@ func newStream(model, phase string, opts Options, cfg Config) *Stream {
 		nrmseG:  o.Gauge(lbl("convmeter_drift_window_nrmse"), "rolling-window NRMSE"),
 		mapeG:   o.Gauge(lbl("convmeter_drift_window_mape"), "rolling-window MAPE (percent)"),
 
-		kappa:       1,
-		causeWorker: -1,
-		win:         streamstat.NewWindow(opts.window()),
+		kappa: 1,
+		win:   streamstat.NewWindow(opts.window()),
 		ph: streamstat.NewPageHinkley(streamstat.PHConfig{
 			Delta:     opts.Delta,
 			Lambda:    opts.Lambda,
@@ -389,7 +376,6 @@ func (s *Stream) Observe(predicted, measured float64) {
 	events := s.events
 	state := s.stateLocked()
 	sum := s.win.Summary()
-	causePhase, causeWorker := s.causePhase, s.causeWorker
 	s.mu.Unlock()
 
 	// Telemetry and hooks run outside the stream lock: handle methods are
@@ -405,28 +391,9 @@ func (s *Stream) Observe(predicted, measured float64) {
 		s.eventsC.Inc()
 		s.o.Start(s.driftSpan).End()
 		if s.onDrift != nil {
-			s.onDrift(Event{
-				Model: s.model, Phase: s.phase, Events: events, Stream: s,
-				CausePhase: causePhase, CauseWorker: causeWorker,
-			})
+			s.onDrift(Event{Model: s.model, Phase: s.phase, Events: events, Stream: s})
 		}
 	}
-}
-
-// NoteCause records the latest critical-path attribution for this
-// stream's feed: the dominant phase of the last analyzed step and the
-// blamed worker (-1 when none). Drift events fired by subsequent
-// Observe calls carry these values, so an alert names not just *that*
-// predictions drifted but *where* the step time went when they did.
-// Safe on nil and from concurrent goroutines.
-func (s *Stream) NoteCause(phase string, worker int) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.causePhase = phase
-	s.causeWorker = worker
-	s.mu.Unlock()
 }
 
 func (s *Stream) stateLocked() State {
@@ -469,8 +436,6 @@ func (s *Stream) Snapshot() StreamSnapshot {
 		Kappa:        s.kappa,
 		ResidualMean: s.res.Mean(),
 		ResidualStd:  s.res.Std(),
-		CausePhase:   s.causePhase,
-		CauseWorker:  s.causeWorker,
 		Window: WindowReport{
 			N:     s.win.Len(),
 			R2:    sum.R2,

@@ -284,51 +284,3 @@ func TestConcurrentObserve(t *testing.T) {
 		t.Errorf("pairs = %d, want 800", snap.Streams[0].Pairs)
 	}
 }
-
-// TestNoteCausePropagates: the latest critical-path attribution fed via
-// NoteCause must surface on the stream snapshot and ride along on the
-// drift event fired afterwards, so an alert names the blamed worker.
-func TestNoteCausePropagates(t *testing.T) {
-	var nilStream *Stream
-	nilStream.NoteCause("wait", 2) // nil-safe
-
-	var hookEvents []Event
-	m := New(Config{OnDrift: func(ev Event) { hookEvents = append(hookEvents, ev) }})
-	opts := trackerOpts()
-	opts.CalibrateN = 2
-	st := m.StreamOpts("trainreal", "iter", opts)
-	if snap := st.Snapshot(); snap.CausePhase != "" || snap.CauseWorker != -1 {
-		t.Fatalf("fresh stream cause = %q/%d, want \"\"/-1", snap.CausePhase, snap.CauseWorker)
-	}
-
-	const healthy = 0.008
-	for i := 0; i < 8; i++ {
-		st.Observe(healthy, healthy*1.05)
-	}
-	st.NoteCause("wait", 2)
-	for i := 0; i < 6; i++ {
-		st.Observe(healthy, healthy+0.060)
-	}
-	snap := st.Snapshot()
-	if snap.Events < 1 {
-		t.Fatalf("no drift event: %+v", snap)
-	}
-	if snap.CausePhase != "wait" || snap.CauseWorker != 2 {
-		t.Errorf("snapshot cause = %q/%d, want wait/2", snap.CausePhase, snap.CauseWorker)
-	}
-	if len(hookEvents) == 0 {
-		t.Fatal("OnDrift never fired")
-	}
-	last := hookEvents[len(hookEvents)-1]
-	if last.CausePhase != "wait" || last.CauseWorker != 2 {
-		t.Errorf("event cause = %q/%d, want wait/2", last.CausePhase, last.CauseWorker)
-	}
-	// The cause must serialise with the snapshot.
-	var buf bytes.Buffer
-	if err := m.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), `"cause_phase": "wait"`) {
-		t.Errorf("snapshot JSON misses cause_phase:\n%s", buf.String())
-	}
-}

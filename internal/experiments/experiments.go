@@ -45,9 +45,9 @@ type Config struct {
 	// per-model pairs. Nil disables drift monitoring at zero cost.
 	Drift *driftwatch.Monitor
 	// Crit, when non-nil, receives per-step critical-path attributions
-	// from the chaos experiment's trainer (which then also aligns worker
-	// clocks and injects a small simulated skew so the alignment path is
-	// exercised). Nil disables attribution at zero cost.
+	// from the chaos experiment's trainer. It only reads the recorded
+	// spans, so the run is the same with or without it. Nil disables
+	// attribution at zero cost.
 	Crit *critpath.Tracker
 }
 

@@ -60,6 +60,7 @@ func ExtTrainFaults(cfg Config) (*Result, error) {
 		Faults:    inj,
 		OpTimeout: 200 * time.Millisecond,
 		Retry:     allreduce.RetryPolicy{Attempts: 2, Backoff: 2 * time.Millisecond, Max: 20 * time.Millisecond},
+		Crit:      cfg.Crit,
 	}
 	if cfg.Drift != nil {
 		predict, err := driftPredictor(cfg, g, globalBatch)
@@ -70,16 +71,6 @@ func ExtTrainFaults(cfg Config) (*Result, error) {
 		tcfg.Drift = cfg.Drift.StreamOpts("trainreal", "iter", driftwatch.Options{
 			Window: 64, CalibrateN: 2, Warmup: 3, Delta: 0.5, Lambda: 8,
 		})
-	}
-	if cfg.Crit != nil {
-		tcfg.Crit = cfg.Crit
-		// Exercise the full attribution stack: align worker clocks over
-		// the TCP handshake, against small deterministic simulated skews
-		// the alignment must measure back out.
-		tcfg.AlignClocks = true
-		tcfg.ClockSkews = []time.Duration{
-			0, 2 * time.Millisecond, -1500 * time.Microsecond, 3 * time.Millisecond,
-		}
 	}
 	tr, err := train.NewTrainer(g, tcfg)
 	if err != nil {

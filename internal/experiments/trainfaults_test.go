@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"convmeter/internal/driftwatch"
+	"convmeter/internal/obs"
+	"convmeter/internal/obs/critpath"
 )
 
 // faultsCfg is the acceptance configuration: quick sweep, the chaos
@@ -58,6 +60,34 @@ func TestExtTrainFaultsReproducible(t *testing.T) {
 	}
 	if reflect.DeepEqual(a.Stats, c.Stats) {
 		t.Fatal("different fault seeds produced identical fault statistics")
+	}
+}
+
+// TestExtTrainFaultsAttributionOnlyObserves: attaching telemetry and the
+// critical-path tracker must only read the run. The fault injector
+// deals by sequence number over the ring's sockets, so any traffic the
+// observers added there would shift the fault schedule and with it the
+// outcome; the same seed must give the same stats and report either way.
+func TestExtTrainFaultsAttributionOnlyObserves(t *testing.T) {
+	bare, err := ExtTrainFaults(faultsCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := faultsCfg
+	cfg.Obs = obs.New()
+	cfg.Crit = critpath.NewTracker(cfg.Obs)
+	observed, err := ExtTrainFaults(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(bare.Stats, observed.Stats) {
+		t.Errorf("attribution changed the run's stats:\nbare     %v\nobserved %v", bare.Stats, observed.Stats)
+	}
+	if bare.Text != observed.Text {
+		t.Errorf("attribution changed the run's report:\nbare:\n%s\nobserved:\n%s", bare.Text, observed.Text)
+	}
+	if n := len(cfg.Crit.Report().Steps); n == 0 {
+		t.Error("tracker analyzed no step")
 	}
 }
 

@@ -75,14 +75,11 @@ const (
 // Unattributed spans get one Chrome "thread" per span track named after
 // the track's root span, so nested spans render as Perfetto flame
 // slices; worker-attributed spans are merged onto a per-worker thread of
-// a dedicated "workers" process, with their timestamps aligned onto the
-// reference worker's timeline using the tracer's clock-offset table.
-// Every X event carries args {id, parent} (+ worker and link when set)
-// so the span graph survives the export. Nil-safe (writes a valid empty
-// document).
+// a dedicated "workers" process. Every X event carries args {id, parent}
+// (+ worker and link when set) so the span graph survives the export.
+// Nil-safe (writes a valid empty document).
 func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	spans := t.Spans()
-	off := t.Offsets()
 	sort.Slice(spans, func(i, j int) bool {
 		if spans[i].Track != spans[j].Track {
 			return spans[i].Track < spans[j].Track
@@ -92,12 +89,9 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	var events []TraceEvent
 	trackName := map[int64]string{}
 	workers := map[int]bool{}
-	var minTS float64
 	for _, s := range spans {
-		start := s.Start
 		pid, tid := tracePidMain, int(s.Track)
 		if s.Worker >= 0 {
-			start -= off.Get(s.Worker)
 			pid, tid = tracePidWorkers, s.Worker
 			workers[s.Worker] = true
 		} else if s.ID == s.Track {
@@ -110,22 +104,12 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 		if s.Link.Valid() {
 			args["link"] = s.Link.Span
 		}
-		ts := float64(start.Nanoseconds()) / 1e3
-		minTS = min(minTS, ts)
 		events = append(events, TraceEvent{
 			Name: s.Name, Phase: "X",
-			TsUS:  ts,
+			TsUS:  float64(s.Start.Nanoseconds()) / 1e3,
 			DurUS: float64(s.Dur.Nanoseconds()) / 1e3,
 			Pid:   pid, Tid: tid, Args: args,
 		})
-	}
-	// Clock alignment can shift an early span before the epoch; the
-	// trace format rejects negative timestamps, so shift the whole
-	// document instead — relative placement is what matters.
-	if minTS < 0 {
-		for i := range events {
-			events[i].TsUS -= minTS
-		}
 	}
 	tracks := make([]int64, 0, len(trackName))
 	for tr := range trackName {

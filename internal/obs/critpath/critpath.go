@@ -5,10 +5,9 @@
 //
 // The input is the per-step slice of finished spans the trainer records
 // (per-worker "compute" spans, per-op "ar.send"/"ar.recv"/"ar.wait"
-// spans from the all-reduce transports) plus the clock-offset table a
-// transport alignment handshake measured; every timestamp is aligned
-// onto the reference worker's timeline before any comparison, so
-// cross-worker causality is judged on one clock.
+// spans from the all-reduce transports). Every worker is a goroutine of
+// one process stamping spans from the tracer's one monotonic clock, so
+// cross-worker causality is judged on the timestamps as recorded.
 //
 // Two mechanisms attribute waiting:
 //
@@ -60,9 +59,10 @@ func classOf(name string) string {
 	return ""
 }
 
-// defaultTolerance absorbs residual cross-worker clock error (the
-// alignment handshake is accurate to a fraction of the link round-trip)
-// when ordering activities across workers.
+// defaultTolerance absorbs scheduling slack when ordering activities
+// across workers: all spans read one clock, but a goroutine stamps a
+// span's end only once it is scheduled again, so an activity can appear
+// to end shortly after the cross-worker activity it released began.
 const defaultTolerance = 5 * time.Millisecond
 
 // blameComputeFactor gates barrier-idle attribution: the last worker to
@@ -106,7 +106,7 @@ type PathNode struct {
 // StepAttribution is the full explanation of one training step.
 type StepAttribution struct {
 	Step  int     `json:"step"`
-	Total float64 `json:"total_seconds"` // aligned span extent of the step
+	Total float64 `json:"total_seconds"` // span extent of the step
 
 	// Aggregates summed across workers.
 	Compute float64 `json:"compute_seconds"`
@@ -133,18 +133,16 @@ type StepAttribution struct {
 	PathWait    float64    `json:"path_wait_seconds"`
 }
 
-// activity is one classified, clock-aligned span.
+// activity is one classified span.
 type activity struct {
 	rec        obs.SpanRecord
-	start, end time.Duration // aligned onto the reference worker
+	start, end time.Duration
 	class      string
 }
 
-// AnalyzeStep attributes one step's time from its recorded spans.
-// offsets is the transport handshake's clock-offset table (nil means
-// all clocks already agree); spans from unknown workers align with
-// offset zero. The result is deterministic for a given input.
-func AnalyzeStep(step int, spans []obs.SpanRecord, offsets map[int]time.Duration) StepAttribution {
+// AnalyzeStep attributes one step's time from its recorded spans. The
+// result is deterministic for a given input.
+func AnalyzeStep(step int, spans []obs.SpanRecord) StepAttribution {
 	att := StepAttribution{Step: step, Dominant: "none", Blame: -1}
 	acts := make([]activity, 0, len(spans))
 	for _, s := range spans {
@@ -152,8 +150,7 @@ func AnalyzeStep(step int, spans []obs.SpanRecord, offsets map[int]time.Duration
 		if cl == "" || s.Worker < 0 {
 			continue
 		}
-		start := s.Start - offsets[s.Worker]
-		acts = append(acts, activity{rec: s, start: start, end: start + s.Dur, class: cl})
+		acts = append(acts, activity{rec: s, start: s.Start, end: s.Start + s.Dur, class: cl})
 	}
 	if len(acts) == 0 {
 		return att
@@ -339,7 +336,7 @@ func rootCause(a *activity, acts []activity, byID map[int64]*activity) (int, boo
 }
 
 // latestBefore returns the latest activity that started strictly before
-// t and ended by t (within the clock tolerance), excluding span exclID;
+// t and ended by t (within the tolerance), excluding span exclID;
 // w restricts to one worker, w < 0 searches all workers. Nil when none.
 func latestBefore(acts []activity, w int, t time.Duration, exclID int64) *activity {
 	var best *activity

@@ -43,7 +43,7 @@ func stragglerSpans() []obs.SpanRecord {
 }
 
 func TestAnalyzeStepBlamesStraggler(t *testing.T) {
-	att := AnalyzeStep(7, stragglerSpans(), nil)
+	att := AnalyzeStep(7, stragglerSpans())
 	if err := Validate(att); err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestAnalyzeStepCleanComputeDominated(t *testing.T) {
 		spans = append(spans, rec(int64(20+w), "ar.wait", w, 51*ms, ms, int64(10+(w+2)%3)))
 		spans = append(spans, rec(int64(30+w), "ar.recv", w, 52*ms, ms, 0))
 	}
-	att := AnalyzeStep(0, spans, nil)
+	att := AnalyzeStep(0, spans)
 	if err := Validate(att); err != nil {
 		t.Fatal(err)
 	}
@@ -100,26 +100,6 @@ func TestAnalyzeStepCleanComputeDominated(t *testing.T) {
 	}
 	if att.Blame != -1 {
 		t.Fatalf("blame = %d, want -1 on a clean step", att.Blame)
-	}
-}
-
-// TestAnalyzeStepAlignsClocks: worker 1's spans are recorded on a clock
-// 7ms ahead; with the measured offset supplied, the attribution must
-// match the skew-free run exactly.
-func TestAnalyzeStepAlignsClocks(t *testing.T) {
-	base := stragglerSpans()
-	skewed := make([]obs.SpanRecord, len(base))
-	copy(skewed, base)
-	for i, s := range skewed {
-		if s.Worker == 1 {
-			skewed[i].Start += 7 * ms
-		}
-	}
-	want := AnalyzeStep(3, base, nil)
-	got := AnalyzeStep(3, skewed, map[int]time.Duration{1: 7 * ms})
-	if got.Dominant != want.Dominant || got.Blame != want.Blame ||
-		got.Wait != want.Wait || got.Compute != want.Compute {
-		t.Fatalf("aligned attribution differs:\nwant %+v\ngot  %+v", want, got)
 	}
 }
 
@@ -133,7 +113,7 @@ func TestRootCauseTransitive(t *testing.T) {
 		rec(3, "ar.send", 1, 91*ms, ms, 0),    // then forwards
 		rec(4, "ar.wait", 2, 10*ms, 82*ms, 3), // worker 2 stuck on worker 1
 	}
-	att := AnalyzeStep(0, spans, nil)
+	att := AnalyzeStep(0, spans)
 	var caused0 float64
 	for _, w := range att.Workers {
 		if w.Worker == 0 {
@@ -161,7 +141,7 @@ func TestAnalyzeStepSerializedComputeNoBlame(t *testing.T) {
 		spans = append(spans, rec(int64(10+w), "ar.send", w, 90*ms, ms, 0))
 		spans = append(spans, rec(int64(20+w), "ar.wait", w, 91*ms, ms, int64(10+(w+2)%3)))
 	}
-	att := AnalyzeStep(0, spans, nil)
+	att := AnalyzeStep(0, spans)
 	if err := Validate(att); err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +169,7 @@ func TestAnalyzeStepJitterBelowFloorNoBlame(t *testing.T) {
 		spans = append(spans, rec(int64(10+w), "ar.send", w, 900*us, 10*us, 0))
 		spans = append(spans, rec(int64(20+w), "ar.wait", w, 910*us, 40*us, int64(10+(w+2)%3)))
 	}
-	att := AnalyzeStep(0, spans, nil)
+	att := AnalyzeStep(0, spans)
 	if err := Validate(att); err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +182,7 @@ func TestAnalyzeStepJitterBelowFloorNoBlame(t *testing.T) {
 }
 
 func TestAnalyzeStepEmpty(t *testing.T) {
-	att := AnalyzeStep(5, nil, nil)
+	att := AnalyzeStep(5, nil)
 	if err := Validate(att); err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +199,7 @@ func TestAnalyzeStepDanglingLink(t *testing.T) {
 		rec(1, "compute", 0, 0, 10*ms, 0),
 		rec(2, "ar.wait", 0, 10*ms, 5*ms, 999), // link target missing
 	}
-	att := AnalyzeStep(0, spans, nil)
+	att := AnalyzeStep(0, spans)
 	if err := Validate(att); err != nil {
 		t.Fatal(err)
 	}

@@ -4,12 +4,10 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strings"
 )
 
 // Export writes the bundle's telemetry to files: metricsPath receives
-// the registry (Prometheus text, or JSONL when the path ends in .jsonl —
-// spans included, one record per line) and tracePath receives the Chrome
+// the registry as Prometheus text and tracePath receives the Chrome
 // trace-event JSON of all finished spans. Empty paths are skipped;
 // a nil *Obs writes nothing. This is the shared backend of the
 // --metrics-out/--trace-out command-line flags.
@@ -18,15 +16,7 @@ func (o *Obs) Export(metricsPath, tracePath string) error {
 		return nil
 	}
 	if metricsPath != "" {
-		if err := writeFile(metricsPath, func(f io.Writer) error {
-			if strings.HasSuffix(metricsPath, ".jsonl") {
-				if err := o.Reg.WriteJSONL(f); err != nil {
-					return err
-				}
-				return o.Trc.WriteJSONL(f)
-			}
-			return o.Reg.WritePrometheus(f)
-		}); err != nil {
+		if err := writeFile(metricsPath, o.Reg.WritePrometheus); err != nil {
 			return err
 		}
 	}

@@ -58,47 +58,6 @@ func TestWritePrometheus(t *testing.T) {
 	}
 }
 
-func TestWriteJSONL(t *testing.T) {
-	o := New()
-	o.Counter("convmeter_x_total", "h").Add(3)
-	sp := o.Start("work")
-	sp.End()
-
-	var sb strings.Builder
-	if err := o.Reg.WriteJSONL(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if err := o.Trc.WriteJSONL(&sb); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("%d JSONL lines, want 2:\n%s", len(lines), sb.String())
-	}
-	var metric struct {
-		Type  string  `json:"type"`
-		Name  string  `json:"name"`
-		Value float64 `json:"value"`
-	}
-	if err := json.Unmarshal([]byte(lines[0]), &metric); err != nil {
-		t.Fatal(err)
-	}
-	if metric.Type != "counter" || metric.Name != "convmeter_x_total" || metric.Value != 3 {
-		t.Fatalf("metric record = %+v", metric)
-	}
-	var span struct {
-		Type string `json:"type"`
-		Name string `json:"name"`
-		ID   int64  `json:"id"`
-	}
-	if err := json.Unmarshal([]byte(lines[1]), &span); err != nil {
-		t.Fatal(err)
-	}
-	if span.Type != "span" || span.Name != "work" || span.ID == 0 {
-		t.Fatalf("span record = %+v", span)
-	}
-}
-
 // traceDoc decodes a Chrome trace-event document for assertions.
 type traceDoc struct {
 	TraceEvents []struct {
@@ -205,12 +164,8 @@ func TestExportFiles(t *testing.T) {
 
 	dir := t.TempDir()
 	prom := filepath.Join(dir, "metrics.prom")
-	jsonl := filepath.Join(dir, "metrics.jsonl")
 	trace := filepath.Join(dir, "trace.json")
 	if err := o.Export(prom, trace); err != nil {
-		t.Fatal(err)
-	}
-	if err := o.Export(jsonl, ""); err != nil {
 		t.Fatal(err)
 	}
 
@@ -220,16 +175,6 @@ func TestExportFiles(t *testing.T) {
 	}
 	if !strings.Contains(string(promData), "convmeter_export_total 1") {
 		t.Fatalf("prometheus export:\n%s", promData)
-	}
-	jsonlData, err := os.ReadFile(jsonl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, line := range strings.Split(strings.TrimSpace(string(jsonlData)), "\n") {
-		var rec map[string]any
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			t.Fatalf("jsonl line %d: %v", i+1, err)
-		}
 	}
 	traceData, err := os.ReadFile(trace)
 	if err != nil {

@@ -1,8 +1,8 @@
 // Package obs is ConvMeter's runtime telemetry layer: a concurrency-safe
 // metrics registry (counters, gauges, fixed-bucket histograms), lightweight
-// span tracing with parent/child nesting on a monotonic clock, and three
-// exporters — Prometheus text, JSONL event log, and Chrome trace-event JSON
-// (the format Perfetto and chrome://tracing read).
+// span tracing with parent/child nesting on a monotonic clock, and two
+// exporters — Prometheus text and Chrome trace-event JSON (the format
+// Perfetto and chrome://tracing read).
 //
 // The package depends only on the standard library and lives strictly on
 // the *measured* side of the repository's analytical/measured boundary
@@ -18,10 +18,7 @@
 // belongs outside loops).
 package obs
 
-import (
-	"strings"
-	"time"
-)
+import "strings"
 
 // Obs bundles a metrics Registry and a span Tracer with an optional
 // parent span, so instrumented packages take one handle instead of three.
@@ -38,11 +35,6 @@ type Obs struct {
 	// worker, when non-zero, attributes spans started via Start to
 	// worker id worker-1 (the +1 keeps the zero value meaning "unset").
 	worker int
-
-	// skew simulates a per-worker clock offset: spans started via Start
-	// record timestamps as if read from a clock running skew ahead of
-	// the tracer's. The alignment handshake measures it back out.
-	skew time.Duration
 }
 
 // New returns an enabled Obs with a fresh registry and tracer.
@@ -72,22 +64,10 @@ func (o *Obs) WithWorker(w int) *Obs {
 	return &c
 }
 
-// WithClockSkew returns a copy of o whose spans carry timestamps shifted
-// by d, simulating a worker whose clock disagrees with the tracer's.
-// Nil receiver stays nil.
-func (o *Obs) WithClockSkew(d time.Duration) *Obs {
-	if o == nil {
-		return nil
-	}
-	c := *o
-	c.skew = d
-	return &c
-}
-
 // Start begins a span: a child of the bundle's parent span when one is
 // set, a root span otherwise. Returns nil (a no-op span) when disabled.
-// A bundle worker or clock skew overrides whatever the parent span
-// would have passed down.
+// A bundle worker overrides whatever the parent span would have passed
+// down.
 func (o *Obs) Start(name string) *Span {
 	if o == nil {
 		return nil
@@ -98,13 +78,8 @@ func (o *Obs) Start(name string) *Span {
 	} else {
 		s = o.Trc.Start(name)
 	}
-	if s != nil {
-		if o.worker != 0 {
-			s.worker = o.worker
-		}
-		if o.skew != 0 {
-			s.skew = o.skew
-		}
+	if s != nil && o.worker != 0 {
+		s.worker = o.worker
 	}
 	return s
 }

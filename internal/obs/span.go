@@ -18,11 +18,6 @@ type Tracer struct {
 	clock Clock
 	ids   atomic.Int64
 
-	// offsets holds per-worker clock offsets measured by a transport
-	// clock-alignment handshake; exporters and the critical-path engine
-	// subtract them to place all workers on one timeline.
-	offsets OffsetTable
-
 	mu    sync.Mutex
 	spans []SpanRecord
 }
@@ -64,7 +59,6 @@ type Span struct {
 	track  int64
 	start  time.Duration
 	worker int // owning worker id + 1, 0 when unattributed
-	skew   time.Duration
 	link   SpanContext
 }
 
@@ -78,21 +72,18 @@ func (t *Tracer) Start(name string) *Span {
 }
 
 // Child begins a span nested under s, on s's track, inheriting s's
-// worker attribution and clock skew. Nil-safe.
+// worker attribution. Nil-safe.
 func (s *Span) Child(name string) *Span {
 	if s == nil {
 		return nil
 	}
 	id := s.t.ids.Add(1)
 	return &Span{t: s.t, name: name, id: id, parent: s.id, track: s.track,
-		start: s.t.clock(), worker: s.worker, skew: s.skew}
+		start: s.t.clock(), worker: s.worker}
 }
 
 // End finishes the span and records it. Nil-safe; ending a span twice
-// records it twice, so don't. A simulated clock skew (WithClockSkew)
-// shifts the recorded start — the span's timestamps read as the owning
-// worker's own clock would have produced them, which is what the
-// alignment handshake then measures away.
+// records it twice, so don't.
 func (s *Span) End() {
 	if s == nil {
 		return
@@ -100,7 +91,7 @@ func (s *Span) End() {
 	end := s.t.clock()
 	rec := SpanRecord{
 		Name: s.name, ID: s.id, Parent: s.parent, Track: s.track,
-		Start: s.start + s.skew, Dur: end - s.start,
+		Start: s.start, Dur: end - s.start,
 		Worker: s.worker - 1, Link: s.link,
 	}
 	s.t.mu.Lock()
@@ -116,14 +107,6 @@ func (t *Tracer) Spans() []SpanRecord {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return append([]SpanRecord(nil), t.spans...)
-}
-
-// Now returns the tracer's clock reading. Nil-safe (returns 0).
-func (t *Tracer) Now() time.Duration {
-	if t == nil {
-		return 0
-	}
-	return t.clock()
 }
 
 // Len returns the number of finished spans, a cursor for SpansFrom.
@@ -152,14 +135,4 @@ func (t *Tracer) SpansFrom(i int) []SpanRecord {
 		return nil
 	}
 	return append([]SpanRecord(nil), t.spans[i:]...)
-}
-
-// Offsets returns the tracer's clock-offset table, populated by a
-// transport alignment handshake. Nil-safe (returns nil, which reads as
-// all-zero offsets).
-func (t *Tracer) Offsets() *OffsetTable {
-	if t == nil {
-		return nil
-	}
-	return &t.offsets
 }

@@ -1,10 +1,5 @@
 package obs
 
-import (
-	"sync"
-	"time"
-)
-
 // SpanContext identifies an in-flight span compactly enough to cross a
 // transport boundary: the trace (track) it belongs to and the span
 // itself. The zero value means "no context" — transports propagate it
@@ -37,54 +32,4 @@ func (s *Span) LinkTo(ctx SpanContext) {
 		return
 	}
 	s.link = ctx
-}
-
-// OffsetTable maps worker id → measured clock offset, the output of a
-// transport clock-alignment handshake. Subtracting Get(w) from a span
-// timestamp recorded on worker w's (possibly skewed) clock moves it onto
-// worker 0's timeline. Safe for concurrent use; the zero value is ready.
-// A nil *OffsetTable reads as all-zero offsets.
-type OffsetTable struct {
-	mu  sync.Mutex
-	off map[int]time.Duration
-}
-
-// Set records worker w's clock offset relative to the reference worker.
-func (t *OffsetTable) Set(w int, d time.Duration) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	if t.off == nil {
-		t.off = make(map[int]time.Duration)
-	}
-	t.off[w] = d
-	t.mu.Unlock()
-}
-
-// Get returns worker w's offset, zero when unknown. Nil-safe.
-func (t *OffsetTable) Get(w int) time.Duration {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.off[w]
-}
-
-// Snapshot returns a copy of the table, nil when empty. Nil-safe.
-func (t *OffsetTable) Snapshot() map[int]time.Duration {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if len(t.off) == 0 {
-		return nil
-	}
-	m := make(map[int]time.Duration, len(t.off))
-	for w, d := range t.off {
-		m[w] = d
-	}
-	return m
 }

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"testing"
-	"time"
 
 	"convmeter/internal/testrace"
 )
@@ -46,34 +45,6 @@ func TestSpanLinkIgnoresInvalid(t *testing.T) {
 	sp.End()
 	if got := o.Trc.Spans()[0].Link.Span; got != 9 {
 		t.Fatalf("link = %d, want 9 preserved past invalid LinkTo", got)
-	}
-}
-
-func TestOffsetTable(t *testing.T) {
-	var nilTab *OffsetTable
-	nilTab.Set(1, time.Millisecond) // nil-safe
-	if d := nilTab.Get(1); d != 0 {
-		t.Fatalf("nil table Get = %v", d)
-	}
-	if snap := nilTab.Snapshot(); snap != nil {
-		t.Fatalf("nil table snapshot = %v", snap)
-	}
-	var tab OffsetTable
-	if snap := tab.Snapshot(); snap != nil {
-		t.Fatalf("empty table snapshot = %v, want nil", snap)
-	}
-	tab.Set(2, -3*time.Millisecond)
-	tab.Set(2, 5*time.Millisecond) // last write wins
-	if d := tab.Get(2); d != 5*time.Millisecond {
-		t.Fatalf("Get(2) = %v", d)
-	}
-	if d := tab.Get(7); d != 0 {
-		t.Fatalf("Get(unknown) = %v, want 0", d)
-	}
-	snap := tab.Snapshot()
-	snap[2] = 0 // the snapshot is a copy
-	if d := tab.Get(2); d != 5*time.Millisecond {
-		t.Fatalf("snapshot aliases the table: Get(2) = %v", d)
 	}
 }
 

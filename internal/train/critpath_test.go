@@ -15,8 +15,7 @@ import (
 // critpathRun trains a small net with the critical-path engine wired in
 // and returns the tracker's report. A non-nil profile schedules the
 // injected faults; OpTimeout keeps the trainer on the resilient
-// transport paths (where the clock handshake and per-op spans live)
-// even on a clean run.
+// transport paths (where the per-op spans live) even on a clean run.
 func critpathRun(t *testing.T, transport Transport, prof *faults.Profile, steps int) critpath.Report {
 	t.Helper()
 	g := trainNet(t)
@@ -38,10 +37,6 @@ func critpathRun(t *testing.T, transport Transport, prof *faults.Profile, steps 
 		OpTimeout: 500 * time.Millisecond,
 		Retry:     allreduce.RetryPolicy{Attempts: 2, Backoff: time.Millisecond, Max: 5 * time.Millisecond},
 		Crit:      tracker,
-		// Small deterministic skews: attribution must still be correct
-		// because the alignment handshake measures them back out.
-		AlignClocks: true,
-		ClockSkews:  []time.Duration{0, 2 * time.Millisecond, -1500 * time.Microsecond},
 	}
 	if _, err := DataParallel(g, cfg, steps, task.Source(3)); err != nil {
 		t.Fatal(err)
@@ -105,7 +100,7 @@ func verifyBlame(t *testing.T, rep, rep2 critpath.Report, steps, onset int, dela
 // deterministically blamed — on both transports, every slowed step's
 // attribution is wait-dominated with the slowed worker named, a second
 // run with the same seed reproduces the identical blame sequence, and
-// the handshake goroutines do not leak. The blame property is
+// the transport goroutines do not leak. The blame property is
 // signal-over-noise: a race-instrumented oversubscribed host can stall
 // a compute goroutine for hundreds of milliseconds, which genuinely —
 // and correctly — reads as a compute-dominated step. Such stalls are
@@ -153,8 +148,8 @@ func TestCritpathBlamesSlowWorker(t *testing.T) {
 			for _, p := range problems {
 				t.Error(p)
 			}
-			// The clock handshake and transport workers must all have
-			// drained; poll briefly — goroutine teardown is asynchronous.
+			// The transport workers must all have drained; poll briefly —
+			// goroutine teardown is asynchronous.
 			deadline := time.Now().Add(2 * time.Second)
 			for runtime.NumGoroutine() > baseline {
 				if time.Now().After(deadline) {

@@ -119,29 +119,8 @@ type Config struct {
 
 	// Crit, when non-nil together with a tracing Obs, receives one
 	// critical-path attribution per completed step, reconstructed from
-	// the step's worker-tagged span DAG. When Drift is also set, each
-	// attribution is forwarded via NoteCause so drift events carry the
-	// dominant phase and blamed worker.
+	// the step's worker-tagged span DAG.
 	Crit *critpath.Tracker
-	// AlignClocks runs the transports' clock-offset handshake when the
-	// resilient all-reduce forms a ring, so cross-worker span timestamps
-	// are mapped onto worker 0's timeline before attribution. Requires
-	// Obs with a tracer; a no-op otherwise.
-	AlignClocks bool
-	// ClockSkews simulates per-worker clock skew (indexed by original
-	// worker id; missing entries are zero): each worker's spans are
-	// recorded shifted by its skew, and the alignment handshake must
-	// measure the shifts back out. Test/chaos plumbing — production
-	// clocks share the process monotonic clock and need no skew.
-	ClockSkews []time.Duration
-}
-
-// skewOf returns worker w's simulated clock skew (zero when unset).
-func (c Config) skewOf(w int) time.Duration {
-	if w >= 0 && w < len(c.ClockSkews) {
-		return c.ClockSkews[w]
-	}
-	return 0
 }
 
 // resilient reports whether the run needs the fault-tolerant paths:
@@ -366,11 +345,11 @@ func (t *Trainer) Step(data DataSource) (float64, error) {
 	if err := join(n, func(i int) error {
 		w := live[i]
 		// Per-worker "compute" span, tagged with the worker's original id
-		// (and simulated skew) so the tracer can attribute it — and the
-		// fwd/bwd kernel spans nested under it — when reconstructing the
-		// step's cross-worker DAG. It opens before the straggler sleep:
-		// injected compute latency must be charged to compute.
-		perObs := stepObs.WithWorker(w).WithClockSkew(t.cfg.skewOf(w))
+		// so the tracer can attribute it — and the fwd/bwd kernel spans
+		// nested under it — when reconstructing the step's cross-worker
+		// DAG. It opens before the straggler sleep: injected compute
+		// latency must be charged to compute.
+		perObs := stepObs.WithWorker(w)
 		csp := perObs.Start("compute")
 		defer csp.End()
 		if t.cfg.Obs != nil {
@@ -443,12 +422,7 @@ func (t *Trainer) Step(data DataSource) (float64, error) {
 		t.tel.lossG.Set(mean)
 	}
 	if feedCrit {
-		trc := t.cfg.Obs.Trc
-		att := critpath.AnalyzeStep(step, trc.SpansFrom(critMark), trc.Offsets().Snapshot())
-		t.cfg.Crit.Record(att)
-		// Stamp the cause before the drift feed below so an event fired
-		// by this step's pair already names the phase and blamed worker.
-		t.cfg.Drift.NoteCause(att.Dominant, att.Blame)
+		t.cfg.Crit.Record(critpath.AnalyzeStep(step, t.cfg.Obs.Trc.SpansFrom(critMark)))
 	}
 	if feedDrift {
 		t.cfg.Drift.Observe(t.cfg.PredictStep(nCompute), time.Since(stepT0).Seconds())
@@ -493,16 +467,6 @@ func (t *Trainer) syncGradients(stepObs *obs.Obs, step int, live []int, vectors 
 		for i, w := range ids {
 			snaps[i] = append([]float32(nil), vectors[index[w]]...)
 		}
-		// ClockSkews are indexed by ring position; re-map from original
-		// worker ids each attempt, since elastic degradation reshapes the
-		// ring.
-		var skews []time.Duration
-		if len(t.cfg.ClockSkews) > 0 {
-			skews = make([]time.Duration, len(ids))
-			for i, w := range ids {
-				skews[i] = t.cfg.skewOf(w)
-			}
-		}
 		opts := allreduce.Options{
 			OpTimeout: t.cfg.OpTimeout,
 			Retry:     t.cfg.Retry,
@@ -511,9 +475,7 @@ func (t *Trainer) syncGradients(stepObs *obs.Obs, step int, live []int, vectors 
 			WorkerIDs: ids,
 			// Distinct fault-decision space per (training step, attempt):
 			// a retried all-reduce draws fresh faults, deterministically.
-			SeqBase:     uint64(step)<<24 | attempt<<12,
-			AlignClocks: t.cfg.AlignClocks,
-			ClockSkews:  skews,
+			SeqBase: uint64(step)<<24 | attempt<<12,
 		}
 		var err error
 		if t.cfg.Transport == TransportTCP {
