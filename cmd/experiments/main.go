@@ -48,7 +48,6 @@ func main() {
 	flag.StringVar(&opts.opsAddr, "ops-addr", "", "serve the live ops endpoints (/metrics, /healthz, /trace, /drift, /critpath, /dag, /debug/pprof) on this address (e.g. localhost:6060) while experiments run; off by default")
 	flag.StringVar(&opts.opsAddrOut, "ops-addr-out", "", "write the ops server's actual bound address to this file (useful with -ops-addr :0)")
 	flag.StringVar(&opts.driftOut, "drift-out", "", "write the final drift-monitor state as JSON to this file")
-	flag.BoolVar(&opts.driftRefit, "drift-refit", false, "on a drift event, recalibrate the affected stream onto the new regime instead of staying latched")
 	flag.StringVar(&opts.critpathOut, "critpath-out", "", "write the chaos trainer's per-step critical-path attribution report as JSON to this file")
 	flag.StringVar(&opts.dagDir, "dag-dir", "", "durable run directory: every completed DAG node commits a content-addressed manifest here, and a re-run over the same directory resumes fail-close from fingerprint-matching manifests")
 	flag.IntVar(&opts.dagWorkers, "dag-workers", 2, "worker pool size for independent DAG nodes")
@@ -77,7 +76,6 @@ type options struct {
 	metricsOut, traceOut string
 	opsAddr, opsAddrOut  string
 	driftOut             string
-	driftRefit           bool
 	critpathOut          string
 	dagDir               string
 	dagWorkers           int
@@ -113,15 +111,7 @@ func run(opts options) (err error) {
 	if opts.metricsOut != "" || opts.traceOut != "" || opts.opsAddr != "" || opts.driftOut != "" || opts.critpathOut != "" {
 		bundle = obs.New()
 		cfg.Obs = bundle
-		dcfg := driftwatch.Config{Obs: bundle}
-		if opts.driftRefit {
-			dcfg.OnDrift = func(ev driftwatch.Event) {
-				fmt.Fprintf(os.Stderr, "experiments: drift event #%d on %s/%s, recalibrating\n",
-					ev.Events, ev.Model, ev.Phase)
-				ev.Stream.Recalibrate()
-			}
-		}
-		mon = driftwatch.New(dcfg)
+		mon = driftwatch.New(bundle)
 		cfg.Drift = mon
 	}
 	if opts.critpathOut != "" || opts.opsAddr != "" {

@@ -120,64 +120,47 @@ func TestRunWithOpsServer(t *testing.T) {
 	}
 }
 
-// TestRunDriftCleanRun: the identical run under the none profile must
-// report zero drift events — the detector's false-positive guard at the
-// CLI level.
+// TestRunDriftCleanRun: a clean run raises no drift event — the
+// detector's false-positive guard at the CLI level. The chaos run under
+// the none profile feeds the one live stream, trainreal/iter; fig2's
+// offline LOMO evaluations feed no stream at all.
 func TestRunDriftCleanRun(t *testing.T) {
-	dir := t.TempDir()
-	driftPath := filepath.Join(dir, "drift.json")
-	opts := options{
-		id: "exttrainfaults", seed: 1, quick: true,
-		faultsSeed: 7, faultsProfile: "none",
-		outPath:  filepath.Join(dir, "report.txt"),
-		driftOut: driftPath,
-	}
-	if err := run(opts); err != nil {
-		t.Fatal(err)
-	}
-	var doc driftDoc
-	data, err := os.ReadFile(driftPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		t.Fatal(err)
-	}
-	if doc.Events != 0 {
-		t.Fatalf("clean run raised %d drift events: %+v", doc.Events, doc)
-	}
-	if len(doc.Streams) != 1 || doc.Streams[0].Pairs == 0 {
-		t.Fatalf("clean run fed no pairs: %+v", doc)
-	}
-}
-
-// TestRunDriftRefit: with -drift-refit the monitor recalibrates on each
-// event instead of latching, so the final state is not stuck on drifting.
-func TestRunDriftRefit(t *testing.T) {
-	dir := t.TempDir()
-	driftPath := filepath.Join(dir, "drift.json")
-	opts := options{
-		id: "exttrainfaults", seed: 1, quick: true,
-		faultsSeed: 7, faultsProfile: "slowdown",
-		outPath:    filepath.Join(dir, "report.txt"),
-		driftOut:   driftPath,
-		driftRefit: true,
-	}
-	if err := run(opts); err != nil {
-		t.Fatal(err)
-	}
-	var doc driftDoc
-	data, err := os.ReadFile(driftPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		t.Fatal(err)
-	}
-	if doc.Events < 1 {
-		t.Fatalf("refit run saw no drift event: %+v", doc)
-	}
-	if doc.Streams[0].State == "drifting" {
-		t.Fatalf("refit left the stream latched: %+v", doc)
+	for _, tc := range []struct {
+		name    string
+		opts    options
+		streams int
+	}{
+		{"exttrainfaults", options{id: "exttrainfaults", seed: 1, quick: true, faultsSeed: 7, faultsProfile: "none"}, 1},
+		{"fig2", options{id: "fig2", seed: 1, quick: true}, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			driftPath := filepath.Join(dir, "drift.json")
+			opts := tc.opts
+			opts.outPath = filepath.Join(dir, "report.txt")
+			opts.driftOut = driftPath
+			if err := run(opts); err != nil {
+				t.Fatal(err)
+			}
+			var doc driftDoc
+			data, err := os.ReadFile(driftPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := json.Unmarshal(data, &doc); err != nil {
+				t.Fatal(err)
+			}
+			if doc.Events != 0 {
+				t.Fatalf("clean run raised %d drift events: %+v", doc.Events, doc)
+			}
+			if len(doc.Streams) != tc.streams {
+				t.Fatalf("drift artefact has %d streams, want %d: %+v", len(doc.Streams), tc.streams, doc)
+			}
+			for _, st := range doc.Streams {
+				if st.Model != "trainreal" || st.Phase != "iter" || st.Pairs == 0 {
+					t.Fatalf("stream %+v, want trainreal/iter with pairs", st)
+				}
+			}
+		})
 	}
 }

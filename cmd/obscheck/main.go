@@ -592,7 +592,7 @@ func checkTrace(path string) error {
 				continue // dangling link: the sender faulted mid-op
 			}
 			if sender.end > c.end+linkTolerance {
-				return fmt.Errorf("%s: span %q ends %.0fµs before its linked sender %d — cross-worker time-travel beyond the %dµs alignment tolerance",
+				return fmt.Errorf("%s: span %q ends %.0fµs before its linked sender %d — cross-worker time-travel beyond the %dµs scheduling slack",
 					path, c.name, sender.end-c.end, c.link, linkTolerance)
 			}
 		}

@@ -393,9 +393,6 @@ func runFit(args []string, env Env) error {
 		if err != nil {
 			return err
 		}
-		sess.feedFit(samples, "fwd",
-			func(s core.Sample) float64 { return float64(m.Predict(s.Met, float64(s.BatchPerDevice))) },
-			func(s core.Sample) float64 { return float64(s.Fwd) })
 		if *stats {
 			names := []string{"c1 (FLOPs)", "c2 (Inputs)", "c3 (Outputs)", "c4 (intercept)"}
 			printf(env.Stderr, "coefficient statistics (%d samples, %d dof):\n", len(samples), cs.DoF)
@@ -421,11 +418,6 @@ func runFit(args []string, env Env) error {
 		if err != nil {
 			return err
 		}
-		sess.feedFit(samples, "iter",
-			func(s core.Sample) float64 {
-				return float64(m.PredictIter(s.Met, float64(s.BatchPerDevice), s.Devices, s.Nodes))
-			},
-			func(s core.Sample) float64 { return float64(s.Iter()) })
 		payload = m
 	default:
 		return fmt.Errorf("unknown fit kind %q", *kind)

@@ -3,11 +3,7 @@ package cli
 import (
 	"flag"
 	"io"
-	"sort"
 
-	"convmeter/internal/bench"
-	"convmeter/internal/core"
-	"convmeter/internal/driftwatch"
 	"convmeter/internal/obs"
 	"convmeter/internal/obs/ops"
 )
@@ -29,34 +25,31 @@ func addObsFlags(fs *flag.FlagSet) obsOpts {
 		traceOut: fs.String("trace-out", "",
 			"write recorded spans as Chrome trace-event JSON to this file (open in Perfetto)"),
 		opsAddr: fs.String("ops-addr", "",
-			"serve the live ops endpoints (/metrics, /healthz, /trace, /drift, /debug/pprof) on this address (e.g. localhost:6060) while the command runs; off by default"),
+			"serve the live ops endpoints (/metrics, /healthz, /trace, /debug/pprof) on this address (e.g. localhost:6060) while the command runs; off by default"),
 	}
 }
 
-// obsSession is one command's live observability: the telemetry bundle,
-// the drift monitor scraped by /drift, and the ops server (each nil when
-// its flags are off). Every accessor tolerates a nil session, so command
-// code never branches on whether observability is enabled.
+// obsSession is one command's live observability: the telemetry bundle
+// and the ops server (each nil when its flags are off). Every accessor
+// tolerates a nil session, so command code never branches on whether
+// observability is enabled.
 type obsSession struct {
-	o     *obs.Obs
-	drift *driftwatch.Monitor
-	srv   *ops.Server
-	oo    obsOpts
+	o   *obs.Obs
+	srv *ops.Server
+	oo  obsOpts
 }
 
-// start activates whatever the flags asked for: a telemetry bundle and
-// drift monitor when any output or the ops server was requested, and the
-// ops server itself on -ops-addr (its actual bound address — meaningful
-// with :0 — is reported on stderr). Call finish once the command's work
-// is done.
+// start activates whatever the flags asked for: a telemetry bundle when
+// any output or the ops server was requested, and the ops server itself
+// on -ops-addr (its actual bound address — meaningful with :0 — is
+// reported on stderr). Call finish once the command's work is done.
 func (oo obsOpts) start(stderr io.Writer) (*obsSession, error) {
 	s := &obsSession{oo: oo}
 	if *oo.metricsOut != "" || *oo.traceOut != "" || *oo.opsAddr != "" {
 		s.o = obs.New()
-		s.drift = driftwatch.New(driftwatch.Config{Obs: s.o})
 	}
 	if *oo.opsAddr != "" {
-		srv, err := ops.Start(ops.Config{Addr: *oo.opsAddr, Obs: s.o, Drift: s.drift})
+		srv, err := ops.Start(ops.Config{Addr: *oo.opsAddr, Obs: s.o})
 		if err != nil {
 			return nil, err
 		}
@@ -72,28 +65,6 @@ func (s *obsSession) obs() *obs.Obs {
 		return nil
 	}
 	return s.o
-}
-
-// feedFit streams a fitted model's in-sample accuracy into the drift
-// monitor, one stream per model so the /drift endpoint and the rolling
-// windows mirror the per-ConvNet layout of the offline reports. A
-// session without a monitor drops the feed for free.
-func (s *obsSession) feedFit(samples []core.Sample, phase string, predict, actual func(core.Sample) float64) {
-	if s == nil || s.drift == nil {
-		return
-	}
-	byModel := map[string][]core.Sample{}
-	for _, smp := range samples {
-		byModel[smp.Model] = append(byModel[smp.Model], smp)
-	}
-	names := make([]string, 0, len(byModel))
-	for name := range byModel {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		bench.FeedDrift(s.drift.Stream(name, phase), byModel[name], predict, actual)
-	}
 }
 
 // finish shuts the ops server down (unblocking in-flight scrapes) and

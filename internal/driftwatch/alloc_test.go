@@ -9,14 +9,14 @@ import (
 
 // TestObserveZeroAllocs pins the Stream.Observe allocation contract the
 // hotpath analyzer enforces statically: a steady-state observation —
-// window update, Welford fold, Page-Hinkley test, rolling accuracy
-// summary and live telemetry — allocates nothing. Only a drift event
+// Welford fold, Page-Hinkley test and live telemetry — allocates
+// nothing. Only a drift event
 // (rare by construction) pays for its span. The feed here is drift-free
 // so the hot path stays on the non-fired branch.
 func TestObserveZeroAllocs(t *testing.T) {
 	testrace.SkipIfRace(t)
 
-	m := New(Config{Obs: obs.New()})
+	m := New(obs.New())
 	s := m.Stream("resnet50", "fwd")
 	i := 0
 	observe := func() {
@@ -26,7 +26,7 @@ func TestObserveZeroAllocs(t *testing.T) {
 		i++
 	}
 	for j := 0; j < 256; j++ {
-		observe() // fill the rolling window to steady state
+		observe() // past calibration and warmup, to steady state
 	}
 	if n := testing.AllocsPerRun(200, observe); n != 0 {
 		t.Errorf("Stream.Observe allocates %.2f/op, want 0", n)

@@ -1,18 +1,17 @@
 // Package driftwatch is ConvMeter's streaming prediction-quality
-// monitor: it ingests (predicted, measured) runtime pairs per
-// model/phase — from the live training loop, bench sweeps, and the
-// experiments harness — and continuously answers the question the
-// offline LOMO reports only answer at exit: are the analytical model's
-// predictions still tracking reality *right now*?
+// monitor. It watches one live feed: the chaos trainer's step times in
+// exttrainfaults, each paired with the fitted training model's
+// prediction for the step's live-worker count. It answers, while the
+// run executes, a question the offline LOMO reports cannot: are the
+// analytical model's predictions still tracking reality *right now*?
 //
-// Each stream keeps a rolling window whose R²/RMSE/NRMSE/MAPE are the
-// exact internal/regress definitions (see streamstat.Window.Summary), a
-// Welford accumulator over relative residuals, and a Page-Hinkley
-// detector that raises a drift event when the residual level shifts.
-// A drift event increments convmeter_drift_events_total{model,phase},
-// drops a zero-length span annotation into the trace, latches the
-// stream's /drift state to "drifting", and invokes the monitor's
-// OnDrift hook (the experiments harness uses it as a refit trigger).
+// Each (model, phase) stream calibrates a one-point hardware factor κ
+// on its first pairs, keeps a Welford accumulator over the relative
+// residuals, and runs a Page-Hinkley detector that raises a drift event
+// when the residual level shifts upward. A drift event increments
+// convmeter_drift_events_total{model,phase}, drops a zero-length span
+// annotation into the trace, and latches the stream's /drift state to
+// "drifting" for the rest of the run.
 //
 // driftwatch sits on the *measured* side of the repository's boundary:
 // it consumes wall-clock measurements. The arithmetic it runs on them
@@ -32,11 +31,26 @@ import (
 	"convmeter/internal/obs"
 )
 
+// Detector settings, sized for relative step-time residuals.
+const (
+	// calibrateN leading pairs are folded into a one-point hardware
+	// calibration factor κ = mean(measured)/mean(predicted): a predictor
+	// fitted on simulated coefficients then retargets the host from its
+	// first observations, so detection measures *shifts*, not the
+	// constant sim-vs-host offset.
+	calibrateN = 2
+	// phDelta, phLambda and phWarmup parameterise the Page-Hinkley
+	// detector; see streamstat.PHConfig.
+	phDelta  = 0.5
+	phLambda = 8
+	phWarmup = 3
+)
+
 // State is a stream's lifecycle position, as reported on /drift.
 type State string
 
 // Stream states. Drifting latches: once a drift event fires the stream
-// stays drifting until Recalibrate.
+// stays drifting.
 const (
 	StateCalibrating State = "calibrating" // collecting the κ calibration pairs
 	StateWarmup      State = "warmup"      // detector mean still settling
@@ -59,82 +73,23 @@ func stateValue(s State) float64 {
 	return math.NaN()
 }
 
-// Options parameterise one stream. The zero value selects the package
-// defaults, so feeds only set what they know about their own residual
-// scale.
-type Options struct {
-	// Window is the rolling-window capacity for the online accuracy
-	// metrics. Default 128.
-	Window int
-	// Delta, Lambda, Warmup and Direction parameterise the Page-Hinkley
-	// detector; see streamstat.PHConfig for the defaults.
-	Delta     float64
-	Lambda    float64
-	Warmup    int
-	Direction streamstat.Direction
-	// CalibrateN is the number of leading pairs folded into a one-point
-	// hardware calibration factor κ = mean(measured)/mean(predicted):
-	// a predictor fitted on simulated coefficients then retargets the
-	// deployment host from its first observations, so drift detection
-	// measures *shifts*, not the constant sim-vs-host offset. Default 0
-	// (κ = 1 — feeds whose predictor already matches the data source,
-	// e.g. in-sample sweeps, stay bit-comparable to offline evaluation).
-	CalibrateN int
-}
-
-func (o Options) window() int {
-	if o.Window <= 0 {
-		return 128
-	}
-	return o.Window
-}
-
-// Event describes one drift detection, delivered to Config.OnDrift.
-type Event struct {
-	Model  string
-	Phase  string
-	Events int     // cumulative events on this stream, including this one
-	Stream *Stream // the stream that drifted; hooks may Recalibrate it
-}
-
-// Config parameterises a Monitor.
-type Config struct {
-	// Defaults applies to streams created via Stream; StreamOpts
-	// overrides it per stream.
-	Defaults Options
-	// OnDrift, when set, is invoked synchronously (outside stream locks)
-	// on every drift event.
-	OnDrift func(Event)
-	// Obs receives the drift counters, gauges and span annotations.
-	Obs *obs.Obs
-}
-
 // Monitor multiplexes drift streams keyed by (model, phase). A nil
 // *Monitor is a valid disabled monitor.
 type Monitor struct {
-	cfg     Config
+	o       *obs.Obs
 	mu      sync.Mutex
 	streams map[string]*Stream
 }
 
-// New returns an enabled monitor.
-func New(cfg Config) *Monitor {
-	return &Monitor{cfg: cfg, streams: make(map[string]*Stream)}
+// New returns an enabled monitor whose streams report drift counters,
+// gauges and span annotations to o (which may be nil).
+func New(o *obs.Obs) *Monitor {
+	return &Monitor{o: o, streams: make(map[string]*Stream)}
 }
 
-// Stream returns the stream for (model, phase), creating it with the
-// monitor's default options on first use. Nil on a nil monitor.
+// Stream returns the stream for (model, phase), creating it on first
+// use; later callers share it. Nil on a nil monitor.
 func (m *Monitor) Stream(model, phase string) *Stream {
-	if m == nil {
-		return nil
-	}
-	return m.StreamOpts(model, phase, m.cfg.Defaults)
-}
-
-// StreamOpts returns the stream for (model, phase), creating it with
-// opts on first use. Options of an existing stream are not changed:
-// the first creator wins, later callers share its stream.
-func (m *Monitor) StreamOpts(model, phase string, opts Options) *Stream {
 	if m == nil {
 		return nil
 	}
@@ -147,7 +102,7 @@ func (m *Monitor) StreamOpts(model, phase string, opts Options) *Stream {
 	}
 	// Build outside the monitor lock: handle registration takes the
 	// registry lock and must not nest under ours.
-	s = newStream(model, phase, opts, m.cfg)
+	s = newStream(model, phase, m.o)
 	m.mu.Lock()
 	if prior, ok := m.streams[key]; ok {
 		s = prior // lost a creation race; the first insert wins
@@ -156,16 +111,6 @@ func (m *Monitor) StreamOpts(model, phase string, opts Options) *Stream {
 	}
 	m.mu.Unlock()
 	return s
-}
-
-// Events returns the cumulative drift-event count across all streams
-// (0 on nil).
-func (m *Monitor) Events() int {
-	var total int
-	for _, s := range m.snapshotStreams() {
-		total += s.Events()
-	}
-	return total
 }
 
 func (m *Monitor) snapshotStreams() []*Stream {
@@ -219,26 +164,16 @@ type Snapshot struct {
 	Events  int              `json:"events_total"`
 }
 
-// WindowReport carries the rolling window's regress metrics.
-type WindowReport struct {
-	N     int     `json:"n"`
-	R2    float64 `json:"r2"`
-	RMSE  float64 `json:"rmse"`
-	NRMSE float64 `json:"nrmse"`
-	MAPE  float64 `json:"mape"`
-}
-
 // StreamSnapshot is one stream's entry in the /drift document.
 type StreamSnapshot struct {
-	Model        string       `json:"model"`
-	Phase        string       `json:"phase"`
-	State        State        `json:"state"`
-	Pairs        int          `json:"pairs"`
-	Events       int          `json:"events"`
-	Kappa        float64      `json:"kappa"`
-	ResidualMean float64      `json:"residual_mean"`
-	ResidualStd  float64      `json:"residual_std"`
-	Window       WindowReport `json:"window"`
+	Model        string  `json:"model"`
+	Phase        string  `json:"phase"`
+	State        State   `json:"state"`
+	Pairs        int     `json:"pairs"`
+	Events       int     `json:"events"`
+	Kappa        float64 `json:"kappa"`
+	ResidualMean float64 `json:"residual_mean"`
+	ResidualStd  float64 `json:"residual_std"`
 }
 
 // Stream watches one (model, phase) prediction feed. A nil *Stream
@@ -246,26 +181,19 @@ type StreamSnapshot struct {
 type Stream struct {
 	model, phase string
 	driftSpan    string // precomputed span name, so drift events do not build strings on the observe path
-	opts         Options
 	o            *obs.Obs
-	onDrift      func(Event)
 
 	// handles, created once at stream construction
 	eventsC *obs.Counter
 	pairsC  *obs.Counter
 	stateG  *obs.Gauge
 	kappaG  *obs.Gauge
-	r2G     *obs.Gauge
-	rmseG   *obs.Gauge
-	nrmseG  *obs.Gauge
-	mapeG   *obs.Gauge
 
 	mu       sync.Mutex
 	calN     int
 	calPred  float64
 	calMeas  float64
 	kappa    float64
-	win      *streamstat.Window
 	res      streamstat.Welford
 	ph       *streamstat.PageHinkley
 	pairs    int
@@ -273,8 +201,7 @@ type Stream struct {
 	drifting bool
 }
 
-func newStream(model, phase string, opts Options, cfg Config) *Stream {
-	o := cfg.Obs
+func newStream(model, phase string, o *obs.Obs) *Stream {
 	lbl := func(name string) string {
 		return obs.Label(name, "model", model, "phase", phase)
 	}
@@ -282,54 +209,23 @@ func newStream(model, phase string, opts Options, cfg Config) *Stream {
 		model:     model,
 		phase:     phase,
 		driftSpan: "drift:" + model + "/" + phase,
-		opts:      opts,
 		o:         o,
-		onDrift:   cfg.OnDrift,
 
 		eventsC: o.Counter(lbl("convmeter_drift_events_total"), "prediction-drift events detected (Page-Hinkley)"),
 		pairsC:  o.Counter(lbl("convmeter_drift_pairs_total"), "(predicted, measured) pairs observed"),
 		stateG:  o.Gauge(lbl("convmeter_drift_state"), "stream state: 0 calibrating, 1 warmup, 2 ok, 3 drifting"),
 		kappaG:  o.Gauge(lbl("convmeter_drift_kappa"), "one-point hardware calibration factor applied to predictions"),
-		r2G:     o.Gauge(lbl("convmeter_drift_window_r2"), "rolling-window R² of predicted vs measured"),
-		rmseG:   o.Gauge(lbl("convmeter_drift_window_rmse"), "rolling-window RMSE (seconds)"),
-		nrmseG:  o.Gauge(lbl("convmeter_drift_window_nrmse"), "rolling-window NRMSE"),
-		mapeG:   o.Gauge(lbl("convmeter_drift_window_mape"), "rolling-window MAPE (percent)"),
 
 		kappa: 1,
-		win:   streamstat.NewWindow(opts.window()),
 		ph: streamstat.NewPageHinkley(streamstat.PHConfig{
-			Delta:     opts.Delta,
-			Lambda:    opts.Lambda,
-			Warmup:    opts.Warmup,
-			Direction: opts.Direction,
+			Delta:  phDelta,
+			Lambda: phLambda,
+			Warmup: phWarmup,
 		}),
 	}
-	s.stateG.Set(stateValue(s.initialState()))
+	s.stateG.Set(stateValue(StateCalibrating))
 	s.kappaG.Set(1)
 	return s
-}
-
-func (s *Stream) initialState() State {
-	if s.opts.CalibrateN > 0 {
-		return StateCalibrating
-	}
-	return StateWarmup
-}
-
-// Model returns the stream's model label ("" on nil).
-func (s *Stream) Model() string {
-	if s == nil {
-		return ""
-	}
-	return s.model
-}
-
-// Phase returns the stream's phase label ("" on nil).
-func (s *Stream) Phase() string {
-	if s == nil {
-		return ""
-	}
-	return s.phase
 }
 
 // Observe feeds one (predicted, measured) pair, both in seconds.
@@ -350,11 +246,11 @@ func (s *Stream) Observe(predicted, measured float64) {
 		s.pairsC.Inc()
 		return
 	}
-	if s.calN < s.opts.CalibrateN {
+	if s.calN < calibrateN {
 		s.calN++
 		s.calPred += predicted
 		s.calMeas += measured
-		if s.calN == s.opts.CalibrateN && s.calPred > 0 {
+		if s.calN == calibrateN && s.calPred > 0 {
 			s.kappa = s.calMeas / s.calPred
 		}
 		kappa, state := s.kappa, s.stateLocked()
@@ -365,7 +261,6 @@ func (s *Stream) Observe(predicted, measured float64) {
 		return
 	}
 	adj := s.kappa * predicted
-	s.win.Add(adj, measured)
 	x := (measured - adj) / adj // relative residual; adj > 0 by the guards above
 	s.res.Add(x)
 	fired := s.ph.Add(x)
@@ -373,26 +268,16 @@ func (s *Stream) Observe(predicted, measured float64) {
 		s.events++
 		s.drifting = true
 	}
-	events := s.events
 	state := s.stateLocked()
-	sum := s.win.Summary()
 	s.mu.Unlock()
 
-	// Telemetry and hooks run outside the stream lock: handle methods are
-	// lock-free or take the registry's own lock, and OnDrift may call
-	// back into the stream (Recalibrate).
+	// Telemetry runs outside the stream lock: handle methods are
+	// lock-free or take the registry's own lock.
 	s.pairsC.Inc()
 	s.stateG.Set(stateValue(state))
-	s.r2G.Set(sum.R2)
-	s.rmseG.Set(sum.RMSE)
-	s.nrmseG.Set(sum.NRMSE)
-	s.mapeG.Set(sum.MAPE)
 	if fired {
 		s.eventsC.Inc()
 		s.o.Start(s.driftSpan).End()
-		if s.onDrift != nil {
-			s.onDrift(Event{Model: s.model, Phase: s.phase, Events: events, Stream: s})
-		}
 	}
 }
 
@@ -400,23 +285,13 @@ func (s *Stream) stateLocked() State {
 	switch {
 	case s.drifting:
 		return StateDrifting
-	case s.calN < s.opts.CalibrateN:
+	case s.calN < calibrateN:
 		return StateCalibrating
 	case s.ph.N() < s.ph.Warmup():
 		return StateWarmup
 	default:
 		return StateOK
 	}
-}
-
-// Events returns the stream's cumulative drift-event count (0 on nil).
-func (s *Stream) Events() int {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.events
 }
 
 // Snapshot captures the stream's current state. Safe on nil.
@@ -426,7 +301,6 @@ func (s *Stream) Snapshot() StreamSnapshot {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	sum := s.win.Summary()
 	return StreamSnapshot{
 		Model:        s.model,
 		Phase:        s.phase,
@@ -436,34 +310,5 @@ func (s *Stream) Snapshot() StreamSnapshot {
 		Kappa:        s.kappa,
 		ResidualMean: s.res.Mean(),
 		ResidualStd:  s.res.Std(),
-		Window: WindowReport{
-			N:     s.win.Len(),
-			R2:    sum.R2,
-			RMSE:  sum.RMSE,
-			NRMSE: sum.NRMSE,
-			MAPE:  sum.MAPE,
-		},
 	}
-}
-
-// Recalibrate resets the stream to a fresh calibration: κ, window,
-// residual moments and detector restart from the next observations,
-// the drifting latch clears, and only the cumulative pair and event
-// counts survive. This is the refit path after a detected hardware
-// regime change. Safe on nil.
-func (s *Stream) Recalibrate() {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.calN, s.calPred, s.calMeas = 0, 0, 0
-	s.kappa = 1
-	s.win = streamstat.NewWindow(s.opts.window())
-	s.res = streamstat.Welford{}
-	s.ph.Reset()
-	s.drifting = false
-	state := s.stateLocked()
-	s.mu.Unlock()
-	s.kappaG.Set(1)
-	s.stateG.Set(stateValue(state))
 }

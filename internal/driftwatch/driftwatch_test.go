@@ -10,14 +10,7 @@ import (
 	"testing"
 
 	"convmeter/internal/obs"
-	"convmeter/internal/regress"
 )
-
-// trackerOpts: a short window and an aggressive detector so tests drive
-// state transitions in few samples.
-func trackerOpts() Options {
-	return Options{Window: 16, Delta: 0.5, Lambda: 8, Warmup: 3}
-}
 
 func TestNilMonitorAndStream(t *testing.T) {
 	var m *Monitor
@@ -26,14 +19,10 @@ func TestNilMonitorAndStream(t *testing.T) {
 		t.Fatal("nil monitor handed out a non-nil stream")
 	}
 	st.Observe(1, 2) // must not panic
-	st.Recalibrate()
-	if st.Events() != 0 || st.Model() != "" || st.Phase() != "" {
-		t.Error("nil stream is not a no-op")
-	}
 	if got := st.Snapshot(); got != (StreamSnapshot{}) {
 		t.Errorf("nil stream snapshot = %+v", got)
 	}
-	if m.Events() != 0 {
+	if m.Snapshot().Events != 0 {
 		t.Error("nil monitor reports events")
 	}
 	var buf bytes.Buffer
@@ -51,58 +40,24 @@ func TestNilMonitorAndStream(t *testing.T) {
 	}
 }
 
-// TestWindowAgreesWithOfflineEvaluation: with κ = 1 (no calibration) a
-// stream's rolling window must report exactly what core/eval's regress
-// metrics report offline on the same suffix of the pair stream. This is
-// the satellite guarantee that /drift numbers are comparable to the
-// LOMO reports.
-func TestWindowAgreesWithOfflineEvaluation(t *testing.T) {
-	const window, total = 16, 40
-	m := New(Config{Defaults: Options{Window: window}})
-	st := m.Stream("alexnet", "iter")
-	rng := rand.New(rand.NewSource(3))
-	var pred, actual []float64
-	for i := 0; i < total; i++ {
-		p := 0.01 + 0.05*rng.Float64()
-		a := p * (1 + 0.15*rng.NormFloat64())
-		if a <= 0 {
-			a = p
-		}
-		pred = append(pred, p)
-		actual = append(actual, a)
-		st.Observe(p, a)
-	}
-	n := window
-	want, err := regress.Evaluate(actual[len(actual)-n:], pred[len(pred)-n:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := st.Snapshot().Window
-	if got.N != n {
-		t.Fatalf("window N = %d, want %d", got.N, n)
-	}
-	if got.R2 != want.R2 || got.RMSE != want.RMSE || got.NRMSE != want.NRMSE || got.MAPE != want.MAPE {
-		t.Errorf("window report %+v differs from offline regress %+v", got, want)
-	}
-}
-
 func TestCalibrationComputesKappa(t *testing.T) {
-	m := New(Config{})
-	opts := trackerOpts()
-	opts.CalibrateN = 2
-	st := m.StreamOpts("net", "iter", opts)
+	m := New(nil)
+	st := m.Stream("net", "iter")
 	// Predictor runs 4x fast (sim coefficients): measured = 4*predicted.
 	st.Observe(0.01, 0.04)
+	if got := st.Snapshot().State; got != StateCalibrating {
+		t.Fatalf("state = %q after one pair, want calibrating", got)
+	}
 	st.Observe(0.03, 0.12)
 	snap := st.Snapshot()
 	if math.Abs(snap.Kappa-4) > 1e-12 {
 		t.Fatalf("kappa = %g, want 4", snap.Kappa)
 	}
-	if snap.Window.N != 0 {
-		t.Errorf("calibration pairs leaked into the window: N = %d", snap.Window.N)
+	if snap.State != StateWarmup {
+		t.Errorf("calibration pairs reached the detector: state = %q, want warmup", snap.State)
 	}
 	// Post-calibration the scaled residuals are ~0: state reaches ok and
-	// the window is near-perfect.
+	// the residual mean stays at zero.
 	for i := 0; i < 10; i++ {
 		p := 0.01 + 0.001*float64(i)
 		st.Observe(p, 4*p)
@@ -114,22 +69,19 @@ func TestCalibrationComputesKappa(t *testing.T) {
 	if snap.Events != 0 {
 		t.Errorf("events = %d on a clean feed", snap.Events)
 	}
-	if snap.Window.R2 < 0.999 {
-		t.Errorf("window R² = %g after calibration, want ≈1", snap.Window.R2)
+	if math.Abs(snap.ResidualMean) > 1e-9 {
+		t.Errorf("residual mean = %g after calibration, want ≈0", snap.ResidualMean)
 	}
 }
 
 // TestDriftFiresOnSlowdownShift mimics the straggler scenario: the
 // predictor keeps predicting the healthy step time while measured steps
 // suddenly take much longer. The detector must fire, telemetry must
-// record it, and a clean continuation must stay latched drifting.
+// record it, and a healthy continuation must stay latched drifting.
 func TestDriftFiresOnSlowdownShift(t *testing.T) {
 	o := obs.New()
-	var hookEvents []Event
-	m := New(Config{Obs: o, OnDrift: func(ev Event) { hookEvents = append(hookEvents, ev) }})
-	opts := trackerOpts()
-	opts.CalibrateN = 2
-	st := m.StreamOpts("trainreal", "iter", opts)
+	m := New(o)
+	st := m.Stream("trainreal", "iter")
 
 	const healthy = 0.008
 	for i := 0; i < 8; i++ {
@@ -148,12 +100,6 @@ func TestDriftFiresOnSlowdownShift(t *testing.T) {
 	}
 	if snap.State != StateDrifting {
 		t.Errorf("state = %q, want drifting", snap.State)
-	}
-	if len(hookEvents) != snap.Events {
-		t.Errorf("OnDrift invoked %d times, events = %d", len(hookEvents), snap.Events)
-	}
-	if hookEvents[0].Model != "trainreal" || hookEvents[0].Phase != "iter" || hookEvents[0].Stream != st {
-		t.Errorf("OnDrift event misdescribes the stream: %+v", hookEvents[0])
 	}
 
 	// Telemetry: the counter and the span annotation.
@@ -176,25 +122,18 @@ func TestDriftFiresOnSlowdownShift(t *testing.T) {
 		t.Errorf("%d drift span annotations, want %d", spans, snap.Events)
 	}
 
-	// Recalibrate: the refit path clears the latch and re-detects later.
-	st.Recalibrate()
-	if got := st.Snapshot(); got.State != StateCalibrating || got.Events != snap.Events {
-		t.Errorf("after Recalibrate: %+v", got)
-	}
-	slow := healthy + 0.060
+	// The latch holds: healthy steps after the event do not clear it.
 	for i := 0; i < 8; i++ {
-		st.Observe(healthy, slow) // κ recalibrates onto the slow regime
+		st.Observe(healthy, healthy*1.05)
 	}
-	if got := st.Snapshot().State; got != StateOK {
-		t.Errorf("state = %q after refit onto the new regime, want ok", got)
+	if got := st.Snapshot().State; got != StateDrifting {
+		t.Errorf("state = %q after a healthy continuation, want drifting", got)
 	}
 }
 
 func TestCleanFeedStaysSilent(t *testing.T) {
-	m := New(Config{})
-	opts := trackerOpts()
-	opts.CalibrateN = 2
-	st := m.StreamOpts("trainreal", "iter", opts)
+	m := New(nil)
+	st := m.Stream("trainreal", "iter")
 	rng := rand.New(rand.NewSource(9))
 	for i := 0; i < 500; i++ {
 		p := 0.008
@@ -204,14 +143,13 @@ func TestCleanFeedStaysSilent(t *testing.T) {
 	if snap.Events != 0 || snap.State == StateDrifting {
 		t.Errorf("clean noisy feed drifted: %+v", snap)
 	}
-	if m.Events() != 0 {
-		t.Errorf("monitor events = %d on clean feed", m.Events())
+	if got := m.Snapshot().Events; got != 0 {
+		t.Errorf("monitor events = %d on clean feed", got)
 	}
 }
 
 func TestDegeneratePairsIgnored(t *testing.T) {
-	m := New(Config{Defaults: trackerOpts()})
-	st := m.Stream("net", "fwd")
+	st := New(nil).Stream("net", "fwd")
 	st.Observe(math.NaN(), 1)
 	st.Observe(0, 1)
 	st.Observe(-1, 1)
@@ -221,13 +159,13 @@ func TestDegeneratePairsIgnored(t *testing.T) {
 	if snap.Pairs != 5 {
 		t.Errorf("pairs = %d, want 5 (counted)", snap.Pairs)
 	}
-	if snap.Window.N != 0 {
-		t.Errorf("degenerate pairs entered the window: N = %d", snap.Window.N)
+	if snap.State != StateCalibrating || snap.Kappa != 1 {
+		t.Errorf("degenerate pairs entered calibration: %+v", snap)
 	}
 }
 
 func TestSnapshotSortedAndJSON(t *testing.T) {
-	m := New(Config{Defaults: trackerOpts()})
+	m := New(nil)
 	m.Stream("b", "iter").Observe(1, 1.1)
 	m.Stream("a", "iter").Observe(1, 1.1)
 	m.Stream("a", "fwd").Observe(1, 1.1)
@@ -259,7 +197,7 @@ func TestSnapshotSortedAndJSON(t *testing.T) {
 // feeders, snapshot readers, and stream lookups must be safe.
 func TestConcurrentObserve(t *testing.T) {
 	o := obs.New()
-	m := New(Config{Obs: o, Defaults: trackerOpts()})
+	m := New(o)
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)

@@ -4,8 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"convmeter/internal/regress"
 )
 
 func TestWelfordMatchesClosedForm(t *testing.T) {
@@ -49,90 +47,11 @@ func TestWelfordIgnoresNonFinite(t *testing.T) {
 	}
 }
 
-// TestWindowSummaryMatchesOffline is the satellite agreement guarantee:
-// a window summary over a stream must equal an offline regress.Evaluate
-// over the last-capacity suffix of the same stream, bit for bit.
-func TestWindowSummaryMatchesOffline(t *testing.T) {
-	const capacity, total = 16, 53
-	rng := rand.New(rand.NewSource(7))
-	w := NewWindow(capacity)
-	var pred, actual []float64
-	for i := 0; i < total; i++ {
-		p := 1 + rng.Float64()
-		a := p * (1 + 0.1*rng.NormFloat64())
-		pred = append(pred, p)
-		actual = append(actual, a)
-		w.Add(p, a)
-
-		n := i + 1
-		if n > capacity {
-			n = capacity
-		}
-		if w.Len() != n {
-			t.Fatalf("step %d: Len = %d, want %d", i, w.Len(), n)
-		}
-		suffixP := pred[len(pred)-n:]
-		suffixA := actual[len(actual)-n:]
-		want, err := regress.Evaluate(suffixA, suffixP)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := w.Summary()
-		if got != want {
-			t.Fatalf("step %d: Summary = %+v, offline regress.Evaluate = %+v", i, got, want)
-		}
-	}
-}
-
-func TestWindowPairsOrder(t *testing.T) {
-	w := NewWindow(3)
-	for i := 1; i <= 5; i++ {
-		w.Add(float64(i), float64(10*i))
-	}
-	pred, actual := w.Pairs()
-	wantP := []float64{3, 4, 5}
-	wantA := []float64{30, 40, 50}
-	for i := range wantP {
-		if pred[i] != wantP[i] || actual[i] != wantA[i] {
-			t.Fatalf("Pairs = %v/%v, want %v/%v", pred, actual, wantP, wantA)
-		}
-	}
-	if w.Cap() != 3 {
-		t.Errorf("Cap = %d, want 3", w.Cap())
-	}
-}
-
-func TestWindowRejectsNonFinite(t *testing.T) {
-	w := NewWindow(4)
-	w.Add(math.NaN(), 1)
-	w.Add(1, math.Inf(-1))
-	if w.Len() != 0 {
-		t.Errorf("Len = %d after non-finite pairs, want 0", w.Len())
-	}
-	if got := w.Summary(); got != (regress.Report{}) {
-		t.Errorf("empty Summary = %+v, want zero report", got)
-	}
-}
-
 func TestNilHandlesAreNoOps(t *testing.T) {
 	var w *Welford
 	w.Add(1)
 	if w.N() != 0 || w.Mean() != 0 || w.Var() != 0 || w.Std() != 0 {
 		t.Error("nil Welford is not a no-op")
-	}
-	var win *Window
-	win.Add(1, 2)
-	if win.Len() != 0 || win.Cap() != 0 {
-		t.Error("nil Window is not a no-op")
-	}
-	if p, a := win.Pairs(); p != nil || a != nil {
-		t.Error("nil Window.Pairs not nil")
-	}
-	if win.Summary() != (regress.Report{}) {
-		t.Error("nil Window.Summary not zero")
-	}
-	if NewWindow(0) != nil {
-		t.Error("NewWindow(0) must be nil")
 	}
 	var ph *PageHinkley
 	if ph.Add(100) || ph.N() != 0 {
@@ -187,30 +106,19 @@ func TestPageHinkleyFiresOnUpwardShift(t *testing.T) {
 	}
 }
 
-// TestPageHinkleyDirection: increase-only detectors must ignore
-// speedups; Both must catch them.
+// TestPageHinkleyDirection: the detector tests upward shifts only, so a
+// speedup must never fire.
 func TestPageHinkleyDirection(t *testing.T) {
-	feed := func(d *PageHinkley) bool {
-		for i := 0; i < 20; i++ {
-			if d.Add(10) {
-				return true
-			}
+	d := NewPageHinkley(PHConfig{Delta: 0.5, Lambda: 8, Warmup: 3})
+	for i := 0; i < 20; i++ {
+		if d.Add(10) {
+			t.Fatalf("fired on the flat prefix at sample %d", i)
 		}
-		for i := 0; i < 10; i++ {
-			if d.Add(0.1) {
-				return true
-			}
+	}
+	for i := 0; i < 10; i++ {
+		if d.Add(0.1) {
+			t.Fatalf("fired on a downward shift at sample %d", i)
 		}
-		return false
-	}
-	if feed(NewPageHinkley(PHConfig{Delta: 0.5, Lambda: 8, Warmup: 3, Direction: Increase})) {
-		t.Error("Increase detector fired on a downward shift")
-	}
-	if !feed(NewPageHinkley(PHConfig{Delta: 0.5, Lambda: 8, Warmup: 3, Direction: Both})) {
-		t.Error("Both detector missed a downward shift")
-	}
-	if !feed(NewPageHinkley(PHConfig{Delta: 0.5, Lambda: 8, Warmup: 3, Direction: Decrease})) {
-		t.Error("Decrease detector missed a downward shift")
 	}
 }
 

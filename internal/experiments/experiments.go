@@ -39,10 +39,9 @@ type Config struct {
 	// (none, light, heavy, chaos, slowdown); empty means the experiment's
 	// default.
 	FaultsProfile string
-	// Drift, when non-nil, receives streaming (predicted, measured)
-	// pairs: the chaos experiment feeds live step times against the
-	// fitted training model, and completed LOMO evaluations feed their
-	// per-model pairs. Nil disables drift monitoring at zero cost.
+	// Drift, when non-nil, watches the chaos experiment's live step times
+	// against the fitted training model on its trainreal/iter stream.
+	// Nil disables drift monitoring at zero cost.
 	Drift *driftwatch.Monitor
 	// Crit, when non-nil, receives per-step critical-path attributions
 	// from the chaos experiment's trainer. It only reads the recorded

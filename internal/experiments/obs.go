@@ -3,7 +3,6 @@ package experiments
 import (
 	"time"
 
-	"convmeter/internal/core"
 	"convmeter/internal/obs"
 )
 
@@ -39,58 +38,21 @@ func runOne(r Runner, cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// lomoEval wraps one leave-one-model-out evaluation in a "lomo" span,
-// feeds its duration into a shared histogram, and streams its scatter
-// pairs into the drift monitor. The evaluation itself runs in analytical
-// packages (core, baselines), which the boundary rule keeps
-// telemetry-free — so both are applied here, at the measured-side call
-// site.
+// lomoEval wraps one leave-one-model-out evaluation in a "lomo" span
+// and feeds its duration into a shared histogram. The evaluation itself
+// runs in analytical packages (core, baselines), which the boundary rule
+// keeps telemetry-free — so both are applied here, at the measured-side
+// call site.
 func lomoEval[T any](cfg Config, eval func() (T, error)) (T, error) {
-	run := func() (T, error) {
-		if cfg.Obs == nil {
-			return eval()
-		}
-		sp := cfg.Obs.Start("lomo")
-		t0 := time.Now()
-		out, err := eval()
-		sp.End()
-		cfg.Obs.Histogram("convmeter_experiment_lomo_seconds",
-			"wall-clock per leave-one-model-out evaluation", obs.DefaultDurationBuckets()).
-			Observe(time.Since(t0).Seconds())
-		return out, err
+	if cfg.Obs == nil {
+		return eval()
 	}
-	out, err := run()
-	if err == nil {
-		feedDriftEval(cfg, any(out))
-	}
+	sp := cfg.Obs.Start("lomo")
+	t0 := time.Now()
+	out, err := eval()
+	sp.End()
+	cfg.Obs.Histogram("convmeter_experiment_lomo_seconds",
+		"wall-clock per leave-one-model-out evaluation", obs.DefaultDurationBuckets()).
+		Observe(time.Since(t0).Seconds())
 	return out, err
-}
-
-// feedDriftEval streams a completed LOMO evaluation's scatter pairs into
-// the drift monitor, one stream per held-out model: inference
-// evaluations land on the "fwd" phase, training evaluations on "iter".
-// With no monitor configured this is a no-op.
-func feedDriftEval(cfg Config, out any) {
-	if cfg.Drift == nil {
-		return
-	}
-	var pairs []core.PredPair
-	phase := "fwd"
-	switch ev := out.(type) {
-	case *core.TrainEvaluation:
-		if ev == nil {
-			return
-		}
-		pairs, phase = ev.Pairs, "iter"
-	case *core.Evaluation:
-		if ev == nil {
-			return
-		}
-		pairs = ev.Pairs
-	default:
-		return
-	}
-	for _, p := range pairs {
-		cfg.Drift.Stream(p.Model, phase).Observe(p.Pred, p.Actual)
-	}
 }

@@ -8,7 +8,6 @@ import (
 
 	"convmeter/internal/allreduce"
 	"convmeter/internal/core"
-	"convmeter/internal/driftwatch"
 	"convmeter/internal/faults"
 	"convmeter/internal/graph"
 	"convmeter/internal/hwsim"
@@ -68,9 +67,7 @@ func ExtTrainFaults(cfg Config) (*Result, error) {
 			return nil, err
 		}
 		tcfg.PredictStep = predict
-		tcfg.Drift = cfg.Drift.StreamOpts("trainreal", "iter", driftwatch.Options{
-			Window: 64, CalibrateN: 2, Warmup: 3, Delta: 0.5, Lambda: 8,
-		})
+		tcfg.Drift = cfg.Drift.Stream("trainreal", "iter")
 	}
 	tr, err := train.NewTrainer(g, tcfg)
 	if err != nil {

@@ -118,7 +118,7 @@ func TestExtTrainFaultsProfileSelection(t *testing.T) {
 // attached and returns the trainreal/iter stream snapshot.
 func chaosDriftStream(t *testing.T, profile string) driftwatch.StreamSnapshot {
 	t.Helper()
-	mon := driftwatch.New(driftwatch.Config{})
+	mon := driftwatch.New(nil)
 	cfg := faultsCfg
 	cfg.FaultsProfile = profile
 	cfg.Drift = mon

@@ -226,7 +226,7 @@ func TestRepoConfig(t *testing.T) {
 		"convmeter/internal/allreduce":             {"chanRing.step"},
 		"convmeter/internal/obs":                   {"Counter.Add", "Gauge.Set", "Histogram.Observe", "Span.Context", "Span.LinkTo"},
 		"convmeter/internal/driftwatch":            {"Stream.Observe"},
-		"convmeter/internal/driftwatch/streamstat": {"Window.Add", "Window.Summary"},
+		"convmeter/internal/driftwatch/streamstat": {"Welford.Add", "PageHinkley.Add"},
 	} {
 		declared := map[string]bool{}
 		for _, r := range cfg.hotpathRoots(pkg) {

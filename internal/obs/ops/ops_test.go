@@ -65,7 +65,7 @@ func TestEndpoints(t *testing.T) {
 	o.Counter("convmeter_test_total", "h").Inc()
 	sp := o.Start("work")
 	sp.End()
-	mon := driftwatch.New(driftwatch.Config{Obs: o})
+	mon := driftwatch.New(o)
 	mon.Stream("net", "iter").Observe(0.01, 0.011)
 	crit := critpath.NewTracker(o)
 	crit.Record(critpath.StepAttribution{
@@ -260,7 +260,7 @@ func TestStartFailsFastOnBadAddr(t *testing.T) {
 // tracer and drift monitor underneath.
 func TestConcurrentScrapes(t *testing.T) {
 	o := obs.New()
-	mon := driftwatch.New(driftwatch.Config{Obs: o})
+	mon := driftwatch.New(o)
 	crit := critpath.NewTracker(o)
 	srv := startTestServer(t, Config{Obs: o, Drift: mon, Crit: crit})
 	base := "http://" + srv.Addr()

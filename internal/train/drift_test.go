@@ -8,15 +8,6 @@ import (
 	"convmeter/internal/faults"
 )
 
-// driftStream builds a stream tuned like the exttrainfaults feed: two
-// calibration pairs, short warmup, drift threshold sized for relative
-// step-time residuals.
-func driftStream(mon *driftwatch.Monitor) *driftwatch.Stream {
-	return mon.StreamOpts("trainnet", "iter", driftwatch.Options{
-		Window: 32, CalibrateN: 2, Delta: 0.5, Lambda: 8, Warmup: 3,
-	})
-}
-
 // TestStepFeedsDriftPairs: with Drift+PredictStep configured, every
 // completed step contributes exactly one (predicted, measured) pair,
 // and the predicted side sees the live-worker count.
@@ -26,11 +17,11 @@ func TestStepFeedsDriftPairs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mon := driftwatch.New(driftwatch.Config{})
+	mon := driftwatch.New(nil)
 	var liveSeen []int
 	cfg := Config{
 		Workers: 2, LR: 0.05, Seed: 1,
-		Drift: driftStream(mon),
+		Drift: mon.Stream("trainnet", "iter"),
 		PredictStep: func(live int) float64 {
 			liveSeen = append(liveSeen, live)
 			return 0.001
@@ -66,8 +57,8 @@ func TestDriftDisabledWithoutPredictor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mon := driftwatch.New(driftwatch.Config{})
-	st := driftStream(mon)
+	mon := driftwatch.New(nil)
+	st := mon.Stream("trainnet", "iter")
 	for _, cfg := range []Config{
 		{Workers: 2, LR: 0.05, Seed: 1, Drift: st},
 		{Workers: 2, LR: 0.05, Seed: 1, PredictStep: func(int) float64 { return 1 }},
@@ -100,8 +91,8 @@ func TestSlowdownProfileStretchesSteps(t *testing.T) {
 
 	run := func(inj *faults.Injector) *driftwatch.Stream {
 		t.Helper()
-		mon := driftwatch.New(driftwatch.Config{})
-		st := driftStream(mon)
+		mon := driftwatch.New(nil)
+		st := mon.Stream("trainnet", "iter")
 		cfg := Config{
 			Workers: 2, LR: 0.05, Seed: 1,
 			Faults: inj,
