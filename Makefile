@@ -4,7 +4,7 @@
 GO       ?= go
 FUZZTIME ?= 15s
 
-.PHONY: build vet lint test race fuzz obs-smoke obs-bench bench-snapshot bench-check chaos dag-smoke drift-smoke ci
+.PHONY: build vet lint test perfbench-test race fuzz obs-smoke obs-bench bench-snapshot bench-check chaos dag-smoke drift-smoke ci
 
 build:
 	$(GO) build ./...
@@ -22,12 +22,19 @@ lint:
 test:
 	$(GO) test ./...
 
+# perfbench-test: the benchmark's own tests. cmd/perfbench is a module of
+# its own, so `test` skips it; its TestReproduceFullScaleGolden is the
+# only byte-for-byte check of the full-scale simulated reproduction.
+perfbench-test:
+	cd cmd/perfbench && $(GO) test ./...
+
 # Every race-detector test runs here, once. The concurrent packages (the
 # kernel worker pool, ring all-reduce, parallel bench collector,
 # data-parallel trainer with its chaos and critical-path blame suites,
 # telemetry registry/tracer, ops server under ./internal/obs/..., drift
 # monitor, fault injector, DAG executor with its crash-resume matrix,
-# the experiments harness with its DAG resume matrices) run under the
+# the experiments harness with its DAG resume matrices and Fig. 6's
+# concurrent DIPPM folds) run under the
 # race detector, plus the lint package itself — its fixture suites drive
 # the loader and analyzers concurrently enough to be worth the coverage
 # — and the CLI legs that scrape a live ops server and kill/resume a
@@ -139,4 +146,4 @@ dag-smoke:
 	$(GO) run ./cmd/obscheck -manifest .dag-smoke/run
 	rm -rf .dag-smoke
 
-ci: build vet lint test race obs-smoke chaos dag-smoke drift-smoke bench-check
+ci: build vet lint test perfbench-test race obs-smoke chaos dag-smoke drift-smoke bench-check

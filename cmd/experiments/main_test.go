@@ -33,9 +33,9 @@ func TestRunWithTelemetry(t *testing.T) {
 
 	// Metrics: parse the exposition text into name -> value and check the
 	// training-loop counters against the quick fixture's known shape
-	// (2 workers × 6 steps).
+	// (2 workers × 12 steps).
 	values := parsePromFile(t, metricsPath)
-	const wantSteps = 6
+	const wantSteps = 12
 	if got := values["convmeter_train_steps_total"]; got != wantSteps {
 		t.Fatalf("convmeter_train_steps_total = %g, want %d", got, wantSteps)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 )
 
 // MLP is a small fully connected network with ReLU hidden layers and a
@@ -46,17 +47,26 @@ func NewMLP(sizes []int, seed int64) (*MLP, error) {
 	return m, nil
 }
 
-// forward runs the network, returning pre-activations and activations per
-// layer for use in backprop. acts[0] is the input.
-func (m *MLP) forward(x []float64) (acts [][]float64) {
-	acts = [][]float64{x}
-	cur := x
-	for l := 0; l < len(m.weights); l++ {
-		in, out := m.sizes[l], m.sizes[l+1]
-		next := make([]float64, out)
-		for o := 0; o < out; o++ {
+// newActs allocates the per-layer activation buffers forward writes
+// into. acts[0] is left for the input row.
+func (m *MLP) newActs() [][]float64 {
+	acts := make([][]float64, len(m.sizes))
+	for l := 1; l < len(m.sizes); l++ {
+		acts[l] = make([]float64, m.sizes[l])
+	}
+	return acts
+}
+
+// forward runs the network on x into acts (sized by newActs), keeping
+// every layer's activation for backprop, and returns the output. acts[0]
+// becomes x. It allocates nothing.
+func (m *MLP) forward(x []float64, acts [][]float64) float64 {
+	acts[0] = x
+	for l, w := range m.weights {
+		in, cur, next := m.sizes[l], acts[l], acts[l+1]
+		for o := range next {
 			s := m.biases[l][o]
-			row := m.weights[l][o*in : (o+1)*in]
+			row := w[o*in : (o+1)*in]
 			for i, v := range cur {
 				s += row[i] * v
 			}
@@ -65,10 +75,8 @@ func (m *MLP) forward(x []float64) (acts [][]float64) {
 			}
 			next[o] = s
 		}
-		acts = append(acts, next)
-		cur = next
 	}
-	return acts
+	return acts[len(acts)-1][0]
 }
 
 // Predict evaluates the network on one feature vector.
@@ -76,8 +84,18 @@ func (m *MLP) Predict(x []float64) (float64, error) {
 	if len(x) != m.sizes[0] {
 		return 0, fmt.Errorf("baselines: input has %d features, MLP expects %d", len(x), m.sizes[0])
 	}
-	acts := m.forward(x)
-	return acts[len(acts)-1][0], nil
+	return m.forward(x, m.newActs()), nil
+}
+
+// zerosLike allocates zeroed buffers shaped like the weights and biases.
+func (m *MLP) zerosLike() (w, b [][]float64) {
+	w = make([][]float64, len(m.weights))
+	b = make([][]float64, len(m.biases))
+	for l := range m.weights {
+		w[l] = make([]float64, len(m.weights[l]))
+		b[l] = make([]float64, len(m.biases[l]))
+	}
+	return w, b
 }
 
 // TrainConfig controls SGD.
@@ -102,13 +120,14 @@ func (m *MLP) Train(X [][]float64, y []float64, cfg TrainConfig) (float64, error
 	if cfg.Epochs <= 0 || cfg.LR <= 0 || cfg.BatchSize <= 0 {
 		return 0, fmt.Errorf("baselines: invalid train config %+v", cfg)
 	}
-	// Momentum buffers.
-	vw := make([][]float64, len(m.weights))
-	vb := make([][]float64, len(m.biases))
-	for l := range m.weights {
-		vw[l] = make([]float64, len(m.weights[l]))
-		vb[l] = make([]float64, len(m.biases[l]))
-	}
+	// Every buffer is made once per call: momentum, the per-batch
+	// gradient accumulators, one activation per layer, and two delta
+	// buffers that backprop ping-pongs between.
+	vw, vb := m.zerosLike()
+	gw, gb := m.zerosLike()
+	acts := m.newActs()
+	widest := slices.Max(m.sizes[1:])
+	deltaA, deltaB := make([]float64, widest), make([]float64, widest)
 	idx := make([]int, len(X))
 	for i := range idx {
 		idx[i] = i
@@ -124,19 +143,16 @@ func (m *MLP) Train(X [][]float64, y []float64, cfg TrainConfig) (float64, error
 			}
 			batch := idx[start:end]
 			// Accumulate gradients over the mini-batch.
-			gw := make([][]float64, len(m.weights))
-			gb := make([][]float64, len(m.biases))
-			for l := range m.weights {
-				gw[l] = make([]float64, len(m.weights[l]))
-				gb[l] = make([]float64, len(m.biases[l]))
+			for l := range gw {
+				clear(gw[l])
+				clear(gb[l])
 			}
 			for _, s := range batch {
-				acts := m.forward(X[s])
-				pred := acts[len(acts)-1][0]
-				err := pred - y[s]
+				err := m.forward(X[s], acts) - y[s]
 				sse += err * err
 				// Backprop: delta at output is d(MSE)/d(pred).
-				delta := []float64{2 * err}
+				delta, spare := deltaA[:1], deltaB
+				delta[0] = 2 * err
 				for l := len(m.weights) - 1; l >= 0; l-- {
 					in := m.sizes[l]
 					prev := acts[l]
@@ -150,18 +166,23 @@ func (m *MLP) Train(X [][]float64, y []float64, cfg TrainConfig) (float64, error
 					if l == 0 {
 						break
 					}
-					nd := make([]float64, in)
-					for i := 0; i < in; i++ {
-						s := 0.0
-						for o, d := range delta {
-							s += m.weights[l][o*in+i] * d
+					// nd[i] sums W[o][i]·d[o] over o ascending from +0, the
+					// same additions in the same order as a per-column dot
+					// product, walked row by row.
+					nd := spare[:in]
+					clear(nd)
+					for o, d := range delta {
+						row := m.weights[l][o*in : (o+1)*in]
+						for i := range nd {
+							nd[i] += row[i] * d
 						}
-						if acts[l][i] <= 0 { // ReLU derivative
-							s = 0
-						}
-						nd[i] = s
 					}
-					delta = nd
+					for i, a := range acts[l] {
+						if a <= 0 { // ReLU derivative
+							nd[i] = 0
+						}
+					}
+					delta, spare = nd, delta[:cap(delta)]
 				}
 			}
 			scale := cfg.LR / float64(len(batch))

@@ -25,14 +25,15 @@ func deriveSeed(base int64, parts ...string) int64 {
 	return int64(h.Sum64() >> 1) // keep it non-negative
 }
 
-// runParallel executes n independent tasks over a bounded worker pool and
-// returns the first error. Task outputs must be written to pre-allocated
-// per-index slots by the closure, keeping assembly order deterministic.
-func runParallel(n int, task func(i int) error) error {
+// RunParallel executes n independent tasks over a bounded worker pool of
+// GOMAXPROCS goroutines and returns the first error. Task outputs must be
+// written to pre-allocated per-index slots by the closure, keeping
+// assembly order deterministic.
+func RunParallel(n int, task func(i int) error) error {
 	return runParallelObs(n, nil, "", task)
 }
 
-// runParallelObs is runParallel with telemetry: per-task durations feed a
+// runParallelObs is RunParallel with telemetry: per-task durations feed a
 // latency histogram and a busy-seconds counter (busy seconds over wall
 // clock is the pool's worker utilisation), and the worker count is
 // exported as a gauge. A nil Obs adds no work beyond one nil check per

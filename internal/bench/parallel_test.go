@@ -37,7 +37,7 @@ func TestDeriveSeedStableAndDistinct(t *testing.T) {
 func TestRunParallelExecutesAllTasks(t *testing.T) {
 	var count int64
 	hits := make([]int64, 100)
-	err := runParallel(100, func(i int) error {
+	err := RunParallel(100, func(i int) error {
 		atomic.AddInt64(&count, 1)
 		atomic.AddInt64(&hits[i], 1)
 		return nil
@@ -57,7 +57,7 @@ func TestRunParallelExecutesAllTasks(t *testing.T) {
 
 func TestRunParallelPropagatesError(t *testing.T) {
 	wantErr := errors.New("boom")
-	err := runParallel(50, func(i int) error {
+	err := RunParallel(50, func(i int) error {
 		if i == 17 {
 			return wantErr
 		}
@@ -69,7 +69,7 @@ func TestRunParallelPropagatesError(t *testing.T) {
 }
 
 func TestRunParallelZeroTasks(t *testing.T) {
-	if err := runParallel(0, func(int) error { return errors.New("never") }); err != nil {
+	if err := RunParallel(0, func(int) error { return errors.New("never") }); err != nil {
 		t.Fatal("zero tasks must be a no-op")
 	}
 }

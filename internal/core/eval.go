@@ -48,7 +48,7 @@ func EvaluateLOMO(samples []Sample, predictHeld func(train, held []Sample) ([]fl
 	ev := &Evaluation{PerModel: make(map[string]regress.Report, len(names))}
 	var allActual, allPred []float64
 	for _, name := range names {
-		train, held := split(samples, name)
+		train, held := Split(samples, name)
 		preds, err := predictHeld(train, held)
 		if err != nil {
 			return nil, fmt.Errorf("core: LOMO for %s: %w", name, err)

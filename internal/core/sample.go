@@ -84,9 +84,10 @@ func modelNames(samples []Sample) []string {
 	return out
 }
 
-// split partitions samples into those not belonging to model (train) and
+// Split partitions samples into those not belonging to model (train) and
 // those belonging to it (held out) — the paper's leave-one-model-out rule.
-func split(samples []Sample, model string) (train, held []Sample) {
+// It is exported so baseline protocols hold out exactly what LOMO does.
+func Split(samples []Sample, model string) (train, held []Sample) {
 	for _, s := range samples {
 		if s.Model == model {
 			held = append(held, s)

@@ -42,7 +42,7 @@ func Ablation(cfg Config) (*Result, error) {
 	if cfg.Quick {
 		holdModel = "resnet18"
 	}
-	trainAll, held := lomoSplit(full, holdModel)
+	trainAll, held := core.Split(full, holdModel)
 	sizes := []int{25, 100, 400, len(trainAll)}
 	var rows [][]string
 	for _, n := range sizes {

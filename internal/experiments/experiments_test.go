@@ -4,6 +4,8 @@ import (
 	"encoding/csv"
 	"fmt"
 	"math"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -125,6 +127,28 @@ func TestFig6ConvMeterBeatsDIPPM(t *testing.T) {
 	}
 	if !strings.Contains(res.Text, "n/a (graph parse failed)") {
 		t.Error("squeezenet1_0 should be marked unparseable, as in the paper")
+	}
+}
+
+// TestFig6IndependentOfWorkerCount runs Fig. 6's concurrent DIPPM folds
+// on one worker and on four: each fold fills its own slot and the table
+// is assembled in model order, so text and stats must not change.
+func TestFig6IndependentOfWorkerCount(t *testing.T) {
+	run := func(procs int) *Result {
+		t.Helper()
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		res, err := Fig6(quickCfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	serial, pooled := run(1), run(4)
+	if serial.Text != pooled.Text {
+		t.Fatalf("fig6 text differs between 1 and 4 workers:\n%s\nvs\n%s", serial.Text, pooled.Text)
+	}
+	if !reflect.DeepEqual(serial.Stats, pooled.Stats) {
+		t.Fatalf("fig6 stats differ between 1 and 4 workers:\n%v\nvs\n%v", serial.Stats, pooled.Stats)
 	}
 }
 

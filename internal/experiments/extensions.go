@@ -151,7 +151,7 @@ func ExtStrong(cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		train, _ := lomoSplit(fitSamples, name)
+		train, _ := core.Split(fitSamples, name)
 		tm, err := core.FitTraining(train)
 		if err != nil {
 			return nil, err

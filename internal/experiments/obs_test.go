@@ -128,3 +128,15 @@ func TestNilObsStaysDark(t *testing.T) {
 		t.Fatal("run without telemetry produced no result")
 	}
 }
+
+// TestExtTrainRealQuickLearnsAtEverySeed runs the quick fixture at seeds
+// 1–40 and requires every run to pass its own checks: the loss falls and
+// the replicas stay synchronised. A run too short to recover from the
+// early overshoot fails "loss did not fall" at some of these seeds.
+func TestExtTrainRealQuickLearnsAtEverySeed(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		if _, err := ExtTrainReal(Config{Seed: seed, Quick: true}); err != nil {
+			t.Errorf("seed %d: %v", seed, err)
+		}
+	}
+}

@@ -75,7 +75,7 @@ func Fig8(cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		train, _ := lomoSplit(fitSamples, name)
+		train, _ := core.Split(fitSamples, name)
 		tm, err := core.FitTraining(train)
 		if err != nil {
 			return nil, err
@@ -156,7 +156,7 @@ func Fig9(cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		train, _ := lomoSplit(fitSamples, name)
+		train, _ := core.Split(fitSamples, name)
 		tm, err := core.FitTraining(train)
 		if err != nil {
 			return nil, err

@@ -47,7 +47,9 @@ func ExtTrainFaults(cfg Config) (*Result, error) {
 	}
 	workers, steps, globalBatch := 4, 16, 24
 	if cfg.Quick {
-		steps, globalBatch = 10, 16
+		// 12 steps, not fewer: the loss spikes around step 10, so a
+		// shorter run can end above a first loss that started near chance.
+		steps, globalBatch = 12, 16
 	}
 	task, err := train.NewPrototypeTask(g, 3, 0.3, cfg.Seed+41)
 	if err != nil {

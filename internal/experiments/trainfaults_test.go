@@ -38,6 +38,18 @@ func TestExtTrainFaultsSurvivesChaos(t *testing.T) {
 	}
 }
 
+// TestExtTrainFaultsQuickLearns runs the quick chaos fixture at the
+// seeds where a 10-step run ended on the loss spike around step 10 and
+// failed "loss did not fall under faults". (Seeds 1–40 all pass; the
+// full sweep takes ~40 s, too long for the unit suite.)
+func TestExtTrainFaultsQuickLearns(t *testing.T) {
+	for _, seed := range []int64{9, 14, 40} {
+		if _, err := ExtTrainFaults(Config{Seed: seed, Quick: true}); err != nil {
+			t.Errorf("seed %d: %v", seed, err)
+		}
+	}
+}
+
 // TestExtTrainFaultsReproducible: the same fault seed must reproduce the
 // identical fault schedule and the identical training outcome — the
 // framework's core determinism property, end to end through real TCP
