@@ -1,12 +1,13 @@
 // Command benchsnap captures the repository's benchmark baseline: it
 // runs the `go test -bench` suites, parses the standard benchmark
 // output and writes a benchstat-comparable JSON snapshot
-// (schema convmeter/bench-snapshot/v1, validated by obscheck -bench).
-// The committed BENCH_<n>.json files record the perf trajectory; in
-// -check mode benchsnap re-runs the suites and fails when any
-// benchmark regresses beyond the ns/op threshold against a committed
-// baseline, or when a 0-allocs/op benchmark starts allocating — the
-// dynamic counterpart of the hotpath analyzer's static contract.
+// (schema convmeter/bench-snapshot/v1, validated whenever benchsnap
+// writes or reads one). The committed BENCH_<n>.json files record the
+// perf trajectory; in -check mode benchsnap re-runs the suites and
+// fails when a 0-allocs/op benchmark starts allocating — the dynamic
+// counterpart of the hotpath analyzer's static contract — when a
+// benchmark regresses beyond the ns/op threshold against a baseline
+// recorded on the same host, or when no benchmark matches the baseline.
 package main
 
 import (
@@ -30,7 +31,7 @@ func main() {
 	benchtime := flag.String("benchtime", "20ms", "go test -benchtime value; time-based so micro-benchmarks get enough iterations to beat timer granularity while the experiment benches stay cheap")
 	count := flag.Int("count", 5, "go test -count value; repeated measurements are merged by min ns/op to filter scheduler and GC noise")
 	pkgs := flag.String("pkgs", "./,./internal/obs", "comma-separated packages whose benchmarks form the baseline")
-	input := flag.String("input", "", "parse this `go test -bench` output file instead of running the benchmarks")
+	input := flag.String("input", "", "parse this `go test -bench` output file, produced on this host, instead of running the benchmarks")
 	flag.Parse()
 	if *out == "" && *check == "" {
 		fmt.Fprintln(os.Stderr, "benchsnap: nothing to do (pass -out and/or -check)")
@@ -71,7 +72,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		regressions := compare(base, snap, *threshold, os.Stdout)
+		regressions, matched := compare(base, snap, *threshold, os.Stdout)
 		// A regression may be machine load, not code: re-measure only the
 		// offending benchmarks and keep the per-benchmark minimum. The
 		// minimum is monotone under more samples while the baseline is
@@ -92,7 +93,7 @@ func main() {
 			if snap, err = buildSnapshot(lines, *benchtime); err != nil {
 				fatal(err)
 			}
-			regressions = compare(base, snap, *threshold, io.Discard)
+			regressions, matched = compare(base, snap, *threshold, io.Discard)
 		}
 		if len(regressions) > 0 {
 			for _, r := range regressions {
@@ -100,15 +101,19 @@ func main() {
 			}
 			os.Exit(1)
 		}
-		fmt.Printf("benchsnap: %d benchmarks within %.0f%% of %s\n",
-			len(snap.Benchmarks), *threshold*100, *check)
+		timing := "ns/op not compared"
+		if base.Host.timesComparableWith(snap.Host) {
+			timing = fmt.Sprintf("ns/op within %.0f%%", *threshold*100)
+		}
+		fmt.Printf("benchsnap: %d of %d baseline benchmarks matched in %s: 0-allocs/op ones still allocate nothing; %s\n",
+			matched, len(base.Benchmarks), *check, timing)
 	}
 }
 
 // retryRegexp builds the -bench regexp selecting the top-level
 // benchmarks named in ns/op regressions ("" if none, e.g. only alloc
-// regressions). Sub-benchmark paths and the -GOMAXPROCS suffix are
-// stripped: go test selects by top-level function first.
+// regressions). Sub-benchmark paths are stripped: go test selects by
+// top-level function first.
 func retryRegexp(regressions []string) string {
 	seen := map[string]bool{}
 	var names []string
@@ -118,9 +123,6 @@ func retryRegexp(regressions []string) string {
 		}
 		name, _, _ := strings.Cut(r, ":")
 		name, _, _ = strings.Cut(name, "/")
-		if i := strings.LastIndexByte(name, '-'); i > 0 {
-			name = name[:i]
-		}
 		if !seen[name] {
 			seen[name] = true
 			names = append(names, regexp.QuoteMeta(name))
@@ -153,7 +155,8 @@ func runBench(pkg, benchRe, benchtime string, count int) (string, error) {
 }
 
 // newSnapshot stamps the environment the numbers were measured in, so
-// a later diff knows whether it is comparing like with like.
+// a later diff knows whether it is comparing like with like;
+// buildSnapshot adds the host facts the benchmark output carries.
 func newSnapshot(benchtime string) *Snapshot {
 	return &Snapshot{
 		Schema:    SchemaV1,
@@ -161,6 +164,7 @@ func newSnapshot(benchtime string) *Snapshot {
 		GOOS:      runtime.GOOS,
 		GOARCH:    runtime.GOARCH,
 		Benchtime: benchtime,
+		Host:      Host{NumCPU: runtime.NumCPU()},
 	}
 }
 
@@ -173,8 +177,8 @@ func readSnapshot(path string) (*Snapshot, error) {
 	if err := json.Unmarshal(data, &snap); err != nil {
 		return nil, fmt.Errorf("%s: invalid snapshot JSON: %v", path, err)
 	}
-	if snap.Schema != SchemaV1 {
-		return nil, fmt.Errorf("%s: schema %q, want %q", path, snap.Schema, SchemaV1)
+	if err := snap.validate(); err != nil {
+		return nil, fmt.Errorf("%s: %v", path, err)
 	}
 	return &snap, nil
 }

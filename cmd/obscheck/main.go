@@ -4,9 +4,7 @@
 // one convmeter_ sample, the trace file must be a Chrome trace-event
 // JSON document with a traceEvents array, and the drift file must be a
 // well-formed drift-monitor snapshot (optionally asserting that drift
-// was, or was not, detected). It also validates benchmark baseline
-// snapshots written by cmd/benchsnap (-bench BENCH_<n>.json: schema,
-// sorted unique names, >= 1 iteration, finite values) and critical-path
+// was, or was not, detected). It also validates critical-path
 // attribution reports (-critpath: schema, finite non-negative
 // durations, legal dominant phases, blame consistency — optionally
 // asserting that a specific worker was, or no worker was, blamed) and
@@ -23,7 +21,7 @@
 // chaos (metrics), drift-smoke (drift, critpath, trace) and dag-smoke
 // (manifest) targets run it against real artefacts so a formatting
 // regression fails the build rather than silently producing files
-// Grafana, Perfetto or benchsnap -check reject.
+// Grafana or Perfetto reject.
 package main
 
 import (
@@ -45,7 +43,6 @@ func main() {
 	metrics := flag.String("metrics", "", "Prometheus text metrics file to validate (from -metrics-out)")
 	trace := flag.String("trace", "", "Chrome trace-event JSON file to validate")
 	drift := flag.String("drift", "", "drift-monitor JSON snapshot to validate (from -drift-out or GET /drift)")
-	bench := flag.String("bench", "", "benchmark snapshot JSON to validate (from benchsnap -out, e.g. BENCH_1.json)")
 	critpath := flag.String("critpath", "", "critical-path attribution report JSON to validate (from -critpath-out or GET /critpath)")
 	manifestDir := flag.String("manifest", "", "DAG run directory to validate (from experiments -dag-dir): every manifest parses and its content hash verifies, and input hashes resolve to committed manifests")
 	requireFaults := flag.Bool("require-faults", false, "additionally require a convmeter_faults_injected_total sample with value > 0 (chaos-run validation)")
@@ -54,8 +51,8 @@ func main() {
 	requireBlame := flag.Int("require-blame", -1, "additionally require at least one -critpath step blaming this worker (straggler-run validation); -1 disables")
 	forbidBlame := flag.Bool("forbid-blame", false, "additionally require zero blamed steps and at least one analyzed step in the -critpath report (clean-run validation)")
 	flag.Parse()
-	if *metrics == "" && *trace == "" && *drift == "" && *bench == "" && *critpath == "" && *manifestDir == "" {
-		fmt.Fprintln(os.Stderr, "obscheck: nothing to check (pass -metrics, -trace, -drift, -bench, -critpath and/or -manifest)")
+	if *metrics == "" && *trace == "" && *drift == "" && *critpath == "" && *manifestDir == "" {
+		fmt.Fprintln(os.Stderr, "obscheck: nothing to check (pass -metrics, -trace, -drift, -critpath and/or -manifest)")
 		os.Exit(2)
 	}
 	if *requireFaults && *metrics == "" {
@@ -98,13 +95,6 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("obscheck: %s ok\n", *drift)
-	}
-	if *bench != "" {
-		if err := checkBench(*bench); err != nil {
-			fmt.Fprintln(os.Stderr, "obscheck:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("obscheck: %s ok\n", *bench)
 	}
 	if *critpath != "" {
 		if err := checkCritpath(*critpath, *requireBlame, *forbidBlame); err != nil {
@@ -308,74 +298,6 @@ func checkCritpath(path string, requireBlame int, forbidBlame bool) error {
 			if w != requireBlame {
 				return fmt.Errorf("%s: worker %d blamed alongside expected straggler %d", path, w, requireBlame)
 			}
-		}
-	}
-	return nil
-}
-
-// benchSchema is the snapshot format benchsnap writes; keep in sync
-// with cmd/benchsnap's SchemaV1.
-const benchSchema = "convmeter/bench-snapshot/v1"
-
-// checkBench validates a benchmark baseline snapshot: the schema tag,
-// a non-empty benchmark list sorted by unique name (so diffs are
-// stable), at least one measured iteration per benchmark, and finite,
-// sane values throughout — a baseline with a NaN or a zero ns/op would
-// make every later benchsnap -check comparison meaningless.
-func checkBench(path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var doc struct {
-		Schema     string `json:"schema"`
-		Go         string `json:"go"`
-		Benchmarks []struct {
-			Name        string   `json:"name"`
-			Iterations  int64    `json:"iterations"`
-			NsPerOp     *float64 `json:"ns_per_op"`
-			BytesPerOp  float64  `json:"bytes_per_op"`
-			AllocsPerOp float64  `json:"allocs_per_op"`
-			MBPerS      float64  `json:"mb_per_s"`
-		} `json:"benchmarks"`
-	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		return fmt.Errorf("%s: invalid bench JSON: %v", path, err)
-	}
-	if doc.Schema != benchSchema {
-		return fmt.Errorf("%s: schema %q, want %q", path, doc.Schema, benchSchema)
-	}
-	if doc.Go == "" {
-		return fmt.Errorf("%s: missing go version stamp", path)
-	}
-	if len(doc.Benchmarks) == 0 {
-		return fmt.Errorf("%s: no benchmarks", path)
-	}
-	prev := ""
-	for i, b := range doc.Benchmarks {
-		if b.Name == "" {
-			return fmt.Errorf("%s: benchmark %d has no name", path, i)
-		}
-		if b.Name <= prev {
-			return fmt.Errorf("%s: benchmark names not sorted/unique at %q", path, b.Name)
-		}
-		prev = b.Name
-		if b.Iterations < 1 {
-			return fmt.Errorf("%s: %s: iterations %d, want >= 1", path, b.Name, b.Iterations)
-		}
-		if b.NsPerOp == nil {
-			return fmt.Errorf("%s: %s: ns_per_op missing", path, b.Name)
-		}
-		for what, v := range map[string]float64{
-			"ns_per_op": *b.NsPerOp, "bytes_per_op": b.BytesPerOp,
-			"allocs_per_op": b.AllocsPerOp, "mb_per_s": b.MBPerS,
-		} {
-			if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-				return fmt.Errorf("%s: %s: %s = %v, want finite and non-negative", path, b.Name, what, v)
-			}
-		}
-		if *b.NsPerOp == 0 {
-			return fmt.Errorf("%s: %s: ns_per_op is zero", path, b.Name)
 		}
 	}
 	return nil

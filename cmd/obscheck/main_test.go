@@ -235,48 +235,6 @@ func TestCheckManifests(t *testing.T) {
 	})
 }
 
-func TestCheckBench(t *testing.T) {
-	good := `{"schema":"convmeter/bench-snapshot/v1","go":"go1.24.0","goos":"linux","goarch":"amd64","benchtime":"1x",
-		"benchmarks":[
-			{"name":"BenchmarkA-8","iterations":100,"ns_per_op":123.5,"bytes_per_op":0,"allocs_per_op":0},
-			{"name":"BenchmarkB-8","iterations":1,"ns_per_op":5000,"bytes_per_op":64,"allocs_per_op":2,"mb_per_s":12.5}]}`
-	cases := []struct {
-		name    string
-		doc     string
-		wantErr bool
-	}{
-		{"good", good, false},
-		{"bad-json", `{"schema":`, true},
-		{"wrong-schema", `{"schema":"v0","go":"go1.24.0","benchmarks":[{"name":"BenchmarkA","iterations":1,"ns_per_op":1}]}`, true},
-		{"no-go-stamp", `{"schema":"convmeter/bench-snapshot/v1","benchmarks":[{"name":"BenchmarkA","iterations":1,"ns_per_op":1}]}`, true},
-		{"empty", `{"schema":"convmeter/bench-snapshot/v1","go":"go1.24.0","benchmarks":[]}`, true},
-		{"unsorted", `{"schema":"convmeter/bench-snapshot/v1","go":"go1.24.0","benchmarks":[
-			{"name":"BenchmarkB","iterations":1,"ns_per_op":1},{"name":"BenchmarkA","iterations":1,"ns_per_op":1}]}`, true},
-		{"duplicate", `{"schema":"convmeter/bench-snapshot/v1","go":"go1.24.0","benchmarks":[
-			{"name":"BenchmarkA","iterations":1,"ns_per_op":1},{"name":"BenchmarkA","iterations":1,"ns_per_op":1}]}`, true},
-		{"zero-iterations", `{"schema":"convmeter/bench-snapshot/v1","go":"go1.24.0","benchmarks":[
-			{"name":"BenchmarkA","iterations":0,"ns_per_op":1}]}`, true},
-		{"missing-ns", `{"schema":"convmeter/bench-snapshot/v1","go":"go1.24.0","benchmarks":[
-			{"name":"BenchmarkA","iterations":1}]}`, true},
-		{"zero-ns", `{"schema":"convmeter/bench-snapshot/v1","go":"go1.24.0","benchmarks":[
-			{"name":"BenchmarkA","iterations":1,"ns_per_op":0}]}`, true},
-		{"negative-allocs", `{"schema":"convmeter/bench-snapshot/v1","go":"go1.24.0","benchmarks":[
-			{"name":"BenchmarkA","iterations":1,"ns_per_op":1,"allocs_per_op":-1}]}`, true},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			path := filepath.Join(t.TempDir(), "bench.json")
-			if err := os.WriteFile(path, []byte(tc.doc), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			err := checkBench(path)
-			if (err != nil) != tc.wantErr {
-				t.Fatalf("checkBench err = %v, wantErr = %t", err, tc.wantErr)
-			}
-		})
-	}
-}
-
 func TestCheckCritpath(t *testing.T) {
 	clean := `{"schema":"convmeter/critpath/v1","steps":[
 		{"step":0,"total_seconds":0.1,"compute_seconds":0.08,"comm_seconds":0.01,"wait_seconds":0.01,"dominant":"compute","blame":-1,"blame_wait_seconds":0,

@@ -30,13 +30,6 @@ func RingTCP(vectors [][]float32) error {
 	return RingTCPOpts(vectors, Options{})
 }
 
-// RingTCPObs is RingTCP with telemetry: step counts and latencies under
-// transport="tcp", plus framed byte counters in both directions. A nil
-// Obs is exactly RingTCP.
-func RingTCPObs(vectors [][]float32, o *obs.Obs) error {
-	return RingTCPOpts(vectors, Options{Obs: o})
-}
-
 // RingTCPOpts is the resilient TCP ring: Options add context
 // cancellation, per-op socket deadlines, bounded read/dial retries with
 // backoff + jitter, and fault injection on the connections. The zero

@@ -1,10 +1,9 @@
 // Package baselines implements the comparison predictors of the paper's
 // evaluation: the single-metric regressions behind Figure 2 (FLOPs-only,
-// Inputs-only, Outputs-only and combinations), a Paleo-style analytical
-// model (flops/peak + bytes/bandwidth per layer, no fitting), and a
-// DIPPM-like learned predictor (a from-scratch MLP over graph features,
-// standing in for the unavailable GNN-based DIPPM — see DESIGN.md for the
-// substitution rationale).
+// Inputs-only, Outputs-only and combinations) and a DIPPM-like learned
+// predictor (a from-scratch MLP over graph features, standing in for the
+// unavailable GNN-based DIPPM — see DESIGN.md for the substitution
+// rationale).
 package baselines
 
 import (

@@ -98,34 +98,6 @@ func TestAllMasksCount(t *testing.T) {
 	}
 }
 
-func TestPaleoPredictForward(t *testing.T) {
-	g, err := models.Build("resnet18", 128)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := NewPaleo(19.5e12, 2.0e12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t1, err := p.PredictForward(g, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t64, err := p.PredictForward(g, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if t1 <= 0 || t64 <= t1 {
-		t.Fatalf("paleo times implausible: %g, %g", t1, t64)
-	}
-	if _, err := p.PredictForward(g, 0); err == nil {
-		t.Fatal("expected batch error")
-	}
-	if _, err := NewPaleo(0, 1); err == nil {
-		t.Fatal("expected invalid-device error")
-	}
-}
-
 func TestMLPConstruction(t *testing.T) {
 	if _, err := NewMLP([]int{3}, 1); err == nil {
 		t.Fatal("expected error for single layer")

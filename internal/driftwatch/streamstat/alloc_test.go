@@ -14,7 +14,7 @@ func TestStreamStatZeroAllocs(t *testing.T) {
 	testrace.SkipIfRace(t)
 
 	var wf Welford
-	ph := NewPageHinkley(PHConfig{})
+	ph := NewPageHinkley(PHConfig{Delta: 0.5, Lambda: 8, Warmup: 3})
 	i := 0
 	if n := testing.AllocsPerRun(200, func() {
 		x := float64(i%16) * 0.001

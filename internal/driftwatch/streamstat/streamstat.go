@@ -67,39 +67,16 @@ func (w *Welford) Std() float64 {
 	return math.Sqrt(w.Var())
 }
 
-// PHConfig parameterises a PageHinkley detector. Zero values select the
-// package defaults.
+// PHConfig parameterises a PageHinkley detector.
 type PHConfig struct {
 	// Delta is the magnitude tolerance δ: shifts smaller than δ per
-	// sample never accumulate. Default 0.05 (5 % relative residual).
+	// sample never accumulate.
 	Delta float64
 	// Lambda is the detection threshold λ on the accumulated deviation.
-	// Default 5.
 	Lambda float64
 	// Warmup is the number of samples consumed before testing begins, so
-	// the running mean settles first. Default 5.
+	// the running mean settles first.
 	Warmup int
-}
-
-func (c PHConfig) delta() float64 {
-	if c.Delta <= 0 {
-		return 0.05
-	}
-	return c.Delta
-}
-
-func (c PHConfig) lambda() float64 {
-	if c.Lambda <= 0 {
-		return 5
-	}
-	return c.Lambda
-}
-
-func (c PHConfig) warmup() int {
-	if c.Warmup <= 0 {
-		return 5
-	}
-	return c.Warmup
 }
 
 // PageHinkley is the classic Page-Hinkley test for an upward shift in a
@@ -133,12 +110,12 @@ func (d *PageHinkley) N() int {
 	return d.n
 }
 
-// Warmup returns the effective warmup length after defaulting (0 on nil).
+// Warmup returns the configured warmup length (0 on nil).
 func (d *PageHinkley) Warmup() int {
 	if d == nil {
 		return 0
 	}
-	return d.cfg.warmup()
+	return d.cfg.Warmup
 }
 
 // Reset clears the detector's state (mean and accumulations), keeping
@@ -160,15 +137,14 @@ func (d *PageHinkley) Add(x float64) bool {
 	}
 	d.n++
 	d.mean += (x - d.mean) / float64(d.n)
-	delta, lambda := d.cfg.delta(), d.cfg.lambda()
-	d.mInc += x - d.mean - delta
+	d.mInc += x - d.mean - d.cfg.Delta
 	if d.mInc < d.minInc {
 		d.minInc = d.mInc
 	}
-	if d.n <= d.cfg.warmup() {
+	if d.n <= d.cfg.Warmup {
 		return false
 	}
-	fired := d.mInc-d.minInc > lambda
+	fired := d.mInc-d.minInc > d.cfg.Lambda
 	if fired {
 		d.Reset()
 	}

@@ -231,13 +231,6 @@ func (s *Simulator) Timeline(g *graph.Graph, batchPerDevice, devices, nodes int)
 	return events, p, nil
 }
 
-// EpochTime converts a step time into an epoch time for a dataset of
-// datasetSize images: D/(B·N) steps of T_iter each (paper §2).
-func EpochTime(iter float64, datasetSize, batchPerDevice, devices int) float64 {
-	steps := float64(datasetSize) / (float64(batchPerDevice) * float64(devices))
-	return steps * iter
-}
-
 // Throughput converts a step time into images per second across the
 // whole cluster — the metric of the paper's scalability figures (8, 9).
 func Throughput(p Phases, batchPerDevice, devices int) float64 {

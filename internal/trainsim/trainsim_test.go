@@ -195,14 +195,6 @@ func TestNoiseSeededAndScoped(t *testing.T) {
 	}
 }
 
-func TestEpochTime(t *testing.T) {
-	// ImageNet-scale: 1.28 M images, batch 64 on 8 devices → 2500 steps.
-	got := EpochTime(0.1, 1280000, 64, 8)
-	if math.Abs(got-250) > 1e-9 {
-		t.Fatalf("EpochTime = %g, want 250", got)
-	}
-}
-
 func TestThroughput(t *testing.T) {
 	p := Phases{Iter: 0.5}
 	if got := Throughput(p, 64, 8); got != 1024 {
