@@ -13,11 +13,11 @@ vet:
 	$(GO) vet ./...
 
 # convlint: the repo's own analyzer suite (see README "Static analysis
-# & CI") plus go vet, so `make lint` is the complete static gate.
-# Exits nonzero on any finding.
-lint:
+# & CI") after go vet, so `make lint` is the complete static gate. Vet
+# is a prerequisite, not a second recipe line, so `make ci` runs it
+# once. Exits nonzero on any finding.
+lint: vet
 	$(GO) run ./cmd/convlint ./...
-	$(GO) vet ./...
 
 test:
 	$(GO) test ./...
@@ -56,24 +56,30 @@ obs-smoke:
 	$(GO) run ./cmd/obscheck -metrics .obs-smoke/metrics.prom -trace .obs-smoke/trace.json
 	rm -rf .obs-smoke
 
+# The perf trajectory: bench_n is the largest <n> among the
+# BENCH_<n>.json files in the tree, in numeric order (BENCH_10 follows
+# BENCH_9). `override` keeps it out of reach of command-line and
+# environment settings, so both targets below always work on the
+# files themselves.
+override bench_n = $(shell ls BENCH_*.json 2>/dev/null | sed -n 's/^BENCH_\([0-9][0-9]*\)\.json$$/\1/p' | sort -n | tail -n 1)
+
 # bench-snapshot: advance the perf baseline — run the benchmark suites
-# and write the next snapshot in the committed BENCH_<n>.json
-# trajectory (benchsnap validates every snapshot it writes). The same
-# run is also checked against the previous baseline, so a regressed
-# build cannot silently become the new normal: fix the regression
-# first, then re-snapshot.
+# and write the next snapshot, BENCH_<n+1>.json (benchsnap validates
+# every snapshot it writes). The same run is also checked against the
+# newest baseline, BENCH_<n>.json, so a regressed build cannot silently
+# become the new normal: fix the regression first, then re-snapshot.
 bench-snapshot:
-	$(GO) run ./cmd/benchsnap -out BENCH_2.json -check BENCH_1.json
+	$(GO) run ./cmd/benchsnap -out BENCH_$(shell expr $(bench_n) + 1).json -check BENCH_$(bench_n).json
 
 # bench-check: re-run the suites (./ and ./internal/obs) against the
-# committed baseline. Fails on any 0-allocs/op benchmark that started
-# allocating (the dynamic half of the hotpath contract, on any host),
-# on a >15% ns/op regression when the baseline was recorded on this
-# host (same GOMAXPROCS, CPU count and CPU model; otherwise ns/op is
-# not compared and the output says so), and when no benchmark name
-# matches the baseline.
+# newest baseline, BENCH_<n>.json. Fails on any 0-allocs/op benchmark
+# that started allocating (the suite-wide check behind the AllocsPerRun
+# pins, on any host), on a >15% ns/op regression when the baseline was
+# recorded on this host (same GOMAXPROCS, CPU count and CPU model;
+# otherwise ns/op is not compared and the output says so), and when no
+# benchmark name matches the baseline.
 bench-check:
-	$(GO) run ./cmd/benchsnap -check BENCH_2.json
+	$(GO) run ./cmd/benchsnap -check BENCH_$(bench_n).json
 
 # drift-smoke: the drift and critical-path acceptance path, end to end
 # through the real binary (the live /drift scrape and the blame chaos
@@ -107,6 +113,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParseManifest -fuzztime $(FUZZTIME) ./internal/dagrun
 	$(GO) test -run '^$$' -fuzz FuzzConv2dShapes -fuzztime $(FUZZTIME) ./internal/exec
 	$(GO) test -run '^$$' -fuzz FuzzConv2dBackwardShapes -fuzztime $(FUZZTIME) ./internal/exec
+	$(GO) test -run '^$$' -fuzz FuzzFit -fuzztime $(FUZZTIME) ./internal/regress
 
 # chaos: a fixed seed matrix of real end-to-end chaos runs (resilient
 # training under crashes, drops and corruption) validated with

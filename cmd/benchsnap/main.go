@@ -4,8 +4,8 @@
 // (schema convmeter/bench-snapshot/v1, validated whenever benchsnap
 // writes or reads one). The committed BENCH_<n>.json files record the
 // perf trajectory; in -check mode benchsnap re-runs the suites and
-// fails when a 0-allocs/op benchmark starts allocating — the dynamic
-// counterpart of the hotpath analyzer's static contract — when a
+// fails when a 0-allocs/op benchmark starts allocating — the suite-wide
+// counterpart of the AllocsPerRun pins on every hot path — when a
 // benchmark regresses beyond the ns/op threshold against a baseline
 // recorded on the same host, or when no benchmark matches the baseline.
 package main

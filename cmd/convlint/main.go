@@ -10,15 +10,9 @@
 // line or the line above.
 //
 // With -json, findings are emitted instead as a JSON array of
-// {file, line, col, analyzer, message, why?} objects on stdout — the
-// machine interface CI uses to turn findings into inline code
-// annotations. The exit status contract is unchanged, and an empty run
-// prints [].
-//
-// With -why, text output appends each finding's explanation chain —
-// for the hotpath family, the lint.config root → … → function call
-// chain that made the code hot — as an indented "why:" line. JSON
-// output always carries the chain in the "why" field when present.
+// {file, line, col, analyzer, message} objects on stdout — the machine
+// interface CI uses to turn findings into inline code annotations. The
+// exit status contract is unchanged, and an empty run prints [].
 package main
 
 import (
@@ -35,9 +29,8 @@ import (
 func main() {
 	configPath := flag.String("config", "", "path to lint.config (default: auto-discovered next to go.mod)")
 	jsonOut := flag.Bool("json", false, "emit findings as a JSON array on stdout")
-	why := flag.Bool("why", false, "print each finding's explanation chain (hotpath reachability)")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: convlint [-config lint.config] [-json] [-why] [packages...]\n")
+		fmt.Fprintf(os.Stderr, "usage: convlint [-config lint.config] [-json] [packages...]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -46,7 +39,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "convlint:", err)
 		os.Exit(2)
 	}
-	os.Exit(run(os.Stdout, wd, *configPath, *jsonOut, *why, flag.Args()))
+	os.Exit(run(os.Stdout, wd, *configPath, *jsonOut, flag.Args()))
 }
 
 // jsonFinding is the -json wire shape of one finding.
@@ -56,12 +49,11 @@ type jsonFinding struct {
 	Col      int    `json:"col"`
 	Analyzer string `json:"analyzer"`
 	Message  string `json:"message"`
-	Why      string `json:"why,omitempty"`
 }
 
 // run analyses the packages matching patterns, resolved in the module
 // at wd, and reports findings with paths relative to wd.
-func run(stdout io.Writer, wd, configPath string, jsonOut, why bool, patterns []string) int {
+func run(stdout io.Writer, wd, configPath string, jsonOut bool, patterns []string) int {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
@@ -92,7 +84,7 @@ func run(stdout io.Writer, wd, configPath string, jsonOut, why bool, patterns []
 		for _, f := range findings {
 			out = append(out, jsonFinding{
 				File: f.Pos.Filename, Line: f.Pos.Line, Col: f.Pos.Column,
-				Analyzer: f.Analyzer, Message: f.Message, Why: f.Why,
+				Analyzer: f.Analyzer, Message: f.Message,
 			})
 		}
 		enc := json.NewEncoder(stdout)
@@ -107,9 +99,6 @@ func run(stdout io.Writer, wd, configPath string, jsonOut, why bool, patterns []
 			// printer exemption doesn't apply; a failed report print has no
 			// better channel than the exit status we already set.
 			_, _ = fmt.Fprintln(stdout, f.String())
-			if why && f.Why != "" {
-				_, _ = fmt.Fprintln(stdout, "\twhy:", f.Why)
-			}
 		}
 	}
 	if len(findings) > 0 {

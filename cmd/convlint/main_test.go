@@ -11,8 +11,7 @@ import (
 
 // TestJSONOutput pins the -json contract that CI's annotation step
 // reads with jq: a clean run prints [] and exits 0; a finding carries
-// file, line, col, analyzer and message, and exits 1; why is omitted
-// when empty.
+// exactly file, line, col, analyzer and message, and exits 1.
 func TestJSONOutput(t *testing.T) {
 	dir := t.TempDir()
 	write := func(name, src string) {
@@ -27,7 +26,7 @@ func TestJSONOutput(t *testing.T) {
 
 	write("fix.go", "package fix\n\nfunc Same(a, b int) bool { return a == b }\n")
 	var out bytes.Buffer
-	if code := run(&out, dir, config, true, false, nil); code != 0 {
+	if code := run(&out, dir, config, true, nil); code != 0 {
 		t.Fatalf("clean run exited %d, want 0; stdout:\n%s", code, out.String())
 	}
 	if got := strings.TrimSpace(out.String()); got != "[]" {
@@ -37,7 +36,7 @@ func TestJSONOutput(t *testing.T) {
 	line := "func Same(a, b float64) bool { return a == b }"
 	write("fix.go", "package fix\n\n"+line+"\n")
 	out.Reset()
-	if code := run(&out, dir, config, true, false, nil); code != 1 {
+	if code := run(&out, dir, config, true, nil); code != 1 {
 		t.Fatalf("run with a finding exited %d, want 1; stdout:\n%s", code, out.String())
 	}
 	var findings []map[string]any
@@ -61,9 +60,6 @@ func TestJSONOutput(t *testing.T) {
 	}
 	if msg, _ := f["message"].(string); msg == "" {
 		t.Errorf("finding has no message: %v", f)
-	}
-	if why, ok := f["why"]; ok {
-		t.Errorf("finding carries why %q; an empty why must be omitted", why)
 	}
 	if len(f) != 5 {
 		t.Errorf("finding has keys %v, want exactly file, line, col, analyzer and message", f)

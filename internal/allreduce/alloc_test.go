@@ -35,13 +35,13 @@ func oneStep(t *testing.T, r *chanRing, inbound []float32) chanMsg {
 	return <-r.send
 }
 
-// TestRingStepZeroAllocs pins the chanRing.step allocation contract the
-// hotpath analyzer enforces statically: a ring step allocates nothing —
-// no chunk copies, no timers, no CRC hasher. Without a fault injector
-// the step sends a view of the worker's own chunk, so it needs no
-// warm-up. With one, it sends a copy from the three rotating send
-// buffers, which allocate nothing once warm; the injector here targets
-// another worker, so it decides every op without allocating.
+// TestRingStepZeroAllocs pins the chanRing.step allocation contract: a
+// ring step allocates nothing — no chunk copies, no timers, no CRC
+// hasher. Without a fault injector the step sends a view of the
+// worker's own chunk, so it needs no warm-up. With one, it sends a copy
+// from the three rotating send buffers, which allocate nothing once
+// warm; the injector here targets another worker, so it decides every
+// op without allocating.
 func TestRingStepZeroAllocs(t *testing.T) {
 	testrace.SkipIfRace(t)
 

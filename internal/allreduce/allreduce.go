@@ -208,11 +208,10 @@ func RingOpts(vectors [][]float32, opts Options) error {
 
 // chanRing is one worker's state for a channel-transport ring run: the
 // ring wiring, three rotating send buffers for runs with a fault
-// injector, and a reusable op timer. Its step method is a declared
-// hot-path root (lint.config): one ring step allocates nothing — with a
-// fault injector, once the send buffers are warm — so the step latencies
-// the telemetry histograms record measure communication, not the
-// garbage collector.
+// injector, and a reusable op timer. One step allocates nothing
+// (TestRingStepZeroAllocs) — with a fault injector, once the send
+// buffers are warm — so the step latencies the telemetry histograms
+// record measure communication, not the garbage collector.
 type chanRing struct {
 	v          []float32
 	me, n      int
@@ -287,7 +286,6 @@ func chanWorker(vectors [][]float32, me int, links []chan chanMsg, opts Options,
 // and later steps grow fresh buffers.
 func (r *chanRing) sendBuf(size int) []float32 {
 	if cap(r.bufs[r.bufIdx]) < size {
-		//lint:ignore hotpath amortised send-buffer growth; steady-state steps rotate three reusable buffers
 		r.bufs[r.bufIdx] = make([]float32, size)
 	}
 	b := r.bufs[r.bufIdx][:size]

@@ -141,12 +141,23 @@ func countFDs(t *testing.T) int {
 // accept-deadline product overflows to zero (deadline = now, accepts
 // fail immediately) while the dialer timeout stays effectively
 // unbounded (dials succeed against the listener backlog).
+//
+// A clean ring runs first and must leave no descriptor behind either:
+// the success path releases every listener and both ends of every conn,
+// and the failure path above never accepts, so only the clean run
+// proves the accepted conns are closed.
 func TestRingTCPWiringFailureClosesConns(t *testing.T) {
 	before := countFDs(t)
 	if before < 0 {
 		t.Skip("/proc/self/fd unavailable; fd accounting needs Linux")
 	}
 	vectors, _ := makeVectors(3, 16, 7)
+	if err := RingTCP(vectors); err != nil {
+		t.Fatal(err)
+	}
+	if after := countFDs(t); after > before {
+		t.Fatalf("clean ring leaked %d file descriptor(s): %d before, %d after", after-before, before, after)
+	}
 	err := RingTCPOpts(vectors, Options{
 		OpTimeout: 1 << 62, // ×(attempts+1)=4 wraps to 0: accept deadline = now
 		Retry:     RetryPolicy{Attempts: 3, Backoff: time.Millisecond, Max: time.Millisecond},

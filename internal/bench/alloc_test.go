@@ -11,12 +11,11 @@ import (
 )
 
 // TestInferencePointZeroAllocs pins the allocation contract of the
-// sweep's per-point inner loop (the declared bench.inferencePoint
-// root): with the output slice preallocated to the batch-sweep length,
-// measuring one point — the memory-fit check, the simulated forward
-// pass over the whole graph, and the sample append — does not touch
-// the heap. This is the cross-package half the hotpath analyzer cannot
-// see (hwsim and the graph shape arena), so it is asserted dynamically.
+// sweep's per-point inner loop, bench.inferencePoint: with the output
+// slice preallocated to the batch-sweep length, measuring one point —
+// the memory-fit check, the simulated forward pass over the whole graph
+// (hwsim and the graph shape arena included), and the sample append —
+// does not touch the heap.
 func TestInferencePointZeroAllocs(t *testing.T) {
 	testrace.SkipIfRace(t)
 

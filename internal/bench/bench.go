@@ -115,9 +115,10 @@ func DefaultInferenceScenario(dev hwsim.Device, seed int64) InferenceScenario {
 // inferencePoint measures one (model, image, batch) sweep point and
 // appends the sample to out, or counts a skip when the model does not
 // fit device memory. It is the per-point inner loop of CollectInference
-// and a declared hot-path root: the fit check, the forward prediction
-// and the sample construction allocate nothing — the caller preallocates
-// out to the full batch-sweep length, so append never grows it.
+// and allocation-free (TestInferencePointZeroAllocs): the fit check, the
+// forward prediction and the sample construction allocate nothing — the
+// caller preallocates out to the full batch-sweep length, so append
+// never grows it.
 func inferencePoint(sim *hwsim.Simulator, bm builtModel, model string, img, batch int,
 	out []core.Sample, skippedC *obs.Counter) ([]core.Sample, bool) {
 	if !sim.Fits(bm.g, batch, false) {

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"convmeter/internal/metrics"
@@ -81,6 +82,41 @@ func TestFitInferenceValidation(t *testing.T) {
 	bad = []Sample{{Model: "x", BatchPerDevice: 1, Devices: 1, Nodes: 1, Fwd: -1}}
 	if _, err := FitInference(bad); err == nil {
 		t.Fatal("expected error on negative time")
+	}
+}
+
+// TestFitRejectsNonFiniteSamples: one non-finite phase time or metric
+// in an otherwise clean sweep fails the fit with an error naming the
+// field. An +Inf Fwd once fitted to coefficients [NaN NaN NaN NaN]
+// with a nil error, and a NaN FLOPs surfaced as a rank-deficient
+// design matrix.
+func TestFitRejectsNonFiniteSamples(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	for _, c := range []struct {
+		name    string
+		corrupt func(*Sample)
+		want    string
+	}{
+		{"+Inf fwd", func(s *Sample) { s.Fwd = metrics.Seconds(inf) }, "non-finite fwd time +Inf"},
+		{"NaN fwd", func(s *Sample) { s.Fwd = metrics.Seconds(nan) }, "non-finite fwd time NaN"},
+		{"+Inf bwd", func(s *Sample) { s.Bwd = metrics.Seconds(inf) }, "non-finite bwd time +Inf"},
+		{"NaN grad", func(s *Sample) { s.Grad = metrics.Seconds(nan) }, "non-finite grad time NaN"},
+		{"NaN FLOPs", func(s *Sample) { s.Met.FLOPs = metrics.FLOPs(nan) }, "non-finite FLOPs NaN"},
+		{"+Inf inputs", func(s *Sample) { s.Met.Inputs = metrics.Count(inf) }, "non-finite inputs +Inf"},
+		{"-Inf outputs", func(s *Sample) { s.Met.Outputs = metrics.Count(-inf) }, "non-finite outputs -Inf"},
+		{"NaN weights", func(s *Sample) { s.Met.Weights = metrics.Count(nan) }, "non-finite weights NaN"},
+		{"+Inf layers", func(s *Sample) { s.Met.Layers = metrics.Count(inf) }, "non-finite layers +Inf"},
+	} {
+		samples := linearInferenceSamples(5, []int{1, 2, 4, 8})
+		c.corrupt(&samples[6])
+		m, err := FitInference(samples)
+		if err == nil {
+			t.Errorf("%s: fit returned coefficients %v, want an error", c.name, m.Coefficients())
+			continue
+		}
+		if !strings.Contains(err.Error(), "sample 6: ") || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %q does not name sample 6 and %q", c.name, err, c.want)
+		}
 	}
 }
 

@@ -18,6 +18,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"convmeter/internal/metrics"
 )
@@ -51,6 +52,18 @@ func (s Sample) validate() error {
 	}
 	if s.Devices <= 0 || s.Nodes <= 0 || s.Devices < s.Nodes {
 		return fmt.Errorf("core: sample %s has devices=%d nodes=%d", s.Model, s.Devices, s.Nodes)
+	}
+	for _, v := range []struct {
+		name string
+		x    float64
+	}{
+		{"fwd time", float64(s.Fwd)}, {"bwd time", float64(s.Bwd)}, {"grad time", float64(s.Grad)},
+		{"FLOPs", float64(s.Met.FLOPs)}, {"inputs", float64(s.Met.Inputs)}, {"outputs", float64(s.Met.Outputs)},
+		{"weights", float64(s.Met.Weights)}, {"layers", float64(s.Met.Layers)},
+	} {
+		if math.IsNaN(v.x) || math.IsInf(v.x, 0) {
+			return fmt.Errorf("core: sample %s has non-finite %s %g", s.Model, v.name, v.x)
+		}
 	}
 	if s.Fwd < 0 || s.Bwd < 0 || s.Grad < 0 {
 		return fmt.Errorf("core: sample %s has negative phase time", s.Model)

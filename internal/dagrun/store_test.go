@@ -9,8 +9,14 @@ import (
 func TestWriteFileAtomic(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "out.json")
+	fdsBefore := countFDs()
 	if err := writeFileAtomic(path, []byte("first")); err != nil {
 		t.Fatal(err)
+	}
+	// The temp file and the directory handle opened for the fsyncs must
+	// both be closed again.
+	if after := countFDs(); after > fdsBefore {
+		t.Fatalf("writeFileAtomic leaked %d file descriptor(s): %d before, %d after", after-fdsBefore, fdsBefore, after)
 	}
 	got, err := os.ReadFile(path)
 	if err != nil {
@@ -49,4 +55,14 @@ func TestWriteFileAtomic(t *testing.T) {
 	if err := writeFileAtomic(filepath.Join(dir, "nope", "x.json"), []byte("x")); err == nil {
 		t.Fatal("write into missing directory succeeded")
 	}
+}
+
+// countFDs reports the number of open file descriptors, or -1 where
+// /proc is unavailable (the comparison in the test then never fails).
+func countFDs() int {
+	ents, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		return -1
+	}
+	return len(ents)
 }

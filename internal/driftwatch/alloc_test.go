@@ -7,12 +7,11 @@ import (
 	"convmeter/internal/testrace"
 )
 
-// TestObserveZeroAllocs pins the Stream.Observe allocation contract the
-// hotpath analyzer enforces statically: a steady-state observation —
-// Welford fold, Page-Hinkley test and live telemetry — allocates
-// nothing. Only a drift event
-// (rare by construction) pays for its span. The feed here is drift-free
-// so the hot path stays on the non-fired branch.
+// TestObserveZeroAllocs pins the Stream.Observe allocation contract: a
+// steady-state observation — Welford fold, Page-Hinkley test and live
+// telemetry — allocates nothing. Only a drift event (rare by
+// construction) pays for its span. The feed here is drift-free so the
+// hot path stays on the non-fired branch.
 func TestObserveZeroAllocs(t *testing.T) {
 	testrace.SkipIfRace(t)
 

@@ -7,9 +7,8 @@ import (
 )
 
 // TestStreamStatZeroAllocs pins the per-observation allocation contract
-// of the stats kernel roots declared in lint.config: Welford.Add and
-// PageHinkley.Add run on every drift observation and must not touch the
-// heap.
+// of the stats kernel: Welford.Add and PageHinkley.Add run on every
+// drift observation and must not touch the heap.
 func TestStreamStatZeroAllocs(t *testing.T) {
 	testrace.SkipIfRace(t)
 

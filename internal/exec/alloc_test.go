@@ -8,8 +8,7 @@ import (
 )
 
 // assertZeroAllocs warms f (pool start, task pools, amortised scratch
-// growth) and then pins 0 allocs/op — the contract the hotpath analyzer
-// enforces statically on the declared kernel roots.
+// growth) and then pins 0 allocs/op.
 func assertZeroAllocs(t *testing.T, name string, f func()) {
 	t.Helper()
 	for i := 0; i < 3; i++ {
@@ -21,7 +20,8 @@ func assertZeroAllocs(t *testing.T, name string, f func()) {
 }
 
 // TestKernelsZeroAllocs pins the steady-state allocation contract of
-// every forward kernel declared as a hotpath root in lint.config.
+// every forward kernel, on every branch: each activation function and
+// both pooling kinds.
 func TestKernelsZeroAllocs(t *testing.T) {
 	testrace.SkipIfRace(t)
 
@@ -88,15 +88,19 @@ func TestKernelsZeroAllocs(t *testing.T) {
 	assertZeroAllocs(t, "layerNorm", func() {
 		layerNorm(normIn, scale, shift, normOut)
 	})
-	assertZeroAllocs(t, "activation", func() {
-		activation(normIn, graph.ReLU, normOut)
-	})
+	for _, fn := range allActFuncs {
+		assertZeroAllocs(t, "activation "+string(fn), func() {
+			activation(normIn, fn, normOut)
+		})
+	}
 
-	poolOp := &graph.Pool2dOp{PoolKind: graph.MaxPool, KH: 2, KW: 2, StrideH: 2, StrideW: 2}
 	poolOut := NewTensor(2, graph.Shape{C: 3, H: 2, W: 2})
-	assertZeroAllocs(t, "pool2d", func() {
-		pool2d(normIn, poolOp, poolOut)
-	})
+	for _, kind := range []graph.PoolKind{graph.MaxPool, graph.AvgPool} {
+		poolOp := &graph.Pool2dOp{PoolKind: kind, KH: 2, KW: 2, StrideH: 2, StrideW: 2}
+		assertZeroAllocs(t, "pool2d "+string(kind), func() {
+			pool2d(normIn, poolOp, poolOut)
+		})
+	}
 	gapOut := NewTensor(2, graph.Shape{C: 3, H: 1, W: 1})
 	assertZeroAllocs(t, "adaptiveAvgPool", func() {
 		adaptiveAvgPool(normIn, gapOut)
@@ -122,7 +126,7 @@ func TestKernelsZeroAllocs(t *testing.T) {
 }
 
 // TestBackwardKernelsZeroAllocs pins the same contract on the backward
-// kernel roots used by the training path.
+// kernels used by the training path.
 func TestBackwardKernelsZeroAllocs(t *testing.T) {
 	testrace.SkipIfRace(t)
 
@@ -187,12 +191,17 @@ func TestBackwardKernelsZeroAllocs(t *testing.T) {
 	actDIn := NewTensor(2, graph.Shape{C: 3, H: 4, W: 4})
 	fill(act.Data)
 	fill(actDOut.Data)
-	activation(act, graph.ReLU, actOut)
-	assertZeroAllocs(t, "activationBackward", func() {
-		if err := activationBackward(graph.ReLU, act, actOut, actDOut, actDIn); err != nil {
-			t.Fatal(err)
+	for _, fn := range allActFuncs {
+		if fn == graph.Softmax {
+			continue // activationBackward rejects a standalone softmax
 		}
-	})
+		activation(act, fn, actOut)
+		assertZeroAllocs(t, "activationBackward "+string(fn), func() {
+			if err := activationBackward(fn, act, actOut, actDOut, actDIn); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
 
 	scale := []float32{1, 2, 0.5}
 	dScale := make([]float32, 3)
@@ -201,14 +210,16 @@ func TestBackwardKernelsZeroAllocs(t *testing.T) {
 		batchNormBackward(act, scale, actDOut, actDIn, dScale, dShift)
 	})
 
-	poolOp := &graph.Pool2dOp{PoolKind: graph.MaxPool, KH: 2, KW: 2, StrideH: 2, StrideW: 2}
 	poolOut := NewTensor(2, graph.Shape{C: 3, H: 2, W: 2})
 	poolDOut := NewTensor(2, graph.Shape{C: 3, H: 2, W: 2})
-	pool2d(act, poolOp, poolOut)
 	fill(poolDOut.Data)
-	assertZeroAllocs(t, "pool2dBackward", func() {
-		pool2dBackward(act, poolOp, poolOut, poolDOut, actDIn)
-	})
+	for _, kind := range []graph.PoolKind{graph.MaxPool, graph.AvgPool} {
+		poolOp := &graph.Pool2dOp{PoolKind: kind, KH: 2, KW: 2, StrideH: 2, StrideW: 2}
+		pool2d(act, poolOp, poolOut)
+		assertZeroAllocs(t, "pool2dBackward "+string(kind), func() {
+			pool2dBackward(act, poolOp, poolOut, poolDOut, actDIn)
+		})
+	}
 
 	gapDOut := NewTensor(2, graph.Shape{C: 3, H: 1, W: 1})
 	fill(gapDOut.Data)
@@ -225,8 +236,8 @@ func TestBackwardKernelsZeroAllocs(t *testing.T) {
 	})
 }
 
-// TestOptimizersZeroAllocs pins the fused updates, declared hotpath
-// roots in lint.config: one pass over the vectors, nothing allocated.
+// TestOptimizersZeroAllocs pins the fused updates: one pass over the
+// vectors, nothing allocated.
 func TestOptimizersZeroAllocs(t *testing.T) {
 	testrace.SkipIfRace(t)
 
@@ -239,6 +250,12 @@ func TestOptimizersZeroAllocs(t *testing.T) {
 	assertZeroAllocs(t, "ApplySGD", func() { e.ApplySGD(grads, 0.5, 1e-3) })
 	st := e.NewAdamState()
 	assertZeroAllocs(t, "ApplyAdam", func() { e.ApplyAdam(st, grads, 0.5, 1e-3) })
+}
+
+// allActFuncs lists every activation function graph accepts.
+var allActFuncs = []graph.ActFunc{
+	graph.ReLU, graph.ReLU6, graph.SiLU, graph.HardSwish, graph.HardSigmoid,
+	graph.Sigmoid, graph.Tanh, graph.Softmax, graph.GELU,
 }
 
 // fill writes a deterministic non-trivial pattern.

@@ -6,13 +6,12 @@ import (
 	"sync/atomic"
 )
 
-// The kernels in this package are declared hot-path roots in
-// lint.config: everything they do per invocation must be
-// allocation-free, or the GC noise lands in the very wall-clock
-// samples hwreal feeds into the runtime model. The old parallelFor
-// helper allocated a channel, a closure and a goroutine set on every
-// call; this file replaces it with a persistent worker pool fed
-// pooled task structs.
+// Everything the kernels in this package do per invocation must be
+// allocation-free (TestKernelsZeroAllocs and TestBackwardKernelsZeroAllocs
+// pin it), or the GC noise lands in the very wall-clock samples hwreal
+// feeds into the runtime model. The old parallelFor helper allocated a
+// channel, a closure and a goroutine set on every call; this file
+// replaces it with a persistent worker pool fed pooled task structs.
 
 // kernelScratch holds one worker's reusable temporary buffers. Each
 // pool worker owns one; the serial path borrows one from scratchPool.
@@ -24,7 +23,6 @@ type kernelScratch struct {
 // buffer, growing it only when a larger kernel arrives.
 func (sc *kernelScratch) floats(n int) []float32 {
 	if cap(sc.buf) < n {
-		//lint:ignore hotpath amortised scratch growth: steady-state invocations reuse the worker buffer
 		sc.buf = make([]float32, n)
 	}
 	return sc.buf[:n]

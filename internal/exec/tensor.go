@@ -20,8 +20,7 @@
 // Kernels favour clarity with reasonable cache behaviour; the parallel
 // kernels (convolution, linear, attention) split flattened index spaces
 // over a persistent worker pool and allocate nothing per invocation —
-// they are declared hot-path roots in lint.config, and the hotpath
-// analyzer plus testing.AllocsPerRun enforce the discipline.
+// testing.AllocsPerRun pins the discipline on every kernel.
 //
 // Forward convolution, where nearly all inference time goes, runs as
 // im2col + a register-blocked GEMM (conv.go), with the column matrix in

@@ -11,9 +11,8 @@ import (
 // Config is the parsed lint.config: the classification of packages
 // into analytical and measured sides of the paper's boundary, an
 // allowlist of explicitly sanctioned analytical→measured imports, and
-// the scopes of the dataflow analyzers — which packages promise
-// deterministic (replayable) results, which functions are hot-path
-// roots, and which packages track resource lifetimes.
+// the scope of the determinism analyzer — which packages promise
+// deterministic (replayable) results.
 //
 // The file format is line-oriented:
 //
@@ -22,24 +21,14 @@ import (
 //	measured      <import-path-prefix>
 //	allow         <importer-prefix> <imported-prefix>
 //	deterministic <import-path-prefix>
-//	hotpath       <import-path>.<Func>
-//	hotpath       <import-path>.<Recv>.<Method>
-//	lifetime      <import-path-prefix>
 //
 // Prefixes match whole path segments: "convmeter/internal/core" covers
-// that package and everything below it. A hotpath entry declares one
-// function (or method, via its receiver type name) as a hot-path root:
-// everything reachable from it inside its own package must stay
-// allocation-free, which the hotpath and hotdefer analyzers enforce.
-// A lifetime entry scopes the resource-lifetime analyzer (DESIGN.md
-// §6c).
+// that package and everything below it.
 type Config struct {
 	Analytical    []string
 	Measured      []string
 	Allow         [][2]string
 	Deterministic []string
-	Hotpath       []string // qualified "import/path.Func" or "import/path.Recv.Method" roots
-	Lifetime      []string // lifetime analyzer scope prefixes
 }
 
 // ParseConfig reads a lint.config stream. Every malformed line is
@@ -69,7 +58,7 @@ func ParseConfig(r io.Reader, name string) (*Config, error) {
 		}
 		fields := strings.Fields(line)
 		switch fields[0] {
-		case "analytical", "measured", "deterministic", "hotpath", "lifetime":
+		case "analytical", "measured", "deterministic":
 			if len(fields) != 2 {
 				errs = append(errs, fmt.Sprintf("%s:%d: %q takes exactly one argument, got %d fields", name, ln, fields[0], len(fields)-1))
 				continue
@@ -84,15 +73,6 @@ func ParseConfig(r io.Reader, name string) (*Config, error) {
 				cfg.Measured = append(cfg.Measured, fields[1])
 			case "deterministic":
 				cfg.Deterministic = append(cfg.Deterministic, fields[1])
-			case "hotpath":
-				// Bare names cannot resolve and would silently guard nothing.
-				if !strings.Contains(fields[1], ".") {
-					errs = append(errs, fmt.Sprintf("%s:%d: hotpath entry %q is not a qualified function (want <import-path>.<Func> or <import-path>.<Recv>.<Method>)", name, ln, fields[1]))
-					continue
-				}
-				cfg.Hotpath = append(cfg.Hotpath, fields[1])
-			case "lifetime":
-				cfg.Lifetime = append(cfg.Lifetime, fields[1])
 			}
 		case "allow":
 			if len(fields) != 3 {
@@ -101,7 +81,7 @@ func ParseConfig(r io.Reader, name string) (*Config, error) {
 			}
 			cfg.Allow = append(cfg.Allow, [2]string{fields[1], fields[2]})
 		default:
-			errs = append(errs, fmt.Sprintf("%s:%d: unknown directive %q (want analytical, measured, allow, deterministic, hotpath or lifetime)", name, ln, fields[0]))
+			errs = append(errs, fmt.Sprintf("%s:%d: unknown directive %q (want analytical, measured, allow or deterministic)", name, ln, fields[0]))
 		}
 	}
 	// A package on both sides of the boundary is a contradiction the
@@ -170,34 +150,6 @@ func (c *Config) allowed(importer, imported string) bool {
 // inputs must be bit-identical across runs and goroutine schedules.
 func (c *Config) deterministicScope(importPath string) bool {
 	for _, p := range c.Deterministic {
-		if pathHasPrefix(importPath, p) {
-			return true
-		}
-	}
-	return false
-}
-
-// hotpathRoots returns the local names ("Func" or "Recv.Method") of the
-// hot-path roots declared for exactly the given package. Hotpath entries
-// name single functions, so — unlike the prefix stanzas — the package
-// part must match exactly: an entry for a subpackage has a '/' in its
-// remainder and is skipped.
-func (c *Config) hotpathRoots(importPath string) []string {
-	var roots []string
-	for _, e := range c.Hotpath {
-		rest, ok := strings.CutPrefix(e, importPath+".")
-		if !ok || rest == "" || strings.Contains(rest, "/") {
-			continue
-		}
-		roots = append(roots, rest)
-	}
-	return roots
-}
-
-// lifetimeScope reports whether a package opted into the
-// acquire/release resource-lifetime discipline.
-func (c *Config) lifetimeScope(importPath string) bool {
-	for _, p := range c.Lifetime {
 		if pathHasPrefix(importPath, p) {
 			return true
 		}

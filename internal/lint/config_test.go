@@ -39,18 +39,14 @@ allow      convmeter/internal/core convmeter/internal/exec
 	}
 }
 
-// TestParseConfigScopes covers the dataflow-analyzer stanzas:
+// TestParseConfigScopes covers the determinism analyzer's stanza:
 // deterministic scopes match on path segments like the boundary
-// classification, and hotpath entries resolve to per-package local
-// root names.
+// classification.
 func TestParseConfigScopes(t *testing.T) {
 	cfg, err := ParseConfig(strings.NewReader(`
 deterministic convmeter/internal/metrics
 deterministic convmeter/internal/faults
-lifetime      convmeter/internal/allreduce
-hotpath       convmeter/internal/exec.conv2d
-hotpath       convmeter/internal/exec.convTask.run
-hotpath       convmeter/internal/obs.Counter.Add
+analytical    convmeter/internal/allreduce
 `), "scopes.config")
 	if err != nil {
 		t.Fatal(err)
@@ -65,40 +61,35 @@ hotpath       convmeter/internal/obs.Counter.Add
 		t.Error("deterministic scope matched a non-segment prefix")
 	}
 	if cfg.deterministicScope("convmeter/internal/allreduce") {
-		t.Error("lifetime declaration leaked into the deterministic scope")
-	}
-	// hotpathRoots strips the exact package prefix and keeps the local
-	// name, including the Recv.Method form; other packages see nothing.
-	if got := cfg.hotpathRoots("convmeter/internal/exec"); len(got) != 2 || got[0] != "conv2d" || got[1] != "convTask.run" {
-		t.Errorf("hotpathRoots(exec) = %v, want [conv2d convTask.run]", got)
-	}
-	if got := cfg.hotpathRoots("convmeter/internal/obs"); len(got) != 1 || got[0] != "Counter.Add" {
-		t.Errorf("hotpathRoots(obs) = %v, want [Counter.Add]", got)
-	}
-	if got := cfg.hotpathRoots("convmeter/internal"); got != nil {
-		t.Errorf("hotpathRoots(parent) = %v, want nil: entries bind to one exact package", got)
+		t.Error("analytical declaration leaked into the deterministic scope")
 	}
 }
 
-// TestParseConfigV4Scopes covers the lifetime stanza convlint v4
-// added: its scope matches on path segments and stays apart from the
-// other stanzas' scopes.
+// TestParseConfigV4Scopes pins the retirement of the dataflow stanzas
+// that went with their analyzers: convlint v4's lifetime scope and
+// v3's hotpath roots. A config that still carries them must fail
+// loudly as unknown directives, not parse into a scope nothing reads,
+// while the deterministic stanza beside them still parses.
 func TestParseConfigV4Scopes(t *testing.T) {
-	cfg, err := ParseConfig(strings.NewReader(`
+	_, err := ParseConfig(strings.NewReader(`
 lifetime      convmeter/internal/allreduce
 deterministic convmeter/internal/obs
+hotpath       convmeter/internal/exec.conv2d
 `), "v4.config")
-	if err != nil {
-		t.Fatal(err)
+	if err == nil {
+		t.Fatal("retired lifetime and hotpath stanzas parsed without error")
 	}
-	if !cfg.lifetimeScope("convmeter/internal/allreduce") || !cfg.lifetimeScope("convmeter/internal/allreduce/sub") {
-		t.Error("lifetime scope misses a declared package or its path-segment children")
+	msg := err.Error()
+	for _, want := range []string{
+		`v4.config:2: unknown directive "lifetime"`,
+		`v4.config:4: unknown directive "hotpath"`,
+	} {
+		if !strings.Contains(msg, want) {
+			t.Errorf("error does not report %q:\n%s", want, msg)
+		}
 	}
-	if cfg.lifetimeScope("convmeter/internal/allreducer") {
-		t.Error("lifetime scope matched a non-segment prefix")
-	}
-	if cfg.lifetimeScope("convmeter/internal/obs") {
-		t.Error("deterministic declaration leaked into the lifetime scope")
+	if strings.Contains(msg, "v4.config:3") {
+		t.Errorf("the deterministic line was rejected too:\n%s", msg)
 	}
 }
 
@@ -111,11 +102,8 @@ analytical convmeter/internal/core
 deterministic convmeter/internal/metrics
 deterministic convmeter/internal/metrics
 measured convmeter/internal/core
-hotpath convmeter/internal/exec.conv2d
-hotpath convmeter/internal/exec.conv2d
-hotpath NoDotHere
-lifetime convmeter/internal/allreduce
-lifetime convmeter/internal/allreduce
+measured convmeter/internal/exec
+measured convmeter/internal/exec
 `), "dup.config")
 	if err == nil {
 		t.Fatal("duplicate and contradictory config parsed without error")
@@ -124,10 +112,8 @@ lifetime convmeter/internal/allreduce
 	for _, want := range []string{
 		`dup.config:2: duplicate analytical entry`,
 		`dup.config:4: duplicate deterministic entry`,
-		`dup.config:7: duplicate hotpath entry`,
-		`"NoDotHere" is not a qualified function`,
 		`classified both analytical and measured`,
-		`dup.config:10: duplicate lifetime entry`,
+		`dup.config:7: duplicate measured entry`,
 	} {
 		if !strings.Contains(msg, want) {
 			t.Errorf("error does not report %q:\n%s", want, msg)
@@ -167,8 +153,8 @@ deterministic a b
 		t.Errorf("error does not name the unknown directive:\n%s", msg)
 	}
 	for _, want := range []string{
-		`"lifetime" takes exactly one argument, got 0 fields`,
-		`hotpath entry "NoDot" is not a qualified function`,
+		`bad.config:6: unknown directive "lifetime"`,
+		`bad.config:7: unknown directive "hotpath"`,
 		`"deterministic" takes exactly one argument, got 2 fields`,
 	} {
 		if !strings.Contains(msg, want) {
@@ -210,34 +196,6 @@ func TestRepoConfig(t *testing.T) {
 			t.Errorf("lint.config declares %s deterministic; it times real work and cannot honour the contract", p)
 		}
 	}
-	// The resource-lifetime contract (DESIGN.md §6c) is enforced
-	// module-wide — analytical packages simply have nothing to report.
-	for _, p := range []string{"convmeter/internal/allreduce", "convmeter/internal/obs/ops", "convmeter/internal/dagrun", "convmeter/cmd/convmeter"} {
-		if !cfg.lifetimeScope(p) {
-			t.Errorf("lint.config drops %s from the lifetime scope; the resource-lifetime contract must stay module-wide", p)
-		}
-	}
-	// The hot-path allocation contract: the kernels the runtime model
-	// measures, the collective inner step, and the always-on telemetry
-	// observe paths must stay declared, or the hotpath analyzer stops
-	// guarding the numbers the paper's predictions are fitted to.
-	for pkg, roots := range map[string][]string{
-		"convmeter/internal/exec":                  {"conv2d", "convTask.run", "im2colTask.run", "gemmTask.run", "linear", "attentionCore", "conv2dBackward", "Executor.ApplySGD", "Executor.ApplyAdam"},
-		"convmeter/internal/allreduce":             {"chanRing.step"},
-		"convmeter/internal/obs":                   {"Counter.Add", "Gauge.Set", "Histogram.Observe", "Span.Context", "Span.LinkTo"},
-		"convmeter/internal/driftwatch":            {"Stream.Observe"},
-		"convmeter/internal/driftwatch/streamstat": {"Welford.Add", "PageHinkley.Add"},
-	} {
-		declared := map[string]bool{}
-		for _, r := range cfg.hotpathRoots(pkg) {
-			declared[r] = true
-		}
-		for _, r := range roots {
-			if !declared[r] {
-				t.Errorf("lint.config drops hotpath root %s.%s; the allocation discipline on it is no longer enforced", pkg, r)
-			}
-		}
-	}
 	// Every module path a stanza names must resolve to a package in the
 	// tree. The analyzers match prefixes against, and look roots up in,
 	// the packages they load, so a stanza naming a deleted package
@@ -254,24 +212,14 @@ func TestRepoConfig(t *testing.T) {
 	}
 }
 
-// configPackages lists the import path behind every stanza entry: a
-// prefix stanza's argument as is, a hotpath entry
-// (<import-path>.<Func> or <import-path>.<Recv>.<Method>) up to the
-// first '.' after its last '/'.
+// configPackages lists the import path behind every stanza entry.
 func configPackages(cfg *Config) []string {
 	var paths []string
-	for _, list := range [][]string{cfg.Analytical, cfg.Measured, cfg.Deterministic, cfg.Lifetime} {
+	for _, list := range [][]string{cfg.Analytical, cfg.Measured, cfg.Deterministic} {
 		paths = append(paths, list...)
 	}
 	for _, a := range cfg.Allow {
 		paths = append(paths, a[0], a[1])
-	}
-	for _, q := range cfg.Hotpath {
-		slash := strings.LastIndexByte(q, '/')
-		if dot := strings.IndexByte(q[slash+1:], '.'); dot >= 0 {
-			q = q[:slash+1+dot]
-		}
-		paths = append(paths, q)
 	}
 	return paths
 }

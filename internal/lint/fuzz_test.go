@@ -8,10 +8,12 @@ import (
 
 // FuzzParseConfig hardens the lint.config parser against malformed
 // input: it must either return an error or a self-consistent Config —
-// never panic, never silently accept a contradiction. The parser is the
-// root of trust for every analyzer scope; a crash or a laundered
-// duplicate here disables the boundary rule for the whole repository.
-// On-disk seeds live in testdata/fuzz/FuzzParseConfig.
+// never panic, never silently accept a contradiction or a directive it
+// does not know. The parser is the root of trust for every analyzer
+// scope; a crash or a laundered duplicate here disables the boundary
+// rule for the whole repository. The seeds that name the retired
+// hotpath and lifetime stanzas pin their rejection. On-disk seeds live
+// in testdata/fuzz/FuzzParseConfig.
 func FuzzParseConfig(f *testing.F) {
 	f.Add("analytical convmeter/internal/core\nmeasured convmeter/internal/exec\n")
 	f.Add("# comment only\n\n   \n")
@@ -44,15 +46,24 @@ func FuzzParseConfig(f *testing.F) {
 		if cfg == nil {
 			t.Fatal("nil config without error")
 		}
+		// Accepted configs hold only the four directives.
+		for _, line := range strings.Split(input, "\n") {
+			fields := strings.Fields(line)
+			if len(fields) == 0 || strings.HasPrefix(fields[0], "#") {
+				continue
+			}
+			switch fields[0] {
+			case "analytical", "measured", "allow", "deterministic":
+			default:
+				t.Fatalf("accepted unknown directive %q", fields[0])
+			}
+		}
 		// Accepted configs must be internally consistent: no duplicates
-		// within a stanza, no package on both sides of the boundary, and
-		// every hotpath entry qualified.
+		// within a stanza and no package on both sides of the boundary.
 		for stanza, entries := range map[string][]string{
 			"analytical":    cfg.Analytical,
 			"measured":      cfg.Measured,
 			"deterministic": cfg.Deterministic,
-			"hotpath":       cfg.Hotpath,
-			"lifetime":      cfg.Lifetime,
 		} {
 			seen := map[string]bool{}
 			for _, e := range entries {
@@ -72,11 +83,6 @@ func FuzzParseConfig(f *testing.F) {
 				}
 			}
 		}
-		for _, h := range cfg.Hotpath {
-			if !strings.Contains(h, ".") {
-				t.Fatalf("accepted unqualified hotpath entry %q", h)
-			}
-		}
 		// An accepted config must round-trip: re-serialising its entries
 		// as config lines and re-parsing yields the identical Config.
 		var sb strings.Builder
@@ -91,12 +97,6 @@ func FuzzParseConfig(f *testing.F) {
 		}
 		for _, e := range cfg.Deterministic {
 			fmt.Fprintf(&sb, "deterministic %s\n", e)
-		}
-		for _, e := range cfg.Hotpath {
-			fmt.Fprintf(&sb, "hotpath %s\n", e)
-		}
-		for _, e := range cfg.Lifetime {
-			fmt.Fprintf(&sb, "lifetime %s\n", e)
 		}
 		back, err := ParseConfig(strings.NewReader(sb.String()), "roundtrip.config")
 		if err != nil {
@@ -121,8 +121,7 @@ func equalConfig(a, b *Config) bool {
 		return true
 	}
 	if !eq(a.Analytical, b.Analytical) || !eq(a.Measured, b.Measured) ||
-		!eq(a.Deterministic, b.Deterministic) || !eq(a.Hotpath, b.Hotpath) ||
-		!eq(a.Lifetime, b.Lifetime) || len(a.Allow) != len(b.Allow) {
+		!eq(a.Deterministic, b.Deterministic) || len(a.Allow) != len(b.Allow) {
 		return false
 	}
 	for i := range a.Allow {

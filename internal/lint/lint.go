@@ -4,9 +4,8 @@
 // to enforce invariants the paper's method depends on — most
 // importantly the boundary between packages that compute the five
 // inherent metrics *analytically* and packages that *measure or
-// simulate* execution — plus replayable results, allocation-free hot
-// paths, released resources, float-safety, handled errors and
-// goroutine hygiene. Suite lists the eight analyzers.
+// simulate* execution — plus replayable results, float-safety, handled
+// errors and goroutine hygiene. Suite lists the five analyzers.
 //
 // The framework is deliberately small: an Analyzer inspects one fully
 // type-checked package at a time and returns Findings; the Loader
@@ -28,13 +27,6 @@ type Finding struct {
 	Pos      token.Position
 	Analyzer string
 	Message  string
-
-	// Why, when non-empty, explains how the analyzer concluded the
-	// finding applies — for the hotpath family, the call chain from the
-	// declared root to the offending function. It is supplementary
-	// detail (printed by convlint -why, carried in -json), not part of
-	// the canonical String rendering.
-	Why string
 }
 
 // String renders the canonical file:line:col analyzer: message form.
@@ -63,17 +55,10 @@ type Pass struct {
 
 // Reportf records a finding at pos.
 func (p *Pass) Reportf(analyzer string, pos token.Pos, format string, args ...any) {
-	p.ReportWhyf(analyzer, pos, "", format, args...)
-}
-
-// ReportWhyf records a finding at pos with an explanation chain (see
-// Finding.Why). An empty why degrades to Reportf.
-func (p *Pass) ReportWhyf(analyzer string, pos token.Pos, why string, format string, args ...any) {
 	p.report = append(p.report, Finding{
 		Pos:      p.Pkg.Fset.Position(pos),
 		Analyzer: analyzer,
 		Message:  fmt.Sprintf(format, args...),
-		Why:      why,
 	})
 }
 

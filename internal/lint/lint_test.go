@@ -54,8 +54,8 @@ func wantMarkers(t *testing.T, dir string) map[string]bool {
 
 // fixtureConfig classifies the boundary fixture as analytical, the
 // real simulator/executor packages as measured, allowlists the
-// fixture's netsim import, and scopes the dataflow analyzers to their
-// fixture packages.
+// fixture's netsim import, and scopes the determinism analyzer to its
+// fixture package.
 func fixtureConfig() *Config {
 	return &Config{
 		Analytical: []string{"convmeter/internal/lint/testdata/boundary"},
@@ -68,12 +68,6 @@ func fixtureConfig() *Config {
 			{"convmeter/internal/lint/testdata/boundary", "convmeter/internal/netsim"},
 		},
 		Deterministic: []string{"convmeter/internal/lint/testdata/determinism"},
-		Hotpath: []string{
-			"convmeter/internal/lint/testdata/hotpath.Root",
-			"convmeter/internal/lint/testdata/hotpath.ring.step",
-			"convmeter/internal/lint/testdata/hotdefer.Root",
-		},
-		Lifetime: []string{"convmeter/internal/lint/testdata/lifetime"},
 	}
 }
 
@@ -112,59 +106,6 @@ func TestAnalyzerFixtures(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestHotpathUnknownRoot pins the config-hygiene rule: a hotpath root
-// naming no function in its package is itself a finding — a typo'd
-// root would otherwise silently guard nothing.
-func TestHotpathUnknownRoot(t *testing.T) {
-	root := repoRoot(t)
-	dir := filepath.Join(root, "internal", "lint", "testdata", "hotpath")
-	pkg, err := NewLoader(root).LoadDir(dir, "convmeter/internal/lint/testdata/hotpath")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := &Config{Hotpath: []string{"convmeter/internal/lint/testdata/hotpath.NoSuchFunc"}}
-	var hot []Finding
-	for _, f := range Run([]*Package{pkg}, []*Analyzer{NewHotPath(cfg), NewHotDefer(cfg)}) {
-		if f.Analyzer == "hotpath" {
-			hot = append(hot, f)
-		}
-	}
-	if len(hot) != 1 {
-		t.Fatalf("got %d hotpath findings, want exactly the unknown-root report: %v", len(hot), hot)
-	}
-	if !strings.Contains(hot[0].Message, "NoSuchFunc") {
-		t.Errorf("finding does not name the missing root: %s", hot[0])
-	}
-}
-
-// TestHotpathWhyChain checks that hotpath findings carry the
-// root→…→function reachability chain convlint -why prints.
-func TestHotpathWhyChain(t *testing.T) {
-	root := repoRoot(t)
-	dir := filepath.Join(root, "internal", "lint", "testdata", "hotpath")
-	pkg, err := NewLoader(root).LoadDir(dir, "convmeter/internal/lint/testdata/hotpath")
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, f := range Run([]*Package{pkg}, []*Analyzer{NewHotPath(fixtureConfig())}) {
-		if f.Analyzer != "hotpath" {
-			continue
-		}
-		if strings.Contains(f.Why, "ring.step") {
-			found = true
-			if want := "declared root ring.step → ring.note"; !strings.Contains(f.Why, want) {
-				t.Errorf("finding why = %q, want it to contain %q", f.Why, want)
-			}
-		} else if f.Why == "" {
-			t.Errorf("hotpath finding without a why chain: %s", f)
-		}
-	}
-	if !found {
-		t.Error("no finding for the method-root chain (ring.note)")
 	}
 }
 

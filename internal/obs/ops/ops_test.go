@@ -3,6 +3,7 @@ package ops
 import (
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -348,7 +349,9 @@ func TestConcurrentScrapes(t *testing.T) {
 }
 
 // TestCloseLeavesNoGoroutines: after Close returns, the listener and
-// every connection goroutine must be gone.
+// every connection goroutine must be gone. The goroutine count alone
+// can miss a live listener when an earlier test's goroutines wind down
+// meanwhile, so the bound address must also refuse a dial.
 func TestCloseLeavesNoGoroutines(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	srv, err := Start(Config{Addr: "127.0.0.1:0"})
@@ -369,6 +372,10 @@ func TestCloseLeavesNoGoroutines(t *testing.T) {
 	http.DefaultClient.CloseIdleConnections()
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if c, err := net.Dial("tcp", srv.Addr()); err == nil {
+		_ = c.Close()
+		t.Fatalf("dial to %s succeeded after Close; the listener is still open", srv.Addr())
 	}
 	deadline := time.Now().Add(2 * time.Second)
 	for runtime.NumGoroutine() > baseline {

@@ -48,8 +48,8 @@ func TestSpanLinkIgnoresInvalid(t *testing.T) {
 	}
 }
 
-// TestDisabledContextPropagationZeroAllocs pins the hotpath contract of
-// the trace-context API: with tracing disabled (nil spans from a nil
+// TestDisabledContextPropagationZeroAllocs pins the allocation contract
+// of the trace-context API: with tracing disabled (nil spans from a nil
 // Obs), the full per-op propagation sequence — Start, Context, LinkTo,
 // End — allocates nothing, so the transports pay zero when untraced.
 func TestDisabledContextPropagationZeroAllocs(t *testing.T) {

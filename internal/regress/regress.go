@@ -72,6 +72,11 @@ func FitRelative(features [][]float64, y []float64) (*Model, error) {
 // rank deficient (e.g. a feature is constant zero over the sample), Fit
 // falls back to a lightly ridge-regularised solve so that callers always
 // get a usable model from degenerate benchmark subsets.
+//
+// Fit fails closed on non-finite numbers: a NaN or ±Inf feature or
+// target is an error naming its row (and column), and so is a solve
+// whose coefficients overflow. FitWeighted, FitRelative and FitStats
+// all solve through Fit, so none of them returns a NaN coefficient.
 func Fit(features [][]float64, y []float64) (*Model, error) {
 	if len(features) == 0 {
 		return nil, errors.New("regress: empty feature set")
@@ -86,15 +91,25 @@ func Fit(features [][]float64, y []float64) (*Model, error) {
 	if a.Rows < a.Cols {
 		return nil, fmt.Errorf("regress: %d samples cannot determine %d coefficients", a.Rows, a.Cols)
 	}
+	for i, v := range y {
+		if !finite(v) {
+			return nil, fmt.Errorf("regress: target at row %d is %g; targets must be finite", i, v)
+		}
+	}
 	// Normalise each column to unit maximum magnitude before solving.
 	// Feature scales differ by >10 orders of magnitude (FLOPs ≈ 1e12 vs
 	// the intercept column of ones), which would otherwise wreck the QR
 	// conditioning and make any ridge fallback penalise columns unevenly.
+	// The same pass rejects non-finite features.
 	scale := make([]float64, a.Cols)
 	for j := 0; j < a.Cols; j++ {
 		maxAbs := 0.0
 		for i := 0; i < a.Rows; i++ {
-			if v := math.Abs(a.At(i, j)); v > maxAbs {
+			x := a.At(i, j)
+			if !finite(x) {
+				return nil, fmt.Errorf("regress: feature at row %d, column %d is %g; features must be finite", i, j, x)
+			}
+			if v := math.Abs(x); v > maxAbs {
 				maxAbs = v
 			}
 		}
@@ -115,9 +130,15 @@ func Fit(features [][]float64, y []float64) (*Model, error) {
 	}
 	for j := range coef {
 		coef[j] /= scale[j]
+		if !finite(coef[j]) {
+			return nil, fmt.Errorf("regress: coefficient %d solved to %g; the design is too ill-scaled to fit", j, coef[j])
+		}
 	}
 	return &Model{Coef: coef}, nil
 }
+
+// finite reports whether v is neither NaN nor ±Inf.
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // Predict evaluates the model on a single feature vector.
 func (m *Model) Predict(x []float64) float64 {

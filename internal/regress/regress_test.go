@@ -3,6 +3,7 @@ package regress
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -49,6 +50,82 @@ func TestFitErrors(t *testing.T) {
 	// Fewer samples than coefficients.
 	if _, err := Fit([][]float64{{1, 2, 3}}, []float64{1}); err == nil {
 		t.Fatal("expected error for underdetermined fit")
+	}
+}
+
+// nonFiniteFits are designs the fit must reject, each with the fit
+// entry point it goes through and the words the error must carry.
+// FuzzFit is seeded from this table.
+var nonFiniteFits = []struct {
+	name     string
+	fit      fitKind
+	features [][]float64
+	y        []float64
+	want     string
+}{
+	{"NaN feature", fitOLS,
+		[][]float64{{1, 1}, {2, 1}, {math.NaN(), 1}, {4, 1}}, []float64{1, 2, 3, 4},
+		"feature at row 2, column 0 is NaN"},
+	{"+Inf feature", fitOLS,
+		[][]float64{{1, 1}, {2, math.Inf(1)}, {3, 1}}, []float64{1, 2, 3},
+		"feature at row 1, column 1 is +Inf"},
+	{"-Inf target", fitOLS,
+		[][]float64{{1, 1}, {2, 1}, {3, 1}}, []float64{1, math.Inf(-1), 3},
+		"target at row 1 is -Inf"},
+	{"NaN target", fitStats,
+		[][]float64{{1, 1}, {2, 1}, {3, 1}}, []float64{1, 2, math.NaN()},
+		"target at row 2 is NaN"},
+	// FitRelative weights an infinite target by 1/Inf² = 0, and Inf·0 is
+	// NaN: this once fitted to all-NaN coefficients without an error.
+	{"+Inf target, relative", fitRelative,
+		[][]float64{{1, 1}, {2, 1}, {3, 1}, {4, 1}}, []float64{1, 2, math.Inf(1), 4},
+		"target at row 2 is NaN"},
+	{"NaN feature, relative", fitRelative,
+		[][]float64{{math.NaN(), 1}, {2, 1}, {3, 1}}, []float64{1, 2, 3},
+		"feature at row 0, column 0 is NaN"},
+	// Finite but ill-scaled: the normalised solve is fine, and undoing
+	// the column scale overflows.
+	{"overflowing coefficient", fitOLS,
+		[][]float64{{1e-300}, {2e-300}, {3e-300}}, []float64{1e10, 2e10, 3e10},
+		"coefficient 0 solved to +Inf"},
+}
+
+// fitKind selects the fit entry point a case runs through.
+type fitKind uint8
+
+const (
+	fitOLS fitKind = iota
+	fitRelative
+	fitStats
+	fitKinds
+)
+
+func (k fitKind) fit(features [][]float64, y []float64) (*Model, error) {
+	switch k % fitKinds {
+	case fitRelative:
+		return FitRelative(features, y)
+	case fitStats:
+		m, _, err := FitStats(features, y, nil)
+		return m, err
+	default:
+		return Fit(features, y)
+	}
+}
+
+// TestFitRejectsNonFinite: a NaN or ±Inf anywhere in the design, or a
+// coefficient that overflows, is an error naming where it sits — never
+// a model with non-finite coefficients, never a misleading
+// rank-deficiency report.
+func TestFitRejectsNonFinite(t *testing.T) {
+	for _, c := range nonFiniteFits {
+		m, err := c.fit.fit(c.features, c.y)
+		if err == nil {
+			t.Errorf("%s: fit returned coefficients %v, want an error", c.name, m.Coef)
+			continue
+		}
+		if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %q does not say %q", c.name, err, c.want)
+		}
 	}
 }
 
