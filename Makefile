@@ -31,23 +31,22 @@ perfbench-test:
 # Every race-detector test runs here, once. The concurrent packages (the
 # kernel worker pool, ring all-reduce, parallel bench collector,
 # data-parallel trainer with its chaos and critical-path blame suites,
-# telemetry registry/tracer, ops server under ./internal/obs/..., drift
-# monitor, fault injector, DAG executor with its crash-resume matrix,
-# the experiments harness with its DAG resume matrices and Fig. 6's
+# telemetry registry/tracer under ./internal/obs/..., drift monitor,
+# fault injector, DAG executor with its crash-resume matrix, the
+# experiments harness with its DAG resume matrices and Fig. 6's
 # concurrent DIPPM folds) run under the
 # race detector, plus the lint package itself — its fixture suites drive
 # the loader and analyzers concurrently enough to be worth the coverage
-# — and the CLI legs that scrape a live ops server and kill/resume a
+# — and the CLI legs that check a run's drift artefact and kill/resume a
 # run.
 race:
 	$(GO) test -race ./internal/exec/... ./internal/allreduce/... ./internal/bench/... ./internal/train/... ./internal/obs/... ./internal/driftwatch/... ./internal/lint/... ./internal/dagrun/... ./internal/faults/... ./internal/experiments/...
-	$(GO) test -race -count=1 -run 'TestRunWithOpsServer|TestRunDagCrashResume' ./cmd/experiments
+	$(GO) test -race -count=1 -run 'TestRunDriftArtefact|TestRunDagCrashResume' ./cmd/experiments
 
 # obs-smoke: run the telemetry fixture experiment with the metrics and
 # trace flags and validate both artefacts with cmd/obscheck — catches
 # exposition/trace formatting regressions that unit tests on the
-# exporters alone would miss. (The live ops-server scrape runs under
-# the race detector in `race`; the drift artefacts are checked by
+# exporters alone would miss. (The drift artefacts are checked by
 # drift-smoke's slowdown and clean runs.)
 obs-smoke:
 	rm -rf .obs-smoke && mkdir -p .obs-smoke
@@ -82,7 +81,7 @@ bench-check:
 	$(GO) run ./cmd/benchsnap -check BENCH_$(bench_n).json
 
 # drift-smoke: the drift and critical-path acceptance path, end to end
-# through the real binary (the live /drift scrape and the blame chaos
+# through the real binary (the CLI drift verdicts and the blame chaos
 # suite run under the race detector in `race`). The slowdown run
 # (persistent straggler on worker 0) must report a drift detection on a
 # drifting stream, a critical-path report blaming worker 0, and a

@@ -31,7 +31,6 @@ import (
 	"convmeter/internal/faults"
 	"convmeter/internal/obs"
 	"convmeter/internal/obs/critpath"
-	"convmeter/internal/obs/ops"
 )
 
 func main() {
@@ -45,8 +44,6 @@ func main() {
 	flag.StringVar(&opts.csvDir, "csvdir", "", "write figure data series as CSV files into this directory")
 	flag.StringVar(&opts.metricsOut, "metrics-out", "", "write collected runtime metrics to this file as Prometheus text")
 	flag.StringVar(&opts.traceOut, "trace-out", "", "write recorded spans as Chrome trace-event JSON to this file (open in Perfetto)")
-	flag.StringVar(&opts.opsAddr, "ops-addr", "", "serve the live ops endpoints (/metrics, /healthz, /trace, /drift, /critpath, /dag, /debug/pprof) on this address (e.g. localhost:6060) while experiments run; off by default")
-	flag.StringVar(&opts.opsAddrOut, "ops-addr-out", "", "write the ops server's actual bound address to this file (useful with -ops-addr :0)")
 	flag.StringVar(&opts.driftOut, "drift-out", "", "write the final drift-monitor state as JSON to this file")
 	flag.StringVar(&opts.critpathOut, "critpath-out", "", "write the chaos trainer's per-step critical-path attribution report as JSON to this file")
 	flag.StringVar(&opts.dagDir, "dag-dir", "", "durable run directory: every completed DAG node commits a content-addressed manifest here, and a re-run over the same directory resumes fail-close from fingerprint-matching manifests")
@@ -74,7 +71,6 @@ type options struct {
 	faultsProfile        string
 	outPath, csvDir      string
 	metricsOut, traceOut string
-	opsAddr, opsAddrOut  string
 	driftOut             string
 	critpathOut          string
 	dagDir               string
@@ -105,18 +101,12 @@ func run(opts options) (err error) {
 		Seed: opts.seed, Quick: opts.quick,
 		FaultsSeed: opts.faultsSeed, FaultsProfile: opts.faultsProfile,
 	}
-	var bundle *obs.Obs
-	var mon *driftwatch.Monitor
-	var crit *critpath.Tracker
-	if opts.metricsOut != "" || opts.traceOut != "" || opts.opsAddr != "" || opts.driftOut != "" || opts.critpathOut != "" {
-		bundle = obs.New()
-		cfg.Obs = bundle
-		mon = driftwatch.New(bundle)
-		cfg.Drift = mon
+	if opts.metricsOut != "" || opts.traceOut != "" || opts.driftOut != "" || opts.critpathOut != "" {
+		cfg.Obs = obs.New()
+		cfg.Drift = driftwatch.New(cfg.Obs)
 	}
-	if opts.critpathOut != "" || opts.opsAddr != "" {
-		crit = critpath.NewTracker(bundle)
-		cfg.Crit = crit
+	if opts.critpathOut != "" {
+		cfg.Crit = new(critpath.Tracker)
 	}
 	// The run itself is a DAG: independent experiments execute in
 	// parallel on a bounded pool, and with -dag-dir every completed node
@@ -125,91 +115,39 @@ func run(opts options) (err error) {
 	if opts.id == "all" {
 		ids = convmeter.ExperimentIDs()
 	}
-	inj, err := dagFaults(opts, bundle)
+	inj, err := dagFaults(opts, cfg.Obs)
 	if err != nil {
 		return err
 	}
-	runner, err := convmeter.NewExperimentsDAG(ids, cfg, convmeter.ExperimentsDagConfig{
+	results, rep, runErr := convmeter.RunExperimentsDAG(ids, cfg, convmeter.ExperimentsDagConfig{
 		Dir: opts.dagDir, Workers: opts.dagWorkers, Faults: inj,
 	})
-	if err != nil {
-		return err
-	}
-	if opts.opsAddr != "" {
-		srv, err := ops.Start(ops.Config{
-			Addr: opts.opsAddr, Obs: bundle, Drift: mon, Crit: crit, Dag: runner,
-		})
-		if err != nil {
-			return err
-		}
-		defer func() {
-			if cerr := srv.Close(); cerr != nil && err == nil {
-				err = cerr
-			}
-		}()
-		fmt.Fprintf(os.Stderr, "experiments: ops server on http://%s\n", srv.Addr())
-		if opts.opsAddrOut != "" {
-			if err := os.WriteFile(opts.opsAddrOut, []byte(srv.Addr()+"\n"), 0o644); err != nil {
-				return err
-			}
-		}
-	}
-	rep, execErr := runner.Execute()
-	if opts.dagOut != "" {
+	if opts.dagOut != "" && rep != nil {
 		// The audit trail is written even — especially — when the run
 		// died: it records which node was killed and what survived.
-		f, err := os.Create(opts.dagOut)
-		if err != nil {
-			return err
-		}
-		if err := runner.WriteJSON(f); err != nil {
-			_ = f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := writeArtefact(opts.dagOut, rep.WriteJSON); err != nil {
 			return err
 		}
 	}
-	if execErr != nil {
+	if runErr != nil {
 		if rep != nil && rep.Crashed != "" {
 			fmt.Fprintf(os.Stderr, "experiments: run killed at %s; re-run with the same -dag-dir to resume\n", rep.Crashed)
 		}
-		return execErr
+		return runErr
 	}
 	if rep.Resumed > 0 {
 		fmt.Fprintf(os.Stderr, "experiments: resumed %d node(s) from manifests in %s\n", rep.Resumed, opts.dagDir)
 	}
-	results, err := convmeter.CollectExperimentsDAG(runner)
-	if err != nil {
-		return err
-	}
-	if err := bundle.Export(opts.metricsOut, opts.traceOut); err != nil {
+	if err := cfg.Obs.Export(opts.metricsOut, opts.traceOut); err != nil {
 		return err
 	}
 	if opts.driftOut != "" {
-		f, err := os.Create(opts.driftOut)
-		if err != nil {
-			return err
-		}
-		if err := mon.WriteJSON(f); err != nil {
-			// The write failure is the error worth reporting.
-			_ = f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := writeArtefact(opts.driftOut, cfg.Drift.WriteJSON); err != nil {
 			return err
 		}
 	}
 	if opts.critpathOut != "" {
-		f, err := os.Create(opts.critpathOut)
-		if err != nil {
-			return err
-		}
-		if err := crit.WriteJSON(f); err != nil {
-			_ = f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := writeArtefact(opts.critpathOut, cfg.Crit.WriteJSON); err != nil {
 			return err
 		}
 	}
@@ -249,4 +187,19 @@ func run(opts options) (err error) {
 		}
 	}
 	return nil
+}
+
+// writeArtefact creates path and runs write into it, surfacing the
+// first error, Close's included.
+func writeArtefact(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		// The write failure is the error worth reporting.
+		_ = f.Close()
+		return err
+	}
+	return f.Close()
 }

@@ -306,3 +306,68 @@ func parsePromFile(t *testing.T, path string) map[string]float64 {
 	}
 	return values
 }
+
+// driftDoc mirrors the -drift-out JSON layout.
+type driftDoc struct {
+	Streams []struct {
+		Model  string `json:"model"`
+		Phase  string `json:"phase"`
+		State  string `json:"state"`
+		Pairs  int    `json:"pairs"`
+		Events int    `json:"events"`
+	} `json:"streams"`
+	Events int `json:"events_total"`
+}
+
+// TestRunDriftArtefact checks the -drift-out verdict at the CLI level.
+// The chaos run feeds the one live stream, trainreal/iter: under the
+// slowdown profile it must latch drifting with at least one drift event,
+// and under the none profile it must raise none (the detector's
+// false-positive guard). fig2's offline LOMO evaluations feed no stream
+// at all.
+func TestRunDriftArtefact(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		opts    options
+		streams int
+		drifts  bool
+	}{
+		{"slowdown", options{id: "exttrainfaults", seed: 1, quick: true, faultsSeed: 7, faultsProfile: "slowdown"}, 1, true},
+		{"exttrainfaults", options{id: "exttrainfaults", seed: 1, quick: true, faultsSeed: 7, faultsProfile: "none"}, 1, false},
+		{"fig2", options{id: "fig2", seed: 1, quick: true}, 0, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			driftPath := filepath.Join(dir, "drift.json")
+			opts := tc.opts
+			opts.outPath = filepath.Join(dir, "report.txt")
+			opts.driftOut = driftPath
+			if err := run(opts); err != nil {
+				t.Fatal(err)
+			}
+			var doc driftDoc
+			data, err := os.ReadFile(driftPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := json.Unmarshal(data, &doc); err != nil {
+				t.Fatal(err)
+			}
+			if len(doc.Streams) != tc.streams {
+				t.Fatalf("drift artefact has %d streams, want %d: %+v", len(doc.Streams), tc.streams, doc)
+			}
+			for _, st := range doc.Streams {
+				if st.Model != "trainreal" || st.Phase != "iter" || st.Pairs == 0 {
+					t.Fatalf("stream %+v, want trainreal/iter with pairs", st)
+				}
+			}
+			if tc.drifts {
+				if doc.Streams[0].State != "drifting" || doc.Events < 1 {
+					t.Fatalf("slowdown run did not drift: %+v", doc)
+				}
+			} else if doc.Events != 0 {
+				t.Fatalf("clean run raised %d drift events: %+v", doc.Events, doc)
+			}
+		})
+	}
+}

@@ -29,7 +29,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -37,13 +36,14 @@ import (
 	"strings"
 
 	"convmeter/internal/dagrun/manifest"
+	"convmeter/internal/obs/critpath"
 )
 
 func main() {
 	metrics := flag.String("metrics", "", "Prometheus text metrics file to validate (from -metrics-out)")
 	trace := flag.String("trace", "", "Chrome trace-event JSON file to validate")
-	drift := flag.String("drift", "", "drift-monitor JSON snapshot to validate (from -drift-out or GET /drift)")
-	critpath := flag.String("critpath", "", "critical-path attribution report JSON to validate (from -critpath-out or GET /critpath)")
+	drift := flag.String("drift", "", "drift-monitor JSON snapshot to validate (from -drift-out)")
+	critpathPath := flag.String("critpath", "", "critical-path attribution report JSON to validate (from -critpath-out)")
 	manifestDir := flag.String("manifest", "", "DAG run directory to validate (from experiments -dag-dir): every manifest parses and its content hash verifies, and input hashes resolve to committed manifests")
 	requireFaults := flag.Bool("require-faults", false, "additionally require a convmeter_faults_injected_total sample with value > 0 (chaos-run validation)")
 	requireDrift := flag.Bool("require-drift", false, "additionally require at least one drift event and a drifting stream in the -drift snapshot (slowdown-run validation)")
@@ -51,7 +51,7 @@ func main() {
 	requireBlame := flag.Int("require-blame", -1, "additionally require at least one -critpath step blaming this worker (straggler-run validation); -1 disables")
 	forbidBlame := flag.Bool("forbid-blame", false, "additionally require zero blamed steps and at least one analyzed step in the -critpath report (clean-run validation)")
 	flag.Parse()
-	if *metrics == "" && *trace == "" && *drift == "" && *critpath == "" && *manifestDir == "" {
+	if *metrics == "" && *trace == "" && *drift == "" && *critpathPath == "" && *manifestDir == "" {
 		fmt.Fprintln(os.Stderr, "obscheck: nothing to check (pass -metrics, -trace, -drift, -critpath and/or -manifest)")
 		os.Exit(2)
 	}
@@ -67,7 +67,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "obscheck: -require-drift and -forbid-drift are mutually exclusive")
 		os.Exit(2)
 	}
-	if (*requireBlame >= 0 || *forbidBlame) && *critpath == "" {
+	if (*requireBlame >= 0 || *forbidBlame) && *critpathPath == "" {
 		fmt.Fprintln(os.Stderr, "obscheck: -require-blame/-forbid-blame need -critpath")
 		os.Exit(2)
 	}
@@ -96,12 +96,12 @@ func main() {
 		}
 		fmt.Printf("obscheck: %s ok\n", *drift)
 	}
-	if *critpath != "" {
-		if err := checkCritpath(*critpath, *requireBlame, *forbidBlame); err != nil {
+	if *critpathPath != "" {
+		if err := checkCritpath(*critpathPath, *requireBlame, *forbidBlame); err != nil {
 			fmt.Fprintln(os.Stderr, "obscheck:", err)
 			os.Exit(1)
 		}
-		fmt.Printf("obscheck: %s ok\n", *critpath)
+		fmt.Printf("obscheck: %s ok\n", *critpathPath)
 	}
 	if *manifestDir != "" {
 		if err := checkManifests(*manifestDir); err != nil {
@@ -175,23 +175,14 @@ func checkManifests(dir string) error {
 	return nil
 }
 
-// critpathSchema is the report format internal/obs/critpath writes;
-// keep in sync with critpath.SchemaV1.
-const critpathSchema = "convmeter/critpath/v1"
-
-// critpathClasses are the phases a step may legally report as dominant.
-var critpathClasses = map[string]bool{
-	"compute": true, "comm": true, "wait": true, "none": true,
-}
-
 // checkCritpath validates a critical-path attribution report: the
-// schema tag, finite non-negative durations, legal dominant phases, and
-// blame consistency (a blamed worker exists in the step's worker list
-// and the step is wait-dominated). With requireBlame >= 0 it demands at
-// least one step blaming that worker (a straggler run must have been
-// attributed); with forbidBlame it demands no blamed steps at all, and
-// at least one analyzed step — an empty report watched nothing, so its
-// silence proves nothing.
+// schema tag, a steps array, a blame key on every step, and
+// critpath.Validate on each step (finite non-negative durations, legal
+// dominant phases, blame consistency, sorted workers). With
+// requireBlame >= 0 it demands at least one step blaming that worker (a
+// straggler run must have been attributed); with forbidBlame it demands
+// no blamed steps at all, and at least one analyzed step — an empty
+// report watched nothing, so its silence proves nothing.
 func checkCritpath(path string, requireBlame int, forbidBlame bool) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -200,88 +191,32 @@ func checkCritpath(path string, requireBlame int, forbidBlame bool) error {
 	var doc struct {
 		Schema string `json:"schema"`
 		Steps  []struct {
-			Step      int     `json:"step"`
-			Total     float64 `json:"total_seconds"`
-			Compute   float64 `json:"compute_seconds"`
-			Comm      float64 `json:"comm_seconds"`
-			Wait      float64 `json:"wait_seconds"`
-			Dominant  string  `json:"dominant"`
-			Blame     *int    `json:"blame"`
-			BlameWait float64 `json:"blame_wait_seconds"`
-			Workers   []struct {
-				Worker     int     `json:"worker"`
-				Compute    float64 `json:"compute_seconds"`
-				Comm       float64 `json:"comm_seconds"`
-				Wait       float64 `json:"wait_seconds"`
-				CausedWait float64 `json:"caused_wait_seconds"`
-			} `json:"workers"`
-			Path []struct {
-				Span         int64   `json:"span"`
-				Class        string  `json:"class"`
-				Contribution float64 `json:"contribution_seconds"`
-			} `json:"path"`
+			critpath.StepAttribution
+			// Blame shadows the embedded field, so a step without the
+			// key decodes as nil instead of as a blame on worker 0.
+			Blame *int `json:"blame"`
 		} `json:"steps"`
 	}
 	if err := json.Unmarshal(data, &doc); err != nil {
 		return fmt.Errorf("%s: invalid critpath JSON: %v", path, err)
 	}
-	if doc.Schema != critpathSchema {
-		return fmt.Errorf("%s: schema %q, want %q", path, doc.Schema, critpathSchema)
+	if doc.Schema != critpath.SchemaV1 {
+		return fmt.Errorf("%s: schema %q, want %q", path, doc.Schema, critpath.SchemaV1)
 	}
 	if doc.Steps == nil {
 		return fmt.Errorf("%s: steps missing or null", path)
 	}
 	blamed := map[int]int{} // worker -> blamed-step count
-	for i, st := range doc.Steps {
-		for what, v := range map[string]float64{
-			"total_seconds": st.Total, "compute_seconds": st.Compute,
-			"comm_seconds": st.Comm, "wait_seconds": st.Wait,
-			"blame_wait_seconds": st.BlameWait,
-		} {
-			if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-				return fmt.Errorf("%s: step %d (index %d): %s = %v, want finite and non-negative", path, st.Step, i, what, v)
-			}
-		}
-		if !critpathClasses[st.Dominant] {
-			return fmt.Errorf("%s: step %d: unknown dominant phase %q", path, st.Step, st.Dominant)
-		}
+	for _, st := range doc.Steps {
 		if st.Blame == nil {
 			return fmt.Errorf("%s: step %d: blame missing", path, st.Step)
 		}
+		st.StepAttribution.Blame = *st.Blame
+		if err := critpath.Validate(st.StepAttribution); err != nil {
+			return fmt.Errorf("%s: %v", path, err)
+		}
 		if b := *st.Blame; b >= 0 {
-			if st.Dominant != "wait" {
-				return fmt.Errorf("%s: step %d: blames worker %d but dominant is %q", path, st.Step, b, st.Dominant)
-			}
-			found := false
-			for _, w := range st.Workers {
-				if w.Worker == b {
-					found = true
-				}
-			}
-			if !found {
-				return fmt.Errorf("%s: step %d: blamed worker %d not in worker attribution", path, st.Step, b)
-			}
 			blamed[b]++
-		}
-		prev := -1 << 62
-		for _, w := range st.Workers {
-			if w.Worker <= prev {
-				return fmt.Errorf("%s: step %d: workers not sorted by id", path, st.Step)
-			}
-			prev = w.Worker
-			for what, v := range map[string]float64{
-				"compute_seconds": w.Compute, "comm_seconds": w.Comm,
-				"wait_seconds": w.Wait, "caused_wait_seconds": w.CausedWait,
-			} {
-				if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-					return fmt.Errorf("%s: step %d: worker %d: %s = %v", path, st.Step, w.Worker, what, v)
-				}
-			}
-		}
-		for _, p := range st.Path {
-			if math.IsNaN(p.Contribution) || math.IsInf(p.Contribution, 0) || p.Contribution < 0 {
-				return fmt.Errorf("%s: step %d: path span %d contribution %v", path, st.Step, p.Span, p.Contribution)
-			}
 		}
 	}
 	if forbidBlame && len(blamed) > 0 {

@@ -266,6 +266,10 @@ func TestCheckCritpath(t *testing.T) {
 		{"wrong-schema", `{"schema":"v0","steps":[]}`, -1, false, true},
 		{"null-steps", `{"schema":"convmeter/critpath/v1"}`, -1, false, true},
 		{"missing-blame", step(`"dominant":"compute"`), -1, false, true},
+		// Decoded without its key, blame would read as worker 0, which
+		// this step lists and may blame.
+		{"missing-blame-wait", step(`"dominant":"wait","workers":[{"worker":0}]`), -1, false, true},
+		{"negative-worker-seconds", step(`"dominant":"compute","blame":-1,"workers":[{"worker":0,"wait_seconds":-1}]`), -1, false, true},
 		{"unknown-dominant", step(`"dominant":"io","blame":-1`), -1, false, true},
 		{"negative-duration", step(`"dominant":"compute","blame":-1,"wait_seconds":-1`), -1, false, true},
 		{"blame-not-wait", step(`"dominant":"compute","blame":0,"workers":[{"worker":0}]`), -1, false, true},

@@ -242,10 +242,6 @@ func ExperimentIDs() []string {
 // manifest-backed) experiment run.
 type ExperimentsDagConfig = experiments.DagConfig
 
-// DagRunner is the dependency-aware executor behind durable experiment
-// runs; its live audit trail serves the ops server's /dag endpoint.
-type DagRunner = dagrun.Runner
-
 // DagReport is the executor's audit trail: per-node state, manifest
 // hash, attempt count and blame.
 type DagReport = dagrun.Report
@@ -254,17 +250,12 @@ type DagReport = dagrun.Report
 // by re-running over the same manifest directory.
 var ErrDagCrashed = dagrun.ErrCrashed
 
-// NewExperimentsDAG builds the fit→LOMO→figures/report executor for the
-// given experiment ids (Execute it to run; register it on the ops
-// server first for a live /dag).
-func NewExperimentsDAG(ids []string, cfg ExperimentConfig, dcfg ExperimentsDagConfig) (*DagRunner, error) {
-	return experiments.NewDAGRunner(ids, cfg, dcfg)
-}
-
-// CollectExperimentsDAG decodes the ordered experiment results from a
-// completed DAG run.
-func CollectExperimentsDAG(r *DagRunner) ([]*ExperimentResult, error) {
-	return experiments.CollectDAGResults(r)
+// RunExperimentsDAG runs the given experiment ids as the
+// fit→LOMO→figures/report DAG and returns their results in order. The
+// audit report is returned even when the run fails or is killed, so
+// callers can surface blame.
+func RunExperimentsDAG(ids []string, cfg ExperimentConfig, dcfg ExperimentsDagConfig) ([]*ExperimentResult, *DagReport, error) {
+	return experiments.RunDAG(ids, cfg, dcfg)
 }
 
 // MetricMask selects metric subsets for the Figure 2 ablation baselines.

@@ -469,55 +469,3 @@ func (r *chanRing) recvResilient(self, pred int) (chanMsg, *WorkerError) {
 		}
 	}
 }
-
-// Hierarchical performs the two-level reduction the paper's cluster uses
-// (NVLink ring inside each node, network ring across nodes): an
-// intra-group ring reduce, an inter-group ring across group leaders, and
-// an intra-group broadcast. groupSize is the number of workers per node.
-func Hierarchical(vectors [][]float32, groupSize int) error {
-	return HierarchicalObs(vectors, groupSize, nil)
-}
-
-// HierarchicalObs is Hierarchical with telemetry threaded into its
-// constituent ring phases.
-func HierarchicalObs(vectors [][]float32, groupSize int, o *obs.Obs) error {
-	n := len(vectors)
-	if n == 0 {
-		return fmt.Errorf("allreduce: no workers")
-	}
-	if groupSize <= 0 || n%groupSize != 0 {
-		return fmt.Errorf("allreduce: %d workers do not split into groups of %d", n, groupSize)
-	}
-	// Intra-group rings.
-	var wg sync.WaitGroup
-	errs := make([]error, n/groupSize)
-	for g := 0; g < n/groupSize; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			errs[g] = RingObs(vectors[g*groupSize:(g+1)*groupSize], o)
-		}(g)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	// Inter-group ring across the group leaders.
-	leaders := make([][]float32, 0, n/groupSize)
-	for g := 0; g < n/groupSize; g++ {
-		leaders = append(leaders, vectors[g*groupSize])
-	}
-	if err := RingObs(leaders, o); err != nil {
-		return err
-	}
-	// Broadcast inside each group.
-	for g := 0; g < n/groupSize; g++ {
-		src := vectors[g*groupSize]
-		for w := 1; w < groupSize; w++ {
-			copy(vectors[g*groupSize+w], src)
-		}
-	}
-	return nil
-}

@@ -87,31 +87,6 @@ func TestRingSingleWorkerNoOp(t *testing.T) {
 	}
 }
 
-func TestHierarchical(t *testing.T) {
-	for _, topo := range []struct{ n, group int }{
-		{8, 4}, {16, 4}, {4, 2}, {6, 3}, {4, 4}, {4, 1},
-	} {
-		vectors, want := makeVectors(topo.n, 257, int64(topo.n))
-		if err := Hierarchical(vectors, topo.group); err != nil {
-			t.Fatalf("n=%d group=%d: %v", topo.n, topo.group, err)
-		}
-		checkAllEqualSum(t, vectors, want)
-	}
-}
-
-func TestHierarchicalErrors(t *testing.T) {
-	if err := Hierarchical(nil, 4); err == nil {
-		t.Fatal("expected no-workers error")
-	}
-	vectors, _ := makeVectors(6, 8, 1)
-	if err := Hierarchical(vectors, 4); err == nil {
-		t.Fatal("expected indivisible-group error")
-	}
-	if err := Hierarchical(vectors, 0); err == nil {
-		t.Fatal("expected zero-group error")
-	}
-}
-
 func TestChunkBoundsTiling(t *testing.T) {
 	f := func(rawN, rawP uint8) bool {
 		n := int(rawN)
@@ -131,21 +106,4 @@ func TestChunkBoundsTiling(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestRingMatchesHierarchical(t *testing.T) {
-	// Both algorithms must produce the identical mathematical result.
-	a, want := makeVectors(8, 512, 77)
-	b := make([][]float32, len(a))
-	for i := range a {
-		b[i] = append([]float32(nil), a[i]...)
-	}
-	if err := Ring(a); err != nil {
-		t.Fatal(err)
-	}
-	if err := Hierarchical(b, 4); err != nil {
-		t.Fatal(err)
-	}
-	checkAllEqualSum(t, a, want)
-	checkAllEqualSum(t, b, want)
 }

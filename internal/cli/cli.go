@@ -235,15 +235,12 @@ func runDissect(args []string, env Env) error {
 	if err := parse(fs, args, env); err != nil {
 		return err
 	}
-	sess, err := oo.start(env.Stderr)
-	if err != nil {
-		return err
-	}
+	o := oo.bundle()
 	g, met, err := buildWithMetrics(*model, *image)
 	if err != nil {
 		return err
 	}
-	m, err := loadInferenceModel(*coeff, *data, *device, *seed, sess.obs())
+	m, err := loadInferenceModel(*coeff, *data, *device, *seed, o)
 	if err != nil {
 		return err
 	}
@@ -284,7 +281,7 @@ func runDissect(args []string, env Env) error {
 			float64(r.met.Outputs)*float64(*batch)/1e6,
 			r.pred*1e3, share*100)
 	}
-	return sess.finish()
+	return oo.export(o)
 }
 
 // runTimeline emits a Chrome trace of one simulated training step.
@@ -369,11 +366,7 @@ func runFit(args []string, env Env) error {
 	if err := parse(fs, args, env); err != nil {
 		return err
 	}
-	sess, err := oo.start(env.Stderr)
-	if err != nil {
-		return err
-	}
-	o := sess.obs()
+	o := oo.bundle()
 	var payload any
 	switch *kind {
 	case "inference":
@@ -436,7 +429,7 @@ func runFit(args []string, env Env) error {
 	if err := enc.Encode(payload); err != nil {
 		return err
 	}
-	return sess.finish()
+	return oo.export(o)
 }
 
 // loadInferenceModel builds a predictor from -coeff JSON, -data CSV, or a
@@ -505,22 +498,19 @@ func runPredict(args []string, env Env) error {
 	if err := parse(fs, args, env); err != nil {
 		return err
 	}
-	sess, err := oo.start(env.Stderr)
-	if err != nil {
-		return err
-	}
+	o := oo.bundle()
 	_, met, err := buildWithMetrics(*model, *image)
 	if err != nil {
 		return err
 	}
-	m, err := loadInferenceModel(*coeff, *data, *device, *seed, sess.obs())
+	m, err := loadInferenceModel(*coeff, *data, *device, *seed, o)
 	if err != nil {
 		return err
 	}
 	t := float64(m.Predict(met, float64(*batch)))
 	printf(env.Stdout, "predicted inference time for %s @ %dpx, batch %d: %.4g ms (%.1f images/s)\n",
 		*model, *image, *batch, t*1e3, float64(*batch)/t)
-	return sess.finish()
+	return oo.export(o)
 }
 
 func runTrain(args []string, env Env) error {

@@ -43,12 +43,14 @@ func TestFitMetricsHaveNoDrift(t *testing.T) {
 	}
 }
 
-// TestOpsAddrRejected: a malformed -ops-addr must fail the command
-// before any work runs.
+// TestOpsAddrRejected: the commands that take the telemetry flags
+// write their signals to files only; -ops-addr is an unknown flag, and
+// the command fails before any work runs.
 func TestOpsAddrRejected(t *testing.T) {
-	code, _, errOut := run(t, "predict", "-model", "alexnet", "-image", "64",
-		"-ops-addr", "256.256.256.256:0")
-	if code != 1 || errOut == "" {
-		t.Fatalf("bad ops address accepted: code=%d err=%q", code, errOut)
+	for _, cmd := range []string{"fit", "predict", "dissect"} {
+		code, out, errOut := run(t, cmd, "-ops-addr", "localhost:0")
+		if code != 1 || out != "" || !strings.Contains(errOut, "flag provided but not defined: -ops-addr") {
+			t.Fatalf("%s -ops-addr: code=%d out=%q err=%q, want an unknown-flag error", cmd, code, out, errOut)
+		}
 	}
 }

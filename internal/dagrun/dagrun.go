@@ -122,8 +122,7 @@ type node struct {
 	output       json.RawMessage
 }
 
-// Runner executes one DAG. Build with New, run with Execute (once);
-// WriteJSON serves the live audit trail concurrently at any point.
+// Runner executes one DAG. Build with New, run with Execute (once).
 type Runner struct {
 	cfg   Config
 	order []*node // deterministic topological order
@@ -238,7 +237,6 @@ func New(cfg Config, nodes []Node) (*Runner, error) {
 		r.failcloseF = o.Counter(obs.Label("convmeter_dag_failclose_total", "reason", "fingerprint"),
 			"manifests rejected fail-close, forcing a re-run")
 	}
-	r.publishStates()
 	return r, nil
 }
 
@@ -318,7 +316,7 @@ func (r *Runner) Execute() (*Report, error) {
 	}
 	r.mu.Unlock()
 	r.publishStates()
-	return r.Snapshot(), err
+	return r.snapshot(), err
 }
 
 // runNode executes one node end to end: boundary crash check, manifest
@@ -340,7 +338,6 @@ func (r *Runner) runNode(n *node) bool {
 	if aborted {
 		return false
 	}
-	r.publishStates()
 
 	if r.cfg.Faults.NodeCrashAt(n.def.ID, faults.NodeCrashBoundary) {
 		r.crash(n, faults.NodeCrashBoundary)
@@ -368,7 +365,6 @@ func (r *Runner) runNode(n *node) bool {
 			r.resumed++
 			r.mu.Unlock()
 			r.resumedCtr.Inc()
-			r.publishStates()
 			return true
 		case m != nil:
 			// Well-formed but produced under different code, config,
@@ -438,7 +434,6 @@ func (r *Runner) runNode(n *node) bool {
 	n.output = raw
 	n.seconds = secs
 	r.mu.Unlock()
-	r.publishStates()
 	return true
 }
 
@@ -455,7 +450,6 @@ func (r *Runner) crash(n *node, point string) {
 		r.crashedErr = fmt.Errorf("dagrun: node %s: %w", at, ErrCrashed)
 	}
 	r.mu.Unlock()
-	r.publishStates()
 }
 
 // fail records a node failure; the first failure aborts scheduling.
@@ -469,7 +463,6 @@ func (r *Runner) fail(n *node, secs float64, err error) {
 		r.firstErr = wrapped
 	}
 	r.mu.Unlock()
-	r.publishStates()
 }
 
 // crashedNow reports whether an injected crash already fired — used to
@@ -480,7 +473,7 @@ func (r *Runner) crashedNow() bool {
 	return r.crashedErr != nil
 }
 
-// publishStates mirrors the per-state node counts onto the
+// publishStates mirrors the final per-state node counts onto the
 // convmeter_dag_nodes gauges.
 func (r *Runner) publishStates() {
 	if r.stateGauges == nil {

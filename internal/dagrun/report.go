@@ -6,11 +6,10 @@ import (
 	"io"
 )
 
-// SchemaV1 tags the DAG audit report served at /dag and returned by
-// Execute.
+// SchemaV1 tags the DAG audit report returned by Execute.
 const SchemaV1 = "convmeter/dag/v1"
 
-// Node execution states as reported in the audit trail and mirrored onto
+// Node execution states as reported in the audit trail and counted on
 // the convmeter_dag_nodes gauges.
 const (
 	StatePending = "pending" // waiting on dependencies
@@ -71,14 +70,9 @@ func (rep *Report) Node(id string) *NodeStatus {
 	return nil
 }
 
-// Snapshot captures the current audit trail. Safe to call concurrently
-// with Execute — the ops server polls it live — and on a nil Runner,
-// which yields an empty report.
-func (r *Runner) Snapshot() *Report {
+// snapshot captures the audit trail.
+func (r *Runner) snapshot() *Report {
 	rep := &Report{Schema: SchemaV1}
-	if r == nil {
-		return rep
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	rep.Resumed = r.resumed
@@ -109,10 +103,10 @@ func DecodeOutput(raw json.RawMessage, v any) error {
 	return nil
 }
 
-// WriteJSON writes the current audit trail as indented JSON — the /dag
-// endpoint's body. Nil-safe like the other ops sources.
-func (r *Runner) WriteJSON(w io.Writer) error {
-	data, err := json.MarshalIndent(r.Snapshot(), "", " ")
+// WriteJSON writes the audit trail as indented JSON — the -dag-out
+// artefact.
+func (rep *Report) WriteJSON(w io.Writer) error {
+	data, err := json.MarshalIndent(rep, "", " ")
 	if err != nil {
 		return fmt.Errorf("dagrun: marshal report: %w", err)
 	}

@@ -10,7 +10,7 @@
 // residuals, and runs a Page-Hinkley detector that raises a drift event
 // when the residual level shifts upward. A drift event increments
 // convmeter_drift_events_total{model,phase}, drops a zero-length span
-// annotation into the trace, and latches the stream's /drift state to
+// annotation into the trace, and latches the stream's state to
 // "drifting" for the rest of the run.
 //
 // driftwatch sits on the *measured* side of the repository's boundary:
@@ -46,7 +46,7 @@ const (
 	phWarmup = 3
 )
 
-// State is a stream's lifecycle position, as reported on /drift.
+// State is a stream's lifecycle position, as reported in Snapshot.
 type State string
 
 // Stream states. Drifting latches: once a drift event fires the stream
@@ -146,8 +146,8 @@ func (m *Monitor) Snapshot() Snapshot {
 	return snap
 }
 
-// WriteJSON writes the monitor snapshot as indented JSON — the /drift
-// payload. Safe on nil (writes an empty snapshot).
+// WriteJSON writes the monitor snapshot as indented JSON — the
+// -drift-out artefact. Safe on nil (writes an empty snapshot).
 func (m *Monitor) WriteJSON(w io.Writer) error {
 	data, err := json.MarshalIndent(m.Snapshot(), "", "  ")
 	if err != nil {
@@ -158,13 +158,13 @@ func (m *Monitor) WriteJSON(w io.Writer) error {
 	return err
 }
 
-// Snapshot is the JSON document served on /drift.
+// Snapshot is the monitor's JSON document, written by WriteJSON.
 type Snapshot struct {
 	Streams []StreamSnapshot `json:"streams"`
 	Events  int              `json:"events_total"`
 }
 
-// StreamSnapshot is one stream's entry in the /drift document.
+// StreamSnapshot is one stream's entry in a Snapshot.
 type StreamSnapshot struct {
 	Model        string  `json:"model"`
 	Phase        string  `json:"phase"`

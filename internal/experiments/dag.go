@@ -176,16 +176,16 @@ func BuildDAG(ids []string, cfg Config) ([]dagrun.Node, error) {
 	return nodes, nil
 }
 
-// NewDAGRunner builds the executor for the given experiments. The
-// returned runner is ready to Execute and can be registered on the ops
-// server's /dag endpoint beforehand, so the audit trail is queryable
-// while the run is live.
-func NewDAGRunner(ids []string, cfg Config, dcfg DagConfig) (*dagrun.Runner, error) {
+// RunDAG builds the DAG for the given experiments, executes it and
+// decodes the ordered results from the terminal report node. The
+// dagrun.Report is returned even on failure so callers can surface
+// blame.
+func RunDAG(ids []string, cfg Config, dcfg DagConfig) ([]*Result, *dagrun.Report, error) {
 	nodes, err := BuildDAG(ids, cfg)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return dagrun.New(dagrun.Config{
+	r, err := dagrun.New(dagrun.Config{
 		Dir:           dcfg.Dir,
 		Code:          CodeFingerprint,
 		FaultsSeed:    faultsSeed(cfg),
@@ -194,27 +194,6 @@ func NewDAGRunner(ids []string, cfg Config, dcfg DagConfig) (*dagrun.Runner, err
 		Obs:           cfg.Obs,
 		Faults:        dcfg.Faults,
 	}, nodes)
-}
-
-// CollectDAGResults decodes the terminal report node's output after a
-// completed Execute.
-func CollectDAGResults(r *dagrun.Runner) ([]*Result, error) {
-	raw, ok := r.Output("report")
-	if !ok {
-		return nil, fmt.Errorf("experiments: DAG run has no report output")
-	}
-	var suite SuiteReport
-	if err := dagrun.DecodeOutput(raw, &suite); err != nil {
-		return nil, err
-	}
-	return suite.Results, nil
-}
-
-// RunDAG is the one-call path: build the DAG, execute it, collect the
-// ordered results. The dagrun.Report is returned even on failure so
-// callers can surface blame.
-func RunDAG(ids []string, cfg Config, dcfg DagConfig) ([]*Result, *dagrun.Report, error) {
-	r, err := NewDAGRunner(ids, cfg, dcfg)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -222,9 +201,13 @@ func RunDAG(ids []string, cfg Config, dcfg DagConfig) ([]*Result, *dagrun.Report
 	if err != nil {
 		return nil, rep, err
 	}
-	results, err := CollectDAGResults(r)
-	if err != nil {
+	raw, ok := r.Output("report")
+	if !ok {
+		return nil, rep, fmt.Errorf("experiments: DAG run has no report output")
+	}
+	var suite SuiteReport
+	if err := dagrun.DecodeOutput(raw, &suite); err != nil {
 		return nil, rep, err
 	}
-	return results, rep, nil
+	return suite.Results, rep, nil
 }

@@ -11,7 +11,7 @@ import (
 // evaluations, training steps — attach to via Config.Obs), timed into a
 // per-experiment gauge, and its headline statistics are exported as
 // convmeter_experiment_stat gauges so fit quality and residuals are
-// scrapeable alongside the runtime metrics. With telemetry disabled this
+// exported alongside the runtime metrics. With telemetry disabled this
 // is exactly r.Run.
 func runOne(r Runner, cfg Config) (*Result, error) {
 	if cfg.Obs == nil {

@@ -87,7 +87,7 @@ func TestExtTrainFaultsAttributionOnlyObserves(t *testing.T) {
 	}
 	cfg := faultsCfg
 	cfg.Obs = obs.New()
-	cfg.Crit = critpath.NewTracker(cfg.Obs)
+	cfg.Crit = new(critpath.Tracker)
 	observed, err := ExtTrainFaults(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -175,7 +175,7 @@ func TestRepoConfig(t *testing.T) {
 			t.Errorf("lint.config classifies %s as %q, want analytical", p, got)
 		}
 	}
-	for _, p := range []string{"exec", "hwsim", "hwreal", "netsim", "trainsim", "pipesim", "allreduce", "obs", "obs/ops", "driftwatch", "tracefmt", "dagrun"} {
+	for _, p := range []string{"exec", "hwsim", "hwreal", "netsim", "trainsim", "pipesim", "allreduce", "obs", "driftwatch", "tracefmt", "dagrun"} {
 		if got := cfg.classify("convmeter/internal/" + p); got != "measured" {
 			t.Errorf("lint.config classifies %s as %q, want measured", p, got)
 		}

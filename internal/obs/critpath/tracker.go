@@ -6,12 +6,12 @@ import (
 	"io"
 	"math"
 	"sync"
-
-	"convmeter/internal/obs"
 )
 
-// Validate checks a step attribution's internal consistency — the same
-// invariants cmd/obscheck enforces on exported reports.
+// Validate checks a step attribution's internal consistency: every
+// duration finite and non-negative, a known dominant class, a blamed
+// worker that exists in a wait-dominated step, workers sorted by id.
+// cmd/obscheck runs it on every step of an exported report.
 func Validate(a StepAttribution) error {
 	for _, v := range []struct {
 		name string
@@ -22,7 +22,7 @@ func Validate(a StepAttribution) error {
 		{"path_compute", a.PathCompute}, {"path_comm", a.PathComm},
 		{"path_wait", a.PathWait},
 	} {
-		if v.val < 0 || math.IsNaN(v.val) {
+		if badSeconds(v.val) {
 			return fmt.Errorf("critpath: step %d: %s_seconds = %g", a.Step, v.name, v.val)
 		}
 	}
@@ -45,18 +45,34 @@ func Validate(a StepAttribution) error {
 			return fmt.Errorf("critpath: step %d: blamed worker %d not in attribution", a.Step, a.Blame)
 		}
 	}
-	for i := 1; i < len(a.Workers); i++ {
-		if a.Workers[i].Worker <= a.Workers[i-1].Worker {
+	for i, w := range a.Workers {
+		if i > 0 && w.Worker <= a.Workers[i-1].Worker {
 			return fmt.Errorf("critpath: step %d: workers not sorted", a.Step)
+		}
+		for _, v := range []struct {
+			name string
+			val  float64
+		}{
+			{"compute", w.Compute}, {"comm", w.Comm}, {"wait", w.Wait},
+			{"caused_wait", w.CausedWait},
+		} {
+			if badSeconds(v.val) {
+				return fmt.Errorf("critpath: step %d: worker %d: %s_seconds = %g", a.Step, w.Worker, v.name, v.val)
+			}
 		}
 	}
 	for _, n := range a.Path {
-		if n.Contribution < 0 {
+		if badSeconds(n.Contribution) {
 			return fmt.Errorf("critpath: step %d: path node %d contribution %g",
 				a.Step, n.Span, n.Contribution)
 		}
 	}
 	return nil
+}
+
+// badSeconds reports a duration that is negative, NaN or infinite.
+func badSeconds(v float64) bool {
+	return !(v >= 0) || math.IsInf(v, 1)
 }
 
 // Report is the exported critpath artefact: the retained step
@@ -69,47 +85,19 @@ type Report struct {
 // trackerRing bounds Tracker memory on long runs.
 const trackerRing = 128
 
-// Tracker retains the most recent step attributions and mirrors the
-// latest one onto convmeter_critpath_* gauges, so the ops server can
-// serve both a JSON report and live scrapeable metrics. Nil-safe: a nil
-// *Tracker records nothing.
+// Tracker retains the most recent step attributions for the
+// -critpath-out report. The zero value is ready to use.
 type Tracker struct {
 	mu    sync.Mutex
 	steps []StepAttribution
 	next  int
 	full  bool
-
-	compute, comm, wait *obs.Gauge
-	blame, blameWait    *obs.Gauge
-	count               *obs.Counter
 }
 
-// NewTracker returns a tracker publishing gauges on o (which may be nil
-// — the tracker still retains attributions for the report).
-func NewTracker(o *obs.Obs) *Tracker {
-	return &Tracker{
-		compute: o.Gauge("convmeter_critpath_compute_seconds",
-			"last analyzed step: compute time summed across workers"),
-		comm: o.Gauge("convmeter_critpath_comm_seconds",
-			"last analyzed step: communication time summed across workers"),
-		wait: o.Gauge("convmeter_critpath_wait_seconds",
-			"last analyzed step: waiting time summed across workers"),
-		blame: o.Gauge("convmeter_critpath_blame_worker",
-			"worker blamed for the last analyzed step's waits; -1 when none"),
-		blameWait: o.Gauge("convmeter_critpath_blame_wait_seconds",
-			"waiting time attributed to the blamed worker; 0 when no blame"),
-		count: o.Counter("convmeter_critpath_steps_total",
-			"training steps analyzed by the critical-path engine"),
-	}
-}
-
-// Record retains one step attribution and refreshes the gauges.
-// Nil-safe.
+// Record retains one step attribution.
 func (t *Tracker) Record(a StepAttribution) {
-	if t == nil {
-		return
-	}
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	if len(t.steps) < trackerRing {
 		t.steps = append(t.steps, a)
 	} else {
@@ -117,22 +105,11 @@ func (t *Tracker) Record(a StepAttribution) {
 		t.full = true
 	}
 	t.next = (t.next + 1) % trackerRing
-	t.mu.Unlock()
-	t.compute.Set(a.Compute)
-	t.comm.Set(a.Comm)
-	t.wait.Set(a.Wait)
-	t.blame.Set(float64(a.Blame))
-	t.blameWait.Set(a.BlameWait)
-	t.count.Inc()
 }
 
-// Report snapshots the retained attributions, oldest first. Nil-safe
-// (returns an empty, schema-stamped report).
+// Report snapshots the retained attributions, oldest first.
 func (t *Tracker) Report() Report {
 	rep := Report{Schema: SchemaV1, Steps: []StepAttribution{}}
-	if t == nil {
-		return rep
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.full {
@@ -144,8 +121,7 @@ func (t *Tracker) Report() Report {
 	return rep
 }
 
-// WriteJSON writes the report as indented JSON. Nil-safe (writes a
-// valid empty report).
+// WriteJSON writes the report as indented JSON.
 func (t *Tracker) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")

@@ -28,7 +28,7 @@ func critpathRun(t *testing.T, transport Transport, prof *faults.Profile, steps 
 		inj = mustInjector(t, 7, *prof)
 	}
 	o := obs.New()
-	tracker := critpath.NewTracker(o)
+	tracker := new(critpath.Tracker)
 	cfg := Config{
 		Workers: 3, LR: 0.05, Seed: 1,
 		Obs:       o,

@@ -76,7 +76,6 @@ const (
 // Config controls a data-parallel run.
 type Config struct {
 	Workers   int
-	GroupSize int     // hierarchical all-reduce group size; 0 = flat ring
 	LR        float32 // learning rate
 	Optimizer Optimizer
 	Seed      int64 // weight initialisation seed (shared by all replicas)
@@ -88,8 +87,7 @@ type Config struct {
 	// Transport selects the all-reduce transport (default TransportChan).
 	// A TCP run always goes through the resilient ring (RingTCPOpts,
 	// with per-attempt snapshots), as a run with Faults or OpTimeout
-	// does. GroupSize-based hierarchical reduction applies only to the
-	// chan transport with neither set; every other run uses a flat ring.
+	// does.
 	Transport Transport
 	// Faults, when non-nil, injects deterministic faults into the
 	// transports and schedules worker crashes at step boundaries.
@@ -443,16 +441,10 @@ func (t *Trainer) syncGradients(stepObs *obs.Obs, step int, live []int, vectors 
 	// Per-op transport spans (ar.send/ar.wait/ar.recv) nest under grad.
 	gradObs := stepObs.WithSpan(gradSp)
 
-	// Fast path — the pre-elastic behaviour, including hierarchical
-	// reduction, when no resilience features are requested.
+	// Fast path — the pre-elastic behaviour, a flat ring, when no
+	// resilience features are requested.
 	if !t.cfg.resilient() {
-		var err error
-		if t.cfg.GroupSize > 0 && len(vectors)%t.cfg.GroupSize == 0 {
-			err = allreduce.HierarchicalObs(vectors, t.cfg.GroupSize, gradObs)
-		} else {
-			err = allreduce.RingObs(vectors, gradObs)
-		}
-		return vectors, err
+		return vectors, allreduce.RingObs(vectors, gradObs)
 	}
 
 	index := make(map[int]int, len(live))

@@ -56,7 +56,7 @@ func TestReplicasStaySynchronised(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := DataParallel(g, Config{Workers: 8, GroupSize: 4, LR: 0.05, Seed: 9}, 10, task.Source(4))
+	res, err := DataParallel(g, Config{Workers: 8, LR: 0.05, Seed: 9}, 10, task.Source(4))
 	if err != nil {
 		t.Fatal(err)
 	}
