@@ -45,7 +45,7 @@ func main() {
 	flag.StringVar(&opts.metricsOut, "metrics-out", "", "write collected runtime metrics to this file as Prometheus text")
 	flag.StringVar(&opts.traceOut, "trace-out", "", "write recorded spans as Chrome trace-event JSON to this file (open in Perfetto)")
 	flag.StringVar(&opts.driftOut, "drift-out", "", "write the final drift-monitor state as JSON to this file")
-	flag.StringVar(&opts.critpathOut, "critpath-out", "", "write the chaos trainer's per-step critical-path attribution report as JSON to this file")
+	flag.StringVar(&opts.critpathOut, "critpath-out", "", "write the per-step critical-path attribution of every training run (exttrainreal, exttrainfaults), computed from the trace at exit, as JSON to this file")
 	flag.StringVar(&opts.dagDir, "dag-dir", "", "durable run directory: every completed DAG node commits a content-addressed manifest here, and a re-run over the same directory resumes fail-close from fingerprint-matching manifests")
 	flag.IntVar(&opts.dagWorkers, "dag-workers", 2, "worker pool size for independent DAG nodes")
 	flag.StringVar(&opts.dagCrash, "dag-crash", "", "inject a process crash at node@point (point: boundary or mid) for crash-resume testing; the run dies with exit code 3 and resumes via -dag-dir")
@@ -101,12 +101,14 @@ func run(opts options) (err error) {
 		Seed: opts.seed, Quick: opts.quick,
 		FaultsSeed: opts.faultsSeed, FaultsProfile: opts.faultsProfile,
 	}
-	if opts.metricsOut != "" || opts.traceOut != "" || opts.driftOut != "" || opts.critpathOut != "" {
+	// Critical-path attribution reads the recorded trace after the run,
+	// so -critpath-out needs a tracer; the drift check reads the
+	// trainer's step record and needs none.
+	if opts.metricsOut != "" || opts.traceOut != "" || opts.critpathOut != "" {
 		cfg.Obs = obs.New()
-		cfg.Drift = driftwatch.New(cfg.Obs)
 	}
-	if opts.critpathOut != "" {
-		cfg.Crit = new(critpath.Tracker)
+	if opts.driftOut != "" {
+		cfg.Drift = driftwatch.New()
 	}
 	// The run itself is a DAG: independent experiments execute in
 	// parallel on a bounded pool, and with -dag-dir every completed node
@@ -147,7 +149,7 @@ func run(opts options) (err error) {
 		}
 	}
 	if opts.critpathOut != "" {
-		if err := writeArtefact(opts.critpathOut, cfg.Crit.WriteJSON); err != nil {
+		if err := writeArtefact(opts.critpathOut, critpath.Analyze(cfg.Obs.Trc.Spans()).WriteJSON); err != nil {
 			return err
 		}
 	}

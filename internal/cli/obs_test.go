@@ -9,9 +9,9 @@ import (
 )
 
 // TestFitMetricsHaveNoDrift: a fit run with -metrics-out exports the
-// dataset read and no drift series. The drift monitor watches only the
-// chaos trainer's live step times; a fit's in-sample accuracy is what
-// -stats and the offline LOMO reports are for.
+// dataset read and no drift series. The drift monitor checks only the
+// chaos trainer's recorded step times; a fit's in-sample accuracy is
+// what -stats and the offline LOMO reports are for.
 func TestFitMetricsHaveNoDrift(t *testing.T) {
 	dir := t.TempDir()
 	for _, kind := range []string{"inference", "train-multi"} {

@@ -91,7 +91,8 @@ type Config struct {
 	// Workers bounds the pool executing independent nodes in parallel;
 	// <= 0 means 2.
 	Workers int
-	// Obs receives convmeter_dag_* metrics and per-node "dag:<id>" spans.
+	// Obs receives the resume and fail-close counters and per-node
+	// "dag:<id>" spans; each node's state and seconds are in the Report.
 	// Nil disables telemetry.
 	Obs *obs.Obs
 	// Faults supplies the node-crash schedule (Profile.NodeCrashes). Nil
@@ -128,11 +129,9 @@ type Runner struct {
 	order []*node // deterministic topological order
 	byID  map[string]*node
 
-	stateGauges map[string]*obs.Gauge
-	nodeSeconds map[string]*obs.Gauge
-	resumedCtr  *obs.Counter
-	failcloseP  *obs.Counter // reason="parse"
-	failcloseF  *obs.Counter // reason="fingerprint"
+	resumedCtr *obs.Counter
+	failcloseP *obs.Counter // reason="corrupt"
+	failcloseF *obs.Counter // reason="fingerprint"
 
 	mu         sync.Mutex
 	started    bool
@@ -220,16 +219,6 @@ func New(cfg Config, nodes []Node) (*Runner, error) {
 		}
 	}
 	if o := cfg.Obs; o != nil {
-		r.stateGauges = make(map[string]*obs.Gauge, len(States))
-		for _, st := range States {
-			r.stateGauges[st] = o.Gauge(obs.Label("convmeter_dag_nodes", "state", st),
-				"DAG nodes by execution state")
-		}
-		r.nodeSeconds = make(map[string]*obs.Gauge, len(nodes))
-		for _, def := range nodes {
-			r.nodeSeconds[def.ID] = o.Gauge(obs.Label("convmeter_dag_node_seconds", "node", def.ID),
-				"wall-clock of each DAG node's most recent execution")
-		}
 		r.resumedCtr = o.Counter("convmeter_dag_resumed_total",
 			"DAG nodes served from a fingerprint-matching manifest instead of re-run")
 		r.failcloseP = o.Counter(obs.Label("convmeter_dag_failclose_total", "reason", "corrupt"),
@@ -315,7 +304,6 @@ func (r *Runner) Execute() (*Report, error) {
 		err = r.crashedErr
 	}
 	r.mu.Unlock()
-	r.publishStates()
 	return r.snapshot(), err
 }
 
@@ -381,9 +369,6 @@ func (r *Runner) runNode(n *node) bool {
 	out, err := n.def.Run(Inputs{outputs: inputs})
 	sp.End()
 	secs := time.Since(t0).Seconds()
-	if g := r.nodeSeconds[n.def.ID]; g != nil {
-		g.Set(secs)
-	}
 	if err != nil {
 		r.fail(n, secs, err)
 		return false
@@ -471,23 +456,6 @@ func (r *Runner) crashedNow() bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.crashedErr != nil
-}
-
-// publishStates mirrors the final per-state node counts onto the
-// convmeter_dag_nodes gauges.
-func (r *Runner) publishStates() {
-	if r.stateGauges == nil {
-		return
-	}
-	counts := make(map[string]int, len(States))
-	r.mu.Lock()
-	for _, n := range r.order {
-		counts[n.state]++
-	}
-	r.mu.Unlock()
-	for _, st := range States {
-		r.stateGauges[st].Set(float64(counts[st]))
-	}
 }
 
 // Output returns the committed output of node id after Execute; ok is

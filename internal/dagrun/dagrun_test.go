@@ -408,8 +408,9 @@ func TestManifestOnDiskVerifies(t *testing.T) {
 	}
 }
 
-// TestMetricsAndLiveReport: the convmeter_dag_* gauges land on their
-// terminal values and the returned report writes a parseable audit
+// TestMetricsAndLiveReport: the returned report's rows carry each
+// node's terminal state and seconds, the traced run records one
+// "dag:<id>" span per node, and the report writes a parseable audit
 // trail.
 func TestMetricsAndLiveReport(t *testing.T) {
 	o := obs.New()
@@ -417,13 +418,27 @@ func TestMetricsAndLiveReport(t *testing.T) {
 	cfg.Obs = o
 	_, final := mustExecute(t, cfg, chain())
 
-	if v := o.Gauge(obs.Label("convmeter_dag_nodes", "state", StateDone),
-		"DAG nodes by execution state").Value(); v != 3 {
-		t.Fatalf("nodes{done} = %g, want 3", v)
+	states := map[string]int{}
+	for _, n := range final.Nodes {
+		states[n.State]++
+		if n.State == StateDone && !(n.Seconds >= 0) {
+			t.Fatalf("done node %s reports %g seconds", n.ID, n.Seconds)
+		}
 	}
-	if v := o.Gauge(obs.Label("convmeter_dag_nodes", "state", StatePending),
-		"DAG nodes by execution state").Value(); v != 0 {
-		t.Fatalf("nodes{pending} = %g, want 0", v)
+	if states[StateDone] != 3 {
+		t.Fatalf("report rows: %d done, want 3 (%v)", states[StateDone], states)
+	}
+	if states[StatePending] != 0 {
+		t.Fatalf("report rows: %d pending, want 0 (%v)", states[StatePending], states)
+	}
+	spans := map[string]int{}
+	for _, sp := range o.Trc.Spans() {
+		spans[sp.Name]++
+	}
+	for _, n := range final.Nodes {
+		if spans["dag:"+n.ID] != 1 {
+			t.Fatalf("%d dag:%s spans, want 1 (%v)", spans["dag:"+n.ID], n.ID, spans)
+		}
 	}
 
 	var buf bytes.Buffer

@@ -9,8 +9,7 @@ import (
 // SchemaV1 tags the DAG audit report returned by Execute.
 const SchemaV1 = "convmeter/dag/v1"
 
-// Node execution states as reported in the audit trail and counted on
-// the convmeter_dag_nodes gauges.
+// Node execution states as reported in the audit trail.
 const (
 	StatePending = "pending" // waiting on dependencies
 	StateRunning = "running" // a worker is executing Run
@@ -19,9 +18,6 @@ const (
 	StateFailed  = "failed"  // Run errored or an injected crash fired here
 	StateSkipped = "skipped" // never started: upstream failure or crash
 )
-
-// States lists every node state, in lifecycle order.
-var States = []string{StatePending, StateRunning, StateDone, StateReused, StateFailed, StateSkipped}
 
 // NodeStatus is one node's row in the audit trail.
 type NodeStatus struct {

@@ -1,23 +1,22 @@
-// Package driftwatch is ConvMeter's streaming prediction-quality
-// monitor. It watches one live feed: the chaos trainer's step times in
-// exttrainfaults, each paired with the fitted training model's
-// prediction for the step's live-worker count. It answers, while the
-// run executes, a question the offline LOMO reports cannot: are the
-// analytical model's predictions still tracking reality *right now*?
+// Package driftwatch is ConvMeter's prediction-quality check on a
+// recorded run. Its one feed is the chaos trainer's step record in
+// exttrainfaults: after the run, each step's measured wall-clock time
+// is paired with the fitted training model's prediction for the
+// step's worker count. It answers a question the offline LOMO reports
+// cannot: did the analytical model's predictions keep tracking the run
+// from step to step, or did the run break away from them partway?
 //
 // Each (model, phase) stream calibrates a one-point hardware factor κ
 // on its first pairs, keeps a Welford accumulator over the relative
 // residuals, and runs a Page-Hinkley detector that raises a drift event
-// when the residual level shifts upward. A drift event increments
-// convmeter_drift_events_total{model,phase}, drops a zero-length span
-// annotation into the trace, and latches the stream's state to
-// "drifting" for the rest of the run.
+// when the residual level shifts upward. A drift event latches the
+// stream's state to "drifting" for the rest of the run; the monitor's
+// snapshot is the -drift-out artefact.
 //
-// driftwatch sits on the *measured* side of the repository's boundary:
-// it consumes wall-clock measurements. The arithmetic it runs on them
-// lives in the deterministic sub-package streamstat. All handles are
-// nil-safe — a nil *Monitor hands out nil *Streams whose Observe is a
-// true no-op — so disabled monitoring costs nothing.
+// The package is plain arithmetic over the pairs it is fed: no clock,
+// no telemetry, no goroutines. The same feed always gives the same
+// snapshot, so it is declared `deterministic` in lint.config. The
+// measuring happens elsewhere, in the trainer that records the steps.
 package driftwatch
 
 import (
@@ -26,9 +25,6 @@ import (
 	"math"
 	"sort"
 	"sync"
-
-	"convmeter/internal/driftwatch/streamstat"
-	"convmeter/internal/obs"
 )
 
 // Detector settings, sized for relative step-time residuals.
@@ -40,7 +36,7 @@ const (
 	// constant sim-vs-host offset.
 	calibrateN = 2
 	// phDelta, phLambda and phWarmup parameterise the Page-Hinkley
-	// detector; see streamstat.PHConfig.
+	// detector; see phConfig.
 	phDelta  = 0.5
 	phLambda = 8
 	phWarmup = 3
@@ -58,84 +54,45 @@ const (
 	StateDrifting    State = "drifting"    // a residual shift was detected
 )
 
-// stateValue maps states onto the convmeter_drift_state gauge.
-func stateValue(s State) float64 {
-	switch s {
-	case StateCalibrating:
-		return 0
-	case StateWarmup:
-		return 1
-	case StateOK:
-		return 2
-	case StateDrifting:
-		return 3
-	}
-	return math.NaN()
-}
-
-// Monitor multiplexes drift streams keyed by (model, phase). A nil
-// *Monitor is a valid disabled monitor.
+// Monitor multiplexes drift streams keyed by (model, phase). It is safe
+// for concurrent use: experiments running side by side share one.
 type Monitor struct {
-	o       *obs.Obs
 	mu      sync.Mutex
 	streams map[string]*Stream
 }
 
-// New returns an enabled monitor whose streams report drift counters,
-// gauges and span annotations to o (which may be nil).
-func New(o *obs.Obs) *Monitor {
-	return &Monitor{o: o, streams: make(map[string]*Stream)}
+// New returns an empty monitor.
+func New() *Monitor {
+	return &Monitor{streams: make(map[string]*Stream)}
 }
 
 // Stream returns the stream for (model, phase), creating it on first
-// use; later callers share it. Nil on a nil monitor.
+// use; later callers share it.
 func (m *Monitor) Stream(model, phase string) *Stream {
-	if m == nil {
-		return nil
-	}
 	key := model + "\x00" + phase
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	s, ok := m.streams[key]
-	m.mu.Unlock()
-	if ok {
-		return s
-	}
-	// Build outside the monitor lock: handle registration takes the
-	// registry lock and must not nest under ours.
-	s = newStream(model, phase, m.o)
-	m.mu.Lock()
-	if prior, ok := m.streams[key]; ok {
-		s = prior // lost a creation race; the first insert wins
-	} else {
+	if !ok {
+		s = &Stream{
+			model: model, phase: phase, kappa: 1,
+			ph: pageHinkley{cfg: phConfig{delta: phDelta, lambda: phLambda, warmup: phWarmup}},
+		}
 		m.streams[key] = s
 	}
-	m.mu.Unlock()
 	return s
 }
 
-func (m *Monitor) snapshotStreams() []*Stream {
-	if m == nil {
-		return nil
-	}
-	m.mu.Lock()
-	out := make([]*Stream, 0, len(m.streams))
-	for _, s := range m.streams {
-		out = append(out, s)
-	}
-	m.mu.Unlock()
-	return out
-}
-
 // Snapshot captures every stream's state, sorted by (model, phase).
-// Safe on nil (empty snapshot).
 func (m *Monitor) Snapshot() Snapshot {
-	streams := m.snapshotStreams()
-	snap := Snapshot{Streams: make([]StreamSnapshot, 0, len(streams))}
-	for _, s := range streams {
+	m.mu.Lock()
+	snap := Snapshot{Streams: make([]StreamSnapshot, 0, len(m.streams))}
+	for _, s := range m.streams {
 		ss := s.Snapshot()
 		snap.Streams = append(snap.Streams, ss)
 		snap.Events += ss.Events
 	}
+	m.mu.Unlock()
 	sort.Slice(snap.Streams, func(i, j int) bool {
 		a, b := snap.Streams[i], snap.Streams[j]
 		if a.Model != b.Model {
@@ -147,7 +104,7 @@ func (m *Monitor) Snapshot() Snapshot {
 }
 
 // WriteJSON writes the monitor snapshot as indented JSON — the
-// -drift-out artefact. Safe on nil (writes an empty snapshot).
+// -drift-out artefact.
 func (m *Monitor) WriteJSON(w io.Writer) error {
 	data, err := json.MarshalIndent(m.Snapshot(), "", "  ")
 	if err != nil {
@@ -176,74 +133,34 @@ type StreamSnapshot struct {
 	ResidualStd  float64 `json:"residual_std"`
 }
 
-// Stream watches one (model, phase) prediction feed. A nil *Stream
-// ignores every call.
+// Stream watches one (model, phase) prediction feed.
 type Stream struct {
 	model, phase string
-	driftSpan    string // precomputed span name, so drift events do not build strings on the observe path
-	o            *obs.Obs
-
-	// handles, created once at stream construction
-	eventsC *obs.Counter
-	pairsC  *obs.Counter
-	stateG  *obs.Gauge
-	kappaG  *obs.Gauge
 
 	mu       sync.Mutex
 	calN     int
 	calPred  float64
 	calMeas  float64
 	kappa    float64
-	res      streamstat.Welford
-	ph       *streamstat.PageHinkley
+	res      welford
+	ph       pageHinkley
 	pairs    int
 	events   int
 	drifting bool
 }
 
-func newStream(model, phase string, o *obs.Obs) *Stream {
-	lbl := func(name string) string {
-		return obs.Label(name, "model", model, "phase", phase)
-	}
-	s := &Stream{
-		model:     model,
-		phase:     phase,
-		driftSpan: "drift:" + model + "/" + phase,
-		o:         o,
-
-		eventsC: o.Counter(lbl("convmeter_drift_events_total"), "prediction-drift events detected (Page-Hinkley)"),
-		pairsC:  o.Counter(lbl("convmeter_drift_pairs_total"), "(predicted, measured) pairs observed"),
-		stateG:  o.Gauge(lbl("convmeter_drift_state"), "stream state: 0 calibrating, 1 warmup, 2 ok, 3 drifting"),
-		kappaG:  o.Gauge(lbl("convmeter_drift_kappa"), "one-point hardware calibration factor applied to predictions"),
-
-		kappa: 1,
-		ph: streamstat.NewPageHinkley(streamstat.PHConfig{
-			Delta:  phDelta,
-			Lambda: phLambda,
-			Warmup: phWarmup,
-		}),
-	}
-	s.stateG.Set(stateValue(StateCalibrating))
-	s.kappaG.Set(1)
-	return s
-}
-
 // Observe feeds one (predicted, measured) pair, both in seconds.
-// Non-finite or non-positive predictions are counted but otherwise
-// ignored — a degenerate predictor must not wedge the detector.
-// Safe on nil and from concurrent goroutines.
+// Non-finite or non-positive pairs are counted but otherwise ignored —
+// a degenerate predictor must not wedge the detector. Safe from
+// concurrent goroutines.
 func (s *Stream) Observe(predicted, measured float64) {
-	if s == nil {
-		return
-	}
 	finite := !math.IsNaN(predicted) && !math.IsInf(predicted, 0) &&
 		!math.IsNaN(measured) && !math.IsInf(measured, 0)
 
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.pairs++
 	if !finite || predicted <= 0 || measured <= 0 {
-		s.mu.Unlock()
-		s.pairsC.Inc()
 		return
 	}
 	if s.calN < calibrateN {
@@ -253,31 +170,14 @@ func (s *Stream) Observe(predicted, measured float64) {
 		if s.calN == calibrateN && s.calPred > 0 {
 			s.kappa = s.calMeas / s.calPred
 		}
-		kappa, state := s.kappa, s.stateLocked()
-		s.mu.Unlock()
-		s.pairsC.Inc()
-		s.kappaG.Set(kappa)
-		s.stateG.Set(stateValue(state))
 		return
 	}
 	adj := s.kappa * predicted
 	x := (measured - adj) / adj // relative residual; adj > 0 by the guards above
-	s.res.Add(x)
-	fired := s.ph.Add(x)
-	if fired {
+	s.res.add(x)
+	if s.ph.add(x) {
 		s.events++
 		s.drifting = true
-	}
-	state := s.stateLocked()
-	s.mu.Unlock()
-
-	// Telemetry runs outside the stream lock: handle methods are
-	// lock-free or take the registry's own lock.
-	s.pairsC.Inc()
-	s.stateG.Set(stateValue(state))
-	if fired {
-		s.eventsC.Inc()
-		s.o.Start(s.driftSpan).End()
 	}
 }
 
@@ -287,18 +187,15 @@ func (s *Stream) stateLocked() State {
 		return StateDrifting
 	case s.calN < calibrateN:
 		return StateCalibrating
-	case s.ph.N() < s.ph.Warmup():
+	case s.ph.n < s.ph.cfg.warmup:
 		return StateWarmup
 	default:
 		return StateOK
 	}
 }
 
-// Snapshot captures the stream's current state. Safe on nil.
+// Snapshot captures the stream's current state.
 func (s *Stream) Snapshot() StreamSnapshot {
-	if s == nil {
-		return StreamSnapshot{}
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return StreamSnapshot{
@@ -308,7 +205,7 @@ func (s *Stream) Snapshot() StreamSnapshot {
 		Pairs:        s.pairs,
 		Events:       s.events,
 		Kappa:        s.kappa,
-		ResidualMean: s.res.Mean(),
-		ResidualStd:  s.res.Std(),
+		ResidualMean: s.res.mean,
+		ResidualStd:  s.res.std(),
 	}
 }

@@ -5,43 +5,12 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
-	"strings"
 	"sync"
 	"testing"
-
-	"convmeter/internal/obs"
 )
 
-func TestNilMonitorAndStream(t *testing.T) {
-	var m *Monitor
-	st := m.Stream("net", "iter")
-	if st != nil {
-		t.Fatal("nil monitor handed out a non-nil stream")
-	}
-	st.Observe(1, 2) // must not panic
-	if got := st.Snapshot(); got != (StreamSnapshot{}) {
-		t.Errorf("nil stream snapshot = %+v", got)
-	}
-	if m.Snapshot().Events != 0 {
-		t.Error("nil monitor reports events")
-	}
-	var buf bytes.Buffer
-	if err := m.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Streams []json.RawMessage `json:"streams"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("nil monitor JSON invalid: %v\n%s", err, buf.Bytes())
-	}
-	if doc.Streams == nil {
-		t.Errorf("nil monitor JSON must serialise streams as [], got:\n%s", buf.Bytes())
-	}
-}
-
 func TestCalibrationComputesKappa(t *testing.T) {
-	m := New(nil)
+	m := New()
 	st := m.Stream("net", "iter")
 	// Predictor runs 4x fast (sim coefficients): measured = 4*predicted.
 	st.Observe(0.01, 0.04)
@@ -76,11 +45,10 @@ func TestCalibrationComputesKappa(t *testing.T) {
 
 // TestDriftFiresOnSlowdownShift mimics the straggler scenario: the
 // predictor keeps predicting the healthy step time while measured steps
-// suddenly take much longer. The detector must fire, telemetry must
-// record it, and a healthy continuation must stay latched drifting.
+// suddenly take much longer. The detector must fire, the monitor must
+// count it, and a healthy continuation must stay latched drifting.
 func TestDriftFiresOnSlowdownShift(t *testing.T) {
-	o := obs.New()
-	m := New(o)
+	m := New()
 	st := m.Stream("trainreal", "iter")
 
 	const healthy = 0.008
@@ -102,24 +70,8 @@ func TestDriftFiresOnSlowdownShift(t *testing.T) {
 		t.Errorf("state = %q, want drifting", snap.State)
 	}
 
-	// Telemetry: the counter and the span annotation.
-	var counter float64
-	for _, p := range o.Reg.Snapshot() {
-		if p.Name == obs.Label("convmeter_drift_events_total", "model", "trainreal", "phase", "iter") {
-			counter = p.Value
-		}
-	}
-	if counter != float64(snap.Events) {
-		t.Errorf("convmeter_drift_events_total = %g, want %d", counter, snap.Events)
-	}
-	var spans int
-	for _, sp := range o.Trc.Spans() {
-		if strings.HasPrefix(sp.Name, "drift:trainreal/iter") {
-			spans++
-		}
-	}
-	if spans != snap.Events {
-		t.Errorf("%d drift span annotations, want %d", spans, snap.Events)
+	if got := m.Snapshot().Events; got != snap.Events {
+		t.Errorf("monitor events_total = %d, want the stream's %d", got, snap.Events)
 	}
 
 	// The latch holds: healthy steps after the event do not clear it.
@@ -132,7 +84,7 @@ func TestDriftFiresOnSlowdownShift(t *testing.T) {
 }
 
 func TestCleanFeedStaysSilent(t *testing.T) {
-	m := New(nil)
+	m := New()
 	st := m.Stream("trainreal", "iter")
 	rng := rand.New(rand.NewSource(9))
 	for i := 0; i < 500; i++ {
@@ -149,7 +101,7 @@ func TestCleanFeedStaysSilent(t *testing.T) {
 }
 
 func TestDegeneratePairsIgnored(t *testing.T) {
-	st := New(nil).Stream("net", "fwd")
+	st := New().Stream("net", "fwd")
 	st.Observe(math.NaN(), 1)
 	st.Observe(0, 1)
 	st.Observe(-1, 1)
@@ -164,8 +116,30 @@ func TestDegeneratePairsIgnored(t *testing.T) {
 	}
 }
 
+// TestEmptyMonitorJSON: a monitor nothing fed writes "streams": [] and
+// events_total 0, as -drift-out does for a run without the chaos
+// experiment.
+func TestEmptyMonitorJSON(t *testing.T) {
+	var empty bytes.Buffer
+	if err := New().WriteJSON(&empty); err != nil {
+		t.Fatal(err)
+	}
+	var emptyDoc struct {
+		Streams []json.RawMessage `json:"streams"`
+		Events  *int              `json:"events_total"`
+	}
+	if err := json.Unmarshal(empty.Bytes(), &emptyDoc); err != nil {
+		t.Fatalf("empty monitor JSON invalid: %v\n%s", err, empty.Bytes())
+	}
+	if emptyDoc.Streams == nil || len(emptyDoc.Streams) != 0 || emptyDoc.Events == nil || *emptyDoc.Events != 0 {
+		t.Errorf("empty monitor JSON must hold \"streams\": [] and events_total 0, got:\n%s", empty.Bytes())
+	}
+}
+
+// TestSnapshotSortedAndJSON: the snapshot lists streams sorted by
+// (model, phase) and round-trips through WriteJSON.
 func TestSnapshotSortedAndJSON(t *testing.T) {
-	m := New(nil)
+	m := New()
 	m.Stream("b", "iter").Observe(1, 1.1)
 	m.Stream("a", "iter").Observe(1, 1.1)
 	m.Stream("a", "fwd").Observe(1, 1.1)
@@ -196,8 +170,7 @@ func TestSnapshotSortedAndJSON(t *testing.T) {
 // TestConcurrentObserve exercises the stream under -race: concurrent
 // feeders, snapshot readers, and stream lookups must be safe.
 func TestConcurrentObserve(t *testing.T) {
-	o := obs.New()
-	m := New(o)
+	m := New()
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)

@@ -15,7 +15,6 @@ import (
 
 	"convmeter/internal/driftwatch"
 	"convmeter/internal/obs"
-	"convmeter/internal/obs/critpath"
 )
 
 // Config controls an experiment run.
@@ -28,9 +27,8 @@ type Config struct {
 	// conclusion must still hold.
 	Quick bool
 	// Obs, when non-nil, receives runtime telemetry: per-experiment spans
-	// and duration gauges, headline-stat gauges, and everything the
-	// instrumented layers underneath (bench, exec, allreduce, train)
-	// record. Nil disables telemetry at zero cost.
+	// and everything the instrumented layers underneath (bench, exec,
+	// allreduce, train) record. Nil disables telemetry at zero cost.
 	Obs *obs.Obs
 	// FaultsSeed drives the chaos experiment's fault schedule; 0 falls
 	// back to Seed. The same FaultsSeed reproduces the identical schedule.
@@ -39,15 +37,10 @@ type Config struct {
 	// (none, light, heavy, chaos, slowdown); empty means the experiment's
 	// default.
 	FaultsProfile string
-	// Drift, when non-nil, watches the chaos experiment's live step times
-	// against the fitted training model on its trainreal/iter stream.
-	// Nil disables drift monitoring at zero cost.
+	// Drift, when non-nil, receives the chaos experiment's step times,
+	// each paired with the fitted training model's prediction, on its
+	// trainreal/iter stream once the run ends. Nil skips the check.
 	Drift *driftwatch.Monitor
-	// Crit, when non-nil, receives per-step critical-path attributions
-	// from the chaos experiment's trainer. It only reads the recorded
-	// spans, so the run is the same with or without it. Nil disables
-	// attribution at zero cost.
-	Crit *critpath.Tracker
 }
 
 // Result is the outcome of one experiment: a rendered table plus the

@@ -8,11 +8,9 @@ import (
 
 // runOne executes one runner. Under telemetry the run is wrapped in an
 // "experiment:<id>" span (which child spans — bench tasks, LOMO
-// evaluations, training steps — attach to via Config.Obs), timed into a
-// per-experiment gauge, and its headline statistics are exported as
-// convmeter_experiment_stat gauges so fit quality and residuals are
-// exported alongside the runtime metrics. With telemetry disabled this
-// is exactly r.Run.
+// evaluations, training steps — attach to via Config.Obs) and counted.
+// Its duration is the span's; its headline statistics travel in the
+// Result. With telemetry disabled this is exactly r.Run.
 func runOne(r Runner, cfg Config) (*Result, error) {
 	if cfg.Obs == nil {
 		return r.Run(cfg)
@@ -20,21 +18,12 @@ func runOne(r Runner, cfg Config) (*Result, error) {
 	sp := cfg.Obs.Start("experiment:" + r.ID)
 	inner := cfg
 	inner.Obs = cfg.Obs.WithSpan(sp)
-	t0 := time.Now()
 	res, err := r.Run(inner)
 	sp.End()
 	if err != nil {
 		return nil, err
 	}
-	o := cfg.Obs
-	o.Counter("convmeter_experiments_total", "experiment runners executed").Inc()
-	o.Gauge(obs.Label("convmeter_experiment_seconds", "experiment", r.ID),
-		"wall-clock of each experiment's most recent run").Set(time.Since(t0).Seconds())
-	for _, stat := range sortedKeys(res.Stats) {
-		o.Gauge(obs.Label("convmeter_experiment_stat", "experiment", r.ID, "stat", stat),
-			"headline statistics (fit quality, residuals, point counts) of each experiment's most recent run").
-			Set(res.Stats[stat])
-	}
+	cfg.Obs.Counter("convmeter_experiments_total", "experiment runners executed").Inc()
 	return res, nil
 }
 

@@ -61,15 +61,6 @@ func ExtTrainFaults(cfg Config) (*Result, error) {
 		Faults:    inj,
 		OpTimeout: 200 * time.Millisecond,
 		Retry:     allreduce.RetryPolicy{Attempts: 2, Backoff: 2 * time.Millisecond, Max: 20 * time.Millisecond},
-		Crit:      cfg.Crit,
-	}
-	if cfg.Drift != nil {
-		predict, err := driftPredictor(cfg, g, globalBatch)
-		if err != nil {
-			return nil, err
-		}
-		tcfg.PredictStep = predict
-		tcfg.Drift = cfg.Drift.Stream("trainreal", "iter")
 	}
 	tr, err := train.NewTrainer(g, tcfg)
 	if err != nil {
@@ -78,6 +69,19 @@ func ExtTrainFaults(cfg Config) (*Result, error) {
 	res, err := tr.Run(steps, task.SourceGlobal(globalBatch, tr.LiveCount))
 	if err != nil {
 		return nil, err
+	}
+	if cfg.Drift != nil {
+		// The drift check reads the finished run's step record: each
+		// step's wall-clock time against the prediction for the workers
+		// that computed it.
+		predict, err := driftPredictor(cfg, g, globalBatch)
+		if err != nil {
+			return nil, err
+		}
+		st := cfg.Drift.Stream("trainreal", "iter")
+		for _, rec := range res.Steps {
+			st.Observe(predict(rec.Workers), rec.Seconds)
+		}
 	}
 	first, last := res.Losses[0], res.Losses[len(res.Losses)-1]
 	if last >= first {
@@ -141,9 +145,9 @@ func ExtTrainFaults(cfg Config) (*Result, error) {
 
 // driftPredictor builds the chaos experiment's analytical step-time
 // oracle: it fits the paper's training model on simulator samples of the
-// chaos net itself, then predicts T_iter for whatever worker count is
-// live (the global batch is respread over the survivors, exactly like
-// the trainer's SourceGlobal). The drift stream's one-point κ
+// chaos net itself, then predicts T_iter for a step's worker count (the
+// global batch is respread over the survivors, exactly like the
+// trainer's SourceGlobal). The drift stream's one-point κ
 // calibration absorbs the constant simulator-vs-host offset, so the
 // detector watches the *shape* of the residuals, not the absolute scale.
 func driftPredictor(cfg Config, g *graph.Graph, globalBatch int) (func(int) float64, error) {

@@ -75,11 +75,12 @@ func TestExtTrainFaultsReproducible(t *testing.T) {
 	}
 }
 
-// TestExtTrainFaultsAttributionOnlyObserves: attaching telemetry and the
-// critical-path tracker must only read the run. The fault injector
-// deals by sequence number over the ring's sockets, so any traffic the
-// observers added there would shift the fault schedule and with it the
-// outcome; the same seed must give the same stats and report either way.
+// TestExtTrainFaultsAttributionOnlyObserves: attaching telemetry must
+// only read the run, and the critical-path report is computed from the
+// recorded trace afterwards. The fault injector deals by sequence
+// number over the ring's sockets, so any traffic the observers added
+// there would shift the fault schedule and with it the outcome; the
+// same seed must give the same stats and report either way.
 func TestExtTrainFaultsAttributionOnlyObserves(t *testing.T) {
 	bare, err := ExtTrainFaults(faultsCfg)
 	if err != nil {
@@ -87,7 +88,6 @@ func TestExtTrainFaultsAttributionOnlyObserves(t *testing.T) {
 	}
 	cfg := faultsCfg
 	cfg.Obs = obs.New()
-	cfg.Crit = new(critpath.Tracker)
 	observed, err := ExtTrainFaults(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -98,8 +98,8 @@ func TestExtTrainFaultsAttributionOnlyObserves(t *testing.T) {
 	if bare.Text != observed.Text {
 		t.Errorf("attribution changed the run's report:\nbare:\n%s\nobserved:\n%s", bare.Text, observed.Text)
 	}
-	if n := len(cfg.Crit.Report().Steps); n == 0 {
-		t.Error("tracker analyzed no step")
+	if n := len(critpath.Analyze(cfg.Obs.Trc.Spans()).Steps); n == 0 {
+		t.Error("attribution analyzed no step")
 	}
 }
 
@@ -130,7 +130,7 @@ func TestExtTrainFaultsProfileSelection(t *testing.T) {
 // attached and returns the trainreal/iter stream snapshot.
 func chaosDriftStream(t *testing.T, profile string) driftwatch.StreamSnapshot {
 	t.Helper()
-	mon := driftwatch.New(nil)
+	mon := driftwatch.New()
 	cfg := faultsCfg
 	cfg.FaultsProfile = profile
 	cfg.Drift = mon
@@ -144,10 +144,11 @@ func chaosDriftStream(t *testing.T, profile string) driftwatch.StreamSnapshot {
 	return snap.Streams[0]
 }
 
-// TestExtTrainFaultsDriftDetection is the tentpole acceptance criterion:
-// under the slowdown profile the live step times break away from the
-// fitted model's predictions and the drift stream latches drifting,
-// while an otherwise identical fault-free run raises no drift event.
+// TestExtTrainFaultsDriftDetection is the drift check's acceptance
+// criterion: under the slowdown profile the recorded step times break
+// away from the fitted model's predictions and the drift stream latches
+// drifting, while an otherwise identical fault-free run raises no drift
+// event.
 func TestExtTrainFaultsDriftDetection(t *testing.T) {
 	slow := chaosDriftStream(t, "slowdown")
 	if slow.Model != "trainreal" || slow.Phase != "iter" {

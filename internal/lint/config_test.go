@@ -185,13 +185,13 @@ func TestRepoConfig(t *testing.T) {
 	}
 	// The replayability contract (DESIGN.md §6): the analytical side plus
 	// the measured packages whose output is replayed or diffed.
-	for _, p := range []string{"core", "metrics", "graph", "regress", "linalg", "faults", "tracefmt", "driftwatch/streamstat", "dagrun/manifest"} {
+	for _, p := range []string{"core", "metrics", "graph", "regress", "linalg", "faults", "tracefmt", "driftwatch", "dagrun/manifest"} {
 		if !cfg.deterministicScope("convmeter/internal/" + p) {
 			t.Errorf("lint.config drops %s from the deterministic scope; the replayability contract must stay enforced", p)
 		}
 	}
 	// Packages whose job is to observe real time must stay out of it.
-	for _, p := range []string{"exec", "hwreal", "obs", "driftwatch"} {
+	for _, p := range []string{"exec", "hwreal", "obs"} {
 		if cfg.deterministicScope("convmeter/internal/" + p) {
 			t.Errorf("lint.config declares %s deterministic; it times real work and cannot honour the contract", p)
 		}

@@ -3,11 +3,14 @@
 // compute, communication, or waiting — per worker, with a named blame
 // worker when one straggler's compute made everyone else idle.
 //
-// The input is the per-step slice of finished spans the trainer records
-// (per-worker "compute" spans, per-op "ar.send"/"ar.recv"/"ar.wait"
-// spans from the all-reduce transports). Every worker is a goroutine of
-// one process stamping spans from the tracer's one monotonic clock, so
-// cross-worker causality is judged on the timestamps as recorded.
+// The input is a run's recorded trace, read after the run: Analyze
+// splits it into training steps by each span's nearest "step N"
+// ancestor and hands each step's spans (per-worker "compute" spans,
+// per-op "ar.send"/"ar.recv"/"ar.wait" spans from the all-reduce
+// transports) to AnalyzeStep. The trainer itself only records. Every
+// worker is a goroutine of one process stamping spans from the tracer's
+// one monotonic clock, so cross-worker causality is judged on the
+// timestamps as recorded.
 //
 // Two mechanisms attribute waiting:
 //

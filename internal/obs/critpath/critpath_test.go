@@ -1,6 +1,8 @@
 package critpath
 
 import (
+	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -210,27 +212,85 @@ func TestAnalyzeStepDanglingLink(t *testing.T) {
 	}
 }
 
-func TestTrackerRingAndReport(t *testing.T) {
-	tr := new(Tracker)
-	for i := 0; i < trackerRing+2; i++ {
-		tr.Record(StepAttribution{Step: i, Dominant: "none", Blame: -1})
+// child re-parents a span record under parent.
+func child(r obs.SpanRecord, parent int64) obs.SpanRecord {
+	r.Parent = parent
+	return r
+}
+
+// TestAnalyzeReport: Analyze groups a trace by each span's nearest
+// "step N" ancestor, reports the steps in the order they started with
+// the report schema, drops spans outside any step, and writes JSON that
+// decodes back to the same report. A trace without steps reports
+// "steps": [].
+func TestAnalyzeReport(t *testing.T) {
+	// Step 1 is recorded first but starts later: the report orders by
+	// start. Its straggler subtree nests compute and ring spans under
+	// intermediate spans, as the trainer's grad span does.
+	straggler := []obs.SpanRecord{child(rec(200, "step 1", -1, 150*ms, 110*ms, 0), 1000)}
+	for _, s := range stragglerSpans() {
+		s.ID += 200
+		if s.Link.Valid() {
+			s.Link.Span += 200
+		}
+		s.Start += 150 * ms
+		parent := int64(290) // grad
+		if s.Name == "compute" {
+			parent = 200
+		}
+		straggler = append(straggler, child(s, parent))
 	}
-	rep := tr.Report()
+	straggler = append(straggler, child(rec(290, "grad", -1, 250*ms, 7*ms, 0), 200),
+		child(rec(295, "fwd", 0, 150*ms, 50*ms, 0), 201))
+	clean := []obs.SpanRecord{
+		child(rec(100, "step 0", -1, 0, 60*ms, 0), 1000),
+		child(rec(101, "compute", 0, 0, 50*ms, 0), 100),
+		child(rec(102, "compute", 1, 0, 49*ms, 0), 100),
+		child(rec(103, "ar.send", 0, 50*ms, ms, 0), 100),
+		child(rec(104, "ar.send", 1, 50*ms, ms, 0), 100),
+	}
+	// Spans outside any step: the experiment root and a worker-tagged
+	// compute span of no step.
+	outside := []obs.SpanRecord{
+		rec(1000, "experiment:x", -1, 0, 300*ms, 0),
+		rec(1001, "compute", 5, 0, 300*ms, 0),
+	}
+	var trace []obs.SpanRecord
+	trace = append(trace, straggler...)
+	trace = append(trace, clean...)
+	trace = append(trace, outside...)
+
+	rep := Analyze(trace)
 	if rep.Schema != SchemaV1 {
 		t.Fatalf("schema = %q", rep.Schema)
 	}
-	if len(rep.Steps) != trackerRing {
-		t.Fatalf("%d retained steps, want %d", len(rep.Steps), trackerRing)
+	want := []StepAttribution{AnalyzeStep(0, clean[1:]), AnalyzeStep(1, straggler[1:])}
+	if !reflect.DeepEqual(rep.Steps, want) {
+		t.Fatalf("report steps:\n%+v\nwant:\n%+v", rep.Steps, want)
 	}
-	if rep.Steps[0].Step != 2 || rep.Steps[len(rep.Steps)-1].Step != trackerRing+1 {
-		t.Fatalf("ring order wrong: first %d last %d",
-			rep.Steps[0].Step, rep.Steps[len(rep.Steps)-1].Step)
+	if rep.Steps[1].Blame != 0 || rep.Steps[0].Blame != -1 {
+		t.Fatalf("blames = %d, %d, want -1, 0", rep.Steps[0].Blame, rep.Steps[1].Blame)
 	}
+
 	var sb strings.Builder
-	if err := tr.WriteJSON(&sb); err != nil {
+	if err := rep.WriteJSON(&sb); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(sb.String(), SchemaV1) {
-		t.Fatalf("report JSON missing schema:\n%s", sb.String())
+	var back Report
+	if err := json.Unmarshal([]byte(sb.String()), &back); err != nil {
+		t.Fatalf("report JSON does not decode: %v\n%s", err, sb.String())
+	}
+	if !reflect.DeepEqual(back, rep) {
+		t.Fatalf("JSON round trip changed the report:\n%+v\nwant:\n%+v", back, rep)
+	}
+
+	for _, empty := range [][]obs.SpanRecord{nil, outside} {
+		sb.Reset()
+		if err := Analyze(empty).WriteJSON(&sb); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(sb.String(), `"steps": []`) || !strings.Contains(sb.String(), SchemaV1) {
+			t.Fatalf("report of a trace without steps:\n%s", sb.String())
+		}
 	}
 }

@@ -2,7 +2,10 @@ package train
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -12,10 +15,11 @@ import (
 	"convmeter/internal/obs/critpath"
 )
 
-// critpathRun trains a small net with the critical-path engine wired in
-// and returns the tracker's report. A non-nil profile schedules the
-// injected faults; OpTimeout keeps the trainer on the resilient
-// transport paths (where the per-op spans live) even on a clean run.
+// critpathRun trains a small net under a tracer and returns the
+// critical-path report of its recorded trace. A non-nil profile
+// schedules the injected faults; OpTimeout keeps the trainer on the
+// resilient transport paths (where the per-op spans live) even on a
+// clean run.
 func critpathRun(t *testing.T, transport Transport, prof *faults.Profile, steps int) critpath.Report {
 	t.Helper()
 	g := trainNet(t)
@@ -28,7 +32,6 @@ func critpathRun(t *testing.T, transport Transport, prof *faults.Profile, steps 
 		inj = mustInjector(t, 7, *prof)
 	}
 	o := obs.New()
-	tracker := new(critpath.Tracker)
 	cfg := Config{
 		Workers: 3, LR: 0.05, Seed: 1,
 		Obs:       o,
@@ -36,12 +39,11 @@ func critpathRun(t *testing.T, transport Transport, prof *faults.Profile, steps 
 		Faults:    inj,
 		OpTimeout: 500 * time.Millisecond,
 		Retry:     allreduce.RetryPolicy{Attempts: 2, Backoff: time.Millisecond, Max: 5 * time.Millisecond},
-		Crit:      tracker,
 	}
 	if _, err := DataParallel(g, cfg, steps, task.Source(3)); err != nil {
 		t.Fatal(err)
 	}
-	return tracker.Report()
+	return critpath.Analyze(o.Trc.Spans())
 }
 
 // verifyBlame checks one run-plus-replay pair of a seeded-straggler
@@ -210,5 +212,203 @@ func TestCritpathCleanRunNoBlame(t *testing.T) {
 				t.Error(p)
 			}
 		})
+	}
+}
+
+// TestAnalyzeMatchesPerStepWindows: for a trainer running alone, the
+// report computed from the whole trace after the run is exactly what
+// analyzing each step's recorded window as it finished gives. The
+// trainer runs one Step at a time under a seeded straggler, on both
+// transports, and the tracer's length before each step marks the
+// windows.
+func TestAnalyzeMatchesPerStepWindows(t *testing.T) {
+	const steps = 4
+	prof := faults.Profile{Slowdowns: map[int]int{0: 2}, SlowDelay: 80 * time.Millisecond}
+	for _, tc := range []struct {
+		name      string
+		transport Transport
+	}{
+		{"chan", TransportChan},
+		{"tcp", TransportTCP},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := trainNet(t)
+			task, err := NewPrototypeTask(g, 3, 0.3, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			o := obs.New()
+			tr, err := NewTrainer(g, Config{
+				Workers: 3, LR: 0.05, Seed: 1,
+				Obs:       o,
+				Transport: tc.transport,
+				Faults:    mustInjector(t, 7, prof),
+				OpTimeout: 500 * time.Millisecond,
+				Retry:     allreduce.RetryPolicy{Attempts: 2, Backoff: time.Millisecond, Max: 5 * time.Millisecond},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			marks := []int{o.Trc.Len()}
+			for s := 0; s < steps; s++ {
+				if _, err := tr.Step(task.Source(3)); err != nil {
+					t.Fatal(err)
+				}
+				marks = append(marks, o.Trc.Len())
+			}
+			spans := o.Trc.Spans()
+			want := make([]critpath.StepAttribution, steps)
+			for s := range want {
+				want[s] = critpath.AnalyzeStep(s, spans[marks[s]:marks[s+1]])
+			}
+			got := critpath.Analyze(spans)
+			if !reflect.DeepEqual(got.Steps, want) {
+				t.Fatalf("Analyze over the whole trace:\n%+v\nper-step windows:\n%+v", got.Steps, want)
+			}
+			for _, att := range got.Steps {
+				if len(att.Workers) != 3 || att.Compute <= 0 {
+					t.Fatalf("step %d attributes %d workers, %g s compute: the windows held no step", att.Step, len(att.Workers), att.Compute)
+				}
+			}
+		})
+	}
+}
+
+// TestAnalyzeIsolatesConcurrentTrainers: two trainers, of 2 and 3
+// workers, share one Obs and run at the same time, the 3-worker one
+// with a straggler so that each of its steps spans several of the
+// other's. Every attribution must list only its own trainer's workers,
+// with each worker's compute time that of its own compute span: a step
+// window cut by the tracer's length would also take in the other
+// trainer's compute and ring spans.
+func TestAnalyzeIsolatesConcurrentTrainers(t *testing.T) {
+	g := trainNet(t)
+	task, err := NewPrototypeTask(g, 3, 0.3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := obs.New()
+	sizes := map[string]int{"small": 2, "large": 3}
+	stepsOf := map[string]int{"small": 6, "large": 3}
+	roots := map[string]*obs.Span{}
+	trainers := map[string]*Trainer{}
+	for name, workers := range sizes {
+		cfg := Config{
+			Workers: workers, LR: 0.05, Seed: 1,
+			OpTimeout: 500 * time.Millisecond,
+			Retry:     allreduce.RetryPolicy{Attempts: 2, Backoff: time.Millisecond, Max: 5 * time.Millisecond},
+		}
+		if name == "large" {
+			cfg.Faults = mustInjector(t, 7, faults.Profile{Slowdowns: map[int]int{0: 0}, SlowDelay: 80 * time.Millisecond})
+		}
+		roots[name] = o.Start("run:" + name)
+		cfg.Obs = o.WithSpan(roots[name])
+		tr, err := NewTrainer(g, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		trainers[name] = tr
+	}
+	start := make(chan struct{})
+	errs := make(chan error, len(trainers))
+	for name, tr := range trainers {
+		go func(name string, tr *Trainer) {
+			<-start
+			_, err := tr.Run(stepsOf[name], task.Source(2))
+			errs <- err
+		}(name, tr)
+	}
+	close(start)
+	for range trainers {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, sp := range roots {
+		sp.End()
+	}
+
+	// Expected attributions from the span tree itself: each trainer's
+	// step spans hang under its root, and each compute span directly
+	// under its step span.
+	spans := o.Trc.Spans()
+	rootName := map[int64]string{}
+	for _, s := range spans {
+		if name, ok := strings.CutPrefix(s.Name, "run:"); ok {
+			rootName[s.ID] = name
+		}
+	}
+	type key struct {
+		trainer string
+		step    int
+	}
+	stepKey := map[int64]key{}
+	var small, large []obs.SpanRecord // step spans per trainer
+	for _, s := range spans {
+		name, ok := rootName[s.Parent]
+		if !ok || !strings.HasPrefix(s.Name, "step ") {
+			continue
+		}
+		n, err := strconv.Atoi(strings.TrimPrefix(s.Name, "step "))
+		if err != nil {
+			t.Fatal(err)
+		}
+		stepKey[s.ID] = key{name, n}
+		if name == "small" {
+			small = append(small, s)
+		} else {
+			large = append(large, s)
+		}
+	}
+	compute := map[key]map[int]float64{}
+	for _, s := range spans {
+		k, ok := stepKey[s.Parent]
+		if !ok || s.Name != "compute" {
+			continue
+		}
+		if compute[k] == nil {
+			compute[k] = map[int]float64{}
+		}
+		compute[k][s.Worker] = s.Dur.Seconds()
+	}
+	// The test proves nothing unless the runs interleaved: some step of
+	// the small trainer must start inside a step of the large one.
+	overlapped := false
+	for _, a := range small {
+		for _, b := range large {
+			if a.Start > b.Start && a.Start < b.Start+b.Dur {
+				overlapped = true
+			}
+		}
+	}
+	if !overlapped {
+		t.Fatal("the two trainers' steps never overlapped")
+	}
+
+	rep := critpath.Analyze(spans)
+	if want := stepsOf["small"] + stepsOf["large"]; len(rep.Steps) != want {
+		t.Fatalf("%d step attributions, want %d", len(rep.Steps), want)
+	}
+	seen := map[key]bool{}
+	for _, att := range rep.Steps {
+		trainer := ""
+		for name, n := range sizes {
+			if len(att.Workers) == n {
+				trainer = name
+			}
+		}
+		k := key{trainer, att.Step}
+		if trainer == "" || seen[k] || compute[k] == nil {
+			t.Fatalf("step %d lists workers %+v: no trainer's step of that size is left", att.Step, att.Workers)
+		}
+		seen[k] = true
+		for i, w := range att.Workers {
+			if w.Worker != i {
+				t.Fatalf("%s step %d lists workers %+v, want 0..%d", trainer, att.Step, att.Workers, sizes[trainer]-1)
+			}
+			if want := compute[k][i]; w.Compute != want {
+				t.Fatalf("%s step %d worker %d: compute %g s, want its own compute span's %g s", trainer, att.Step, i, w.Compute, want)
+			}
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -145,7 +146,6 @@ func TestElasticBlameRemovesFaultyWorker(t *testing.T) {
 	}
 	cfg := elasticConfig(mustInjector(t, 9, faults.Profile{Drop: 1, Workers: []int{1}}))
 	cfg.Transport = TransportTCP
-	cfg.StepRetries = 1 // exhaust instantly; blame must still find worker 1
 	res, err := DataParallel(g, cfg, 3, task.Source(4))
 	if err != nil {
 		t.Fatal(err)
@@ -163,18 +163,18 @@ func TestElasticBlameRemovesFaultyWorker(t *testing.T) {
 }
 
 // TestElasticMinWorkersFloor: degradation must refuse to drop below
-// MinWorkers and surface a clean error instead.
+// minWorkers and surface a clean error instead: with every worker
+// crashing at step 0, the last removal is refused.
 func TestElasticMinWorkersFloor(t *testing.T) {
 	g := trainNet(t)
 	task, err := NewPrototypeTask(g, 3, 0.3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := elasticConfig(mustInjector(t, 3, faults.Profile{Crashes: map[int]int{0: 0, 1: 0}}))
-	cfg.MinWorkers = 2
+	cfg := elasticConfig(mustInjector(t, 3, faults.Profile{Crashes: map[int]int{0: 0, 1: 0, 2: 0}}))
 	_, err = DataParallel(g, cfg, 2, task.Source(4))
-	if err == nil {
-		t.Fatal("run should fail when crashes push below MinWorkers")
+	if err == nil || !strings.Contains(err.Error(), "below minimum 1") {
+		t.Fatalf("run should fail when crashes push below minWorkers, got %v", err)
 	}
 }
 

@@ -24,6 +24,13 @@
 // sources built with SourceGlobal recompute the per-device batch
 // b = B/N — keeping the N-dependence of the paper's T_grad model
 // observable across failures.
+//
+// The trainer only trains and records. Run's Result carries each step's
+// wall-clock time and the number of workers that computed it, and a
+// tracing Obs holds one "step N" span tree per step. The checks that
+// judge a run read those after it ends: internal/driftwatch compares
+// the step times with a model's predictions, and critpath.Analyze
+// attributes each step's time to compute, communication or waiting.
 package train
 
 import (
@@ -34,12 +41,10 @@ import (
 	"time"
 
 	"convmeter/internal/allreduce"
-	"convmeter/internal/driftwatch"
 	"convmeter/internal/exec"
 	"convmeter/internal/faults"
 	"convmeter/internal/graph"
 	"convmeter/internal/obs"
-	"convmeter/internal/obs/critpath"
 )
 
 // Batch is one worker's training micro-batch.
@@ -97,49 +102,23 @@ type Config struct {
 	OpTimeout time.Duration
 	// Retry bounds transport-level retries (timeouts, ring dials).
 	Retry allreduce.RetryPolicy
-	// StepRetries is how many times one step's all-reduce is re-attempted
-	// over the same live set before a worker is blamed and declared dead;
-	// <=0 means 2.
-	StepRetries int
-	// MinWorkers is the floor below which elastic degradation refuses to
-	// drop further members and the step fails instead; <=0 means 1.
-	MinWorkers int
-
-	// Drift, when non-nil together with PredictStep, receives one
-	// (predicted, measured) wall-clock pair per completed step — the live
-	// feed of the prediction-quality monitor. The predicted side is the
-	// fitted model's T_iter for the step's live-worker count; the
-	// measured side is the step's wall-clock time.
-	Drift *driftwatch.Stream
-	// PredictStep returns the predicted step time in seconds for a given
-	// live-worker count (the paper's T_iter at b = B/N).
-	PredictStep func(liveWorkers int) float64
-
-	// Crit, when non-nil together with a tracing Obs, receives one
-	// critical-path attribution per completed step, reconstructed from
-	// the step's worker-tagged span DAG.
-	Crit *critpath.Tracker
 }
+
+// Elastic degradation limits.
+const (
+	// stepRetries is how many times one step's all-reduce is attempted
+	// over the same live set before a worker is blamed and declared dead.
+	stepRetries = 2
+	// minWorkers is the floor below which elastic degradation refuses to
+	// drop further members and the step fails instead.
+	minWorkers = 1
+)
 
 // resilient reports whether the run needs the fault-tolerant paths:
 // faults, an op deadline, or the TCP transport, which only the resilient
 // ring speaks.
 func (c Config) resilient() bool {
 	return c.Faults != nil || c.OpTimeout > 0 || c.Transport == TransportTCP
-}
-
-func (c Config) stepRetries() int {
-	if c.StepRetries <= 0 {
-		return 2
-	}
-	return c.StepRetries
-}
-
-func (c Config) minWorkers() int {
-	if c.MinWorkers <= 0 {
-		return 1
-	}
-	return c.MinWorkers
 }
 
 // Result reports a training run.
@@ -151,6 +130,20 @@ type Result struct {
 	Checksums []float64
 	// Live lists the surviving workers' original ids in ascending order.
 	Live []int
+	// Steps records each step's wall-clock time and worker count, the
+	// measured side of a prediction check made after the run.
+	Steps []StepRecord
+}
+
+// StepRecord is one completed step's measurement.
+type StepRecord struct {
+	// Seconds is the step's wall-clock time: compute, all-reduce and
+	// update.
+	Seconds float64
+	// Workers is the number of workers that computed the step's
+	// gradients: the live count after the step's crash boundary, before
+	// any mid-sync degradation.
+	Workers int
 }
 
 // trainTelemetry bundles the trainer's metric handles; nil disables all.
@@ -253,9 +246,9 @@ func (t *Trainer) Checksums() []float64 {
 func (t *Trainer) RemoveWorker(id int) error {
 	for i, w := range t.live {
 		if w == id {
-			if len(t.live)-1 < t.cfg.minWorkers() {
+			if len(t.live)-1 < minWorkers {
 				return fmt.Errorf("train: removing worker %d leaves %d live, below minimum %d",
-					id, len(t.live)-1, t.cfg.minWorkers())
+					id, len(t.live)-1, minWorkers)
 			}
 			// Copy-on-write: Step holds snapshots of the live slice across
 			// removals, so the old backing array must stay intact.
@@ -300,39 +293,35 @@ func join(n int, fn func(i int) error) error {
 // elastic degradation, renormalised averaging, and the optimizer update.
 // It returns the mean loss across the workers that contributed.
 func (t *Trainer) Step(data DataSource) (float64, error) {
+	loss, _, err := t.runStep(data)
+	return loss, err
+}
+
+// runStep is Step, also returning the step's measurement for Run's
+// record.
+func (t *Trainer) runStep(data DataSource) (float64, StepRecord, error) {
 	step := t.step
 	// Crash boundary: scheduled deaths happen before the step's compute.
 	for _, w := range t.Live() {
 		if t.cfg.Faults.CrashAt(w, step) {
 			if err := t.RemoveWorker(w); err != nil {
-				return 0, fmt.Errorf("train: crash of worker %d at step %d: %w", w, step, err)
+				return 0, StepRecord{}, fmt.Errorf("train: crash of worker %d at step %d: %w", w, step, err)
 			}
 		}
 	}
 	live := t.live
 	n := len(live)
 	if n == 0 {
-		return 0, fmt.Errorf("train: no live workers at step %d", step)
+		return 0, StepRecord{}, fmt.Errorf("train: no live workers at step %d", step)
 	}
 
-	var stepT0 time.Time
-	// The attribution engine analyzes only this step's spans: remember
-	// where the tracer's record stream stands before any step span ends.
-	feedCrit := t.cfg.Crit != nil && t.cfg.Obs != nil && t.cfg.Obs.Trc != nil
-	var critMark int
-	if feedCrit {
-		critMark = t.cfg.Obs.Trc.Len()
-	}
 	stepSp := t.cfg.Obs.Start("step " + strconv.Itoa(step))
 	stepObs := t.cfg.Obs.WithSpan(stepSp)
-	feedDrift := t.cfg.Drift != nil && t.cfg.PredictStep != nil
-	if t.tel != nil || feedDrift {
-		stepT0 = time.Now()
-	}
-	// The predicted side belongs to the worker count the step *computes*
-	// with; mid-sync degradation changes the survivors, not the batches
+	stepT0 := time.Now()
+	// The record names the worker count the step *computes* with;
+	// mid-sync degradation changes the survivors, not the batches
 	// already drawn at b = B/N.
-	nCompute := n
+	rec := StepRecord{Workers: n}
 	defer stepSp.End()
 
 	// Local gradients, concurrently, with first-error capture. Each
@@ -355,7 +344,7 @@ func (t *Trainer) Step(data DataSource) (float64, error) {
 		}
 		// Persistent-straggler injection: a slowed worker pays its extra
 		// compute latency here, before the ring, stretching the measured
-		// step time the drift monitor compares against the prediction.
+		// step time that Run records.
 		if d := t.cfg.Faults.SlowAt(w, step); d > 0 {
 			time.Sleep(d)
 		}
@@ -370,13 +359,13 @@ func (t *Trainer) Step(data DataSource) (float64, error) {
 		losses[i], vectors[i] = loss, grads
 		return nil
 	}); err != nil {
-		return 0, err
+		return 0, StepRecord{}, err
 	}
 
 	// Gradient synchronisation with elastic degradation.
 	reduced, err := t.syncGradients(stepObs, step, live, vectors)
 	if err != nil {
-		return 0, err
+		return 0, StepRecord{}, err
 	}
 	// Dead workers may have been dropped during sync; keep survivors only.
 	if len(t.live) != n {
@@ -414,19 +403,14 @@ func (t *Trainer) Step(data DataSource) (float64, error) {
 		mean += l
 	}
 	mean /= float64(n)
+	rec.Seconds = time.Since(stepT0).Seconds()
 	if t.tel != nil {
-		t.tel.stepH.Observe(time.Since(stepT0).Seconds())
+		t.tel.stepH.Observe(rec.Seconds)
 		t.tel.steps.Inc()
 		t.tel.lossG.Set(mean)
 	}
-	if feedCrit {
-		t.cfg.Crit.Record(critpath.AnalyzeStep(step, t.cfg.Obs.Trc.SpansFrom(critMark)))
-	}
-	if feedDrift {
-		t.cfg.Drift.Observe(t.cfg.PredictStep(nCompute), time.Since(stepT0).Seconds())
-	}
 	t.step++
-	return mean, nil
+	return mean, rec, nil
 }
 
 // syncGradients all-reduces the live workers' gradient vectors with
@@ -452,7 +436,7 @@ func (t *Trainer) syncGradients(stepObs *obs.Obs, step int, live []int, vectors 
 		index[w] = i
 	}
 	attempt := uint64(0)
-	remaining := t.cfg.stepRetries()
+	remaining := stepRetries
 	for {
 		ids := t.Live()
 		snaps := make([][]float32, len(ids))
@@ -501,23 +485,25 @@ func (t *Trainer) syncGradients(stepObs *obs.Obs, step int, live []int, vectors 
 		if rmErr := t.RemoveWorker(blamed); rmErr != nil {
 			return nil, fmt.Errorf("train: step %d all-reduce failed (%v); cannot degrade: %w", step, err, rmErr)
 		}
-		remaining = t.cfg.stepRetries()
+		remaining = stepRetries
 	}
 }
 
-// Run executes `steps` training steps and reports the loss curve and
-// final replica checksums.
+// Run executes `steps` training steps and reports the loss curve, each
+// step's wall-clock time and worker count, and the final replica
+// checksums.
 func (t *Trainer) Run(steps int, data DataSource) (*Result, error) {
 	if steps <= 0 {
 		return nil, fmt.Errorf("train: %d steps", steps)
 	}
 	res := &Result{}
 	for s := 0; s < steps; s++ {
-		loss, err := t.Step(data)
+		loss, rec, err := t.runStep(data)
 		if err != nil {
 			return nil, err
 		}
 		res.Losses = append(res.Losses, loss)
+		res.Steps = append(res.Steps, rec)
 	}
 	res.Checksums = t.Checksums()
 	res.Live = t.Live()
