@@ -43,16 +43,16 @@ race:
 	$(GO) test -race ./internal/exec/... ./internal/allreduce/... ./internal/bench/... ./internal/train/... ./internal/obs/... ./internal/driftwatch/... ./internal/lint/... ./internal/dagrun/... ./internal/faults/... ./internal/experiments/...
 	$(GO) test -race -count=1 -run 'TestRunDriftArtefact|TestRunDagCrashResume' ./cmd/experiments
 
-# obs-smoke: run the telemetry fixture experiment with the metrics and
-# trace flags and validate both artefacts with cmd/obscheck — catches
-# exposition/trace formatting regressions that unit tests on the
-# exporters alone would miss. (The drift artefacts are checked by
-# drift-smoke's slowdown and clean runs.)
+# obs-smoke: run the telemetry fixture experiment with the trace flag
+# and validate the trace with cmd/obscheck — catches trace formatting
+# and span-graph regressions that unit tests on the exporter alone would
+# miss. (The drift artefacts are checked by drift-smoke's slowdown and
+# clean runs.)
 obs-smoke:
 	rm -rf .obs-smoke && mkdir -p .obs-smoke
 	$(GO) run ./cmd/experiments -run exttrainreal -quick \
-		-metrics-out .obs-smoke/metrics.prom -trace-out .obs-smoke/trace.json > .obs-smoke/report.txt
-	$(GO) run ./cmd/obscheck -metrics .obs-smoke/metrics.prom -trace .obs-smoke/trace.json
+		-trace-out .obs-smoke/trace.json > .obs-smoke/report.txt
+	$(GO) run ./cmd/obscheck -trace .obs-smoke/trace.json
 	rm -rf .obs-smoke
 
 # The perf trajectory: bench_n is the largest <n> among the
@@ -115,16 +115,18 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzFit -fuzztime $(FUZZTIME) ./internal/regress
 
 # chaos: a fixed seed matrix of real end-to-end chaos runs (resilient
-# training under crashes, drops and corruption) validated with
-# obscheck -require-faults, which fails if no fault was injected. The
+# training under crashes, drops and corruption), each into its own
+# -dag-dir run directory, validated with obscheck -manifest
+# -require-faults: the manifests must verify, and the
+# exp:exttrainfaults result must count an injected fault. The
 # fault-injection suites run under the race detector in `race`.
 CHAOS_SEEDS ?= 1 7 42
 chaos:
 	rm -rf .chaos-smoke && mkdir -p .chaos-smoke
 	for seed in $(CHAOS_SEEDS); do \
 		$(GO) run ./cmd/experiments -run exttrainfaults -quick -faults-seed $$seed \
-			-metrics-out .chaos-smoke/metrics-$$seed.prom > .chaos-smoke/report-$$seed.txt || exit 1; \
-		$(GO) run ./cmd/obscheck -metrics .chaos-smoke/metrics-$$seed.prom -require-faults || exit 1; \
+			-dag-dir .chaos-smoke/run-$$seed > .chaos-smoke/report-$$seed.txt || exit 1; \
+		$(GO) run ./cmd/obscheck -manifest .chaos-smoke/run-$$seed -require-faults || exit 1; \
 	done
 	rm -rf .chaos-smoke
 

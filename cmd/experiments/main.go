@@ -34,23 +34,14 @@ import (
 )
 
 func main() {
-	opts := options{}
-	flag.StringVar(&opts.id, "run", "all", "experiment id (fig2, table1, table2, table3single, fig6, table3multi, fig8, fig9, ablation, extvit, extedge, extpipeline, extreal, exttrainreal, exttrainfaults, extstrong) or 'all'")
-	flag.Int64Var(&opts.seed, "seed", 1, "simulator/fitting seed")
-	flag.BoolVar(&opts.quick, "quick", false, "use reduced sweeps (for smoke runs)")
-	flag.Int64Var(&opts.faultsSeed, "faults-seed", 0, "fault-injection schedule seed for exttrainfaults (0 = use -seed); the same seed reproduces the identical fault schedule")
-	flag.StringVar(&opts.faultsProfile, "faults-profile", "", "fault profile for exttrainfaults: none, light, heavy, chaos or slowdown (default chaos)")
-	flag.StringVar(&opts.outPath, "out", "", "also write the output to this file")
-	flag.StringVar(&opts.csvDir, "csvdir", "", "write figure data series as CSV files into this directory")
-	flag.StringVar(&opts.metricsOut, "metrics-out", "", "write collected runtime metrics to this file as Prometheus text")
-	flag.StringVar(&opts.traceOut, "trace-out", "", "write recorded spans as Chrome trace-event JSON to this file (open in Perfetto)")
-	flag.StringVar(&opts.driftOut, "drift-out", "", "write the final drift-monitor state as JSON to this file")
-	flag.StringVar(&opts.critpathOut, "critpath-out", "", "write the per-step critical-path attribution of every training run (exttrainreal, exttrainfaults), computed from the trace at exit, as JSON to this file")
-	flag.StringVar(&opts.dagDir, "dag-dir", "", "durable run directory: every completed DAG node commits a content-addressed manifest here, and a re-run over the same directory resumes fail-close from fingerprint-matching manifests")
-	flag.IntVar(&opts.dagWorkers, "dag-workers", 2, "worker pool size for independent DAG nodes")
-	flag.StringVar(&opts.dagCrash, "dag-crash", "", "inject a process crash at node@point (point: boundary or mid) for crash-resume testing; the run dies with exit code 3 and resumes via -dag-dir")
-	flag.StringVar(&opts.dagOut, "dag-out", "", "write the DAG audit trail (per-node state, manifest hash, attempt, blame) as JSON to this file")
-	flag.Parse()
+	opts, err := parseOptions(os.Args[1:], os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(0)
+	}
+	if err != nil {
+		// The flag set has printed the error and the usage.
+		os.Exit(2)
+	}
 	if err := run(opts); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		if errors.Is(err, convmeter.ErrDagCrashed) {
@@ -62,25 +53,48 @@ func main() {
 	}
 }
 
+// parseOptions parses the command line into options. Errors, -h
+// included, are reported on errOut with the usage.
+func parseOptions(args []string, errOut io.Writer) (options, error) {
+	opts := options{}
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.SetOutput(errOut)
+	fs.StringVar(&opts.id, "run", "all", "experiment id (fig2, table1, table2, table3single, fig6, table3multi, fig8, fig9, ablation, extvit, extedge, extpipeline, extreal, exttrainreal, exttrainfaults, extstrong) or 'all'")
+	fs.Int64Var(&opts.seed, "seed", 1, "simulator/fitting seed")
+	fs.BoolVar(&opts.quick, "quick", false, "use reduced sweeps (for smoke runs)")
+	fs.Int64Var(&opts.faultsSeed, "faults-seed", 0, "fault-injection schedule seed for exttrainfaults (0 = use -seed); the same seed reproduces the identical fault schedule")
+	fs.StringVar(&opts.faultsProfile, "faults-profile", "", "fault profile for exttrainfaults: none, light, heavy, chaos or slowdown (default chaos)")
+	fs.StringVar(&opts.outPath, "out", "", "also write the output to this file")
+	fs.StringVar(&opts.csvDir, "csvdir", "", "write figure data series as CSV files into this directory")
+	fs.StringVar(&opts.traceOut, "trace-out", "", "write recorded spans as Chrome trace-event JSON to this file (open in Perfetto)")
+	fs.StringVar(&opts.driftOut, "drift-out", "", "write the final drift-monitor state as JSON to this file")
+	fs.StringVar(&opts.critpathOut, "critpath-out", "", "write the per-step critical-path attribution of every training run (exttrainreal, exttrainfaults), computed from the trace at exit, as JSON to this file")
+	fs.StringVar(&opts.dagDir, "dag-dir", "", "durable run directory: every completed DAG node commits a content-addressed manifest here, and a re-run over the same directory resumes fail-close from fingerprint-matching manifests")
+	fs.IntVar(&opts.dagWorkers, "dag-workers", 2, "worker pool size for independent DAG nodes")
+	fs.StringVar(&opts.dagCrash, "dag-crash", "", "inject a process crash at node@point (point: boundary or mid) for crash-resume testing; the run dies with exit code 3 and resumes via -dag-dir")
+	fs.StringVar(&opts.dagOut, "dag-out", "", "write the DAG audit trail (per-node state, manifest hash, attempt, blame, fail-close reason) as JSON to this file")
+	return opts, fs.Parse(args)
+}
+
 // options carries the full flag surface of one invocation.
 type options struct {
-	id                   string
-	seed                 int64
-	quick                bool
-	faultsSeed           int64
-	faultsProfile        string
-	outPath, csvDir      string
-	metricsOut, traceOut string
-	driftOut             string
-	critpathOut          string
-	dagDir               string
-	dagWorkers           int
-	dagCrash             string
-	dagOut               string
+	id              string
+	seed            int64
+	quick           bool
+	faultsSeed      int64
+	faultsProfile   string
+	outPath, csvDir string
+	traceOut        string
+	driftOut        string
+	critpathOut     string
+	dagDir          string
+	dagWorkers      int
+	dagCrash        string
+	dagOut          string
 }
 
 // dagFaults builds the orchestrator-level crash injector for -dag-crash.
-func dagFaults(opts options, bundle *obs.Obs) (*faults.Injector, error) {
+func dagFaults(opts options) (*faults.Injector, error) {
 	if opts.dagCrash == "" {
 		return nil, nil
 	}
@@ -93,7 +107,7 @@ func dagFaults(opts options, bundle *obs.Obs) (*faults.Injector, error) {
 		seed = opts.seed
 	}
 	prof := faults.Profile{NodeCrashes: map[string]string{node: point}}
-	return faults.New(seed, prof, bundle)
+	return faults.New(seed, prof)
 }
 
 func run(opts options) (err error) {
@@ -104,7 +118,7 @@ func run(opts options) (err error) {
 	// Critical-path attribution reads the recorded trace after the run,
 	// so -critpath-out needs a tracer; the drift check reads the
 	// trainer's step record and needs none.
-	if opts.metricsOut != "" || opts.traceOut != "" || opts.critpathOut != "" {
+	if opts.traceOut != "" || opts.critpathOut != "" {
 		cfg.Obs = obs.New()
 	}
 	if opts.driftOut != "" {
@@ -117,7 +131,7 @@ func run(opts options) (err error) {
 	if opts.id == "all" {
 		ids = convmeter.ExperimentIDs()
 	}
-	inj, err := dagFaults(opts, cfg.Obs)
+	inj, err := dagFaults(opts)
 	if err != nil {
 		return err
 	}
@@ -127,7 +141,7 @@ func run(opts options) (err error) {
 	if opts.dagOut != "" && rep != nil {
 		// The audit trail is written even — especially — when the run
 		// died: it records which node was killed and what survived.
-		if err := writeArtefact(opts.dagOut, rep.WriteJSON); err != nil {
+		if err := obs.Export(opts.dagOut, rep.WriteJSON); err != nil {
 			return err
 		}
 	}
@@ -140,16 +154,18 @@ func run(opts options) (err error) {
 	if rep.Resumed > 0 {
 		fmt.Fprintf(os.Stderr, "experiments: resumed %d node(s) from manifests in %s\n", rep.Resumed, opts.dagDir)
 	}
-	if err := cfg.Obs.Export(opts.metricsOut, opts.traceOut); err != nil {
-		return err
+	if opts.traceOut != "" {
+		if err := obs.Export(opts.traceOut, cfg.Obs.Trc.WriteChromeTrace); err != nil {
+			return err
+		}
 	}
 	if opts.driftOut != "" {
-		if err := writeArtefact(opts.driftOut, cfg.Drift.WriteJSON); err != nil {
+		if err := obs.Export(opts.driftOut, cfg.Drift.WriteJSON); err != nil {
 			return err
 		}
 	}
 	if opts.critpathOut != "" {
-		if err := writeArtefact(opts.critpathOut, critpath.Analyze(cfg.Obs.Trc.Spans()).WriteJSON); err != nil {
+		if err := obs.Export(opts.critpathOut, critpath.Analyze(cfg.Obs.Trc.Spans()).WriteJSON); err != nil {
 			return err
 		}
 	}
@@ -189,19 +205,4 @@ func run(opts options) (err error) {
 		}
 	}
 	return nil
-}
-
-// writeArtefact creates path and runs write into it, surfacing the
-// first error, Close's included.
-func writeArtefact(path string, write func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		// The write failure is the error worth reporting.
-		_ = f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -1,59 +1,35 @@
 package main
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"testing"
 
 	"convmeter"
+	"convmeter/internal/dagrun"
+	"convmeter/internal/dagrun/manifest"
 )
 
-// TestRunWithTelemetry is the acceptance test for the telemetry flags: a
-// real exttrainreal run with -metrics-out and -trace-out must produce a
-// Prometheus metrics file whose step counter matches the training loop
-// and a Chrome trace whose fwd/bwd/grad events are time-contained within
-// the experiment event.
+// TestRunWithTelemetry is the acceptance test for the telemetry flag: a
+// real exttrainreal run with -trace-out must produce a Chrome trace with
+// one step event per training step and fwd/bwd/grad events
+// time-contained within the experiment event.
 func TestRunWithTelemetry(t *testing.T) {
 	dir := t.TempDir()
-	metricsPath := filepath.Join(dir, "metrics.prom")
-	tracePath := filepath.Join(dir, "trace.json")
+	tracePath := filepath.Join(dir, "trace", "trace.json") // parent created on export
 	outPath := filepath.Join(dir, "report.txt")
 	opts := options{
 		id: "exttrainreal", seed: 5, quick: true,
-		outPath: outPath, metricsOut: metricsPath, traceOut: tracePath,
+		outPath: outPath, traceOut: tracePath,
 	}
 	if err := run(opts); err != nil {
 		t.Fatal(err)
 	}
-
-	// Metrics: parse the exposition text into name -> value and check the
-	// training-loop counters against the quick fixture's known shape
-	// (2 workers × 12 steps).
-	values := parsePromFile(t, metricsPath)
-	const wantSteps = 12
-	if got := values["convmeter_train_steps_total"]; got != wantSteps {
-		t.Fatalf("convmeter_train_steps_total = %g, want %d", got, wantSteps)
-	}
-	if got := values["convmeter_experiments_total"]; got != 1 {
-		t.Fatalf("convmeter_experiments_total = %g, want 1", got)
-	}
-	if got := values[`convmeter_allreduce_steps_total{transport="chan"}`]; got == 0 {
-		t.Fatal("no allreduce steps recorded")
-	}
-	convmeterSamples := 0
-	for name := range values {
-		if strings.HasPrefix(name, "convmeter_") {
-			convmeterSamples++
-		}
-	}
-	if convmeterSamples < 10 {
-		t.Fatalf("only %d convmeter_ samples; the run barely recorded anything", convmeterSamples)
-	}
+	const wantSteps = 12 // the quick fixture: 2 workers × 12 steps
 
 	// Trace: fwd/bwd/grad events must sit inside the experiment event.
 	data, err := os.ReadFile(tracePath)
@@ -87,6 +63,9 @@ func TestRunWithTelemetry(t *testing.T) {
 		if e.Phase != "X" {
 			continue
 		}
+		if strings.HasPrefix(e.Name, "step ") {
+			counts["step"]++
+		}
 		switch e.Name {
 		case "fwd", "bwd", "grad":
 			counts[e.Name]++
@@ -96,8 +75,8 @@ func TestRunWithTelemetry(t *testing.T) {
 			}
 		}
 	}
-	if counts["grad"] != wantSteps {
-		t.Fatalf("%d grad events, want %d", counts["grad"], wantSteps)
+	if counts["step"] != wantSteps || counts["grad"] != wantSteps {
+		t.Fatalf("%d step and %d grad events, want %d each", counts["step"], counts["grad"], wantSteps)
 	}
 	if counts["fwd"] == 0 || counts["bwd"] == 0 {
 		t.Fatalf("missing exec events: %v", counts)
@@ -116,50 +95,66 @@ func TestRunWithTelemetry(t *testing.T) {
 // TestRunChaosResumesFromDagDir is the acceptance test for the fault
 // flags: a seeded exttrainfaults run must survive the chaos profile
 // (crash, drops, corruption — the experiment asserts survivor
-// correctness itself) and export positive fault counters, and a re-run
+// correctness itself) and record positive fault counts and the crashed
+// worker's removal in its exp:exttrainfaults manifest, and a re-run
 // over the same -dag-dir must be served from its manifests.
 func TestRunChaosResumesFromDagDir(t *testing.T) {
 	dir := t.TempDir()
-	metricsPath := filepath.Join(dir, "metrics.prom")
 	opts := options{
 		id: "exttrainfaults", seed: 1, quick: true, faultsSeed: 7,
 		outPath:    filepath.Join(dir, "report.txt"),
-		metricsOut: metricsPath,
 		dagDir:     filepath.Join(dir, "run"),
+		dagOut:     filepath.Join(dir, "dag.json"),
 		dagWorkers: 2,
 	}
 	if err := run(opts); err != nil {
 		t.Fatal(err)
 	}
-	values := parsePromFile(t, metricsPath)
+	data, err := os.ReadFile(filepath.Join(opts.dagDir, "exp:exttrainfaults.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := manifest.Parse(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res struct{ Stats map[string]float64 }
+	if err := json.Unmarshal(m.Output, &res); err != nil {
+		t.Fatal(err)
+	}
 	for _, class := range []string{"crash", "drop", "corrupt"} {
-		series := `convmeter_faults_injected_total{class="` + class + `"}`
-		if values[series] < 1 {
-			t.Fatalf("%s = %g, want >= 1", series, values[series])
+		if got := res.Stats["faults_"+class]; got < 1 {
+			t.Fatalf("faults_%s = %g, want >= 1", class, got)
 		}
 	}
-	if values["convmeter_train_workers_removed_total"] < 1 {
-		t.Fatal("no worker removal recorded despite the scheduled crash")
+	if res.Stats["workers_live"] >= res.Stats["workers_start"] {
+		t.Fatalf("no worker removal recorded despite the scheduled crash: %g of %g live",
+			res.Stats["workers_live"], res.Stats["workers_start"])
+	}
+	first := readDagReport(t, opts.dagOut)
+	if first.Resumed != 0 || len(first.Nodes) != 2 {
+		t.Fatalf("first run: %+v, want 2 nodes run and none resumed", first)
 	}
 
 	// Re-run over the same directory: both nodes (the experiment and the
-	// report) are served from their manifests, so the trainer never runs
-	// and its counters stay dark.
-	first := opts.outPath
-	metrics2 := filepath.Join(dir, "metrics2.prom")
-	opts.metricsOut = metrics2
+	// report) are served from their manifests, so the trainer never runs.
+	firstReport := opts.outPath
 	opts.outPath = filepath.Join(dir, "report2.txt")
+	opts.traceOut = filepath.Join(dir, "trace2.json")
 	if err := run(opts); err != nil {
 		t.Fatal(err)
 	}
-	values2 := parsePromFile(t, metrics2)
-	if got := values2["convmeter_dag_resumed_total"]; got != 2 {
-		t.Fatalf("convmeter_dag_resumed_total = %g, want 2", got)
+	if rep := readDagReport(t, opts.dagOut); rep.Resumed != 2 {
+		t.Fatalf("resumed %d node(s), want 2", rep.Resumed)
 	}
-	if got := values2["convmeter_train_steps_total"]; got != 0 {
-		t.Fatalf("resumed run re-trained: %g steps", got)
+	trace, err := os.ReadFile(opts.traceOut)
+	if err != nil {
+		t.Fatal(err)
 	}
-	want, err := os.ReadFile(first)
+	if strings.Contains(string(trace), `"step `) {
+		t.Fatal("resumed run re-trained: its trace holds step spans")
+	}
+	want, err := os.ReadFile(firstReport)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,6 +164,37 @@ func TestRunChaosResumesFromDagDir(t *testing.T) {
 	}
 	if string(got) != string(want) {
 		t.Fatalf("resumed report differs from the first run:\n--- first ---\n%s\n--- resumed ---\n%s", want, got)
+	}
+}
+
+// readDagReport decodes a -dag-out file.
+func readDagReport(t *testing.T, path string) dagrun.Report {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep dagrun.Report
+	if err := json.Unmarshal(data, &rep); err != nil {
+		t.Fatalf("-dag-out invalid JSON: %v\n%s", err, data)
+	}
+	return rep
+}
+
+// TestMetricsOutRejected: every signal leaves a run through the trace
+// or the result records; -metrics-out, like -ops-addr before it, is an
+// unknown flag.
+func TestMetricsOutRejected(t *testing.T) {
+	for _, flagName := range []string{"-metrics-out", "-ops-addr"} {
+		var errOut strings.Builder
+		_, err := parseOptions([]string{"-run", "fig2", flagName, "x"}, &errOut)
+		if err == nil || !strings.Contains(errOut.String(), "flag provided but not defined: "+flagName) {
+			t.Fatalf("%s: err=%v stderr=%q, want an unknown-flag error", flagName, err, errOut.String())
+		}
+	}
+	opts, err := parseOptions([]string{"-run", "fig2", "-quick", "-trace-out", "t.json"}, io.Discard)
+	if err != nil || opts.id != "fig2" || !opts.quick || opts.traceOut != "t.json" || opts.dagWorkers != 2 {
+		t.Fatalf("parseOptions = %+v, %v", opts, err)
 	}
 }
 
@@ -273,38 +299,6 @@ func TestRunDagCrashResume(t *testing.T) {
 	if resumedDoc.Resumed != 1 {
 		t.Fatalf("resume reused %d node(s), want 1 (fit)", resumedDoc.Resumed)
 	}
-}
-
-// parsePromFile reads a Prometheus text file into series -> value.
-func parsePromFile(t *testing.T, path string) map[string]float64 {
-	t.Helper()
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	values := map[string]float64{}
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
-	for sc.Scan() {
-		line := sc.Text()
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		sp := strings.LastIndexByte(line, ' ')
-		if sp <= 0 {
-			t.Fatalf("malformed sample line %q", line)
-		}
-		v, err := strconv.ParseFloat(line[sp+1:], 64)
-		if err != nil {
-			t.Fatalf("bad value in %q: %v", line, err)
-		}
-		values[line[:sp]] = v
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	return values
 }
 
 // driftDoc mirrors the -drift-out JSON layout.

@@ -1,38 +1,32 @@
-// Command obscheck validates telemetry artefacts produced by the
-// --metrics-out/--trace-out/--drift-out flags: the metrics file must be
-// parseable Prometheus text exposition containing at least
-// one convmeter_ sample, the trace file must be a Chrome trace-event
-// JSON document with a traceEvents array, and the drift file must be a
-// well-formed drift-monitor snapshot (optionally asserting that drift
-// was, or was not, detected). It also validates critical-path
-// attribution reports (-critpath: schema, finite non-negative
-// durations, legal dominant phases, blame consistency — optionally
-// asserting that a specific worker was, or no worker was, blamed) and
-// durable DAG run directories written by experiments -dag-dir
-// (-manifest: every manifest parses and its content hash verifies, as
-// dagrun demands before a resume trusts it, and input hashes resolve
-// to committed manifests). The clean-run gates (-forbid-drift,
-// -forbid-blame) also require proof that something watched: an armed
-// drift stream, an analyzed step.
-// Trace validation additionally checks span-graph well-formedness when
-// events carry span args: unique ids, resolvable parents, non-negative
+// Command obscheck validates the artefacts a run writes at exit: the
+// Chrome trace of -trace-out (a traceEvents array; with span args, a
+// well-formed span graph: unique ids, resolvable parents, non-negative
 // durations, and no cross-worker time-travel through causal links
-// beyond the scheduling tolerance. CI's obs-smoke (metrics, trace),
-// chaos (metrics), drift-smoke (drift, critpath, trace) and dag-smoke
-// (manifest) targets run it against real artefacts so a formatting
-// regression fails the build rather than silently producing files
-// Grafana or Perfetto reject.
+// beyond the scheduling tolerance), the drift-monitor snapshot of
+// -drift-out (optionally asserting that drift was, or was not,
+// detected), the critical-path attribution report of -critpath-out
+// (schema, finite non-negative durations, legal dominant phases, blame
+// consistency — optionally asserting that a specific worker was, or no
+// worker was, blamed), and the durable DAG run directory of -dag-dir
+// (-manifest: every manifest parses and its content hash verifies, as
+// dagrun demands before a resume trusts it, and input hashes resolve to
+// committed manifests). With -require-faults the run directory must
+// also hold an exp:exttrainfaults manifest whose result counts an
+// injected fault. The clean-run gates (-forbid-drift, -forbid-blame)
+// also require proof that something watched: an armed drift stream, an
+// analyzed step. CI's obs-smoke (trace), chaos (manifest, faults),
+// drift-smoke (drift, critpath, trace) and dag-smoke (manifest) targets
+// run it against real artefacts so a formatting regression fails the
+// build rather than silently producing files Perfetto rejects.
 package main
 
 import (
-	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 
 	"convmeter/internal/dagrun/manifest"
@@ -40,23 +34,22 @@ import (
 )
 
 func main() {
-	metrics := flag.String("metrics", "", "Prometheus text metrics file to validate (from -metrics-out)")
 	trace := flag.String("trace", "", "Chrome trace-event JSON file to validate")
 	drift := flag.String("drift", "", "drift-monitor JSON snapshot to validate (from -drift-out)")
 	critpathPath := flag.String("critpath", "", "critical-path attribution report JSON to validate (from -critpath-out)")
 	manifestDir := flag.String("manifest", "", "DAG run directory to validate (from experiments -dag-dir): every manifest parses and its content hash verifies, and input hashes resolve to committed manifests")
-	requireFaults := flag.Bool("require-faults", false, "additionally require a convmeter_faults_injected_total sample with value > 0 (chaos-run validation)")
+	requireFaults := flag.Bool("require-faults", false, "additionally require the -manifest directory's exp:exttrainfaults result to count some faults_<class> > 0 (chaos-run validation)")
 	requireDrift := flag.Bool("require-drift", false, "additionally require at least one drift event and a drifting stream in the -drift snapshot (slowdown-run validation)")
 	forbidDrift := flag.Bool("forbid-drift", false, "additionally require zero drift events and at least one armed (state ok) stream in the -drift snapshot (clean-run validation)")
 	requireBlame := flag.Int("require-blame", -1, "additionally require at least one -critpath step blaming this worker (straggler-run validation); -1 disables")
 	forbidBlame := flag.Bool("forbid-blame", false, "additionally require zero blamed steps and at least one analyzed step in the -critpath report (clean-run validation)")
 	flag.Parse()
-	if *metrics == "" && *trace == "" && *drift == "" && *critpathPath == "" && *manifestDir == "" {
-		fmt.Fprintln(os.Stderr, "obscheck: nothing to check (pass -metrics, -trace, -drift, -critpath and/or -manifest)")
+	if *trace == "" && *drift == "" && *critpathPath == "" && *manifestDir == "" {
+		fmt.Fprintln(os.Stderr, "obscheck: nothing to check (pass -trace, -drift, -critpath and/or -manifest)")
 		os.Exit(2)
 	}
-	if *requireFaults && *metrics == "" {
-		fmt.Fprintln(os.Stderr, "obscheck: -require-faults needs -metrics")
+	if *requireFaults && *manifestDir == "" {
+		fmt.Fprintln(os.Stderr, "obscheck: -require-faults needs -manifest")
 		os.Exit(2)
 	}
 	if (*requireDrift || *forbidDrift) && *drift == "" {
@@ -74,13 +67,6 @@ func main() {
 	if *requireBlame >= 0 && *forbidBlame {
 		fmt.Fprintln(os.Stderr, "obscheck: -require-blame and -forbid-blame are mutually exclusive")
 		os.Exit(2)
-	}
-	if *metrics != "" {
-		if err := checkMetrics(*metrics, *requireFaults); err != nil {
-			fmt.Fprintln(os.Stderr, "obscheck:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("obscheck: %s ok\n", *metrics)
 	}
 	if *trace != "" {
 		if err := checkTrace(*trace); err != nil {
@@ -104,7 +90,11 @@ func main() {
 		fmt.Printf("obscheck: %s ok\n", *critpathPath)
 	}
 	if *manifestDir != "" {
-		if err := checkManifests(*manifestDir); err != nil {
+		err := checkManifests(*manifestDir)
+		if err == nil && *requireFaults {
+			err = checkFaults(*manifestDir)
+		}
+		if err != nil {
 			fmt.Fprintln(os.Stderr, "obscheck:", err)
 			os.Exit(1)
 		}
@@ -238,57 +228,33 @@ func checkCritpath(path string, requireBlame int, forbidBlame bool) error {
 	return nil
 }
 
-// faultsSeries is the counter family a chaos run must have populated.
-const faultsSeries = "convmeter_faults_injected_total"
+// faultsNode is the DAG node whose result counts the faults a chaos
+// run injected, one faults_<class> stat per class.
+const faultsNode = "exp:exttrainfaults"
 
-// checkMetrics validates the exposition format line by line and requires
-// at least one convmeter_-prefixed sample with a finite value. With
-// requireFaults it additionally demands a positive fault-injection
-// counter — the proof that a chaos run actually injected something.
-func checkMetrics(path string, requireFaults bool) error {
-	f, err := os.Open(path)
+// checkFaults requires a run directory (already checked by
+// checkManifests) to hold the faultsNode manifest with some
+// faults_<class> stat > 0 — the proof that a chaos run actually
+// injected something.
+func checkFaults(dir string) error {
+	data, err := os.ReadFile(filepath.Join(dir, faultsNode+".json"))
 	if err != nil {
-		return err
+		return fmt.Errorf("%s: no %s manifest: %v", dir, faultsNode, err)
 	}
-	defer f.Close()
-	samples, faults := 0, 0.0
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
-	line := 0
-	for sc.Scan() {
-		line++
-		text := sc.Text()
-		if text == "" || strings.HasPrefix(text, "#") {
-			continue
-		}
-		// A sample line is "<series> <value>"; the series may carry a
-		// {label="..."} body which itself contains no spaces the way the
-		// registry renders it.
-		sp := strings.LastIndexByte(text, ' ')
-		if sp <= 0 {
-			return fmt.Errorf("%s:%d: not a sample line: %q", path, line, text)
-		}
-		val, err := strconv.ParseFloat(text[sp+1:], 64)
-		if err != nil {
-			return fmt.Errorf("%s:%d: bad sample value: %v", path, line, err)
-		}
-		if strings.HasPrefix(text, "convmeter_") {
-			samples++
-		}
-		if strings.HasPrefix(text, faultsSeries) {
-			faults += val
+	m, err := manifest.Parse(data)
+	if err != nil {
+		return fmt.Errorf("%s: %v", dir, err)
+	}
+	var res struct{ Stats map[string]float64 }
+	if err := json.Unmarshal(m.Output, &res); err != nil {
+		return fmt.Errorf("%s: %s output: %v", dir, faultsNode, err)
+	}
+	for k, v := range res.Stats {
+		if strings.HasPrefix(k, "faults_") && v > 0 {
+			return nil
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return err
-	}
-	if samples == 0 {
-		return fmt.Errorf("%s: no convmeter_ samples", path)
-	}
-	if requireFaults && faults <= 0 {
-		return fmt.Errorf("%s: no positive %s sample (chaos run injected nothing?)", path, faultsSeries)
-	}
-	return nil
+	return fmt.Errorf("%s: %s counts no faults_<class> > 0 (chaos run injected nothing?)", dir, faultsNode)
 }
 
 // driftStates are the states a drift stream may legally report.

@@ -9,6 +9,7 @@ import (
 
 	"convmeter/internal/dagrun"
 	"convmeter/internal/dagrun/manifest"
+	"convmeter/internal/experiments"
 )
 
 // writeFixture drops a JSON artefact fixture and returns its path.
@@ -233,6 +234,43 @@ func TestCheckManifests(t *testing.T) {
 			t.Fatalf("cycle not rejected by the chain check: %v", err)
 		}
 	})
+}
+
+// chaosRunDir runs exttrainfaults -quick under the named fault profile
+// with a -dag-dir run directory, as `make chaos` does, and returns the
+// directory.
+func chaosRunDir(t *testing.T, profile string) string {
+	t.Helper()
+	dir := t.TempDir()
+	cfg := experiments.Config{Seed: 1, Quick: true, FaultsSeed: 7, FaultsProfile: profile}
+	if _, _, err := experiments.RunDAG([]string{"exttrainfaults"}, cfg, experiments.DagConfig{Dir: dir, Workers: 2}); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// TestCheckFaults: -require-faults passes a chaos run's directory and
+// fails closed on a directory whose exttrainfaults result counts no
+// fault (a -faults-profile none run) or that holds no exttrainfaults
+// manifest at all.
+func TestCheckFaults(t *testing.T) {
+	chaos := chaosRunDir(t, "chaos")
+	if err := checkManifests(chaos); err != nil {
+		t.Fatal(err)
+	}
+	if err := checkFaults(chaos); err != nil {
+		t.Fatalf("chaos run rejected: %v", err)
+	}
+	clean := chaosRunDir(t, "none")
+	if err := checkManifests(clean); err != nil {
+		t.Fatal(err)
+	}
+	if err := checkFaults(clean); err == nil || !strings.Contains(err.Error(), "injected nothing") {
+		t.Fatalf("a -faults-profile none run passed -require-faults: %v", err)
+	}
+	if err := checkFaults(realManifestDir(t)); err == nil || !strings.Contains(err.Error(), "no exp:exttrainfaults manifest") {
+		t.Fatalf("a run without exttrainfaults passed -require-faults: %v", err)
+	}
 }
 
 func TestCheckCritpath(t *testing.T) {

@@ -18,7 +18,7 @@ func newStepRing(t *testing.T, length int, opts Options) *chanRing {
 	for i := range v {
 		v[i] = float32(i)
 	}
-	r := newChanRing(v, 0, 2, make(chan chanMsg, 1), make(chan chanMsg, 1), opts, nil)
+	r := newChanRing(v, 0, 2, make(chan chanMsg, 1), make(chan chanMsg, 1), opts)
 	if r.timer != nil {
 		t.Cleanup(func() { r.timer.Stop() })
 	}
@@ -61,7 +61,7 @@ func TestRingStepZeroAllocs(t *testing.T) {
 		t.Errorf("fault-free chanRing.step allocates %.2f/op, want 0", n)
 	}
 
-	inj, err := faults.New(1, faults.Profile{Corrupt: 1, Workers: []int{99}}, nil)
+	inj, err := faults.New(1, faults.Profile{Corrupt: 1, Workers: []int{99}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,69 +29,6 @@ import (
 	"convmeter/internal/obs"
 )
 
-// ringTelemetry bundles the metric handles one all-reduce run shares
-// across its worker goroutines (counters and histograms are internally
-// atomic, so concurrent updates are safe). A nil *ringTelemetry — the
-// disabled path — makes every method a no-op.
-type ringTelemetry struct {
-	steps      *obs.Counter
-	stepH      *obs.Histogram
-	retries    *obs.Counter
-	crcFail    *obs.Counter
-	sent, recv *obs.Counter // tcp transport only
-}
-
-// newRingTelemetry resolves handles for the given transport ("chan" or
-// "tcp"); byte counters exist only for tcp, where real sockets move the
-// gradient chunks.
-func newRingTelemetry(o *obs.Obs, transport string) *ringTelemetry {
-	if o == nil {
-		return nil
-	}
-	rt := &ringTelemetry{
-		steps: o.Counter(obs.Label("convmeter_allreduce_steps_total", "transport", transport),
-			"ring all-reduce steps executed (per worker, reduce-scatter plus all-gather), by transport"),
-		stepH: o.Histogram(obs.Label("convmeter_allreduce_step_seconds", "transport", transport),
-			"ring step latency: one chunk sent, one received, reduced or stored", obs.DefaultDurationBuckets()),
-		retries: o.Counter(obs.Label("convmeter_allreduce_retries_total", "transport", transport),
-			"per-op retries after chunk timeouts or transient wiring failures, by transport"),
-		crcFail: o.Counter(obs.Label("convmeter_allreduce_crc_failures_total", "transport", transport),
-			"chunks rejected by CRC validation, by transport"),
-	}
-	if transport == "tcp" {
-		rt.sent = o.Counter(obs.Label("convmeter_allreduce_tcp_bytes_total", "dir", "sent"),
-			"framed gradient bytes written to ring sockets")
-		rt.recv = o.Counter(obs.Label("convmeter_allreduce_tcp_bytes_total", "dir", "recv"),
-			"framed gradient bytes read from ring sockets")
-	}
-	return rt
-}
-
-// step records one completed ring step.
-func (rt *ringTelemetry) step(elapsed time.Duration) {
-	if rt == nil {
-		return
-	}
-	rt.steps.Inc()
-	rt.stepH.Observe(elapsed.Seconds())
-}
-
-// retry records one per-op retry.
-func (rt *ringTelemetry) retry() {
-	if rt == nil {
-		return
-	}
-	rt.retries.Inc()
-}
-
-// crcFailure records one CRC-rejected chunk.
-func (rt *ringTelemetry) crcFailure() {
-	if rt == nil {
-		return
-	}
-	rt.crcFail.Inc()
-}
-
 // chunkBounds splits length n into p contiguous chunks; chunk i spans
 // [start, end). Chunks differ in size by at most one element, and may be
 // empty when n < p.
@@ -169,8 +106,8 @@ func Ring(vectors [][]float32) error {
 	return RingOpts(vectors, Options{})
 }
 
-// RingObs is Ring with telemetry: per-step counts and latencies land on
-// the bundle under transport="chan". A nil Obs is exactly Ring.
+// RingObs is Ring with telemetry: each worker's ar.send, ar.wait and
+// ar.recv spans land on the bundle's tracer. A nil Obs is exactly Ring.
 func RingObs(vectors [][]float32, o *obs.Obs) error {
 	return RingOpts(vectors, Options{Obs: o})
 }
@@ -187,7 +124,6 @@ func RingOpts(vectors [][]float32, opts Options) error {
 	if n == 1 {
 		return nil // nothing to reduce
 	}
-	rt := newRingTelemetry(opts.Obs, "chan")
 	// links[i] carries messages from worker i-1 to worker i (mod n).
 	links := make([]chan chanMsg, n)
 	for i := range links {
@@ -199,7 +135,7 @@ func RingOpts(vectors [][]float32, opts Options) error {
 		wg.Add(1)
 		go func(me int) {
 			defer wg.Done()
-			errs[me] = chanWorker(vectors, me, links, opts, rt)
+			errs[me] = chanWorker(vectors, me, links, opts)
 		}(w)
 	}
 	wg.Wait()
@@ -210,15 +146,14 @@ func RingOpts(vectors [][]float32, opts Options) error {
 // ring wiring, three rotating send buffers for runs with a fault
 // injector, and a reusable op timer. One step allocates nothing
 // (TestRingStepZeroAllocs) — with a fault injector, once the send
-// buffers are warm — so the step latencies the telemetry histograms
-// record measure communication, not the garbage collector.
+// buffers are warm — so the ar.* spans a traced run records measure
+// communication, not the garbage collector.
 type chanRing struct {
 	v          []float32
 	me, n      int
 	length     int
 	send, recv chan chanMsg
 	opts       Options
-	rt         *ringTelemetry
 	obs        *obs.Obs // worker-attributed handle, nil when telemetry is off
 	resilient  bool
 	timer      *time.Timer // armed per resilient op, nil on the fast path
@@ -229,10 +164,10 @@ type chanRing struct {
 
 // newChanRing builds one worker's ring state: v is its vector, send the
 // link to its successor and recv the link from its predecessor.
-func newChanRing(v []float32, me, n int, send, recv chan chanMsg, opts Options, rt *ringTelemetry) *chanRing {
+func newChanRing(v []float32, me, n int, send, recv chan chanMsg, opts Options) *chanRing {
 	r := &chanRing{
 		v: v, me: me, n: n, length: len(v), send: send, recv: recv,
-		opts: opts, rt: rt, resilient: opts.resilient(),
+		opts: opts, resilient: opts.resilient(),
 		// The worker-attributed handle is built once per run, outside the
 		// hot step loop; a nil Obs flows through as nil.
 		obs: opts.Obs.WithWorker(opts.workerID(me)),
@@ -252,9 +187,9 @@ func newChanRing(v []float32, me, n int, send, recv chan chanMsg, opts Options, 
 }
 
 // chanWorker runs one worker's 2·(n−1) ring steps over the channels.
-func chanWorker(vectors [][]float32, me int, links []chan chanMsg, opts Options, rt *ringTelemetry) *WorkerError {
+func chanWorker(vectors [][]float32, me int, links []chan chanMsg, opts Options) *WorkerError {
 	n := len(links)
-	r := newChanRing(vectors[me], me, n, links[(me+1)%n], links[me], opts, rt)
+	r := newChanRing(vectors[me], me, n, links[(me+1)%n], links[me], opts)
 	if r.timer != nil {
 		defer r.timer.Stop()
 	}
@@ -306,10 +241,6 @@ func (r *chanRing) burnBufs() {
 // step executes one ring step: send one chunk to the successor, receive
 // one from the predecessor, and reduce or store it.
 func (r *chanRing) step(opIdx uint64, sendChunk, recvChunk int, reduce bool) *WorkerError {
-	var t0 time.Time
-	if r.rt != nil {
-		t0 = time.Now()
-	}
 	a, b := chunkBounds(r.length, r.n, sendChunk)
 	// Without a fault injector the message is a view of this worker's own
 	// chunk, not a copy. At step t a worker sends chunk me−t and writes
@@ -382,7 +313,6 @@ func (r *chanRing) step(opIdx uint64, sendChunk, recvChunk int, reduce bool) *Wo
 	}
 	rsp := r.obs.Start("ar.recv")
 	if in.hasCRC && crcFloats(in.data, r.crcBuf) != in.crc {
-		r.rt.crcFailure()
 		rsp.End()
 		return &WorkerError{Worker: pred, Primary: true, Err: fmt.Errorf("chunk CRC mismatch at step %d", opIdx)}
 	}
@@ -400,9 +330,6 @@ func (r *chanRing) step(opIdx uint64, sendChunk, recvChunk int, reduce bool) *Wo
 		copy(r.v[a:b], in.data)
 	}
 	rsp.End()
-	if r.rt != nil {
-		r.rt.step(time.Since(t0))
-	}
 	return nil
 }
 
@@ -441,7 +368,6 @@ func (r *chanRing) sendResilient(msg chanMsg, self, succ int) *WorkerError {
 				return &WorkerError{Worker: succ,
 					Err: fmt.Errorf("send timed out after %d attempts", attempts)}
 			}
-			r.rt.retry()
 		}
 	}
 }
@@ -465,7 +391,6 @@ func (r *chanRing) recvResilient(self, pred int) (chanMsg, *WorkerError) {
 				return chanMsg{}, &WorkerError{Worker: pred,
 					Err: fmt.Errorf("receive timed out after %d attempts", attempts)}
 			}
-			r.rt.retry()
 		}
 	}
 }

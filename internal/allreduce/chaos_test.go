@@ -25,7 +25,7 @@ func chaosOptions(inj *faults.Injector) Options {
 // newInjector builds an injector or fails the test.
 func newInjector(t *testing.T, seed int64, prof faults.Profile) *faults.Injector {
 	t.Helper()
-	inj, err := faults.New(seed, prof, nil)
+	inj, err := faults.New(seed, prof)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestReadChunkRetryResumesPartialFrame(t *testing.T) {
 		OpTimeout: 50 * time.Millisecond,
 		Retry:     RetryPolicy{Attempts: 3, Backoff: time.Millisecond, Max: time.Millisecond},
 	}
-	got, _, err := readChunkRetry(server, len(frame), opts, nil, nil, true)
+	got, _, err := readChunkRetry(server, len(frame), opts, true)
 	if err != nil {
 		t.Fatalf("resumed read failed: %v", err)
 	}
@@ -254,7 +254,7 @@ func TestReadChunkRetryBudgetExhausted(t *testing.T) {
 		Retry:     RetryPolicy{Attempts: 2, Backoff: time.Millisecond, Max: time.Millisecond},
 	}
 	start := time.Now()
-	_, _, err := readChunkRetry(server, 3, opts, nil, nil, true)
+	_, _, err := readChunkRetry(server, 3, opts, true)
 	if err == nil {
 		t.Fatal("read succeeded despite an exhausted retry budget")
 	}
@@ -295,7 +295,7 @@ func tcpPair(t *testing.T) (client, server net.Conn) {
 // frameBytes renders one wire frame the way writeChunk does.
 func frameBytes(data []float32) []byte {
 	var sink frameSink
-	if err := writeChunk(&sink, data, obs.SpanContext{}, nil); err != nil {
+	if err := writeChunk(&sink, data, obs.SpanContext{}); err != nil {
 		panic(err)
 	}
 	return sink.buf

@@ -77,7 +77,7 @@ type Options struct {
 	Retry RetryPolicy
 	// Faults injects deterministic faults into the transport.
 	Faults *faults.Injector
-	// Obs receives step/byte/retry/CRC telemetry.
+	// Obs receives each worker's ar.send, ar.wait and ar.recv spans.
 	Obs *obs.Obs
 	// WorkerIDs maps ring positions to external worker ids for fault
 	// sites and error attribution; nil means identity.

@@ -43,7 +43,6 @@ func RingTCPOpts(vectors [][]float32, opts Options) error {
 	if n == 1 {
 		return nil
 	}
-	rt := newRingTelemetry(opts.Obs, "tcp")
 	resilient := opts.resilient()
 	// One loopback listener per worker.
 	listeners := make([]net.Listener, n)
@@ -79,7 +78,7 @@ func RingTCPOpts(vectors [][]float32, opts Options) error {
 		}(i)
 		go func(i int) {
 			defer wg.Done()
-			c, err := dialRetry(listeners[(i+1)%n].Addr().String(), opts, rt, uint64(i))
+			c, err := dialRetry(listeners[(i+1)%n].Addr().String(), opts, uint64(i))
 			if err != nil {
 				errs[n+i] = err
 				return
@@ -122,7 +121,7 @@ func RingTCPOpts(vectors [][]float32, opts Options) error {
 		wg.Add(1)
 		go func(me int) {
 			defer wg.Done()
-			workerErrs[me] = tcpWorker(me, vectors[me], n, length, outConns[me], inConns[me], opts, rt, resilient)
+			workerErrs[me] = tcpWorker(me, vectors[me], n, length, outConns[me], inConns[me], opts, resilient)
 		}(w)
 	}
 	wg.Wait()
@@ -130,7 +129,7 @@ func RingTCPOpts(vectors [][]float32, opts Options) error {
 }
 
 // tcpWorker runs one worker's 2·(n−1) ring steps over its socket pair.
-func tcpWorker(me int, v []float32, n, length int, send, recv net.Conn, opts Options, rt *ringTelemetry, resilient bool) *WorkerError {
+func tcpWorker(me int, v []float32, n, length int, send, recv net.Conn, opts Options, resilient bool) *WorkerError {
 	self, succ := opts.workerID(me), opts.workerID((me+1)%n)
 	pred := opts.workerID((me - 1 + n) % n)
 	// The largest chunk the ring partition can produce — the bound that
@@ -140,10 +139,6 @@ func tcpWorker(me int, v []float32, n, length int, send, recv net.Conn, opts Opt
 	fcIn, _ := recv.(*faults.Conn)
 	wObs := opts.Obs.WithWorker(self)
 	step := func(opIdx uint64, sendChunk, recvChunk int, reduce bool) *WorkerError {
-		var t0 time.Time
-		if rt != nil {
-			t0 = time.Now()
-		}
 		a, b := chunkBounds(length, n, sendChunk)
 		if resilient {
 			_ = send.SetWriteDeadline(time.Now().Add(opts.opTimeout()))
@@ -152,7 +147,7 @@ func tcpWorker(me int, v []float32, n, length int, send, recv net.Conn, opts Opt
 			fcOut.SetWriteSeq(opts.SeqBase + opIdx)
 		}
 		ssp := wObs.Start("ar.send")
-		err := writeChunk(send, v[a:b], ssp.Context(), sentBytes(rt))
+		err := writeChunk(send, v[a:b], ssp.Context())
 		ssp.End()
 		if err != nil {
 			if isTimeout(err) {
@@ -166,13 +161,12 @@ func tcpWorker(me int, v []float32, n, length int, send, recv net.Conn, opts Opt
 			fcIn.SetReadSeq(opts.SeqBase + opIdx)
 		}
 		wsp := wObs.Start("ar.wait")
-		in, inCtx, err := readChunkRetry(recv, maxChunk, opts, rt, recvBytes(rt), resilient)
+		in, inCtx, err := readChunkRetry(recv, maxChunk, opts, resilient)
 		wsp.LinkTo(inCtx)
 		wsp.End()
 		if err != nil {
 			switch {
 			case errors.Is(err, errCRC):
-				rt.crcFailure()
 				return &WorkerError{Worker: pred, Primary: true, Err: err}
 			case isTimeout(err):
 				return &WorkerError{Worker: pred, Err: fmt.Errorf("chunk read timed out: %w", err)}
@@ -194,9 +188,6 @@ func tcpWorker(me int, v []float32, n, length int, send, recv net.Conn, opts Opt
 			copy(v[a:b], in)
 		}
 		rsp.End()
-		if rt != nil {
-			rt.step(time.Since(t0))
-		}
 		return nil
 	}
 	for s := 0; s < n-1; s++ {
@@ -214,7 +205,7 @@ func tcpWorker(me int, v []float32, n, length int, send, recv net.Conn, opts Opt
 
 // dialRetry dials the ring successor, retrying transient failures with
 // exponential backoff + jitter when resilience is enabled.
-func dialRetry(addr string, opts Options, rt *ringTelemetry, salt uint64) (net.Conn, error) {
+func dialRetry(addr string, opts Options, salt uint64) (net.Conn, error) {
 	if !opts.resilient() {
 		return net.Dial("tcp", addr)
 	}
@@ -228,7 +219,6 @@ func dialRetry(addr string, opts Options, rt *ringTelemetry, salt uint64) (net.C
 		if attempt >= attempts || opts.ctx().Err() != nil {
 			return nil, err
 		}
-		rt.retry()
 		// The backoff pause must honour cancellation: a plain Sleep keeps
 		// a cancelled run wired up for the full backoff schedule.
 		t := time.NewTimer(opts.Retry.backoff(attempt, salt))
@@ -253,22 +243,6 @@ func isTimeout(err error) bool {
 // errCRC marks a chunk whose payload failed CRC validation.
 var errCRC = errors.New("allreduce: chunk CRC mismatch")
 
-// sentBytes/recvBytes pull the direction counters off a possibly nil
-// telemetry bundle; a nil *obs.Counter is itself a no-op.
-func sentBytes(rt *ringTelemetry) *obs.Counter {
-	if rt == nil {
-		return nil
-	}
-	return rt.sent
-}
-
-func recvBytes(rt *ringTelemetry) *obs.Counter {
-	if rt == nil {
-		return nil
-	}
-	return rt.recv
-}
-
 // frameHeaderLen is the fixed frame prologue: a u32 element count
 // followed by the sender's span context (trace id, span id — two i64s).
 // A disabled tracer sends zeros; the header sits outside the payload
@@ -278,9 +252,8 @@ const frameHeaderLen = 4 + 8 + 8
 // writeChunk frames a float32 slice as one length-prefixed message —
 // element count, span context, payload, trailing CRC-32 of the payload —
 // written in a single Write so fault injection and deadlines see one
-// wire operation per chunk. The whole frame is credited to the byte
-// counter.
-func writeChunk(w io.Writer, data []float32, ctx obs.SpanContext, sent *obs.Counter) error {
+// wire operation per chunk.
+func writeChunk(w io.Writer, data []float32, ctx obs.SpanContext) error {
 	buf := make([]byte, frameHeaderLen+4*len(data)+4)
 	binary.LittleEndian.PutUint32(buf, uint32(len(data)))
 	binary.LittleEndian.PutUint64(buf[4:], uint64(ctx.Trace))
@@ -291,17 +264,14 @@ func writeChunk(w io.Writer, data []float32, ctx obs.SpanContext, sent *obs.Coun
 	payload := buf[frameHeaderLen : frameHeaderLen+4*len(data)]
 	binary.LittleEndian.PutUint32(buf[frameHeaderLen+4*len(data):], crc32.ChecksumIEEE(payload))
 	_, err := w.Write(buf)
-	if err == nil {
-		sent.Add(float64(len(buf)))
-	}
 	return err
 }
 
 // readChunk reads one framed message, validating the length prefix
 // against maxElems before allocating (a corrupted or malicious peer must
 // not be able to OOM the process) and the payload against its CRC.
-func readChunk(r io.Reader, maxElems int, recv *obs.Counter) ([]float32, error) {
-	data, _, err := readChunkRetry(r, maxElems, Options{}, nil, recv, false)
+func readChunk(r io.Reader, maxElems int) ([]float32, error) {
+	data, _, err := readChunkRetry(r, maxElems, Options{}, false)
 	return data, err
 }
 
@@ -309,7 +279,7 @@ func readChunk(r io.Reader, maxElems int, recv *obs.Counter) ([]float32, error) 
 // each wait for bytes runs under opts.OpTimeout, and a timed-out read
 // resumes where it left off (partial frames are completed, not
 // restarted) up to the retry budget.
-func readChunkRetry(r io.Reader, maxElems int, opts Options, rt *ringTelemetry, recv *obs.Counter, resilient bool) ([]float32, obs.SpanContext, error) {
+func readChunkRetry(r io.Reader, maxElems int, opts Options, resilient bool) ([]float32, obs.SpanContext, error) {
 	attempts := 1
 	if resilient {
 		attempts = opts.Retry.attempts()
@@ -329,7 +299,6 @@ func readChunkRetry(r io.Reader, maxElems int, opts Options, rt *ringTelemetry, 
 				}
 				if isTimeout(err) && attempt < attempts {
 					attempt++
-					rt.retry()
 					continue
 				}
 				if err == io.EOF && off > 0 {
@@ -364,6 +333,5 @@ func readChunkRetry(r io.Reader, maxElems int, opts Options, rt *ringTelemetry, 
 	for i := range out {
 		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(payload[4*i:]))
 	}
-	recv.Add(float64(len(header) + len(body)))
 	return out, ctx, nil
 }

@@ -33,7 +33,7 @@ func TestInferencePointZeroAllocs(t *testing.T) {
 	point := func() {
 		out = out[:0]
 		var kept bool
-		if out, kept = inferencePoint(sim, bm, "resnet18", 64, 8, out, nil); !kept {
+		if out, kept = inferencePoint(sim, bm, "resnet18", 64, 8, out); !kept {
 			t.Fatal("resnet18@64 b8 must fit an A100")
 		}
 	}

@@ -94,8 +94,8 @@ type InferenceScenario struct {
 	Batches    []int
 	NoiseSigma float64
 	Seed       int64
-	// Obs, when non-nil, receives sweep telemetry: point/task counters,
-	// task-latency histograms, and one span per (model, image) task.
+	// Obs, when non-nil, receives one "bench:<model>@<image>" span per
+	// (model, image) task.
 	Obs *obs.Obs
 }
 
@@ -113,16 +113,15 @@ func DefaultInferenceScenario(dev hwsim.Device, seed int64) InferenceScenario {
 }
 
 // inferencePoint measures one (model, image, batch) sweep point and
-// appends the sample to out, or counts a skip when the model does not
-// fit device memory. It is the per-point inner loop of CollectInference
+// appends the sample to out; it reports false, appending nothing, when
+// the model does not fit device memory. It is the per-point inner loop of CollectInference
 // and allocation-free (TestInferencePointZeroAllocs): the fit check, the
 // forward prediction and the sample construction allocate nothing — the
 // caller preallocates out to the full batch-sweep length, so append
 // never grows it.
 func inferencePoint(sim *hwsim.Simulator, bm builtModel, model string, img, batch int,
-	out []core.Sample, skippedC *obs.Counter) ([]core.Sample, bool) {
+	out []core.Sample) ([]core.Sample, bool) {
 	if !sim.Fits(bm.g, batch, false) {
-		skippedC.Inc()
 		return out, false // paper rule: sweep only while memory allows
 	}
 	return append(out, core.Sample{
@@ -157,9 +156,8 @@ func CollectInference(sc InferenceScenario) ([]core.Sample, error) {
 			}
 		}
 	}
-	pointsC, skippedC := sweepCounters(sc.Obs, "inference")
 	results := make([][]core.Sample, len(tasks))
-	err = runParallelObs(len(tasks), sc.Obs, "inference", func(i int) error {
+	err = RunParallel(len(tasks), func(i int) error {
 		t := tasks[i]
 		sp := sc.Obs.Start("bench:" + t.model + "@" + strconv.Itoa(t.img))
 		defer sp.End()
@@ -168,9 +166,8 @@ func CollectInference(sc InferenceScenario) ([]core.Sample, error) {
 			deriveSeed(sc.Seed, "inference", t.model, strconv.Itoa(t.img)))
 		out := make([]core.Sample, 0, len(sc.Batches))
 		for _, batch := range sc.Batches {
-			out, _ = inferencePoint(sim, bm, t.model, t.img, batch, out, skippedC)
+			out, _ = inferencePoint(sim, bm, t.model, t.img, batch, out)
 		}
-		pointsC.Add(float64(len(out)))
 		results[i] = out
 		return nil
 	})
@@ -197,21 +194,9 @@ type TrainingScenario struct {
 	NoiseSigma     float64
 	CommNoiseSigma float64
 	Seed           int64
-	// Obs, when non-nil, receives sweep telemetry (see InferenceScenario).
+	// Obs, when non-nil, receives one "bench:<model>@<image>" span per
+	// (model, image) task.
 	Obs *obs.Obs
-}
-
-// sweepCounters returns the per-scenario point and memory-skip counters
-// shared by the three collectors. Nil counters (disabled telemetry) are
-// no-ops at the call sites.
-func sweepCounters(o *obs.Obs, scenario string) (points, skipped *obs.Counter) {
-	if o == nil {
-		return nil, nil
-	}
-	return o.Counter(obs.Label("convmeter_bench_points_total", "scenario", scenario),
-			"benchmark samples collected, by scenario kind"),
-		o.Counter(obs.Label("convmeter_bench_skipped_total", "scenario", scenario),
-			"sweep combinations skipped because the model does not fit device memory")
 }
 
 // DefaultSingleGPUScenario is the paper's single-A100 training campaign.
@@ -276,9 +261,8 @@ func CollectTraining(sc TrainingScenario) ([]core.Sample, error) {
 			}
 		}
 	}
-	pointsC, skippedC := sweepCounters(sc.Obs, "training")
 	results := make([][]core.Sample, len(tasks))
-	err = runParallelObs(len(tasks), sc.Obs, "training", func(i int) error {
+	err = RunParallel(len(tasks), func(i int) error {
 		t := tasks[i]
 		sp := sc.Obs.Start("bench:" + t.model + "@" + strconv.Itoa(t.img))
 		defer sp.End()
@@ -294,7 +278,6 @@ func CollectTraining(sc TrainingScenario) ([]core.Sample, error) {
 		var out []core.Sample
 		for _, batch := range sc.Batches {
 			if !sim.Fits(bm.g, batch) {
-				skippedC.Inc()
 				continue
 			}
 			for _, topo := range sc.Topologies {
@@ -311,7 +294,6 @@ func CollectTraining(sc TrainingScenario) ([]core.Sample, error) {
 				})
 			}
 		}
-		pointsC.Add(float64(len(out)))
 		results[i] = out
 		return nil
 	})
@@ -333,7 +315,7 @@ type BlockScenario struct {
 	Batches    []int
 	NoiseSigma float64
 	Seed       int64
-	// Obs, when non-nil, receives sweep telemetry (see InferenceScenario).
+	// Obs, when non-nil, receives one "bench:<block>" span per block.
 	Obs *obs.Obs
 }
 
@@ -360,9 +342,8 @@ func CollectBlocks(sc BlockScenario) ([]core.Sample, error) {
 			return nil, err
 		}
 	}
-	pointsC, skippedC := sweepCounters(sc.Obs, "blocks")
 	results := make([][]core.Sample, len(sc.Blocks))
-	err := runParallelObs(len(sc.Blocks), sc.Obs, "blocks", func(i int) error {
+	err := RunParallel(len(sc.Blocks), func(i int) error {
 		name := sc.Blocks[i]
 		sp := sc.Obs.Start("bench:" + name)
 		defer sp.End()
@@ -388,7 +369,6 @@ func CollectBlocks(sc BlockScenario) ([]core.Sample, error) {
 			}
 			for _, batch := range sc.Batches {
 				if !sim.Fits(g, batch, false) {
-					skippedC.Inc()
 					continue
 				}
 				out = append(out, core.Sample{
@@ -398,7 +378,6 @@ func CollectBlocks(sc BlockScenario) ([]core.Sample, error) {
 				})
 			}
 		}
-		pointsC.Add(float64(len(out)))
 		results[i] = out
 		return nil
 	})

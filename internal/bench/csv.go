@@ -6,11 +6,9 @@ import (
 	"io"
 	"math"
 	"strconv"
-	"time"
 
 	"convmeter/internal/core"
 	"convmeter/internal/metrics"
-	"convmeter/internal/obs"
 )
 
 // csvHeader is the dataset column layout.
@@ -20,35 +18,9 @@ var csvHeader = []string{
 	"fwd_s", "bwd_s", "grad_s",
 }
 
-// csvTelemetry records one CSV operation — row count and duration — on
-// the bundle's registry. A nil Obs records nothing.
-func csvTelemetry(o *obs.Obs, op string, rows int, elapsed time.Duration) {
-	if o == nil {
-		return
-	}
-	o.Counter(obs.Label("convmeter_bench_csv_rows_total", "op", op),
-		"dataset rows moved through CSV serialisation, by direction").Add(float64(rows))
-	o.Histogram(obs.Label("convmeter_bench_csv_seconds", "op", op),
-		"CSV read/write latency", obs.DefaultDurationBuckets()).Observe(elapsed.Seconds())
-}
-
 // WriteCSV serialises samples (with their metrics) so datasets can be
 // stored and refitted without re-running the simulators.
 func WriteCSV(w io.Writer, samples []core.Sample) error {
-	return WriteCSVObs(w, samples, nil)
-}
-
-// WriteCSVObs is WriteCSV with I/O telemetry on the bundle.
-func WriteCSVObs(w io.Writer, samples []core.Sample, o *obs.Obs) error {
-	t0 := time.Now()
-	err := writeCSV(w, samples)
-	if err == nil {
-		csvTelemetry(o, "write", len(samples), time.Since(t0))
-	}
-	return err
-}
-
-func writeCSV(w io.Writer, samples []core.Sample) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write(csvHeader); err != nil {
 		return err
@@ -74,20 +46,6 @@ func writeCSV(w io.Writer, samples []core.Sample) error {
 
 // ReadCSV parses a dataset written by WriteCSV.
 func ReadCSV(r io.Reader) ([]core.Sample, error) {
-	return ReadCSVObs(r, nil)
-}
-
-// ReadCSVObs is ReadCSV with I/O telemetry on the bundle.
-func ReadCSVObs(r io.Reader, o *obs.Obs) ([]core.Sample, error) {
-	t0 := time.Now()
-	out, err := readCSV(r)
-	if err == nil {
-		csvTelemetry(o, "read", len(out), time.Since(t0))
-	}
-	return out, err
-}
-
-func readCSV(r io.Reader) ([]core.Sample, error) {
 	cr := csv.NewReader(r)
 	rows, err := cr.ReadAll()
 	if err != nil {

@@ -7,7 +7,6 @@ import (
 
 	"convmeter/internal/core"
 	"convmeter/internal/metrics"
-	"convmeter/internal/obs"
 )
 
 // TestCSVRoundTripExact pins bit-exact field-for-field round-tripping
@@ -53,49 +52,5 @@ func TestCSVRoundTripExact(t *testing.T) {
 		if back[i] != samples[i] {
 			t.Errorf("row %d changed:\n  got %+v\n want %+v", i, back[i], samples[i])
 		}
-	}
-}
-
-// TestCSVObsTelemetry verifies the instrumented CSV paths count rows and
-// record latency on the registry, and that failures record nothing.
-func TestCSVObsTelemetry(t *testing.T) {
-	samples := []core.Sample{
-		{
-			Model: "m",
-			Met:   metrics.Metrics{Model: "m", FLOPs: 1, Inputs: 1, Outputs: 1, Weights: 1, Layers: 1},
-			Image: 8, BatchPerDevice: 1, Devices: 1, Nodes: 1,
-			Fwd: 0.001, Bwd: 0.002, Grad: 0.0005,
-		},
-		{
-			Model: "m2",
-			Met:   metrics.Metrics{Model: "m2", FLOPs: 2, Inputs: 2, Outputs: 2, Weights: 2, Layers: 2},
-			Image: 16, BatchPerDevice: 2, Devices: 2, Nodes: 1,
-			Fwd: 0.003, Bwd: 0.004, Grad: 0.001,
-		},
-	}
-	o := obs.New()
-	var buf bytes.Buffer
-	if err := WriteCSVObs(&buf, samples, o); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadCSVObs(&buf, o); err != nil {
-		t.Fatal(err)
-	}
-	wrote := o.Counter(obs.Label("convmeter_bench_csv_rows_total", "op", "write"), "").Value()
-	read := o.Counter(obs.Label("convmeter_bench_csv_rows_total", "op", "read"), "").Value()
-	if wrote != 2 || read != 2 {
-		t.Fatalf("csv row counters write=%g read=%g, want 2 and 2", wrote, read)
-	}
-	writeH := o.Histogram(obs.Label("convmeter_bench_csv_seconds", "op", "write"), "", obs.DefaultDurationBuckets())
-	if writeH.Count() != 1 {
-		t.Fatalf("csv write latency observations %d, want 1", writeH.Count())
-	}
-
-	// A failed read must not credit the counters.
-	if _, err := ReadCSVObs(bytes.NewReader([]byte("bad,header\n")), o); err == nil {
-		t.Fatal("expected read error")
-	}
-	if got := o.Counter(obs.Label("convmeter_bench_csv_rows_total", "op", "read"), "").Value(); got != 2 {
-		t.Fatalf("failed read moved the counter to %g", got)
 	}
 }

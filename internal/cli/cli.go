@@ -340,9 +340,8 @@ func deviceByName(name string) (hwsim.Device, error) {
 	}
 }
 
-// loadSamples reads a CSV dataset or collects a simulated sweep. The
-// telemetry bundle (nil when disabled) times the CSV read.
-func loadSamples(dataPath string, o *obs.Obs, collect func() ([]core.Sample, error)) ([]core.Sample, error) {
+// loadSamples reads a CSV dataset or collects a simulated sweep.
+func loadSamples(dataPath string, collect func() ([]core.Sample, error)) ([]core.Sample, error) {
 	if dataPath == "" {
 		return collect()
 	}
@@ -351,7 +350,7 @@ func loadSamples(dataPath string, o *obs.Obs, collect func() ([]core.Sample, err
 		return nil, err
 	}
 	defer f.Close()
-	return bench.ReadCSVObs(f, o)
+	return bench.ReadCSV(f)
 }
 
 func runFit(args []string, env Env) error {
@@ -370,7 +369,7 @@ func runFit(args []string, env Env) error {
 	var payload any
 	switch *kind {
 	case "inference":
-		samples, err := loadSamples(*data, o, func() ([]core.Sample, error) {
+		samples, err := loadSamples(*data, func() ([]core.Sample, error) {
 			dev, err := deviceByName(*device)
 			if err != nil {
 				return nil, err
@@ -396,7 +395,7 @@ func runFit(args []string, env Env) error {
 		}
 		payload = m
 	case "train-single", "train-multi":
-		samples, err := loadSamples(*data, o, func() ([]core.Sample, error) {
+		samples, err := loadSamples(*data, func() ([]core.Sample, error) {
 			sc := bench.DefaultSingleGPUScenario(*seed)
 			if *kind == "train-multi" {
 				sc = bench.DefaultDistributedScenario(*seed)
@@ -446,7 +445,7 @@ func loadInferenceModel(coeffPath, dataPath, device string, seed int64, o *obs.O
 		}
 		return &m, nil
 	}
-	samples, err := loadSamples(dataPath, o, func() ([]core.Sample, error) {
+	samples, err := loadSamples(dataPath, func() ([]core.Sample, error) {
 		dev, err := deviceByName(device)
 		if err != nil {
 			return nil, err
@@ -474,7 +473,7 @@ func loadTrainingModel(coeffPath, dataPath string, multi bool, seed int64) (*cor
 		}
 		return &m, nil
 	}
-	samples, err := loadSamples(dataPath, nil, func() ([]core.Sample, error) {
+	samples, err := loadSamples(dataPath, func() ([]core.Sample, error) {
 		if multi {
 			return bench.CollectTraining(bench.DefaultDistributedScenario(seed))
 		}

@@ -1,56 +1,78 @@
 package cli
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"testing"
 )
 
-// TestFitMetricsHaveNoDrift: a fit run with -metrics-out exports the
-// dataset read and no drift series. The drift monitor checks only the
-// chaos trainer's recorded step times; a fit's in-sample accuracy is
-// what -stats and the offline LOMO reports are for.
-func TestFitMetricsHaveNoDrift(t *testing.T) {
+// TestFitTraceOut: -trace-out writes the run's Chrome trace, creating
+// missing parent directories. A simulated fit records one
+// bench:<model>@<image> span per sweep task; a fit from -data sweeps
+// nothing, so its trace holds no bench span.
+func TestFitTraceOut(t *testing.T) {
 	dir := t.TempDir()
-	for _, kind := range []string{"inference", "train-multi"} {
-		data := writeSmallDataset(t, kind != "inference")
-		metricsPath := filepath.Join(dir, kind+".prom")
-		code, _, errOut := run(t, "fit", "-kind", kind, "-data", data,
-			"-out", filepath.Join(dir, kind+".json"), "-metrics-out", metricsPath)
-		if code != 0 {
-			t.Fatalf("%s fit failed: %s", kind, errOut)
+	data := writeSmallDataset(t, false)
+	for _, tc := range []struct {
+		name  string
+		args  []string
+		bench bool
+	}{
+		{"simulated", nil, true},
+		{"data", []string{"-data", data}, false},
+	} {
+		tracePath := filepath.Join(dir, tc.name, "trace.json")
+		args := append([]string{"fit", "-kind", "inference", "-out", filepath.Join(dir, tc.name+".json"),
+			"-trace-out", tracePath}, tc.args...)
+		if code, _, errOut := run(t, args...); code != 0 {
+			t.Fatalf("%s fit failed: %s", tc.name, errOut)
 		}
-		raw, err := os.ReadFile(metricsPath)
+		raw, err := os.ReadFile(tracePath)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var rowsRead float64
-		for _, line := range strings.Split(string(raw), "\n") {
-			if strings.HasPrefix(line, "convmeter_drift_") {
-				t.Errorf("%s fit exported a drift series: %s", kind, line)
-			}
-			if v, ok := strings.CutPrefix(line, `convmeter_bench_csv_rows_total{op="read"} `); ok {
-				if rowsRead, err = strconv.ParseFloat(v, 64); err != nil {
-					t.Fatalf("%s fit: bad CSV row count %q", kind, v)
-				}
+		var doc struct {
+			TraceEvents []struct {
+				Name string `json:"name"`
+			} `json:"traceEvents"`
+		}
+		if err := json.Unmarshal(raw, &doc); err != nil {
+			t.Fatalf("%s fit: trace does not parse: %v", tc.name, err)
+		}
+		bench := 0
+		for _, e := range doc.TraceEvents {
+			if strings.HasPrefix(e.Name, "bench:") {
+				bench++
 			}
 		}
-		if rowsRead <= 0 {
-			t.Errorf("%s fit exported no dataset read: convmeter_bench_csv_rows_total{op=\"read\"} = %g", kind, rowsRead)
+		if (bench > 0) != tc.bench {
+			t.Fatalf("%s fit: %d bench spans, want some: %t", tc.name, bench, tc.bench)
+		}
+	}
+}
+
+// rejectsFlag checks that fit, predict and dissect fail on name as an
+// unknown flag, before any work runs.
+func rejectsFlag(t *testing.T, name, value string) {
+	t.Helper()
+	for _, cmd := range []string{"fit", "predict", "dissect"} {
+		code, out, errOut := run(t, cmd, name, value)
+		if code != 1 || out != "" || !strings.Contains(errOut, "flag provided but not defined: "+name) {
+			t.Fatalf("%s %s: code=%d out=%q err=%q, want an unknown-flag error", cmd, name, code, out, errOut)
 		}
 	}
 }
 
 // TestOpsAddrRejected: the commands that take the telemetry flags
-// write their signals to files only; -ops-addr is an unknown flag, and
-// the command fails before any work runs.
+// write their signals to files only; -ops-addr is an unknown flag.
 func TestOpsAddrRejected(t *testing.T) {
-	for _, cmd := range []string{"fit", "predict", "dissect"} {
-		code, out, errOut := run(t, cmd, "-ops-addr", "localhost:0")
-		if code != 1 || out != "" || !strings.Contains(errOut, "flag provided but not defined: -ops-addr") {
-			t.Fatalf("%s -ops-addr: code=%d out=%q err=%q, want an unknown-flag error", cmd, code, out, errOut)
-		}
-	}
+	rejectsFlag(t, "-ops-addr", "localhost:0")
+}
+
+// TestMetricsOutRejected: a run's numbers come from its trace and its
+// result records; -metrics-out is an unknown flag.
+func TestMetricsOutRejected(t *testing.T) {
+	rejectsFlag(t, "-metrics-out", filepath.Join(t.TempDir(), "m.prom"))
 }

@@ -91,9 +91,9 @@ type Config struct {
 	// Workers bounds the pool executing independent nodes in parallel;
 	// <= 0 means 2.
 	Workers int
-	// Obs receives the resume and fail-close counters and per-node
-	// "dag:<id>" spans; each node's state and seconds are in the Report.
-	// Nil disables telemetry.
+	// Obs receives per-node "dag:<id>" spans; each node's state,
+	// seconds and fail-close reason are in the Report. Nil disables
+	// telemetry.
 	Obs *obs.Obs
 	// Faults supplies the node-crash schedule (Profile.NodeCrashes). Nil
 	// injects nothing.
@@ -119,6 +119,7 @@ type node struct {
 	manifestHash string
 	blame        string
 	errMsg       string
+	failClose    string
 	seconds      float64
 	output       json.RawMessage
 }
@@ -128,10 +129,6 @@ type Runner struct {
 	cfg   Config
 	order []*node // deterministic topological order
 	byID  map[string]*node
-
-	resumedCtr *obs.Counter
-	failcloseP *obs.Counter // reason="corrupt"
-	failcloseF *obs.Counter // reason="fingerprint"
 
 	mu         sync.Mutex
 	started    bool
@@ -217,14 +214,6 @@ func New(cfg Config, nodes []Node) (*Runner, error) {
 		if err := ensureDir(cfg.Dir); err != nil {
 			return nil, err
 		}
-	}
-	if o := cfg.Obs; o != nil {
-		r.resumedCtr = o.Counter("convmeter_dag_resumed_total",
-			"DAG nodes served from a fingerprint-matching manifest instead of re-run")
-		r.failcloseP = o.Counter(obs.Label("convmeter_dag_failclose_total", "reason", "corrupt"),
-			"manifests rejected fail-close, forcing a re-run")
-		r.failcloseF = o.Counter(obs.Label("convmeter_dag_failclose_total", "reason", "fingerprint"),
-			"manifests rejected fail-close, forcing a re-run")
 	}
 	return r, nil
 }
@@ -342,7 +331,7 @@ func (r *Runner) runNode(n *node) bool {
 			FaultsProfile: r.cfg.FaultsProfile,
 			Inputs:        hashes,
 		})
-		m, reason := loadManifest(r.cfg.Dir, n.def.ID)
+		m, failClose := loadManifest(r.cfg.Dir, n.def.ID)
 		switch {
 		case m != nil && m.Fingerprint == fp:
 			r.mu.Lock()
@@ -352,15 +341,17 @@ func (r *Runner) runNode(n *node) bool {
 			n.output = m.Output
 			r.resumed++
 			r.mu.Unlock()
-			r.resumedCtr.Inc()
 			return true
 		case m != nil:
 			// Well-formed but produced under different code, config,
 			// inputs or fault schedule: stale. Never trusted.
 			attempt = m.Attempt + 1
-			r.failcloseF.Inc()
-		case reason == reasonCorrupt:
-			r.failcloseP.Inc()
+			failClose = FailCloseFingerprint
+		}
+		if failClose != "" {
+			r.mu.Lock()
+			n.failClose = failClose
+			r.mu.Unlock()
 		}
 	}
 

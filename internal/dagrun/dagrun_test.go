@@ -243,7 +243,7 @@ func TestCrashResumeMatrix(t *testing.T) {
 		for _, point := range []string{faults.NodeCrashBoundary, faults.NodeCrashMid} {
 			t.Run(nodeID+"@"+point, func(t *testing.T) {
 				dir := t.TempDir()
-				inj, err := faults.New(7, faults.Profile{NodeCrashes: map[string]string{nodeID: point}}, nil)
+				inj, err := faults.New(7, faults.Profile{NodeCrashes: map[string]string{nodeID: point}})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -298,19 +298,16 @@ func TestStaleManifestFailsClosed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inj, err := faults.New(11, prof, nil)
+	inj, err := faults.New(11, prof)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := Config{Dir: dir, Code: "dagrun-test@v1", FaultsSeed: 11, FaultsProfile: "chaos", Workers: 2, Faults: inj}
 	mustExecute(t, cfg, chain())
 
-	o := obs.New()
 	stale := chain()
 	stale[1].Config = "cfg-lomo-v2" // same path, different config: stale
-	cfg2 := cfg
-	cfg2.Obs = o
-	r, err := New(cfg2, stale)
+	r, err := New(cfg, stale)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,9 +324,11 @@ func TestStaleManifestFailsClosed(t *testing.T) {
 	if st := rep.Node("report"); st.State != StateDone || st.Attempt != 2 {
 		t.Fatalf("downstream report must re-run: %+v", st)
 	}
-	if got := o.Counter(obs.Label("convmeter_dag_failclose_total", "reason", "fingerprint"),
-		"manifests rejected fail-close, forcing a re-run").Value(); got != 2 {
-		t.Fatalf("failclose{fingerprint} = %g, want 2", got)
+	// The report names the reason each manifest was rejected.
+	for id, want := range map[string]string{"fit": "", "lomo": FailCloseFingerprint, "report": FailCloseFingerprint} {
+		if got := rep.Node(id).FailClose; got != want {
+			t.Fatalf("%s failclose %q, want %q", id, got, want)
+		}
 	}
 }
 
@@ -354,10 +353,7 @@ func TestTamperedManifestFailsClosed(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	o := obs.New()
-	cfg := chainConfig(dir)
-	cfg.Obs = o
-	r, rep := mustExecute(t, cfg, chain())
+	r, rep := mustExecute(t, chainConfig(dir), chain())
 	if st := rep.Node("lomo"); st.State != StateDone {
 		t.Fatalf("tampered lomo state %s, want done (re-run)", st.State)
 	}
@@ -367,9 +363,10 @@ func TestTamperedManifestFailsClosed(t *testing.T) {
 	if st := rep.Node("report"); st.State != StateReused {
 		t.Fatalf("report state %s, want reused (chain healed)", st.State)
 	}
-	if got := o.Counter(obs.Label("convmeter_dag_failclose_total", "reason", "corrupt"),
-		"manifests rejected fail-close, forcing a re-run").Value(); got != 1 {
-		t.Fatalf("failclose{corrupt} = %g, want 1", got)
+	for id, want := range map[string]string{"fit": "", "lomo": FailCloseCorrupt, "report": ""} {
+		if got := rep.Node(id).FailClose; got != want {
+			t.Fatalf("%s failclose %q, want %q", id, got, want)
+		}
 	}
 	raw, _ := r.Output("lomo")
 	var lomo map[string]float64
@@ -475,7 +472,7 @@ func TestNoGoroutineLeaks(t *testing.T) {
 	}
 	mustExecute(t, Config{Workers: 2}, nodes)
 
-	inj, err := faults.New(3, faults.Profile{NodeCrashes: map[string]string{"b": faults.NodeCrashMid}}, nil)
+	inj, err := faults.New(3, faults.Profile{NodeCrashes: map[string]string{"b": faults.NodeCrashMid}})
 	if err != nil {
 		t.Fatal(err)
 	}

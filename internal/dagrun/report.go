@@ -19,6 +19,17 @@ const (
 	StateSkipped = "skipped" // never started: upstream failure or crash
 )
 
+// Fail-close reasons, as reported in NodeStatus.FailClose: why a node's
+// committed manifest was not trusted, so the node ran again.
+const (
+	// FailCloseFingerprint: a well-formed manifest produced under other
+	// code, config, inputs or fault schedule — stale.
+	FailCloseFingerprint = "fingerprint"
+	// FailCloseCorrupt: a manifest that is unreadable, malformed, filed
+	// under another node, or whose content hash does not verify.
+	FailCloseCorrupt = "corrupt"
+)
+
 // NodeStatus is one node's row in the audit trail.
 type NodeStatus struct {
 	ID    string   `json:"id"`
@@ -36,6 +47,10 @@ type NodeStatus struct {
 	Blame string `json:"blame,omitempty"`
 	// Error is the node's own failure, when Run returned one.
 	Error string `json:"error,omitempty"`
+	// FailClose names why this run rejected the node's committed
+	// manifest (FailCloseFingerprint or FailCloseCorrupt); empty when
+	// the manifest was absent or trusted.
+	FailClose string `json:"failclose,omitempty"`
 	// Seconds is the wall-clock of the node's most recent execution;
 	// zero for reused nodes (nothing ran).
 	Seconds float64 `json:"seconds"`
@@ -75,13 +90,14 @@ func (r *Runner) snapshot() *Report {
 	rep.Crashed = r.crashed
 	for _, n := range r.order {
 		st := NodeStatus{
-			ID:       n.def.ID,
-			State:    n.state,
-			Attempt:  n.attempt,
-			Manifest: n.manifestHash,
-			Blame:    n.blame,
-			Error:    n.errMsg,
-			Seconds:  n.seconds,
+			ID:        n.def.ID,
+			State:     n.state,
+			Attempt:   n.attempt,
+			Manifest:  n.manifestHash,
+			Blame:     n.blame,
+			Error:     n.errMsg,
+			FailClose: n.failClose,
+			Seconds:   n.seconds,
 		}
 		if len(n.def.Deps) > 0 {
 			st.Deps = append(st.Deps, n.def.Deps...)

@@ -7,14 +7,6 @@ import (
 	"convmeter/internal/dagrun/manifest"
 )
 
-// Load-failure classifications for loadManifest. Only reasonCorrupt
-// counts against the fail-close counter: an absent manifest is the
-// normal first-run case, not a rejection.
-const (
-	reasonAbsent  = "absent"
-	reasonCorrupt = "corrupt"
-)
-
 // manifestPath places node id's manifest inside the run directory. New
 // rejects ids with path separators, so the id is safe as a file name.
 func manifestPath(dir, id string) string {
@@ -28,24 +20,25 @@ func ensureDir(dir string) error {
 
 // loadManifest reads and verifies node id's manifest, failing closed: a
 // manifest that is unreadable, unparsable, hash-mismatched, or filed
-// under the wrong node id returns (nil, reasonCorrupt) and the node
-// re-runs. Only a manifest that survives every check is returned — and
-// even then the executor still compares its fingerprint against the
-// current run before trusting it.
+// under the wrong node id returns (nil, FailCloseCorrupt) and the node
+// re-runs. An absent manifest, the normal first-run case, is no
+// rejection and returns (nil, ""). Only a manifest that survives every
+// check is returned — and even then the executor still compares its
+// fingerprint against the current run before trusting it.
 func loadManifest(dir, id string) (*manifest.Manifest, string) {
 	data, err := os.ReadFile(manifestPath(dir, id))
 	if err != nil {
 		if os.IsNotExist(err) {
-			return nil, reasonAbsent
+			return nil, ""
 		}
-		return nil, reasonCorrupt
+		return nil, FailCloseCorrupt
 	}
 	m, err := manifest.Parse(data)
 	if err != nil {
-		return nil, reasonCorrupt
+		return nil, FailCloseCorrupt
 	}
 	if m.Node != id {
-		return nil, reasonCorrupt
+		return nil, FailCloseCorrupt
 	}
 	return m, ""
 }

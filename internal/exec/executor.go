@@ -30,11 +30,10 @@ type Executor struct {
 	params, grads []float32
 	seed          int64
 
-	// Telemetry (see SetObs). opCount/opTime are per-node handles indexed
-	// like g.Nodes; both nil when telemetry is detached.
-	o       *obs.Obs
-	opCount []*obs.Counter
-	opTime  []*obs.Histogram
+	// Telemetry (see SetObs). opTime holds per-node handles indexed like
+	// g.Nodes; nil when telemetry is detached.
+	o      *obs.Obs
+	opTime []*obs.Counter
 }
 
 // NewExecutor validates the graph and initialises every parameterised
@@ -244,8 +243,7 @@ func (e *Executor) runInternal(input *Tensor, acts []*Tensor) (*Tensor, error) {
 			return nil, fmt.Errorf("exec: no kernel for op kind %q", n.Op.Kind())
 		}
 		if e.opTime != nil {
-			e.opTime[i].Observe(time.Since(t0).Seconds())
-			e.opCount[i].Inc()
+			e.opTime[i].Add(time.Since(t0).Seconds())
 		}
 		acts[i] = out
 	}

@@ -2,24 +2,19 @@ package exec
 
 import "convmeter/internal/obs"
 
-// SetObs attaches a telemetry bundle to the executor. Per-node metric
-// handles — an execution counter and a latency histogram per op *kind* —
-// are resolved once here so the hot kernel loop in runInternal touches
-// only pre-built handles. Passing nil detaches telemetry and restores
-// the zero-overhead path.
+// SetObs attaches a telemetry bundle to the executor. Each node's
+// kernel-seconds sum, convmeter_exec_op_seconds{kind="<kind>"}, is
+// resolved once here so the hot kernel loop in runInternal touches only
+// pre-built handles. Passing nil detaches telemetry and restores the
+// zero-overhead path.
 func (e *Executor) SetObs(o *obs.Obs) {
 	e.o = o
 	if o == nil {
-		e.opCount, e.opTime = nil, nil
+		e.opTime = nil
 		return
 	}
-	e.opCount = make([]*obs.Counter, len(e.g.Nodes))
-	e.opTime = make([]*obs.Histogram, len(e.g.Nodes))
+	e.opTime = make([]*obs.Counter, len(e.g.Nodes))
 	for i, n := range e.g.Nodes {
-		kind := n.Op.Kind()
-		e.opCount[i] = o.Counter(obs.Label("convmeter_exec_ops_total", "kind", kind),
-			"kernel executions, by op kind")
-		e.opTime[i] = o.Histogram(obs.Label("convmeter_exec_op_seconds", "kind", kind),
-			"per-kernel forward wall-clock, by op kind", obs.DefaultDurationBuckets())
+		e.opTime[i] = o.Reg.Counter(obs.Label("convmeter_exec_op_seconds", "kind", n.Op.Kind()))
 	}
 }

@@ -39,7 +39,7 @@ func TestDagMatchesFlat(t *testing.T) {
 // resumes it over the same directory and returns the resumed results.
 func crashThenResume(t *testing.T, ids []string, cfg Config, dir, node, point string) ([]*Result, *dagrun.Report) {
 	t.Helper()
-	inj, err := faults.New(faultsSeed(cfg), faults.Profile{NodeCrashes: map[string]string{node: point}}, nil)
+	inj, err := faults.New(faultsSeed(cfg), faults.Profile{NodeCrashes: map[string]string{node: point}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,7 +37,7 @@ func ExtTrainFaults(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	inj, err := faults.New(faultsSeed(cfg), prof, cfg.Obs)
+	inj, err := faults.New(faultsSeed(cfg), prof)
 	if err != nil {
 		return nil, err
 	}

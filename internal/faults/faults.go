@@ -11,9 +11,8 @@
 // transport, worker, direction and a caller-assigned logical sequence
 // number, so the same seed yields the identical fault schedule no matter
 // how goroutines interleave or how often a timed-out operation is
-// retried. Injected faults are recorded as events (and, with telemetry
-// attached, as convmeter_faults_injected_total counters) so a chaos run
-// can be audited after the fact.
+// retried. Injected faults are recorded as events, counted per class by
+// CountByClass, so a chaos run can be audited after the fact.
 //
 // The package lives on the measured side of the analytical/measured
 // boundary (lint.config): it sleeps, closes sockets and corrupts wire
@@ -26,8 +25,6 @@ import (
 	"sort"
 	"sync"
 	"time"
-
-	"convmeter/internal/obs"
 )
 
 // Class enumerates the injectable fault classes.
@@ -250,33 +247,21 @@ type Injector struct {
 	seed uint64
 	prof Profile
 
-	counters map[Class]*obs.Counter
-
 	mu     sync.Mutex
 	seen   map[string]bool // executed-event dedup across retries
 	events []Event
 }
 
 // New builds an injector from a seed and profile, validating the profile.
-// With a non-nil Obs, every injected fault increments
-// convmeter_faults_injected_total{class=...}.
-func New(seed int64, prof Profile, o *obs.Obs) (*Injector, error) {
+func New(seed int64, prof Profile) (*Injector, error) {
 	if err := prof.Validate(); err != nil {
 		return nil, err
 	}
-	in := &Injector{
+	return &Injector{
 		seed: uint64(seed),
 		prof: prof,
 		seen: make(map[string]bool),
-	}
-	if o != nil {
-		in.counters = make(map[Class]*obs.Counter, len(classes)+2)
-		for _, c := range append(append([]Class{}, classes...), ClassCrash, ClassSlow) {
-			in.counters[c] = o.Counter(obs.Label("convmeter_faults_injected_total", "class", string(c)),
-				"faults injected into the measured stack, by class")
-		}
-	}
-	return in, nil
+	}, nil
 }
 
 // Profile returns the injector's profile (zero for a nil injector).
@@ -395,18 +380,14 @@ func (in *Injector) SlowAt(worker, step int) time.Duration {
 	return in.prof.SlowDelay
 }
 
-// record stores an executed event once and bumps its class counter.
+// record stores an executed event once.
 func (in *Injector) record(ev Event) {
 	key := ev.Op.String()
 	in.mu.Lock()
-	dup := in.seen[key]
-	if !dup {
+	defer in.mu.Unlock()
+	if !in.seen[key] {
 		in.seen[key] = true
 		in.events = append(in.events, ev)
-	}
-	in.mu.Unlock()
-	if !dup {
-		in.counters[ev.Class].Inc()
 	}
 }
 

@@ -4,11 +4,8 @@ import (
 	"net"
 	"reflect"
 	"sort"
-	"strings"
 	"testing"
 	"time"
-
-	"convmeter/internal/obs"
 )
 
 func TestProfileValidate(t *testing.T) {
@@ -63,15 +60,15 @@ func TestDecideDeterministic(t *testing.T) {
 		Delay: 0.2, MaxDelay: time.Millisecond,
 		Drop: 0.1, Reset: 0.05, Corrupt: 0.1, Truncate: 0.05,
 	}
-	a, err := New(11, prof, nil)
+	a, err := New(11, prof)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := New(11, prof, nil)
+	b, err := New(11, prof)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := New(12, prof, nil)
+	c, err := New(12, prof)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +97,7 @@ func TestDecideDeterministic(t *testing.T) {
 // the same fault but records no new event, so event logs are identical no
 // matter how often timeouts force re-attempts.
 func TestDecideRetryDedup(t *testing.T) {
-	in, err := New(3, Profile{Drop: 1}, nil)
+	in, err := New(3, Profile{Drop: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +114,7 @@ func TestDecideRetryDedup(t *testing.T) {
 
 func TestPlannedMatchesDecide(t *testing.T) {
 	prof := Profile{Drop: 0.3, Corrupt: 0.3}
-	in, err := New(5, prof, nil)
+	in, err := New(5, prof)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +141,7 @@ func TestPlannedMatchesDecide(t *testing.T) {
 }
 
 func TestWorkerFilterAndCrash(t *testing.T) {
-	in, err := New(1, Profile{Drop: 1, Workers: []int{2}, Crashes: map[int]int{3: 5}}, nil)
+	in, err := New(1, Profile{Drop: 1, Workers: []int{2}, Crashes: map[int]int{3: 5}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,20 +175,22 @@ func TestNilInjectorIsNoop(t *testing.T) {
 	}
 }
 
+// TestInjectorCounters: CountByClass counts each executed fault once
+// under its class, a retried operation included. exttrainfaults copies
+// these counts into Result.Stats as faults_<class>, the numbers that
+// `make chaos` checks in the run's manifest.
 func TestInjectorCounters(t *testing.T) {
-	o := obs.New()
-	in, err := New(1, Profile{Drop: 1}, o)
+	in, err := New(1, Profile{Drop: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	in.Decide(Op{Transport: "tcp", Worker: 0, Dir: "out", Seq: 1})
-	var sb strings.Builder
-	if err := o.Reg.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	want := `convmeter_faults_injected_total{class="drop"} 1`
-	if !strings.Contains(sb.String(), want) {
-		t.Fatalf("metric line %q missing from:\n%s", want, sb.String())
+	op := Op{Transport: "tcp", Worker: 0, Dir: "out", Seq: 1}
+	in.Decide(op)
+	in.Decide(op) // a retry of the same logical operation
+	in.Decide(Op{Transport: "tcp", Worker: 0, Dir: "out", Seq: 2})
+	got := in.CountByClass()
+	if len(got) != 1 || got[ClassDrop] != 2 {
+		t.Fatalf("CountByClass = %v, want drop=2", got)
 	}
 }
 
@@ -210,7 +209,7 @@ func TestConnWriteFaults(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			client, server := loopbackPair(t)
-			in, err := New(7, tc.prof, nil)
+			in, err := New(7, tc.prof)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -243,7 +242,7 @@ func TestConnWriteFaults(t *testing.T) {
 
 func TestConnCorruptPreservesLength(t *testing.T) {
 	client, server := loopbackPair(t)
-	in, err := New(7, Profile{Corrupt: 1}, nil)
+	in, err := New(7, Profile{Corrupt: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +278,7 @@ func TestConnCorruptPreservesLength(t *testing.T) {
 // through, so partial-frame retries cannot shift the schedule.
 func TestConnContinuationPassesThrough(t *testing.T) {
 	client, server := loopbackPair(t)
-	in, err := New(7, Profile{Drop: 1}, nil)
+	in, err := New(7, Profile{Drop: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +373,7 @@ func TestSlowAt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in, err := New(1, prof, nil)
+	in, err := New(1, prof)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,7 +410,7 @@ func TestNodeCrashAt(t *testing.T) {
 		t.Fatal("nil injector scheduled a crash")
 	}
 
-	in, err := New(3, Profile{NodeCrashes: map[string]string{"lomo": NodeCrashBoundary}}, nil)
+	in, err := New(3, Profile{NodeCrashes: map[string]string{"lomo": NodeCrashBoundary}})
 	if err != nil {
 		t.Fatal(err)
 	}

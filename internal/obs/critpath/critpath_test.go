@@ -2,6 +2,7 @@ package critpath
 
 import (
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -265,6 +266,9 @@ func TestAnalyzeReport(t *testing.T) {
 		t.Fatalf("schema = %q", rep.Schema)
 	}
 	want := []StepAttribution{AnalyzeStep(0, clean[1:]), AnalyzeStep(1, straggler[1:])}
+	for i := range want {
+		want[i].Experiment = "x" // both steps hang under experiment:x
+	}
 	if !reflect.DeepEqual(rep.Steps, want) {
 		t.Fatalf("report steps:\n%+v\nwant:\n%+v", rep.Steps, want)
 	}
@@ -292,5 +296,37 @@ func TestAnalyzeReport(t *testing.T) {
 		if !strings.Contains(sb.String(), `"steps": []`) || !strings.Contains(sb.String(), SchemaV1) {
 			t.Fatalf("report of a trace without steps:\n%s", sb.String())
 		}
+	}
+}
+
+// TestAnalyzeNamesExperiment: two trainers in one trace, each under its
+// own experiment root, number their steps alike. Each step names the
+// experiment it descends from, through intermediate spans too; a step
+// with no experiment ancestor names none.
+func TestAnalyzeNamesExperiment(t *testing.T) {
+	trace := []obs.SpanRecord{
+		rec(1, "experiment:exttrainreal", -1, 0, 100*ms, 0),
+		rec(2, "experiment:exttrainfaults", -1, 0, 100*ms, 0),
+		child(rec(3, "dag:exp:exttrainfaults", -1, 0, 100*ms, 0), 2),
+		child(rec(10, "step 0", -1, 0, 10*ms, 0), 1),
+		child(rec(11, "step 0", -1, 5*ms, 10*ms, 0), 3),
+		child(rec(12, "step 1", -1, 20*ms, 10*ms, 0), 1),
+		rec(13, "step 0", -1, 40*ms, 10*ms, 0),
+	}
+	rep := Analyze(trace)
+	var got []string
+	for _, st := range rep.Steps {
+		got = append(got, fmt.Sprintf("%s/%d", st.Experiment, st.Step))
+	}
+	want := []string{"exttrainreal/0", "exttrainfaults/0", "exttrainreal/1", "/0"}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("steps %v, want %v", got, want)
+	}
+	var sb strings.Builder
+	if err := rep.WriteJSON(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(sb.String(), `"experiment"`); n != 3 {
+		t.Fatalf("%d experiment keys in the report, want 3 (omitted when empty):\n%s", n, sb.String())
 	}
 }

@@ -99,8 +99,10 @@ func stepNumber(name string) (int, bool) {
 // Analyze attributes every training step in a recorded trace. It groups
 // the spans by their nearest "step N" ancestor and runs AnalyzeStep on
 // each group, so a step sees exactly its own subtree: spans that
-// another trainer recorded meanwhile belong to that trainer's steps. A
-// trace without step spans gives a report with no steps.
+// another trainer recorded meanwhile belong to that trainer's steps.
+// Each step is named after its nearest "experiment:<id>" ancestor, so
+// two trainers in one run stay apart. A trace without step spans gives
+// a report with no steps.
 func Analyze(spans []obs.SpanRecord) Report {
 	index := make(map[int64]int, len(spans))
 	for i, s := range spans {
@@ -129,7 +131,14 @@ func Analyze(spans []obs.SpanRecord) Report {
 	rep := Report{Schema: SchemaV1, Steps: make([]StepAttribution, 0, len(steps))}
 	for _, i := range steps {
 		n, _ := stepNumber(spans[i].Name)
-		rep.Steps = append(rep.Steps, AnalyzeStep(n, groups[i]))
+		att := AnalyzeStep(n, groups[i])
+		for p, ok := index[spans[i].Parent]; ok; p, ok = index[spans[p].Parent] {
+			if id, isExp := strings.CutPrefix(spans[p].Name, "experiment:"); isExp {
+				att.Experiment = id
+				break
+			}
+		}
+		rep.Steps = append(rep.Steps, att)
 	}
 	return rep
 }

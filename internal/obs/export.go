@@ -6,33 +6,13 @@ import (
 	"path/filepath"
 )
 
-// Export writes the bundle's telemetry to files: metricsPath receives
-// the registry as Prometheus text and tracePath receives the Chrome
-// trace-event JSON of all finished spans. Empty paths are skipped;
-// a nil *Obs writes nothing. This is the shared backend of the
-// --metrics-out/--trace-out command-line flags.
-func (o *Obs) Export(metricsPath, tracePath string) error {
-	if o == nil {
-		return nil
-	}
-	if metricsPath != "" {
-		if err := writeFile(metricsPath, o.Reg.WritePrometheus); err != nil {
-			return err
-		}
-	}
-	if tracePath != "" {
-		if err := writeFile(tracePath, o.Trc.WriteChromeTrace); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// writeFile creates path — including any missing parent directories,
-// so `-metrics-out out/run1/metrics.prom` works on a fresh checkout —
-// runs write, and surfaces the first error, including Close, since a
-// truncated telemetry file parses as a lie.
-func writeFile(path string, write func(io.Writer) error) error {
+// Export writes one at-exit file of a run: it creates path — including
+// any missing parent directories, so `-trace-out out/run1/trace.json`
+// works on a fresh checkout — runs write into it, and surfaces the
+// first error, Close's included, since a truncated file parses as a
+// lie. Every -*-out flag of cmd/experiments and convmeter writes
+// through it.
+func Export(path string, write func(io.Writer) error) error {
 	if dir := filepath.Dir(path); dir != "." && dir != "" {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return err

@@ -1,62 +1,15 @@
 package obs
 
 import (
-	"bufio"
 	"encoding/json"
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 )
-
-func TestWritePrometheus(t *testing.T) {
-	r := NewRegistry()
-	r.Counter(Label("convmeter_ops_total", "kind", "conv"), "op invocations").Add(7)
-	r.Gauge("convmeter_workers", "worker pool size").Set(4)
-	h := r.Histogram("convmeter_op_seconds", "op wall time", []float64{0.001, 0.1})
-	h.Observe(0.0005)
-	h.Observe(0.05)
-	h.Observe(2)
-
-	var sb strings.Builder
-	if err := r.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	text := sb.String()
-
-	for _, want := range []string{
-		"# HELP convmeter_ops_total op invocations",
-		"# TYPE convmeter_ops_total counter",
-		`convmeter_ops_total{kind="conv"} 7`,
-		"# TYPE convmeter_workers gauge",
-		"convmeter_workers 4",
-		"# TYPE convmeter_op_seconds histogram",
-		`convmeter_op_seconds_bucket{le="0.001"} 1`,
-		`convmeter_op_seconds_bucket{le="0.1"} 2`,
-		`convmeter_op_seconds_bucket{le="+Inf"} 3`,
-		"convmeter_op_seconds_sum 2.0505",
-		"convmeter_op_seconds_count 3",
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("Prometheus output missing %q\n%s", want, text)
-		}
-	}
-
-	// Every non-comment line must be "<series> <value>" with a parseable
-	// value — the same invariant cmd/obscheck enforces in CI.
-	sc := bufio.NewScanner(strings.NewReader(text))
-	for sc.Scan() {
-		line := sc.Text()
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		sp := strings.LastIndexByte(line, ' ')
-		if sp <= 0 {
-			t.Fatalf("malformed sample line %q", line)
-		}
-	}
-}
 
 // traceDoc decodes a Chrome trace-event document for assertions.
 type traceDoc struct {
@@ -156,25 +109,17 @@ func TestWriteChromeTrace(t *testing.T) {
 	}
 }
 
+// TestExportFiles: Export writes what its writer produces — here the
+// Chrome trace of a finished span, the -trace-out artefact — and
+// surfaces the writer's error.
 func TestExportFiles(t *testing.T) {
 	o := New()
-	o.Counter("convmeter_export_total", "h").Inc()
 	sp := o.Start("run")
 	sp.End()
 
-	dir := t.TempDir()
-	prom := filepath.Join(dir, "metrics.prom")
-	trace := filepath.Join(dir, "trace.json")
-	if err := o.Export(prom, trace); err != nil {
+	trace := filepath.Join(t.TempDir(), "trace.json")
+	if err := Export(trace, o.Trc.WriteChromeTrace); err != nil {
 		t.Fatal(err)
-	}
-
-	promData, err := os.ReadFile(prom)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(promData), "convmeter_export_total 1") {
-		t.Fatalf("prometheus export:\n%s", promData)
 	}
 	traceData, err := os.ReadFile(trace)
 	if err != nil {
@@ -187,23 +132,10 @@ func TestExportFiles(t *testing.T) {
 	if len(doc.TraceEvents) == 0 {
 		t.Fatal("trace export has no events")
 	}
-}
 
-func BenchmarkWritePrometheus(b *testing.B) {
-	r := NewRegistry()
-	for _, kind := range []string{"conv", "linear", "relu", "pool"} {
-		r.Counter(Label("convmeter_ops_total", "kind", kind), "h").Add(100)
-		h := r.Histogram(Label("convmeter_op_seconds", "kind", kind), "h", DefaultDurationBuckets())
-		h.Observe(1e-4)
-	}
-	var sb strings.Builder
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sb.Reset()
-		if err := r.WritePrometheus(&sb); err != nil {
-			b.Fatal(err)
-		}
+	bad := errors.New("writer failed")
+	if err := Export(trace, func(io.Writer) error { return bad }); !errors.Is(err, bad) {
+		t.Fatalf("Export returned %v, want the writer's error", err)
 	}
 }
 
@@ -226,19 +158,20 @@ func BenchmarkWriteChromeTrace(b *testing.B) {
 	}
 }
 
-// TestExportCreatesParentDirs: -metrics-out/-trace-out paths under
-// directories that don't exist yet must work — Export creates them.
+// TestExportCreatesParentDirs: an at-exit path under directories that
+// don't exist yet must work — Export creates them.
 func TestExportCreatesParentDirs(t *testing.T) {
-	o := New()
-	o.Counter("convmeter_export_total", "h").Inc()
-
 	dir := t.TempDir()
-	prom := filepath.Join(dir, "a", "b", "metrics.prom")
-	trace := filepath.Join(dir, "c", "trace.json")
-	if err := o.Export(prom, trace); err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range []string{prom, trace} {
+	for _, p := range []string{
+		filepath.Join(dir, "a", "b", "dag.json"),
+		filepath.Join(dir, "c", "trace.json"),
+	} {
+		if err := Export(p, func(w io.Writer) error {
+			_, err := io.WriteString(w, "{}\n")
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
 		if _, err := os.Stat(p); err != nil {
 			t.Errorf("export did not create %s: %v", p, err)
 		}

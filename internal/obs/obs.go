@@ -1,8 +1,10 @@
-// Package obs is ConvMeter's runtime telemetry layer: a concurrency-safe
-// metrics registry (counters, gauges, fixed-bucket histograms), lightweight
-// span tracing with parent/child nesting on a monotonic clock, and two
-// exporters — Prometheus text and Chrome trace-event JSON (the format
-// Perfetto and chrome://tracing read).
+// Package obs is ConvMeter's runtime telemetry layer: lightweight span
+// tracing with parent/child nesting on a monotonic clock, exported as
+// Chrome trace-event JSON (the format Perfetto and chrome://tracing
+// read), and a registry of named float sums. A run's numbers come from
+// its trace and its result records, computed when they are read; the
+// registry holds only what no span records, exec's per-kind kernel
+// seconds. Export writes each at-exit file a run produces.
 //
 // The package depends only on the standard library and lives strictly on
 // the *measured* side of the repository's analytical/measured boundary
@@ -10,17 +12,17 @@
 // things, and must never be imported by the analytical packages whose
 // whole claim is that they compute without running anything.
 //
-// Every operation is nil-safe: a nil *Obs, *Registry, *Tracer, *Counter,
-// *Gauge, *Histogram, or *Span is a true no-op, so instrumented hot paths
-// pay nothing — zero allocations, no atomics — when telemetry is off.
-// Callers therefore plumb a possibly-nil *Obs through unconditionally and
-// never guard call sites (handle creation aside, which allocates and
-// belongs outside loops).
+// Every operation is nil-safe: a nil *Obs, *Registry, *Tracer, *Counter
+// or *Span is a true no-op, so instrumented hot paths pay nothing —
+// zero allocations, no atomics — when telemetry is off. Callers
+// therefore plumb a possibly-nil *Obs through unconditionally and never
+// guard call sites (handle creation aside, which allocates and belongs
+// outside loops).
 package obs
 
 import "strings"
 
-// Obs bundles a metrics Registry and a span Tracer with an optional
+// Obs bundles a Registry and a span Tracer with an optional
 // parent span, so instrumented packages take one handle instead of three.
 // The zero of everything is off: a nil *Obs disables all telemetry.
 type Obs struct {
@@ -84,34 +86,10 @@ func (o *Obs) Start(name string) *Span {
 	return s
 }
 
-// Counter registers or fetches a counter; nil when disabled.
-func (o *Obs) Counter(name, help string) *Counter {
-	if o == nil {
-		return nil
-	}
-	return o.Reg.Counter(name, help)
-}
-
-// Gauge registers or fetches a gauge; nil when disabled.
-func (o *Obs) Gauge(name, help string) *Gauge {
-	if o == nil {
-		return nil
-	}
-	return o.Reg.Gauge(name, help)
-}
-
-// Histogram registers or fetches a histogram; nil when disabled.
-func (o *Obs) Histogram(name, help string, buckets []float64) *Histogram {
-	if o == nil {
-		return nil
-	}
-	return o.Reg.Histogram(name, help, buckets)
-}
-
 // Label renders a series name with Prometheus-style labels:
 // Label("x_total", "kind", "conv2d") == `x_total{kind="conv2d"}`.
-// kv must alternate key, value; label values are escaped per the
-// Prometheus text format (backslash, double quote, newline).
+// kv must alternate key, value; backslash, double quote and newline in
+// label values are escaped, so the label body always parses back.
 func Label(name string, kv ...string) string {
 	if len(kv) == 0 {
 		return name
@@ -135,7 +113,7 @@ func Label(name string, kv ...string) string {
 	return sb.String()
 }
 
-// escapeLabelValue applies the Prometheus label-value escapes.
+// escapeLabelValue escapes backslash, double quote and newline.
 func escapeLabelValue(v string) string {
 	if !strings.ContainsAny(v, "\\\"\n") {
 		return v

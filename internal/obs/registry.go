@@ -1,138 +1,60 @@
 package obs
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
 )
 
-// Registry is a concurrency-safe collection of named metrics. Handles are
-// registered once (typically at setup, outside loops) and then updated
-// lock-free on hot paths via atomics. Series names may carry a
-// Prometheus-style label body built with Label; series sharing a base
-// name form one family and must share one metric type.
+// Registry is a concurrency-safe set of named float sums. Handles are
+// resolved once (at setup, outside loops) and then updated lock-free on
+// hot paths. Series names may carry a label body built with Label;
+// series sharing a base name form one family.
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
-	families map[string]family // base name → fixed type and help
 }
-
-type family struct{ typ, help string }
 
 // NewRegistry returns an empty enabled registry.
 func NewRegistry() *Registry {
-	return &Registry{
-		counters: map[string]*Counter{},
-		gauges:   map[string]*Gauge{},
-		hists:    map[string]*Histogram{},
-		families: map[string]family{},
-	}
+	return &Registry{counters: map[string]*Counter{}}
 }
 
-// register records a family's type and help, panicking on a type
-// conflict: reusing one base name for two metric kinds is a programming
-// error that would corrupt every exporter.
-func (r *Registry) register(name, typ, help string) {
-	base, _ := splitSeries(name)
-	if f, ok := r.families[base]; ok {
-		if f.typ != typ {
-			panic(fmt.Sprintf("obs: metric family %q registered as %s, reused as %s", base, f.typ, typ))
-		}
-		return
-	}
-	r.families[base] = family{typ: typ, help: help}
-}
-
-// Counter registers or fetches the named counter. Nil-safe.
-func (r *Registry) Counter(name, help string) *Counter {
+// Counter registers or fetches the named sum. Nil-safe.
+func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if c, ok := r.counters[name]; ok {
-		return c
+	c, ok := r.counters[name]
+	if !ok {
+		c = &Counter{}
+		r.counters[name] = c
 	}
-	r.register(name, "counter", help)
-	c := &Counter{}
-	r.counters[name] = c
 	return c
 }
 
-// Gauge registers or fetches the named gauge. Nil-safe.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g, ok := r.gauges[name]; ok {
-		return g
-	}
-	r.register(name, "gauge", help)
-	g := &Gauge{}
-	r.gauges[name] = g
-	return g
-}
+// Counter is a float64 sum that only grows. The zero value is ready; a
+// nil *Counter is a no-op.
+type Counter struct{ bits atomic.Uint64 }
 
-// Histogram registers or fetches the named histogram with the given
-// ascending upper bucket bounds (an implicit +Inf bucket is appended).
-// Nil-safe; panics on empty or unsorted bounds.
-func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
-	if r == nil {
-		return nil
+// Add increases the sum. Negative deltas are ignored, so the sum
+// between two snapshots is never negative.
+func (c *Counter) Add(v float64) {
+	if c == nil || v < 0 {
+		return
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if h, ok := r.hists[name]; ok {
-		return h
-	}
-	if len(buckets) == 0 {
-		panic("obs: histogram needs at least one bucket bound")
-	}
-	for i := 1; i < len(buckets); i++ {
-		if buckets[i] <= buckets[i-1] {
-			panic(fmt.Sprintf("obs: histogram %q bucket bounds not strictly ascending", name))
-		}
-	}
-	r.register(name, "histogram", help)
-	h := &Histogram{upper: append([]float64(nil), buckets...)}
-	h.counts = make([]atomic.Uint64, len(buckets)+1)
-	r.hists[name] = h
-	return h
-}
-
-// addFloatBits atomically adds v to a float64 stored as uint64 bits.
-func addFloatBits(bits *atomic.Uint64, v float64) {
 	for {
-		old := bits.Load()
-		if bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
+		old := c.bits.Load()
+		if c.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
 			return
 		}
 	}
 }
 
-// Counter is a monotonically increasing float64. The zero value is ready;
-// a nil *Counter is a no-op.
-type Counter struct{ bits atomic.Uint64 }
-
-// Add increases the counter. Negative deltas are ignored — a counter
-// that can decrease poisons every rate() computed from it.
-func (c *Counter) Add(v float64) {
-	if c == nil || v < 0 {
-		return
-	}
-	addFloatBits(&c.bits, v)
-}
-
-// Inc adds one.
-func (c *Counter) Inc() { c.Add(1) }
-
-// Value returns the current total (0 on nil).
+// Value returns the current sum (0 on nil).
 func (c *Counter) Value() float64 {
 	if c == nil {
 		return 0
@@ -140,152 +62,25 @@ func (c *Counter) Value() float64 {
 	return math.Float64frombits(c.bits.Load())
 }
 
-// Gauge is an arbitrarily settable float64. The zero value is ready; a
-// nil *Gauge is a no-op.
-type Gauge struct{ bits atomic.Uint64 }
-
-// Set stores the value.
-func (g *Gauge) Set(v float64) {
-	if g == nil {
-		return
-	}
-	g.bits.Store(math.Float64bits(v))
-}
-
-// Add shifts the value by v (may be negative).
-func (g *Gauge) Add(v float64) {
-	if g == nil {
-		return
-	}
-	addFloatBits(&g.bits, v)
-}
-
-// Value returns the current value (0 on nil).
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return math.Float64frombits(g.bits.Load())
-}
-
-// Histogram counts observations into fixed buckets. A nil *Histogram is
-// a no-op.
-type Histogram struct {
-	upper  []float64
-	counts []atomic.Uint64 // one per bound plus the final +Inf bucket
-	sum    atomic.Uint64   // float64 bits
-	n      atomic.Uint64
-}
-
-// Observe records one value.
-func (h *Histogram) Observe(v float64) {
-	if h == nil {
-		return
-	}
-	h.counts[searchBucket(h.upper, v)].Add(1)
-	addFloatBits(&h.sum, v)
-	h.n.Add(1)
-}
-
-// searchBucket returns the index of the first bound >= v, or len(upper)
-// for the +Inf bucket. Open-coded binary search: sort.SearchFloat64s
-// takes a closure and costs an allocation-free but measurable call on
-// the Observe hot path.
-func searchBucket(upper []float64, v float64) int {
-	lo, hi := 0, len(upper)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if upper[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// Count returns the number of observations (0 on nil).
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.n.Load()
-}
-
-// Sum returns the sum of observed values (0 on nil).
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	return math.Float64frombits(h.sum.Load())
-}
-
-// DefaultDurationBuckets are the standard latency bounds, in seconds,
-// used by every *_seconds histogram in the tree: 1µs to 60s.
-func DefaultDurationBuckets() []float64 {
-	return []float64{
-		1e-6, 1e-5, 1e-4, 1e-3, 5e-3, 1e-2, 5e-2,
-		0.1, 0.5, 1, 5, 10, 30, 60,
-	}
-}
-
-// BucketCount is one cumulative histogram bucket in a Snapshot:
-// observations with value <= LE. LE is +Inf for the final bucket.
-type BucketCount struct {
-	LE    float64
-	Count uint64
-}
-
-// Point is one metric series in a Snapshot.
+// Point is one series in a Snapshot.
 type Point struct {
-	Name    string // full series name, possibly with a label body
-	Base    string // family name (Name up to any '{')
-	Type    string // "counter", "gauge" or "histogram"
-	Help    string
-	Value   float64       // counter/gauge value; histogram sum
-	Count   uint64        // histogram observation count
-	Buckets []BucketCount // cumulative; histograms only
+	Name  string // full series name, possibly with a label body
+	Base  string // family name (Name up to any '{')
+	Value float64
 }
 
 // Snapshot returns every series, sorted by (family, series name) so
-// exports are deterministic. Nil-safe (returns nil).
+// readers see a deterministic order. Nil-safe (returns nil).
 func (r *Registry) Snapshot() []Point {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	var out []Point
+	out := make([]Point, 0, len(r.counters))
 	for name, c := range r.counters {
 		base, _ := splitSeries(name)
-		out = append(out, Point{
-			Name: name, Base: base, Type: "counter",
-			Help: r.families[base].help, Value: c.Value(),
-		})
-	}
-	for name, g := range r.gauges {
-		base, _ := splitSeries(name)
-		out = append(out, Point{
-			Name: name, Base: base, Type: "gauge",
-			Help: r.families[base].help, Value: g.Value(),
-		})
-	}
-	for name, h := range r.hists {
-		base, _ := splitSeries(name)
-		p := Point{
-			Name: name, Base: base, Type: "histogram",
-			Help: r.families[base].help, Value: h.Sum(), Count: h.Count(),
-		}
-		cum := uint64(0)
-		for i := range h.counts {
-			cum += h.counts[i].Load()
-			le := math.Inf(1)
-			if i < len(h.upper) {
-				le = h.upper[i]
-			}
-			p.Buckets = append(p.Buckets, BucketCount{LE: le, Count: cum})
-		}
-		out = append(out, p)
+		out = append(out, Point{Name: name, Base: base, Value: c.Value()})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Base != out[j].Base {

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -9,85 +8,26 @@ import (
 
 func TestCounter(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("convmeter_test_total", "help")
-	c.Inc()
+	c := r.Counter("convmeter_test_seconds")
+	c.Add(1)
 	c.Add(2.5)
-	c.Add(-3) // ignored: counters are monotonic
+	c.Add(-3) // ignored: the sum only grows
 	if got := c.Value(); got != 3.5 {
 		t.Fatalf("counter value %g, want 3.5", got)
 	}
-	if again := r.Counter("convmeter_test_total", "other help"); again != c {
+	if again := r.Counter("convmeter_test_seconds"); again != c {
 		t.Fatal("re-registering a counter must return the same handle")
 	}
-}
-
-func TestGauge(t *testing.T) {
-	r := NewRegistry()
-	g := r.Gauge("convmeter_test_gauge", "help")
-	g.Set(4)
-	g.Add(-1.5)
-	if got := g.Value(); got != 2.5 {
-		t.Fatalf("gauge value %g, want 2.5", got)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("convmeter_test_seconds", "help", []float64{1, 10})
-	for _, v := range []float64{0.5, 1, 5, 100} {
-		h.Observe(v)
-	}
-	if h.Count() != 4 {
-		t.Fatalf("count %d, want 4", h.Count())
-	}
-	if got := h.Sum(); got != 106.5 {
-		t.Fatalf("sum %g, want 106.5", got)
-	}
 	snap := r.Snapshot()
-	if len(snap) != 1 {
-		t.Fatalf("%d points, want 1", len(snap))
+	if len(snap) != 1 || snap[0].Name != "convmeter_test_seconds" || snap[0].Value != 3.5 {
+		t.Fatalf("snapshot %+v, want the one series at 3.5", snap)
 	}
-	b := snap[0].Buckets
-	// Cumulative: <=1 holds {0.5, 1}, <=10 adds {5}, +Inf adds {100}.
-	want := []uint64{2, 3, 4}
-	for i, w := range want {
-		if b[i].Count != w {
-			t.Fatalf("bucket %d count %d, want %d", i, b[i].Count, w)
-		}
-	}
-	if !math.IsInf(b[2].LE, 1) {
-		t.Fatalf("last bucket bound %g, want +Inf", b[2].LE)
-	}
-}
-
-func TestSearchBucket(t *testing.T) {
-	upper := []float64{1, 10, 100}
-	cases := []struct {
-		v    float64
-		want int
-	}{{0, 0}, {1, 0}, {1.01, 1}, {10, 1}, {99, 2}, {100, 2}, {101, 3}}
-	for _, c := range cases {
-		if got := searchBucket(upper, c.v); got != c.want {
-			t.Errorf("searchBucket(%g) = %d, want %d", c.v, got, c.want)
-		}
-	}
-}
-
-func TestFamilyTypeConflictPanics(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("convmeter_family_total", "help")
-	defer func() {
-		if recover() == nil {
-			t.Fatal("reusing a counter family as a gauge must panic")
-		}
-	}()
-	r.Gauge(Label("convmeter_family_total", "k", "v"), "help")
 }
 
 func TestLabelledSeriesShareOneFamily(t *testing.T) {
 	r := NewRegistry()
-	a := r.Counter(Label("convmeter_ops_total", "kind", "conv"), "help")
-	b := r.Counter(Label("convmeter_ops_total", "kind", "linear"), "help")
+	a := r.Counter(Label("convmeter_ops_seconds", "kind", "conv"))
+	b := r.Counter(Label("convmeter_ops_seconds", "kind", "linear"))
 	if a == b {
 		t.Fatal("distinct label sets must get distinct handles")
 	}
@@ -98,9 +38,12 @@ func TestLabelledSeriesShareOneFamily(t *testing.T) {
 		t.Fatalf("%d points, want 2", len(snap))
 	}
 	for _, p := range snap {
-		if p.Base != "convmeter_ops_total" {
-			t.Fatalf("base %q, want convmeter_ops_total", p.Base)
+		if p.Base != "convmeter_ops_seconds" {
+			t.Fatalf("base %q, want convmeter_ops_seconds", p.Base)
 		}
+	}
+	if snap[0].Name != `convmeter_ops_seconds{kind="conv"}` || snap[0].Value != 2 {
+		t.Fatalf("first point %+v, want the conv series at 2 (sorted by name)", snap[0])
 	}
 }
 
@@ -124,8 +67,7 @@ func TestLabelRendering(t *testing.T) {
 
 func TestConcurrentUpdates(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("convmeter_conc_total", "help")
-	h := r.Histogram("convmeter_conc_seconds", "help", DefaultDurationBuckets())
+	c := r.Counter("convmeter_conc_seconds")
 	const workers, per = 8, 1000
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -133,17 +75,13 @@ func TestConcurrentUpdates(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				c.Inc()
-				h.Observe(1e-4)
+				c.Add(0.5)
 			}
 		}()
 	}
 	wg.Wait()
-	if got := c.Value(); got != workers*per {
-		t.Fatalf("concurrent counter %g, want %d", got, workers*per)
-	}
-	if h.Count() != workers*per {
-		t.Fatalf("concurrent histogram count %d, want %d", h.Count(), workers*per)
+	if got := c.Value(); got != workers*per*0.5 {
+		t.Fatalf("concurrent sum %g, want %g", got, workers*per*0.5)
 	}
 }
 
@@ -151,17 +89,16 @@ func TestNilSafety(t *testing.T) {
 	var o *Obs
 	var r *Registry
 	// None of these may panic.
-	o.Counter("x", "h").Inc()
-	o.Gauge("x2", "h").Set(1)
-	o.Histogram("x3", "h", DefaultDurationBuckets()).Observe(1)
 	o.Start("span").Child("c").End()
 	o.WithSpan(nil).Start("s").End()
-	r.Counter("x", "h").Add(1)
+	o.WithWorker(1).Start("w").End()
+	r.Counter("x").Add(1)
 	if r.Snapshot() != nil {
 		t.Fatal("nil registry snapshot must be nil")
 	}
-	if err := o.Export("", ""); err != nil {
-		t.Fatalf("nil Obs export: %v", err)
+	var c *Counter
+	if c.Value() != 0 {
+		t.Fatal("nil counter must read 0")
 	}
 }
 
@@ -169,15 +106,10 @@ func TestNilSafety(t *testing.T) {
 // (nil handles), instrumented hot paths allocate nothing.
 func TestDisabledPathZeroAllocs(t *testing.T) {
 	var c *Counter
-	var g *Gauge
-	var h *Histogram
 	var sp *Span
 	var o *Obs
 	if n := testing.AllocsPerRun(100, func() {
-		c.Inc()
 		c.Add(2)
-		g.Set(1)
-		h.Observe(3)
 		sp.End()
 		o.Start("x").End()
 	}); n != 0 {
@@ -189,15 +121,7 @@ func BenchmarkDisabledCounter(b *testing.B) {
 	var c *Counter
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		c.Inc()
-	}
-}
-
-func BenchmarkDisabledHistogram(b *testing.B) {
-	var h *Histogram
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		h.Observe(1e-4)
+		c.Add(1)
 	}
 }
 
@@ -210,17 +134,9 @@ func BenchmarkDisabledSpan(b *testing.B) {
 }
 
 func BenchmarkEnabledCounter(b *testing.B) {
-	c := NewRegistry().Counter("convmeter_bench_total", "help")
+	c := NewRegistry().Counter("convmeter_bench_seconds")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		c.Inc()
-	}
-}
-
-func BenchmarkEnabledHistogram(b *testing.B) {
-	h := NewRegistry().Histogram("convmeter_bench_seconds", "help", DefaultDurationBuckets())
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		h.Observe(1e-4)
+		c.Add(1e-4)
 	}
 }

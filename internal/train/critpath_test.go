@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -309,12 +310,52 @@ func TestAnalyzeIsolatesConcurrentTrainers(t *testing.T) {
 		}
 		trainers[name] = tr
 	}
+	// The overlap check below needs a small-trainer step to begin inside
+	// a large-trainer step, so the data sources make it happen: the
+	// small trainer's step 0 waits until the large trainer's step 0 has
+	// opened, and every large worker's step-0 batch waits until the
+	// small trainer has begun step 1. Both waits fall in compute, before
+	// any ring op is armed, and last about one small step, far inside
+	// the 500 ms op timeout.
+	largeOpened, smallStep1 := make(chan struct{}), make(chan struct{})
+	var openOnce, step1Once sync.Once
+	await := func(ch <-chan struct{}, what string) error {
+		select {
+		case <-ch:
+			return nil
+		case <-time.After(10 * time.Second):
+			return fmt.Errorf("gate: %s never began", what)
+		}
+	}
+	smallSrc, largeSrc := task.Source(2), task.Source(2)
+	sources := map[string]DataSource{
+		"small": func(w, step int) (Batch, error) {
+			switch step {
+			case 0:
+				if err := await(largeOpened, "the large trainer's step 0"); err != nil {
+					return Batch{}, err
+				}
+			case 1:
+				step1Once.Do(func() { close(smallStep1) })
+			}
+			return smallSrc(w, step)
+		},
+		"large": func(w, step int) (Batch, error) {
+			if step == 0 {
+				openOnce.Do(func() { close(largeOpened) })
+				if err := await(smallStep1, "the small trainer's step 1"); err != nil {
+					return Batch{}, err
+				}
+			}
+			return largeSrc(w, step)
+		},
+	}
 	start := make(chan struct{})
 	errs := make(chan error, len(trainers))
 	for name, tr := range trainers {
 		go func(name string, tr *Trainer) {
 			<-start
-			_, err := tr.Run(stepsOf[name], task.Source(2))
+			_, err := tr.Run(stepsOf[name], sources[name])
 			errs <- err
 		}(name, tr)
 	}
@@ -372,7 +413,8 @@ func TestAnalyzeIsolatesConcurrentTrainers(t *testing.T) {
 		compute[k][s.Worker] = s.Dur.Seconds()
 	}
 	// The test proves nothing unless the runs interleaved: some step of
-	// the small trainer must start inside a step of the large one.
+	// the small trainer must start inside a step of the large one. The
+	// gated data sources guarantee it; this checks the gate.
 	overlapped := false
 	for _, a := range small {
 		for _, b := range large {

@@ -26,7 +26,7 @@ func elasticConfig(inj *faults.Injector) Config {
 
 func mustInjector(t *testing.T, seed int64, prof faults.Profile) *faults.Injector {
 	t.Helper()
-	inj, err := faults.New(seed, prof, nil)
+	inj, err := faults.New(seed, prof)
 	if err != nil {
 		t.Fatal(err)
 	}

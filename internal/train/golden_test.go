@@ -76,7 +76,7 @@ func TestTrainStepGolden(t *testing.T) {
 		}
 		return pt
 	}
-	crash, err := faults.New(3, faults.Profile{Crashes: map[int]int{1: 2}}, nil)
+	crash, err := faults.New(3, faults.Profile{Crashes: map[int]int{1: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}

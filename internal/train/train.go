@@ -84,9 +84,9 @@ type Config struct {
 	LR        float32 // learning rate
 	Optimizer Optimizer
 	Seed      int64 // weight initialisation seed (shared by all replicas)
-	// Obs, when non-nil, receives step counters/latencies and a span tree:
-	// one "step N" span per training step, with the replicas' "fwd"/"bwd"
-	// kernel spans and the all-reduce "grad" span nested underneath.
+	// Obs, when non-nil, receives a span tree: one "step N" span per
+	// training step, with the replicas' "fwd"/"bwd" kernel spans and the
+	// all-reduce "grad" span nested underneath.
 	Obs *obs.Obs
 
 	// Transport selects the all-reduce transport (default TransportChan).
@@ -146,37 +146,6 @@ type StepRecord struct {
 	Workers int
 }
 
-// trainTelemetry bundles the trainer's metric handles; nil disables all.
-type trainTelemetry struct {
-	steps   *obs.Counter
-	stepH   *obs.Histogram
-	retries *obs.Counter
-	removed *obs.Counter
-	liveG   *obs.Gauge
-	lossG   *obs.Gauge
-}
-
-func newTrainTelemetry(o *obs.Obs) *trainTelemetry {
-	if o == nil {
-		return nil
-	}
-	return &trainTelemetry{
-		steps: o.Counter("convmeter_train_steps_total",
-			"data-parallel training steps completed"),
-		stepH: o.Histogram("convmeter_train_step_seconds",
-			"wall-clock per data-parallel step (compute + all-reduce + update)",
-			obs.DefaultDurationBuckets()),
-		retries: o.Counter("convmeter_train_allreduce_retries_total",
-			"whole-step gradient all-reduce re-attempts after transport failures"),
-		removed: o.Counter("convmeter_train_workers_removed_total",
-			"workers declared dead (crash schedule or blame after retry exhaustion)"),
-		liveG: o.Gauge("convmeter_train_live_workers",
-			"workers currently participating in the ring"),
-		lossG: o.Gauge("convmeter_train_loss",
-			"mean loss across live workers at the last completed step"),
-	}
-}
-
 // Trainer is a stateful elastic data-parallel trainer. Create one with
 // NewTrainer, drive it with Step/Run, and shrink it — explicitly via
 // RemoveWorker or implicitly via fault handling — without losing the
@@ -188,7 +157,6 @@ type Trainer struct {
 	adam     []*exec.AdamState
 	live     []int // original ids, ascending
 	step     int
-	tel      *trainTelemetry
 }
 
 // NewTrainer builds the replica set: every worker starts from the same
@@ -200,7 +168,7 @@ func NewTrainer(g *graph.Graph, cfg Config) (*Trainer, error) {
 	if cfg.LR <= 0 {
 		return nil, fmt.Errorf("train: non-positive learning rate %g", cfg.LR)
 	}
-	t := &Trainer{g: g, cfg: cfg, tel: newTrainTelemetry(cfg.Obs)}
+	t := &Trainer{g: g, cfg: cfg}
 	t.replicas = make([]*exec.Executor, cfg.Workers)
 	t.adam = make([]*exec.AdamState, cfg.Workers)
 	for w := range t.replicas {
@@ -213,9 +181,6 @@ func NewTrainer(g *graph.Graph, cfg Config) (*Trainer, error) {
 			t.adam[w] = e.NewAdamState()
 		}
 		t.live = append(t.live, w)
-	}
-	if t.tel != nil {
-		t.tel.liveG.Set(float64(len(t.live)))
 	}
 	return t, nil
 }
@@ -256,10 +221,6 @@ func (t *Trainer) RemoveWorker(id int) error {
 			next = append(next, t.live[:i]...)
 			next = append(next, t.live[i+1:]...)
 			t.live = next
-			if t.tel != nil {
-				t.tel.removed.Inc()
-				t.tel.liveG.Set(float64(len(t.live)))
-			}
 			return nil
 		}
 	}
@@ -404,11 +365,6 @@ func (t *Trainer) runStep(data DataSource) (float64, StepRecord, error) {
 	}
 	mean /= float64(n)
 	rec.Seconds = time.Since(stepT0).Seconds()
-	if t.tel != nil {
-		t.tel.stepH.Observe(rec.Seconds)
-		t.tel.steps.Inc()
-		t.tel.lossG.Set(mean)
-	}
 	t.step++
 	return mean, rec, nil
 }
@@ -469,9 +425,6 @@ func (t *Trainer) syncGradients(stepObs *obs.Obs, step int, live []int, vectors 
 		attempt++
 		remaining--
 		if remaining > 0 {
-			if t.tel != nil {
-				t.tel.retries.Inc()
-			}
 			time.Sleep(t.cfg.Retry.StepBackoff(int(attempt), uint64(step)))
 			continue
 		}
