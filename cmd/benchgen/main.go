@@ -13,9 +13,11 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"convmeter"
+	"convmeter/internal/obs"
 )
 
 func main() {
@@ -30,17 +32,13 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchgen:", err)
 		os.Exit(1)
 	}
-	w := os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchgen:", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		w = f
+	write := func(w io.Writer) error { return convmeter.WriteCSV(w, samples) }
+	if *out == "" {
+		err = write(os.Stdout)
+	} else {
+		err = obs.Export(*out, write)
 	}
-	if err := convmeter.WriteCSV(w, samples); err != nil {
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchgen:", err)
 		os.Exit(1)
 	}

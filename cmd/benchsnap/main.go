@@ -23,37 +23,29 @@ import (
 	"strings"
 )
 
+// Every snapshot in the trajectory measures the same suite the same
+// way: all benchmarks of pkgs, each for benchtime, which is time-based
+// so micro-benchmarks get enough iterations to beat timer granularity
+// while the experiment benches stay cheap. A check tolerates a
+// threshold fractional ns/op regression.
+const (
+	benchtime = "20ms"
+	threshold = 0.15
+)
+
+var pkgs = []string{"./", "./internal/obs"}
+
 func main() {
 	out := flag.String("out", "", "write the snapshot JSON to this file")
 	check := flag.String("check", "", "baseline snapshot to compare a fresh run against; exit 1 on regression")
-	threshold := flag.Float64("threshold", 0.15, "fractional ns/op regression tolerated in -check mode")
-	benchRe := flag.String("bench", ".", "benchmark selection regexp passed to go test -bench")
-	benchtime := flag.String("benchtime", "20ms", "go test -benchtime value; time-based so micro-benchmarks get enough iterations to beat timer granularity while the experiment benches stay cheap")
 	count := flag.Int("count", 5, "go test -count value; repeated measurements are merged by min ns/op to filter scheduler and GC noise")
-	pkgs := flag.String("pkgs", "./,./internal/obs", "comma-separated packages whose benchmarks form the baseline")
-	input := flag.String("input", "", "parse this `go test -bench` output file, produced on this host, instead of running the benchmarks")
 	flag.Parse()
 	if *out == "" && *check == "" {
 		fmt.Fprintln(os.Stderr, "benchsnap: nothing to do (pass -out and/or -check)")
 		os.Exit(2)
 	}
-	var lines []string
-	if *input != "" {
-		data, err := os.ReadFile(*input)
-		if err != nil {
-			fatal(err)
-		}
-		lines = strings.Split(string(data), "\n")
-	} else {
-		for _, pkg := range strings.Split(*pkgs, ",") {
-			text, err := runBench(pkg, *benchRe, *benchtime, *count)
-			if err != nil {
-				fatal(err)
-			}
-			lines = append(lines, strings.Split(text, "\n")...)
-		}
-	}
-	snap, err := buildSnapshot(lines, *benchtime)
+	lines := runSuite(".", *count) // every benchmark of the suite
+	snap, err := buildSnapshot(lines, benchtime)
 	if err != nil {
 		fatal(err)
 	}
@@ -72,28 +64,22 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		regressions, matched := compare(base, snap, *threshold, os.Stdout)
+		regressions, matched := compare(base, snap, threshold, os.Stdout)
 		// A regression may be machine load, not code: re-measure only the
 		// offending benchmarks and keep the per-benchmark minimum. The
 		// minimum is monotone under more samples while the baseline is
 		// fixed, so genuine regressions survive and noise converges away.
-		for retry := 0; len(regressions) > 0 && retry < 3 && *input == ""; retry++ {
+		for retry := 0; len(regressions) > 0 && retry < 3; retry++ {
 			re := retryRegexp(regressions)
 			if re == "" {
 				break // allocation regressions are deterministic: re-measuring cannot clear them
 			}
 			fmt.Printf("benchsnap: re-measuring %d regressed benchmark(s)\n", len(regressions))
-			for _, pkg := range strings.Split(*pkgs, ",") {
-				text, err := runBench(pkg, re, *benchtime, *count<<(retry+1))
-				if err != nil {
-					fatal(err)
-				}
-				lines = append(lines, strings.Split(text, "\n")...)
-			}
-			if snap, err = buildSnapshot(lines, *benchtime); err != nil {
+			lines = append(lines, runSuite(re, *count<<(retry+1))...)
+			if snap, err = buildSnapshot(lines, benchtime); err != nil {
 				fatal(err)
 			}
-			regressions, matched = compare(base, snap, *threshold, io.Discard)
+			regressions, matched = compare(base, snap, threshold, io.Discard)
 		}
 		if len(regressions) > 0 {
 			for _, r := range regressions {
@@ -103,7 +89,7 @@ func main() {
 		}
 		timing := "ns/op not compared"
 		if base.Host.timesComparableWith(snap.Host) {
-			timing = fmt.Sprintf("ns/op within %.0f%%", *threshold*100)
+			timing = fmt.Sprintf("ns/op within %.0f%%", threshold*100)
 		}
 		fmt.Printf("benchsnap: %d of %d baseline benchmarks matched in %s: 0-allocs/op ones still allocate nothing; %s\n",
 			matched, len(base.Benchmarks), *check, timing)
@@ -139,19 +125,24 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
-// runBench executes one package's benchmarks and returns the raw
-// `go test` output. Benchmark-less packages yield no benchmark lines,
-// which is fine; a failing build or test is not.
-func runBench(pkg, benchRe, benchtime string, count int) (string, error) {
-	cmd := exec.Command("go", "test", "-run", "^$",
-		"-bench", benchRe, "-benchmem", "-benchtime", benchtime,
-		"-count", strconv.Itoa(count), pkg)
-	cmd.Stderr = os.Stderr
-	outBytes, err := cmd.Output()
-	if err != nil {
-		return "", fmt.Errorf("go test -bench %s: %v\n%s", pkg, err, outBytes)
+// runSuite runs the benchmarks benchRe selects in every package of the
+// suite and returns the raw `go test` output lines. Benchmark-less
+// packages yield no benchmark lines, which is fine; a failing build or
+// test is not.
+func runSuite(benchRe string, count int) []string {
+	var lines []string
+	for _, pkg := range pkgs {
+		cmd := exec.Command("go", "test", "-run", "^$",
+			"-bench", benchRe, "-benchmem", "-benchtime", benchtime,
+			"-count", strconv.Itoa(count), pkg)
+		cmd.Stderr = os.Stderr
+		out, err := cmd.Output()
+		if err != nil {
+			fatal(fmt.Errorf("go test -bench %s: %v\n%s", pkg, err, out))
+		}
+		lines = append(lines, strings.Split(string(out), "\n")...)
 	}
-	return string(outBytes), nil
+	return lines
 }
 
 // newSnapshot stamps the environment the numbers were measured in, so

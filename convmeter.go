@@ -251,7 +251,7 @@ type DagReport = dagrun.Report
 var ErrDagCrashed = dagrun.ErrCrashed
 
 // RunExperimentsDAG runs the given experiment ids as the
-// fit→LOMO→figures/report DAG and returns their results in order. The
+// fit→LOMO→report DAG and returns their results in order. The
 // audit report is returned even when the run fails or is killed, so
 // callers can surface blame.
 func RunExperimentsDAG(ids []string, cfg ExperimentConfig, dcfg ExperimentsDagConfig) ([]*ExperimentResult, *DagReport, error) {

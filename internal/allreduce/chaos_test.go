@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -52,19 +53,11 @@ func checkGoroutines(t *testing.T, baseline int) {
 	}
 }
 
-// TestChaosFaultClasses drives both transports through each fault class
-// at probability 1 and asserts the bounded contract: delays are absorbed
+// TestChaosFaultClasses drives the TCP ring through each fault class at
+// probability 1 and asserts the bounded contract: delays are absorbed
 // and the reduce still yields the exact sums; destructive classes produce
 // a clean *RingError with blame, with no goroutine left behind.
 func TestChaosFaultClasses(t *testing.T) {
-	type runner struct {
-		name string
-		run  func(vectors [][]float32, opts Options) error
-	}
-	transports := []runner{
-		{"chan", RingOpts},
-		{"tcp", RingTCPOpts},
-	}
 	cases := []struct {
 		name    string
 		prof    faults.Profile
@@ -76,59 +69,59 @@ func TestChaosFaultClasses(t *testing.T) {
 		{"truncate-detected", faults.Profile{Truncate: 1, Workers: []int{1}}, false},
 		{"reset-bounded", faults.Profile{Reset: 1, Workers: []int{0}}, false},
 	}
-	for _, tr := range transports {
-		for _, tc := range cases {
-			t.Run(tr.name+"/"+tc.name, func(t *testing.T) {
-				baseline := runtime.NumGoroutine()
-				vectors, want := makeVectors(4, 37, 7)
-				opts := chaosOptions(newInjector(t, 21, tc.prof))
-				start := time.Now()
-				err := tr.run(vectors, opts)
-				elapsed := time.Since(start)
-				if elapsed > 10*time.Second {
-					t.Fatalf("run took %v, want bounded well under the chaos budget", elapsed)
+	for _, tc := range cases {
+		t.Run("tcp/"+tc.name, func(t *testing.T) {
+			baseline := runtime.NumGoroutine()
+			vectors, want := makeVectors(4, 37, 7)
+			opts := chaosOptions(newInjector(t, 21, tc.prof))
+			start := time.Now()
+			err := RingTCPOpts(vectors, opts)
+			elapsed := time.Since(start)
+			if elapsed > 10*time.Second {
+				t.Fatalf("run took %v, want bounded well under the chaos budget", elapsed)
+			}
+			if tc.succeed {
+				if err != nil {
+					t.Fatalf("delays must be absorbed, got %v", err)
 				}
-				if tc.succeed {
-					if err != nil {
-						t.Fatalf("delays must be absorbed, got %v", err)
-					}
-					checkAllEqualSum(t, vectors, want)
-				} else {
-					var re *RingError
-					if !errors.As(err, &re) {
-						t.Fatalf("err = %v, want *RingError", err)
-					}
-					if _, ok := Blame(err); !ok {
-						t.Fatalf("RingError carries no blame: %v", err)
-					}
+				checkAllEqualSum(t, vectors, want)
+			} else {
+				var re *RingError
+				if !errors.As(err, &re) {
+					t.Fatalf("err = %v, want *RingError", err)
 				}
-				checkGoroutines(t, baseline)
-			})
-		}
+				if _, ok := Blame(err); !ok {
+					t.Fatalf("RingError carries no blame: %v", err)
+				}
+			}
+			checkGoroutines(t, baseline)
+		})
 	}
 }
 
-// TestChaosCorruptionHitsCopy: an injected bit flip lands in the copy of
-// the chunk the worker sends, never in the worker's own vector.
-func TestChaosCorruptionHitsCopy(t *testing.T) {
-	const length = 64
-	r := newStepRing(t, length, Options{Faults: newInjector(t, 21, faults.Profile{Corrupt: 1})})
-	own := append([]float32(nil), r.v...)
-	a, b := chunkBounds(length, 2, 1)
-	msg := oneStep(t, r, make([]float32, b-a))
-	flipped := 0
-	for i, v := range msg.data {
-		if v != own[i] { //lint:ignore floatcmp a bit flip must change the sent value exactly
-			flipped++
-		}
-	}
-	if flipped != 1 {
-		t.Fatalf("sent chunk differs from the vector in %d elements, want 1", flipped)
-	}
-	for i := range msg.data {
-		if r.v[i] != own[i] { //lint:ignore floatcmp the worker's own chunk must be bit-for-bit untouched
-			t.Fatalf("corruption reached the worker's own vector at %d", i)
-		}
+// TestRingOptsRejectsTransportOptions: deadlines, cancellation and fault
+// injection are the TCP ring's. The channel ring refuses each of them
+// with an error naming RingTCPOpts, before touching the vectors, rather
+// than silently running without them.
+func TestRingOptsRejectsTransportOptions(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{
+		{"ctx", Options{Ctx: context.Background()}},
+		{"op-timeout", Options{OpTimeout: time.Second}},
+		{"faults", Options{Faults: newInjector(t, 1, faults.Profile{})}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			vectors := [][]float32{{1, 2}, {10, 20}}
+			err := RingOpts(vectors, tc.opts)
+			if err == nil || !strings.Contains(err.Error(), "RingTCPOpts") {
+				t.Fatalf("err = %v, want a rejection naming RingTCPOpts", err)
+			}
+			if vectors[0][0] != 1 || vectors[1][1] != 20 {
+				t.Fatalf("rejected run changed the vectors: %v", vectors)
+			}
+		})
 	}
 }
 
@@ -178,33 +171,24 @@ func TestChaosSameSeedSameDecisions(t *testing.T) {
 	}
 }
 
-// TestChaosContextCancel: a canceled context aborts both transports
-// promptly with a clean error instead of hanging on ring channels or
-// sockets.
+// TestChaosContextCancel: a canceled context aborts the TCP ring
+// promptly with a clean error instead of hanging on its sockets.
 func TestChaosContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, tc := range []struct {
-		name string
-		run  func(vectors [][]float32, opts Options) error
-	}{
-		{"chan", RingOpts},
-		{"tcp", RingTCPOpts},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			baseline := runtime.NumGoroutine()
-			vectors, _ := makeVectors(3, 16, 1)
-			start := time.Now()
-			err := tc.run(vectors, Options{Ctx: ctx, OpTimeout: 100 * time.Millisecond})
-			if err == nil {
-				t.Fatal("canceled context did not abort the run")
-			}
-			if elapsed := time.Since(start); elapsed > 5*time.Second {
-				t.Fatalf("cancellation took %v", elapsed)
-			}
-			checkGoroutines(t, baseline)
-		})
-	}
+	t.Run("tcp", func(t *testing.T) {
+		baseline := runtime.NumGoroutine()
+		vectors, _ := makeVectors(3, 16, 1)
+		start := time.Now()
+		err := RingTCPOpts(vectors, Options{Ctx: ctx, OpTimeout: 100 * time.Millisecond})
+		if err == nil {
+			t.Fatal("canceled context did not abort the run")
+		}
+		if elapsed := time.Since(start); elapsed > 5*time.Second {
+			t.Fatalf("cancellation took %v", elapsed)
+		}
+		checkGoroutines(t, baseline)
+	})
 }
 
 // TestReadChunkRetryResumesPartialFrame: a frame delivered in two bursts

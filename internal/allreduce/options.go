@@ -10,9 +10,9 @@ import (
 	"convmeter/internal/obs"
 )
 
-// RetryPolicy bounds per-operation retries in the resilient transports:
-// a timed-out chunk read/write (or a failed ring dial) is retried up to
-// Attempts times with exponential backoff plus deterministic jitter.
+// RetryPolicy bounds per-operation retries on the TCP ring: a timed-out
+// chunk read (or a failed ring dial) is retried up to Attempts times
+// with exponential backoff plus deterministic jitter.
 type RetryPolicy struct {
 	Attempts int           // total attempts per op; <=0 means defaultAttempts
 	Backoff  time.Duration // base backoff between attempts; <=0 means defaultBackoff
@@ -62,25 +62,29 @@ func (r RetryPolicy) StepBackoff(attempt int, salt uint64) time.Duration {
 	return r.backoff(attempt, salt)
 }
 
-// Options configures a resilient all-reduce run. The zero Options is the
-// plain fast path: no deadlines, no retries, no fault injection.
+// Options configures an all-reduce run. Both rings read Obs and
+// WorkerIDs; the rest is the TCP ring's (RingTCPOpts), and RingOpts
+// rejects a Ctx, OpTimeout or Faults. The zero Options is the plain
+// ring: no deadlines, no retries, no fault injection.
 type Options struct {
-	// Ctx cancels the run early; nil means context.Background().
+	// Ctx cancels a TCP run early; nil means context.Background().
 	// The options-struct idiom: Options is consumed once at the top of a
 	// run and never outlives it, so the stored-context hazard (a context
 	// outliving its request) cannot arise.
 	Ctx context.Context
-	// OpTimeout is the deadline for one chunk send or receive; 0 means
-	// defaultOpTimeout when any resilience feature is active.
+	// OpTimeout is the TCP ring's deadline for one chunk write or read;
+	// 0 means defaultOpTimeout when any resilience feature is active.
 	OpTimeout time.Duration
-	// Retry bounds per-op retries on timeouts and ring-wiring dials.
+	// Retry bounds the TCP ring's per-op retries on read timeouts and
+	// ring-wiring dials.
 	Retry RetryPolicy
-	// Faults injects deterministic faults into the transport.
+	// Faults injects deterministic faults into the TCP ring's
+	// connections.
 	Faults *faults.Injector
 	// Obs receives each worker's ar.send, ar.wait and ar.recv spans.
 	Obs *obs.Obs
-	// WorkerIDs maps ring positions to external worker ids for fault
-	// sites and error attribution; nil means identity.
+	// WorkerIDs maps ring positions to external worker ids for span
+	// attribution, fault sites and error blame; nil means identity.
 	WorkerIDs []int
 	// SeqBase offsets the logical operation sequence numbers handed to
 	// the fault injector. Callers re-running an all-reduce (a trainer
@@ -88,7 +92,8 @@ type Options struct {
 	SeqBase uint64
 }
 
-// resilient reports whether the run needs deadlines/retry machinery.
+// resilient reports whether the run asks for the TCP ring's deadline,
+// cancellation or fault machinery.
 func (o Options) resilient() bool {
 	return o.Ctx != nil || o.OpTimeout > 0 || o.Faults != nil
 }

@@ -16,8 +16,8 @@ import (
 	"convmeter/internal/obs"
 )
 
-// RingTCP performs the same ring all-reduce as Ring, but over real TCP
-// connections (loopback sockets between the workers) instead of
+// RingTCPOpts performs the same ring all-reduce as Ring, but over real
+// TCP connections (loopback sockets between the workers) instead of
 // channels — the transport shape of the paper's inter-node phase, where
 // gradients cross an actual network. Chunks are framed as
 // length-prefixed float32 payloads followed by an IEEE CRC-32 of the
@@ -26,15 +26,12 @@ import (
 //
 // The ring is wired as n listeners; worker i dials worker (i+1) mod n, so
 // each worker holds one inbound and one outbound connection.
-func RingTCP(vectors [][]float32) error {
-	return RingTCPOpts(vectors, Options{})
-}
-
-// RingTCPOpts is the resilient TCP ring: Options add context
-// cancellation, per-op socket deadlines, bounded read/dial retries with
-// backoff + jitter, and fault injection on the connections. The zero
-// Options is exactly RingTCP. On failure the returned error is a
-// *RingError attributing blame per worker.
+//
+// It is the resilient ring: Options add context cancellation, per-op
+// socket deadlines, bounded read/dial retries with backoff + jitter, and
+// fault injection on the connections. The zero Options is the plain TCP
+// ring. On failure the returned error is a *RingError attributing blame
+// per worker.
 func RingTCPOpts(vectors [][]float32, opts Options) error {
 	n, length, err := validate(vectors)
 	if err != nil {

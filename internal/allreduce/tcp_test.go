@@ -19,7 +19,7 @@ func TestRingTCPMatchesChannelRing(t *testing.T) {
 		for i := range tcpVecs {
 			chanVecs[i] = append([]float32(nil), tcpVecs[i]...)
 		}
-		if err := RingTCP(tcpVecs); err != nil {
+		if err := RingTCPOpts(tcpVecs, Options{}); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
 		if err := Ring(chanVecs); err != nil {
@@ -41,7 +41,7 @@ func TestRingTCPMatchesChannelRing(t *testing.T) {
 
 func TestRingTCPSingleWorker(t *testing.T) {
 	v := [][]float32{{1, 2, 3}}
-	if err := RingTCP(v); err != nil {
+	if err := RingTCPOpts(v, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if v[0][1] != 2 {
@@ -50,10 +50,10 @@ func TestRingTCPSingleWorker(t *testing.T) {
 }
 
 func TestRingTCPErrors(t *testing.T) {
-	if err := RingTCP(nil); err == nil {
+	if err := RingTCPOpts(nil, Options{}); err == nil {
 		t.Fatal("expected no-workers error")
 	}
-	if err := RingTCP([][]float32{{1}, {1, 2}}); err == nil {
+	if err := RingTCPOpts([][]float32{{1}, {1, 2}}, Options{}); err == nil {
 		t.Fatal("expected length-mismatch error")
 	}
 }
@@ -61,7 +61,7 @@ func TestRingTCPErrors(t *testing.T) {
 func TestRingTCPShortVector(t *testing.T) {
 	// More workers than elements: empty chunks must frame correctly.
 	vectors, want := makeVectors(6, 2, 9)
-	if err := RingTCP(vectors); err != nil {
+	if err := RingTCPOpts(vectors, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	checkAllEqualSum(t, vectors, want)
@@ -152,7 +152,7 @@ func TestRingTCPWiringFailureClosesConns(t *testing.T) {
 		t.Skip("/proc/self/fd unavailable; fd accounting needs Linux")
 	}
 	vectors, _ := makeVectors(3, 16, 7)
-	if err := RingTCP(vectors); err != nil {
+	if err := RingTCPOpts(vectors, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if after := countFDs(t); after > before {

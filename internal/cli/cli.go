@@ -284,6 +284,15 @@ func runDissect(args []string, env Env) error {
 	return oo.export(o)
 }
 
+// writeOut writes a command's -out file through obs.Export, or to
+// stdout when path is empty.
+func writeOut(path string, stdout io.Writer, write func(io.Writer) error) error {
+	if path == "" {
+		return write(stdout)
+	}
+	return obs.Export(path, write)
+}
+
 // runTimeline emits a Chrome trace of one simulated training step.
 func runTimeline(args []string, env Env) error {
 	fs := flag.NewFlagSet("timeline", flag.ContinueOnError)
@@ -307,16 +316,9 @@ func runTimeline(args []string, env Env) error {
 	if err != nil {
 		return err
 	}
-	w := env.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-	if err := tracefmt.WriteChromeTrace(w, events); err != nil {
+	if err := writeOut(*out, env.Stdout, func(w io.Writer) error {
+		return tracefmt.WriteChromeTrace(w, events)
+	}); err != nil {
 		return err
 	}
 	printf(env.Stderr, "step %.3f ms (fwd %.3f, bwd %.3f, grad %.3f) — open in chrome://tracing or Perfetto\n",
@@ -414,18 +416,11 @@ func runFit(args []string, env Env) error {
 	default:
 		return fmt.Errorf("unknown fit kind %q", *kind)
 	}
-	w := env.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(payload); err != nil {
+	if err := writeOut(*out, env.Stdout, func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(payload)
+	}); err != nil {
 		return err
 	}
 	return oo.export(o)

@@ -254,6 +254,41 @@ func TestTimelineCommand(t *testing.T) {
 	}
 }
 
+// TestOutCreatesParentDirs: fit -out and timeline -out write through
+// obs.Export, so each creates its file, missing parent directories
+// included, and the file parses.
+func TestOutCreatesParentDirs(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "not", "yet")
+	data := writeSmallDataset(t, false)
+	coeff := filepath.Join(dir, "fit", "coeff.json")
+	if code, _, errOut := run(t, "fit", "-kind", "inference", "-data", data, "-out", coeff); code != 0 {
+		t.Fatalf("fit -out into a new directory failed: %s", errOut)
+	}
+	raw, err := os.ReadFile(coeff)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m core.InferenceModel
+	if err := json.Unmarshal(raw, &m); err != nil {
+		t.Fatalf("fit -out file does not parse: %v", err)
+	}
+
+	trace := filepath.Join(dir, "timeline", "trace.json")
+	if code, _, errOut := run(t, "timeline", "-model", "resnet18", "-image", "64", "-out", trace); code != 0 {
+		t.Fatalf("timeline -out into a new directory failed: %s", errOut)
+	}
+	raw, err = os.ReadFile(trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []map[string]any `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(raw, &doc); err != nil || len(doc.TraceEvents) == 0 {
+		t.Fatalf("timeline -out file: %d events, err %v", len(doc.TraceEvents), err)
+	}
+}
+
 func TestFitRejectsUnknownKind(t *testing.T) {
 	code, _, errOut := run(t, "fit", "-kind", "wizardry")
 	if code != 1 || !strings.Contains(errOut, "unknown fit kind") {

@@ -13,7 +13,7 @@ import (
 // node's meaning changes — sweep shapes, fitting procedure, rendering —
 // so manifests committed under the old semantics fail closed instead of
 // resurfacing as current results.
-const CodeFingerprint = "convmeter/experiments@v1"
+const CodeFingerprint = "convmeter/experiments@v2"
 
 // DagConfig parameterises a durable experiment run on top of the
 // experiment Config.
@@ -32,10 +32,9 @@ type DagConfig struct {
 }
 
 // SuiteReport is the terminal report node's output: every experiment
-// result in the paper's order plus a rendered run summary.
+// result in the paper's order.
 type SuiteReport struct {
 	Results []*Result `json:"results"`
-	Text    string    `json:"text"`
 }
 
 // nodeID maps an experiment id to the DAG node that produces its
@@ -58,15 +57,13 @@ func nodeConfig(stage string, cfg Config) string {
 // BuildDAG assembles the experiment pipeline for the given ids:
 //
 //	fit ──▶ lomo ─┐
-//	exp:fig8 ─┬─▶ figures ─┬─▶ report
-//	exp:fig9 ─┘            │
-//	exp:<id> ──────────────┘
+//	exp:<id> ─────┼─▶ report
+//	exp:<id> ─────┘
 //
-// table1 expands into the staged fit→lomo pair; fig8+fig9 (when both
-// are requested) feed a figures node that bundles their data series;
-// and a terminal report node — depending on everything — assembles the
-// ordered result list. Independent experiments are roots and run in
-// parallel on the executor's pool.
+// table1 expands into the staged fit→lomo pair, and a terminal report
+// node — depending on everything — assembles the ordered result list.
+// Independent experiments are roots and run in parallel on the
+// executor's pool.
 func BuildDAG(ids []string, cfg Config) ([]dagrun.Node, error) {
 	known := make(map[string]Runner, len(Runners()))
 	for _, r := range Runners() {
@@ -128,36 +125,12 @@ func BuildDAG(ids []string, cfg Config) ([]dagrun.Node, error) {
 		reportDeps = append(reportDeps, nodeID(r.ID))
 	}
 
-	if requested["fig8"] && requested["fig9"] {
-		nodes = append(nodes, dagrun.Node{
-			ID:     "figures",
-			Deps:   []string{nodeID("fig8"), nodeID("fig9")},
-			Config: nodeConfig("figures", cfg),
-			Run: func(in dagrun.Inputs) (any, error) {
-				bundle := map[string]string{}
-				for _, dep := range []string{"fig8", "fig9"} {
-					var res Result
-					if err := in.Decode(nodeID(dep), &res); err != nil {
-						return nil, err
-					}
-					for _, name := range sortedKeys(res.Series) {
-						bundle[dep+"/"+name] = res.Series[name]
-					}
-				}
-				return bundle, nil
-			},
-		})
-		reportDeps = append(reportDeps, "figures")
-	}
-
-	resultDeps := append([]string(nil), reportDeps...)
 	nodes = append(nodes, dagrun.Node{
 		ID:     "report",
-		Deps:   resultDeps,
+		Deps:   reportDeps,
 		Config: nodeConfig("report", cfg),
 		Run: func(in dagrun.Inputs) (any, error) {
 			suite := &SuiteReport{}
-			var rows [][]string
 			for _, r := range Runners() {
 				if !requested[r.ID] {
 					continue
@@ -167,9 +140,7 @@ func BuildDAG(ids []string, cfg Config) ([]dagrun.Node, error) {
 					return nil, err
 				}
 				suite.Results = append(suite.Results, &res)
-				rows = append(rows, []string{res.ID, fmt.Sprintf("%d", len(res.Stats)), fmt.Sprintf("%d", len(res.Series))})
 			}
-			suite.Text = table([]string{"Experiment", "Stats", "Series"}, rows)
 			return suite, nil
 		},
 	})

@@ -123,43 +123,6 @@ func TestDagResumeMatrixChaos(t *testing.T) {
 	}
 }
 
-// TestDagFiguresBundle: requesting fig8+fig9 adds the figures node,
-// which bundles both experiments' data series under prefixed names.
-func TestDagFiguresBundle(t *testing.T) {
-	cfg := Config{Seed: 5, Quick: true}
-	nodes, err := BuildDAG([]string{"fig8", "fig9"}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := dagrun.New(dagrun.Config{Workers: 2, Code: CodeFingerprint}, nodes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := r.Execute()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := rep.Node("figures"); st == nil || st.State != dagrun.StateDone {
-		t.Fatalf("figures node: %+v", st)
-	}
-	raw, ok := r.Output("figures")
-	if !ok {
-		t.Fatal("no figures output")
-	}
-	var bundle map[string]string
-	if err := dagrun.DecodeOutput(raw, &bundle); err != nil {
-		t.Fatal(err)
-	}
-	if len(bundle) == 0 {
-		t.Fatal("figures bundle is empty")
-	}
-	for name, doc := range bundle {
-		if doc == "" {
-			t.Fatalf("series %s is empty", name)
-		}
-	}
-}
-
 // TestDagRejectsUnknown: BuildDAG validates ids like Run does.
 func TestDagRejectsUnknown(t *testing.T) {
 	if _, err := BuildDAG([]string{"ghost"}, Config{}); err == nil {

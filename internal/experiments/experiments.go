@@ -9,7 +9,6 @@ package experiments
 import (
 	"encoding/csv"
 	"fmt"
-	"sort"
 	"strings"
 	"text/tabwriter"
 
@@ -79,16 +78,6 @@ func table(header []string, rows [][]string) string {
 	}
 	_ = w.Flush()
 	return sb.String()
-}
-
-// sortedKeys returns map keys in sorted order for deterministic output.
-func sortedKeys[V any](m map[string]V) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Runner is a named experiment entry point.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -17,6 +18,16 @@ var goldenQuickSeed1 = filepath.Join("..", "..", "cmd", "perfbench", "testdata",
 // wallClockIDs are the experiments whose text carries measured
 // wall-clock values and so cannot be pinned byte for byte.
 var wallClockIDs = map[string]bool{"extreal": true, "exttrainreal": true, "exttrainfaults": true}
+
+// sortedKeys returns map keys in sorted order.
+func sortedKeys[V any](m map[string]V) []string {
+	out := make([]string, 0, len(m))
+	for k := range m {
+		out = append(out, k)
+	}
+	sort.Strings(out)
+	return out
+}
 
 // renderGolden renders results as the golden file does: every table,
 // every headline statistic with all its digits, and every data series.

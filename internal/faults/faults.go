@@ -1,6 +1,6 @@
 // Package faults is ConvMeter's deterministic fault-injection framework:
 // the chaos-engineering counterpart of the resilient measured-side stack
-// (ring all-reduce transports, data-parallel trainer). The paper fits its
+// (the TCP ring all-reduce, the data-parallel trainer). The paper fits its
 // gradient-update model from all-reduce runs on a real InfiniBand
 // cluster, where stragglers, dropped connections and worker failures are
 // routine; this package reproduces those conditions on demand so the
@@ -11,7 +11,9 @@
 // transport, worker, direction and a caller-assigned logical sequence
 // number, so the same seed yields the identical fault schedule no matter
 // how goroutines interleave or how often a timed-out operation is
-// retried. Injected faults are recorded as events, counted per class by
+// retried. Transport faults reach the TCP ring through Conn; crashes
+// and slowdowns are step-boundary schedules the trainer consults on
+// either of its transports. Injected faults are recorded as events, counted per class by
 // CountByClass, so a chaos run can be audited after the fact.
 //
 // The package lives on the measured side of the analytical/measured
@@ -212,11 +214,13 @@ func ByName(name string) (Profile, error) {
 // Op identifies one logical transport operation. Seq is assigned by the
 // caller and must be stable across retries of the same logical operation
 // (and distinct across different ones) — that is what makes schedules
-// reproducible under timeouts and re-attempts.
+// reproducible under timeouts and re-attempts. The crash and slowdown
+// events reuse the shape: transport "train" with direction "crash" or
+// "slow", and "dag/<node>" with the crash point.
 type Op struct {
-	Transport string // "chan" or "tcp"
+	Transport string // "tcp": the TCP ring's connections (Conn)
 	Worker    int    // owning worker id (original trainer id)
-	Dir       string // "send"/"recv" (chan), "in"/"out" (tcp)
+	Dir       string // "in" (read) or "out" (write)
 	Seq       uint64
 }
 

@@ -120,7 +120,7 @@ func TestPlannedMatchesDecide(t *testing.T) {
 	}
 	var ops []Op
 	for seq := uint64(0); seq < 50; seq++ {
-		ops = append(ops, Op{Transport: "chan", Worker: 1, Dir: "send", Seq: seq})
+		ops = append(ops, Op{Transport: "tcp", Worker: 1, Dir: "out", Seq: seq})
 	}
 	planned := in.Planned(ops)
 	if len(in.Events()) != 0 {

@@ -55,6 +55,15 @@ func TestConvOutFormula(t *testing.T) {
 	if got := convOut(32, 3, 1, 2, 2); got != 32 {
 		t.Fatalf("dilated convOut = %d, want 32", got)
 	}
+	// An input shorter than the kernel by less than the stride: the
+	// division truncates toward zero, so one output remains where floor
+	// would leave none (squeezenet1_0's last pool at 32 px).
+	if got := convOut(2, 3, 2, 0, 1); got != 1 {
+		t.Fatalf("convOut(2, 3, 2, 0, 1) = %d, want 1", got)
+	}
+	if got := convOut(1, 2, 2, 0, 1); got != 1 {
+		t.Fatalf("convOut(1, 2, 2, 0, 1) = %d, want 1", got)
+	}
 }
 
 func TestTinyNetShapes(t *testing.T) {

@@ -31,7 +31,12 @@ func (s Shape) String() string { return fmt.Sprintf("%dx%dx%d", s.C, s.H, s.W) }
 func (s Shape) Flat() Shape { return Shape{C: s.C * s.H * s.W, H: 1, W: 1} }
 
 // convOut computes one spatial output dimension of a convolution or
-// pooling window: floor((in + 2·pad − dilation·(k−1) − 1)/stride) + 1.
+// pooling window: (in + 2·pad − dilation·(k−1) − 1)/stride + 1, the
+// division truncating toward zero as Go's / does. That is floor for a
+// window that fits the input, but an input shorter than the dilated
+// kernel by less than the stride still yields one output, whose window
+// overhangs the input (PyTorch rejects such shapes). The zoo relies on
+// it: squeezenet1_0 builds at 32 px only through this truncation.
 func convOut(in, k, stride, pad, dilation int) int {
 	eff := dilation*(k-1) + 1
 	return (in+2*pad-eff)/stride + 1

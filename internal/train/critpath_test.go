@@ -18,9 +18,8 @@ import (
 
 // critpathRun trains a small net under a tracer and returns the
 // critical-path report of its recorded trace. A non-nil profile
-// schedules the injected faults; OpTimeout keeps the trainer on the
-// resilient transport paths (where the per-op spans live) even on a
-// clean run.
+// schedules the injected faults; OpTimeout and Retry bound the TCP
+// ring's ops (the channel ring has no deadline).
 func critpathRun(t *testing.T, transport Transport, prof *faults.Profile, steps int) critpath.Report {
 	t.Helper()
 	g := trainNet(t)

@@ -13,8 +13,9 @@ import (
 	"convmeter/internal/faults"
 )
 
-// elasticConfig is the resilient chan-transport config the elastic tests
-// share: tight deadlines, small retry budgets, injected faults.
+// elasticConfig is the config the elastic tests share: injected faults
+// on the channel ring, plus the tight deadlines and small retry budgets
+// that bound the tests that switch to the TCP ring.
 func elasticConfig(inj *faults.Injector) Config {
 	return Config{
 		Workers: 3, LR: 0.1, Seed: 7,
@@ -175,6 +176,42 @@ func TestElasticMinWorkersFloor(t *testing.T) {
 	_, err = DataParallel(g, cfg, 2, task.Source(4))
 	if err == nil || !strings.Contains(err.Error(), "below minimum 1") {
 		t.Fatalf("run should fail when crashes push below minWorkers, got %v", err)
+	}
+}
+
+// TestNewTrainerTransportFaultsNeedTCP: transport faults are the TCP
+// ring's. NewTrainer refuses each transport-fault class on the channel
+// ring, naming TransportTCP, and accepts it on TCP; crash and slowdown
+// schedules run on either transport.
+func TestNewTrainerTransportFaultsNeedTCP(t *testing.T) {
+	g := trainNet(t)
+	for _, tc := range []struct {
+		name   string
+		prof   faults.Profile
+		onChan bool
+	}{
+		{"delay", faults.Profile{Delay: 0.1, MaxDelay: time.Millisecond}, false},
+		{"drop", faults.Profile{Drop: 0.1}, false},
+		{"reset", faults.Profile{Reset: 0.1}, false},
+		{"corrupt", faults.Profile{Corrupt: 0.1}, false},
+		{"truncate", faults.Profile{Truncate: 0.1}, false},
+		{"crash", faults.Profile{Crashes: map[int]int{1: 2}}, true},
+		{"slowdown", faults.Profile{Slowdowns: map[int]int{0: 1}, SlowDelay: time.Millisecond}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{Workers: 2, LR: 0.1, Seed: 1, Faults: mustInjector(t, 1, tc.prof)}
+			_, err := NewTrainer(g, cfg)
+			if tc.onChan && err != nil {
+				t.Fatalf("TransportChan refused a %s schedule: %v", tc.name, err)
+			}
+			if !tc.onChan && (err == nil || !strings.Contains(err.Error(), "TransportTCP")) {
+				t.Fatalf("TransportChan with %s faults: err = %v, want a rejection naming TransportTCP", tc.name, err)
+			}
+			cfg.Transport = TransportTCP
+			if _, err := NewTrainer(g, cfg); err != nil {
+				t.Fatalf("TransportTCP refused %s: %v", tc.name, err)
+			}
+		})
 	}
 }
 

@@ -56,9 +56,9 @@ func stepHash(t *testing.T, g *graph.Graph, cfg Config, steps int, src DataSourc
 
 // TestTrainStepGolden pins the bits of whole training steps, on the
 // paths a step can take: perfbench's train shape (squeezenet1_1 at
-// 32×32, 2 workers × batch 2, SGD, the fault-free channel ring), Adam
-// on three workers, the resilient ring with an op deadline and no
-// faults, and an elastic run in which worker 1 crashes at step 2. Any
+// 32×32, 2 workers × batch 2, SGD, the channel ring), Adam on three
+// workers, the TCP ring's snapshot path with an op deadline and no
+// faults, and an elastic TCP run in which worker 1 crashes at step 2. Any
 // change to the forward, the backward, the ring, the averaging or the
 // optimizer that moves one bit of one weight fails here. Like
 // TestRealGradientsGolden the hashes were recorded on amd64.
@@ -98,10 +98,10 @@ func TestTrainStepGolden(t *testing.T) {
 			Config{Workers: 3, LR: 0.01, Optimizer: Adam, Seed: 3},
 			4, task(small, 3, 5).Source(4), 0x86ffb83bbd25460c},
 		{"trainnet/sgd/resilient", small,
-			Config{Workers: 3, LR: 0.05, Seed: 9, OpTimeout: deadline},
+			Config{Workers: 3, LR: 0.05, Seed: 9, Transport: TransportTCP, OpTimeout: deadline},
 			4, task(small, 3, 2).Source(4), 0xaa7dd82d99c4f34f},
 		{"trainnet/sgd/crash", small,
-			Config{Workers: 3, LR: 0.1, Seed: 7, Faults: crash, OpTimeout: deadline},
+			Config{Workers: 3, LR: 0.1, Seed: 7, Transport: TransportTCP, Faults: crash, OpTimeout: deadline},
 			5, task(small, 3, 1).Source(4), 0x3a3b217ec77f6764},
 	} {
 		if got := stepHash(t, c.g, c.cfg, c.steps, c.src); got != c.want {

@@ -12,14 +12,15 @@
 // role Horovod's tensor-fusion buffer plays: Gradients accumulates into
 // the replica's persistent gradient vector, the ring reduces that vector
 // in place, and the update averages and steps in one pass over it and
-// the parameter vector. Only the resilient path — faults, an op
-// deadline, or the TCP transport — reduces copies, one snapshot per
-// attempt, so that a failed ring never poisons the originals.
+// the parameter vector. Only the TCP ring, the one that can fail,
+// reduces copies, one snapshot per attempt, so that a failed ring never
+// poisons the originals.
 //
 // The trainer is elastic, in the style of the fault-tolerant Horovod
 // deployments the paper's measurements come from: when a worker crashes
-// at a step boundary (injected via internal/faults) or is declared dead
-// after all-reduce retry exhaustion, the ring re-forms with N−1 members,
+// at a step boundary (injected via internal/faults, on either
+// transport) or the TCP ring declares it dead after all-reduce retry
+// exhaustion, the ring re-forms with N−1 members,
 // gradient averaging renormalises to the survivor count, and data
 // sources built with SourceGlobal recompute the per-device batch
 // b = B/N — keeping the N-dependence of the paper's T_grad model
@@ -71,8 +72,9 @@ const (
 type Transport int
 
 // Available transports. TransportChan runs the ring over in-process
-// channels; TransportTCP runs it over real loopback sockets, where
-// dropped and reset connections are physically possible.
+// channels, which cannot fail; TransportTCP runs it over real loopback
+// sockets, where dropped and reset connections are physically possible,
+// so only it takes transport faults, deadlines and retries.
 const (
 	TransportChan Transport = iota
 	TransportTCP
@@ -90,17 +92,20 @@ type Config struct {
 	Obs *obs.Obs
 
 	// Transport selects the all-reduce transport (default TransportChan).
-	// A TCP run always goes through the resilient ring (RingTCPOpts,
-	// with per-attempt snapshots), as a run with Faults or OpTimeout
-	// does.
+	// The channel ring reduces the replicas' vectors in place; a TCP run
+	// goes through the resilient ring (RingTCPOpts), with per-attempt
+	// snapshots, step retries and blame.
 	Transport Transport
-	// Faults, when non-nil, injects deterministic faults into the
-	// transports and schedules worker crashes at step boundaries.
+	// Faults, when non-nil, schedules worker crashes and slowdowns at
+	// step boundaries on either transport. Its transport faults (delay,
+	// drop, reset, corrupt, truncate) hit the TCP ring's connections;
+	// NewTrainer rejects a profile with any of them on TransportChan.
 	Faults *faults.Injector
-	// OpTimeout bounds one chunk send/receive in the resilient
-	// transports; 0 keeps the transport default.
+	// OpTimeout bounds one chunk write or read on the TCP ring; 0 keeps
+	// the transport default. The channel ring has no deadline.
 	OpTimeout time.Duration
-	// Retry bounds transport-level retries (timeouts, ring dials).
+	// Retry bounds the TCP ring's transport-level retries (read
+	// timeouts, ring dials).
 	Retry allreduce.RetryPolicy
 }
 
@@ -113,13 +118,6 @@ const (
 	// drop further members and the step fails instead.
 	minWorkers = 1
 )
-
-// resilient reports whether the run needs the fault-tolerant paths:
-// faults, an op deadline, or the TCP transport, which only the resilient
-// ring speaks.
-func (c Config) resilient() bool {
-	return c.Faults != nil || c.OpTimeout > 0 || c.Transport == TransportTCP
-}
 
 // Result reports a training run.
 type Result struct {
@@ -167,6 +165,10 @@ func NewTrainer(g *graph.Graph, cfg Config) (*Trainer, error) {
 	}
 	if cfg.LR <= 0 {
 		return nil, fmt.Errorf("train: non-positive learning rate %g", cfg.LR)
+	}
+	if p := cfg.Faults.Profile(); cfg.Transport != TransportTCP &&
+		(p.Delay > 0 || p.Drop > 0 || p.Reset > 0 || p.Corrupt > 0 || p.Truncate > 0) {
+		return nil, fmt.Errorf("train: transport faults (delay, drop, reset, corrupt, truncate) need TransportTCP; the channel ring takes only crash and slowdown schedules")
 	}
 	t := &Trainer{g: g, cfg: cfg}
 	t.replicas = make([]*exec.Executor, cfg.Workers)
@@ -369,22 +371,23 @@ func (t *Trainer) runStep(data DataSource) (float64, StepRecord, error) {
 	return mean, rec, nil
 }
 
-// syncGradients all-reduces the live workers' gradient vectors with
-// retry and blame-based elastic degradation. It returns the reduced
-// (summed) vectors indexed like the input; entries of workers that died
-// mid-sync are stale and must be discarded by the caller. The fast path
-// reduces the replicas' own vectors in place; the resilient path reduces
-// snapshots, so that a failed attempt never poisons the originals.
+// syncGradients all-reduces the live workers' gradient vectors. It
+// returns the reduced (summed) vectors indexed like the input. The
+// channel ring cannot fail, so it reduces the replicas' own vectors in
+// place. The TCP ring reduces snapshots, so that a failed attempt never
+// poisons the originals, with retry and blame-based elastic
+// degradation; entries of workers that died mid-sync are stale and must
+// be discarded by the caller.
 func (t *Trainer) syncGradients(stepObs *obs.Obs, step int, live []int, vectors [][]float32) ([][]float32, error) {
 	gradSp := stepObs.Start("grad")
 	defer gradSp.End()
 	// Per-op transport spans (ar.send/ar.wait/ar.recv) nest under grad.
 	gradObs := stepObs.WithSpan(gradSp)
 
-	// Fast path — the pre-elastic behaviour, a flat ring, when no
-	// resilience features are requested.
-	if !t.cfg.resilient() {
-		return vectors, allreduce.RingObs(vectors, gradObs)
+	// The live ids keep the ring's spans attributed to the original
+	// workers after a crash.
+	if t.cfg.Transport != TransportTCP {
+		return vectors, allreduce.RingOpts(vectors, allreduce.Options{Obs: gradObs, WorkerIDs: live})
 	}
 
 	index := make(map[int]int, len(live))
@@ -409,12 +412,7 @@ func (t *Trainer) syncGradients(stepObs *obs.Obs, step int, live []int, vectors 
 			// a retried all-reduce draws fresh faults, deterministically.
 			SeqBase: uint64(step)<<24 | attempt<<12,
 		}
-		var err error
-		if t.cfg.Transport == TransportTCP {
-			err = allreduce.RingTCPOpts(snaps, opts)
-		} else {
-			err = allreduce.RingOpts(snaps, opts)
-		}
+		err := allreduce.RingTCPOpts(snaps, opts)
 		if err == nil {
 			out := make([][]float32, len(vectors))
 			for i, w := range ids {
