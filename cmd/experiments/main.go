@@ -24,6 +24,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 
 	"convmeter"
@@ -110,7 +111,7 @@ func dagFaults(opts options) (*faults.Injector, error) {
 	return faults.New(seed, prof)
 }
 
-func run(opts options) (err error) {
+func run(opts options) error {
 	cfg := convmeter.ExperimentConfig{
 		Seed: opts.seed, Quick: opts.quick,
 		FaultsSeed: opts.faultsSeed, FaultsProfile: opts.faultsProfile,
@@ -169,36 +170,38 @@ func run(opts options) (err error) {
 			return err
 		}
 	}
-	sinks := []io.Writer{os.Stdout}
-	if opts.outPath != "" {
-		f, err := os.Create(opts.outPath)
-		if err != nil {
-			return err
-		}
-		// A report that silently lost its tail is worse than an error:
-		// surface the close failure unless something already failed.
-		defer func() {
-			if cerr := f.Close(); cerr != nil && err == nil {
-				err = cerr
+	report := func(w io.Writer) error {
+		rule := strings.Repeat("=", 62)
+		for _, res := range results {
+			if _, err := fmt.Fprintf(w, "%s\n%s\n%s\n%s\n", rule, res.Title, rule, res.Text); err != nil {
+				return err
 			}
-		}()
-		sinks = append(sinks, f)
+		}
+		return nil
 	}
-	w := io.MultiWriter(sinks...)
-	rule := strings.Repeat("=", 62)
+	if err := report(os.Stdout); err != nil {
+		return err
+	}
+	if opts.outPath != "" {
+		if err := obs.Export(opts.outPath, report); err != nil {
+			return err
+		}
+	}
+	if opts.csvDir == "" {
+		return nil
+	}
 	for _, res := range results {
-		if _, err := fmt.Fprintf(w, "%s\n%s\n%s\n", rule, res.Title, rule); err != nil {
-			return err
+		names := make([]string, 0, len(res.Series))
+		for name := range res.Series {
+			names = append(names, name)
 		}
-		if _, err := fmt.Fprintln(w, res.Text); err != nil {
-			return err
-		}
-		if opts.csvDir == "" {
-			continue
-		}
-		for name, doc := range res.Series {
+		sort.Strings(names)
+		for _, name := range names {
 			path := filepath.Join(opts.csvDir, name+".csv")
-			if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+			if err := obs.Export(path, func(w io.Writer) error {
+				_, err := io.WriteString(w, res.Series[name])
+				return err
+			}); err != nil {
 				return err
 			}
 			fmt.Fprintf(os.Stderr, "experiments: wrote %s\n", path)

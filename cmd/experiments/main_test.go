@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/csv"
 	"encoding/json"
 	"errors"
 	"io"
@@ -214,6 +215,40 @@ func TestRunWithoutTelemetry(t *testing.T) {
 	}
 	if len(entries) != 1 {
 		t.Fatalf("%d files in out dir, want only the report", len(entries))
+	}
+}
+
+// TestRunOutputsCreateParentDirs: -out and -csvdir write through
+// obs.Export, as every other output file does, so both create missing
+// parent directories instead of failing after the whole run.
+func TestRunOutputsCreateParentDirs(t *testing.T) {
+	dir := t.TempDir()
+	opts := options{
+		id: "fig8", seed: 1, quick: true,
+		outPath: filepath.Join(dir, "out", "new", "report.txt"),
+		csvDir:  filepath.Join(dir, "csv", "new"),
+	}
+	if err := run(opts); err != nil {
+		t.Fatal(err)
+	}
+	report, err := os.ReadFile(opts.outPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(report), "Figure 8") {
+		t.Fatalf("-out report has no Figure 8 section:\n%s", report)
+	}
+	f, err := os.Open(filepath.Join(opts.csvDir, "fig8.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	rows, err := csv.NewReader(f).ReadAll()
+	if err != nil {
+		t.Fatalf("fig8.csv does not parse: %v", err)
+	}
+	if len(rows) < 2 || rows[0][0] != "model" {
+		t.Fatalf("fig8.csv = %v, want a model header and data rows", rows)
 	}
 }
 

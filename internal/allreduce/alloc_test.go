@@ -16,7 +16,7 @@ func newStepRing(length int) *chanRing {
 	for i := range v {
 		v[i] = float32(i)
 	}
-	return newChanRing(v, 0, 2, make(chan chanMsg, 1), make(chan chanMsg, 1), Options{})
+	return &chanRing{v: v, n: 2, send: make(chan chanMsg, 1), recv: make(chan chanMsg, 1)}
 }
 
 // oneStep runs one ring step — send chunk 0, then receive chunk 1 and

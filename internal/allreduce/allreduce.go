@@ -8,15 +8,17 @@
 // Horovod use; netsim models its *cost*, this package executes it for
 // real and pins down its semantics.
 //
-// There are two transports. The channel ring (Ring, RingObs, RingOpts)
-// links the workers with in-process channels, which cannot drop, reset
-// or corrupt a message, so it is plain: no deadlines, retries, checksums
-// or injected faults. The TCP ring (RingTCPOpts, tcp.go) runs over real
-// loopback sockets, where those faults are physically possible, and is
-// the hardened one: per-op deadlines, context cancellation, bounded
-// retries with exponential backoff and jitter, CRC validation of chunks,
-// and deterministic fault injection via internal/faults. Its failures
-// come back as *RingError values attributing blame per worker, which the
+// There are two transports, each with one contract. The channel ring
+// (Ring, RingObs) links the workers with in-process channels, which
+// cannot drop, reset or corrupt a message, so it is plain: it takes no
+// Options, and has no deadlines, retries, checksums or injected faults.
+// The TCP ring (RingTCPOpts, tcp.go) runs over real loopback sockets,
+// where those faults are physically possible, and is the hardened one:
+// every listener, dial, chunk write and chunk read runs under a deadline
+// (Options.OpTimeout, 2 s when unset), timed-out reads and failed dials
+// retry with exponential backoff and jitter, chunks carry a CRC, and
+// internal/faults can inject deterministic faults. Its failures come
+// back as *RingError values attributing blame per worker, which the
 // elastic trainer (internal/train) uses to drop dead members and re-form
 // the ring.
 package allreduce
@@ -70,24 +72,14 @@ type chanMsg struct {
 // vectors must have equal length. The run is fully concurrent: one
 // goroutine per worker, synchronised only by the ring channels.
 func Ring(vectors [][]float32) error {
-	return RingOpts(vectors, Options{})
+	return RingObs(vectors, nil)
 }
 
 // RingObs is Ring with telemetry: each worker's ar.send, ar.wait and
-// ar.recv spans land on the bundle's tracer. A nil Obs is exactly Ring.
-func RingObs(vectors [][]float32, o *obs.Obs) error {
-	return RingOpts(vectors, Options{Obs: o})
-}
-
-// RingOpts is Ring with options. The channel ring reads Obs, for each
-// worker's spans, and WorkerIDs, which names the worker they are
-// attributed to. Deadlines, cancellation and fault injection belong to
-// the TCP ring: a Ctx, OpTimeout or Faults is rejected with an error
-// that names RingTCPOpts. Beyond invalid vectors, the run cannot fail.
-func RingOpts(vectors [][]float32, opts Options) error {
-	if opts.resilient() {
-		return fmt.Errorf("allreduce: the channel ring takes no Ctx, OpTimeout or Faults; use RingTCPOpts")
-	}
+// ar.recv spans land on the bundle's tracer, attributed to workerIDs[i]
+// for ring position i (its own index when workerIDs is shorter). A nil
+// Obs is exactly Ring. Beyond invalid vectors, the run cannot fail.
+func RingObs(vectors [][]float32, o *obs.Obs, workerIDs ...int) error {
 	n, _, err := validate(vectors)
 	if err != nil {
 		return err
@@ -105,7 +97,7 @@ func RingOpts(vectors [][]float32, opts Options) error {
 		wg.Add(1)
 		go func(me int) {
 			defer wg.Done()
-			chanWorker(vectors[me], me, links, opts)
+			chanWorker(vectors[me], me, links, o.WithWorker(workerID(workerIDs, me)))
 		}(w)
 	}
 	wg.Wait()
@@ -122,18 +114,12 @@ type chanRing struct {
 	obs        *obs.Obs // worker-attributed handle, nil when telemetry is off
 }
 
-// newChanRing builds worker me's ring state: v is its vector, send the
-// link to its successor and recv the link from its predecessor.
-func newChanRing(v []float32, me, n int, send, recv chan chanMsg, opts Options) *chanRing {
-	// The worker-attributed handle is built once per run, outside the
-	// step loop; a nil Obs flows through as nil.
-	return &chanRing{v: v, n: n, send: send, recv: recv, obs: opts.Obs.WithWorker(opts.workerID(me))}
-}
-
 // chanWorker runs one worker's 2·(n−1) ring steps over the channels.
-func chanWorker(v []float32, me int, links []chan chanMsg, opts Options) {
+// o is the worker-attributed handle, built once per run outside the
+// step loop; a nil Obs flows through as nil.
+func chanWorker(v []float32, me int, links []chan chanMsg, o *obs.Obs) {
 	n := len(links)
-	r := newChanRing(v, me, n, links[(me+1)%n], links[me], opts)
+	r := &chanRing{v: v, n: n, send: links[(me+1)%n], recv: links[me], obs: o}
 	// Phase 1 — reduce-scatter: after step s, worker me holds the partial
 	// sum of chunk (me−s) accumulated over s+1 workers. At the end, worker
 	// me owns the fully reduced chunk (me+1) mod n.

@@ -1,11 +1,9 @@
 package allreduce
 
 import (
-	"context"
 	"errors"
 	"net"
 	"runtime"
-	"strings"
 	"testing"
 	"time"
 
@@ -99,32 +97,6 @@ func TestChaosFaultClasses(t *testing.T) {
 	}
 }
 
-// TestRingOptsRejectsTransportOptions: deadlines, cancellation and fault
-// injection are the TCP ring's. The channel ring refuses each of them
-// with an error naming RingTCPOpts, before touching the vectors, rather
-// than silently running without them.
-func TestRingOptsRejectsTransportOptions(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		opts Options
-	}{
-		{"ctx", Options{Ctx: context.Background()}},
-		{"op-timeout", Options{OpTimeout: time.Second}},
-		{"faults", Options{Faults: newInjector(t, 1, faults.Profile{})}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			vectors := [][]float32{{1, 2}, {10, 20}}
-			err := RingOpts(vectors, tc.opts)
-			if err == nil || !strings.Contains(err.Error(), "RingTCPOpts") {
-				t.Fatalf("err = %v, want a rejection naming RingTCPOpts", err)
-			}
-			if vectors[0][0] != 1 || vectors[1][1] != 20 {
-				t.Fatalf("rejected run changed the vectors: %v", vectors)
-			}
-		})
-	}
-}
-
 // TestChaosTCPBlameTargets: hard write-side faults on a single targeted
 // worker must blame exactly that worker — the property the elastic
 // trainer's degradation relies on to drop the right ring member.
@@ -171,26 +143,6 @@ func TestChaosSameSeedSameDecisions(t *testing.T) {
 	}
 }
 
-// TestChaosContextCancel: a canceled context aborts the TCP ring
-// promptly with a clean error instead of hanging on its sockets.
-func TestChaosContextCancel(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	t.Run("tcp", func(t *testing.T) {
-		baseline := runtime.NumGoroutine()
-		vectors, _ := makeVectors(3, 16, 1)
-		start := time.Now()
-		err := RingTCPOpts(vectors, Options{Ctx: ctx, OpTimeout: 100 * time.Millisecond})
-		if err == nil {
-			t.Fatal("canceled context did not abort the run")
-		}
-		if elapsed := time.Since(start); elapsed > 5*time.Second {
-			t.Fatalf("cancellation took %v", elapsed)
-		}
-		checkGoroutines(t, baseline)
-	})
-}
-
 // TestReadChunkRetryResumesPartialFrame: a frame delivered in two bursts
 // separated by more than one op timeout must still be assembled — the
 // retry budget re-arms the deadline and the read resumes mid-frame
@@ -208,7 +160,7 @@ func TestReadChunkRetryResumesPartialFrame(t *testing.T) {
 		OpTimeout: 50 * time.Millisecond,
 		Retry:     RetryPolicy{Attempts: 3, Backoff: time.Millisecond, Max: time.Millisecond},
 	}
-	got, _, err := readChunkRetry(server, len(frame), opts, true)
+	got, _, err := readChunk(server, len(frame), opts)
 	if err != nil {
 		t.Fatalf("resumed read failed: %v", err)
 	}
@@ -238,7 +190,7 @@ func TestReadChunkRetryBudgetExhausted(t *testing.T) {
 		Retry:     RetryPolicy{Attempts: 2, Backoff: time.Millisecond, Max: time.Millisecond},
 	}
 	start := time.Now()
-	_, _, err := readChunkRetry(server, 3, opts, true)
+	_, _, err := readChunk(server, 3, opts)
 	if err == nil {
 		t.Fatal("read succeeded despite an exhausted retry budget")
 	}

@@ -1,7 +1,6 @@
 package allreduce
 
 import (
-	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -33,10 +32,11 @@ func (r RetryPolicy) attempts() int {
 	return r.Attempts
 }
 
-// backoff returns the pause before retry `attempt` (1-based): exponential
-// growth with ±50% jitter derived from faults.Hash01 so reruns with the
-// same salt pause identically.
-func (r RetryPolicy) backoff(attempt int, salt uint64) time.Duration {
+// Pause returns the pause before retry `attempt` (1-based): exponential
+// growth with ±50% jitter derived from faults.Hash01, so reruns with the
+// same salt pause identically. The TCP ring's dial retry and the
+// trainer's whole-step retry both pause by it.
+func (r RetryPolicy) Pause(attempt int, salt uint64) time.Duration {
 	base, max := r.Backoff, r.Max
 	if base <= 0 {
 		base = defaultBackoff
@@ -52,34 +52,20 @@ func (r RetryPolicy) backoff(attempt int, salt uint64) time.Duration {
 	return time.Duration(float64(d) * jitter)
 }
 
-// StepBackoff is the exported pause calculator for callers (the elastic
-// trainer) retrying a whole all-reduce: identical growth and jitter
-// semantics to the per-op backoff.
-func (r RetryPolicy) StepBackoff(attempt int, salt uint64) time.Duration {
-	if attempt < 1 {
-		attempt = 1
-	}
-	return r.backoff(attempt, salt)
-}
-
-// Options configures an all-reduce run. Both rings read Obs and
-// WorkerIDs; the rest is the TCP ring's (RingTCPOpts), and RingOpts
-// rejects a Ctx, OpTimeout or Faults. The zero Options is the plain
-// ring: no deadlines, no retries, no fault injection.
+// Options configures a TCP ring run (RingTCPOpts); the channel ring
+// takes none. Every listener, dial, chunk write and chunk read runs
+// under OpTimeout, and timed-out reads and failed dials retry under
+// Retry, so the zero Options is a bounded ring with the default
+// deadline and retry budget and no injected faults.
 type Options struct {
-	// Ctx cancels a TCP run early; nil means context.Background().
-	// The options-struct idiom: Options is consumed once at the top of a
-	// run and never outlives it, so the stored-context hazard (a context
-	// outliving its request) cannot arise.
-	Ctx context.Context
-	// OpTimeout is the TCP ring's deadline for one chunk write or read;
-	// 0 means defaultOpTimeout when any resilience feature is active.
+	// OpTimeout bounds each dial, chunk write and chunk read, and the
+	// wiring phase's accepts run under Retry's attempts plus one of it;
+	// 0 means defaultOpTimeout (2 s).
 	OpTimeout time.Duration
-	// Retry bounds the TCP ring's per-op retries on read timeouts and
-	// ring-wiring dials.
+	// Retry bounds the per-op retries on read timeouts and ring-wiring
+	// dials.
 	Retry RetryPolicy
-	// Faults injects deterministic faults into the TCP ring's
-	// connections.
+	// Faults injects deterministic faults into the ring's connections.
 	Faults *faults.Injector
 	// Obs receives each worker's ar.send, ar.wait and ar.recv spans.
 	Obs *obs.Obs
@@ -92,19 +78,6 @@ type Options struct {
 	SeqBase uint64
 }
 
-// resilient reports whether the run asks for the TCP ring's deadline,
-// cancellation or fault machinery.
-func (o Options) resilient() bool {
-	return o.Ctx != nil || o.OpTimeout > 0 || o.Faults != nil
-}
-
-func (o Options) ctx() context.Context {
-	if o.Ctx != nil {
-		return o.Ctx
-	}
-	return context.Background()
-}
-
 func (o Options) opTimeout() time.Duration {
 	if o.OpTimeout > 0 {
 		return o.OpTimeout
@@ -112,10 +85,11 @@ func (o Options) opTimeout() time.Duration {
 	return defaultOpTimeout
 }
 
-// workerID maps ring position i to its external id.
-func (o Options) workerID(i int) int {
-	if i < len(o.WorkerIDs) {
-		return o.WorkerIDs[i]
+// workerID maps ring position i to its external id in ids; positions
+// past the end of ids keep their own index.
+func workerID(ids []int, i int) int {
+	if i < len(ids) {
+		return ids[i]
 	}
 	return i
 }

@@ -1,7 +1,6 @@
 package allreduce
 
 import (
-	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -27,11 +26,14 @@ import (
 // The ring is wired as n listeners; worker i dials worker (i+1) mod n, so
 // each worker holds one inbound and one outbound connection.
 //
-// It is the resilient ring: Options add context cancellation, per-op
-// socket deadlines, bounded read/dial retries with backoff + jitter, and
-// fault injection on the connections. The zero Options is the plain TCP
-// ring. On failure the returned error is a *RingError attributing blame
-// per worker.
+// Every socket op is bounded: each dial, chunk write and chunk read
+// runs under Options.OpTimeout (2 s when unset), the wiring phase under
+// that times the retry budget plus one, and timed-out reads and failed
+// dials retry under Options.Retry. So a ring never blocks for good,
+// also when a chunk outgrows the socket buffers and both ends of a link
+// block in Write: the write deadline fails the run with "chunk write
+// timed out". On failure the returned error is a *RingError attributing
+// blame per worker.
 func RingTCPOpts(vectors [][]float32, opts Options) error {
 	n, length, err := validate(vectors)
 	if err != nil {
@@ -40,20 +42,16 @@ func RingTCPOpts(vectors [][]float32, opts Options) error {
 	if n == 1 {
 		return nil
 	}
-	resilient := opts.resilient()
-	// One loopback listener per worker.
+	// One loopback listener per worker. The deadline bounds the whole
+	// wiring phase, so a peer that never dials cannot hang the run.
+	deadline := time.Now().Add(opts.opTimeout() * time.Duration(opts.Retry.attempts()+1))
 	listeners := make([]net.Listener, n)
 	for i := range listeners {
 		l, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			return fmt.Errorf("allreduce: listen: %w", err)
 		}
-		if resilient {
-			// Bound the whole wiring phase so a peer that never dials
-			// cannot hang the run.
-			deadline := time.Now().Add(opts.opTimeout() * time.Duration(opts.Retry.attempts()+1))
-			_ = l.(*net.TCPListener).SetDeadline(deadline)
-		}
+		_ = l.(*net.TCPListener).SetDeadline(deadline)
 		listeners[i] = l
 		defer l.Close()
 	}
@@ -71,7 +69,7 @@ func RingTCPOpts(vectors [][]float32, opts Options) error {
 				errs[i] = err
 				return
 			}
-			inConns[i] = faults.WrapConn(c, opts.Faults, "tcp", opts.workerID(i))
+			inConns[i] = faults.WrapConn(c, opts.Faults, "tcp", workerID(opts.WorkerIDs, i))
 		}(i)
 		go func(i int) {
 			defer wg.Done()
@@ -80,7 +78,7 @@ func RingTCPOpts(vectors [][]float32, opts Options) error {
 				errs[n+i] = err
 				return
 			}
-			outConns[i] = faults.WrapConn(c, opts.Faults, "tcp", opts.workerID(i))
+			outConns[i] = faults.WrapConn(c, opts.Faults, "tcp", workerID(opts.WorkerIDs, i))
 		}(i)
 	}
 	wg.Wait()
@@ -106,19 +104,13 @@ func RingTCPOpts(vectors [][]float32, opts Options) error {
 			return fmt.Errorf("allreduce: ring wiring: %w", err)
 		}
 	}
-	if opts.Ctx != nil {
-		// External cancellation tears the sockets down, unblocking any
-		// worker mid-read; per-op deadlines bound everything else.
-		stop := context.AfterFunc(opts.Ctx, closeAll)
-		defer stop()
-	}
 
 	workerErrs := make([]*WorkerError, n)
 	for w := 0; w < n; w++ {
 		wg.Add(1)
 		go func(me int) {
 			defer wg.Done()
-			workerErrs[me] = tcpWorker(me, vectors[me], n, length, outConns[me], inConns[me], opts, resilient)
+			workerErrs[me] = tcpWorker(me, vectors[me], n, length, outConns[me], inConns[me], opts)
 		}(w)
 	}
 	wg.Wait()
@@ -126,9 +118,9 @@ func RingTCPOpts(vectors [][]float32, opts Options) error {
 }
 
 // tcpWorker runs one worker's 2·(n−1) ring steps over its socket pair.
-func tcpWorker(me int, v []float32, n, length int, send, recv net.Conn, opts Options, resilient bool) *WorkerError {
-	self, succ := opts.workerID(me), opts.workerID((me+1)%n)
-	pred := opts.workerID((me - 1 + n) % n)
+func tcpWorker(me int, v []float32, n, length int, send, recv net.Conn, opts Options) *WorkerError {
+	ids := opts.WorkerIDs
+	self, succ, pred := workerID(ids, me), workerID(ids, (me+1)%n), workerID(ids, (me-1+n)%n)
 	// The largest chunk the ring partition can produce — the bound that
 	// keeps a corrupted length prefix from allocating unbounded memory.
 	maxChunk := length/n + 1
@@ -137,9 +129,7 @@ func tcpWorker(me int, v []float32, n, length int, send, recv net.Conn, opts Opt
 	wObs := opts.Obs.WithWorker(self)
 	step := func(opIdx uint64, sendChunk, recvChunk int, reduce bool) *WorkerError {
 		a, b := chunkBounds(length, n, sendChunk)
-		if resilient {
-			_ = send.SetWriteDeadline(time.Now().Add(opts.opTimeout()))
-		}
+		_ = send.SetWriteDeadline(time.Now().Add(opts.opTimeout()))
 		if fcOut != nil {
 			fcOut.SetWriteSeq(opts.SeqBase + opIdx)
 		}
@@ -158,7 +148,7 @@ func tcpWorker(me int, v []float32, n, length int, send, recv net.Conn, opts Opt
 			fcIn.SetReadSeq(opts.SeqBase + opIdx)
 		}
 		wsp := wObs.Start("ar.wait")
-		in, inCtx, err := readChunkRetry(recv, maxChunk, opts, resilient)
+		in, inCtx, err := readChunk(recv, maxChunk, opts)
 		wsp.LinkTo(inCtx)
 		wsp.End()
 		if err != nil {
@@ -200,34 +190,19 @@ func tcpWorker(me int, v []float32, n, length int, send, recv net.Conn, opts Opt
 	return nil
 }
 
-// dialRetry dials the ring successor, retrying transient failures with
-// exponential backoff + jitter when resilience is enabled.
+// dialRetry dials the ring successor, each attempt under the op
+// timeout, retrying failures with exponential backoff + jitter.
 func dialRetry(addr string, opts Options, salt uint64) (net.Conn, error) {
-	if !opts.resilient() {
-		return net.Dial("tcp", addr)
-	}
-	attempts := opts.Retry.attempts()
+	d := net.Dialer{Timeout: opts.opTimeout()}
 	for attempt := 1; ; attempt++ {
-		d := net.Dialer{Timeout: opts.opTimeout()}
-		c, err := d.DialContext(opts.ctx(), "tcp", addr)
+		c, err := d.Dial("tcp", addr)
 		if err == nil {
 			return c, nil
 		}
-		if attempt >= attempts || opts.ctx().Err() != nil {
+		if attempt >= opts.Retry.attempts() {
 			return nil, err
 		}
-		// The backoff pause must honour cancellation: a plain Sleep keeps
-		// a cancelled run wired up for the full backoff schedule.
-		t := time.NewTimer(opts.Retry.backoff(attempt, salt))
-		select {
-		case <-opts.ctx().Done():
-			t.Stop()
-			return nil, fmt.Errorf("allreduce: dial %s: %w", addr, opts.ctx().Err())
-		case <-t.C:
-			// Stop on a fired timer is a no-op; keeps the release
-			// unconditional on every path out of the loop.
-			t.Stop()
-		}
+		time.Sleep(opts.Retry.Pause(attempt, salt))
 	}
 }
 
@@ -264,28 +239,19 @@ func writeChunk(w io.Writer, data []float32, ctx obs.SpanContext) error {
 	return err
 }
 
-// readChunk reads one framed message, validating the length prefix
-// against maxElems before allocating (a corrupted or malicious peer must
-// not be able to OOM the process) and the payload against its CRC.
-func readChunk(r io.Reader, maxElems int) ([]float32, error) {
-	data, _, err := readChunkRetry(r, maxElems, Options{}, false)
-	return data, err
-}
-
-// readChunkRetry is readChunk with per-op deadlines and bounded retries:
-// each wait for bytes runs under opts.OpTimeout, and a timed-out read
-// resumes where it left off (partial frames are completed, not
-// restarted) up to the retry budget.
-func readChunkRetry(r io.Reader, maxElems int, opts Options, resilient bool) ([]float32, obs.SpanContext, error) {
-	attempts := 1
-	if resilient {
-		attempts = opts.Retry.attempts()
-	}
+// readChunk reads one framed message and the sender's span context,
+// validating the length prefix against maxElems before allocating (a
+// corrupted or malicious peer must not be able to OOM the process) and
+// the payload against its CRC. On a net.Conn each wait for bytes runs
+// under opts.OpTimeout, and a timed-out read resumes where it left off
+// (partial frames are completed, not restarted) up to the retry budget.
+func readChunk(r io.Reader, maxElems int, opts Options) ([]float32, obs.SpanContext, error) {
+	attempts := opts.Retry.attempts()
 	conn, _ := r.(net.Conn)
 	readFull := func(buf []byte) error {
 		off, attempt := 0, 1
 		for off < len(buf) {
-			if resilient && conn != nil {
+			if conn != nil {
 				_ = conn.SetReadDeadline(time.Now().Add(opts.opTimeout()))
 			}
 			m, err := r.Read(buf[off:])

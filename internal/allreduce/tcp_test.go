@@ -2,9 +2,8 @@ package allreduce
 
 import (
 	"bytes"
-	"context"
-	"net"
 	"os"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -73,7 +72,7 @@ func TestChunkFraming(t *testing.T) {
 	if err := writeChunk(&buf, orig, obs.SpanContext{}); err != nil {
 		t.Fatal(err)
 	}
-	back, err := readChunk(&buf, len(orig))
+	back, _, err := readChunk(&buf, len(orig), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,13 +89,13 @@ func TestChunkFraming(t *testing.T) {
 	if err := writeChunk(&buf, nil, obs.SpanContext{}); err != nil {
 		t.Fatal(err)
 	}
-	if back, err := readChunk(&buf, 8); err != nil || len(back) != 0 {
+	if back, _, err := readChunk(&buf, 8, Options{}); err != nil || len(back) != 0 {
 		t.Fatalf("empty chunk: %v %v", back, err)
 	}
 	// Truncated stream.
 	buf.Reset()
 	buf.Write([]byte{4, 0, 0, 0, 1, 2})
-	if _, err := readChunk(&buf, 8); err == nil {
+	if _, _, err := readChunk(&buf, 8, Options{}); err == nil {
 		t.Fatal("expected truncation error")
 	}
 	// A length prefix beyond the ring's chunk bound must be rejected
@@ -104,7 +103,7 @@ func TestChunkFraming(t *testing.T) {
 	buf.Reset()
 	buf.Write([]byte{0xff, 0xff, 0xff, 0xff})
 	buf.Write(make([]byte, frameHeaderLen-4)) // rest of the frame header
-	if _, err := readChunk(&buf, 8); err == nil {
+	if _, _, err := readChunk(&buf, 8, Options{}); err == nil {
 		t.Fatal("expected size rejection")
 	}
 	// Corrupted payload must fail CRC validation.
@@ -114,7 +113,7 @@ func TestChunkFraming(t *testing.T) {
 	}
 	frame := buf.Bytes()
 	frame[frameHeaderLen+2] ^= 0x10 // flip a payload bit
-	if _, err := readChunk(bytes.NewReader(frame), len(orig)); err == nil {
+	if _, _, err := readChunk(bytes.NewReader(frame), len(orig), Options{}); err == nil {
 		t.Fatal("expected CRC rejection")
 	}
 }
@@ -173,37 +172,56 @@ func TestRingTCPWiringFailureClosesConns(t *testing.T) {
 	}
 }
 
-// TestDialRetryBackoffHonoursCancellation guards the backoff pause in
-// dialRetry: once the run's context is cancelled, the retry loop must
-// return promptly instead of sleeping out the remaining backoff
-// schedule. The pre-fix time.Sleep kept a cancelled run pinned for the
-// full pause (10s here; the test allows 2s of scheduler slack).
-func TestDialRetryBackoffHonoursCancellation(t *testing.T) {
-	// Bind then close a port so dials fail instantly with refused.
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+// oversizedChunkFloats returns a per-worker chunk length, in floats,
+// that one ring link cannot buffer while neither end reads: twice the
+// bytes the link holds, the send buffer's ceiling (tcp_wmem's max) and
+// the receive buffer a socket starts with (tcp_rmem's default), read
+// from the host's TCP settings; at least 2M floats (8 MB), the figure
+// for common defaults.
+func oversizedChunkFloats() int {
+	setting := func(name string, field int) int {
+		b, err := os.ReadFile("/proc/sys/net/ipv4/" + name)
+		if err != nil {
+			return 0
+		}
+		f := strings.Fields(string(b))
+		if field >= len(f) {
+			return 0
+		}
+		v, err := strconv.Atoi(f[field])
+		if err != nil {
+			return 0
+		}
+		return v
 	}
-	addr := l.Addr().String()
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
+	buffered := setting("tcp_wmem", 2) + setting("tcp_rmem", 1)
+	return max(2<<20, 2*buffered/4)
+}
+
+// TestRingTCPZeroOptionsBoundsOversizedChunk: the zero Options is a
+// bounded ring. Both workers of a 2-worker ring write their whole chunk
+// before reading, so a chunk past the socket buffers blocks both in
+// Write; the default op timeout must fail the run with "chunk write
+// timed out" instead of leaving it blocked for good.
+func TestRingTCPZeroOptionsBoundsOversizedChunk(t *testing.T) {
+	const guard = 10 * time.Second
+	chunk := oversizedChunkFloats()
+	if chunk > 8<<20 {
+		t.Skipf("the host's socket buffers need %d-float chunks (%d MB per worker) to overflow", chunk, 8*chunk>>20)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(30 * time.Millisecond)
-		cancel()
-	}()
+	vectors := [][]float32{make([]float32, 2*chunk), make([]float32, 2*chunk)}
+	done := make(chan error, 1)
 	start := time.Now()
-	c, err := dialRetry(addr, Options{
-		Ctx:       ctx,
-		OpTimeout: time.Second,
-		Retry:     RetryPolicy{Attempts: 100, Backoff: 10 * time.Second, Max: 10 * time.Second},
-	}, 1)
-	if err == nil {
-		_ = c.Close()
-		t.Fatal("expected a dial error against a closed port")
-	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("dialRetry returned after %v; the backoff pause must honour cancellation", elapsed)
+	go func() { done <- RingTCPOpts(vectors, Options{}) }()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "chunk write timed out") {
+			t.Fatalf("2 × %d floats: err = %v, want a chunk write timeout", 2*chunk, err)
+		}
+		if elapsed := time.Since(start); elapsed > guard/2 {
+			t.Fatalf("the timeout took %v, want about the %v default op timeout", elapsed, defaultOpTimeout)
+		}
+	case <-time.After(guard):
+		t.Fatalf("2 × %d floats: the ring was still blocked after %v", 2*chunk, guard)
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"convmeter/internal/allreduce"
 	"convmeter/internal/faults"
 	"convmeter/internal/obs"
 	"convmeter/internal/obs/critpath"
@@ -18,8 +17,8 @@ import (
 
 // critpathRun trains a small net under a tracer and returns the
 // critical-path report of its recorded trace. A non-nil profile
-// schedules the injected faults; OpTimeout and Retry bound the TCP
-// ring's ops (the channel ring has no deadline).
+// schedules the injected faults; a TCP run bounds its ring's ops by a
+// 500 ms timeout (the channel ring has no deadline).
 func critpathRun(t *testing.T, transport Transport, prof *faults.Profile, steps int) critpath.Report {
 	t.Helper()
 	g := trainNet(t)
@@ -32,13 +31,9 @@ func critpathRun(t *testing.T, transport Transport, prof *faults.Profile, steps 
 		inj = mustInjector(t, 7, *prof)
 	}
 	o := obs.New()
-	cfg := Config{
-		Workers: 3, LR: 0.05, Seed: 1,
-		Obs:       o,
-		Transport: transport,
-		Faults:    inj,
-		OpTimeout: 500 * time.Millisecond,
-		Retry:     allreduce.RetryPolicy{Attempts: 2, Backoff: time.Millisecond, Max: 5 * time.Millisecond},
+	cfg := Config{Workers: 3, LR: 0.05, Seed: 1, Obs: o, Faults: inj}
+	if transport == TransportTCP {
+		cfg = withTCP(cfg, 500*time.Millisecond)
 	}
 	if _, err := DataParallel(g, cfg, steps, task.Source(3)); err != nil {
 		t.Fatal(err)
@@ -238,14 +233,11 @@ func TestAnalyzeMatchesPerStepWindows(t *testing.T) {
 				t.Fatal(err)
 			}
 			o := obs.New()
-			tr, err := NewTrainer(g, Config{
-				Workers: 3, LR: 0.05, Seed: 1,
-				Obs:       o,
-				Transport: tc.transport,
-				Faults:    mustInjector(t, 7, prof),
-				OpTimeout: 500 * time.Millisecond,
-				Retry:     allreduce.RetryPolicy{Attempts: 2, Backoff: time.Millisecond, Max: 5 * time.Millisecond},
-			})
+			cfg := Config{Workers: 3, LR: 0.05, Seed: 1, Obs: o, Faults: mustInjector(t, 7, prof)}
+			if tc.transport == TransportTCP {
+				cfg = withTCP(cfg, 500*time.Millisecond)
+			}
+			tr, err := NewTrainer(g, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -293,11 +285,7 @@ func TestAnalyzeIsolatesConcurrentTrainers(t *testing.T) {
 	roots := map[string]*obs.Span{}
 	trainers := map[string]*Trainer{}
 	for name, workers := range sizes {
-		cfg := Config{
-			Workers: workers, LR: 0.05, Seed: 1,
-			OpTimeout: 500 * time.Millisecond,
-			Retry:     allreduce.RetryPolicy{Attempts: 2, Backoff: time.Millisecond, Max: 5 * time.Millisecond},
-		}
+		cfg := Config{Workers: workers, LR: 0.05, Seed: 1}
 		if name == "large" {
 			cfg.Faults = mustInjector(t, 7, faults.Profile{Slowdowns: map[int]int{0: 0}, SlowDelay: 80 * time.Millisecond})
 		}
@@ -314,8 +302,7 @@ func TestAnalyzeIsolatesConcurrentTrainers(t *testing.T) {
 	// small trainer's step 0 waits until the large trainer's step 0 has
 	// opened, and every large worker's step-0 batch waits until the
 	// small trainer has begun step 1. Both waits fall in compute, before
-	// any ring op is armed, and last about one small step, far inside
-	// the 500 ms op timeout.
+	// the ring runs, and last about one small step.
 	largeOpened, smallStep1 := make(chan struct{}), make(chan struct{})
 	var openOnce, step1Once sync.Once
 	await := func(ch <-chan struct{}, what string) error {

@@ -14,15 +14,20 @@ import (
 )
 
 // elasticConfig is the config the elastic tests share: injected faults
-// on the channel ring, plus the tight deadlines and small retry budgets
-// that bound the tests that switch to the TCP ring.
+// on the channel ring. The tests that need the TCP ring move it there
+// with withTCP.
 func elasticConfig(inj *faults.Injector) Config {
-	return Config{
-		Workers: 3, LR: 0.1, Seed: 7,
-		Faults:    inj,
-		OpTimeout: 50 * time.Millisecond,
-		Retry:     allreduce.RetryPolicy{Attempts: 2, Backoff: time.Millisecond, Max: 5 * time.Millisecond},
-	}
+	return Config{Workers: 3, LR: 0.1, Seed: 7, Faults: inj}
+}
+
+// withTCP moves cfg onto the TCP ring under the given op timeout and a
+// two-attempt retry budget, so that a failing attempt ends quickly.
+// Deadlines and retries are the TCP ring's alone: NewTrainer refuses
+// them on the channel ring.
+func withTCP(cfg Config, opTimeout time.Duration) Config {
+	cfg.Transport, cfg.OpTimeout = TransportTCP, opTimeout
+	cfg.Retry = allreduce.RetryPolicy{Attempts: 2, Backoff: time.Millisecond, Max: 5 * time.Millisecond}
+	return cfg
 }
 
 func mustInjector(t *testing.T, seed int64, prof faults.Profile) *faults.Injector {
@@ -145,8 +150,7 @@ func TestElasticBlameRemovesFaultyWorker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := elasticConfig(mustInjector(t, 9, faults.Profile{Drop: 1, Workers: []int{1}}))
-	cfg.Transport = TransportTCP
+	cfg := withTCP(elasticConfig(mustInjector(t, 9, faults.Profile{Drop: 1, Workers: []int{1}})), 50*time.Millisecond)
 	res, err := DataParallel(g, cfg, 3, task.Source(4))
 	if err != nil {
 		t.Fatal(err)
@@ -179,33 +183,43 @@ func TestElasticMinWorkersFloor(t *testing.T) {
 	}
 }
 
-// TestNewTrainerTransportFaultsNeedTCP: transport faults are the TCP
-// ring's. NewTrainer refuses each transport-fault class on the channel
-// ring, naming TransportTCP, and accepts it on TCP; crash and slowdown
-// schedules run on either transport.
+// TestNewTrainerTransportFaultsNeedTCP: transport faults, op deadlines
+// and retries are the TCP ring's. NewTrainer refuses each
+// transport-fault class, a nonzero OpTimeout and a nonzero Retry on the
+// channel ring, naming TransportTCP, and accepts each on TCP; crash and
+// slowdown schedules run on either transport.
 func TestNewTrainerTransportFaultsNeedTCP(t *testing.T) {
 	g := trainNet(t)
 	for _, tc := range []struct {
-		name   string
-		prof   faults.Profile
-		onChan bool
+		name      string
+		prof      faults.Profile
+		opTimeout time.Duration
+		retry     allreduce.RetryPolicy
+		onChan    bool
 	}{
-		{"delay", faults.Profile{Delay: 0.1, MaxDelay: time.Millisecond}, false},
-		{"drop", faults.Profile{Drop: 0.1}, false},
-		{"reset", faults.Profile{Reset: 0.1}, false},
-		{"corrupt", faults.Profile{Corrupt: 0.1}, false},
-		{"truncate", faults.Profile{Truncate: 0.1}, false},
-		{"crash", faults.Profile{Crashes: map[int]int{1: 2}}, true},
-		{"slowdown", faults.Profile{Slowdowns: map[int]int{0: 1}, SlowDelay: time.Millisecond}, true},
+		{name: "delay", prof: faults.Profile{Delay: 0.1, MaxDelay: time.Millisecond}},
+		{name: "drop", prof: faults.Profile{Drop: 0.1}},
+		{name: "reset", prof: faults.Profile{Reset: 0.1}},
+		{name: "corrupt", prof: faults.Profile{Corrupt: 0.1}},
+		{name: "truncate", prof: faults.Profile{Truncate: 0.1}},
+		{name: "op-timeout", opTimeout: 50 * time.Millisecond},
+		{name: "retry", retry: allreduce.RetryPolicy{Attempts: 2}},
+		{name: "crash", prof: faults.Profile{Crashes: map[int]int{1: 2}}, onChan: true},
+		{name: "slowdown", prof: faults.Profile{Slowdowns: map[int]int{0: 1}, SlowDelay: time.Millisecond}, onChan: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := Config{Workers: 2, LR: 0.1, Seed: 1, Faults: mustInjector(t, 1, tc.prof)}
+			cfg := Config{
+				Workers: 2, LR: 0.1, Seed: 1,
+				Faults:    mustInjector(t, 1, tc.prof),
+				OpTimeout: tc.opTimeout,
+				Retry:     tc.retry,
+			}
 			_, err := NewTrainer(g, cfg)
 			if tc.onChan && err != nil {
-				t.Fatalf("TransportChan refused a %s schedule: %v", tc.name, err)
+				t.Fatalf("TransportChan refused %s: %v", tc.name, err)
 			}
 			if !tc.onChan && (err == nil || !strings.Contains(err.Error(), "TransportTCP")) {
-				t.Fatalf("TransportChan with %s faults: err = %v, want a rejection naming TransportTCP", tc.name, err)
+				t.Fatalf("TransportChan with %s: err = %v, want a rejection naming TransportTCP", tc.name, err)
 			}
 			cfg.Transport = TransportTCP
 			if _, err := NewTrainer(g, cfg); err != nil {
@@ -288,9 +302,8 @@ func TestElasticNoGoroutineLeak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := elasticConfig(mustInjector(t, 7, prof))
+	cfg := withTCP(elasticConfig(mustInjector(t, 7, prof)), 50*time.Millisecond)
 	cfg.Workers = 4
-	cfg.Transport = TransportTCP
 	if _, err := DataParallel(g, cfg, 4, task.Source(4)); err != nil {
 		t.Fatal(err)
 	}

@@ -93,19 +93,23 @@ type Config struct {
 
 	// Transport selects the all-reduce transport (default TransportChan).
 	// The channel ring reduces the replicas' vectors in place; a TCP run
-	// goes through the resilient ring (RingTCPOpts), with per-attempt
-	// snapshots, step retries and blame.
+	// goes through the deadline-bounded ring (RingTCPOpts), with
+	// per-attempt snapshots, step retries and blame.
 	Transport Transport
 	// Faults, when non-nil, schedules worker crashes and slowdowns at
 	// step boundaries on either transport. Its transport faults (delay,
 	// drop, reset, corrupt, truncate) hit the TCP ring's connections;
 	// NewTrainer rejects a profile with any of them on TransportChan.
 	Faults *faults.Injector
-	// OpTimeout bounds one chunk write or read on the TCP ring; 0 keeps
-	// the transport default. The channel ring has no deadline.
+	// OpTimeout bounds each socket op of the TCP ring (wiring, dial,
+	// chunk write, chunk read); 0 keeps the ring's 2 s default. The
+	// channel ring has no deadline, and NewTrainer refuses a nonzero
+	// OpTimeout on TransportChan.
 	OpTimeout time.Duration
 	// Retry bounds the TCP ring's transport-level retries (read
-	// timeouts, ring dials).
+	// timeouts, ring dials) and paces the trainer's step retries; the
+	// zero policy keeps the ring's defaults. NewTrainer refuses a
+	// nonzero Retry on TransportChan.
 	Retry allreduce.RetryPolicy
 }
 
@@ -166,9 +170,13 @@ func NewTrainer(g *graph.Graph, cfg Config) (*Trainer, error) {
 	if cfg.LR <= 0 {
 		return nil, fmt.Errorf("train: non-positive learning rate %g", cfg.LR)
 	}
-	if p := cfg.Faults.Profile(); cfg.Transport != TransportTCP &&
-		(p.Delay > 0 || p.Drop > 0 || p.Reset > 0 || p.Corrupt > 0 || p.Truncate > 0) {
-		return nil, fmt.Errorf("train: transport faults (delay, drop, reset, corrupt, truncate) need TransportTCP; the channel ring takes only crash and slowdown schedules")
+	if cfg.Transport != TransportTCP {
+		if p := cfg.Faults.Profile(); p.Delay > 0 || p.Drop > 0 || p.Reset > 0 || p.Corrupt > 0 || p.Truncate > 0 {
+			return nil, fmt.Errorf("train: transport faults (delay, drop, reset, corrupt, truncate) need TransportTCP; the channel ring takes only crash and slowdown schedules")
+		}
+		if cfg.OpTimeout != 0 || cfg.Retry != (allreduce.RetryPolicy{}) {
+			return nil, fmt.Errorf("train: OpTimeout and Retry need TransportTCP; the channel ring has no deadline or retry")
+		}
 	}
 	t := &Trainer{g: g, cfg: cfg}
 	t.replicas = make([]*exec.Executor, cfg.Workers)
@@ -387,7 +395,7 @@ func (t *Trainer) syncGradients(stepObs *obs.Obs, step int, live []int, vectors 
 	// The live ids keep the ring's spans attributed to the original
 	// workers after a crash.
 	if t.cfg.Transport != TransportTCP {
-		return vectors, allreduce.RingOpts(vectors, allreduce.Options{Obs: gradObs, WorkerIDs: live})
+		return vectors, allreduce.RingObs(vectors, gradObs, live...)
 	}
 
 	index := make(map[int]int, len(live))
@@ -423,7 +431,7 @@ func (t *Trainer) syncGradients(stepObs *obs.Obs, step int, live []int, vectors 
 		attempt++
 		remaining--
 		if remaining > 0 {
-			time.Sleep(t.cfg.Retry.StepBackoff(int(attempt), uint64(step)))
+			time.Sleep(t.cfg.Retry.Pause(int(attempt), uint64(step)))
 			continue
 		}
 		// Retry budget exhausted over this live set: declare the blamed
@@ -468,9 +476,6 @@ func DataParallel(g *graph.Graph, cfg Config, steps int, data DataSource) (*Resu
 	t, err := NewTrainer(g, cfg)
 	if err != nil {
 		return nil, err
-	}
-	if steps <= 0 {
-		return nil, fmt.Errorf("train: %d steps", steps)
 	}
 	return t.Run(steps, data)
 }
