@@ -82,25 +82,26 @@ bench-check:
 
 # drift-smoke: the drift and critical-path acceptance path, end to end
 # through the real binary (the CLI drift verdicts and the blame chaos
-# suite run under the race detector in `race`). The slowdown run
-# (persistent straggler on worker 0) must report a drift detection on a
-# drifting stream, a critical-path report blaming worker 0, and a
-# well-formed multi-worker trace (resolvable span parents, no negative
-# durations, no cross-worker time-travel). The clean run must report
-# neither drift nor blame, with proof that both watched: a stream in
-# state ok and at least one analyzed step.
+# suite run under the race detector in `race`). Each run writes its
+# drift check and its trace; obscheck judges blame from the trace with
+# critpath.Analyze. The slowdown run (persistent straggler on worker 0)
+# must report a drift event, steps blaming worker 0, and a well-formed
+# multi-worker trace (resolvable span parents, no negative durations,
+# no cross-worker time-travel). The clean run must report neither drift
+# nor blame, with proof that both watched: a stream in state ok and at
+# least one analyzed step.
 drift-smoke:
 	rm -rf .drift-smoke && mkdir -p .drift-smoke
 	$(GO) run ./cmd/experiments -run exttrainfaults -quick -faults-seed 7 -faults-profile slowdown \
-		-drift-out .drift-smoke/drift-slow.json -critpath-out .drift-smoke/critpath-slow.json \
-		-trace-out .drift-smoke/trace-slow.json > .drift-smoke/report-slow.txt
+		-drift-out .drift-smoke/drift-slow.json -trace-out .drift-smoke/trace-slow.json \
+		> .drift-smoke/report-slow.txt
 	$(GO) run ./cmd/obscheck -drift .drift-smoke/drift-slow.json -require-drift \
-		-critpath .drift-smoke/critpath-slow.json -require-blame 0 -trace .drift-smoke/trace-slow.json
+		-trace .drift-smoke/trace-slow.json -require-blame 0
 	$(GO) run ./cmd/experiments -run exttrainfaults -quick -faults-seed 7 -faults-profile none \
-		-drift-out .drift-smoke/drift-clean.json -critpath-out .drift-smoke/critpath-clean.json \
+		-drift-out .drift-smoke/drift-clean.json -trace-out .drift-smoke/trace-clean.json \
 		> .drift-smoke/report-clean.txt
 	$(GO) run ./cmd/obscheck -drift .drift-smoke/drift-clean.json -forbid-drift \
-		-critpath .drift-smoke/critpath-clean.json -forbid-blame
+		-trace .drift-smoke/trace-clean.json -forbid-blame
 	rm -rf .drift-smoke
 
 # Short fuzz smoke of every fuzz target; seed corpora live under the

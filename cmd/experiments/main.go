@@ -31,7 +31,6 @@ import (
 	"convmeter/internal/driftwatch"
 	"convmeter/internal/faults"
 	"convmeter/internal/obs"
-	"convmeter/internal/obs/critpath"
 )
 
 func main() {
@@ -68,8 +67,7 @@ func parseOptions(args []string, errOut io.Writer) (options, error) {
 	fs.StringVar(&opts.outPath, "out", "", "also write the output to this file")
 	fs.StringVar(&opts.csvDir, "csvdir", "", "write figure data series as CSV files into this directory")
 	fs.StringVar(&opts.traceOut, "trace-out", "", "write recorded spans as Chrome trace-event JSON to this file (open in Perfetto)")
-	fs.StringVar(&opts.driftOut, "drift-out", "", "write the final drift-monitor state as JSON to this file")
-	fs.StringVar(&opts.critpathOut, "critpath-out", "", "write the per-step critical-path attribution of every training run (exttrainreal, exttrainfaults), computed from the trace at exit, as JSON to this file")
+	fs.StringVar(&opts.driftOut, "drift-out", "", "write the final state of the drift check on exttrainfaults' step times as JSON to this file")
 	fs.StringVar(&opts.dagDir, "dag-dir", "", "durable run directory: every completed DAG node commits a content-addressed manifest here, and a re-run over the same directory resumes fail-close from fingerprint-matching manifests")
 	fs.IntVar(&opts.dagWorkers, "dag-workers", 2, "worker pool size for independent DAG nodes")
 	fs.StringVar(&opts.dagCrash, "dag-crash", "", "inject a process crash at node@point (point: boundary or mid) for crash-resume testing; the run dies with exit code 3 and resumes via -dag-dir")
@@ -87,7 +85,6 @@ type options struct {
 	outPath, csvDir string
 	traceOut        string
 	driftOut        string
-	critpathOut     string
 	dagDir          string
 	dagWorkers      int
 	dagCrash        string
@@ -116,14 +113,13 @@ func run(opts options) error {
 		Seed: opts.seed, Quick: opts.quick,
 		FaultsSeed: opts.faultsSeed, FaultsProfile: opts.faultsProfile,
 	}
-	// Critical-path attribution reads the recorded trace after the run,
-	// so -critpath-out needs a tracer; the drift check reads the
-	// trainer's step record and needs none.
-	if opts.traceOut != "" || opts.critpathOut != "" {
+	// The drift check reads the trainer's step record, so -drift-out
+	// turns on no tracer.
+	if opts.traceOut != "" {
 		cfg.Obs = obs.New()
 	}
 	if opts.driftOut != "" {
-		cfg.Drift = driftwatch.New()
+		cfg.Drift = driftwatch.NewStream()
 	}
 	// The run itself is a DAG: independent experiments execute in
 	// parallel on a bounded pool, and with -dag-dir every completed node
@@ -162,11 +158,6 @@ func run(opts options) error {
 	}
 	if opts.driftOut != "" {
 		if err := obs.Export(opts.driftOut, cfg.Drift.WriteJSON); err != nil {
-			return err
-		}
-	}
-	if opts.critpathOut != "" {
-		if err := obs.Export(opts.critpathOut, critpath.Analyze(cfg.Obs.Trc.Spans()).WriteJSON); err != nil {
 			return err
 		}
 	}

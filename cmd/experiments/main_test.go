@@ -184,9 +184,10 @@ func readDagReport(t *testing.T, path string) dagrun.Report {
 
 // TestMetricsOutRejected: every signal leaves a run through the trace
 // or the result records; -metrics-out, like -ops-addr before it, is an
-// unknown flag.
+// unknown flag, and so is -critpath-out: obscheck computes the
+// critical-path attribution from the trace.
 func TestMetricsOutRejected(t *testing.T) {
-	for _, flagName := range []string{"-metrics-out", "-ops-addr"} {
+	for _, flagName := range []string{"-metrics-out", "-ops-addr", "-critpath-out"} {
 		var errOut strings.Builder
 		_, err := parseOptions([]string{"-run", "fig2", flagName, "x"}, &errOut)
 		if err == nil || !strings.Contains(errOut.String(), "flag provided but not defined: "+flagName) {
@@ -336,34 +337,22 @@ func TestRunDagCrashResume(t *testing.T) {
 	}
 }
 
-// driftDoc mirrors the -drift-out JSON layout.
-type driftDoc struct {
-	Streams []struct {
-		Model  string `json:"model"`
-		Phase  string `json:"phase"`
-		State  string `json:"state"`
-		Pairs  int    `json:"pairs"`
-		Events int    `json:"events"`
-	} `json:"streams"`
-	Events int `json:"events_total"`
-}
-
 // TestRunDriftArtefact checks the -drift-out verdict at the CLI level.
-// The chaos run feeds the one live stream, trainreal/iter: under the
-// slowdown profile it must latch drifting with at least one drift event,
-// and under the none profile it must raise none (the detector's
-// false-positive guard). fig2's offline LOMO evaluations feed no stream
-// at all.
+// The document is the one stream the chaos run feeds: under the
+// slowdown profile it must latch drifting with at least one drift
+// event, and under the none profile it must raise none (the detector's
+// false-positive guard). fig2 feeds it nothing, so it stays
+// calibrating with no pairs.
 func TestRunDriftArtefact(t *testing.T) {
 	for _, tc := range []struct {
-		name    string
-		opts    options
-		streams int
-		drifts  bool
+		name  string
+		opts  options
+		state string
+		fed   bool
 	}{
-		{"slowdown", options{id: "exttrainfaults", seed: 1, quick: true, faultsSeed: 7, faultsProfile: "slowdown"}, 1, true},
-		{"exttrainfaults", options{id: "exttrainfaults", seed: 1, quick: true, faultsSeed: 7, faultsProfile: "none"}, 1, false},
-		{"fig2", options{id: "fig2", seed: 1, quick: true}, 0, false},
+		{"slowdown", options{id: "exttrainfaults", seed: 1, quick: true, faultsSeed: 7, faultsProfile: "slowdown"}, "drifting", true},
+		{"exttrainfaults", options{id: "exttrainfaults", seed: 1, quick: true, faultsSeed: 7, faultsProfile: "none"}, "ok", true},
+		{"fig2", options{id: "fig2", seed: 1, quick: true}, "calibrating", false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -374,7 +363,11 @@ func TestRunDriftArtefact(t *testing.T) {
 			if err := run(opts); err != nil {
 				t.Fatal(err)
 			}
-			var doc driftDoc
+			var doc struct {
+				State  string `json:"state"`
+				Pairs  int    `json:"pairs"`
+				Events int    `json:"events"`
+			}
 			data, err := os.ReadFile(driftPath)
 			if err != nil {
 				t.Fatal(err)
@@ -382,20 +375,11 @@ func TestRunDriftArtefact(t *testing.T) {
 			if err := json.Unmarshal(data, &doc); err != nil {
 				t.Fatal(err)
 			}
-			if len(doc.Streams) != tc.streams {
-				t.Fatalf("drift artefact has %d streams, want %d: %+v", len(doc.Streams), tc.streams, doc)
+			if (doc.Pairs > 0) != tc.fed {
+				t.Fatalf("drift artefact has %d pairs, want fed = %t: %s", doc.Pairs, tc.fed, data)
 			}
-			for _, st := range doc.Streams {
-				if st.Model != "trainreal" || st.Phase != "iter" || st.Pairs == 0 {
-					t.Fatalf("stream %+v, want trainreal/iter with pairs", st)
-				}
-			}
-			if tc.drifts {
-				if doc.Streams[0].State != "drifting" || doc.Events < 1 {
-					t.Fatalf("slowdown run did not drift: %+v", doc)
-				}
-			} else if doc.Events != 0 {
-				t.Fatalf("clean run raised %d drift events: %+v", doc.Events, doc)
+			if doc.State != tc.state || (doc.Events > 0) != (tc.state == "drifting") {
+				t.Fatalf("drift artefact in state %q with %d events, want state %q: %s", doc.State, doc.Events, tc.state, data)
 			}
 		})
 	}

@@ -2,50 +2,52 @@
 // Chrome trace of -trace-out (a traceEvents array; with span args, a
 // well-formed span graph: unique ids, resolvable parents, non-negative
 // durations, and no cross-worker time-travel through causal links
-// beyond the scheduling tolerance), the drift-monitor snapshot of
-// -drift-out (optionally asserting that drift was, or was not,
-// detected), the critical-path attribution report of -critpath-out
-// (schema, finite non-negative durations, legal dominant phases, blame
-// consistency — optionally asserting that a specific worker was, or no
-// worker was, blamed), and the durable DAG run directory of -dag-dir
-// (-manifest: every manifest parses and its content hash verifies, as
-// dagrun demands before a resume trusts it, and input hashes resolve to
-// committed manifests). With -require-faults the run directory must
-// also hold an exp:exttrainfaults manifest whose result counts an
-// injected fault. The clean-run gates (-forbid-drift, -forbid-blame)
-// also require proof that something watched: an armed drift stream, an
-// analyzed step. CI's obs-smoke (trace), chaos (manifest, faults),
-// drift-smoke (drift, critpath, trace) and dag-smoke (manifest) targets
-// run it against real artefacts so a formatting regression fails the
-// build rather than silently producing files Perfetto rejects.
+// beyond the scheduling tolerance), whose spans it reads back into
+// critpath.Analyze to check every training step's attribution
+// (optionally asserting that a specific worker was, or no worker was,
+// blamed), the drift-check stream of -drift-out (optionally asserting
+// that drift was, or was not, detected), and the durable DAG run
+// directory of -dag-dir (-manifest: every manifest parses and its
+// content hash verifies, as dagrun demands before a resume trusts it,
+// and input hashes resolve to committed manifests). With
+// -require-faults the run directory must also hold an
+// exp:exttrainfaults manifest whose result counts an injected fault.
+// The clean-run gates (-forbid-drift, -forbid-blame) also require
+// proof that something watched: an armed drift stream, an analyzed
+// step. CI's obs-smoke (trace), chaos (manifest, faults), drift-smoke
+// (drift, trace) and dag-smoke (manifest) targets run it against real
+// artefacts so a formatting regression fails the build rather than
+// silently producing files Perfetto rejects.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
+	"time"
 
 	"convmeter/internal/dagrun/manifest"
+	"convmeter/internal/obs"
 	"convmeter/internal/obs/critpath"
 )
 
 func main() {
-	trace := flag.String("trace", "", "Chrome trace-event JSON file to validate")
-	drift := flag.String("drift", "", "drift-monitor JSON snapshot to validate (from -drift-out)")
-	critpathPath := flag.String("critpath", "", "critical-path attribution report JSON to validate (from -critpath-out)")
+	trace := flag.String("trace", "", "Chrome trace-event JSON file to validate, with the critical-path attribution of every training step in it")
+	drift := flag.String("drift", "", "drift-check JSON snapshot to validate (from -drift-out)")
 	manifestDir := flag.String("manifest", "", "DAG run directory to validate (from experiments -dag-dir): every manifest parses and its content hash verifies, and input hashes resolve to committed manifests")
 	requireFaults := flag.Bool("require-faults", false, "additionally require the -manifest directory's exp:exttrainfaults result to count some faults_<class> > 0 (chaos-run validation)")
-	requireDrift := flag.Bool("require-drift", false, "additionally require at least one drift event and a drifting stream in the -drift snapshot (slowdown-run validation)")
-	forbidDrift := flag.Bool("forbid-drift", false, "additionally require zero drift events and at least one armed (state ok) stream in the -drift snapshot (clean-run validation)")
-	requireBlame := flag.Int("require-blame", -1, "additionally require at least one -critpath step blaming this worker (straggler-run validation); -1 disables")
-	forbidBlame := flag.Bool("forbid-blame", false, "additionally require zero blamed steps and at least one analyzed step in the -critpath report (clean-run validation)")
+	requireDrift := flag.Bool("require-drift", false, "additionally require at least one drift event in the -drift snapshot (slowdown-run validation)")
+	forbidDrift := flag.Bool("forbid-drift", false, "additionally require zero drift events and an armed stream (state ok) in the -drift snapshot (clean-run validation)")
+	requireBlame := flag.Int("require-blame", -1, "additionally require at least one -trace step blaming this worker (straggler-run validation); -1 disables")
+	forbidBlame := flag.Bool("forbid-blame", false, "additionally require zero blamed steps and at least one analyzed step in the -trace (clean-run validation)")
 	flag.Parse()
-	if *trace == "" && *drift == "" && *critpathPath == "" && *manifestDir == "" {
-		fmt.Fprintln(os.Stderr, "obscheck: nothing to check (pass -trace, -drift, -critpath and/or -manifest)")
+	if *trace == "" && *drift == "" && *manifestDir == "" {
+		fmt.Fprintln(os.Stderr, "obscheck: nothing to check (pass -trace, -drift and/or -manifest)")
 		os.Exit(2)
 	}
 	if *requireFaults && *manifestDir == "" {
@@ -60,8 +62,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "obscheck: -require-drift and -forbid-drift are mutually exclusive")
 		os.Exit(2)
 	}
-	if (*requireBlame >= 0 || *forbidBlame) && *critpathPath == "" {
-		fmt.Fprintln(os.Stderr, "obscheck: -require-blame/-forbid-blame need -critpath")
+	if (*requireBlame >= 0 || *forbidBlame) && *trace == "" {
+		fmt.Fprintln(os.Stderr, "obscheck: -require-blame/-forbid-blame need -trace")
 		os.Exit(2)
 	}
 	if *requireBlame >= 0 && *forbidBlame {
@@ -69,7 +71,11 @@ func main() {
 		os.Exit(2)
 	}
 	if *trace != "" {
-		if err := checkTrace(*trace); err != nil {
+		spans, err := checkTrace(*trace)
+		if err == nil {
+			err = checkBlame(*trace, critpath.Analyze(spans).Steps, *requireBlame, *forbidBlame)
+		}
+		if err != nil {
 			fmt.Fprintln(os.Stderr, "obscheck:", err)
 			os.Exit(1)
 		}
@@ -81,13 +87,6 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("obscheck: %s ok\n", *drift)
-	}
-	if *critpathPath != "" {
-		if err := checkCritpath(*critpathPath, *requireBlame, *forbidBlame); err != nil {
-			fmt.Fprintln(os.Stderr, "obscheck:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("obscheck: %s ok\n", *critpathPath)
 	}
 	if *manifestDir != "" {
 		err := checkManifests(*manifestDir)
@@ -165,54 +164,29 @@ func checkManifests(dir string) error {
 	return nil
 }
 
-// checkCritpath validates a critical-path attribution report: the
-// schema tag, a steps array, a blame key on every step, and
-// critpath.Validate on each step (finite non-negative durations, legal
-// dominant phases, blame consistency, sorted workers). With
-// requireBlame >= 0 it demands at least one step blaming that worker (a
-// straggler run must have been attributed); with forbidBlame it demands
-// no blamed steps at all, and at least one analyzed step — an empty
-// report watched nothing, so its silence proves nothing.
-func checkCritpath(path string, requireBlame int, forbidBlame bool) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var doc struct {
-		Schema string `json:"schema"`
-		Steps  []struct {
-			critpath.StepAttribution
-			// Blame shadows the embedded field, so a step without the
-			// key decodes as nil instead of as a blame on worker 0.
-			Blame *int `json:"blame"`
-		} `json:"steps"`
-	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		return fmt.Errorf("%s: invalid critpath JSON: %v", path, err)
-	}
-	if doc.Schema != critpath.SchemaV1 {
-		return fmt.Errorf("%s: schema %q, want %q", path, doc.Schema, critpath.SchemaV1)
-	}
-	if doc.Steps == nil {
-		return fmt.Errorf("%s: steps missing or null", path)
-	}
+// checkBlame runs critpath.Validate on every step attributed from a
+// trace (finite non-negative durations, legal dominant phases, blame
+// consistency, sorted workers). With requireBlame >= 0 it demands at
+// least one step blaming that worker (a straggler run must have been
+// attributed); with forbidBlame it demands no blamed steps at all, and
+// at least one analyzed step — a trace without steps watched nothing,
+// so its silence proves nothing.
+func checkBlame(path string, steps []critpath.StepAttribution, requireBlame int, forbidBlame bool) error {
 	blamed := map[int]int{} // worker -> blamed-step count
-	for _, st := range doc.Steps {
-		if st.Blame == nil {
-			return fmt.Errorf("%s: step %d: blame missing", path, st.Step)
-		}
-		st.StepAttribution.Blame = *st.Blame
-		if err := critpath.Validate(st.StepAttribution); err != nil {
+	nBlamed := 0
+	for _, st := range steps {
+		if err := critpath.Validate(st); err != nil {
 			return fmt.Errorf("%s: %v", path, err)
 		}
-		if b := *st.Blame; b >= 0 {
-			blamed[b]++
+		if st.Blame >= 0 {
+			blamed[st.Blame]++
+			nBlamed++
 		}
 	}
-	if forbidBlame && len(blamed) > 0 {
-		return fmt.Errorf("%s: %d blamed step(s) on a clean run (false positive)", path, len(blamed))
+	if forbidBlame && nBlamed > 0 {
+		return fmt.Errorf("%s: %d blamed step(s) on a clean run (false positive): %v", path, nBlamed, blamed)
 	}
-	if forbidBlame && len(doc.Steps) == 0 {
+	if forbidBlame && len(steps) == 0 {
 		return fmt.Errorf("%s: no analyzed steps — the clean run's silence proves nothing", path)
 	}
 	if requireBlame >= 0 {
@@ -262,65 +236,48 @@ var driftStates = map[string]bool{
 	"calibrating": true, "warmup": true, "ok": true, "drifting": true,
 }
 
-// checkDrift validates a drift-monitor snapshot: a streams array whose
-// entries carry a model, a phase and a legal state, with non-negative
-// pair/event counts that are consistent with the top-level total. With
-// requireDrift it additionally demands at least one event on a drifting
-// stream (a slowdown run must have been caught); with forbidDrift it
-// demands zero events (a clean run must not false-positive) and at least
-// one stream in state ok — a detector still calibrating or warming up
-// was never armed, so its silence proves nothing.
+// checkDrift validates a drift-check snapshot: one stream object with a
+// legal state and non-negative pair and event counts, where an event
+// goes with state drifting (an event latches the stream drifting). With
+// requireDrift it additionally demands at least one event (a slowdown
+// run must have been caught); with forbidDrift it demands zero events
+// (a clean run must not false-positive) and state ok — a detector still
+// calibrating or warming up was never armed, so its silence proves
+// nothing.
 func checkDrift(path string, requireDrift, forbidDrift bool) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
 	}
 	var doc struct {
-		Streams []struct {
-			Model  string `json:"model"`
-			Phase  string `json:"phase"`
-			State  string `json:"state"`
-			Pairs  int    `json:"pairs"`
-			Events int    `json:"events"`
-		} `json:"streams"`
-		Events *int `json:"events_total"`
+		State  string `json:"state"`
+		Pairs  *int   `json:"pairs"`
+		Events *int   `json:"events"`
 	}
 	if err := json.Unmarshal(data, &doc); err != nil {
 		return fmt.Errorf("%s: invalid drift JSON: %v", path, err)
 	}
-	if doc.Streams == nil || doc.Events == nil {
-		return fmt.Errorf("%s: streams or events_total missing", path)
+	if !driftStates[doc.State] {
+		return fmt.Errorf("%s: unknown state %q", path, doc.State)
 	}
-	total, drifting, armed := 0, false, false
-	for i, st := range doc.Streams {
-		if st.Model == "" || st.Phase == "" {
-			return fmt.Errorf("%s: stream %d has no model/phase", path, i)
-		}
-		if !driftStates[st.State] {
-			return fmt.Errorf("%s: stream %s/%s has unknown state %q", path, st.Model, st.Phase, st.State)
-		}
-		if st.Pairs < 0 || st.Events < 0 {
-			return fmt.Errorf("%s: stream %s/%s has negative counts", path, st.Model, st.Phase)
-		}
-		total += st.Events
-		switch st.State {
-		case "drifting":
-			drifting = true
-		case "ok":
-			armed = true
-		}
+	if doc.Pairs == nil || doc.Events == nil {
+		return fmt.Errorf("%s: pairs or events missing", path)
 	}
-	if total != *doc.Events {
-		return fmt.Errorf("%s: events_total %d != sum of stream events %d", path, *doc.Events, total)
+	events := *doc.Events
+	if *doc.Pairs < 0 || events < 0 {
+		return fmt.Errorf("%s: negative counts", path)
 	}
-	if requireDrift && (total < 1 || !drifting) {
-		return fmt.Errorf("%s: no drift detected (events_total=%d) — the slowdown run was missed", path, total)
+	if (events > 0) != (doc.State == "drifting") {
+		return fmt.Errorf("%s: %d event(s) in state %q — an event, and only an event, latches drifting", path, events, doc.State)
 	}
-	if forbidDrift && total != 0 {
-		return fmt.Errorf("%s: %d drift event(s) on a clean run (false positive)", path, total)
+	if requireDrift && events < 1 {
+		return fmt.Errorf("%s: no drift detected (state %s) — the slowdown run was missed", path, doc.State)
 	}
-	if forbidDrift && !armed {
-		return fmt.Errorf("%s: no stream in state ok — the detector never armed, so the clean run's silence proves nothing", path)
+	if forbidDrift && events != 0 {
+		return fmt.Errorf("%s: %d drift event(s) on a clean run (false positive)", path, events)
+	}
+	if forbidDrift && doc.State != "ok" {
+		return fmt.Errorf("%s: state %s, not ok — the detector never armed, so the clean run's silence proves nothing", path, doc.State)
 	}
 	return nil
 }
@@ -334,91 +291,91 @@ func checkDrift(path string, requireDrift, forbidDrift bool) error {
 const linkTolerance = 10_000 // 10ms
 
 // checkTrace requires a well-formed Chrome trace-event document with a
-// non-null traceEvents array. Events that carry span args (the tracer's
-// exporter attaches {id, parent, link}) are additionally graph-checked:
-// span ids must be unique, non-zero parents must resolve to another
-// span in the document, durations must be non-negative, and a causal
-// link must not travel backwards in time beyond linkTolerance — the
-// linked sender must not *end* after the waiting span does by more than
-// the scheduling slack. Dangling links (the sender faulted and never
-// recorded) are tolerated.
-func checkTrace(path string) error {
+// non-null traceEvents array, and returns the events that carry span
+// args (the tracer's exporter attaches {id, parent, worker, link}) as
+// the span records they were written from: microseconds rounded back
+// to nanoseconds, worker -1 when the arg is absent. Those events are
+// graph-checked: span ids must be unique, non-zero parents must
+// resolve to another span in the document, durations must be
+// non-negative, and a causal link must not travel backwards in time
+// beyond linkTolerance — the linked sender must not *end* after the
+// waiting span does by more than the scheduling slack. Dangling links
+// (the sender faulted and never recorded) are tolerated.
+func checkTrace(path string) ([]obs.SpanRecord, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	var doc struct {
 		TraceEvents []struct {
-			Name  string         `json:"name"`
-			Phase string         `json:"ph"`
-			TS    *float64       `json:"ts"`
-			Dur   float64        `json:"dur"`
-			Args  map[string]any `json:"args"`
+			Name  string   `json:"name"`
+			Phase string   `json:"ph"`
+			TS    *float64 `json:"ts"`
+			Dur   float64  `json:"dur"`
+			Args  struct {
+				ID     *int64 `json:"id"`
+				Parent int64  `json:"parent"`
+				Worker *int   `json:"worker"`
+				Link   int64  `json:"link"`
+			} `json:"args"`
 		} `json:"traceEvents"`
 	}
 	if err := json.Unmarshal(data, &doc); err != nil {
-		return fmt.Errorf("%s: invalid trace JSON: %v", path, err)
+		return nil, fmt.Errorf("%s: invalid trace JSON: %v", path, err)
 	}
 	if doc.TraceEvents == nil {
-		return fmt.Errorf("%s: traceEvents missing or null", path)
+		return nil, fmt.Errorf("%s: traceEvents missing or null", path)
 	}
-	type spanEv struct {
-		start, end float64
-	}
-	spans := map[int64]spanEv{}
-	type pending struct {
-		name   string
-		parent int64
-		link   int64
-		end    float64
-	}
-	var checks []pending
-	argID := func(args map[string]any, key string) (int64, bool) {
-		v, ok := args[key].(float64)
-		return int64(v), ok
-	}
+	ns := func(us float64) time.Duration { return time.Duration(math.Round(us * 1e3)) }
+	var spans []obs.SpanRecord
+	ends := map[int64]float64{} // span id -> end, in trace µs
 	for i, e := range doc.TraceEvents {
 		if e.Name == "" {
-			return fmt.Errorf("%s: event %d has no name", path, i)
+			return nil, fmt.Errorf("%s: event %d has no name", path, i)
 		}
 		if e.Phase != "X" {
 			continue
 		}
 		if e.TS == nil {
-			return fmt.Errorf("%s: event %d (%s): duration event without ts", path, i, e.Name)
+			return nil, fmt.Errorf("%s: event %d (%s): duration event without ts", path, i, e.Name)
 		}
 		if *e.TS < 0 || e.Dur < 0 {
-			return fmt.Errorf("%s: event %d (%s): negative ts/dur (%g/%g)", path, i, e.Name, *e.TS, e.Dur)
+			return nil, fmt.Errorf("%s: event %d (%s): negative ts/dur (%g/%g)", path, i, e.Name, *e.TS, e.Dur)
 		}
-		id, ok := argID(e.Args, "id")
-		if !ok {
+		if e.Args.ID == nil {
 			continue // not a span-exported event; format-only checks apply
 		}
-		if _, dup := spans[id]; dup {
-			return fmt.Errorf("%s: event %d (%s): duplicate span id %d", path, i, e.Name, id)
+		id := *e.Args.ID
+		if _, dup := ends[id]; dup {
+			return nil, fmt.Errorf("%s: event %d (%s): duplicate span id %d", path, i, e.Name, id)
 		}
-		spans[id] = spanEv{start: *e.TS, end: *e.TS + e.Dur}
-		p := pending{name: e.Name, end: *e.TS + e.Dur}
-		p.parent, _ = argID(e.Args, "parent")
-		p.link, _ = argID(e.Args, "link")
-		checks = append(checks, p)
+		ends[id] = *e.TS + e.Dur
+		rec := obs.SpanRecord{
+			Name: e.Name, ID: id, Parent: e.Args.Parent,
+			Start: ns(*e.TS), Dur: ns(e.Dur), Worker: -1,
+			Link: obs.SpanContext{Span: e.Args.Link},
+		}
+		if e.Args.Worker != nil {
+			rec.Worker = *e.Args.Worker
+		}
+		spans = append(spans, rec)
 	}
-	for _, c := range checks {
-		if c.parent != 0 {
-			if _, ok := spans[c.parent]; !ok {
-				return fmt.Errorf("%s: span %q: unresolvable parent %d", path, c.name, c.parent)
+	for _, s := range spans {
+		if s.Parent != 0 {
+			if _, ok := ends[s.Parent]; !ok {
+				return nil, fmt.Errorf("%s: span %q: unresolvable parent %d", path, s.Name, s.Parent)
 			}
 		}
-		if c.link != 0 {
-			sender, ok := spans[c.link]
+		if s.Link.Valid() {
+			senderEnd, ok := ends[s.Link.Span]
 			if !ok {
 				continue // dangling link: the sender faulted mid-op
 			}
-			if sender.end > c.end+linkTolerance {
-				return fmt.Errorf("%s: span %q ends %.0fµs before its linked sender %d — cross-worker time-travel beyond the %dµs scheduling slack",
-					path, c.name, sender.end-c.end, c.link, linkTolerance)
+			if end := ends[s.ID]; senderEnd > end+linkTolerance {
+				return nil, fmt.Errorf("%s: span %q ends %.0fµs before its linked sender %d — cross-worker time-travel beyond the %dµs scheduling slack",
+					path, s.Name, senderEnd-end, s.Link.Span, linkTolerance)
 			}
 		}
 	}
-	return nil
+	return spans, nil
 }

@@ -2,14 +2,20 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"convmeter/internal/dagrun"
 	"convmeter/internal/dagrun/manifest"
 	"convmeter/internal/experiments"
+	"convmeter/internal/obs"
+	"convmeter/internal/obs/critpath"
 )
 
 // writeFixture drops a JSON artefact fixture and returns its path.
@@ -23,11 +29,12 @@ func writeFixture(t *testing.T, doc string) string {
 }
 
 func TestCheckDrift(t *testing.T) {
-	drifting := `{"streams":[{"model":"trainreal","phase":"iter","state":"drifting","pairs":10,"events":2}],"events_total":2}`
-	clean := `{"streams":[{"model":"trainreal","phase":"iter","state":"ok","pairs":10,"events":0}],"events_total":0}`
-	empty := `{"streams":[],"events_total":0}`
+	drifting := `{"state":"drifting","pairs":10,"events":2,"kappa":1.2,"residual_mean":0.4,"residual_std":0.3}`
+	clean := `{"state":"ok","pairs":10,"events":0,"kappa":1.2,"residual_mean":0.01,"residual_std":0.05}`
+	// A stream nothing fed, as -drift-out writes for fig2.
+	empty := `{"state":"calibrating","pairs":0,"events":0,"kappa":1,"residual_mean":0,"residual_std":0}`
 	// A stream still in warmup has not armed Page-Hinkley yet.
-	warmup := `{"streams":[{"model":"trainreal","phase":"iter","state":"warmup","pairs":3,"events":0}],"events_total":0}`
+	warmup := `{"state":"warmup","pairs":3,"events":0}`
 
 	cases := []struct {
 		name                      string
@@ -45,11 +52,16 @@ func TestCheckDrift(t *testing.T) {
 		{"empty-required", empty, true, false, true},
 		{"warmup-plain", warmup, false, false, false},
 		{"warmup-forbidden", warmup, false, true, true},
-		{"bad-json", `{"streams":`, false, false, true},
-		{"missing-total", `{"streams":[]}`, false, false, true},
-		{"unknown-state", `{"streams":[{"model":"a","phase":"fwd","state":"panic","pairs":1,"events":0}],"events_total":0}`, false, false, true},
-		{"no-model", `{"streams":[{"phase":"fwd","state":"ok","pairs":1,"events":0}],"events_total":0}`, false, false, true},
-		{"total-mismatch", `{"streams":[{"model":"a","phase":"fwd","state":"ok","pairs":1,"events":1}],"events_total":3}`, false, false, true},
+		{"bad-json", `{"state":`, false, false, true},
+		{"missing-total", `{"state":"ok","pairs":10}`, false, false, true},
+		{"unknown-state", `{"state":"panic","pairs":1,"events":0}`, false, false, true},
+		// The retired multi-stream document keeps its state inside a
+		// streams array.
+		{"no-state", `{"streams":[{"model":"trainreal","phase":"iter","state":"ok","pairs":10,"events":0}],"events_total":0}`, false, false, true},
+		{"negative-pairs", `{"state":"calibrating","pairs":-1,"events":0}`, false, false, true},
+		// An event latches the stream drifting, and nothing else does.
+		{"total-mismatch", `{"state":"ok","pairs":10,"events":3}`, false, false, true},
+		{"drifting-without-event", `{"state":"drifting","pairs":10,"events":0}`, false, false, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -273,52 +285,201 @@ func TestCheckFaults(t *testing.T) {
 	}
 }
 
-func TestCheckCritpath(t *testing.T) {
-	clean := `{"schema":"convmeter/critpath/v1","steps":[
-		{"step":0,"total_seconds":0.1,"compute_seconds":0.08,"comm_seconds":0.01,"wait_seconds":0.01,"dominant":"compute","blame":-1,"blame_wait_seconds":0,
-		 "workers":[{"worker":0,"compute_seconds":0.04},{"worker":1,"compute_seconds":0.04}]}]}`
-	blamed := `{"schema":"convmeter/critpath/v1","steps":[
-		{"step":0,"total_seconds":0.1,"compute_seconds":0.03,"comm_seconds":0.01,"wait_seconds":0.06,"dominant":"wait","blame":0,"blame_wait_seconds":0.05,
-		 "workers":[{"worker":0,"compute_seconds":0.03,"caused_wait_seconds":0.05},{"worker":1,"wait_seconds":0.06}]}]}`
-	empty := `{"schema":"convmeter/critpath/v1","steps":[]}`
-	step := func(fields string) string {
-		return `{"schema":"convmeter/critpath/v1","steps":[{"step":0,` + fields + `}]}`
+// TestCheckTrace: the span-graph checks reject a duplicate span id, an
+// unresolvable parent, a negative duration, a duration event without
+// ts and a causal link that travels back in time beyond the scheduling
+// slack, and tolerate a dangling link and events without span args.
+func TestCheckTrace(t *testing.T) {
+	doc := func(events ...string) string {
+		return `{"traceEvents":[` + strings.Join(events, ",") + `]}`
 	}
-
+	span := func(id, parent, link int, ts, dur float64) string {
+		return fmt.Sprintf(`{"name":"s%d","ph":"X","ts":%g,"dur":%g,"args":{"id":%d,"parent":%d,"link":%d,"worker":0}}`,
+			id, ts, dur, id, parent, link)
+	}
 	cases := []struct {
-		name         string
-		doc          string
-		requireBlame int
-		forbidBlame  bool
-		wantErr      bool
+		name, doc string
+		wantErr   bool
 	}{
-		{"clean-plain", clean, -1, false, false},
-		{"clean-forbidden", clean, -1, true, false},
-		{"clean-required", clean, 0, false, true},
-		{"blamed-required", blamed, 0, false, false},
-		{"blamed-required-other", blamed, 1, false, true},
-		{"blamed-forbidden", blamed, -1, true, true},
-		{"empty-plain", empty, -1, false, false},
-		{"empty-forbidden", empty, -1, true, true},
-		{"bad-json", `{"schema":`, -1, false, true},
-		{"wrong-schema", `{"schema":"v0","steps":[]}`, -1, false, true},
-		{"null-steps", `{"schema":"convmeter/critpath/v1"}`, -1, false, true},
-		{"missing-blame", step(`"dominant":"compute"`), -1, false, true},
-		// Decoded without its key, blame would read as worker 0, which
-		// this step lists and may blame.
-		{"missing-blame-wait", step(`"dominant":"wait","workers":[{"worker":0}]`), -1, false, true},
-		{"negative-worker-seconds", step(`"dominant":"compute","blame":-1,"workers":[{"worker":0,"wait_seconds":-1}]`), -1, false, true},
-		{"unknown-dominant", step(`"dominant":"io","blame":-1`), -1, false, true},
-		{"negative-duration", step(`"dominant":"compute","blame":-1,"wait_seconds":-1`), -1, false, true},
-		{"blame-not-wait", step(`"dominant":"compute","blame":0,"workers":[{"worker":0}]`), -1, false, true},
-		{"blamed-worker-absent", step(`"dominant":"wait","blame":2,"workers":[{"worker":0}]`), -1, false, true},
-		{"unsorted-workers", step(`"dominant":"compute","blame":-1,"workers":[{"worker":1},{"worker":0}]`), -1, false, true},
+		{"well-formed", doc(span(1, 0, 0, 0, 100), span(2, 1, 0, 10, 50)), false},
+		{"no-span-args", doc(`{"name":"forward","ph":"X","ts":0,"dur":1}`, `{"name":"thread_name","ph":"M","args":{"name":"compute"}}`), false},
+		{"dangling-link", doc(span(1, 0, 9, 0, 100)), false},
+		{"duplicate-id", doc(span(1, 0, 0, 0, 100), span(1, 0, 0, 0, 50)), true},
+		{"unresolvable-parent", doc(span(2, 1, 0, 0, 100)), true},
+		{"negative-duration", doc(span(1, 0, 0, 0, -1)), true},
+		{"no-ts", doc(`{"name":"s","ph":"X","dur":1}`), true},
+		{"time-travel", doc(span(1, 0, 0, 0, 100+2*linkTolerance), span(2, 0, 1, 0, 100)), true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := checkCritpath(writeFixture(t, tc.doc), tc.requireBlame, tc.forbidBlame)
+			_, err := checkTrace(writeFixture(t, tc.doc))
 			if (err != nil) != tc.wantErr {
-				t.Fatalf("checkCritpath err = %v, wantErr = %t", err, tc.wantErr)
+				t.Fatalf("checkTrace err = %v, wantErr = %t", err, tc.wantErr)
+			}
+		})
+	}
+}
+
+// stepTrace records steps training steps of three workers with the
+// tracer on a hand-driven clock, laid out as the trainer records them:
+// each worker's compute, then its ring send and a wait linked to its
+// predecessor's send. Worker 0 computes for slow, the others for 10ms.
+// It writes the trace as -trace-out does and returns the file's path.
+func stepTrace(t *testing.T, steps int, slow time.Duration) string {
+	t.Helper()
+	const ms = time.Millisecond
+	var now time.Duration
+	o := &obs.Obs{Trc: obs.NewTracerWithClock(func() time.Duration { return now })}
+	exp := o.Start("experiment:exttrainfaults")
+	for s := 0; s < steps; s++ {
+		step := o.WithSpan(exp).Start(fmt.Sprintf("step %d", s))
+		var compute, send, wait [3]*obs.Span
+		worker := func(w int) *obs.Obs { return o.WithSpan(step).WithWorker(w) }
+		for w := range compute {
+			compute[w] = worker(w).Start("compute")
+		}
+		now += 10 * ms
+		compute[1].End()
+		compute[2].End()
+		now += slow - 10*ms
+		compute[0].End()
+		for w := range send {
+			send[w] = worker(w).Start("ar.send")
+		}
+		now += ms
+		for w := range send {
+			send[w].End()
+			wait[w] = worker(w).Start("ar.wait")
+		}
+		for w := range wait {
+			wait[w].LinkTo(send[(w+2)%3].Context())
+		}
+		now += 4 * ms
+		for w := range wait {
+			wait[w].End()
+		}
+		step.End()
+	}
+	exp.End()
+	path := filepath.Join(t.TempDir(), "trace.json")
+	if err := obs.Export(path, o.Trc.WriteChromeTrace); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// checkTraceBlame judges a trace file as obscheck -trace does.
+func checkTraceBlame(path string, requireBlame int, forbidBlame bool) error {
+	spans, err := checkTrace(path)
+	if err != nil {
+		return err
+	}
+	return checkBlame(path, critpath.Analyze(spans).Steps, requireBlame, forbidBlame)
+}
+
+// TestCheckCritpath: the blame gates judge the steps critpath.Analyze
+// attributes from a written trace, and critpath.Validate rejects an
+// attribution that is inconsistent in itself. want is a substring of
+// the expected error, empty when the check must pass.
+func TestCheckCritpath(t *testing.T) {
+	clean := stepTrace(t, 2, 10*time.Millisecond)
+	blamed := stepTrace(t, 2, 100*time.Millisecond)
+	empty := stepTrace(t, 0, 0)
+	cases := []struct {
+		name         string
+		trace        string
+		requireBlame int
+		forbidBlame  bool
+		want         string
+	}{
+		{"clean-plain", clean, -1, false, ""},
+		{"clean-forbidden", clean, -1, true, ""},
+		{"clean-required", clean, 0, false, "no step blames worker 0"},
+		{"blamed-required", blamed, 0, false, ""},
+		{"blamed-required-other", blamed, 1, false, "no step blames worker 1"},
+		// Both steps blame worker 0: the count is of steps, not workers.
+		{"blamed-forbidden", blamed, -1, true, ": 2 blamed step(s)"},
+		{"empty-plain", empty, -1, false, ""},
+		{"empty-forbidden", empty, -1, true, "no analyzed steps"},
+		{"bad-json", writeFixture(t, `{"traceEvents":`), -1, false, "invalid trace JSON"},
+		// A retired critpath/v1 report is not a trace.
+		{"wrong-schema", writeFixture(t, `{"schema":"convmeter/critpath/v1","steps":[]}`), -1, false, "traceEvents missing"},
+		// A null event array is not a trace without steps.
+		{"null-steps", writeFixture(t, `{"traceEvents":null}`), -1, false, "traceEvents missing"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			err := checkTraceBlame(tc.trace, tc.requireBlame, tc.forbidBlame)
+			if (err != nil) != (tc.want != "") || (err != nil && !strings.Contains(err.Error(), tc.want)) {
+				t.Fatalf("err = %v, want %q", err, tc.want)
+			}
+		})
+	}
+
+	// Analyze never writes these; Validate must still reject them.
+	invalid := []struct {
+		name string
+		att  critpath.StepAttribution
+		want string
+	}{
+		{"negative-worker-seconds", critpath.StepAttribution{Dominant: "compute", Blame: -1, Workers: []critpath.WorkerAttribution{{Worker: 0, Wait: -1}}}, "worker 0: wait_seconds"},
+		{"unknown-dominant", critpath.StepAttribution{Dominant: "io", Blame: -1}, `dominant "io"`},
+		{"negative-duration", critpath.StepAttribution{Dominant: "compute", Blame: -1, Wait: -1}, "step 0: wait_seconds"},
+		{"blame-not-wait", critpath.StepAttribution{Dominant: "compute", Blame: 0, Workers: []critpath.WorkerAttribution{{Worker: 0}}}, "blame 0 with dominant"},
+		{"blamed-worker-absent", critpath.StepAttribution{Dominant: "wait", Blame: 2, Workers: []critpath.WorkerAttribution{{Worker: 0}}}, "blamed worker 2 not in attribution"},
+		{"unsorted-workers", critpath.StepAttribution{Dominant: "compute", Blame: -1, Workers: []critpath.WorkerAttribution{{Worker: 1}, {Worker: 0}}}, "workers not sorted"},
+	}
+	for _, tc := range invalid {
+		t.Run(tc.name, func(t *testing.T) {
+			err := checkBlame("trace.json", []critpath.StepAttribution{tc.att}, -1, false)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestCheckTraceRoundTrip: checkTrace reads back from a written trace
+// the tracer's own span records, less the track and the linked span's
+// trace id, which the trace does not carry, and they give the same
+// critical-path analysis, for a straggler chaos run over TCP and a
+// clean run over the channel ring.
+func TestCheckTraceRoundTrip(t *testing.T) {
+	for _, tc := range []struct{ id, profile string }{
+		{"exttrainfaults", "slowdown"},
+		{"exttrainreal", ""},
+	} {
+		t.Run(tc.id, func(t *testing.T) {
+			cfg := experiments.Config{Seed: 1, Quick: true, FaultsSeed: 7, FaultsProfile: tc.profile, Obs: obs.New()}
+			if _, _, err := experiments.RunDAG([]string{tc.id}, cfg, experiments.DagConfig{Workers: 2}); err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(t.TempDir(), "trace.json")
+			if err := obs.Export(path, cfg.Obs.Trc.WriteChromeTrace); err != nil {
+				t.Fatal(err)
+			}
+			spans, err := checkTrace(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			recs := cfg.Obs.Trc.Spans()
+			for i := range recs {
+				recs[i].Track, recs[i].Link.Trace = 0, 0
+			}
+			byID := func(s []obs.SpanRecord) {
+				sort.Slice(s, func(i, j int) bool { return s[i].ID < s[j].ID })
+			}
+			byID(spans)
+			byID(recs)
+			if !reflect.DeepEqual(spans, recs) {
+				t.Fatal("span records read back from the trace differ from the tracer's")
+			}
+			got, want := critpath.Analyze(spans), critpath.Analyze(cfg.Obs.Trc.Spans())
+			if len(want.Steps) != 12 {
+				t.Fatalf("%d steps analyzed from the tracer, want the quick run's 12", len(want.Steps))
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("analysis of the written trace differs from the tracer's:\n%+v\nwant:\n%+v", got, want)
 			}
 		})
 	}

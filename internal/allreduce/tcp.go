@@ -35,6 +35,19 @@ import (
 // timed out". On failure the returned error is a *RingError attributing
 // blame per worker.
 func RingTCPOpts(vectors [][]float32, opts Options) error {
+	// The wiring deadline saturates: an OpTimeout too large to multiply
+	// means a far deadline, not a product that wrapped into the past.
+	wiring, k := opts.opTimeout(), time.Duration(opts.Retry.attempts()+1)
+	if wiring > math.MaxInt64/k {
+		wiring = math.MaxInt64
+	} else {
+		wiring *= k
+	}
+	return ringTCP(vectors, opts, time.Now().Add(wiring))
+}
+
+// ringTCP is RingTCPOpts with the wiring phase's deadline given.
+func ringTCP(vectors [][]float32, opts Options, deadline time.Time) error {
 	n, length, err := validate(vectors)
 	if err != nil {
 		return err
@@ -44,7 +57,6 @@ func RingTCPOpts(vectors [][]float32, opts Options) error {
 	}
 	// One loopback listener per worker. The deadline bounds the whole
 	// wiring phase, so a peer that never dials cannot hang the run.
-	deadline := time.Now().Add(opts.opTimeout() * time.Duration(opts.Retry.attempts()+1))
 	listeners := make([]net.Listener, n)
 	for i := range listeners {
 		l, err := net.Listen("tcp", "127.0.0.1:0")

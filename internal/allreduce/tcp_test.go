@@ -2,6 +2,7 @@ package allreduce
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -136,10 +137,9 @@ func countFDs(t *testing.T) int {
 // established. The pre-fix code registered the teardown defer below the
 // error check, so every dialled conn outlived the call.
 //
-// The scenario is forced deterministically: OpTimeout is chosen so the
-// accept-deadline product overflows to zero (deadline = now, accepts
-// fail immediately) while the dialer timeout stays effectively
-// unbounded (dials succeed against the listener backlog).
+// The scenario is forced deterministically: the wiring deadline is
+// already past, so every accept fails at once, while the dials succeed
+// against the listener backlog.
 //
 // A clean ring runs first and must leave no descriptor behind either:
 // the success path releases every listener and both ends of every conn,
@@ -157,10 +157,7 @@ func TestRingTCPWiringFailureClosesConns(t *testing.T) {
 	if after := countFDs(t); after > before {
 		t.Fatalf("clean ring leaked %d file descriptor(s): %d before, %d after", after-before, before, after)
 	}
-	err := RingTCPOpts(vectors, Options{
-		OpTimeout: 1 << 62, // ×(attempts+1)=4 wraps to 0: accept deadline = now
-		Retry:     RetryPolicy{Attempts: 3, Backoff: time.Millisecond, Max: time.Millisecond},
-	})
+	err := ringTCP(vectors, Options{}, time.Now().Add(-time.Second))
 	if err == nil {
 		t.Fatal("expected a ring wiring error from the expired accept deadline")
 	}
@@ -169,6 +166,20 @@ func TestRingTCPWiringFailureClosesConns(t *testing.T) {
 	}
 	if after := countFDs(t); after > before {
 		t.Fatalf("wiring failure leaked %d file descriptor(s): %d before, %d after", after-before, before, after)
+	}
+}
+
+// TestRingTCPHugeOpTimeout: an OpTimeout too large to multiply by the
+// retry budget saturates the wiring deadline instead of wrapping it
+// into the past, so a ring meant to wait practically forever wires and
+// reduces.
+func TestRingTCPHugeOpTimeout(t *testing.T) {
+	for _, timeout := range []time.Duration{1 << 61, 1 << 62, math.MaxInt64} {
+		vectors, want := makeVectors(3, 64, 11)
+		if err := RingTCPOpts(vectors, Options{OpTimeout: timeout}); err != nil {
+			t.Fatalf("OpTimeout %d: %v", timeout, err)
+		}
+		checkAllEqualSum(t, vectors, want)
 	}
 }
 

@@ -13,8 +13,7 @@ import (
 func TestObserveZeroAllocs(t *testing.T) {
 	testrace.SkipIfRace(t)
 
-	m := New()
-	s := m.Stream("resnet50", "fwd")
+	s := NewStream()
 	i := 0
 	observe := func() {
 		// Small bounded jitter, far below the detector's delta.

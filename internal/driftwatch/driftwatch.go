@@ -6,12 +6,12 @@
 // cannot: did the analytical model's predictions keep tracking the run
 // from step to step, or did the run break away from them partway?
 //
-// Each (model, phase) stream calibrates a one-point hardware factor κ
-// on its first pairs, keeps a Welford accumulator over the relative
-// residuals, and runs a Page-Hinkley detector that raises a drift event
-// when the residual level shifts upward. A drift event latches the
-// stream's state to "drifting" for the rest of the run; the monitor's
-// snapshot is the -drift-out artefact.
+// A Stream calibrates a one-point hardware factor κ on its first
+// pairs, keeps a Welford accumulator over the relative residuals, and
+// runs a Page-Hinkley detector that raises a drift event when the
+// residual level shifts upward. A drift event latches the stream's
+// state to "drifting" for the rest of the run; the stream's snapshot
+// is the -drift-out artefact.
 //
 // The package is plain arithmetic over the pairs it is fed: no clock,
 // no telemetry, no goroutines. The same feed always gives the same
@@ -23,7 +23,6 @@ import (
 	"encoding/json"
 	"io"
 	"math"
-	"sort"
 	"sync"
 )
 
@@ -54,77 +53,8 @@ const (
 	StateDrifting    State = "drifting"    // a residual shift was detected
 )
 
-// Monitor multiplexes drift streams keyed by (model, phase). It is safe
-// for concurrent use: experiments running side by side share one.
-type Monitor struct {
-	mu      sync.Mutex
-	streams map[string]*Stream
-}
-
-// New returns an empty monitor.
-func New() *Monitor {
-	return &Monitor{streams: make(map[string]*Stream)}
-}
-
-// Stream returns the stream for (model, phase), creating it on first
-// use; later callers share it.
-func (m *Monitor) Stream(model, phase string) *Stream {
-	key := model + "\x00" + phase
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	s, ok := m.streams[key]
-	if !ok {
-		s = &Stream{
-			model: model, phase: phase, kappa: 1,
-			ph: pageHinkley{cfg: phConfig{delta: phDelta, lambda: phLambda, warmup: phWarmup}},
-		}
-		m.streams[key] = s
-	}
-	return s
-}
-
-// Snapshot captures every stream's state, sorted by (model, phase).
-func (m *Monitor) Snapshot() Snapshot {
-	m.mu.Lock()
-	snap := Snapshot{Streams: make([]StreamSnapshot, 0, len(m.streams))}
-	for _, s := range m.streams {
-		ss := s.Snapshot()
-		snap.Streams = append(snap.Streams, ss)
-		snap.Events += ss.Events
-	}
-	m.mu.Unlock()
-	sort.Slice(snap.Streams, func(i, j int) bool {
-		a, b := snap.Streams[i], snap.Streams[j]
-		if a.Model != b.Model {
-			return a.Model < b.Model
-		}
-		return a.Phase < b.Phase
-	})
-	return snap
-}
-
-// WriteJSON writes the monitor snapshot as indented JSON — the
-// -drift-out artefact.
-func (m *Monitor) WriteJSON(w io.Writer) error {
-	data, err := json.MarshalIndent(m.Snapshot(), "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	_, err = w.Write(data)
-	return err
-}
-
-// Snapshot is the monitor's JSON document, written by WriteJSON.
+// Snapshot is a stream's state, the -drift-out document.
 type Snapshot struct {
-	Streams []StreamSnapshot `json:"streams"`
-	Events  int              `json:"events_total"`
-}
-
-// StreamSnapshot is one stream's entry in a Snapshot.
-type StreamSnapshot struct {
-	Model        string  `json:"model"`
-	Phase        string  `json:"phase"`
 	State        State   `json:"state"`
 	Pairs        int     `json:"pairs"`
 	Events       int     `json:"events"`
@@ -133,10 +63,8 @@ type StreamSnapshot struct {
 	ResidualStd  float64 `json:"residual_std"`
 }
 
-// Stream watches one (model, phase) prediction feed.
+// Stream watches one prediction feed. It is safe for concurrent use.
 type Stream struct {
-	model, phase string
-
 	mu       sync.Mutex
 	calN     int
 	calPred  float64
@@ -147,6 +75,14 @@ type Stream struct {
 	pairs    int
 	events   int
 	drifting bool
+}
+
+// NewStream returns a stream that has seen no pairs.
+func NewStream() *Stream {
+	return &Stream{
+		kappa: 1,
+		ph:    pageHinkley{cfg: phConfig{delta: phDelta, lambda: phLambda, warmup: phWarmup}},
+	}
 }
 
 // Observe feeds one (predicted, measured) pair, both in seconds.
@@ -195,12 +131,10 @@ func (s *Stream) stateLocked() State {
 }
 
 // Snapshot captures the stream's current state.
-func (s *Stream) Snapshot() StreamSnapshot {
+func (s *Stream) Snapshot() Snapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return StreamSnapshot{
-		Model:        s.model,
-		Phase:        s.phase,
+	return Snapshot{
 		State:        s.stateLocked(),
 		Pairs:        s.pairs,
 		Events:       s.events,
@@ -208,4 +142,16 @@ func (s *Stream) Snapshot() StreamSnapshot {
 		ResidualMean: s.res.mean,
 		ResidualStd:  s.res.std(),
 	}
+}
+
+// WriteJSON writes the stream's snapshot as indented JSON — the
+// -drift-out artefact.
+func (s *Stream) WriteJSON(w io.Writer) error {
+	data, err := json.MarshalIndent(s.Snapshot(), "", "  ")
+	if err != nil {
+		return err
+	}
+	data = append(data, '\n')
+	_, err = w.Write(data)
+	return err
 }

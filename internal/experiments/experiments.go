@@ -37,9 +37,9 @@ type Config struct {
 	// default.
 	FaultsProfile string
 	// Drift, when non-nil, receives the chaos experiment's step times,
-	// each paired with the fitted training model's prediction, on its
-	// trainreal/iter stream once the run ends. Nil skips the check.
-	Drift *driftwatch.Monitor
+	// each paired with the fitted training model's prediction, once the
+	// run ends. Nil skips the check.
+	Drift *driftwatch.Stream
 }
 
 // Result is the outcome of one experiment: a rendered table plus the

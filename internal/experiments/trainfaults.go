@@ -78,9 +78,8 @@ func ExtTrainFaults(cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		st := cfg.Drift.Stream("trainreal", "iter")
 		for _, rec := range res.Steps {
-			st.Observe(predict(rec.Workers), rec.Seconds)
+			cfg.Drift.Observe(predict(rec.Workers), rec.Seconds)
 		}
 	}
 	first, last := res.Losses[0], res.Losses[len(res.Losses)-1]

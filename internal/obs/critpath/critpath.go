@@ -37,10 +37,6 @@ import (
 	"convmeter/internal/obs"
 )
 
-// SchemaV1 identifies the critpath report format; cmd/obscheck
-// validates files claiming it.
-const SchemaV1 = "convmeter/critpath/v1"
-
 // Span-name classification vocabulary. fwd/bwd spans are children of
 // the per-worker compute span and are skipped to avoid double counting.
 const (

@@ -1,9 +1,7 @@
 package critpath
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"sort"
 	"strconv"
@@ -15,7 +13,7 @@ import (
 // Validate checks a step attribution's internal consistency: every
 // duration finite and non-negative, a known dominant class, a blamed
 // worker that exists in a wait-dominated step, workers sorted by id.
-// cmd/obscheck runs it on every step of an exported report.
+// cmd/obscheck runs it on every step it analyzes from a written trace.
 func Validate(a StepAttribution) error {
 	for _, v := range []struct {
 		name string
@@ -79,11 +77,10 @@ func badSeconds(v float64) bool {
 	return !(v >= 0) || math.IsInf(v, 1)
 }
 
-// Report is the exported critpath artefact: one attribution per
-// training step, in the order the steps started.
+// Report is Analyze's result: one attribution per training step, in
+// the order the steps started.
 type Report struct {
-	Schema string            `json:"schema"`
-	Steps  []StepAttribution `json:"steps"`
+	Steps []StepAttribution
 }
 
 // stepNumber parses the name of a trainer's step span, "step N".
@@ -128,7 +125,7 @@ func Analyze(spans []obs.SpanRecord) Report {
 		}
 		return sa.ID < sb.ID
 	})
-	rep := Report{Schema: SchemaV1, Steps: make([]StepAttribution, 0, len(steps))}
+	rep := Report{Steps: make([]StepAttribution, 0, len(steps))}
 	for _, i := range steps {
 		n, _ := stepNumber(spans[i].Name)
 		att := AnalyzeStep(n, groups[i])
@@ -141,11 +138,4 @@ func Analyze(spans []obs.SpanRecord) Report {
 		rep.Steps = append(rep.Steps, att)
 	}
 	return rep
-}
-
-// WriteJSON writes the report as indented JSON.
-func (r Report) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(r)
 }

@@ -27,69 +27,36 @@ var trackNames = map[int]string{0: "compute", 1: "network"}
 // metadata). An empty timeline — a zero-layer or otherwise degenerate
 // model — yields a valid empty document, not an error, so every
 // timeline pipes cleanly into Perfetto.
-func WriteChromeTrace(w io.Writer, events []trainsim.TimelineEvent) error {
-	return WriteChromeTraceWorkers(w, [][]trainsim.TimelineEvent{events})
-}
-
-// WriteChromeTraceWorkers renders a data-parallel step: one timeline per
-// worker, each on its own trace process so the viewer shows per-worker
-// compute/network track pairs side by side. Worker i maps to pid i+1
-// (pid 0 renders as "idle process" in some viewers), named "worker i";
-// a single-worker document keeps the bare track names with no process
-// metadata, so the pre-data-parallel output format is unchanged.
 //
-// Every (pid, tid) pairing is registered in sorted order: trace
+// The thread-name metadata is emitted in sorted track order: trace
 // documents are serialized output and must be bit-identical across
-// runs, and Perfetto sorts same-sort-index threads by insertion, not
-// name — unsorted metadata scrambles the worker tracks.
-func WriteChromeTraceWorkers(w io.Writer, perWorker [][]trainsim.TimelineEvent) error {
+// runs.
+func WriteChromeTrace(w io.Writer, events []trainsim.TimelineEvent) error {
 	var out []obs.TraceEvent
-	type key struct{ pid, tid int }
-	seen := map[key]bool{}
-	multi := len(perWorker) > 1
-	for wk, events := range perWorker {
-		pid := 1
-		if multi {
-			pid = wk + 1
+	seen := map[int]bool{}
+	for _, e := range events {
+		if e.Dur < 0 || e.Start < 0 {
+			return fmt.Errorf("tracefmt: event %q has negative time", e.Name)
 		}
-		for _, e := range events {
-			if e.Dur < 0 || e.Start < 0 {
-				return fmt.Errorf("tracefmt: worker %d event %q has negative time", wk, e.Name)
-			}
-			seen[key{pid, e.Track}] = true
-			out = append(out, obs.TraceEvent{
-				Name: e.Name, Phase: "X",
-				TsUS: e.Start * 1e6, DurUS: e.Dur * 1e6,
-				Pid: pid, Tid: e.Track,
-			})
-		}
+		seen[e.Track] = true
+		out = append(out, obs.TraceEvent{
+			Name: e.Name, Phase: "X",
+			TsUS: e.Start * 1e6, DurUS: e.Dur * 1e6,
+			Pid: 1, Tid: e.Track,
+		})
 	}
-	// Emit the metadata in sorted (pid, track) order.
-	keys := make([]key, 0, len(seen))
-	for k := range seen {
-		keys = append(keys, k)
+	tracks := make([]int, 0, len(seen))
+	for tr := range seen {
+		tracks = append(tracks, tr)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].pid != keys[j].pid {
-			return keys[i].pid < keys[j].pid
-		}
-		return keys[i].tid < keys[j].tid
-	})
-	lastPid := 0
-	for _, k := range keys {
-		if multi && k.pid != lastPid {
-			out = append(out, obs.TraceEvent{
-				Name: "process_name", Phase: "M", Pid: k.pid, Tid: 0,
-				Args: map[string]any{"name": fmt.Sprintf("worker %d", k.pid-1)},
-			})
-			lastPid = k.pid
-		}
-		name := trackNames[k.tid]
+	sort.Ints(tracks)
+	for _, tr := range tracks {
+		name := trackNames[tr]
 		if name == "" {
-			name = fmt.Sprintf("track %d", k.tid)
+			name = fmt.Sprintf("track %d", tr)
 		}
 		out = append(out, obs.TraceEvent{
-			Name: "thread_name", Phase: "M", Pid: k.pid, Tid: k.tid,
+			Name: "thread_name", Phase: "M", Pid: 1, Tid: tr,
 			Args: map[string]any{"name": name},
 		})
 	}

@@ -3,6 +3,7 @@ package tracefmt
 import (
 	"bytes"
 	"encoding/json"
+	"sort"
 	"strings"
 	"testing"
 
@@ -93,6 +94,7 @@ func TestWriteChromeTrace(t *testing.T) {
 		t.Fatal("thread-name metadata missing")
 	}
 	sawComplete := false
+	var tracks []float64
 	for _, e := range doc.TraceEvents {
 		if e["ph"] == "X" {
 			sawComplete = true
@@ -100,9 +102,29 @@ func TestWriteChromeTrace(t *testing.T) {
 				t.Fatal("negative timestamps")
 			}
 		}
+		if e["name"] == "thread_name" {
+			tracks = append(tracks, e["tid"].(float64))
+		}
 	}
 	if !sawComplete {
 		t.Fatal("no complete events")
+	}
+	if len(tracks) != 2 || !sort.Float64sAreSorted(tracks) {
+		t.Fatalf("thread metadata for tracks %v, want compute and network in track order", tracks)
+	}
+	// One worker's timeline renders under one process, with no process
+	// metadata.
+	if strings.Contains(buf.String(), "process_name") {
+		t.Fatalf("trace grew process metadata:\n%s", buf.String())
+	}
+	// Two renders must be byte-identical: the trace is serialized output
+	// under the replayability contract.
+	var again bytes.Buffer
+	if err := WriteChromeTrace(&again, events); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), again.Bytes()) {
+		t.Fatal("trace render is not deterministic")
 	}
 }
 
@@ -129,92 +151,12 @@ func TestWriteChromeTraceEmpty(t *testing.T) {
 
 func TestWriteChromeTraceErrors(t *testing.T) {
 	var buf bytes.Buffer
-	bad := []trainsim.TimelineEvent{{Name: "x", Start: -1, Dur: 1}}
-	if err := WriteChromeTrace(&buf, bad); err == nil {
-		t.Fatal("expected negative-time error")
-	}
-}
-
-// TestWriteChromeTraceWorkers: a data-parallel render puts worker i on
-// pid i+1 with a "worker i" process name, keeps per-worker compute and
-// network tracks, and emits metadata in sorted (pid, tid) order so the
-// document is bit-identical across runs.
-func TestWriteChromeTraceWorkers(t *testing.T) {
-	perWorker := [][]trainsim.TimelineEvent{
-		{
-			{Name: "forward", Track: 0, Start: 0, Dur: 1},
-			{Name: "allreduce bucket", Track: 1, Start: 1, Dur: 0.5},
-		},
-		{
-			{Name: "forward", Track: 0, Start: 0, Dur: 2},
-		},
-	}
-	var buf bytes.Buffer
-	if err := WriteChromeTraceWorkers(&buf, perWorker); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		TraceEvents []struct {
-			Name string         `json:"name"`
-			Ph   string         `json:"ph"`
-			Pid  int            `json:"pid"`
-			Tid  int            `json:"tid"`
-			Args map[string]any `json:"args"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("invalid trace JSON: %v", err)
-	}
-	pids := map[int]bool{}
-	var processNames []string
-	var metaOrder [][2]int
-	for _, e := range doc.TraceEvents {
-		switch e.Ph {
-		case "X":
-			pids[e.Pid] = true
-		case "M":
-			if e.Name == "process_name" {
-				processNames = append(processNames, e.Args["name"].(string))
-			}
-			if e.Name == "thread_name" {
-				metaOrder = append(metaOrder, [2]int{e.Pid, e.Tid})
-			}
+	for _, bad := range []trainsim.TimelineEvent{
+		{Name: "x", Start: -1, Dur: 1},
+		{Name: "y", Start: 0, Dur: -1},
+	} {
+		if err := WriteChromeTrace(&buf, []trainsim.TimelineEvent{bad}); err == nil || !strings.Contains(err.Error(), bad.Name) {
+			t.Fatalf("event %+v: err = %v, want a negative-time error naming it", bad, err)
 		}
-	}
-	if !pids[1] || !pids[2] || len(pids) != 2 {
-		t.Fatalf("event pids = %v, want exactly {1, 2}", pids)
-	}
-	if len(processNames) != 2 || processNames[0] != "worker 0" || processNames[1] != "worker 1" {
-		t.Fatalf("process names = %v, want [worker 0, worker 1]", processNames)
-	}
-	for i := 1; i < len(metaOrder); i++ {
-		prev, cur := metaOrder[i-1], metaOrder[i]
-		if cur[0] < prev[0] || (cur[0] == prev[0] && cur[1] <= prev[1]) {
-			t.Fatalf("thread metadata out of (pid, tid) order: %v", metaOrder)
-		}
-	}
-	// Two renders must be byte-identical: the trace is serialized output
-	// under the replayability contract.
-	var again bytes.Buffer
-	if err := WriteChromeTraceWorkers(&again, perWorker); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), again.Bytes()) {
-		t.Fatal("multi-worker trace render is not deterministic")
-	}
-
-	// The single-worker path through the same writer must keep the
-	// original format: pid 1, no process metadata.
-	var single bytes.Buffer
-	if err := WriteChromeTraceWorkers(&single, perWorker[:1]); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(single.String(), "process_name") {
-		t.Fatalf("single-worker trace grew process metadata:\n%s", single.String())
-	}
-
-	bad := [][]trainsim.TimelineEvent{{{Name: "x", Start: 0, Dur: 1}}, {{Name: "y", Start: -1, Dur: 1}}}
-	if err := WriteChromeTraceWorkers(&buf, bad); err == nil || !strings.Contains(err.Error(), "worker 1") {
-		t.Fatalf("negative time on worker 1 = %v, want error naming the worker", err)
 	}
 }

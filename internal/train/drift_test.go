@@ -69,14 +69,14 @@ func TestSlowdownProfileStretchesSteps(t *testing.T) {
 	onset := prof.Slowdowns[0]
 	const steps = 10
 
-	run := func(inj *faults.Injector) driftwatch.StreamSnapshot {
+	run := func(inj *faults.Injector) driftwatch.Snapshot {
 		t.Helper()
 		cfg := Config{Workers: 2, LR: 0.05, Seed: 1, Faults: inj}
 		res, err := DataParallel(g, cfg, steps, task.Source(2))
 		if err != nil {
 			t.Fatal(err)
 		}
-		st := driftwatch.New().Stream("trainnet", "iter")
+		st := driftwatch.NewStream()
 		for _, rec := range res.Steps {
 			// A healthy-step estimate: the measured baseline is a couple
 			// of ms of real compute; κ-calibration absorbs the exact
