@@ -29,7 +29,6 @@ import (
 
 	"convmeter"
 	"convmeter/internal/driftwatch"
-	"convmeter/internal/faults"
 	"convmeter/internal/obs"
 )
 
@@ -91,23 +90,6 @@ type options struct {
 	dagOut          string
 }
 
-// dagFaults builds the orchestrator-level crash injector for -dag-crash.
-func dagFaults(opts options) (*faults.Injector, error) {
-	if opts.dagCrash == "" {
-		return nil, nil
-	}
-	node, point, ok := strings.Cut(opts.dagCrash, "@")
-	if !ok || node == "" {
-		return nil, fmt.Errorf("bad -dag-crash %q, want node@point (e.g. lomo@boundary)", opts.dagCrash)
-	}
-	seed := opts.faultsSeed
-	if seed == 0 {
-		seed = opts.seed
-	}
-	prof := faults.Profile{NodeCrashes: map[string]string{node: point}}
-	return faults.New(seed, prof)
-}
-
 func run(opts options) error {
 	cfg := convmeter.ExperimentConfig{
 		Seed: opts.seed, Quick: opts.quick,
@@ -128,12 +110,8 @@ func run(opts options) error {
 	if opts.id == "all" {
 		ids = convmeter.ExperimentIDs()
 	}
-	inj, err := dagFaults(opts)
-	if err != nil {
-		return err
-	}
 	results, rep, runErr := convmeter.RunExperimentsDAG(ids, cfg, convmeter.ExperimentsDagConfig{
-		Dir: opts.dagDir, Workers: opts.dagWorkers, Faults: inj,
+		Dir: opts.dagDir, Workers: opts.dagWorkers, Crash: opts.dagCrash,
 	})
 	if opts.dagOut != "" && rep != nil {
 		// The audit trail is written even — especially — when the run
@@ -142,10 +120,10 @@ func run(opts options) error {
 			return err
 		}
 	}
+	if errors.Is(runErr, convmeter.ErrDagCrashed) && opts.dagDir != "" {
+		return fmt.Errorf("%w; re-run with the same -dag-dir to resume", runErr)
+	}
 	if runErr != nil {
-		if rep != nil && rep.Crashed != "" {
-			fmt.Fprintf(os.Stderr, "experiments: run killed at %s; re-run with the same -dag-dir to resume\n", rep.Crashed)
-		}
 		return runErr
 	}
 	if rep.Resumed > 0 {

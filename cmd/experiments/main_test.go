@@ -256,7 +256,9 @@ func TestRunOutputsCreateParentDirs(t *testing.T) {
 // TestRunDagCrashResume is the CLI-level leg of the crash-resume proof:
 // a -dag-crash run dies with ErrDagCrashed after committing its
 // upstream manifests, and a plain re-run over the same -dag-dir resumes
-// and produces a report byte-identical to an uninterrupted run.
+// and produces a report byte-identical to an uninterrupted run. A crash
+// point that names no node fails before anything runs, and the crash
+// report is one error that offers the resume only when -dag-dir is set.
 func TestRunDagCrashResume(t *testing.T) {
 	dir := t.TempDir()
 	base := options{
@@ -278,6 +280,24 @@ func TestRunDagCrashResume(t *testing.T) {
 	err := run(crashed)
 	if !errors.Is(err, convmeter.ErrDagCrashed) {
 		t.Fatalf("crash run err = %v, want ErrDagCrashed", err)
+	}
+	if msg := err.Error(); strings.Count(msg, "dagrun:") != 1 || !strings.Contains(msg, "lomo@boundary") ||
+		!strings.HasSuffix(msg, "re-run with the same -dag-dir to resume") {
+		t.Fatalf("crash report %q, want one dagrun error naming lomo@boundary, then the resume hint", msg)
+	}
+	inMemory := base
+	inMemory.dagCrash = "lomo@boundary"
+	if err := run(inMemory); !errors.Is(err, convmeter.ErrDagCrashed) || strings.Contains(err.Error(), "-dag-dir") {
+		t.Fatalf("crash run without -dag-dir: err = %v, want ErrDagCrashed with no resume hint", err)
+	}
+	ghost := base
+	ghost.dagDir = filepath.Join(dir, "ghost")
+	ghost.dagCrash = "ghost@boundary"
+	if err := run(ghost); err == nil || errors.Is(err, convmeter.ErrDagCrashed) {
+		t.Fatalf("crash at an unknown node: err = %v, want an error that is not ErrDagCrashed", err)
+	}
+	if committed, _ := filepath.Glob(filepath.Join(ghost.dagDir, "*.json")); len(committed) != 0 {
+		t.Fatalf("crash at an unknown node committed %v", committed)
 	}
 	audit, err := os.ReadFile(crashed.dagOut)
 	if err != nil {

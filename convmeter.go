@@ -218,9 +218,9 @@ type ExperimentConfig = experiments.Config
 // ExperimentResult is the outcome of one paper experiment.
 type ExperimentResult = experiments.Result
 
-// RunExperiment reproduces one of the paper's tables/figures by id
-// (fig2, table1, table2, table3single, fig6, table3multi, fig8, fig9,
-// ablation).
+// RunExperiment reproduces one experiment by id: one of the paper's
+// tables or figures, or one of the extensions. ExperimentIDs lists every
+// id.
 func RunExperiment(id string, cfg ExperimentConfig) (*ExperimentResult, error) {
 	return experiments.Run(id, cfg)
 }

@@ -3,21 +3,20 @@
 // manifests. Independent nodes run in parallel on a bounded worker pool;
 // each completed node commits a manifest (internal/dagrun/manifest)
 // binding its JSON output to a fingerprint of (code fingerprint, node
-// config, input-manifest hashes, faults seed/profile), written with a
-// power-loss-durable atomic write. A later run over the same directory
+// config, input-manifest hashes), written with a power-loss-durable
+// atomic write. A later run over the same directory
 // resumes: a node whose manifest parses, whose content hash verifies and
 // whose fingerprint matches the current run is served from disk;
 // anything else — corrupt file, tampered output, edited config, changed
 // dependency — fails closed and re-runs. Trust is never assumed, only
 // re-derived.
 //
-// Crash-resume is provable, not hoped for: the fault injector
-// (internal/faults) schedules process-level ClassCrash faults at node
-// boundaries and mid-node (after the work, before the commit), Execute
-// aborts with ErrCrashed exactly as a killed process would — losing
-// every uncommitted output — and the resume matrix in the tests kills a
-// run at every boundary and verifies the resumed run's results are
-// bit-identical to an uninterrupted one.
+// Crash-resume is provable, not hoped for: Config.Crash kills the run at
+// one node's boundary or mid-node (after the work, before the commit),
+// Execute aborts with ErrCrashed exactly as a killed process would —
+// losing every uncommitted output — and the resume matrix in the tests
+// kills a run at every boundary and verifies the resumed run's results
+// are bit-identical to an uninterrupted one.
 //
 // The package lives on the measured side of the analytical/measured
 // boundary: it spawns goroutines, reads clocks and writes files. The
@@ -34,7 +33,6 @@ import (
 	"time"
 
 	"convmeter/internal/dagrun/manifest"
-	"convmeter/internal/faults"
 	"convmeter/internal/obs"
 )
 
@@ -83,11 +81,6 @@ type Config struct {
 	// bumps whenever node semantics change, invalidating every manifest
 	// written under the old code.
 	Code string
-	// FaultsSeed and FaultsProfile identify the fault schedule the run
-	// executes under; both are fingerprint components, so a chaos run
-	// never resumes from a clean run's manifests or vice versa.
-	FaultsSeed    int64
-	FaultsProfile string
 	// Workers bounds the pool executing independent nodes in parallel;
 	// <= 0 means 2.
 	Workers int
@@ -95,10 +88,23 @@ type Config struct {
 	// seconds and fail-close reason are in the Report. Nil disables
 	// telemetry.
 	Obs *obs.Obs
-	// Faults supplies the node-crash schedule (Profile.NodeCrashes). Nil
-	// injects nothing.
-	Faults *faults.Injector
+	// Crash, as "node@point" with point CrashBoundary or CrashMid, kills
+	// the run at that point of that node. Empty injects nothing. It is
+	// no fingerprint component: a kill is an event of the environment,
+	// not part of any node's identity.
+	Crash string
 }
+
+// Crash points for Config.Crash.
+const (
+	// CrashBoundary kills the process at the node boundary, before the
+	// node runs: resume finds no trace of the node.
+	CrashBoundary = "boundary"
+	// CrashMid kills the process after the node's work completes but
+	// before its manifest commits: resume finds the work lost and must
+	// re-run it — the torn state fail-close manifests exist for.
+	CrashMid = "mid"
+)
 
 // ErrCrashed marks an Execute aborted by an injected process crash: the
 // run died fail-stop at a node boundary or mid-node, committed manifests
@@ -130,17 +136,20 @@ type Runner struct {
 	order []*node // deterministic topological order
 	byID  map[string]*node
 
+	crashNode, crashPoint string // Config.Crash split at its last "@"
+
 	mu         sync.Mutex
 	started    bool
 	resumed    int
-	crashed    string // "node@point" of the first injected crash
+	crashed    string // Config.Crash once it fired
 	firstErr   error
 	crashedErr error
 }
 
 // New validates the node set — unique file-safe ids, resolvable
-// dependencies, no cycles — and returns a Runner in the all-pending
-// state. The manifest directory is created if configured.
+// dependencies, no cycles — and the crash point, which must name a node
+// of the set, and returns a Runner in the all-pending state. The
+// manifest directory is created if configured.
 func New(cfg Config, nodes []Node) (*Runner, error) {
 	if len(nodes) == 0 {
 		return nil, errors.New("dagrun: empty node set")
@@ -208,6 +217,16 @@ func New(cfg Config, nodes []Node) (*Runner, error) {
 			if n := r.byID[def.ID]; indeg[n] > 0 {
 				return nil, fmt.Errorf("dagrun: dependency cycle through node %s", def.ID)
 			}
+		}
+	}
+	if cfg.Crash != "" {
+		i := strings.LastIndexByte(cfg.Crash, '@')
+		if i < 0 || r.byID[cfg.Crash[:i]] == nil {
+			return nil, fmt.Errorf("dagrun: crash %q names no node@point of the DAG", cfg.Crash)
+		}
+		r.crashNode, r.crashPoint = cfg.Crash[:i], cfg.Crash[i+1:]
+		if r.crashPoint != CrashBoundary && r.crashPoint != CrashMid {
+			return nil, fmt.Errorf("dagrun: crash %q, want point %s or %s", cfg.Crash, CrashBoundary, CrashMid)
 		}
 	}
 	if cfg.Dir != "" {
@@ -316,8 +335,8 @@ func (r *Runner) runNode(n *node) bool {
 		return false
 	}
 
-	if r.cfg.Faults.NodeCrashAt(n.def.ID, faults.NodeCrashBoundary) {
-		r.crash(n, faults.NodeCrashBoundary)
+	if n.def.ID == r.crashNode && r.crashPoint == CrashBoundary {
+		r.crash(n)
 		return false
 	}
 
@@ -325,11 +344,9 @@ func (r *Runner) runNode(n *node) bool {
 	var fp string
 	if r.cfg.Dir != "" {
 		fp = manifest.Fingerprint(manifest.FingerprintInput{
-			Code:          r.cfg.Code,
-			Config:        n.def.Config,
-			FaultsSeed:    r.cfg.FaultsSeed,
-			FaultsProfile: r.cfg.FaultsProfile,
-			Inputs:        hashes,
+			Code:   r.cfg.Code,
+			Config: n.def.Config,
+			Inputs: hashes,
 		})
 		m, failClose := loadManifest(r.cfg.Dir, n.def.ID)
 		switch {
@@ -343,8 +360,8 @@ func (r *Runner) runNode(n *node) bool {
 			r.mu.Unlock()
 			return true
 		case m != nil:
-			// Well-formed but produced under different code, config,
-			// inputs or fault schedule: stale. Never trusted.
+			// Well-formed but produced under different code, config or
+			// inputs: stale. Never trusted.
 			attempt = m.Attempt + 1
 			failClose = FailCloseFingerprint
 		}
@@ -370,26 +387,24 @@ func (r *Runner) runNode(n *node) bool {
 		return false
 	}
 
-	if r.cfg.Faults.NodeCrashAt(n.def.ID, faults.NodeCrashMid) {
+	if n.def.ID == r.crashNode && r.crashPoint == CrashMid {
 		// The work is done but the process dies before the commit: the
 		// output is lost, exactly like a real kill between compute and
 		// rename. Resume must re-run this node.
-		r.crash(n, faults.NodeCrashMid)
+		r.crash(n)
 		return false
 	}
 
 	var mHash string
 	if r.cfg.Dir != "" && !r.crashedNow() {
 		m := &manifest.Manifest{
-			Node:          n.def.ID,
-			Fingerprint:   fp,
-			Code:          r.cfg.Code,
-			Config:        n.def.Config,
-			FaultsSeed:    r.cfg.FaultsSeed,
-			FaultsProfile: r.cfg.FaultsProfile,
-			Inputs:        hashes,
-			Attempt:       attempt,
-			Output:        raw,
+			Node:        n.def.ID,
+			Fingerprint: fp,
+			Code:        r.cfg.Code,
+			Config:      n.def.Config,
+			Inputs:      hashes,
+			Attempt:     attempt,
+			Output:      raw,
 		}
 		data, err := manifest.Seal(m)
 		if err != nil {
@@ -413,18 +428,15 @@ func (r *Runner) runNode(n *node) bool {
 	return true
 }
 
-// crash records an injected process crash: the node (and the run) die
-// fail-stop, nothing of the node is committed, and Execute will return
-// ErrCrashed. The first crash wins blame.
-func (r *Runner) crash(n *node, point string) {
-	at := n.def.ID + "@" + point
+// crash fires the configured crash at node n: the node (and the run)
+// die fail-stop, nothing of the node is committed, and Execute will
+// return ErrCrashed.
+func (r *Runner) crash(n *node) {
 	r.mu.Lock()
 	n.state = StateFailed
-	n.blame = "crash@" + point
-	if r.crashedErr == nil {
-		r.crashed = at
-		r.crashedErr = fmt.Errorf("dagrun: node %s: %w", at, ErrCrashed)
-	}
+	n.blame = "crash@" + r.crashPoint
+	r.crashed = r.cfg.Crash
+	r.crashedErr = fmt.Errorf("%w at %s", ErrCrashed, r.cfg.Crash)
 	r.mu.Unlock()
 }
 

@@ -5,13 +5,13 @@ import (
 	"encoding/json"
 	"errors"
 	"os"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"convmeter/internal/dagrun/manifest"
-	"convmeter/internal/faults"
 	"convmeter/internal/obs"
 )
 
@@ -40,7 +40,7 @@ func chain() []Node {
 }
 
 func chainConfig(dir string) Config {
-	return Config{Dir: dir, Code: "dagrun-test@v1", FaultsSeed: 7, FaultsProfile: "none", Workers: 2}
+	return Config{Dir: dir, Code: "dagrun-test@v1", Workers: 2}
 }
 
 // mustExecute builds and runs a DAG, failing the test on any error.
@@ -96,8 +96,8 @@ func TestExecuteChain(t *testing.T) {
 	}
 }
 
-// TestNewRejectsMalformedDAGs: every structural defect is caught before
-// anything runs.
+// TestNewRejectsMalformedDAGs: every structural defect, and every crash
+// point that could never fire, is caught before anything runs.
 func TestNewRejectsMalformedDAGs(t *testing.T) {
 	noop := func(in Inputs) (any, error) { return 0, nil }
 	cases := map[string][]Node{
@@ -119,6 +119,15 @@ func TestNewRejectsMalformedDAGs(t *testing.T) {
 	for name, nodes := range cases {
 		if _, err := New(Config{}, nodes); err == nil {
 			t.Errorf("%s: New accepted a malformed DAG", name)
+		}
+	}
+	for _, crash := range []string{"ghost@boundary", "fit@sometime", "fit", "@mid"} {
+		dir := filepath.Join(t.TempDir(), "run")
+		if _, err := New(Config{Dir: dir, Crash: crash}, chain()); err == nil {
+			t.Errorf("crash %q: New accepted a crash point that cannot fire", crash)
+		}
+		if _, err := os.Stat(dir); !os.IsNotExist(err) {
+			t.Errorf("crash %q: New created the run directory before rejecting it", crash)
 		}
 	}
 }
@@ -230,8 +239,8 @@ func TestFailureSkipsDependents(t *testing.T) {
 }
 
 // TestCrashResumeMatrix is the acceptance proof: for every node and
-// every crash point (boundary and mid-node), a seed-scheduled kill
-// aborts the run with ErrCrashed, and a resume over the same directory
+// every crash point (boundary and mid-node), a configured kill aborts
+// the run with ErrCrashed, and a resume over the same directory
 // completes with every output bit-identical to an uninterrupted run.
 func TestCrashResumeMatrix(t *testing.T) {
 	clean, _ := mustExecute(t, chainConfig(t.TempDir()), chain())
@@ -240,15 +249,11 @@ func TestCrashResumeMatrix(t *testing.T) {
 		t.Fatalf("clean run committed %d outputs, want 3", len(want))
 	}
 	for _, nodeID := range []string{"fit", "lomo", "report"} {
-		for _, point := range []string{faults.NodeCrashBoundary, faults.NodeCrashMid} {
+		for _, point := range []string{CrashBoundary, CrashMid} {
 			t.Run(nodeID+"@"+point, func(t *testing.T) {
 				dir := t.TempDir()
-				inj, err := faults.New(7, faults.Profile{NodeCrashes: map[string]string{nodeID: point}})
-				if err != nil {
-					t.Fatal(err)
-				}
 				cfg := chainConfig(dir)
-				cfg.Faults = inj
+				cfg.Crash = nodeID + "@" + point
 				r, err := New(cfg, chain())
 				if err != nil {
 					t.Fatal(err)
@@ -268,7 +273,7 @@ func TestCrashResumeMatrix(t *testing.T) {
 				if _, err := os.Stat(manifestPath(dir, nodeID)); !os.IsNotExist(err) {
 					t.Fatalf("crashed node %s committed a manifest", nodeID)
 				}
-				// Resume: same run identity, no kill schedule.
+				// Resume: same run identity, no crash point.
 				resumed, rrep := mustExecute(t, chainConfig(dir), chain())
 				got := outputs(resumed, chain())
 				for id, w := range want {
@@ -290,19 +295,9 @@ func TestCrashResumeMatrix(t *testing.T) {
 // TestStaleManifestFailsClosed: editing a node's config and re-running
 // over the same directory must re-run that node AND everything
 // downstream (the input-hash chain moves), while untouched upstream
-// nodes are still reused. Run under the chaos faults identity to match
-// the acceptance criteria's second leg.
+// nodes are still reused.
 func TestStaleManifestFailsClosed(t *testing.T) {
-	dir := t.TempDir()
-	prof, err := faults.ByName("chaos")
-	if err != nil {
-		t.Fatal(err)
-	}
-	inj, err := faults.New(11, prof)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{Dir: dir, Code: "dagrun-test@v1", FaultsSeed: 11, FaultsProfile: "chaos", Workers: 2, Faults: inj}
+	cfg := chainConfig(t.TempDir())
 	mustExecute(t, cfg, chain())
 
 	stale := chain()
@@ -472,11 +467,7 @@ func TestNoGoroutineLeaks(t *testing.T) {
 	}
 	mustExecute(t, Config{Workers: 2}, nodes)
 
-	inj, err := faults.New(3, faults.Profile{NodeCrashes: map[string]string{"b": faults.NodeCrashMid}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := New(Config{Workers: 2, Faults: inj}, nodes)
+	r, err := New(Config{Workers: 2, Crash: "b@" + CrashMid}, nodes)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,14 +29,14 @@ func FuzzParseManifest(f *testing.F) {
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
 	f.Add([]byte(`{}`))
-	f.Add([]byte(`{"schema":"convmeter/dag-manifest/v1"}`))
+	f.Add([]byte(`{"schema":"convmeter/dag-manifest/v2"}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := manifest.Parse(data)
 		if err != nil {
 			return // rejected: fail-close did its job
 		}
-		if m.Schema != manifest.SchemaV1 {
+		if m.Schema != manifest.SchemaV2 {
 			t.Fatalf("accepted schema %q", m.Schema)
 		}
 		if m.Node == "" || m.Attempt < 1 {

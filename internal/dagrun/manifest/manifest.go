@@ -1,13 +1,13 @@
 // Package manifest defines the content-addressed run manifest that binds
 // one DAG node's output to the exact inputs that produced it: a code
-// fingerprint, the node's configuration, the manifest hashes of every
-// dependency, and the fault seed/profile the run executed under. The
-// executor (internal/dagrun) trusts a manifest only when its recomputed
-// content hash matches the stored one AND its fingerprint matches the
+// fingerprint, the node's configuration and the manifest hashes of every
+// dependency. Whatever else shapes one node's output — a fault schedule,
+// say — belongs in that node's configuration. The executor
+// (internal/dagrun) trusts a manifest only when its recomputed content
+// hash matches the stored one AND its fingerprint matches the
 // fingerprint of the current run — anything else fails closed and the
 // node re-runs. A manifest can therefore never launder an output computed
-// under different code, configuration, inputs or fault schedule into a
-// resumed run.
+// under different code, configuration or inputs into a resumed run.
 //
 // The package is classified deterministic in lint.config: hashing and
 // fingerprinting are pure functions of their inputs, every map is
@@ -29,12 +29,14 @@ import (
 	"strconv"
 )
 
-// SchemaV1 tags the manifest format; cmd/obscheck -manifest checks it.
-const SchemaV1 = "convmeter/dag-manifest/v1"
+// SchemaV2 tags the manifest format; cmd/obscheck -manifest checks it.
+// A manifest under any other tag fails closed on the tag, so a run
+// directory in an older format re-runs instead of reading as tampered.
+const SchemaV2 = "convmeter/dag-manifest/v2"
 
 // Manifest is the durable record of one completed DAG node.
 type Manifest struct {
-	// Schema is always SchemaV1.
+	// Schema is always SchemaV2.
 	Schema string `json:"schema"`
 	// Node is the DAG node id this manifest belongs to.
 	Node string `json:"node"`
@@ -42,13 +44,11 @@ type Manifest struct {
 	// the executor re-runs the node whenever the current run's
 	// fingerprint differs.
 	Fingerprint string `json:"fingerprint"`
-	// Code, Config, FaultsSeed, FaultsProfile and Inputs are the
-	// fingerprint's components, stored openly so an audit (or obscheck)
-	// can explain *why* a fingerprint mismatched.
-	Code          string `json:"code"`
-	Config        string `json:"config"`
-	FaultsSeed    int64  `json:"faults_seed"`
-	FaultsProfile string `json:"faults_profile"`
+	// Code, Config and Inputs are the fingerprint's components, stored
+	// openly so an audit (or obscheck) can explain *why* a fingerprint
+	// mismatched.
+	Code   string `json:"code"`
+	Config string `json:"config"`
 	// Inputs maps each dependency node id to the Hash of the manifest
 	// whose output this node consumed.
 	Inputs map[string]string `json:"inputs"`
@@ -67,10 +67,8 @@ type Manifest struct {
 
 // FingerprintInput carries everything a node's identity depends on.
 type FingerprintInput struct {
-	Code          string
-	Config        string
-	FaultsSeed    int64
-	FaultsProfile string
+	Code   string
+	Config string
 	// Inputs maps dependency node id to that dependency's manifest hash,
 	// chaining content addresses: a change anywhere upstream changes
 	// every downstream fingerprint.
@@ -85,8 +83,6 @@ func Fingerprint(in FingerprintInput) string {
 	h := sha256.New()
 	writeField(h, "code", in.Code)
 	writeField(h, "config", in.Config)
-	writeField(h, "faults_seed", strconv.FormatInt(in.FaultsSeed, 10))
-	writeField(h, "faults_profile", in.FaultsProfile)
 	for _, k := range sortedKeys(in.Inputs) {
 		writeField(h, "input:"+k, in.Inputs[k])
 	}
@@ -102,8 +98,6 @@ func HashOf(m *Manifest) string {
 	writeField(h, "fingerprint", m.Fingerprint)
 	writeField(h, "code", m.Code)
 	writeField(h, "config", m.Config)
-	writeField(h, "faults_seed", strconv.FormatInt(m.FaultsSeed, 10))
-	writeField(h, "faults_profile", m.FaultsProfile)
 	for _, k := range sortedKeys(m.Inputs) {
 		writeField(h, "input:"+k, m.Inputs[k])
 	}
@@ -115,7 +109,7 @@ func HashOf(m *Manifest) string {
 // Seal stamps the schema and content hash onto m and returns its
 // serialized form, ready for an atomic write.
 func Seal(m *Manifest) ([]byte, error) {
-	m.Schema = SchemaV1
+	m.Schema = SchemaV2
 	if err := wellFormed(m); err != nil {
 		return nil, err
 	}
@@ -137,8 +131,8 @@ func Parse(data []byte) (*Manifest, error) {
 	if err := json.Unmarshal(data, &m); err != nil {
 		return nil, fmt.Errorf("manifest: %w", err)
 	}
-	if m.Schema != SchemaV1 {
-		return nil, fmt.Errorf("manifest: schema %q, want %q", m.Schema, SchemaV1)
+	if m.Schema != SchemaV2 {
+		return nil, fmt.Errorf("manifest: schema %q, want %q", m.Schema, SchemaV2)
 	}
 	if err := wellFormed(&m); err != nil {
 		return nil, err

@@ -10,19 +10,15 @@ func validManifest() *Manifest {
 	return &Manifest{
 		Node: "lomo",
 		Fingerprint: Fingerprint(FingerprintInput{
-			Code:          "convmeter/experiments@v1",
-			Config:        "quick=true seed=7",
-			FaultsSeed:    7,
-			FaultsProfile: "chaos",
-			Inputs:        map[string]string{"fit": strings.Repeat("ab", 32)},
+			Code:   "convmeter/experiments@v1",
+			Config: "quick=true seed=7",
+			Inputs: map[string]string{"fit": strings.Repeat("ab", 32)},
 		}),
-		Code:          "convmeter/experiments@v1",
-		Config:        "quick=true seed=7",
-		FaultsSeed:    7,
-		FaultsProfile: "chaos",
-		Inputs:        map[string]string{"fit": strings.Repeat("ab", 32)},
-		Attempt:       1,
-		Output:        json.RawMessage(`{"mape":12.5}`),
+		Code:    "convmeter/experiments@v1",
+		Config:  "quick=true seed=7",
+		Inputs:  map[string]string{"fit": strings.Repeat("ab", 32)},
+		Attempt: 1,
+		Output:  json.RawMessage(`{"mape":12.5}`),
 	}
 }
 
@@ -31,10 +27,8 @@ func validManifest() *Manifest {
 // that makes resume possible at all.
 func TestFingerprintDeterministic(t *testing.T) {
 	h := strings.Repeat("0a", 32)
-	a := FingerprintInput{Code: "c", Config: "cfg", FaultsSeed: 3, FaultsProfile: "p",
-		Inputs: map[string]string{}}
-	b := FingerprintInput{Code: "c", Config: "cfg", FaultsSeed: 3, FaultsProfile: "p",
-		Inputs: map[string]string{}}
+	a := FingerprintInput{Code: "c", Config: "cfg", Inputs: map[string]string{}}
+	b := FingerprintInput{Code: "c", Config: "cfg", Inputs: map[string]string{}}
 	for _, k := range []string{"a", "b", "c", "d", "e"} {
 		a.Inputs[k] = h
 	}
@@ -54,16 +48,14 @@ func TestFingerprintDeterministic(t *testing.T) {
 // a component that doesn't is a staleness class the fail-close rule
 // cannot see.
 func TestFingerprintSensitivity(t *testing.T) {
-	base := FingerprintInput{Code: "c", Config: "cfg", FaultsSeed: 3, FaultsProfile: "p",
+	base := FingerprintInput{Code: "c", Config: "cfg",
 		Inputs: map[string]string{"fit": strings.Repeat("0a", 32)}}
 	ref := Fingerprint(base)
 	variants := map[string]FingerprintInput{
-		"code":       {Code: "c2", Config: "cfg", FaultsSeed: 3, FaultsProfile: "p", Inputs: base.Inputs},
-		"config":     {Code: "c", Config: "cfg2", FaultsSeed: 3, FaultsProfile: "p", Inputs: base.Inputs},
-		"seed":       {Code: "c", Config: "cfg", FaultsSeed: 4, FaultsProfile: "p", Inputs: base.Inputs},
-		"profile":    {Code: "c", Config: "cfg", FaultsSeed: 3, FaultsProfile: "p2", Inputs: base.Inputs},
-		"input hash": {Code: "c", Config: "cfg", FaultsSeed: 3, FaultsProfile: "p", Inputs: map[string]string{"fit": strings.Repeat("0b", 32)}},
-		"input key":  {Code: "c", Config: "cfg", FaultsSeed: 3, FaultsProfile: "p", Inputs: map[string]string{"fit2": strings.Repeat("0a", 32)}},
+		"code":       {Code: "c2", Config: "cfg", Inputs: base.Inputs},
+		"config":     {Code: "c", Config: "cfg2", Inputs: base.Inputs},
+		"input hash": {Code: "c", Config: "cfg", Inputs: map[string]string{"fit": strings.Repeat("0b", 32)}},
+		"input key":  {Code: "c", Config: "cfg", Inputs: map[string]string{"fit2": strings.Repeat("0a", 32)}},
 	}
 	for name, in := range variants {
 		if Fingerprint(in) == ref {
@@ -93,8 +85,8 @@ func TestSealParseRoundTrip(t *testing.T) {
 	if got.Node != m.Node || got.Fingerprint != m.Fingerprint || got.Hash != m.Hash {
 		t.Fatalf("round trip mutated manifest: %+v != %+v", got, m)
 	}
-	if got.Schema != SchemaV1 {
-		t.Fatalf("schema = %q, want %q", got.Schema, SchemaV1)
+	if got.Schema != SchemaV2 {
+		t.Fatalf("schema = %q, want %q", got.Schema, SchemaV2)
 	}
 	if string(got.Output) != string(m.Output) {
 		t.Fatalf("output mutated: %s != %s", got.Output, m.Output)
@@ -148,6 +140,7 @@ func TestParseFailsClose(t *testing.T) {
 		"no hash":        sealWithout("hash"),
 		"no fingerprint": sealWithout("fingerprint"),
 		"wrong schema":   seal(func(m *Manifest) { m.Schema = "convmeter/dag-manifest/v0" }),
+		"v1 schema":      seal(func(m *Manifest) { m.Schema = "convmeter/dag-manifest/v1" }),
 		"tampered out":   seal(func(m *Manifest) { m.Output = json.RawMessage(`{"mape":1.0}`) }),
 		"tampered cfg":   seal(func(m *Manifest) { m.Config = "quick=false" }),
 		"tampered hash":  seal(func(m *Manifest) { m.Hash = strings.Repeat("00", 32) }),

@@ -23,7 +23,7 @@ const (
 // committed manifest was not trusted, so the node ran again.
 const (
 	// FailCloseFingerprint: a well-formed manifest produced under other
-	// code, config, inputs or fault schedule — stale.
+	// code, config or inputs — stale.
 	FailCloseFingerprint = "fingerprint"
 	// FailCloseCorrupt: a manifest that is unreadable, malformed, filed
 	// under another node, or whose content hash does not verify.
@@ -63,8 +63,8 @@ type Report struct {
 	Nodes []NodeStatus `json:"nodes"`
 	// Resumed counts nodes served from manifests instead of re-run.
 	Resumed int `json:"resumed"`
-	// Crashed names the first injected crash as "node@point", empty when
-	// none fired.
+	// Crashed names the injected crash as "node@point", empty when none
+	// fired.
 	Crashed string `json:"crashed,omitempty"`
 }
 

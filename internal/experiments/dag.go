@@ -5,7 +5,6 @@ import (
 
 	"convmeter/internal/core"
 	"convmeter/internal/dagrun"
-	"convmeter/internal/faults"
 )
 
 // CodeFingerprint tags the semantics of the experiment DAG's nodes and
@@ -23,12 +22,10 @@ type DagConfig struct {
 	Dir string
 	// Workers bounds the executor's worker pool; <= 0 means 2.
 	Workers int
-	// Faults carries the orchestrator-level crash schedule
-	// (Profile.NodeCrashes). It is deliberately separate from the
-	// experiments' own transport-fault injector: a kill -9 is an
-	// environment event, not part of an experiment's identity, so it
-	// must not move node fingerprints.
-	Faults *faults.Injector
+	// Crash kills the run at "node@point" (dagrun.Config.Crash). Unlike
+	// exttrainfaults' fault schedule it is no part of any node's
+	// identity, so it moves no fingerprint.
+	Crash string
 }
 
 // SuiteReport is the terminal report node's output: every experiment
@@ -47,11 +44,17 @@ func nodeID(id string) string {
 	return "exp:" + id
 }
 
-// nodeConfig renders the configuration fingerprint component shared by
-// every node: the settings that shape outputs. Faults seed/profile are
-// bound by the executor itself (dagrun.Config), not here.
+// nodeConfig renders a node's configuration fingerprint component: the
+// settings that shape its output. Only exttrainfaults runs under the
+// fault schedule, so only its node binds the resolved faults seed and
+// profile: a chaos manifest never resumes a clean run, and a new
+// schedule re-runs no other experiment.
 func nodeConfig(stage string, cfg Config) string {
-	return fmt.Sprintf("stage=%s seed=%d quick=%t", stage, cfg.Seed, cfg.Quick)
+	s := fmt.Sprintf("stage=%s seed=%d quick=%t", stage, cfg.Seed, cfg.Quick)
+	if stage == "exttrainfaults" {
+		s += fmt.Sprintf(" faults_seed=%d faults_profile=%s", faultsSeed(cfg), profileName(cfg))
+	}
+	return s
 }
 
 // BuildDAG assembles the experiment pipeline for the given ids:
@@ -157,13 +160,11 @@ func RunDAG(ids []string, cfg Config, dcfg DagConfig) ([]*Result, *dagrun.Report
 		return nil, nil, err
 	}
 	r, err := dagrun.New(dagrun.Config{
-		Dir:           dcfg.Dir,
-		Code:          CodeFingerprint,
-		FaultsSeed:    faultsSeed(cfg),
-		FaultsProfile: profileName(cfg),
-		Workers:       dcfg.Workers,
-		Obs:           cfg.Obs,
-		Faults:        dcfg.Faults,
+		Dir:     dcfg.Dir,
+		Code:    CodeFingerprint,
+		Workers: dcfg.Workers,
+		Obs:     cfg.Obs,
+		Crash:   dcfg.Crash,
 	}, nodes)
 	if err != nil {
 		return nil, nil, err

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"convmeter/internal/dagrun"
-	"convmeter/internal/faults"
 )
 
 // TestDagMatchesFlat: the staged DAG path (fit → lomo → report) must
@@ -35,15 +34,11 @@ func TestDagMatchesFlat(t *testing.T) {
 	}
 }
 
-// crashThenResume kills a DAG run at the scheduled node/point, then
+// crashThenResume kills a DAG run at the given node/point, then
 // resumes it over the same directory and returns the resumed results.
 func crashThenResume(t *testing.T, ids []string, cfg Config, dir, node, point string) ([]*Result, *dagrun.Report) {
 	t.Helper()
-	inj, err := faults.New(faultsSeed(cfg), faults.Profile{NodeCrashes: map[string]string{node: point}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, rep, err := RunDAG(ids, cfg, DagConfig{Dir: dir, Workers: 2, Faults: inj})
+	_, rep, err := RunDAG(ids, cfg, DagConfig{Dir: dir, Workers: 2, Crash: node + "@" + point})
 	if !errors.Is(err, dagrun.ErrCrashed) {
 		t.Fatalf("crash at %s@%s: err = %v, want ErrCrashed", node, point, err)
 	}
@@ -87,7 +82,7 @@ func TestDagResumeMatrixTable1(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, node := range []string{"fit", "lomo", "report"} {
-		for _, point := range []string{faults.NodeCrashBoundary, faults.NodeCrashMid} {
+		for _, point := range []string{dagrun.CrashBoundary, dagrun.CrashMid} {
 			t.Run(node+"@"+point, func(t *testing.T) {
 				resumed, rep := crashThenResume(t, ids, cfg, t.TempDir(), node, point)
 				sameStats(t, node+"@"+point, resumed, clean)
@@ -103,8 +98,8 @@ func TestDagResumeMatrixTable1(t *testing.T) {
 
 // TestDagResumeMatrixChaos is the second acceptance leg: the same
 // kill/resume proof over the chaos faults profile, on the experiment
-// whose own workload is fault-injected (exttrainfaults) — the node
-// crash schedule and the transport fault schedule must compose without
+// whose own workload is fault-injected (exttrainfaults) — the crash
+// point and the transport fault schedule must compose without
 // perturbing each other's determinism.
 func TestDagResumeMatrixChaos(t *testing.T) {
 	cfg := Config{Seed: 5, Quick: true, FaultsSeed: 11, FaultsProfile: "chaos"}
@@ -114,12 +109,55 @@ func TestDagResumeMatrixChaos(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, node := range []string{"exp:exttrainfaults", "report"} {
-		for _, point := range []string{faults.NodeCrashBoundary, faults.NodeCrashMid} {
+		for _, point := range []string{dagrun.CrashBoundary, dagrun.CrashMid} {
 			t.Run(node+"@"+point, func(t *testing.T) {
 				resumed, _ := crashThenResume(t, ids, cfg, t.TempDir(), node, point)
 				sameStats(t, node+"@"+point, resumed, clean)
 			})
 		}
+	}
+}
+
+// TestFaultScheduleScopedToItsNode: the fault schedule is part of
+// exttrainfaults' identity and of no other node's. Over one directory,
+// a changed faults seed or profile re-runs exp:exttrainfaults and the
+// report that consumes it, fail-closed on their fingerprints, while
+// fig2, which injects no fault, is served from its manifest. The
+// profile leg is the clean run: a chaos manifest never resumes it.
+func TestFaultScheduleScopedToItsNode(t *testing.T) {
+	ids := []string{"fig2", "exttrainfaults"}
+	base := Config{Seed: 5, Quick: true, FaultsSeed: 7, FaultsProfile: "chaos"}
+	for _, tc := range []struct {
+		name   string
+		change func(*Config)
+	}{
+		{"faults seed", func(c *Config) { c.FaultsSeed = 8 }},
+		{"faults profile", func(c *Config) { c.FaultsProfile = "none" }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if _, _, err := RunDAG(ids, base, DagConfig{Dir: dir, Workers: 2}); err != nil {
+				t.Fatal(err)
+			}
+			cfg := base
+			tc.change(&cfg)
+			_, rep, err := RunDAG(ids, cfg, DagConfig{Dir: dir, Workers: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Resumed != 1 {
+				t.Fatalf("resumed %d node(s), want 1 (exp:fig2)", rep.Resumed)
+			}
+			if st := rep.Node("exp:fig2"); st.State != dagrun.StateReused || st.FailClose != "" {
+				t.Fatalf("exp:fig2 must be reused: %+v", st)
+			}
+			for _, id := range []string{"exp:exttrainfaults", "report"} {
+				st := rep.Node(id)
+				if st.State != dagrun.StateDone || st.Attempt != 2 || st.FailClose != dagrun.FailCloseFingerprint {
+					t.Fatalf("%s must re-run, fail-closed on its fingerprint: %+v", id, st)
+				}
+			}
+		})
 	}
 }
 

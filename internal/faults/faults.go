@@ -77,27 +77,7 @@ type Profile struct {
 	// level shift — the scenario a runtime predictor drifts on.
 	Slowdowns map[int]int
 	SlowDelay time.Duration
-
-	// NodeCrashes schedules orchestrator-level process crashes: DAG node
-	// id → crash point (NodeCrashBoundary kills the run before the node
-	// executes, NodeCrashMid after its work but before its manifest
-	// commits). Like Crashes this is an explicit schedule, not a draw, so
-	// a resume matrix can kill a run at every boundary deterministically;
-	// the fired crash is recorded as a ClassCrash event like every other
-	// injection.
-	NodeCrashes map[string]string
 }
-
-// Node crash points for Profile.NodeCrashes.
-const (
-	// NodeCrashBoundary kills the process at the node boundary, before
-	// the node runs: resume finds no trace of the node.
-	NodeCrashBoundary = "boundary"
-	// NodeCrashMid kills the process after the node's work completes but
-	// before its manifest commits: resume finds the work lost and must
-	// re-run it — the torn state fail-close manifests exist for.
-	NodeCrashMid = "mid"
-)
 
 // prob returns the probability assigned to a drawable class.
 func (p Profile) prob(c Class) float64 {
@@ -157,20 +137,6 @@ func (p Profile) Validate() error {
 	if len(p.Slowdowns) > 0 && p.SlowDelay <= 0 {
 		return fmt.Errorf("faults: slowdown schedule needs a positive SlowDelay")
 	}
-	nodes := make([]string, 0, len(p.NodeCrashes))
-	for n := range p.NodeCrashes {
-		nodes = append(nodes, n)
-	}
-	sort.Strings(nodes)
-	for _, n := range nodes {
-		if n == "" {
-			return fmt.Errorf("faults: node crash schedule entry with empty node id")
-		}
-		if pt := p.NodeCrashes[n]; pt != NodeCrashBoundary && pt != NodeCrashMid {
-			return fmt.Errorf("faults: node crash point %q for node %s (want %s or %s)",
-				pt, n, NodeCrashBoundary, NodeCrashMid)
-		}
-	}
 	return nil
 }
 
@@ -216,7 +182,7 @@ func ByName(name string) (Profile, error) {
 // (and distinct across different ones) — that is what makes schedules
 // reproducible under timeouts and re-attempts. The crash and slowdown
 // events reuse the shape: transport "train" with direction "crash" or
-// "slow", and "dag/<node>" with the crash point.
+// "slow".
 type Op struct {
 	Transport string // "tcp": the TCP ring's connections (Conn)
 	Worker    int    // owning worker id (original trainer id)
@@ -340,26 +306,6 @@ func (in *Injector) CrashAt(worker, step int) bool {
 	}
 	in.record(Event{
 		Op:    Op{Transport: "train", Worker: worker, Dir: "crash", Seq: uint64(step)},
-		Class: ClassCrash,
-	})
-	return true
-}
-
-// NodeCrashAt reports whether the profile schedules a process crash at
-// the given point of DAG node id, recording the crash when it fires. The
-// schedule replays identically across runs and resumes: a resumed run
-// consults the same schedule, so callers clear or re-seed it when the
-// crash must fire only once.
-func (in *Injector) NodeCrashAt(node, point string) bool {
-	if in == nil {
-		return false
-	}
-	pt, ok := in.prof.NodeCrashes[node]
-	if !ok || pt != point {
-		return false
-	}
-	in.record(Event{
-		Op:    Op{Transport: "dag/" + node, Worker: 0, Dir: point, Seq: 0},
 		Class: ClassCrash,
 	})
 	return true

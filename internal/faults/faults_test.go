@@ -24,10 +24,6 @@ func TestProfileValidate(t *testing.T) {
 		{"slowdown", Profile{Slowdowns: map[int]int{0: 5}, SlowDelay: time.Millisecond}, true},
 		{"slowdown-no-delay", Profile{Slowdowns: map[int]int{0: 5}}, false},
 		{"bad-slowdown", Profile{Slowdowns: map[int]int{0: -1}, SlowDelay: time.Millisecond}, false},
-		{"node-crash", Profile{NodeCrashes: map[string]string{"lomo": NodeCrashBoundary}}, true},
-		{"node-crash-mid", Profile{NodeCrashes: map[string]string{"fit": NodeCrashMid}}, true},
-		{"node-crash-empty-id", Profile{NodeCrashes: map[string]string{"": NodeCrashBoundary}}, false},
-		{"node-crash-bad-point", Profile{NodeCrashes: map[string]string{"lomo": "sometime"}}, false},
 	}
 	for _, tc := range cases {
 		err := tc.p.Validate()
@@ -401,42 +397,5 @@ func TestSlowAt(t *testing.T) {
 	var nil_ *Injector
 	if d := nil_.SlowAt(0, 10); d != 0 {
 		t.Errorf("nil injector slowed by %v", d)
-	}
-}
-
-func TestNodeCrashAt(t *testing.T) {
-	var nilInj *Injector
-	if nilInj.NodeCrashAt("lomo", NodeCrashBoundary) {
-		t.Fatal("nil injector scheduled a crash")
-	}
-
-	in, err := New(3, Profile{NodeCrashes: map[string]string{"lomo": NodeCrashBoundary}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if in.NodeCrashAt("fit", NodeCrashBoundary) {
-		t.Fatal("crash fired for an unscheduled node")
-	}
-	if in.NodeCrashAt("lomo", NodeCrashMid) {
-		t.Fatal("crash fired at the wrong point")
-	}
-	if len(in.Events()) != 0 {
-		t.Fatalf("%d events recorded before any crash fired", len(in.Events()))
-	}
-	if !in.NodeCrashAt("lomo", NodeCrashBoundary) {
-		t.Fatal("scheduled crash did not fire")
-	}
-	evs := in.Events()
-	if len(evs) != 1 || evs[0].Class != ClassCrash {
-		t.Fatalf("events after crash = %+v, want one ClassCrash", evs)
-	}
-	if evs[0].Op.Transport != "dag/lomo" || evs[0].Op.Dir != NodeCrashBoundary {
-		t.Fatalf("crash event blames %s@%s, want dag/lomo@boundary", evs[0].Op.Transport, evs[0].Op.Dir)
-	}
-
-	// The schedule replays: a resumed run consulting the same profile
-	// sees the crash again, so resume paths must clear or re-seed it.
-	if !in.NodeCrashAt("lomo", NodeCrashBoundary) {
-		t.Fatal("schedule did not replay on second consult")
 	}
 }

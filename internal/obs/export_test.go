@@ -3,9 +3,11 @@ package obs
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -106,6 +108,51 @@ func TestWriteChromeTrace(t *testing.T) {
 	if childEv.ts < rootEv.ts || childEv.end > rootEv.end {
 		t.Fatalf("child [%g,%g] not contained in root [%g,%g]",
 			childEv.ts, childEv.end, rootEv.ts, rootEv.end)
+	}
+
+	// Worker-attributed spans share one "workers" process (pid 2), one
+	// thread per worker id, named in ascending id order however the
+	// workers' spans were recorded.
+	o := &Obs{Trc: NewTracerWithClock(fakeClock(time.Millisecond))}
+	step := o.Start("step 0")
+	for _, w := range []int{2, 0, 1} {
+		o.WithSpan(step).WithWorker(w).Start("compute").End()
+	}
+	step.End()
+	sb.Reset()
+	if err := o.Trc.WriteChromeTrace(&sb); err != nil {
+		t.Fatal(err)
+	}
+	doc = traceDoc{}
+	if err := json.Unmarshal([]byte(sb.String()), &doc); err != nil {
+		t.Fatal(err)
+	}
+	var processes, threads []string
+	workerEvents := 0
+	for _, e := range doc.TraceEvents {
+		name, _ := e.Args["name"].(string)
+		switch {
+		case e.Phase == "M" && e.Name == "process_name":
+			processes = append(processes, fmt.Sprintf("%d:%s", e.Pid, name))
+		case e.Phase == "M" && e.Pid == 2:
+			threads = append(threads, fmt.Sprintf("%d:%s", e.Tid, name))
+		case e.Phase == "X" && e.Name == "compute":
+			workerEvents++
+			if w, _ := e.Args["worker"].(float64); e.Pid != 2 || float64(e.Tid) != w {
+				t.Fatalf("worker %v span at pid %d tid %d, want pid 2 tid %v", e.Args["worker"], e.Pid, e.Tid, w)
+			}
+		case e.Phase == "X" && e.Pid != 1:
+			t.Fatalf("unattributed span %q at pid %d, want 1", e.Name, e.Pid)
+		}
+	}
+	if want := []string{"2:workers"}; !reflect.DeepEqual(processes, want) {
+		t.Fatalf("process_name events %v, want %v", processes, want)
+	}
+	if want := []string{"0:worker 0", "1:worker 1", "2:worker 2"}; !reflect.DeepEqual(threads, want) {
+		t.Fatalf("workers' thread_name events %v, want %v", threads, want)
+	}
+	if workerEvents != 3 {
+		t.Fatalf("%d worker X events, want 3", workerEvents)
 	}
 }
 
