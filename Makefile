@@ -9,8 +9,11 @@ FUZZTIME ?= 15s
 build:
 	$(GO) build ./...
 
+# vet: the host architecture, then arm64, which has no assembly kernels:
+# it checks that the pure-Go GEMM leaf builds on its own.
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./...
 
 # convlint: the repo's own analyzer suite (see README "Static analysis
 # & CI") after go vet, so `make lint` is the complete static gate. Vet

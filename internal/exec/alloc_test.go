@@ -55,27 +55,7 @@ func TestKernelsZeroAllocs(t *testing.T) {
 		conv2d(convIn, dwOp, dwW, convB[:2], dwOut)
 	})
 
-	linOp := &graph.LinearOp{In: 8, Out: 4, Bias: true}
-	linIn := NewTensor(2, graph.Shape{C: 8, H: 1, W: 1})
-	linOut := NewTensor(2, graph.Shape{C: 4, H: 1, W: 1})
-	linW := make([]float32, 8*4)
-	linB := make([]float32, 4)
-	fill(linIn.Data)
-	fill(linW)
-	assertZeroAllocs(t, "linear", func() {
-		linear(linIn, linOp, linW, linB, linOut)
-	})
-
-	tokOp := &graph.TokenLinearOp{In: 4, Out: 6, Bias: true}
-	tokIn := NewTensor(2, graph.Shape{C: 4, H: 3, W: 1})
-	tokOut := NewTensor(2, graph.Shape{C: 6, H: 3, W: 1})
-	tokW := make([]float32, 4*6)
-	tokB := make([]float32, 6)
-	fill(tokIn.Data)
-	fill(tokW)
-	assertZeroAllocs(t, "tokenLinear", func() {
-		tokenLinear(tokIn, tokOp, tokW, tokB, tokOut)
-	})
+	gemmAllocCases(t)
 
 	normIn := NewTensor(2, graph.Shape{C: 3, H: 4, W: 4})
 	normOut := NewTensor(2, graph.Shape{C: 3, H: 4, W: 4})
@@ -123,6 +103,70 @@ func TestKernelsZeroAllocs(t *testing.T) {
 	assertZeroAllocs(t, "toTokens", func() {
 		toTokens(tokensIn, tokensOp, cls, pos, tokensOut)
 	})
+}
+
+// gemmAllocCases pins the shared GEMM task on every host leaf: columns
+// of a tile and a tail (n ≥ 8) with a partial 8-row panel, a batch-folded
+// 1×1 map, linear at batch 1 (the one-column Go GEMV) and 5, and
+// tokenLinear.
+func gemmAllocCases(t *testing.T) {
+	wideOp := &graph.Conv2dOp{InC: 3, OutC: 11, KH: 3, KW: 3,
+		StrideH: 1, StrideW: 1, PadH: 1, PadW: 1,
+		DilationH: 1, DilationW: 1, Groups: 1, Bias: true}
+	wideIn := NewTensor(2, graph.Shape{C: 3, H: 5, W: 5})
+	wideOut := NewTensor(2, graph.Shape{C: 11, H: 5, W: 5})
+	wideW := make([]float32, 11*3*3*3)
+	wideB := make([]float32, 11)
+	fill(wideIn.Data)
+	fill(wideW)
+
+	foldOp := &graph.Conv2dOp{InC: 4, OutC: 10, KH: 3, KW: 3,
+		StrideH: 2, StrideW: 2, PadH: 1, PadW: 1,
+		DilationH: 1, DilationW: 1, Groups: 1}
+	foldIn := NewTensor(3, graph.Shape{C: 4, H: 2, W: 2})
+	foldOut := NewTensor(3, graph.Shape{C: 10, H: 1, W: 1})
+	foldW := make([]float32, 10*4*3*3)
+	fill(foldIn.Data)
+	fill(foldW)
+
+	linOp := &graph.LinearOp{In: 13, Out: 9, Bias: true}
+	linIn1 := NewTensor(1, graph.Shape{C: 13, H: 1, W: 1})
+	linOut1 := NewTensor(1, graph.Shape{C: 9, H: 1, W: 1})
+	linIn5 := NewTensor(5, graph.Shape{C: 13, H: 1, W: 1})
+	linOut5 := NewTensor(5, graph.Shape{C: 9, H: 1, W: 1})
+	linW := make([]float32, 13*9)
+	linB := make([]float32, 9)
+	fill(linIn1.Data)
+	fill(linIn5.Data)
+	fill(linW)
+
+	tokOp := &graph.TokenLinearOp{In: 4, Out: 6, Bias: true}
+	tokIn := NewTensor(2, graph.Shape{C: 4, H: 3, W: 1})
+	tokOut := NewTensor(2, graph.Shape{C: 6, H: 3, W: 1})
+	tokW := make([]float32, 4*6)
+	tokB := make([]float32, 6)
+	fill(tokIn.Data)
+	fill(tokW)
+
+	for _, leaf := range hostLeaves() {
+		withLeaf(leaf, func() {
+			assertZeroAllocs(t, leaf.name+" conv2d n≥8 OutC 11", func() {
+				conv2d(wideIn, wideOp, wideW, wideB, wideOut)
+			})
+			assertZeroAllocs(t, leaf.name+" conv2d 1×1 map batch 3", func() {
+				conv2d(foldIn, foldOp, foldW, nil, foldOut)
+			})
+			assertZeroAllocs(t, leaf.name+" linear batch 1", func() {
+				linear(linIn1, linOp, linW, linB, linOut1)
+			})
+			assertZeroAllocs(t, leaf.name+" linear batch 5", func() {
+				linear(linIn5, linOp, linW, linB, linOut5)
+			})
+			assertZeroAllocs(t, leaf.name+" tokenLinear", func() {
+				tokenLinear(tokIn, tokOp, tokW, tokB, tokOut)
+			})
+		})
+	}
 }
 
 // TestBackwardKernelsZeroAllocs pins the same contract on the backward

@@ -13,16 +13,19 @@ import (
 //     channels for a GEMM to block;
 //   - every other conv runs im2col + GEMM: the im2col phase unrolls each
 //     (batch, group) input into a column matrix [K = icPerG·KH·KW][N =
-//     outH·outW], and the GEMM phase multiplies it by the weight rows
-//     [oc][K] in 4×2 register tiles. A 1×1 conv with stride 1 and no
-//     padding skips im2col: its input planes already are that matrix.
+//     outH·outW], and the GEMM phase is the shared gemmTask (gemm.go),
+//     which multiplies it by the weight rows [oc][K] on the AVX2
+//     micro-kernel or the Go register tiles. A 1×1 conv with stride 1
+//     and no padding skips im2col: its input planes already are that
+//     matrix. A 1×1 output map folds the batch into the GEMM's columns.
 //
 // Both compute every output as bias + Σ_k w[k]·x[k] in one running sum
 // over k = (ic, kh, kw) ascending, so they agree bit for bit: where the
 // direct kernel skips a padded tap, the GEMM adds w·0 = ±0, which leaves
 // a running sum unchanged. (The two differ only for non-finite weights
 // at padded taps, and in the sign of an exactly-zero sum that a -0 bias
-// starts.) Tests compare every GEMM shape against convTask.
+// starts.) Tests compare every GEMM shape, on both GEMM leaves, against
+// convTask.
 
 // convTask is the direct conv2d kernel; item i enumerates the flattened
 // (batch, out-channel) space.
@@ -94,15 +97,12 @@ func conv2d(in *Tensor, op *graph.Conv2dOp, weight, bias []float32, out *Tensor)
 		*t = im2colTask{}
 		im2colTaskPool.Put(t)
 	}
-	ocPerG := op.OutC / op.Groups
-	t := gemmTaskPool.Get().(*gemmTask)
-	*t = gemmTask{
-		out: out, weight: weight, bias: bias, cols: cols,
-		batch: in.Batch, groups: op.Groups, ocPerG: ocPerG, ocBlocks: (ocPerG + 3) / 4, k: k, n: n,
-	}
-	parallelRun(t, in.Batch*op.Groups*t.ocBlocks)
-	*t = gemmTask{}
-	gemmTaskPool.Put(t)
+	gemm(gemmTask{
+		a: weight, bias: bias, b: cols, c: out.Data,
+		groups: op.Groups, m: op.OutC / op.Groups, k: k, images: in.Batch, n: n,
+		bImg: op.Groups * k * n, bGrp: k * n, bK: n, bCol: 1,
+		cImg: op.OutC * n, cRow: n, cCol: 1,
+	})
 	if sc != nil {
 		scratchPool.Put(sc)
 	}
@@ -183,117 +183,4 @@ func validRange(n, stride, off, size int) (lo, hi int) {
 		hi = min(n, last/stride+1)
 	}
 	return min(lo, hi), hi
-}
-
-// gemmTask is the GEMM phase; item i enumerates the flattened (group,
-// block of four output channels, batch) space and computes that block's
-// output rows of one image as bias + A·B, where A is the block's weight
-// rows [rows][K] and B the (batch, group) column matrix [K][N]. Batch
-// varies fastest, so workers claiming neighbouring items read the same
-// weight rows while they are still in cache.
-type gemmTask struct {
-	out                    *Tensor
-	weight, bias           []float32
-	cols                   []float32
-	batch, groups          int
-	ocPerG, ocBlocks, k, n int
-}
-
-var gemmTaskPool = sync.Pool{New: func() any { return new(gemmTask) }}
-
-func (t *gemmTask) run(i int, _ *kernelScratch) {
-	b, gblk := i%t.batch, i/t.batch
-	g, blk := gblk/t.ocBlocks, gblk%t.ocBlocks
-	k, n := t.k, t.n
-	oc := g*t.ocPerG + 4*blk
-	rows := min(4, t.ocPerG-4*blk)
-	bg := b*t.groups + g
-	bm := t.cols[bg*k*n : (bg+1)*k*n]
-	a := t.weight[oc*k : (oc+rows)*k]
-	cBase := (b*t.out.Shape.C + oc) * n
-	c := t.out.Data[cBase : cBase+rows*n]
-	var bias [4]float32
-	if t.bias != nil {
-		copy(bias[:], t.bias[oc:oc+rows])
-	}
-	j := 0
-	if rows == 4 {
-		for ; j+2 <= n; j += 2 {
-			gemm4x2(a, bm, c, k, n, j, &bias)
-		}
-		if j < n {
-			gemm4x1(a, bm, c, k, n, j, &bias)
-			j++
-		}
-	}
-	for r := 0; r < rows; r++ {
-		gemmScalar(a[r*k:(r+1)*k], bm, c[r*n:(r+1)*n], n, j, bias[r])
-	}
-}
-
-// gemm4x2 computes the 4×2 tile at columns j, j+1 of four output rows:
-// eight running sums in locals, each bias + Σ_k a[r][k]·b[k][j+c] over k
-// ascending. Eight sums, two pixels and a weight fit amd64's 15 usable
-// float registers; a 4×4 tile does not, and its spills halve throughput.
-func gemm4x2(a, b, c []float32, k, n, j int, bias *[4]float32) {
-	a0 := a[:k]
-	a1, a2, a3 := a[k:2*k], a[2*k:3*k], a[3*k:4*k]
-	a1, a2, a3 = a1[:len(a0)], a2[:len(a0)], a3[:len(a0)]
-	c00, c01 := bias[0], bias[0]
-	c10, c11 := bias[1], bias[1]
-	c20, c21 := bias[2], bias[2]
-	c30, c31 := bias[3], bias[3]
-	p := j
-	for kk, w0 := range a0 {
-		x := b[p : p+2 : p+2]
-		x0, x1 := x[0], x[1]
-		p += n
-		c00 += w0 * x0
-		c01 += w0 * x1
-		w1 := a1[kk]
-		c10 += w1 * x0
-		c11 += w1 * x1
-		w2 := a2[kk]
-		c20 += w2 * x0
-		c21 += w2 * x1
-		w3 := a3[kk]
-		c30 += w3 * x0
-		c31 += w3 * x1
-	}
-	c[j], c[j+1] = c00, c01
-	c[n+j], c[n+j+1] = c10, c11
-	c[2*n+j], c[2*n+j+1] = c20, c21
-	c[3*n+j], c[3*n+j+1] = c30, c31
-}
-
-// gemm4x1 computes column j of four output rows, as gemm4x2 does.
-func gemm4x1(a, b, c []float32, k, n, j int, bias *[4]float32) {
-	a0 := a[:k]
-	a1, a2, a3 := a[k:2*k], a[2*k:3*k], a[3*k:4*k]
-	a1, a2, a3 = a1[:len(a0)], a2[:len(a0)], a3[:len(a0)]
-	c0, c1, c2, c3 := bias[0], bias[1], bias[2], bias[3]
-	p := j
-	for kk, w0 := range a0 {
-		x := b[p]
-		p += n
-		c0 += w0 * x
-		c1 += a1[kk] * x
-		c2 += a2[kk] * x
-		c3 += a3[kk] * x
-	}
-	c[j], c[n+j], c[2*n+j], c[3*n+j] = c0, c1, c2, c3
-}
-
-// gemmScalar computes columns j.. of one output row, one running sum
-// at a time: the leftover rows of a block narrower than four.
-func gemmScalar(a, b, c []float32, n, j int, bias float32) {
-	for ; j < n; j++ {
-		acc := bias
-		p := j
-		for _, w := range a {
-			acc += w * b[p]
-			p += n
-		}
-		c[j] = acc
-	}
 }

@@ -77,41 +77,48 @@ func compareGEMMToDirect(batch int, inShape graph.Shape, op *graph.Conv2dOp, see
 
 // TestConv2dGEMMMatchesDirect pins the numerics contract of the
 // im2col + GEMM path: bit-identical to the direct kernel on every shape
-// of the matrix, at batch 1 and 3.
+// of the matrix, at batch 1 and 3, on every GEMM leaf.
 func TestConv2dGEMMMatchesDirect(t *testing.T) {
-	for _, c := range gemmShapes {
-		for _, batch := range []int{1, 3} {
-			op := c.op
-			if err := compareGEMMToDirect(batch, c.in, &op, int64(batch)); err != nil {
-				t.Errorf("%s batch %d: %v", c.name, batch, err)
+	forEachLeaf(t, func(t *testing.T) {
+		for _, c := range gemmShapes {
+			for _, batch := range []int{1, 3} {
+				op := c.op
+				if err := compareGEMMToDirect(batch, c.in, &op, int64(batch)); err != nil {
+					t.Errorf("%s batch %d: %v", c.name, batch, err)
+				}
 			}
 		}
-	}
+	})
 }
 
 // TestConv2dConcurrentCallers runs the matrix from several goroutines at
 // once, as data-parallel replicas do on the shared worker pool: every
-// call's column buffer must stay its own.
+// call's column buffer and every worker's packed panel must stay its
+// own.
 func TestConv2dConcurrentCallers(t *testing.T) {
-	var wg sync.WaitGroup
-	for w := 0; w < 3; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for _, c := range gemmShapes {
-				op := c.op
-				if err := compareGEMMToDirect(1+w, c.in, &op, int64(w)); err != nil {
-					t.Errorf("%s batch %d: %v", c.name, 1+w, err)
+	forEachLeaf(t, func(t *testing.T) {
+		var wg sync.WaitGroup
+		for w := 0; w < 3; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for _, c := range gemmShapes {
+					op := c.op
+					if err := compareGEMMToDirect(1+w, c.in, &op, int64(w)); err != nil {
+						t.Errorf("%s batch %d: %v", c.name, 1+w, err)
+					}
 				}
-			}
-		}(w)
-	}
-	wg.Wait()
+			}(w)
+		}
+		wg.Wait()
+	})
 }
 
 // FuzzConv2dShapes extends the matrix to arbitrary small geometries:
 // every valid non-depthwise shape must match the direct kernel bit for
-// bit. Each parameter is folded into a small range, so one case stays
+// bit, on every GEMM leaf. The ranges cover panel tails (1–12 output
+// channels per group), up to 256 columns per image, and batch-folded
+// 1×1 output maps (batch 1–3). Each parameter is folded into a small range, so one case stays
 // cheap; the seed corpus is the matrix at batch 1 and 3.
 func FuzzConv2dShapes(f *testing.F) {
 	for i, c := range gemmShapes {
@@ -135,11 +142,15 @@ func FuzzConv2dShapes(f *testing.F) {
 		if op.InC/op.Groups == 1 && op.KH*op.KW > 1 {
 			t.Skip("depthwise shapes run the direct kernel itself")
 		}
-		if _, err := op.OutShape([]graph.Shape{in}); err != nil {
+		_, err := op.OutShape([]graph.Shape{in})
+		if err != nil {
 			t.Skip(err)
 		}
-		if err := compareGEMMToDirect(int(batch%3)+1, in, &op, seed); err != nil {
-			t.Fatalf("%+v on %v: %v", op, in, err)
+		for _, leaf := range hostLeaves() {
+			withLeaf(leaf, func() { err = compareGEMMToDirect(int(batch%3)+1, in, &op, seed) })
+			if err != nil {
+				t.Fatalf("%s leaf: %+v on %v: %v", leaf.name, op, in, err)
+			}
 		}
 	})
 }

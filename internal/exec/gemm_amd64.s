@@ -1,0 +1,165 @@
+#include "textflag.h"
+
+// AVX2 micro-kernels of gemmTask (see gemm_amd64.go). Each computes
+//
+//	c[8·j + r] = bias[r] + Σ_k a[8·k + r]·b[k·ks + j·cs], k ascending,
+//
+// for the kernel's column count j and the eight lanes r. Per k it loads
+// one packed 8-row weight vector, broadcasts each column's B element and
+// runs VMULPS, then VADDPS: each product and each sum rounds to float32,
+// exactly Go's c += w*x. There is no FMA. ks and cs are strides in
+// floats. Registers: SI weights, BX column 0 of B, R10 column 4, R8 the
+// column stride, R9 three column strides, DX the k-stride, CX the k
+// count, DI the tile, Y0-Y7 the sums, Y8 the weight vector.
+
+#define SETUP \
+	MOVQ a+0(FP), SI; \
+	MOVQ b+8(FP), BX; \
+	MOVQ bias+16(FP), AX; \
+	MOVQ c+24(FP), DI; \
+	MOVQ k+32(FP), CX; \
+	MOVQ ks+40(FP), DX; \
+	MOVQ cs+48(FP), R8; \
+	SHLQ $2, DX; \
+	SHLQ $2, R8; \
+	LEAQ (R8)(R8*2), R9; \
+	LEAQ (BX)(R8*4), R10
+
+// STEP adds w·x to the sums of one column: x at addr, sum in acc.
+#define STEP(addr, tmp, acc) \
+	VBROADCASTSS addr, tmp; \
+	VMULPS tmp, Y8, tmp; \
+	VADDPS tmp, acc, acc
+
+// func gemm8x8(a, b, bias, c *float32, k, ks, cs int)
+TEXT ·gemm8x8(SB), NOSPLIT, $0-56
+	SETUP
+	VMOVUPS (AX), Y0
+	VMOVUPS Y0, Y1
+	VMOVUPS Y0, Y2
+	VMOVUPS Y0, Y3
+	VMOVUPS Y0, Y4
+	VMOVUPS Y0, Y5
+	VMOVUPS Y0, Y6
+	VMOVUPS Y0, Y7
+	TESTQ CX, CX
+	JZ    store8
+
+loop8:
+	VMOVUPS (SI), Y8
+	STEP((BX), Y9, Y0)
+	STEP((BX)(R8*1), Y10, Y1)
+	STEP((BX)(R8*2), Y11, Y2)
+	STEP((BX)(R9*1), Y12, Y3)
+	STEP((R10), Y13, Y4)
+	STEP((R10)(R8*1), Y14, Y5)
+	STEP((R10)(R8*2), Y15, Y6)
+	STEP((R10)(R9*1), Y9, Y7)
+	ADDQ $32, SI
+	ADDQ DX, BX
+	ADDQ DX, R10
+	DECQ CX
+	JNZ  loop8
+
+store8:
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, 64(DI)
+	VMOVUPS Y3, 96(DI)
+	VMOVUPS Y4, 128(DI)
+	VMOVUPS Y5, 160(DI)
+	VMOVUPS Y6, 192(DI)
+	VMOVUPS Y7, 224(DI)
+	VZEROUPPER
+	RET
+
+// func gemm8x4(a, b, bias, c *float32, k, ks, cs int)
+TEXT ·gemm8x4(SB), NOSPLIT, $0-56
+	SETUP
+	VMOVUPS (AX), Y0
+	VMOVUPS Y0, Y1
+	VMOVUPS Y0, Y2
+	VMOVUPS Y0, Y3
+	TESTQ CX, CX
+	JZ    store4
+
+loop4:
+	VMOVUPS (SI), Y8
+	STEP((BX), Y9, Y0)
+	STEP((BX)(R8*1), Y10, Y1)
+	STEP((BX)(R8*2), Y11, Y2)
+	STEP((BX)(R9*1), Y12, Y3)
+	ADDQ $32, SI
+	ADDQ DX, BX
+	DECQ CX
+	JNZ  loop4
+
+store4:
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, 64(DI)
+	VMOVUPS Y3, 96(DI)
+	VZEROUPPER
+	RET
+
+// func gemm8x2(a, b, bias, c *float32, k, ks, cs int)
+TEXT ·gemm8x2(SB), NOSPLIT, $0-56
+	SETUP
+	VMOVUPS (AX), Y0
+	VMOVUPS Y0, Y1
+	TESTQ CX, CX
+	JZ    store2
+
+loop2:
+	VMOVUPS (SI), Y8
+	STEP((BX), Y9, Y0)
+	STEP((BX)(R8*1), Y10, Y1)
+	ADDQ $32, SI
+	ADDQ DX, BX
+	DECQ CX
+	JNZ  loop2
+
+store2:
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	VZEROUPPER
+	RET
+
+// func gemm8x1(a, b, bias, c *float32, k, ks, cs int)
+TEXT ·gemm8x1(SB), NOSPLIT, $0-56
+	SETUP
+	VMOVUPS (AX), Y0
+	TESTQ CX, CX
+	JZ    store1
+
+loop1:
+	VMOVUPS (SI), Y8
+	STEP((BX), Y9, Y0)
+	ADDQ $32, SI
+	ADDQ DX, BX
+	DECQ CX
+	JNZ  loop1
+
+store1:
+	VMOVUPS Y0, (DI)
+	VZEROUPPER
+	RET
+
+// func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
+TEXT ·cpuid(SB), NOSPLIT, $0-24
+	MOVL leaf+0(FP), AX
+	MOVL sub+4(FP), CX
+	CPUID
+	MOVL AX, eax+8(FP)
+	MOVL BX, ebx+12(FP)
+	MOVL CX, ecx+16(FP)
+	MOVL DX, edx+20(FP)
+	RET
+
+// func xgetbv() (eax, edx uint32)
+TEXT ·xgetbv(SB), NOSPLIT, $0-8
+	MOVL $0, CX
+	XGETBV
+	MOVL AX, eax+0(FP)
+	MOVL DX, edx+4(FP)
+	RET

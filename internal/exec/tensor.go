@@ -23,17 +23,21 @@
 // testing.AllocsPerRun pins the discipline on every kernel.
 //
 // Forward convolution, where nearly all inference time goes, runs as
-// im2col + a register-blocked GEMM (conv.go), with the column matrix in
-// a pooled kernelScratch buffer; a 1×1 stride-1 unpadded conv multiplies
-// its input planes directly. Depthwise convs stay on the direct kernel,
-// which is also the tests' reference. The contract is bit-identity: the
-// GEMM sums bias + Σ w·x over (ic, kh, kw) ascending in one running sum,
-// exactly the direct kernel's order, adding w·0 where the direct kernel
-// skips a padded tap, so outputs and every golden built on them are
-// unchanged. Backward convolution (conv_backward.go) keeps the same
-// contract against its own direct reference. It runs serially in the
-// calling replica — data-parallel training already keeps every core
-// busy with one replica each — and visits only the nonzero output
+// im2col + GEMM (conv.go), with the column matrix in a pooled
+// kernelScratch buffer; a 1×1 stride-1 unpadded conv multiplies its
+// input planes directly. linear and tokenLinear run the same GEMM task
+// (gemm.go). Its leaf is an AVX2 micro-kernel in Go assembly
+// (gemm_amd64.s) where the CPU has AVX2, and pure-Go register tiles
+// elsewhere. Depthwise convs stay on the direct kernel, which is also
+// the tests' reference. The contract is bit-identity: both leaves sum
+// bias + Σ w·x over (ic, kh, kw) ascending in one running float32 sum,
+// exactly the direct kernel's order, rounding each product and each sum
+// on its own (no FMA), and add w·0 where the direct kernel skips a
+// padded tap, so outputs and every golden built on them are unchanged.
+// Backward convolution (conv_backward.go) keeps the same contract
+// against its own direct reference. It runs serially in the calling
+// replica — data-parallel training already keeps every core busy with
+// one replica each — and visits only the nonzero output
 // gradients ReLU leaves, in a loop structure picked from the shapes: a
 // 1×1 output map in linearBackward's row form, every larger map tap by
 // tap over the gathered nonzeros of each output channel.
