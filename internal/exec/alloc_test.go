@@ -51,7 +51,7 @@ func TestKernelsZeroAllocs(t *testing.T) {
 	dwOut := NewTensor(2, graph.Shape{C: 2, H: 4, W: 4})
 	dwW := make([]float32, 2*3*3)
 	fill(dwW)
-	assertZeroAllocs(t, "conv2d depthwise direct", func() {
+	assertZeroAllocs(t, "conv2d depthwise", func() {
 		conv2d(convIn, dwOp, dwW, convB[:2], dwOut)
 	})
 
@@ -81,6 +81,27 @@ func TestKernelsZeroAllocs(t *testing.T) {
 			pool2d(normIn, poolOp, poolOut)
 		})
 	}
+
+	// The split branches of activation and pool2d, which start at
+	// splitMinElems floats.
+	bigIn := NewTensor(2, graph.Shape{C: 16, H: 16, W: 16})
+	bigOut := NewTensor(2, graph.Shape{C: 16, H: 16, W: 16})
+	if len(bigIn.Data) < splitMinElems {
+		t.Fatalf("split case has %d floats, below the cutoff %d", len(bigIn.Data), splitMinElems)
+	}
+	fill(bigIn.Data)
+	for _, fn := range allActFuncs {
+		assertZeroAllocs(t, "activation "+string(fn)+" split", func() {
+			activation(bigIn, fn, bigOut)
+		})
+	}
+	bigPoolOut := NewTensor(2, graph.Shape{C: 16, H: 8, W: 8})
+	for _, kind := range []graph.PoolKind{graph.MaxPool, graph.AvgPool} {
+		poolOp := &graph.Pool2dOp{PoolKind: kind, KH: 3, KW: 3, StrideH: 2, StrideW: 2, PadH: 1, PadW: 1}
+		assertZeroAllocs(t, "pool2d "+string(kind)+" split", func() {
+			pool2d(bigIn, poolOp, bigPoolOut)
+		})
+	}
 	gapOut := NewTensor(2, graph.Shape{C: 3, H: 1, W: 1})
 	assertZeroAllocs(t, "adaptiveAvgPool", func() {
 		adaptiveAvgPool(normIn, gapOut)
@@ -107,8 +128,7 @@ func TestKernelsZeroAllocs(t *testing.T) {
 
 // gemmAllocCases pins the shared GEMM task on every host leaf: columns
 // of a tile and a tail (n ≥ 8) with a partial 8-row panel, a batch-folded
-// 1×1 map, linear at batch 1 (the one-column Go GEMV) and 5, and
-// tokenLinear.
+// 1×1 map, linear at batch 1 (a one-column GEMM) and 5, and tokenLinear.
 func gemmAllocCases(t *testing.T) {
 	wideOp := &graph.Conv2dOp{InC: 3, OutC: 11, KH: 3, KW: 3,
 		StrideH: 1, StrideW: 1, PadH: 1, PadW: 1,

@@ -9,8 +9,8 @@ import (
 // Forward convolution runs one of two kernels, chosen from the shape:
 //
 //   - depthwise convs (one input channel per group, kernel larger than
-//     1×1) run the direct kernel, convTask: there is no reduction over
-//     channels for a GEMM to block;
+//     1×1) run the tap-ordered kernel, depthwiseTask: there is no
+//     reduction over channels for a GEMM to block;
 //   - every other conv runs im2col + GEMM: the im2col phase unrolls each
 //     (batch, group) input into a column matrix [K = icPerG·KH·KW][N =
 //     outH·outW], and the GEMM phase is the shared gemmTask (gemm.go),
@@ -20,61 +20,103 @@ import (
 //     matrix. A 1×1 output map folds the batch into the GEMM's columns.
 //
 // Both compute every output as bias + Σ_k w[k]·x[k] in one running sum
-// over k = (ic, kh, kw) ascending, so they agree bit for bit: where the
-// direct kernel skips a padded tap, the GEMM adds w·0 = ±0, which leaves
-// a running sum unchanged. (The two differ only for non-finite weights
-// at padded taps, and in the sign of an exactly-zero sum that a -0 bias
-// starts.) Tests compare every GEMM shape, on both GEMM leaves, against
-// convTask.
+// over k = (ic, kh, kw) ascending, so they agree bit for bit with the
+// direct kernel the tests keep as the reference (conv_test.go): the
+// depthwise kernel adds the in-bounds taps in that order and skips the
+// padded ones as the direct kernel does; where the direct kernel skips
+// a padded tap, the GEMM adds w·0 = ±0, which leaves a running sum
+// unchanged. (The GEMM differs only for non-finite weights at padded
+// taps, and in the sign of an exactly-zero sum that a -0 bias starts.)
 
-// convTask is the direct conv2d kernel; item i enumerates the flattened
-// (batch, out-channel) space.
-type convTask struct {
-	in, out        *Tensor
-	op             *graph.Conv2dOp
-	weight, bias   []float32
-	icPerG, ocPerG int
-	kArea          int
+// depthwiseTask is the depthwise kernel; item i enumerates the flattened
+// (batch, out-channel) space and computes that output plane tap by tap:
+// it fills the plane with the bias, then, one output row at a time,
+// adds x·w for each tap (kh, kw) in ascending order over the row's
+// outputs where that tap lands inside the input, a contiguous axpy at
+// stride 1. Each output so sums the bias and its in-bounds taps in the
+// direct kernel's order. rows and cols hold those outputs per kh and per
+// kw, computed once per call (two integer divisions per tap cost more
+// than a 1×1 or 2×2 plane's work); the pooled task keeps their backing
+// arrays between calls.
+type depthwiseTask struct {
+	in, out      *Tensor
+	op           *graph.Conv2dOp
+	weight, bias []float32
+	ocPerG       int
+	rows, cols   []tapRange
 }
 
-var convTaskPool = sync.Pool{New: func() any { return new(convTask) }}
+// tapRange is the output range [lo, hi) of one axis where a tap lands
+// inside the input, at input position o·stride + off.
+type tapRange struct{ lo, hi, off int }
 
-func (t *convTask) run(i int, _ *kernelScratch) {
-	b, oc := i/t.op.OutC, i%t.op.OutC
-	in, out, op := t.in, t.out, t.op
-	g := oc / t.ocPerG
-	icBase := g * t.icPerG
-	wBase := oc * t.icPerG * t.kArea
-	outPlane := out.channel(b, oc)
+var depthwiseTaskPool = sync.Pool{New: func() any { return new(depthwiseTask) }}
+
+func (t *depthwiseTask) run(i int, _ *kernelScratch) {
+	op := t.op
+	b, oc := i/op.OutC, i%op.OutC
+	src := t.in.channel(b, oc/t.ocPerG)
+	dst := t.out.channel(b, oc)
 	var bv float32
 	if t.bias != nil {
 		bv = t.bias[oc]
 	}
-	for oh := 0; oh < out.Shape.H; oh++ {
-		for ow := 0; ow < out.Shape.W; ow++ {
-			acc := bv
-			for ic := 0; ic < t.icPerG; ic++ {
-				inPlane := in.channel(b, icBase+ic)
-				wRow := t.weight[wBase+ic*t.kArea:]
-				for kh := 0; kh < op.KH; kh++ {
-					ih := oh*op.StrideH - op.PadH + kh*op.DilationH
-					if ih < 0 || ih >= in.Shape.H {
-						continue
+	for j := range dst {
+		dst[j] = bv
+	}
+	inW, outW, sh, sw := t.in.Shape.W, t.out.Shape.W, op.StrideH, op.StrideW
+	kArea := op.KH * op.KW
+	w := t.weight[oc*kArea : (oc+1)*kArea]
+	for oh := 0; oh < t.out.Shape.H; oh++ {
+		y := dst[oh*outW : (oh+1)*outW]
+		for kh, r := range t.rows {
+			if oh < r.lo || oh >= r.hi {
+				continue
+			}
+			x := src[(oh*sh+r.off)*inW : (oh*sh+r.off+1)*inW]
+			wk := w[kh*op.KW : (kh+1)*op.KW]
+			for kw, c := range t.cols {
+				if c.lo == c.hi {
+					continue
+				}
+				wv, ys := wk[kw], y[c.lo:c.hi]
+				if sw == 1 {
+					xs := x[c.lo+c.off : c.hi+c.off]
+					xs = xs[:len(ys)]
+					for j, v := range xs {
+						ys[j] += v * wv
 					}
-					rowOff := ih * in.Shape.W
-					kOff := kh * op.KW
-					for kw := 0; kw < op.KW; kw++ {
-						iw := ow*op.StrideW - op.PadW + kw*op.DilationW
-						if iw < 0 || iw >= in.Shape.W {
-							continue
-						}
-						acc += inPlane[rowOff+iw] * wRow[kOff+kw]
-					}
+					continue
+				}
+				for j := range ys {
+					ys[j] += x[(c.lo+j)*sw+c.off] * wv
 				}
 			}
-			outPlane[oh*out.Shape.W+ow] = acc
 		}
 	}
+}
+
+// depthwise runs the depthwise kernel over the whole output.
+func depthwise(in *Tensor, op *graph.Conv2dOp, weight, bias []float32, out *Tensor) {
+	t := depthwiseTaskPool.Get().(*depthwiseTask)
+	rows, cols := t.rows[:0], t.cols[:0]
+	for kh := 0; kh < op.KH; kh++ {
+		off := kh*op.DilationH - op.PadH
+		lo, hi := validRange(out.Shape.H, op.StrideH, off, in.Shape.H)
+		rows = append(rows, tapRange{lo, hi, off})
+	}
+	for kw := 0; kw < op.KW; kw++ {
+		off := kw*op.DilationW - op.PadW
+		lo, hi := validRange(out.Shape.W, op.StrideW, off, in.Shape.W)
+		cols = append(cols, tapRange{lo, hi, off})
+	}
+	*t = depthwiseTask{
+		in: in, out: out, op: op, weight: weight, bias: bias,
+		ocPerG: op.OutC / op.Groups, rows: rows, cols: cols,
+	}
+	parallelRun(t, in.Batch*op.OutC)
+	*t = depthwiseTask{rows: rows[:0], cols: cols[:0]}
+	depthwiseTaskPool.Put(t)
 }
 
 // conv2d computes a grouped, strided, padded, dilated 2-D convolution.
@@ -82,7 +124,7 @@ func (t *convTask) run(i int, _ *kernelScratch) {
 func conv2d(in *Tensor, op *graph.Conv2dOp, weight, bias []float32, out *Tensor) {
 	icPerG, kArea := op.InC/op.Groups, op.KH*op.KW
 	if icPerG == 1 && kArea > 1 {
-		convDirect(in, op, weight, bias, out)
+		depthwise(in, op, weight, bias, out)
 		return
 	}
 	k, n := icPerG*kArea, out.Shape.H*out.Shape.W
@@ -106,19 +148,6 @@ func conv2d(in *Tensor, op *graph.Conv2dOp, weight, bias []float32, out *Tensor)
 	if sc != nil {
 		scratchPool.Put(sc)
 	}
-}
-
-// convDirect runs the direct kernel over the whole output.
-func convDirect(in *Tensor, op *graph.Conv2dOp, weight, bias []float32, out *Tensor) {
-	t := convTaskPool.Get().(*convTask)
-	*t = convTask{
-		in: in, out: out, op: op, weight: weight, bias: bias,
-		icPerG: op.InC / op.Groups, ocPerG: op.OutC / op.Groups,
-		kArea: op.KH * op.KW,
-	}
-	parallelRun(t, in.Batch*op.OutC)
-	*t = convTask{}
-	convTaskPool.Put(t)
 }
 
 // im2colTask is the im2col phase; item i enumerates the flattened

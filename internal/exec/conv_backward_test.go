@@ -60,11 +60,7 @@ func conv2dBackwardDirect(in *Tensor, op *graph.Conv2dOp, weight []float32, dOut
 
 // backwardShapes extends gemmShapes with squeezenet1_1's backward shapes
 // at 32×32, depthwise convs and kernels that overhang the input.
-var backwardShapes = append([]struct {
-	name string
-	in   graph.Shape
-	op   graph.Conv2dOp
-}{
+var backwardShapes = append([]convCase{
 	{"sq-stem-3x3-s2", graph.Shape{C: 3, H: 32, W: 32}, convShape(3, 64, 1, 3, 2, 0, 1, true)},
 	{"sq-squeeze-1x1-7x7", graph.Shape{C: 64, H: 7, W: 7}, convShape(64, 16, 1, 1, 1, 0, 1, true)},
 	{"sq-expand-1x1-7x7", graph.Shape{C: 16, H: 7, W: 7}, convShape(16, 64, 1, 1, 1, 0, 1, true)},

@@ -10,6 +10,68 @@ import (
 	"convmeter/internal/graph"
 )
 
+// convTask is the direct conv2d kernel, the reference every forward
+// conv is compared with: one running sum per output, bias first, then
+// every in-bounds tap over (ic, kh, kw) ascending. Item i enumerates the
+// flattened (batch, out-channel) space.
+type convTask struct {
+	in, out        *Tensor
+	op             *graph.Conv2dOp
+	weight, bias   []float32
+	icPerG, ocPerG int
+	kArea          int
+}
+
+func (t *convTask) run(i int) {
+	b, oc := i/t.op.OutC, i%t.op.OutC
+	in, out, op := t.in, t.out, t.op
+	g := oc / t.ocPerG
+	icBase := g * t.icPerG
+	wBase := oc * t.icPerG * t.kArea
+	outPlane := out.channel(b, oc)
+	var bv float32
+	if t.bias != nil {
+		bv = t.bias[oc]
+	}
+	for oh := 0; oh < out.Shape.H; oh++ {
+		for ow := 0; ow < out.Shape.W; ow++ {
+			acc := bv
+			for ic := 0; ic < t.icPerG; ic++ {
+				inPlane := in.channel(b, icBase+ic)
+				wRow := t.weight[wBase+ic*t.kArea:]
+				for kh := 0; kh < op.KH; kh++ {
+					ih := oh*op.StrideH - op.PadH + kh*op.DilationH
+					if ih < 0 || ih >= in.Shape.H {
+						continue
+					}
+					rowOff := ih * in.Shape.W
+					kOff := kh * op.KW
+					for kw := 0; kw < op.KW; kw++ {
+						iw := ow*op.StrideW - op.PadW + kw*op.DilationW
+						if iw < 0 || iw >= in.Shape.W {
+							continue
+						}
+						acc += inPlane[rowOff+iw] * wRow[kOff+kw]
+					}
+				}
+			}
+			outPlane[oh*out.Shape.W+ow] = acc
+		}
+	}
+}
+
+// convDirect runs the direct kernel over the whole output.
+func convDirect(in *Tensor, op *graph.Conv2dOp, weight, bias []float32, out *Tensor) {
+	t := convTask{
+		in: in, out: out, op: op, weight: weight, bias: bias,
+		icPerG: op.InC / op.Groups, ocPerG: op.OutC / op.Groups,
+		kArea: op.KH * op.KW,
+	}
+	for i := 0; i < in.Batch*op.OutC; i++ {
+		t.run(i)
+	}
+}
+
 // convShape builds a square-kernel conv op with equal strides, padding
 // and dilation on both axes.
 func convShape(inC, outC, groups, k, stride, pad, dil int, bias bool) graph.Conv2dOp {
@@ -18,12 +80,15 @@ func convShape(inC, outC, groups, k, stride, pad, dil int, bias bool) graph.Conv
 		DilationH: dil, DilationW: dil, Groups: groups, Bias: bias}
 }
 
-// gemmShapes is the ConvBench-style matrix of GEMM-routed conv shapes.
-var gemmShapes = []struct {
+// convCase is one conv shape of a test matrix.
+type convCase struct {
 	name string
 	in   graph.Shape
 	op   graph.Conv2dOp
-}{
+}
+
+// gemmShapes is the ConvBench-style matrix of GEMM-routed conv shapes.
+var gemmShapes = []convCase{
 	{"1x1-s1", graph.Shape{C: 8, H: 5, W: 5}, convShape(8, 12, 1, 1, 1, 0, 1, true)},
 	{"1x1-s2", graph.Shape{C: 6, H: 7, W: 7}, convShape(6, 8, 1, 1, 2, 0, 1, false)},
 	{"1x1-pad1", graph.Shape{C: 4, H: 3, W: 3}, convShape(4, 4, 1, 1, 1, 1, 1, true)},
@@ -40,10 +105,29 @@ var gemmShapes = []struct {
 		StrideH: 2, StrideW: 1, PadH: 0, PadW: 1, DilationH: 1, DilationW: 1, Groups: 1, Bias: true}},
 }
 
-// compareGEMMToDirect runs op through conv2d and through the direct
+// depthwiseShapes is the matrix of depthwise shapes, which run the
+// tap-ordered kernel: strides, padding and dilation of the zoo's
+// depthwise convs, a channel multiplier, a 1×1 map with padding and a
+// tap that is never in bounds.
+var depthwiseShapes = []convCase{
+	{"dw-3x3-s1-p1", graph.Shape{C: 4, H: 6, W: 6}, convShape(4, 4, 4, 3, 1, 1, 1, true)},
+	{"dw-3x3-s2-p1", graph.Shape{C: 3, H: 7, W: 7}, convShape(3, 3, 3, 3, 2, 1, 1, false)},
+	{"dw-5x5-p2", graph.Shape{C: 2, H: 8, W: 8}, convShape(2, 2, 2, 5, 1, 2, 1, true)},
+	{"dw-7x7-p3", graph.Shape{C: 3, H: 9, W: 9}, convShape(3, 3, 3, 7, 1, 3, 1, true)},
+	{"dw-3x3-d2-p2", graph.Shape{C: 2, H: 7, W: 7}, convShape(2, 2, 2, 3, 1, 2, 2, true)},
+	{"dw-3x3-mult2", graph.Shape{C: 3, H: 5, W: 5}, convShape(3, 6, 3, 3, 1, 1, 1, true)},
+	{"dw-1x1-map-p1", graph.Shape{C: 4, H: 1, W: 1}, convShape(4, 4, 4, 3, 1, 1, 1, true)},
+	{"dw-tap-never-in-bounds", graph.Shape{C: 2, H: 2, W: 2}, convShape(2, 2, 2, 3, 1, 3, 3, false)},
+}
+
+// forwardShapes is every forward conv matrix: the GEMM shapes, then the
+// depthwise shapes.
+var forwardShapes = append(append([]convCase(nil), gemmShapes...), depthwiseShapes...)
+
+// compareConvToDirect runs op through conv2d and through the direct
 // kernel on seeded normal inputs and returns the first output whose
 // bits differ.
-func compareGEMMToDirect(batch int, inShape graph.Shape, op *graph.Conv2dOp, seed int64) error {
+func compareConvToDirect(batch int, inShape graph.Shape, op *graph.Conv2dOp, seed int64) error {
 	outShape, err := op.OutShape([]graph.Shape{inShape})
 	if err != nil {
 		return err
@@ -76,14 +160,15 @@ func compareGEMMToDirect(batch int, inShape graph.Shape, op *graph.Conv2dOp, see
 }
 
 // TestConv2dGEMMMatchesDirect pins the numerics contract of the
-// im2col + GEMM path: bit-identical to the direct kernel on every shape
-// of the matrix, at batch 1 and 3, on every GEMM leaf.
+// im2col + GEMM path and of the depthwise kernel: bit-identical to the
+// direct kernel on every shape of both matrices, at batch 1 and 3, on
+// every GEMM leaf.
 func TestConv2dGEMMMatchesDirect(t *testing.T) {
 	forEachLeaf(t, func(t *testing.T) {
-		for _, c := range gemmShapes {
+		for _, c := range forwardShapes {
 			for _, batch := range []int{1, 3} {
 				op := c.op
-				if err := compareGEMMToDirect(batch, c.in, &op, int64(batch)); err != nil {
+				if err := compareConvToDirect(batch, c.in, &op, int64(batch)); err != nil {
 					t.Errorf("%s batch %d: %v", c.name, batch, err)
 				}
 			}
@@ -93,8 +178,8 @@ func TestConv2dGEMMMatchesDirect(t *testing.T) {
 
 // TestConv2dConcurrentCallers runs the matrix from several goroutines at
 // once, as data-parallel replicas do on the shared worker pool: every
-// call's column buffer and every worker's packed panel must stay its
-// own.
+// call's column buffer and tap ranges, and every worker's packed panel,
+// must stay its own.
 func TestConv2dConcurrentCallers(t *testing.T) {
 	forEachLeaf(t, func(t *testing.T) {
 		var wg sync.WaitGroup
@@ -102,9 +187,9 @@ func TestConv2dConcurrentCallers(t *testing.T) {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				for _, c := range gemmShapes {
+				for _, c := range forwardShapes {
 					op := c.op
-					if err := compareGEMMToDirect(1+w, c.in, &op, int64(w)); err != nil {
+					if err := compareConvToDirect(1+w, c.in, &op, int64(w)); err != nil {
 						t.Errorf("%s batch %d: %v", c.name, 1+w, err)
 					}
 				}
@@ -114,14 +199,15 @@ func TestConv2dConcurrentCallers(t *testing.T) {
 	})
 }
 
-// FuzzConv2dShapes extends the matrix to arbitrary small geometries:
-// every valid non-depthwise shape must match the direct kernel bit for
-// bit, on every GEMM leaf. The ranges cover panel tails (1–12 output
-// channels per group), up to 256 columns per image, and batch-folded
-// 1×1 output maps (batch 1–3). Each parameter is folded into a small range, so one case stays
-// cheap; the seed corpus is the matrix at batch 1 and 3.
+// FuzzConv2dShapes extends the matrices to arbitrary small geometries:
+// every valid shape, depthwise ones included, must match the direct
+// kernel bit for bit, on every GEMM leaf. The ranges cover panel tails
+// (1–12 output channels per group), up to 256 columns per image,
+// batch-folded 1×1 output maps (batch 1–3) and depthwise channel
+// multipliers. Each parameter is folded into a small range, so one case
+// stays cheap; the seed corpus is the matrices at batch 1 and 3.
 func FuzzConv2dShapes(f *testing.F) {
-	for i, c := range gemmShapes {
+	for i, c := range forwardShapes {
 		op := c.op
 		f.Add(uint8(2*(i%2)), uint8(op.Groups-1), uint8(op.InC/op.Groups-1), uint8(op.OutC/op.Groups-1),
 			uint8(c.in.H-1), uint8(c.in.W-1), uint8(op.KH-1), uint8(op.KW-1),
@@ -139,15 +225,12 @@ func FuzzConv2dShapes(f *testing.F) {
 			DilationH: int(dh%3) + 1, DilationW: int(dw%3) + 1,
 			Bias: bias,
 		}
-		if op.InC/op.Groups == 1 && op.KH*op.KW > 1 {
-			t.Skip("depthwise shapes run the direct kernel itself")
-		}
 		_, err := op.OutShape([]graph.Shape{in})
 		if err != nil {
 			t.Skip(err)
 		}
 		for _, leaf := range hostLeaves() {
-			withLeaf(leaf, func() { err = compareGEMMToDirect(int(batch%3)+1, in, &op, seed) })
+			withLeaf(leaf, func() { err = compareConvToDirect(int(batch%3)+1, in, &op, seed) })
 			if err != nil {
 				t.Fatalf("%s leaf: %+v on %v: %v", leaf.name, op, in, err)
 			}

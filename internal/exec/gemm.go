@@ -22,32 +22,31 @@ import "sync"
 // disjoint rows of C, so any assignment of items to workers yields the
 // same bits. Each output is bias + Σ_k w·x in one running float32 sum
 // over k ascending, each product and each sum rounded on its own, in
-// both leaves:
+// both leaves; the CPU alone picks the leaf, for every shape:
 //
 //   - the AVX2 micro-kernel (gemm_amd64.s): one YMM register holds eight
-//     output rows, VMULPS then VADDPS, no FMA;
-//   - the pure-Go 4×2/4×1 register tiles below, on CPUs without AVX2,
-//     on other architectures, and for one-column GEMMs, where packing a
-//     panel costs as much as the multiply it feeds.
+//     output rows, VMULPS then VADDPS, no FMA, on a weight panel packed
+//     by an in-register transpose;
+//   - the pure-Go 4×2/4×1 register tiles below, on CPUs without AVX2
+//     and on other architectures.
 type gemmTask struct {
 	a, bias, b, c        []float32
 	groups, m, k, blocks int
 	images, n            int
 	bImg, bGrp, bK, bCol int
 	cImg, cRow, cCol     int
-	vector               bool // run the AVX2 leaf
 }
 
 // avx2Leaf runs item i of a task on the AVX2 micro-kernel. It is the
 // one switch between the leaves: gemm_amd64.go sets it at init when the
 // CPU and OS support AVX2, it stays nil elsewhere, and only tests change
-// it.
+// it, between calls.
 var avx2Leaf func(t *gemmTask, i int, sc *kernelScratch)
 
 var gemmTaskPool = sync.Pool{New: func() any { return new(gemmTask) }}
 
 // gemm runs the product that spec describes over the worker pool; spec
-// leaves blocks and vector unset.
+// leaves blocks unset.
 func gemm(spec gemmTask) {
 	t := gemmTaskPool.Get().(*gemmTask)
 	*t = spec
@@ -56,7 +55,6 @@ func gemm(spec gemmTask) {
 		t.images, t.bImg, t.cImg = 1, 0, 0
 	}
 	t.blocks = (t.m + 7) / 8
-	t.vector = avx2Leaf != nil && t.images*t.n > 1
 	parallelRun(t, t.groups*t.blocks)
 	*t = gemmTask{}
 	gemmTaskPool.Put(t)
@@ -78,7 +76,7 @@ func (t *gemmTask) biasBlock(row0, rows int) (bias [8]float32) {
 }
 
 func (t *gemmTask) run(i int, sc *kernelScratch) {
-	if t.vector {
+	if avx2Leaf != nil {
 		avx2Leaf(t, i, sc)
 		return
 	}

@@ -8,9 +8,10 @@ package exec
 // with one YMM register per column holding the eight rows, VMULPS then
 // VADDPS per k (no FMA), so every lane rounds exactly as Go's c += w·x.
 // The panel is the item's eight weight rows packed k-major into the
-// worker's scratch. Assembly has no bounds checks, so tileAVX2 indexes
-// the last element each pointer reaches before every call: a geometry
-// bug panics in Go instead of reading past a slice. The race detector
+// worker's scratch, eight k at a time by an in-register 8×8 transpose
+// (transpose8). Assembly has no bounds checks, so tileAVX2 and packPanel
+// index the last element each pointer reaches before every call: a
+// geometry bug panics in Go instead of reading past a slice. The race detector
 // does not see the kernels' loads and stores either; as for every pool
 // task (pool.go), each item owns disjoint rows of C and its worker's
 // panel, and that ownership is what keeps them race-free.
@@ -57,6 +58,9 @@ func gemm8x2(a, b, bias, c *float32, k, ks, cs int)
 //go:noescape
 func gemm8x1(a, b, bias, c *float32, k, ks, cs int)
 
+//go:noescape
+func transpose8(panel, a *float32, k, blocks int)
+
 // avx2Item runs item i of t: it packs the item's weight panel, then
 // sweeps every image's columns in tiles of 8, 4, 2 and 1.
 func avx2Item(t *gemmTask, i int, sc *kernelScratch) {
@@ -82,8 +86,10 @@ func avx2Item(t *gemmTask, i int, sc *kernelScratch) {
 }
 
 // packPanel packs rows weight rows of length k k-major into panel, eight
-// floats per k, zero in the lanes past rows. It writes the panel in
-// order while it reads the eight rows side by side.
+// floats per k, zero in the lanes past rows. A full panel's first k &^ 7
+// floats per row go through the in-register transpose, transpose8, after
+// indexing the last element it reads and writes; the k tail and partial
+// panels take packCols.
 func packPanel(panel, a []float32, k, rows int) {
 	if rows < 8 {
 		clear(panel)
@@ -94,10 +100,25 @@ func packPanel(panel, a []float32, k, rows int) {
 		}
 		return
 	}
-	r0, r1, r2, r3 := a[:k], a[k:2*k], a[2*k:3*k], a[3*k:4*k]
-	r4, r5, r6, r7 := a[4*k:5*k], a[5*k:6*k], a[6*k:7*k], a[7*k:8*k]
+	k8 := k &^ 7
+	if k8 > 0 {
+		_ = panel[8*k8-1]
+		_ = a[7*k+k8-1]
+		transpose8(&panel[0], &a[0], k, k8/8)
+	}
+	packCols(panel, a, k, k8)
+}
+
+// packCols packs floats [k0, k) of eight weight rows of length k into
+// panel k-major: it writes the panel in order while it reads the eight
+// rows side by side. From k0 = 0 it packs a whole panel, the reference
+// the tests hold transpose8 to.
+func packCols(panel, a []float32, k, k0 int) {
+	r0, r1, r2, r3 := a[k0:k], a[k+k0:2*k], a[2*k+k0:3*k], a[3*k+k0:4*k]
+	r4, r5, r6, r7 := a[4*k+k0:5*k], a[5*k+k0:6*k], a[6*k+k0:7*k], a[7*k+k0:8*k]
 	r1, r2, r3 = r1[:len(r0)], r2[:len(r0)], r3[:len(r0)]
 	r4, r5, r6, r7 = r4[:len(r0)], r5[:len(r0)], r6[:len(r0)], r7[:len(r0)]
+	panel = panel[8*k0:]
 	for kk, w := range r0 {
 		p := panel[8*kk : 8*kk+8 : 8*kk+8]
 		p[0], p[1], p[2], p[3] = w, r1[kk], r2[kk], r3[kk]

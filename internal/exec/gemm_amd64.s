@@ -145,6 +145,77 @@ store1:
 	VZEROUPPER
 	RET
 
+// func transpose8(panel, a *float32, k, blocks int)
+//
+// Packs blocks 8×8 blocks of eight weight rows, k floats apart, into
+// panel k-major: block j loads row r's floats 8j…8j+7 into Y(r), and
+// stores the eight vectors {row 0…7 at float 8j+i}, i = 0…7, at
+// panel[64j + 8i]. The transpose is VUNPCKLPS/VUNPCKHPS (row pairs
+// interleaved), VSHUFPS (four rows per 128-bit lane) and VPERM2F128
+// (the lanes joined). Registers: SI row 0, R10 row 4, DX the row stride
+// in bytes, R9 three row strides, DI the panel, CX the block count.
+TEXT ·transpose8(SB), NOSPLIT, $0-32
+	MOVQ panel+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ k+16(FP), DX
+	MOVQ blocks+24(FP), CX
+	SHLQ $2, DX
+	LEAQ (DX)(DX*2), R9
+	LEAQ (SI)(DX*4), R10
+	TESTQ CX, CX
+	JZ    tdone
+
+tloop:
+	VMOVUPS (SI), Y0
+	VMOVUPS (SI)(DX*1), Y1
+	VMOVUPS (SI)(DX*2), Y2
+	VMOVUPS (SI)(R9*1), Y3
+	VMOVUPS (R10), Y4
+	VMOVUPS (R10)(DX*1), Y5
+	VMOVUPS (R10)(DX*2), Y6
+	VMOVUPS (R10)(R9*1), Y7
+	VUNPCKLPS Y1, Y0, Y8
+	VUNPCKHPS Y1, Y0, Y9
+	VUNPCKLPS Y3, Y2, Y10
+	VUNPCKHPS Y3, Y2, Y11
+	VUNPCKLPS Y5, Y4, Y12
+	VUNPCKHPS Y5, Y4, Y13
+	VUNPCKLPS Y7, Y6, Y14
+	VUNPCKHPS Y7, Y6, Y15
+	VSHUFPS $0x44, Y10, Y8, Y0
+	VSHUFPS $0xEE, Y10, Y8, Y1
+	VSHUFPS $0x44, Y11, Y9, Y2
+	VSHUFPS $0xEE, Y11, Y9, Y3
+	VSHUFPS $0x44, Y14, Y12, Y4
+	VSHUFPS $0xEE, Y14, Y12, Y5
+	VSHUFPS $0x44, Y15, Y13, Y6
+	VSHUFPS $0xEE, Y15, Y13, Y7
+	VPERM2F128 $0x20, Y4, Y0, Y8
+	VPERM2F128 $0x20, Y5, Y1, Y9
+	VPERM2F128 $0x20, Y6, Y2, Y10
+	VPERM2F128 $0x20, Y7, Y3, Y11
+	VPERM2F128 $0x31, Y4, Y0, Y12
+	VPERM2F128 $0x31, Y5, Y1, Y13
+	VPERM2F128 $0x31, Y6, Y2, Y14
+	VPERM2F128 $0x31, Y7, Y3, Y15
+	VMOVUPS Y8, (DI)
+	VMOVUPS Y9, 32(DI)
+	VMOVUPS Y10, 64(DI)
+	VMOVUPS Y11, 96(DI)
+	VMOVUPS Y12, 128(DI)
+	VMOVUPS Y13, 160(DI)
+	VMOVUPS Y14, 192(DI)
+	VMOVUPS Y15, 224(DI)
+	ADDQ $32, SI
+	ADDQ $32, R10
+	ADDQ $256, DI
+	DECQ CX
+	JNZ  tloop
+
+tdone:
+	VZEROUPPER
+	RET
+
 // func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL leaf+0(FP), AX

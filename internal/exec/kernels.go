@@ -8,11 +8,11 @@ import (
 )
 
 // The parallel kernels below, in conv.go and in gemm.go split their
-// work over a flattened index space (batch × head, group × block of
-// output channels, …) and hand it to the persistent worker pool via a
-// pooled task struct — see pool.go. Every item writes a disjoint set of
-// output elements, so scheduling cannot change the numerics, and the
-// per-invocation allocation count is zero.
+// work over a flattened index space (batch × head, batch × channel
+// plane, group × block of output channels, …) and hand it to the
+// persistent worker pool via a pooled task struct — see pool.go. Every
+// item writes a disjoint set of output elements, so scheduling cannot
+// change the numerics, and the per-invocation allocation count is zero.
 
 // linear computes out = W·flatten(in) + b per batch element: the shared
 // GEMM with one column per image, so gemm folds the batch into n.
@@ -82,27 +82,64 @@ func layerNorm(in *Tensor, scale, shift []float32, out *Tensor) {
 	}
 }
 
-// activation applies fn elementwise. ReLU and ReLU6 run their own
-// branch-free loops: a normalised tensor's signs are random, so a
-// compare-and-branch per element mispredicts about half the time. They
-// select on the float's bit pattern and reproduce applyAct bit for bit,
-// -0, ±Inf and NaN included; the other functions go through applyAct.
+// splitMinElems is the input size, in floats, from which activation and
+// pool2d split their planes over the worker pool; below it they run on
+// the caller's goroutine, where handing planes to the pool costs more
+// than it saves.
+const splitMinElems = 8192
+
+// activation applies fn elementwise, split over the pool by (image,
+// channel) plane from splitMinElems floats up.
 func activation(in *Tensor, fn graph.ActFunc, out *Tensor) {
 	dst := out.Data[:len(in.Data)]
+	if len(in.Data) < splitMinElems {
+		actSlice(fn, in.Data, dst)
+		return
+	}
+	t := actTaskPool.Get().(*actTask)
+	*t = actTask{in: in.Data, out: dst, fn: fn, plane: in.Shape.H * in.Shape.W}
+	parallelRun(t, in.Batch*in.Shape.C)
+	*t = actTask{}
+	actTaskPool.Put(t)
+}
+
+// actTask is one split activation; item i is the i-th plane of the
+// flattened (batch, channel) space.
+type actTask struct {
+	in, out []float32
+	fn      graph.ActFunc
+	plane   int
+}
+
+var actTaskPool = sync.Pool{New: func() any { return new(actTask) }}
+
+func (t *actTask) run(i int, _ *kernelScratch) {
+	lo, hi := i*t.plane, (i+1)*t.plane
+	actSlice(t.fn, t.in[lo:hi], t.out[lo:hi])
+}
+
+// actSlice applies fn to every element of in, writing dst. ReLU and
+// ReLU6 run their own branch-free loops: a normalised tensor's signs
+// are random, so a compare-and-branch per element mispredicts about
+// half the time. They select on the float's bit pattern and reproduce
+// applyAct bit for bit, -0, ±Inf and NaN included; the other functions
+// go through applyAct.
+func actSlice(fn graph.ActFunc, in, dst []float32) {
+	dst = dst[:len(in)]
 	switch fn {
 	case graph.ReLU:
-		for i, v := range in.Data {
+		for i, v := range in {
 			b := math.Float32bits(v)
 			dst[i] = math.Float32frombits(b &^ bitsIn(b, negLoBits, negInfBits))
 		}
 	case graph.ReLU6:
-		for i, v := range in.Data {
+		for i, v := range in {
 			b := math.Float32bits(v)
 			big := bitsIn(b, sixBits+1, posInfBits)
 			dst[i] = math.Float32frombits(b&^(bitsIn(b, negLoBits, negInfBits)|big) | sixBits&big)
 		}
 	default:
-		for i, v := range in.Data {
+		for i, v := range in {
 			dst[i] = applyAct(fn, v)
 		}
 	}
@@ -124,45 +161,67 @@ func bitsIn(b, lo, hi uint32) uint32 {
 	return uint32((int64(b-lo) - int64(hi-lo) - 1) >> 63)
 }
 
-// pool2d computes max or average pooling.
+// pool2d computes max or average pooling, split over the pool by
+// (image, channel) plane from splitMinElems input floats up.
 func pool2d(in *Tensor, op *graph.Pool2dOp, out *Tensor) {
+	t := poolTaskPool.Get().(*poolTask)
+	*t = poolTask{in: in, op: op, out: out}
+	if n := in.Batch * in.Shape.C; len(in.Data) < splitMinElems {
+		for i := 0; i < n; i++ {
+			t.run(i, nil)
+		}
+	} else {
+		parallelRun(t, n)
+	}
+	*t = poolTask{}
+	poolTaskPool.Put(t)
+}
+
+// poolTask is one pool2d invocation; item i pools the i-th plane of the
+// flattened (batch, channel) space.
+type poolTask struct {
+	in, out *Tensor
+	op      *graph.Pool2dOp
+}
+
+var poolTaskPool = sync.Pool{New: func() any { return new(poolTask) }}
+
+func (t *poolTask) run(i int, _ *kernelScratch) {
+	in, op, out := t.in, t.op, t.out
+	b, c := i/in.Shape.C, i%in.Shape.C
+	src := in.channel(b, c)
+	dst := out.channel(b, c)
 	kArea := float32(op.KH * op.KW)
-	for b := 0; b < in.Batch; b++ {
-		for c := 0; c < in.Shape.C; c++ {
-			src := in.channel(b, c)
-			dst := out.channel(b, c)
-			for oh := 0; oh < out.Shape.H; oh++ {
-				for ow := 0; ow < out.Shape.W; ow++ {
-					var acc float32
+	for oh := 0; oh < out.Shape.H; oh++ {
+		for ow := 0; ow < out.Shape.W; ow++ {
+			var acc float32
+			if op.PoolKind == graph.MaxPool {
+				acc = float32(math.Inf(-1))
+			}
+			for kh := 0; kh < op.KH; kh++ {
+				ih := oh*op.StrideH - op.PadH + kh
+				if ih < 0 || ih >= in.Shape.H {
+					continue
+				}
+				for kw := 0; kw < op.KW; kw++ {
+					iw := ow*op.StrideW - op.PadW + kw
+					if iw < 0 || iw >= in.Shape.W {
+						continue
+					}
+					v := src[ih*in.Shape.W+iw]
 					if op.PoolKind == graph.MaxPool {
-						acc = float32(math.Inf(-1))
-					}
-					for kh := 0; kh < op.KH; kh++ {
-						ih := oh*op.StrideH - op.PadH + kh
-						if ih < 0 || ih >= in.Shape.H {
-							continue
+						if v > acc {
+							acc = v
 						}
-						for kw := 0; kw < op.KW; kw++ {
-							iw := ow*op.StrideW - op.PadW + kw
-							if iw < 0 || iw >= in.Shape.W {
-								continue
-							}
-							v := src[ih*in.Shape.W+iw]
-							if op.PoolKind == graph.MaxPool {
-								if v > acc {
-									acc = v
-								}
-							} else {
-								acc += v
-							}
-						}
+					} else {
+						acc += v
 					}
-					if op.PoolKind == graph.AvgPool {
-						acc /= kArea // count_include_pad, PyTorch default
-					}
-					dst[oh*out.Shape.W+ow] = acc
 				}
 			}
+			if op.PoolKind == graph.AvgPool {
+				acc /= kArea // count_include_pad, PyTorch default
+			}
+			dst[oh*out.Shape.W+ow] = acc
 		}
 	}
 }

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"convmeter/internal/graph"
@@ -223,6 +224,114 @@ func TestActivationNumerics(t *testing.T) {
 		for i, x := range edge {
 			if want := applyAct(fn, x); math.Float32bits(out.Data[i]) != math.Float32bits(want) {
 				t.Errorf("activation %s(%g) = %g, applyAct %g", fn, x, out.Data[i], want)
+			}
+		}
+	}
+}
+
+// pool2dRef is the serial pool loop, the reference for pool2d's split:
+// one pass over every (image, channel) plane on the caller.
+func pool2dRef(in *Tensor, op *graph.Pool2dOp, out *Tensor) {
+	kArea := float32(op.KH * op.KW)
+	for b := 0; b < in.Batch; b++ {
+		for c := 0; c < in.Shape.C; c++ {
+			src := in.channel(b, c)
+			dst := out.channel(b, c)
+			for oh := 0; oh < out.Shape.H; oh++ {
+				for ow := 0; ow < out.Shape.W; ow++ {
+					var acc float32
+					if op.PoolKind == graph.MaxPool {
+						acc = float32(math.Inf(-1))
+					}
+					for kh := 0; kh < op.KH; kh++ {
+						ih := oh*op.StrideH - op.PadH + kh
+						if ih < 0 || ih >= in.Shape.H {
+							continue
+						}
+						for kw := 0; kw < op.KW; kw++ {
+							iw := ow*op.StrideW - op.PadW + kw
+							if iw < 0 || iw >= in.Shape.W {
+								continue
+							}
+							v := src[ih*in.Shape.W+iw]
+							if op.PoolKind == graph.MaxPool {
+								if v > acc {
+									acc = v
+								}
+							} else {
+								acc += v
+							}
+						}
+					}
+					if op.PoolKind == graph.AvgPool {
+						acc /= kArea // count_include_pad, PyTorch default
+					}
+					dst[oh*out.Shape.W+ow] = acc
+				}
+			}
+		}
+	}
+}
+
+// splitInput returns a tensor of at least splitMinElems floats, so the
+// kernels take their split path: seeded normal values with NaNs of both
+// signs and a signalling payload, ±Inf, ±0 and the smallest subnormals
+// spread through it.
+func splitInput() *Tensor {
+	in := NewTensor(2, graph.Shape{C: 33, H: 11, W: 13})
+	if len(in.Data) < splitMinElems {
+		panic("splitInput is below the split cutoff")
+	}
+	normalFill(rand.New(rand.NewSource(3)), in.Data)
+	special := []float32{float32(math.NaN()), math.Float32frombits(0xffc00000),
+		math.Float32frombits(0x7f800001), float32(math.Inf(1)), float32(math.Inf(-1)),
+		float32(math.Copysign(0, -1)), 0, math.Float32frombits(1), math.Float32frombits(0x80000001)}
+	for i := range in.Data {
+		if i%97 < len(special) {
+			in.Data[i] = special[i%97]
+		}
+	}
+	return in
+}
+
+// TestActivationSplitMatchesApplyAct runs every activation function over
+// a tensor that takes the split path: every output must equal applyAct
+// of its input bit for bit.
+func TestActivationSplitMatchesApplyAct(t *testing.T) {
+	in := splitInput()
+	out := NewTensor(in.Batch, in.Shape)
+	for _, fn := range allActFuncs {
+		activation(in, fn, out)
+		for i, x := range in.Data {
+			if want := applyAct(fn, x); math.Float32bits(out.Data[i]) != math.Float32bits(want) {
+				t.Errorf("activation %s: out[%d] = %#08x for %#08x, applyAct %#08x",
+					fn, i, math.Float32bits(out.Data[i]), math.Float32bits(x), math.Float32bits(want))
+				break
+			}
+		}
+	}
+}
+
+// TestPool2dSplitMatchesSerial runs both pooling kinds over a tensor that
+// takes the split path, in the zoo's geometries: every output must equal
+// the serial loop's bit for bit.
+func TestPool2dSplitMatchesSerial(t *testing.T) {
+	in := splitInput()
+	for _, kind := range []graph.PoolKind{graph.MaxPool, graph.AvgPool} {
+		for _, op := range []graph.Pool2dOp{
+			{PoolKind: kind, KH: 2, KW: 2, StrideH: 2, StrideW: 2},
+			{PoolKind: kind, KH: 3, KW: 3, StrideH: 2, StrideW: 2, PadH: 1, PadW: 1},
+			{PoolKind: kind, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1},
+		} {
+			outShape, err := op.OutShape([]graph.Shape{in.Shape})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, want := NewTensor(in.Batch, outShape), NewTensor(in.Batch, outShape)
+			pool2d(in, &op, got)
+			pool2dRef(in, &op, want)
+			if err := firstBitDiff(got.Data, want.Data); err != nil {
+				t.Errorf("%s %dx%d s%d p%d: %v", kind, op.KH, op.KW, op.StrideH, op.PadH, err)
 			}
 		}
 	}

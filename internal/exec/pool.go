@@ -36,13 +36,28 @@ type indexRunner interface {
 	run(i int, sc *kernelScratch)
 }
 
-// poolWork is one parallelRun submission: workers atomically claim
-// indices from next until n is exhausted.
+// poolWork is one parallelRun submission: workers atomically claim runs
+// of chunk consecutive indices from next until n is exhausted.
 type poolWork struct {
-	r    indexRunner
-	n    int64
-	next atomic.Int64
-	wg   sync.WaitGroup
+	r        indexRunner
+	n, chunk int64
+	next     atomic.Int64
+	wg       sync.WaitGroup
+}
+
+// claimsPerWorker sets the claim size: a submission of n items is
+// claimed in runs of n/(claimsPerWorker·poolSize) items, at least one.
+// One atomic add per item cost more than the item itself where items
+// are single outputs (a depthwise conv on a 1×1 map); eight claims per
+// worker still leave a worker that finishes early the rest to share.
+const claimsPerWorker = 8
+
+// reset readies pw to run r over [0, n) on the pool's workers.
+func (pw *poolWork) reset(r indexRunner, n int) {
+	pw.r = r
+	pw.n = int64(n)
+	pw.chunk = int64(max(1, n/(claimsPerWorker*poolSize)))
+	pw.next.Store(0)
 }
 
 var (
@@ -72,14 +87,18 @@ func startPool() {
 	}
 }
 
-// drainWork claims and runs items until the submission is exhausted.
+// drainWork claims runs of items and runs them until the submission is
+// exhausted.
 func drainWork(pw *poolWork, sc *kernelScratch) {
 	for {
-		i := pw.next.Add(1) - 1
-		if i >= pw.n {
+		hi := pw.next.Add(pw.chunk)
+		lo := hi - pw.chunk
+		if lo >= pw.n {
 			return
 		}
-		pw.r.run(int(i), sc)
+		for i := lo; i < min(hi, pw.n); i++ {
+			pw.r.run(int(i), sc)
+		}
 	}
 }
 
@@ -101,9 +120,7 @@ func parallelRun(r indexRunner, n int) {
 		return
 	}
 	pw := workPool.Get().(*poolWork)
-	pw.r = r
-	pw.n = int64(n)
-	pw.next.Store(0)
+	pw.reset(r, n)
 	workers := poolSize
 	if workers > n {
 		workers = n

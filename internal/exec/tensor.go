@@ -18,22 +18,26 @@
 //     execution must match static inference exactly).
 //
 // Kernels favour clarity with reasonable cache behaviour; the parallel
-// kernels (convolution, linear, attention) split flattened index spaces
-// over a persistent worker pool and allocate nothing per invocation —
-// testing.AllocsPerRun pins the discipline on every kernel.
+// kernels (convolution, linear, attention, and activations and pooling
+// from a size cutoff up) split flattened index spaces over a persistent
+// worker pool, whose workers claim items in runs, and allocate nothing
+// per invocation — testing.AllocsPerRun pins the discipline on every
+// kernel.
 //
 // Forward convolution, where nearly all inference time goes, runs as
 // im2col + GEMM (conv.go), with the column matrix in a pooled
 // kernelScratch buffer; a 1×1 stride-1 unpadded conv multiplies its
 // input planes directly. linear and tokenLinear run the same GEMM task
 // (gemm.go). Its leaf is an AVX2 micro-kernel in Go assembly
-// (gemm_amd64.s) where the CPU has AVX2, and pure-Go register tiles
-// elsewhere. Depthwise convs stay on the direct kernel, which is also
-// the tests' reference. The contract is bit-identity: both leaves sum
-// bias + Σ w·x over (ic, kh, kw) ascending in one running float32 sum,
-// exactly the direct kernel's order, rounding each product and each sum
-// on its own (no FMA), and add w·0 where the direct kernel skips a
-// padded tap, so outputs and every golden built on them are unchanged.
+// (gemm_amd64.s), fed weight panels packed by an in-register transpose,
+// where the CPU has AVX2, and pure-Go register tiles elsewhere.
+// Depthwise convs run a tap-ordered kernel over each output plane. The
+// contract is bit-identity with the direct kernel, the tests' reference
+// (conv_test.go): every path sums bias + Σ w·x over (ic, kh, kw)
+// ascending in one running float32 sum, rounding each product and each
+// sum on its own (no FMA); the depthwise kernel skips padded taps as
+// the direct kernel does, and the GEMM adds w·0 there, so outputs and
+// every golden built on them are unchanged.
 // Backward convolution (conv_backward.go) keeps the same contract
 // against its own direct reference. It runs serially in the calling
 // replica — data-parallel training already keeps every core busy with
