@@ -4,7 +4,7 @@
 GO       ?= go
 FUZZTIME ?= 15s
 
-.PHONY: build vet lint test perfbench-test race fuzz obs-smoke bench-snapshot bench-check chaos dag-smoke drift-smoke ci
+.PHONY: build vet lint test perfbench-test race fuzz bench-snapshot bench-check chaos dag-smoke drift-smoke ci
 
 build:
 	$(GO) build ./...
@@ -46,18 +46,6 @@ race:
 	$(GO) test -race ./internal/exec/... ./internal/allreduce/... ./internal/bench/... ./internal/train/... ./internal/obs/... ./internal/driftwatch/... ./internal/lint/... ./internal/dagrun/... ./internal/faults/... ./internal/experiments/...
 	$(GO) test -race -count=1 -run 'TestRunDriftArtefact|TestRunDagCrashResume' ./cmd/experiments
 
-# obs-smoke: run the telemetry fixture experiment with the trace flag
-# and validate the trace with cmd/obscheck — catches trace formatting
-# and span-graph regressions that unit tests on the exporter alone would
-# miss. (The drift artefacts are checked by drift-smoke's slowdown and
-# clean runs.)
-obs-smoke:
-	rm -rf .obs-smoke && mkdir -p .obs-smoke
-	$(GO) run ./cmd/experiments -run exttrainreal -quick \
-		-trace-out .obs-smoke/trace.json > .obs-smoke/report.txt
-	$(GO) run ./cmd/obscheck -trace .obs-smoke/trace.json
-	rm -rf .obs-smoke
-
 # The perf trajectory: bench_n is the largest <n> among the
 # BENCH_<n>.json files in the tree, in numeric order (BENCH_10 follows
 # BENCH_9). `override` keeps it out of reach of command-line and
@@ -68,8 +56,10 @@ override bench_n = $(shell ls BENCH_*.json 2>/dev/null | sed -n 's/^BENCH_\([0-9
 # bench-snapshot: advance the perf baseline — run the benchmark suites
 # and write the next snapshot, BENCH_<n+1>.json (benchsnap validates
 # every snapshot it writes). The same run is also checked against the
-# newest baseline, BENCH_<n>.json, so a regressed build cannot silently
-# become the new normal: fix the regression first, then re-snapshot.
+# newest baseline, BENCH_<n>.json, and the file is written only once the
+# check passes, with any re-measured rows at their merged values, so a
+# regressed build cannot silently become the new normal: fix the
+# regression first, then re-snapshot.
 bench-snapshot:
 	$(GO) run ./cmd/benchsnap -out BENCH_$(shell expr $(bench_n) + 1).json -check BENCH_$(bench_n).json
 
@@ -83,11 +73,12 @@ bench-snapshot:
 bench-check:
 	$(GO) run ./cmd/benchsnap -check BENCH_$(bench_n).json
 
-# drift-smoke: the drift and critical-path acceptance path, end to end
-# through the real binary (the CLI drift verdicts and the blame chaos
-# suite run under the race detector in `race`). Each run writes its
-# drift check and its trace; obscheck judges blame from the trace with
-# critpath.Analyze. The slowdown run (persistent straggler on worker 0)
+# drift-smoke: the drift, critical-path and trace acceptance path, end
+# to end through the real binary (the CLI drift verdicts and the blame
+# chaos suite run under the race detector in `race`). Each run writes
+# its drift check and its trace; obscheck validates the trace and judges
+# blame from it with critpath.Analyze, so these two runs are also CI's
+# trace-format gate. The slowdown run (persistent straggler on worker 0)
 # must report a drift event, steps blaming worker 0, and a well-formed
 # multi-worker trace (resolvable span parents, no negative durations,
 # no cross-worker time-travel). The clean run must report neither drift
@@ -157,4 +148,4 @@ dag-smoke:
 	$(GO) run ./cmd/obscheck -manifest .dag-smoke/run
 	rm -rf .dag-smoke
 
-ci: build vet lint test perfbench-test race obs-smoke chaos dag-smoke drift-smoke bench-check
+ci: build vet lint test perfbench-test race chaos dag-smoke drift-smoke bench-check

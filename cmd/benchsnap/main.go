@@ -36,7 +36,7 @@ const (
 var pkgs = []string{"./", "./internal/obs"}
 
 func main() {
-	out := flag.String("out", "", "write the snapshot JSON to this file")
+	out := flag.String("out", "", "write the snapshot JSON to this file (with -check, only once the check passes)")
 	check := flag.String("check", "", "baseline snapshot to compare a fresh run against; exit 1 on regression")
 	count := flag.Int("count", 5, "go test -count value; repeated measurements are merged by min ns/op to filter scheduler and GC noise")
 	flag.Parse()
@@ -44,27 +44,35 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchsnap: nothing to do (pass -out and/or -check)")
 		os.Exit(2)
 	}
-	lines := runSuite(".", *count) // every benchmark of the suite
-	snap, err := buildSnapshot(lines, benchtime)
-	if err != nil {
+	if err := run(*out, *check, *count, runSuite, os.Stdout); err != nil {
 		fatal(err)
 	}
-	if *out != "" {
-		data, err := json.MarshalIndent(snap, "", "  ")
-		if err != nil {
-			fatal(err)
-		}
-		if err := os.WriteFile(*out, append(data, '\n'), 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("benchsnap: wrote %d benchmarks to %s\n", len(snap.Benchmarks), *out)
+}
+
+// suiteFunc runs the benchmarks a -bench regexp selects, count times
+// each, and returns the raw `go test` output lines.
+type suiteFunc func(benchRe string, count int) ([]string, error)
+
+// run measures the suite and, with check set, compares the snapshot
+// against that baseline, re-measuring the regressed benchmarks. The
+// snapshot goes to out last: a failed check writes nothing, so a
+// regressed run never becomes the next baseline, and a passed one
+// records the re-measured rows at their merged values.
+func run(out, check string, count int, suite suiteFunc, w io.Writer) error {
+	lines, err := suite(".", count) // every benchmark of the suite
+	if err != nil {
+		return err
 	}
-	if *check != "" {
-		base, err := readSnapshot(*check)
+	snap, err := buildSnapshot(lines, benchtime)
+	if err != nil {
+		return err
+	}
+	if check != "" {
+		base, err := readSnapshot(check)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		regressions, matched := compare(base, snap, threshold, os.Stdout)
+		regressions, matched := compare(base, snap, threshold, w)
 		// A regression may be machine load, not code: re-measure only the
 		// offending benchmarks and keep the per-benchmark minimum. The
 		// minimum is monotone under more samples while the baseline is
@@ -74,10 +82,14 @@ func main() {
 			if re == "" {
 				break // allocation regressions are deterministic: re-measuring cannot clear them
 			}
-			fmt.Printf("benchsnap: re-measuring %d regressed benchmark(s)\n", len(regressions))
-			lines = append(lines, runSuite(re, *count<<(retry+1))...)
+			_, _ = fmt.Fprintf(w, "benchsnap: re-measuring %d regressed benchmark(s)\n", len(regressions))
+			more, err := suite(re, count<<(retry+1))
+			if err != nil {
+				return err
+			}
+			lines = append(lines, more...)
 			if snap, err = buildSnapshot(lines, benchtime); err != nil {
-				fatal(err)
+				return err
 			}
 			regressions, matched = compare(base, snap, threshold, io.Discard)
 		}
@@ -85,15 +97,30 @@ func main() {
 			for _, r := range regressions {
 				fmt.Fprintln(os.Stderr, "benchsnap:", r)
 			}
-			os.Exit(1)
+			if out != "" {
+				return fmt.Errorf("%d regression(s) against %s; %s not written", len(regressions), check, out)
+			}
+			return fmt.Errorf("%d regression(s) against %s", len(regressions), check)
 		}
 		timing := "ns/op not compared"
 		if base.Host.timesComparableWith(snap.Host) {
 			timing = fmt.Sprintf("ns/op within %.0f%%", threshold*100)
 		}
-		fmt.Printf("benchsnap: %d of %d baseline benchmarks matched in %s: 0-allocs/op ones still allocate nothing; %s\n",
-			matched, len(base.Benchmarks), *check, timing)
+		_, _ = fmt.Fprintf(w, "benchsnap: %d of %d baseline benchmarks matched in %s: 0-allocs/op ones still allocate nothing; %s\n",
+			matched, len(base.Benchmarks), check, timing)
 	}
+	if out == "" {
+		return nil
+	}
+	data, err := json.MarshalIndent(snap, "", "  ")
+	if err != nil {
+		return err
+	}
+	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
+		return err
+	}
+	_, _ = fmt.Fprintf(w, "benchsnap: wrote %d benchmarks to %s\n", len(snap.Benchmarks), out)
+	return nil
 }
 
 // retryRegexp builds the -bench regexp selecting the top-level
@@ -129,7 +156,7 @@ func fatal(err error) {
 // suite and returns the raw `go test` output lines. Benchmark-less
 // packages yield no benchmark lines, which is fine; a failing build or
 // test is not.
-func runSuite(benchRe string, count int) []string {
+func runSuite(benchRe string, count int) ([]string, error) {
 	var lines []string
 	for _, pkg := range pkgs {
 		cmd := exec.Command("go", "test", "-run", "^$",
@@ -138,11 +165,11 @@ func runSuite(benchRe string, count int) []string {
 		cmd.Stderr = os.Stderr
 		out, err := cmd.Output()
 		if err != nil {
-			fatal(fmt.Errorf("go test -bench %s: %v\n%s", pkg, err, out))
+			return nil, fmt.Errorf("go test -bench %s: %v\n%s", pkg, err, out)
 		}
 		lines = append(lines, strings.Split(string(out), "\n")...)
 	}
-	return lines
+	return lines, nil
 }
 
 // newSnapshot stamps the environment the numbers were measured in, so

@@ -1,8 +1,15 @@
 package main
 
 import (
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -186,6 +193,82 @@ func TestCompare(t *testing.T) {
 		}
 		if !strings.Contains(log.String(), "ns/op not compared: the baseline does not record its host") {
 			t.Fatalf("missing the reason ns/op was skipped: %q", log.String())
+		}
+	})
+}
+
+// TestRunWritesWhatTheCheckAccepted: with -check, -out is written only
+// once the check passes, from the snapshot that merged the re-measured
+// rows; a check that still fails after its re-measure rounds writes no
+// file, so the regressed run cannot become the next baseline.
+func TestRunWritesWhatTheCheckAccepted(t *testing.T) {
+	dir := t.TempDir()
+	base := newSnapshot(benchtime)
+	base.Host = Host{GOMAXPROCS: 8, NumCPU: runtime.NumCPU(), CPU: "test cpu"}
+	base.Benchmarks = []Benchmark{
+		{Name: "BenchmarkFast", NsPerOp: 100, Iterations: 1},
+		{Name: "BenchmarkHot", NsPerOp: 1000, Iterations: 1},
+	}
+	data, err := json.Marshal(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	basePath := filepath.Join(dir, "BENCH_1.json")
+	if err := os.WriteFile(basePath, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	row := func(name string, ns int) string {
+		return fmt.Sprintf("%s-8 100 %d ns/op 0 B/op 0 allocs/op\n", name, ns)
+	}
+	// scripted serves one canned go test output per suite run, on this
+	// host's cpu line, and records the -bench regexp of each run.
+	scripted := func(rounds ...string) (suiteFunc, *[]string) {
+		var asked []string
+		return func(benchRe string, count int) ([]string, error) {
+			asked = append(asked, benchRe)
+			if len(asked) > len(rounds) {
+				return nil, fmt.Errorf("suite run %d not scripted", len(asked))
+			}
+			return strings.Split("cpu: test cpu\n"+rounds[len(asked)-1], "\n"), nil
+		}, &asked
+	}
+
+	t.Run("regressed", func(t *testing.T) {
+		out := filepath.Join(dir, "BENCH_2.json")
+		slow := row("BenchmarkHot", 1300) // +30% every round
+		suite, asked := scripted(row("BenchmarkFast", 100)+slow, slow, slow, slow)
+		err := run(out, basePath, 1, suite, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), "not written") {
+			t.Fatalf("err = %v, want the regression and no file written", err)
+		}
+		if _, err := os.Stat(out); !errors.Is(err, fs.ErrNotExist) {
+			t.Fatalf("a failed check left %s behind (stat: %v)", out, err)
+		}
+		if len(*asked) != 4 {
+			t.Fatalf("suite ran %d times, want the full run and 3 re-measure rounds", len(*asked))
+		}
+	})
+	t.Run("re-measured", func(t *testing.T) {
+		out := filepath.Join(dir, "BENCH_3.json")
+		suite, asked := scripted(row("BenchmarkFast", 110)+row("BenchmarkHot", 1300), row("BenchmarkHot", 1080))
+		if err := run(out, basePath, 1, suite, io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		if want := []string{".", "^(BenchmarkHot)$"}; !reflect.DeepEqual(*asked, want) {
+			t.Fatalf("suite runs %q, want %q", *asked, want)
+		}
+		snap, err := readSnapshot(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := map[string]float64{}
+		for _, b := range snap.Benchmarks {
+			got[b.Name] = b.NsPerOp
+		}
+		// Hot is recorded at the minimum over both runs, not at the
+		// first run's 1300.
+		if want := map[string]float64{"BenchmarkFast": 110, "BenchmarkHot": 1080}; !reflect.DeepEqual(got, want) {
+			t.Fatalf("written ns/op %v, want %v", got, want)
 		}
 	})
 }

@@ -24,6 +24,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 
@@ -58,7 +59,8 @@ func parseOptions(args []string, errOut io.Writer) (options, error) {
 	opts := options{}
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	fs.SetOutput(errOut)
-	fs.StringVar(&opts.id, "run", "all", "experiment id (fig2, table1, table2, table3single, fig6, table3multi, fig8, fig9, ablation, extvit, extedge, extpipeline, extreal, exttrainreal, exttrainfaults, extstrong) or 'all'")
+	ids := convmeter.ExperimentIDs()
+	fs.StringVar(&opts.id, "run", "all", "experiment id ("+strings.Join(ids, ", ")+") or 'all'")
 	fs.Int64Var(&opts.seed, "seed", 1, "simulator/fitting seed")
 	fs.BoolVar(&opts.quick, "quick", false, "use reduced sweeps (for smoke runs)")
 	fs.Int64Var(&opts.faultsSeed, "faults-seed", 0, "fault-injection schedule seed for exttrainfaults (0 = use -seed); the same seed reproduces the identical fault schedule")
@@ -71,7 +73,17 @@ func parseOptions(args []string, errOut io.Writer) (options, error) {
 	fs.IntVar(&opts.dagWorkers, "dag-workers", 2, "worker pool size for independent DAG nodes")
 	fs.StringVar(&opts.dagCrash, "dag-crash", "", "inject a process crash at node@point (point: boundary or mid) for crash-resume testing; the run dies with exit code 3 and resumes via -dag-dir")
 	fs.StringVar(&opts.dagOut, "dag-out", "", "write the DAG audit trail (per-node state, manifest hash, attempt, blame, fail-close reason) as JSON to this file")
-	return opts, fs.Parse(args)
+	if err := fs.Parse(args); err != nil {
+		return opts, err
+	}
+	if opts.id != "all" && !slices.Contains(ids, opts.id) {
+		// Reported as the flag package reports any bad value.
+		err := fmt.Errorf("invalid value %q for flag -run: unknown experiment", opts.id)
+		_, _ = fmt.Fprintln(errOut, err)
+		fs.Usage()
+		return opts, err
+	}
+	return opts, nil
 }
 
 // options carries the full flag surface of one invocation.

@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"encoding/json"
 	"errors"
+	"flag"
 	"io"
 	"os"
 	"path/filepath"
@@ -16,21 +17,21 @@ import (
 )
 
 // TestRunWithTelemetry is the acceptance test for the telemetry flag: a
-// real exttrainreal run with -trace-out must produce a Chrome trace with
-// one step event per training step and fwd/bwd/grad events
+// clean exttrainfaults run with -trace-out must produce a Chrome trace
+// with one step event per training step and fwd/bwd/grad events
 // time-contained within the experiment event.
 func TestRunWithTelemetry(t *testing.T) {
 	dir := t.TempDir()
 	tracePath := filepath.Join(dir, "trace", "trace.json") // parent created on export
 	outPath := filepath.Join(dir, "report.txt")
 	opts := options{
-		id: "exttrainreal", seed: 5, quick: true,
+		id: "exttrainfaults", seed: 5, quick: true, faultsProfile: "none",
 		outPath: outPath, traceOut: tracePath,
 	}
 	if err := run(opts); err != nil {
 		t.Fatal(err)
 	}
-	const wantSteps = 12 // the quick fixture: 2 workers × 12 steps
+	const wantSteps = 12 // the quick run: 4 workers × 12 steps
 
 	// Trace: fwd/bwd/grad events must sit inside the experiment event.
 	data, err := os.ReadFile(tracePath)
@@ -51,13 +52,13 @@ func TestRunWithTelemetry(t *testing.T) {
 	var expStart, expEnd float64
 	haveExp := false
 	for _, e := range doc.TraceEvents {
-		if e.Phase == "X" && e.Name == "experiment:exttrainreal" {
+		if e.Phase == "X" && e.Name == "experiment:exttrainfaults" {
 			expStart, expEnd = e.TsUS, e.TsUS+e.DurUS
 			haveExp = true
 		}
 	}
 	if !haveExp {
-		t.Fatal("trace has no experiment:exttrainreal event")
+		t.Fatal("trace has no experiment:exttrainfaults event")
 	}
 	counts := map[string]int{}
 	for _, e := range doc.TraceEvents {
@@ -197,6 +198,31 @@ func TestMetricsOutRejected(t *testing.T) {
 	opts, err := parseOptions([]string{"-run", "fig2", "-quick", "-trace-out", "t.json"}, io.Discard)
 	if err != nil || opts.id != "fig2" || !opts.quick || opts.traceOut != "t.json" || opts.dagWorkers != 2 {
 		t.Fatalf("parseOptions = %+v, %v", opts, err)
+	}
+}
+
+// TestRunFlagTakesRegistryIDs: -run's help lists every registered
+// experiment, and an unknown id is a bad flag value, rejected with the
+// usage before anything runs.
+func TestRunFlagTakesRegistryIDs(t *testing.T) {
+	var help strings.Builder
+	if _, err := parseOptions([]string{"-h"}, &help); !errors.Is(err, flag.ErrHelp) {
+		t.Fatalf("-h: err = %v, want flag.ErrHelp", err)
+	}
+	want := "experiment id (" + strings.Join(convmeter.ExperimentIDs(), ", ") + ") or 'all'"
+	if !strings.Contains(help.String(), want) {
+		t.Fatalf("usage does not list the registry's ids %q:\n%s", want, help.String())
+	}
+	for _, id := range append(convmeter.ExperimentIDs(), "all") {
+		if opts, err := parseOptions([]string{"-run", id}, io.Discard); err != nil || opts.id != id {
+			t.Fatalf("-run %s: opts %+v, err %v", id, opts, err)
+		}
+	}
+	var errOut strings.Builder
+	_, err := parseOptions([]string{"-run", "nope", "-quick"}, &errOut)
+	if err == nil || !strings.Contains(errOut.String(), `invalid value "nope" for flag -run: unknown experiment`) ||
+		!strings.Contains(errOut.String(), "Usage of experiments:") {
+		t.Fatalf("-run nope: err=%v stderr=%q, want a bad-value error and the usage", err, errOut.String())
 	}
 }
 

@@ -14,10 +14,10 @@
 // exp:exttrainfaults manifest whose result counts an injected fault.
 // The clean-run gates (-forbid-drift, -forbid-blame) also require
 // proof that something watched: an armed drift stream, an analyzed
-// step. CI's obs-smoke (trace), chaos (manifest, faults), drift-smoke
-// (drift, trace) and dag-smoke (manifest) targets run it against real
-// artefacts so a formatting regression fails the build rather than
-// silently producing files Perfetto rejects.
+// step. CI's drift-smoke (drift, trace), chaos (manifest, faults) and
+// dag-smoke (manifest) targets run it against real artefacts so a
+// formatting regression fails the build rather than silently producing
+// files Perfetto rejects.
 package main
 
 import (
@@ -73,7 +73,7 @@ func main() {
 	if *trace != "" {
 		spans, err := checkTrace(*trace)
 		if err == nil {
-			err = checkBlame(*trace, critpath.Analyze(spans).Steps, *requireBlame, *forbidBlame)
+			err = checkBlame(*trace, critpath.Analyze(spans), *requireBlame, *forbidBlame)
 		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "obscheck:", err)

@@ -14,8 +14,10 @@ import (
 	"convmeter/internal/dagrun"
 	"convmeter/internal/dagrun/manifest"
 	"convmeter/internal/experiments"
+	"convmeter/internal/graph"
 	"convmeter/internal/obs"
 	"convmeter/internal/obs/critpath"
+	"convmeter/internal/train"
 )
 
 // writeFixture drops a JSON artefact fixture and returns its path.
@@ -374,7 +376,7 @@ func checkTraceBlame(path string, requireBlame int, forbidBlame bool) error {
 	if err != nil {
 		return err
 	}
-	return checkBlame(path, critpath.Analyze(spans).Steps, requireBlame, forbidBlame)
+	return checkBlame(path, critpath.Analyze(spans), requireBlame, forbidBlame)
 }
 
 // TestCheckCritpath: the blame gates judge the steps critpath.Analyze
@@ -445,24 +447,49 @@ func TestCheckCritpath(t *testing.T) {
 // critical-path analysis, for a straggler chaos run over TCP and a
 // clean run over the channel ring.
 func TestCheckTraceRoundTrip(t *testing.T) {
-	for _, tc := range []struct{ id, profile string }{
-		{"exttrainfaults", "slowdown"},
-		{"exttrainreal", ""},
+	for _, tc := range []struct {
+		name   string
+		record func(o *obs.Obs) error // trains 12 steps under o
+	}{
+		{"exttrainfaults", func(o *obs.Obs) error {
+			cfg := experiments.Config{Seed: 1, Quick: true, FaultsSeed: 7, FaultsProfile: "slowdown", Obs: o}
+			_, _, err := experiments.RunDAG([]string{"exttrainfaults"}, cfg, experiments.DagConfig{Workers: 2})
+			return err
+		}},
+		{"chan-ring", func(o *obs.Obs) error {
+			b, x := graph.NewBuilder("roundtrip", graph.Shape{C: 2, H: 8, W: 8})
+			x = b.Conv(x, "conv", 4, 3, 1, 1)
+			x = b.ReLU(x, "relu")
+			x = b.GlobalAvgPool(x, "gap")
+			x = b.Flatten(x, "flat")
+			x = b.Linear(x, "fc", 3)
+			g, err := b.Build()
+			if err != nil {
+				return err
+			}
+			task, err := train.NewPrototypeTask(g, 3, 0.3, 1)
+			if err != nil {
+				return err
+			}
+			cfg := train.Config{Workers: 2, LR: 0.1, Seed: 1, Obs: o, Transport: train.TransportChan}
+			_, err = train.DataParallel(g, cfg, 12, task.Source(4))
+			return err
+		}},
 	} {
-		t.Run(tc.id, func(t *testing.T) {
-			cfg := experiments.Config{Seed: 1, Quick: true, FaultsSeed: 7, FaultsProfile: tc.profile, Obs: obs.New()}
-			if _, _, err := experiments.RunDAG([]string{tc.id}, cfg, experiments.DagConfig{Workers: 2}); err != nil {
+		t.Run(tc.name, func(t *testing.T) {
+			o := obs.New()
+			if err := tc.record(o); err != nil {
 				t.Fatal(err)
 			}
 			path := filepath.Join(t.TempDir(), "trace.json")
-			if err := obs.Export(path, cfg.Obs.Trc.WriteChromeTrace); err != nil {
+			if err := obs.Export(path, o.Trc.WriteChromeTrace); err != nil {
 				t.Fatal(err)
 			}
 			spans, err := checkTrace(path)
 			if err != nil {
 				t.Fatal(err)
 			}
-			recs := cfg.Obs.Trc.Spans()
+			recs := o.Trc.Spans()
 			for i := range recs {
 				recs[i].Track, recs[i].Link.Trace = 0, 0
 			}
@@ -474,9 +501,9 @@ func TestCheckTraceRoundTrip(t *testing.T) {
 			if !reflect.DeepEqual(spans, recs) {
 				t.Fatal("span records read back from the trace differ from the tracer's")
 			}
-			got, want := critpath.Analyze(spans), critpath.Analyze(cfg.Obs.Trc.Spans())
-			if len(want.Steps) != 12 {
-				t.Fatalf("%d steps analyzed from the tracer, want the quick run's 12", len(want.Steps))
+			got, want := critpath.Analyze(spans), critpath.Analyze(o.Trc.Spans())
+			if len(want) != 12 {
+				t.Fatalf("%d steps analyzed from the tracer, want the run's 12", len(want))
 			}
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("analysis of the written trace differs from the tracer's:\n%+v\nwant:\n%+v", got, want)

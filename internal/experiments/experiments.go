@@ -103,7 +103,6 @@ func Runners() []Runner {
 		{"extedge", "Extension: edge processors (paper §6 outlook)", ExtEdge},
 		{"extpipeline", "Extension: pipeline model parallelism (paper §3 note)", ExtPipeline},
 		{"extreal", "Extension: real wall-clock measurements on the host CPU", ExtReal},
-		{"exttrainreal", "Extension: real data-parallel training run (telemetry fixture)", ExtTrainReal},
 		{"exttrainfaults", "Extension: chaos run — resilient training under injected faults", ExtTrainFaults},
 		{"extstrong", "Extension: strong scaling at a fixed global batch (§4.3 capability)", ExtStrong},
 	}

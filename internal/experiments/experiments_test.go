@@ -298,8 +298,8 @@ func TestFigureSeriesAreValidCSV(t *testing.T) {
 }
 
 func TestRunnersDispatch(t *testing.T) {
-	if len(Runners()) != 16 {
-		t.Fatalf("expected 16 experiments, got %d", len(Runners()))
+	if len(Runners()) != 15 {
+		t.Fatalf("expected 15 experiments, got %d", len(Runners()))
 	}
 	if _, err := Run("fig2", quickCfg); err != nil {
 		t.Fatal(err)

@@ -17,7 +17,7 @@ var goldenQuickSeed1 = filepath.Join("..", "..", "cmd", "perfbench", "testdata",
 
 // wallClockIDs are the experiments whose text carries measured
 // wall-clock values and so cannot be pinned byte for byte.
-var wallClockIDs = map[string]bool{"extreal": true, "exttrainreal": true, "exttrainfaults": true}
+var wallClockIDs = map[string]bool{"extreal": true, "exttrainfaults": true}
 
 // sortedKeys returns map keys in sorted order.
 func sortedKeys[V any](m map[string]V) []string {

@@ -17,16 +17,36 @@ import (
 	"convmeter/internal/trainsim"
 )
 
-// ExtTrainFaults is the chaos counterpart of ExtTrainReal: the same real
-// data-parallel trainer, but over TCP with a deterministic fault injector
-// dealing stragglers, dropped/reset connections, corrupted and truncated
-// chunks, and a scheduled worker crash. The run must survive all of it —
+// trainRealNet builds a small trainable CNN (3 classes) — large enough to
+// exercise every instrumented layer (conv/pool/linear kernels, the ring
+// all-reduce), small enough to train in well under a second.
+func trainRealNet() (*graph.Graph, error) {
+	b, x := graph.NewBuilder("trainreal", graph.Shape{C: 2, H: 8, W: 8})
+	x = b.Conv(x, "conv1", 4, 3, 1, 1)
+	x = b.ReLU(x, "relu1")
+	x = b.MaxPool2d(x, "pool", 2, 2, 0)
+	x = b.Conv(x, "conv2", 8, 3, 1, 1)
+	x = b.ReLU(x, "relu2")
+	x = b.GlobalAvgPool(x, "gap")
+	x = b.Flatten(x, "flat")
+	x = b.Linear(x, "fc", 3)
+	return b.Build()
+}
+
+// ExtTrainFaults runs the *real* data-parallel trainer (internal/train →
+// internal/exec kernels, internal/allreduce gradient sync) over TCP, with
+// a deterministic fault injector dealing stragglers, dropped/reset
+// connections, corrupted and truncated chunks, and a scheduled worker
+// crash; profile "none" gives a clean run. The run must survive all of it —
 // retries absorb the transient faults, CRC validation catches the
 // corruption, and elastic degradation re-forms the ring without the
 // crashed worker while the global batch is respread over the survivors.
 // The invariants checked are the paper's data-parallel correctness
 // conditions restated under failure: the loss still falls and every
-// surviving replica holds bit-identical weights.
+// surviving replica holds bit-identical weights. Every recorded duration
+// is wall clock: with Config.Obs set, the run records the span tree
+// experiment:exttrainfaults → step N → fwd/bwd/grad that obscheck
+// attributes.
 //
 // The fault schedule is a pure function of the fault seed
 // (Config.FaultsSeed, falling back to Config.Seed), so two runs with the

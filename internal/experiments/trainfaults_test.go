@@ -98,7 +98,7 @@ func TestExtTrainFaultsAttributionOnlyObserves(t *testing.T) {
 	if bare.Text != observed.Text {
 		t.Errorf("attribution changed the run's report:\nbare:\n%s\nobserved:\n%s", bare.Text, observed.Text)
 	}
-	if n := len(critpath.Analyze(cfg.Obs.Trc.Spans()).Steps); n == 0 {
+	if n := len(critpath.Analyze(cfg.Obs.Trc.Spans())); n == 0 {
 		t.Error("attribution analyzed no step")
 	}
 }

@@ -104,12 +104,8 @@ type PathNode struct {
 
 // StepAttribution is the full explanation of one training step.
 type StepAttribution struct {
-	Step int `json:"step"`
-	// Experiment is the id of the step span's nearest
-	// "experiment:<id>" ancestor: the run that trained the step. Empty
-	// when the trace has no such span.
-	Experiment string  `json:"experiment,omitempty"`
-	Total      float64 `json:"total_seconds"` // span extent of the step
+	Step  int     `json:"step"`
+	Total float64 `json:"total_seconds"` // span extent of the step
 
 	// Aggregates summed across workers.
 	Compute float64 `json:"compute_seconds"`

@@ -1,7 +1,6 @@
 package critpath
 
 import (
-	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -257,46 +256,18 @@ func TestAnalyzeReport(t *testing.T) {
 	trace = append(trace, clean...)
 	trace = append(trace, outside...)
 
-	rep := Analyze(trace)
+	steps := Analyze(trace)
 	want := []StepAttribution{AnalyzeStep(0, clean[1:]), AnalyzeStep(1, straggler[1:])}
-	for i := range want {
-		want[i].Experiment = "x" // both steps hang under experiment:x
+	if !reflect.DeepEqual(steps, want) {
+		t.Fatalf("report steps:\n%+v\nwant:\n%+v", steps, want)
 	}
-	if !reflect.DeepEqual(rep.Steps, want) {
-		t.Fatalf("report steps:\n%+v\nwant:\n%+v", rep.Steps, want)
-	}
-	if rep.Steps[1].Blame != 0 || rep.Steps[0].Blame != -1 {
-		t.Fatalf("blames = %d, %d, want -1, 0", rep.Steps[0].Blame, rep.Steps[1].Blame)
+	if steps[1].Blame != 0 || steps[0].Blame != -1 {
+		t.Fatalf("blames = %d, %d, want -1, 0", steps[0].Blame, steps[1].Blame)
 	}
 
 	for _, empty := range [][]obs.SpanRecord{nil, outside} {
-		if steps := Analyze(empty).Steps; len(steps) != 0 {
+		if steps := Analyze(empty); len(steps) != 0 {
 			t.Fatalf("a trace without step spans gave steps %+v", steps)
 		}
-	}
-}
-
-// TestAnalyzeNamesExperiment: two trainers in one trace, each under its
-// own experiment root, number their steps alike. Each step names the
-// experiment it descends from, through intermediate spans too; a step
-// with no experiment ancestor names none.
-func TestAnalyzeNamesExperiment(t *testing.T) {
-	trace := []obs.SpanRecord{
-		rec(1, "experiment:exttrainreal", -1, 0, 100*ms, 0),
-		rec(2, "experiment:exttrainfaults", -1, 0, 100*ms, 0),
-		child(rec(3, "dag:exp:exttrainfaults", -1, 0, 100*ms, 0), 2),
-		child(rec(10, "step 0", -1, 0, 10*ms, 0), 1),
-		child(rec(11, "step 0", -1, 5*ms, 10*ms, 0), 3),
-		child(rec(12, "step 1", -1, 20*ms, 10*ms, 0), 1),
-		rec(13, "step 0", -1, 40*ms, 10*ms, 0),
-	}
-	rep := Analyze(trace)
-	var got []string
-	for _, st := range rep.Steps {
-		got = append(got, fmt.Sprintf("%s/%d", st.Experiment, st.Step))
-	}
-	want := []string{"exttrainreal/0", "exttrainfaults/0", "exttrainreal/1", "/0"}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("steps %v, want %v", got, want)
 	}
 }

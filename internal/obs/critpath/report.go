@@ -77,12 +77,6 @@ func badSeconds(v float64) bool {
 	return !(v >= 0) || math.IsInf(v, 1)
 }
 
-// Report is Analyze's result: one attribution per training step, in
-// the order the steps started.
-type Report struct {
-	Steps []StepAttribution
-}
-
 // stepNumber parses the name of a trainer's step span, "step N".
 func stepNumber(name string) (int, bool) {
 	rest, ok := strings.CutPrefix(name, "step ")
@@ -93,14 +87,13 @@ func stepNumber(name string) (int, bool) {
 	return n, err == nil && n >= 0
 }
 
-// Analyze attributes every training step in a recorded trace. It groups
-// the spans by their nearest "step N" ancestor and runs AnalyzeStep on
-// each group, so a step sees exactly its own subtree: spans that
-// another trainer recorded meanwhile belong to that trainer's steps.
-// Each step is named after its nearest "experiment:<id>" ancestor, so
-// two trainers in one run stay apart. A trace without step spans gives
-// a report with no steps.
-func Analyze(spans []obs.SpanRecord) Report {
+// Analyze attributes every training step in a recorded trace, one
+// attribution per step in the order the steps started. It groups the
+// spans by their nearest "step N" ancestor and runs AnalyzeStep on each
+// group, so a step sees exactly its own subtree: spans that another
+// trainer recorded meanwhile belong to that trainer's steps. A trace
+// without step spans gives no attributions.
+func Analyze(spans []obs.SpanRecord) []StepAttribution {
 	index := make(map[int64]int, len(spans))
 	for i, s := range spans {
 		index[s.ID] = i
@@ -125,17 +118,10 @@ func Analyze(spans []obs.SpanRecord) Report {
 		}
 		return sa.ID < sb.ID
 	})
-	rep := Report{Steps: make([]StepAttribution, 0, len(steps))}
+	atts := make([]StepAttribution, 0, len(steps))
 	for _, i := range steps {
 		n, _ := stepNumber(spans[i].Name)
-		att := AnalyzeStep(n, groups[i])
-		for p, ok := index[spans[i].Parent]; ok; p, ok = index[spans[p].Parent] {
-			if id, isExp := strings.CutPrefix(spans[p].Name, "experiment:"); isExp {
-				att.Experiment = id
-				break
-			}
-		}
-		rep.Steps = append(rep.Steps, att)
+		atts = append(atts, AnalyzeStep(n, groups[i]))
 	}
-	return rep
+	return atts
 }

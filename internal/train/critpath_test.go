@@ -16,10 +16,10 @@ import (
 )
 
 // critpathRun trains a small net under a tracer and returns the
-// critical-path report of its recorded trace. A non-nil profile
+// critical-path attributions of its recorded trace. A non-nil profile
 // schedules the injected faults; a TCP run bounds its ring's ops by a
 // 500 ms timeout (the channel ring has no deadline).
-func critpathRun(t *testing.T, transport Transport, prof *faults.Profile, steps int) critpath.Report {
+func critpathRun(t *testing.T, transport Transport, prof *faults.Profile, steps int) []critpath.StepAttribution {
 	t.Helper()
 	g := trainNet(t)
 	task, err := NewPrototypeTask(g, 3, 0.3, 1)
@@ -47,13 +47,13 @@ func critpathRun(t *testing.T, transport Transport, prof *faults.Profile, steps 
 // identical across the replay, no earlier step blamed in either run.
 // Returns the violations instead of failing, so the caller can retry the
 // whole scenario when the host's scheduler drowned the injected signal.
-func verifyBlame(t *testing.T, rep, rep2 critpath.Report, steps, onset int, delay time.Duration) []string {
+func verifyBlame(t *testing.T, rep, rep2 []critpath.StepAttribution, steps, onset int, delay time.Duration) []string {
 	t.Helper()
 	var problems []string
-	if len(rep.Steps) != steps {
-		return []string{fmt.Sprintf("%d step attributions, want %d", len(rep.Steps), steps)}
+	if len(rep) != steps {
+		return []string{fmt.Sprintf("%d step attributions, want %d", len(rep), steps)}
 	}
-	for _, att := range rep.Steps {
+	for _, att := range rep {
 		if err := critpath.Validate(att); err != nil {
 			t.Fatal(err) // malformed attributions are a bug, never noise
 		}
@@ -75,12 +75,12 @@ func verifyBlame(t *testing.T, rep, rep2 critpath.Report, steps, onset int, dela
 	// schedule, not of host timing. Before the onset nothing is injected,
 	// so wait vs compute there is decided by host timing: those steps
 	// must only blame no one in both runs.
-	for i := range rep.Steps {
-		if i >= len(rep2.Steps) {
-			problems = append(problems, fmt.Sprintf("replay produced %d steps, want %d", len(rep2.Steps), len(rep.Steps)))
+	for i := range rep {
+		if i >= len(rep2) {
+			problems = append(problems, fmt.Sprintf("replay produced %d steps, want %d", len(rep2), len(rep)))
 			break
 		}
-		a, b := rep.Steps[i], rep2.Steps[i]
+		a, b := rep[i], rep2[i]
 		diverged := a.Step != b.Step || a.Blame != b.Blame || a.Dominant != b.Dominant
 		if a.Step < onset {
 			diverged = a.Step != b.Step || a.Blame != -1 || b.Blame != -1
@@ -180,11 +180,11 @@ func TestCritpathCleanRunNoBlame(t *testing.T) {
 			for attempt := 1; attempt <= attempts; attempt++ {
 				rep := critpathRun(t, tc.transport, nil, 4)
 				problems = problems[:0]
-				if len(rep.Steps) != 4 {
-					t.Fatalf("%d step attributions, want 4", len(rep.Steps))
+				if len(rep) != 4 {
+					t.Fatalf("%d step attributions, want 4", len(rep))
 				}
 				var compute float64
-				for _, att := range rep.Steps {
+				for _, att := range rep {
 					if err := critpath.Validate(att); err != nil {
 						t.Fatal(err)
 					}
@@ -254,10 +254,10 @@ func TestAnalyzeMatchesPerStepWindows(t *testing.T) {
 				want[s] = critpath.AnalyzeStep(s, spans[marks[s]:marks[s+1]])
 			}
 			got := critpath.Analyze(spans)
-			if !reflect.DeepEqual(got.Steps, want) {
-				t.Fatalf("Analyze over the whole trace:\n%+v\nper-step windows:\n%+v", got.Steps, want)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("Analyze over the whole trace:\n%+v\nper-step windows:\n%+v", got, want)
 			}
-			for _, att := range got.Steps {
+			for _, att := range got {
 				if len(att.Workers) != 3 || att.Compute <= 0 {
 					t.Fatalf("step %d attributes %d workers, %g s compute: the windows held no step", att.Step, len(att.Workers), att.Compute)
 				}
@@ -414,11 +414,11 @@ func TestAnalyzeIsolatesConcurrentTrainers(t *testing.T) {
 	}
 
 	rep := critpath.Analyze(spans)
-	if want := stepsOf["small"] + stepsOf["large"]; len(rep.Steps) != want {
-		t.Fatalf("%d step attributions, want %d", len(rep.Steps), want)
+	if want := stepsOf["small"] + stepsOf["large"]; len(rep) != want {
+		t.Fatalf("%d step attributions, want %d", len(rep), want)
 	}
 	seen := map[key]bool{}
-	for _, att := range rep.Steps {
+	for _, att := range rep {
 		trainer := ""
 		for name, n := range sizes {
 			if len(att.Workers) == n {
