@@ -195,7 +195,9 @@ func TestBackwardKernelsZeroAllocs(t *testing.T) {
 	testrace.SkipIfRace(t)
 
 	// One conv2dBackward case per route and staging (conv_backward.go),
-	// and two without an input gradient.
+	// on every host leaf, with groups narrower than the AVX2 leaf's
+	// blocks of eight channels and as wide as one or more, with and
+	// without an input gradient.
 	for _, c := range []struct {
 		name   string
 		in     graph.Shape
@@ -210,6 +212,13 @@ func TestBackwardKernelsZeroAllocs(t *testing.T) {
 		{"pixel taps", graph.Shape{C: 4, H: 1, W: 1}, convShape(4, 6, 1, 3, 1, 1, 1, true), false},
 		{"taps padded nil dIn", graph.Shape{C: 6, H: 5, W: 5}, convShape(6, 8, 1, 3, 1, 1, 1, true), true},
 		{"pixel flat nil dIn", graph.Shape{C: 8, H: 1, W: 1}, convShape(8, 6, 1, 1, 1, 0, 1, true), true},
+		{"taps padded 20 channels", graph.Shape{C: 20, H: 5, W: 5}, convShape(20, 6, 1, 3, 1, 1, 1, true), false},
+		{"taps padded 20 channels nil dIn", graph.Shape{C: 20, H: 5, W: 5}, convShape(20, 6, 1, 3, 1, 1, 1, true), true},
+		{"taps 1×1 16 channels", graph.Shape{C: 16, H: 4, W: 4}, convShape(16, 6, 1, 1, 1, 0, 1, false), false},
+		{"taps 1×1 16 channels nil dIn", graph.Shape{C: 16, H: 4, W: 4}, convShape(16, 6, 1, 1, 1, 0, 1, false), true},
+		{"taps 2 groups of 8", graph.Shape{C: 16, H: 5, W: 5}, convShape(16, 4, 2, 3, 2, 0, 1, true), false},
+		{"pixel taps 12 channels", graph.Shape{C: 12, H: 1, W: 1}, convShape(12, 6, 1, 3, 1, 1, 1, true), false},
+		{"pixel taps 12 channels nil dIn", graph.Shape{C: 12, H: 1, W: 1}, convShape(12, 6, 1, 3, 1, 1, 1, true), true},
 	} {
 		op := c.op
 		outShape, err := op.OutShape([]graph.Shape{c.in})
@@ -230,9 +239,13 @@ func TestBackwardKernelsZeroAllocs(t *testing.T) {
 			rDB = make([]float32, op.OutC)
 		}
 		fill(rW)
-		assertZeroAllocs(t, "conv2dBackward "+c.name, func() {
-			conv2dBackward(rIn, &op, rW, rDOut, rDIn, rDW, rDB)
-		})
+		for _, leaf := range hostLeaves() {
+			withLeaf(leaf, func() {
+				assertZeroAllocs(t, leaf.name+" conv2dBackward "+c.name, func() {
+					conv2dBackward(rIn, &op, rW, rDOut, rDIn, rDW, rDB)
+				})
+			})
+		}
 	}
 
 	linOp := &graph.LinearOp{In: 8, Out: 4, Bias: true}
@@ -245,9 +258,13 @@ func TestBackwardKernelsZeroAllocs(t *testing.T) {
 	fill(linIn.Data)
 	fill(linDOut.Data)
 	fill(linW)
-	assertZeroAllocs(t, "linearBackward", func() {
-		linearBackward(linIn, linOp, linW, linDOut, linDIn, linDW, linDB)
-	})
+	for _, leaf := range hostLeaves() {
+		withLeaf(leaf, func() {
+			assertZeroAllocs(t, leaf.name+" linearBackward", func() {
+				linearBackward(linIn, linOp, linW, linDOut, linDIn, linDW, linDB)
+			})
+		})
+	}
 
 	act := NewTensor(2, graph.Shape{C: 3, H: 4, W: 4})
 	actOut := NewTensor(2, graph.Shape{C: 3, H: 4, W: 4})
@@ -311,7 +328,11 @@ func TestOptimizersZeroAllocs(t *testing.T) {
 	}
 	grads := make([]float32, len(e.params))
 	fill(grads)
-	assertZeroAllocs(t, "ApplySGD", func() { e.ApplySGD(grads, 0.5, 1e-3) })
+	for _, leaf := range hostLeaves() {
+		withLeaf(leaf, func() {
+			assertZeroAllocs(t, leaf.name+" ApplySGD", func() { e.ApplySGD(grads, 0.5, 1e-3) })
+		})
+	}
 	st := e.NewAdamState()
 	assertZeroAllocs(t, "ApplyAdam", func() { e.ApplyAdam(st, grads, 0.5, 1e-3) })
 }

@@ -226,17 +226,26 @@ func (e *Executor) NodeGrads(i int) WeightGrads {
 // Attention-internal softmax is handled inside the attention kernel; the
 // standalone Softmax activation is the only unsupported case.
 func activationBackward(fn graph.ActFunc, in, out, dOut, dIn *Tensor) error {
+	switch fn {
+	case graph.ReLU:
+		stepBackward(in.Data, dOut.Data, dIn.Data, posInfBits)
+		return nil
+	case graph.ReLU6:
+		stepBackward(in.Data, dOut.Data, dIn.Data, sixBits-1)
+		return nil
+	}
+	return derivBackward(fn, in, out, dOut, dIn)
+}
+
+// derivBackward is activationBackward for every other function: dIn +=
+// dOut·f'(x), f' computed per element. Where dIn and the product are
+// both NaN, which one survives is fixed by the compiled loop's operand
+// order, not by the source; the tests hold this loop to the branching
+// loop it came from.
+func derivBackward(fn graph.ActFunc, in, out, dOut, dIn *Tensor) error {
 	for k, x := range in.Data {
 		var deriv float32
 		switch fn {
-		case graph.ReLU:
-			if x > 0 {
-				deriv = 1
-			}
-		case graph.ReLU6:
-			if x > 0 && x < 6 {
-				deriv = 1
-			}
 		case graph.Sigmoid:
 			s := out.Data[k]
 			deriv = s * (1 - s)
@@ -273,6 +282,21 @@ func activationBackward(fn graph.ActFunc, in, out, dOut, dIn *Tensor) error {
 		dIn.Data[k] += dOut.Data[k] * deriv
 	}
 	return nil
+}
+
+// stepBackward adds dOut·deriv to dIn, where deriv is 1 for an x whose
+// bit pattern lies in [1, hi] and 0 otherwise: ReLU's derivative (x > 0)
+// with hi the bits of +Inf, ReLU6's (0 < x < 6) with hi just below 6.
+// Like actSlice it selects on the bits without a branch, since a
+// normalised tensor's signs are random; the product and the sum are the
+// branching loop's, so dIn agrees bit for bit, NaN, ±Inf, ±0 and
+// subnormals included.
+func stepBackward(x, dOut, dIn []float32, hi uint32) {
+	dOut, dIn = dOut[:len(x)], dIn[:len(x)]
+	for k, v := range x {
+		deriv := math.Float32frombits(oneBits & bitsIn(math.Float32bits(v), 1, hi))
+		dIn[k] += dOut[k] * deriv
+	}
 }
 
 // mulBackward differentiates the broadcast product used by SE gates:
@@ -414,12 +438,18 @@ func adaptiveAvgPoolBackward(in *Tensor, dOut, dIn *Tensor) {
 
 // ApplySGD performs one SGD step on the parameter vector from grads, a
 // vector laid out like it: w -= lr·(scale·g), element by element in one
-// pass. With grads the sum of N replicas' gradients and scale = 1/N it
-// steps on their average; scale = 1 steps on grads as given.
+// pass, eight at a time on the AVX2 leaf. With grads the sum of N
+// replicas' gradients and scale = 1/N it steps on their average; scale =
+// 1 steps on grads as given.
 func (e *Executor) ApplySGD(grads []float32, scale, lr float32) {
 	w := e.params
 	if len(grads) != len(w) {
 		panic("exec: gradient vector does not match the parameter vector")
+	}
+	if avx2Leaf != nil {
+		avx2Leaf.sgd(w, grads, scale, lr)
+		k := len(w) &^ 7
+		w, grads = w[k:], grads[k:]
 	}
 	for k, v := range grads {
 		g := float32(v * scale)

@@ -366,6 +366,10 @@ func TestGradientsRepeatable(t *testing.T) {
 // into the step; every weight must come out bit-identical to scaling the
 // summed vector first and then stepping, as separate passes.
 func TestFusedUpdatesMatchTwoPasses(t *testing.T) {
+	forEachLeaf(t, testFusedUpdatesMatchTwoPasses)
+}
+
+func testFusedUpdatesMatchTwoPasses(t *testing.T) {
 	g := tinyCNN(t, 3)
 	fused, err := NewExecutor(g, 8)
 	if err != nil {
@@ -404,6 +408,144 @@ func TestFusedUpdatesMatchTwoPasses(t *testing.T) {
 		}
 		fused.ApplyAdam(st, sum, scale, lr)
 		equalBits(t, fmt.Sprintf("ApplyAdam step %d", step), fused.params, ref)
+	}
+}
+
+// specialFloats returns n seeded normal floats with NaNs of both signs
+// (quiet and signalling payloads), ±Inf, ±0, ±subnormals and values at
+// ReLU6's edges mixed in, at positions that depend on the seed.
+func specialFloats(n int, seed int64) []float32 {
+	special := []float32{float32(math.NaN()), math.Float32frombits(0xffc00000),
+		math.Float32frombits(0x7f800001), math.Float32frombits(0xff800123),
+		float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.Copysign(0, -1)), 0,
+		math.Float32frombits(1), math.Float32frombits(0x80000001), math.Float32frombits(0x007fffff),
+		6, math.Nextafter32(6, 0), math.Nextafter32(6, 7), -6}
+	rng := rand.New(rand.NewSource(seed))
+	v := make([]float32, n)
+	for i := range v {
+		v[i] = float32(rng.NormFloat64()) * 4
+		if rng.Intn(3) == 0 {
+			v[i] = special[rng.Intn(len(special))]
+		}
+	}
+	return v
+}
+
+// sgdRef is ApplySGD's scalar loop, the reference its AVX2 leaf is held
+// to.
+func sgdRef(w, grads []float32, scale, lr float32) {
+	for k, v := range grads {
+		g := float32(v * scale)
+		w[k] -= lr * g
+	}
+}
+
+// TestApplySGDMatchesScalarLoop holds ApplySGD on every leaf to the
+// scalar loop bit for bit, on vectors whose lengths are not all
+// multiples of 8 and whose weights and gradients both carry special
+// values, NaN against NaN included: the operand order decides which NaN
+// survives.
+func TestApplySGDMatchesScalarLoop(t *testing.T) {
+	forEachLeaf(t, func(t *testing.T) {
+		for _, n := range []int{1, 7, 8, 13, 64, 1003} {
+			for _, c := range []struct{ scale, lr float32 }{{0.5, 1e-3}, {1, 0.05}, {1.0 / 3, -2}} {
+				w, grads := specialFloats(n, int64(n)), specialFloats(n, int64(n)+100)
+				want := append([]float32(nil), w...)
+				sgdRef(want, grads, c.scale, c.lr)
+				e := &Executor{params: w}
+				e.ApplySGD(grads, c.scale, c.lr)
+				if err := firstBitDiff(w, want); err != nil {
+					t.Errorf("n %d scale %g lr %g: %v", n, c.scale, c.lr, err)
+				}
+			}
+		}
+	})
+}
+
+// activationBackwardRef is activationBackward as it was before ReLU and
+// ReLU6 had their branch-free loop, kept verbatim as the reference. Its
+// compiled form fixes which NaN survives where dIn and dOut·deriv are
+// both NaN: ADDSS keeps its first operand's, and which operand comes
+// first is the compiler's choice, not the source's order.
+func activationBackwardRef(fn graph.ActFunc, in, out, dOut, dIn *Tensor) error {
+	for k, x := range in.Data {
+		var deriv float32
+		switch fn {
+		case graph.ReLU:
+			if x > 0 {
+				deriv = 1
+			}
+		case graph.ReLU6:
+			if x > 0 && x < 6 {
+				deriv = 1
+			}
+		case graph.Sigmoid:
+			s := out.Data[k]
+			deriv = s * (1 - s)
+		case graph.SiLU:
+			s := applyAct(graph.Sigmoid, x)
+			deriv = s * (1 + x*(1-s))
+		case graph.HardSigmoid:
+			if x > -3 && x < 3 {
+				deriv = 1.0 / 6
+			}
+		case graph.HardSwish:
+			switch {
+			case x <= -3:
+				deriv = 0
+			case x >= 3:
+				deriv = 1
+			default:
+				deriv = x/3 + 0.5
+			}
+		case graph.Tanh:
+			o := out.Data[k]
+			deriv = 1 - o*o
+		case graph.GELU:
+			// Derivative of the tanh approximation.
+			const c = 0.7978845608028654
+			x64 := float64(x)
+			u := c * (x64 + 0.044715*x64*x64*x64)
+			t := math.Tanh(u)
+			du := c * (1 + 3*0.044715*x64*x64)
+			deriv = float32(0.5*(1+t) + 0.5*x64*(1-t*t)*du)
+		default:
+			return fmt.Errorf("exec: backward for activation %q not supported", fn)
+		}
+		dIn.Data[k] += dOut.Data[k] * deriv
+	}
+	return nil
+}
+
+// TestActivationBackwardMatchesBranchingLoop holds activationBackward to
+// its branching reference bit for bit, for every function it supports,
+// with special values in the inputs, the output gradients and the input
+// gradients they add to: the branch-free ReLU and ReLU6 loops, and the
+// loop the other functions keep.
+func TestActivationBackwardMatchesBranchingLoop(t *testing.T) {
+	for _, fn := range allActFuncs {
+		if fn == graph.Softmax {
+			continue // activationBackward rejects a standalone softmax
+		}
+		for _, n := range []int{1, 7, 13, 1003} {
+			shape := graph.Shape{C: n, H: 1, W: 1}
+			in, out, dOut, dIn := NewTensor(1, shape), NewTensor(1, shape), NewTensor(1, shape), NewTensor(1, shape)
+			copy(in.Data, specialFloats(n, 1))
+			activation(in, fn, out)
+			copy(dOut.Data, specialFloats(n, 2))
+			copy(dIn.Data, specialFloats(n, 3))
+			want := NewTensor(1, shape)
+			copy(want.Data, dIn.Data)
+			if err := activationBackwardRef(fn, in, out, dOut, want); err != nil {
+				t.Fatal(err)
+			}
+			if err := activationBackward(fn, in, out, dOut, dIn); err != nil {
+				t.Fatal(err)
+			}
+			if err := firstBitDiff(dIn.Data, want.Data); err != nil {
+				t.Errorf("%s n %d: %v", fn, n, err)
+			}
+		}
 	}
 }
 

@@ -59,8 +59,10 @@ func conv2dBackwardDirect(in *Tensor, op *graph.Conv2dOp, weight []float32, dOut
 }
 
 // backwardShapes extends gemmShapes with squeezenet1_1's backward shapes
-// at 32×32, depthwise convs and kernels that overhang the input.
-var backwardShapes = append([]convCase{
+// at 32×32, depthwise convs, kernels that overhang the input, and
+// channel counts around the AVX2 leaf's blocks of eight: a block and a
+// tail, two blocks and a tail, two groups of two blocks.
+var backwardShapes = append(append([]convCase{
 	{"sq-stem-3x3-s2", graph.Shape{C: 3, H: 32, W: 32}, convShape(3, 64, 1, 3, 2, 0, 1, true)},
 	{"sq-squeeze-1x1-7x7", graph.Shape{C: 64, H: 7, W: 7}, convShape(64, 16, 1, 1, 1, 0, 1, true)},
 	{"sq-expand-1x1-7x7", graph.Shape{C: 16, H: 7, W: 7}, convShape(16, 64, 1, 1, 1, 0, 1, true)},
@@ -77,7 +79,13 @@ var backwardShapes = append([]convCase{
 		StrideH: 3, StrideW: 1, PadH: 1, PadW: 1, DilationH: 3, DilationW: 1, Groups: 1, Bias: true}},
 	{"overhang-unpadded", graph.Shape{C: 3, H: 2, W: 5}, graph.Conv2dOp{InC: 3, OutC: 4, KH: 3, KW: 3,
 		StrideH: 3, StrideW: 1, DilationH: 1, DilationW: 1, Groups: 1}},
-}, gemmShapes...)
+}, gemmShapes...),
+	convCase{"c12-3x3-p1", graph.Shape{C: 12, H: 6, W: 6}, convShape(12, 10, 1, 3, 1, 1, 1, true)},
+	convCase{"c20-3x3", graph.Shape{C: 20, H: 6, W: 5}, convShape(20, 9, 1, 3, 1, 0, 1, false)},
+	convCase{"g2-c16-3x3-p1", graph.Shape{C: 32, H: 5, W: 5}, convShape(32, 12, 2, 3, 1, 1, 1, true)},
+	convCase{"c16-3x3-s2-p1", graph.Shape{C: 16, H: 9, W: 9}, convShape(16, 8, 1, 3, 2, 1, 1, true)},
+	convCase{"c24-3x3-p1-1x1", graph.Shape{C: 24, H: 1, W: 1}, convShape(24, 16, 1, 3, 1, 1, 1, true)},
+)
 
 // compareBackwardToDirect runs op's backward through conv2dBackward and
 // through the reference on seeded normal inputs, weights and starting
@@ -146,30 +154,35 @@ func compareBackwardToDirect(batch int, inShape graph.Shape, op *graph.Conv2dOp,
 }
 
 // TestConv2dBackwardMatchesDirect pins the numerics contract of every
-// backward route: dIn, dW and dB bit-identical to the direct kernel on
-// every shape of the matrix, at batch 1 and 3, with none, half and 90%
-// of the output gradients zero, from nonzero starting gradients — and
-// with no input gradient, where dW and dB must still match.
+// backward route on every leaf: dIn, dW and dB bit-identical to the
+// direct kernel on every shape of the matrix, at batch 1 and 3, with
+// none, half and 90% of the output gradients zero, from nonzero starting
+// gradients — and with no input gradient, where dW and dB must still
+// match.
 func TestConv2dBackwardMatchesDirect(t *testing.T) {
-	for i, c := range backwardShapes {
-		op := c.op
-		for _, batch := range []int{1, 3} {
-			for _, zf := range []float64{0, 0.5, 0.9} {
-				if err := compareBackwardToDirect(batch, c.in, &op, zf, false, int64(i)); err != nil {
-					t.Errorf("%s batch %d zero share %.1f: %v", c.name, batch, zf, err)
+	forEachLeaf(t, func(t *testing.T) {
+		for i, c := range backwardShapes {
+			op := c.op
+			for _, batch := range []int{1, 3} {
+				for _, zf := range []float64{0, 0.5, 0.9} {
+					if err := compareBackwardToDirect(batch, c.in, &op, zf, false, int64(i)); err != nil {
+						t.Errorf("%s batch %d zero share %.1f: %v", c.name, batch, zf, err)
+					}
 				}
 			}
+			if err := compareBackwardToDirect(2, c.in, &op, 0.5, true, int64(i)); err != nil {
+				t.Errorf("%s nil dIn: %v", c.name, err)
+			}
 		}
-		if err := compareBackwardToDirect(2, c.in, &op, 0.5, true, int64(i)); err != nil {
-			t.Errorf("%s nil dIn: %v", c.name, err)
-		}
-	}
+	})
 }
 
 // FuzzConv2dBackwardShapes extends the matrix to arbitrary small
 // geometries, depthwise included: every valid shape must match the
-// direct kernel bit for bit. Parameters are folded into small ranges as
-// in FuzzConv2dShapes; the seed corpus is the matrix.
+// direct kernel bit for bit on every leaf. Parameters are folded into
+// small ranges as in FuzzConv2dShapes, input channels per group into
+// 1–24, so a group holds up to three of the AVX2 leaf's blocks of
+// eight and a tail; the seed corpus is the matrix.
 func FuzzConv2dBackwardShapes(f *testing.F) {
 	for i, c := range backwardShapes {
 		op := c.op
@@ -180,7 +193,7 @@ func FuzzConv2dBackwardShapes(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, batch, groups, icPerG, ocPerG, h, w, kh, kw, sh, sw, ph, pw, dh, dw uint8, bias bool, zero uint8, nilDIn bool, seed int64) {
 		g := int(groups%8) + 1
-		in := graph.Shape{C: g * (int(icPerG%8) + 1), H: int(h%16) + 1, W: int(w%16) + 1}
+		in := graph.Shape{C: g * (int(icPerG%24) + 1), H: int(h%16) + 1, W: int(w%16) + 1}
 		op := graph.Conv2dOp{
 			InC: in.C, OutC: g * (int(ocPerG%12) + 1), Groups: g,
 			KH: int(kh%7) + 1, KW: int(kw%7) + 1,
@@ -193,8 +206,12 @@ func FuzzConv2dBackwardShapes(f *testing.F) {
 			t.Skip(err)
 		}
 		zf := float64(zero%11) / 10
-		if err := compareBackwardToDirect(int(batch%3)+1, in, &op, zf, nilDIn, seed); err != nil {
-			t.Fatalf("%+v on %v, zero share %.1f, nil dIn %v: %v", op, in, zf, nilDIn, err)
+		for _, leaf := range hostLeaves() {
+			var err error
+			withLeaf(leaf, func() { err = compareBackwardToDirect(int(batch%3)+1, in, &op, zf, nilDIn, seed) })
+			if err != nil {
+				t.Fatalf("%s leaf: %+v on %v, zero share %.1f, nil dIn %v: %v", leaf.name, op, in, zf, nilDIn, err)
+			}
 		}
 	})
 }

@@ -37,11 +37,28 @@ type gemmTask struct {
 	cImg, cRow, cCol     int
 }
 
-// avx2Leaf runs item i of a task on the AVX2 micro-kernel. It is the
-// one switch between the leaves: gemm_amd64.go sets it at init when the
-// CPU and OS support AVX2, it stays nil elsewhere, and only tests change
-// it, between calls.
-var avx2Leaf func(t *gemmTask, i int, sc *kernelScratch)
+// avx2Leaf holds the AVX2 kernels of every hot loop that has one: the
+// GEMM items here, the backward's taps, rows and staging
+// (conv_backward.go) and the SGD update (backward.go). It is the one switch between the
+// leaves: gemm_amd64.go sets it at init when the CPU and OS support
+// AVX2, it stays nil elsewhere, and only tests change it, between calls.
+var avx2Leaf *avx2Kernels
+
+// avx2Kernels are the AVX2 leaf's entry points, each bit-identical to
+// the Go loop it replaces.
+type avx2Kernels struct {
+	// gemmItem runs item i of a GEMM task.
+	gemmItem func(t *gemmTask, i int, sc *kernelScratch)
+	// taps runs tg.apply's first 8·blocks channels.
+	taps func(tg tapGrad, rs []gradAt, x, dx, w, dw []float32, blocks int)
+	// gradRow runs gradRow's first len(w) &^ 7 elements.
+	gradRow func(d float32, x, w, dw, dx []float32)
+	// sgd runs ApplySGD's first len(w) &^ 7 elements.
+	sgd func(w, grads []float32, scale, lr float32)
+	// stage and unstage fill the taps route's staged map from the input
+	// planes and copy it back, for groups of eight channels or more.
+	stage, unstage func(sl stageLayout, dst, src []float32)
+}
 
 var gemmTaskPool = sync.Pool{New: func() any { return new(gemmTask) }}
 
@@ -77,7 +94,7 @@ func (t *gemmTask) biasBlock(row0, rows int) (bias [8]float32) {
 
 func (t *gemmTask) run(i int, sc *kernelScratch) {
 	if avx2Leaf != nil {
-		avx2Leaf(t, i, sc)
+		avx2Leaf.gemmItem(t, i, sc)
 		return
 	}
 	g, row0, rows := t.rows(i)

@@ -1,7 +1,9 @@
 package exec
 
-// The AVX2 leaf of gemmTask. Its micro-kernels (gemm_amd64.s) compute
-// an 8-row × {8,4,2,1}-column tile:
+// The AVX2 leaf: init selects it, and with it the backward's and the
+// SGD update's kernels (backward_amd64.go), when the CPU and OS support
+// AVX2. gemmTask's micro-kernels (gemm_amd64.s) compute an 8-row ×
+// {8,4,2,1}-column tile:
 //
 //	tile[8·j + r] = bias[r] + Σ_k panel[8·k + r]·b[k·ks + j·cs], k ascending
 //
@@ -18,7 +20,8 @@ package exec
 
 func init() {
 	if hasAVX2() {
-		avx2Leaf = avx2Item
+		avx2Leaf = &avx2Kernels{gemmItem: avx2Item, taps: tapsAVX2, gradRow: gradRowAVX2, sgd: sgdAVX2,
+			stage: stageAVX2, unstage: unstageAVX2}
 	}
 }
 
@@ -60,6 +63,9 @@ func gemm8x1(a, b, bias, c *float32, k, ks, cs int)
 
 //go:noescape
 func transpose8(panel, a *float32, k, blocks int)
+
+//go:noescape
+func transpose8x8(dst *float32, dOffs *[8]int, src *float32, sOffs *[8]int)
 
 // avx2Item runs item i of t: it packs the item's weight panel, then
 // sweeps every image's columns in tiles of 8, 4, 2 and 1.

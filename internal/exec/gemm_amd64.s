@@ -145,15 +145,44 @@ store1:
 	VZEROUPPER
 	RET
 
+// TRANSPOSE8 transposes the 8×8 block of rows Y0–Y7 into columns
+// Y8–Y15: Y(8+i) holds float i of every row, row 0 in lane 0. It is
+// VUNPCKLPS/VUNPCKHPS (row pairs interleaved), VSHUFPS (four rows per
+// 128-bit lane) and VPERM2F128 (the lanes joined).
+#define TRANSPOSE8 \
+	VUNPCKLPS Y1, Y0, Y8; \
+	VUNPCKHPS Y1, Y0, Y9; \
+	VUNPCKLPS Y3, Y2, Y10; \
+	VUNPCKHPS Y3, Y2, Y11; \
+	VUNPCKLPS Y5, Y4, Y12; \
+	VUNPCKHPS Y5, Y4, Y13; \
+	VUNPCKLPS Y7, Y6, Y14; \
+	VUNPCKHPS Y7, Y6, Y15; \
+	VSHUFPS $0x44, Y10, Y8, Y0; \
+	VSHUFPS $0xEE, Y10, Y8, Y1; \
+	VSHUFPS $0x44, Y11, Y9, Y2; \
+	VSHUFPS $0xEE, Y11, Y9, Y3; \
+	VSHUFPS $0x44, Y14, Y12, Y4; \
+	VSHUFPS $0xEE, Y14, Y12, Y5; \
+	VSHUFPS $0x44, Y15, Y13, Y6; \
+	VSHUFPS $0xEE, Y15, Y13, Y7; \
+	VPERM2F128 $0x20, Y4, Y0, Y8; \
+	VPERM2F128 $0x20, Y5, Y1, Y9; \
+	VPERM2F128 $0x20, Y6, Y2, Y10; \
+	VPERM2F128 $0x20, Y7, Y3, Y11; \
+	VPERM2F128 $0x31, Y4, Y0, Y12; \
+	VPERM2F128 $0x31, Y5, Y1, Y13; \
+	VPERM2F128 $0x31, Y6, Y2, Y14; \
+	VPERM2F128 $0x31, Y7, Y3, Y15
+
 // func transpose8(panel, a *float32, k, blocks int)
 //
 // Packs blocks 8×8 blocks of eight weight rows, k floats apart, into
 // panel k-major: block j loads row r's floats 8j…8j+7 into Y(r), and
 // stores the eight vectors {row 0…7 at float 8j+i}, i = 0…7, at
-// panel[64j + 8i]. The transpose is VUNPCKLPS/VUNPCKHPS (row pairs
-// interleaved), VSHUFPS (four rows per 128-bit lane) and VPERM2F128
-// (the lanes joined). Registers: SI row 0, R10 row 4, DX the row stride
-// in bytes, R9 three row strides, DI the panel, CX the block count.
+// panel[64j + 8i] (TRANSPOSE8). Registers: SI row 0, R10 row 4, DX the
+// row stride in bytes, R9 three row strides, DI the panel, CX the
+// block count.
 TEXT ·transpose8(SB), NOSPLIT, $0-32
 	MOVQ panel+0(FP), DI
 	MOVQ a+8(FP), SI
@@ -174,30 +203,7 @@ tloop:
 	VMOVUPS (R10)(DX*1), Y5
 	VMOVUPS (R10)(DX*2), Y6
 	VMOVUPS (R10)(R9*1), Y7
-	VUNPCKLPS Y1, Y0, Y8
-	VUNPCKHPS Y1, Y0, Y9
-	VUNPCKLPS Y3, Y2, Y10
-	VUNPCKHPS Y3, Y2, Y11
-	VUNPCKLPS Y5, Y4, Y12
-	VUNPCKHPS Y5, Y4, Y13
-	VUNPCKLPS Y7, Y6, Y14
-	VUNPCKHPS Y7, Y6, Y15
-	VSHUFPS $0x44, Y10, Y8, Y0
-	VSHUFPS $0xEE, Y10, Y8, Y1
-	VSHUFPS $0x44, Y11, Y9, Y2
-	VSHUFPS $0xEE, Y11, Y9, Y3
-	VSHUFPS $0x44, Y14, Y12, Y4
-	VSHUFPS $0xEE, Y14, Y12, Y5
-	VSHUFPS $0x44, Y15, Y13, Y6
-	VSHUFPS $0xEE, Y15, Y13, Y7
-	VPERM2F128 $0x20, Y4, Y0, Y8
-	VPERM2F128 $0x20, Y5, Y1, Y9
-	VPERM2F128 $0x20, Y6, Y2, Y10
-	VPERM2F128 $0x20, Y7, Y3, Y11
-	VPERM2F128 $0x31, Y4, Y0, Y12
-	VPERM2F128 $0x31, Y5, Y1, Y13
-	VPERM2F128 $0x31, Y6, Y2, Y14
-	VPERM2F128 $0x31, Y7, Y3, Y15
+	TRANSPOSE8
 	VMOVUPS Y8, (DI)
 	VMOVUPS Y9, 32(DI)
 	VMOVUPS Y10, 64(DI)
@@ -213,6 +219,48 @@ tloop:
 	JNZ  tloop
 
 tdone:
+	VZEROUPPER
+	RET
+
+// LOADROW loads row i of a transpose8x8 block into yr: SI the source,
+// AX the row offsets.
+#define LOADROW(i, yr) \
+	MOVQ (i*8)(AX), DX; \
+	VMOVUPS (SI)(DX*4), yr
+
+// STORECOL stores column i of a transpose8x8 block from yc: DI the
+// destination, AX the column offsets.
+#define STORECOL(i, yc) \
+	MOVQ (i*8)(AX), DX; \
+	VMOVUPS yc, (DI)(DX*4)
+
+// func transpose8x8(dst *float32, dOffs *[8]int, src *float32, sOffs *[8]int)
+//
+// Transposes one 8×8 block: row i is the eight floats at src +
+// sOffs[i], and column i, float i of every row, goes to the eight floats
+// at dst + dOffs[i] (TRANSPOSE8). Offsets are in floats.
+TEXT ·transpose8x8(SB), NOSPLIT, $0-32
+	MOVQ src+16(FP), SI
+	MOVQ sOffs+24(FP), AX
+	LOADROW(0, Y0)
+	LOADROW(1, Y1)
+	LOADROW(2, Y2)
+	LOADROW(3, Y3)
+	LOADROW(4, Y4)
+	LOADROW(5, Y5)
+	LOADROW(6, Y6)
+	LOADROW(7, Y7)
+	TRANSPOSE8
+	MOVQ dst+0(FP), DI
+	MOVQ dOffs+8(FP), AX
+	STORECOL(0, Y8)
+	STORECOL(1, Y9)
+	STORECOL(2, Y10)
+	STORECOL(3, Y11)
+	STORECOL(4, Y12)
+	STORECOL(5, Y13)
+	STORECOL(6, Y14)
+	STORECOL(7, Y15)
 	VZEROUPPER
 	RET
 

@@ -13,15 +13,15 @@ import (
 	"convmeter/internal/models"
 )
 
-// gemmLeaf is one leaf of gemmTask: the AVX2 micro-kernel, or nil for
-// the pure-Go tiles.
+// gemmLeaf is one leaf of the kernels: the AVX2 kernels, or nil for the
+// pure-Go loops.
 type gemmLeaf struct {
 	name string
-	fn   func(*gemmTask, int, *kernelScratch)
+	k    *avx2Kernels
 }
 
-// hostLeaves lists the leaves this host runs: the Go tiles always, the
-// AVX2 kernel where init selected it.
+// hostLeaves lists the leaves this host runs: the Go loops always, the
+// AVX2 kernels where init selected them.
 func hostLeaves() []gemmLeaf {
 	leaves := []gemmLeaf{{name: "go"}}
 	if avx2Leaf != nil {
@@ -34,7 +34,7 @@ func hostLeaves() []gemmLeaf {
 func withLeaf(leaf gemmLeaf, f func()) {
 	saved := avx2Leaf
 	defer func() { avx2Leaf = saved }()
-	avx2Leaf = leaf.fn
+	avx2Leaf = leaf.k
 	f()
 }
 
@@ -177,7 +177,9 @@ func TestTokenLinearMatchesReference(t *testing.T) {
 
 // TestLeavesAgreeOnZoo requires bit-equal logits from every leaf on
 // whole zoo models at 32 px, batch 1 and 3, and bit-equal gradients on
-// the two training nets the gradient golden pins.
+// the two training nets the gradient golden pins and on resnet18 (dense
+// 3×3 convs at 64–512 channels, stride-2 1×1 downsamples, batch norm,
+// add).
 func TestLeavesAgreeOnZoo(t *testing.T) {
 	leaves := hostLeaves()
 	if len(leaves) == 1 {
@@ -215,11 +217,15 @@ func TestLeavesAgreeOnZoo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rn, err := models.Build("resnet18", 32)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, c := range []struct {
 		name   string
 		g      *graph.Graph
 		labels []int
-	}{{"squeezenet1_1", sq, []int{3, 7}}, {"mobileStyleNet", mobileStyleNet(t), []int{0, 2}}} {
+	}{{"squeezenet1_1", sq, []int{3, 7}}, {"mobileStyleNet", mobileStyleNet(t), []int{0, 2}}, {"resnet18", rn, []int{5, 1}}} {
 		e, err := NewExecutor(c.g, 1)
 		if err != nil {
 			t.Fatal(err)

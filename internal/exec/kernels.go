@@ -88,33 +88,47 @@ func layerNorm(in *Tensor, scale, shift []float32, out *Tensor) {
 // than it saves.
 const splitMinElems = 8192
 
-// activation applies fn elementwise, split over the pool by (image,
-// channel) plane from splitMinElems floats up.
+// minItemElems is the fewest input floats a split item holds: an item
+// is a run of whole (image, channel) planes, one plane from 16 floats
+// up, and as many as reach 16 below. One item per 1×1 plane cost more
+// in dispatch than the plane's work.
+const minItemElems = 16
+
+// planesPerItem returns how many planes of plane floats one split item
+// holds.
+func planesPerItem(plane int) int {
+	return (minItemElems + plane - 1) / plane
+}
+
+// activation applies fn elementwise, split over the pool by runs of
+// (image, channel) planes from splitMinElems floats up.
 func activation(in *Tensor, fn graph.ActFunc, out *Tensor) {
 	dst := out.Data[:len(in.Data)]
 	if len(in.Data) < splitMinElems {
 		actSlice(fn, in.Data, dst)
 		return
 	}
+	plane := in.Shape.H * in.Shape.W
+	span := plane * planesPerItem(plane)
 	t := actTaskPool.Get().(*actTask)
-	*t = actTask{in: in.Data, out: dst, fn: fn, plane: in.Shape.H * in.Shape.W}
-	parallelRun(t, in.Batch*in.Shape.C)
+	*t = actTask{in: in.Data, out: dst, fn: fn, span: span}
+	parallelRun(t, (len(in.Data)+span-1)/span)
 	*t = actTask{}
 	actTaskPool.Put(t)
 }
 
-// actTask is one split activation; item i is the i-th plane of the
-// flattened (batch, channel) space.
+// actTask is one split activation; item i is the i-th run of span
+// floats, whole planes of the flattened (batch, channel) space.
 type actTask struct {
 	in, out []float32
 	fn      graph.ActFunc
-	plane   int
+	span    int
 }
 
 var actTaskPool = sync.Pool{New: func() any { return new(actTask) }}
 
 func (t *actTask) run(i int, _ *kernelScratch) {
-	lo, hi := i*t.plane, (i+1)*t.plane
+	lo, hi := i*t.span, min((i+1)*t.span, len(t.in))
 	actSlice(t.fn, t.in[lo:hi], t.out[lo:hi])
 }
 
@@ -145,15 +159,17 @@ func actSlice(fn graph.ActFunc, in, dst []float32) {
 	}
 }
 
-// Float32 bit patterns for activation's clamps: v < 0 holds exactly for
-// the patterns in [negLoBits, negInfBits] (negative non-zero numbers and
-// -Inf; -0 and the negative NaNs lie outside), and v > 6 exactly for
-// those in (sixBits, posInfBits].
+// Float32 bit patterns for activation's clamps and their derivatives:
+// v < 0 holds exactly for the patterns in [negLoBits, negInfBits]
+// (negative non-zero numbers and -Inf; -0 and the negative NaNs lie
+// outside), v > 6 exactly for those in (sixBits, posInfBits], and v > 0
+// for those in [1, posInfBits].
 const (
 	negLoBits  = 0x80000001
 	negInfBits = 0xFF800000
 	sixBits    = 0x40C00000
 	posInfBits = 0x7F800000
+	oneBits    = 0x3F800000
 )
 
 // bitsIn returns all ones when lo <= b <= hi, else zero, without a branch.
@@ -161,32 +177,41 @@ func bitsIn(b, lo, hi uint32) uint32 {
 	return uint32((int64(b-lo) - int64(hi-lo) - 1) >> 63)
 }
 
-// pool2d computes max or average pooling, split over the pool by
-// (image, channel) plane from splitMinElems input floats up.
+// pool2d computes max or average pooling, split over the pool by runs
+// of (image, channel) input planes from splitMinElems input floats up.
 func pool2d(in *Tensor, op *graph.Pool2dOp, out *Tensor) {
 	t := poolTaskPool.Get().(*poolTask)
-	*t = poolTask{in: in, op: op, out: out}
-	if n := in.Batch * in.Shape.C; len(in.Data) < splitMinElems {
-		for i := 0; i < n; i++ {
-			t.run(i, nil)
-		}
+	n := in.Batch * in.Shape.C
+	*t = poolTask{in: in, op: op, out: out, planes: n}
+	if len(in.Data) < splitMinElems {
+		t.per = n
+		t.run(0, nil)
 	} else {
-		parallelRun(t, n)
+		t.per = planesPerItem(in.Shape.H * in.Shape.W)
+		parallelRun(t, (n+t.per-1)/t.per)
 	}
 	*t = poolTask{}
 	poolTaskPool.Put(t)
 }
 
-// poolTask is one pool2d invocation; item i pools the i-th plane of the
-// flattened (batch, channel) space.
+// poolTask is one pool2d invocation over planes planes of the flattened
+// (batch, channel) space; item i pools the i-th run of per of them.
 type poolTask struct {
-	in, out *Tensor
-	op      *graph.Pool2dOp
+	in, out     *Tensor
+	op          *graph.Pool2dOp
+	planes, per int
 }
 
 var poolTaskPool = sync.Pool{New: func() any { return new(poolTask) }}
 
 func (t *poolTask) run(i int, _ *kernelScratch) {
+	for p := i * t.per; p < min((i+1)*t.per, t.planes); p++ {
+		t.plane(p)
+	}
+}
+
+// plane pools plane i of the flattened (batch, channel) space.
+func (t *poolTask) plane(i int) {
 	in, op, out := t.in, t.op, t.out
 	b, c := i/in.Shape.C, i%in.Shape.C
 	src := in.channel(b, c)

@@ -273,65 +273,72 @@ func pool2dRef(in *Tensor, op *graph.Pool2dOp, out *Tensor) {
 	}
 }
 
-// splitInput returns a tensor of at least splitMinElems floats, so the
-// kernels take their split path: seeded normal values with NaNs of both
-// signs and a signalling payload, ±Inf, ±0 and the smallest subnormals
-// spread through it.
-func splitInput() *Tensor {
-	in := NewTensor(2, graph.Shape{C: 33, H: 11, W: 13})
-	if len(in.Data) < splitMinElems {
-		panic("splitInput is below the split cutoff")
-	}
-	normalFill(rand.New(rand.NewSource(3)), in.Data)
+// splitInputs returns tensors of at least splitMinElems floats, so the
+// kernels take their split path: 11×13 planes (one item each), 1×1
+// and 2×2 planes (16 and 4 to an item, the last item short), filled
+// with seeded normal values with NaNs of both signs and a signalling
+// payload, ±Inf, ±0 and the smallest subnormals spread through them.
+func splitInputs() []*Tensor {
 	special := []float32{float32(math.NaN()), math.Float32frombits(0xffc00000),
 		math.Float32frombits(0x7f800001), float32(math.Inf(1)), float32(math.Inf(-1)),
 		float32(math.Copysign(0, -1)), 0, math.Float32frombits(1), math.Float32frombits(0x80000001)}
-	for i := range in.Data {
-		if i%97 < len(special) {
-			in.Data[i] = special[i%97]
+	var ins []*Tensor
+	for _, shape := range []graph.Shape{{C: 33, H: 11, W: 13}, {C: 4163, H: 1, W: 1}, {C: 1041, H: 2, W: 2}} {
+		in := NewTensor(2, shape)
+		if len(in.Data) < splitMinElems {
+			panic("splitInputs is below the split cutoff")
 		}
+		normalFill(rand.New(rand.NewSource(3)), in.Data)
+		for i := range in.Data {
+			if i%97 < len(special) {
+				in.Data[i] = special[i%97]
+			}
+		}
+		ins = append(ins, in)
 	}
-	return in
+	return ins
 }
 
 // TestActivationSplitMatchesApplyAct runs every activation function over
-// a tensor that takes the split path: every output must equal applyAct
-// of its input bit for bit.
+// tensors that take the split path: every output must equal applyAct of
+// its input bit for bit.
 func TestActivationSplitMatchesApplyAct(t *testing.T) {
-	in := splitInput()
-	out := NewTensor(in.Batch, in.Shape)
-	for _, fn := range allActFuncs {
-		activation(in, fn, out)
-		for i, x := range in.Data {
-			if want := applyAct(fn, x); math.Float32bits(out.Data[i]) != math.Float32bits(want) {
-				t.Errorf("activation %s: out[%d] = %#08x for %#08x, applyAct %#08x",
-					fn, i, math.Float32bits(out.Data[i]), math.Float32bits(x), math.Float32bits(want))
-				break
+	for _, in := range splitInputs() {
+		out := NewTensor(in.Batch, in.Shape)
+		for _, fn := range allActFuncs {
+			activation(in, fn, out)
+			for i, x := range in.Data {
+				if want := applyAct(fn, x); math.Float32bits(out.Data[i]) != math.Float32bits(want) {
+					t.Errorf("activation %s on %v: out[%d] = %#08x for %#08x, applyAct %#08x",
+						fn, in.Shape, i, math.Float32bits(out.Data[i]), math.Float32bits(x), math.Float32bits(want))
+					break
+				}
 			}
 		}
 	}
 }
 
-// TestPool2dSplitMatchesSerial runs both pooling kinds over a tensor that
-// takes the split path, in the zoo's geometries: every output must equal
-// the serial loop's bit for bit.
+// TestPool2dSplitMatchesSerial runs both pooling kinds over tensors that
+// take the split path, in the zoo's geometries where the planes hold
+// them: every output must equal the serial loop's bit for bit.
 func TestPool2dSplitMatchesSerial(t *testing.T) {
-	in := splitInput()
-	for _, kind := range []graph.PoolKind{graph.MaxPool, graph.AvgPool} {
-		for _, op := range []graph.Pool2dOp{
-			{PoolKind: kind, KH: 2, KW: 2, StrideH: 2, StrideW: 2},
-			{PoolKind: kind, KH: 3, KW: 3, StrideH: 2, StrideW: 2, PadH: 1, PadW: 1},
-			{PoolKind: kind, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1},
-		} {
-			outShape, err := op.OutShape([]graph.Shape{in.Shape})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, want := NewTensor(in.Batch, outShape), NewTensor(in.Batch, outShape)
-			pool2d(in, &op, got)
-			pool2dRef(in, &op, want)
-			if err := firstBitDiff(got.Data, want.Data); err != nil {
-				t.Errorf("%s %dx%d s%d p%d: %v", kind, op.KH, op.KW, op.StrideH, op.PadH, err)
+	for _, in := range splitInputs() {
+		for _, kind := range []graph.PoolKind{graph.MaxPool, graph.AvgPool} {
+			for _, op := range []graph.Pool2dOp{
+				{PoolKind: kind, KH: 2, KW: 2, StrideH: 2, StrideW: 2},
+				{PoolKind: kind, KH: 3, KW: 3, StrideH: 2, StrideW: 2, PadH: 1, PadW: 1},
+				{PoolKind: kind, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1},
+			} {
+				outShape, err := op.OutShape([]graph.Shape{in.Shape})
+				if err != nil || outShape.H < 1 || outShape.W < 1 {
+					continue // the kernel does not fit these planes
+				}
+				got, want := NewTensor(in.Batch, outShape), NewTensor(in.Batch, outShape)
+				pool2d(in, &op, got)
+				pool2dRef(in, &op, want)
+				if err := firstBitDiff(got.Data, want.Data); err != nil {
+					t.Errorf("%s %dx%d s%d p%d on %v: %v", kind, op.KH, op.KW, op.StrideH, op.PadH, in.Shape, err)
+				}
 			}
 		}
 	}

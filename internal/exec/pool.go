@@ -17,6 +17,10 @@ import (
 // pool worker owns one; the serial path borrows one from scratchPool.
 type kernelScratch struct {
 	buf []float32
+	// grads holds the backward taps route's gathered gradients, on the
+	// heap: the AVX2 leaf is called through a function value, which
+	// would move a stack array there on every call.
+	grads [gradChunk]gradAt
 }
 
 // floats returns a scratch slice of length n backed by the worker's

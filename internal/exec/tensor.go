@@ -44,7 +44,11 @@
 // one replica each — and visits only the nonzero output
 // gradients ReLU leaves, in a loop structure picked from the shapes: a
 // 1×1 output map in linearBackward's row form, every larger map tap by
-// tap over the gathered nonzeros of each output channel.
+// tap over the gathered nonzeros of each output channel, on a
+// channels-last copy of the input. The same switch that picks the GEMM
+// leaf picks the backward's and the SGD update's: AVX2 kernels
+// (backward_amd64.s) eight channels or eight floats at a time, or the
+// Go loops.
 //
 // An Executor holds its parameters in one vector, node by node in graph
 // order with each node's W before its B; the per-node weights are views
