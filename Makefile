@@ -10,7 +10,7 @@ build:
 	$(GO) build ./...
 
 # vet: the host architecture, then arm64, which has no assembly kernels:
-# it checks that the pure-Go GEMM leaf builds on its own.
+# it checks that exec's and simd's pure-Go leaves build on their own.
 vet:
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./...
@@ -32,7 +32,8 @@ perfbench-test:
 	cd cmd/perfbench && $(GO) test ./...
 
 # Every race-detector test runs here, once. The concurrent packages (the
-# kernel worker pool, ring all-reduce, parallel bench collector,
+# kernel worker pool, ring all-reduce and the simd kernel its reduce runs
+# through (whose race build takes the Go leaf), parallel bench collector,
 # data-parallel trainer with its chaos and critical-path blame suites,
 # telemetry registry/tracer under ./internal/obs/..., drift monitor,
 # fault injector, DAG executor with its crash-resume matrix, the
@@ -43,7 +44,7 @@ perfbench-test:
 # — and the CLI legs that check a run's drift artefact and kill/resume a
 # run.
 race:
-	$(GO) test -race ./internal/exec/... ./internal/allreduce/... ./internal/bench/... ./internal/train/... ./internal/obs/... ./internal/driftwatch/... ./internal/lint/... ./internal/dagrun/... ./internal/faults/... ./internal/experiments/...
+	$(GO) test -race ./internal/exec/... ./internal/allreduce/... ./internal/simd/... ./internal/bench/... ./internal/train/... ./internal/obs/... ./internal/driftwatch/... ./internal/lint/... ./internal/dagrun/... ./internal/faults/... ./internal/experiments/...
 	$(GO) test -race -count=1 -run 'TestRunDriftArtefact|TestRunDagCrashResume' ./cmd/experiments
 
 # The perf trajectory: bench_n is the largest <n> among the
@@ -107,6 +108,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParseManifest -fuzztime $(FUZZTIME) ./internal/dagrun
 	$(GO) test -run '^$$' -fuzz FuzzConv2dShapes -fuzztime $(FUZZTIME) ./internal/exec
 	$(GO) test -run '^$$' -fuzz FuzzConv2dBackwardShapes -fuzztime $(FUZZTIME) ./internal/exec
+	$(GO) test -run '^$$' -fuzz FuzzAdd -fuzztime $(FUZZTIME) ./internal/simd
 	$(GO) test -run '^$$' -fuzz FuzzFit -fuzztime $(FUZZTIME) ./internal/regress
 
 # chaos: a fixed seed matrix of real end-to-end chaos runs (resilient

@@ -73,3 +73,37 @@ func TestRingAllocatesNoChunkCopies(t *testing.T) {
 		t.Errorf("Ring of 2 × %d floats allocates %d B/op, want < 64 KiB", length, perRun)
 	}
 }
+
+// TestRingTCPReusesChunkBuffers pins a fault-free TCP ring run's
+// allocations: each worker sizes one frame, one body and one decoded
+// buffer for the largest chunk and reuses them for all its 2·(n−1)
+// steps, so at n = 2 a run allocates 1.5× its payload and at n = 4
+// 0.75×, plus the run's wiring.
+func TestRingTCPReusesChunkBuffers(t *testing.T) {
+	testrace.SkipIfRace(t)
+
+	const length, runs = 1 << 20, 3
+	for _, n := range []int{2, 4} {
+		vs := make([][]float32, n)
+		for i := range vs {
+			vs[i] = make([]float32, length)
+		}
+		if err := RingTCPOpts(vs, Options{}); err != nil { // start-up: goroutine and socket pools
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			if err := RingTCPOpts(vs, Options{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		perRun := (after.TotalAlloc - before.TotalAlloc) / runs
+		chunk := frameHeaderLen + 4*(length/n+1) + 4
+		if limit := uint64(3*n*chunk + 256<<10); perRun >= limit {
+			t.Errorf("RingTCPOpts of %d × %d floats allocates %d B/op, want < %d (three chunk buffers per worker and 256 KiB of wiring)",
+				n, length, perRun, limit)
+		}
+	}
+}

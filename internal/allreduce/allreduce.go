@@ -21,6 +21,16 @@
 // back as *RingError values attributing blame per worker, which the
 // elastic trainer (internal/train) uses to drop dead members and re-form
 // the ring.
+//
+// Both rings reduce a received chunk into the worker's own with
+// simd.Add, which has two leaves picked from the CPU: VADDPS over blocks
+// of 32 floats where it has AVX2, and the Go loop for the tail, on other
+// CPUs and in every -race build. The race rule keeps every read and
+// write of the channel ring's view hand-off visible to the race
+// detector, which sees no assembly's memory accesses. Each sum rounds to
+// float32 on its own and keeps the receiving worker's NaN where both
+// operands are NaN, as the scalar loop dst[k] += src[k] does, so the
+// reduced vectors are bit-identical on either leaf.
 package allreduce
 
 import (
@@ -28,6 +38,7 @@ import (
 	"sync"
 
 	"convmeter/internal/obs"
+	"convmeter/internal/simd"
 )
 
 // chunkBounds splits length n into p contiguous chunks; chunk i spans
@@ -158,9 +169,7 @@ func (r *chanRing) step(sendChunk, recvChunk int, reduce bool) {
 	rsp := r.obs.Start("ar.recv")
 	a, b = chunkBounds(len(r.v), r.n, recvChunk)
 	if reduce {
-		for k := range in.data {
-			r.v[a+k] += in.data[k]
-		}
+		simd.Add(r.v[a:b], in.data)
 	} else {
 		copy(r.v[a:b], in.data)
 	}

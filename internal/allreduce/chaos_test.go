@@ -160,7 +160,7 @@ func TestReadChunkRetryResumesPartialFrame(t *testing.T) {
 		OpTimeout: 50 * time.Millisecond,
 		Retry:     RetryPolicy{Attempts: 3, Backoff: time.Millisecond, Max: time.Millisecond},
 	}
-	got, _, err := readChunk(server, len(frame), opts)
+	got, _, err := readChunk(server, newChunkBufs(len(frame)), opts)
 	if err != nil {
 		t.Fatalf("resumed read failed: %v", err)
 	}
@@ -190,7 +190,7 @@ func TestReadChunkRetryBudgetExhausted(t *testing.T) {
 		Retry:     RetryPolicy{Attempts: 2, Backoff: time.Millisecond, Max: time.Millisecond},
 	}
 	start := time.Now()
-	_, _, err := readChunk(server, 3, opts)
+	_, _, err := readChunk(server, newChunkBufs(3), opts)
 	if err == nil {
 		t.Fatal("read succeeded despite an exhausted retry budget")
 	}
@@ -231,7 +231,7 @@ func tcpPair(t *testing.T) (client, server net.Conn) {
 // frameBytes renders one wire frame the way writeChunk does.
 func frameBytes(data []float32) []byte {
 	var sink frameSink
-	if err := writeChunk(&sink, data, obs.SpanContext{}); err != nil {
+	if err := writeChunk(&sink, newChunkBufs(len(data)), data, obs.SpanContext{}); err != nil {
 		panic(err)
 	}
 	return sink.buf

@@ -13,6 +13,7 @@ import (
 
 	"convmeter/internal/faults"
 	"convmeter/internal/obs"
+	"convmeter/internal/simd"
 )
 
 // RingTCPOpts performs the same ring all-reduce as Ring, but over real
@@ -133,9 +134,10 @@ func ringTCP(vectors [][]float32, opts Options, deadline time.Time) error {
 func tcpWorker(me int, v []float32, n, length int, send, recv net.Conn, opts Options) *WorkerError {
 	ids := opts.WorkerIDs
 	self, succ, pred := workerID(ids, me), workerID(ids, (me+1)%n), workerID(ids, (me-1+n)%n)
-	// The largest chunk the ring partition can produce — the bound that
-	// keeps a corrupted length prefix from allocating unbounded memory.
-	maxChunk := length/n + 1
+	// The largest chunk the ring partition can produce: it sizes the
+	// worker's wire buffers, and a length prefix beyond it is rejected
+	// before any read into them.
+	bufs := newChunkBufs(length/n + 1)
 	fcOut, _ := send.(*faults.Conn)
 	fcIn, _ := recv.(*faults.Conn)
 	wObs := opts.Obs.WithWorker(self)
@@ -146,7 +148,7 @@ func tcpWorker(me int, v []float32, n, length int, send, recv net.Conn, opts Opt
 			fcOut.SetWriteSeq(opts.SeqBase + opIdx)
 		}
 		ssp := wObs.Start("ar.send")
-		err := writeChunk(send, v[a:b], ssp.Context())
+		err := writeChunk(send, bufs, v[a:b], ssp.Context())
 		ssp.End()
 		if err != nil {
 			if isTimeout(err) {
@@ -160,7 +162,7 @@ func tcpWorker(me int, v []float32, n, length int, send, recv net.Conn, opts Opt
 			fcIn.SetReadSeq(opts.SeqBase + opIdx)
 		}
 		wsp := wObs.Start("ar.wait")
-		in, inCtx, err := readChunk(recv, maxChunk, opts)
+		in, inCtx, err := readChunk(recv, bufs, opts)
 		wsp.LinkTo(inCtx)
 		wsp.End()
 		if err != nil {
@@ -180,9 +182,7 @@ func tcpWorker(me int, v []float32, n, length int, send, recv net.Conn, opts Opt
 		}
 		rsp := wObs.Start("ar.recv")
 		if reduce {
-			for k := range in {
-				v[a+k] += in[k]
-			}
+			simd.Add(v[a:b], in)
 		} else {
 			copy(v[a:b], in)
 		}
@@ -233,12 +233,31 @@ var errCRC = errors.New("allreduce: chunk CRC mismatch")
 // CRC, whose job is protecting the gradient bits.
 const frameHeaderLen = 4 + 8 + 8
 
+// chunkBufs are one worker's wire buffers, sized for the ring's largest
+// chunk and reused by each of its 2·(n−1) steps: the outgoing frame, the
+// incoming body (payload and CRC) and the body's decoded floats. Reusing
+// the frame is safe because a Write keeps no reference to it
+// (faults.Conn copies a frame before corrupting it).
+type chunkBufs struct {
+	frame, body []byte
+	floats      []float32
+}
+
+// newChunkBufs sizes the buffers for chunks of up to maxElems floats.
+func newChunkBufs(maxElems int) *chunkBufs {
+	return &chunkBufs{
+		frame:  make([]byte, frameHeaderLen+4*maxElems+4),
+		body:   make([]byte, 4*maxElems+4),
+		floats: make([]float32, maxElems),
+	}
+}
+
 // writeChunk frames a float32 slice as one length-prefixed message —
 // element count, span context, payload, trailing CRC-32 of the payload —
-// written in a single Write so fault injection and deadlines see one
-// wire operation per chunk.
-func writeChunk(w io.Writer, data []float32, ctx obs.SpanContext) error {
-	buf := make([]byte, frameHeaderLen+4*len(data)+4)
+// in bufs' frame, written in a single Write so fault injection and
+// deadlines see one wire operation per chunk.
+func writeChunk(w io.Writer, bufs *chunkBufs, data []float32, ctx obs.SpanContext) error {
+	buf := bufs.frame[:frameHeaderLen+4*len(data)+4]
 	binary.LittleEndian.PutUint32(buf, uint32(len(data)))
 	binary.LittleEndian.PutUint64(buf[4:], uint64(ctx.Trace))
 	binary.LittleEndian.PutUint64(buf[12:], uint64(ctx.Span))
@@ -252,12 +271,14 @@ func writeChunk(w io.Writer, data []float32, ctx obs.SpanContext) error {
 }
 
 // readChunk reads one framed message and the sender's span context,
-// validating the length prefix against maxElems before allocating (a
-// corrupted or malicious peer must not be able to OOM the process) and
-// the payload against its CRC. On a net.Conn each wait for bytes runs
-// under opts.OpTimeout, and a timed-out read resumes where it left off
-// (partial frames are completed, not restarted) up to the retry budget.
-func readChunk(r io.Reader, maxElems int, opts Options) ([]float32, obs.SpanContext, error) {
+// validating the length prefix against the size of bufs before reading
+// the body into them (a corrupted or malicious peer must not be able to
+// overrun them) and the payload against its CRC. It returns a view of
+// bufs' floats, valid until the next read. On a net.Conn each wait for
+// bytes runs under opts.OpTimeout, and a timed-out read resumes where it
+// left off (partial frames are completed, not restarted) up to the retry
+// budget.
+func readChunk(r io.Reader, bufs *chunkBufs, opts Options) ([]float32, obs.SpanContext, error) {
 	attempts := opts.Retry.attempts()
 	conn, _ := r.(net.Conn)
 	readFull := func(buf []byte) error {
@@ -293,10 +314,10 @@ func readChunk(r io.Reader, maxElems int, opts Options) ([]float32, obs.SpanCont
 		Trace: int64(binary.LittleEndian.Uint64(header[4:])),
 		Span:  int64(binary.LittleEndian.Uint64(header[12:])),
 	}
-	if maxElems < 0 || n > uint32(maxElems) {
+	if maxElems := len(bufs.floats); n > uint32(maxElems) {
 		return nil, ctx, fmt.Errorf("allreduce: implausible chunk size %d (max %d)", n, maxElems)
 	}
-	body := make([]byte, 4*int(n)+4)
+	body := bufs.body[:4*int(n)+4]
 	if err := readFull(body); err != nil {
 		return nil, ctx, err
 	}
@@ -304,7 +325,7 @@ func readChunk(r io.Reader, maxElems int, opts Options) ([]float32, obs.SpanCont
 	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(body[4*int(n):]) {
 		return nil, ctx, errCRC
 	}
-	out := make([]float32, n)
+	out := bufs.floats[:n]
 	for i := range out {
 		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(payload[4*i:]))
 	}

@@ -70,10 +70,10 @@ func TestRingTCPShortVector(t *testing.T) {
 func TestChunkFraming(t *testing.T) {
 	var buf bytes.Buffer
 	orig := []float32{1.5, -2.25, 0, 3e8}
-	if err := writeChunk(&buf, orig, obs.SpanContext{}); err != nil {
+	if err := writeChunk(&buf, newChunkBufs(len(orig)), orig, obs.SpanContext{}); err != nil {
 		t.Fatal(err)
 	}
-	back, _, err := readChunk(&buf, len(orig), Options{})
+	back, _, err := readChunk(&buf, newChunkBufs(len(orig)), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,16 +87,16 @@ func TestChunkFraming(t *testing.T) {
 	}
 	// Empty chunk.
 	buf.Reset()
-	if err := writeChunk(&buf, nil, obs.SpanContext{}); err != nil {
+	if err := writeChunk(&buf, newChunkBufs(0), nil, obs.SpanContext{}); err != nil {
 		t.Fatal(err)
 	}
-	if back, _, err := readChunk(&buf, 8, Options{}); err != nil || len(back) != 0 {
+	if back, _, err := readChunk(&buf, newChunkBufs(8), Options{}); err != nil || len(back) != 0 {
 		t.Fatalf("empty chunk: %v %v", back, err)
 	}
 	// Truncated stream.
 	buf.Reset()
 	buf.Write([]byte{4, 0, 0, 0, 1, 2})
-	if _, _, err := readChunk(&buf, 8, Options{}); err == nil {
+	if _, _, err := readChunk(&buf, newChunkBufs(8), Options{}); err == nil {
 		t.Fatal("expected truncation error")
 	}
 	// A length prefix beyond the ring's chunk bound must be rejected
@@ -104,17 +104,17 @@ func TestChunkFraming(t *testing.T) {
 	buf.Reset()
 	buf.Write([]byte{0xff, 0xff, 0xff, 0xff})
 	buf.Write(make([]byte, frameHeaderLen-4)) // rest of the frame header
-	if _, _, err := readChunk(&buf, 8, Options{}); err == nil {
+	if _, _, err := readChunk(&buf, newChunkBufs(8), Options{}); err == nil {
 		t.Fatal("expected size rejection")
 	}
 	// Corrupted payload must fail CRC validation.
 	buf.Reset()
-	if err := writeChunk(&buf, orig, obs.SpanContext{}); err != nil {
+	if err := writeChunk(&buf, newChunkBufs(len(orig)), orig, obs.SpanContext{}); err != nil {
 		t.Fatal(err)
 	}
 	frame := buf.Bytes()
 	frame[frameHeaderLen+2] ^= 0x10 // flip a payload bit
-	if _, _, err := readChunk(bytes.NewReader(frame), len(orig), Options{}); err == nil {
+	if _, _, err := readChunk(bytes.NewReader(frame), newChunkBufs(len(orig)), Options{}); err == nil {
 		t.Fatal("expected CRC rejection")
 	}
 }

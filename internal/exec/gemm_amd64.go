@@ -1,8 +1,11 @@
 package exec
 
+import "convmeter/internal/simd"
+
 // The AVX2 leaf: init selects it, and with it the backward's and the
-// SGD update's kernels (backward_amd64.go), when the CPU and OS support
-// AVX2. gemmTask's micro-kernels (gemm_amd64.s) compute an 8-row ×
+// SGD update's kernels (backward_amd64.go), when the module's one CPU
+// probe, simd.HasAVX2, reports that the CPU and OS support AVX2.
+// gemmTask's micro-kernels (gemm_amd64.s) compute an 8-row ×
 // {8,4,2,1}-column tile:
 //
 //	tile[8·j + r] = bias[r] + Σ_k panel[8·k + r]·b[k·ks + j·cs], k ascending
@@ -19,35 +22,11 @@ package exec
 // panel, and that ownership is what keeps them race-free.
 
 func init() {
-	if hasAVX2() {
+	if simd.HasAVX2() {
 		avx2Leaf = &avx2Kernels{gemmItem: avx2Item, taps: tapsAVX2, gradRow: gradRowAVX2, sgd: sgdAVX2,
 			stage: stageAVX2, unstage: unstageAVX2}
 	}
 }
-
-// hasAVX2 reports whether the CPU has AVX2 and the OS saves YMM state:
-// CPUID leaf 1 reports OSXSAVE and AVX, XCR0 has bits 1 (SSE) and 2
-// (AVX) set, and CPUID leaf 7 reports AVX2 (EBX bit 5).
-func hasAVX2() bool {
-	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
-		return false
-	}
-	const osxsave, avx = 1 << 27, 1 << 28
-	if _, _, ecx, _ := cpuid(1, 0); ecx&osxsave == 0 || ecx&avx == 0 {
-		return false
-	}
-	if xcr0, _ := xgetbv(); xcr0&6 != 6 {
-		return false
-	}
-	_, ebx, _, _ := cpuid(7, 0)
-	return ebx&(1<<5) != 0
-}
-
-//go:noescape
-func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
-
-//go:noescape
-func xgetbv() (eax, edx uint32)
 
 //go:noescape
 func gemm8x8(a, b, bias, c *float32, k, ks, cs int)

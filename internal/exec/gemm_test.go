@@ -1,16 +1,14 @@
 package exec
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
-	"os"
-	"runtime"
 	"testing"
 
 	"convmeter/internal/graph"
 	"convmeter/internal/models"
+	"convmeter/internal/simd"
 )
 
 // gemmLeaf is one leaf of the kernels: the AVX2 kernels, or nil for the
@@ -251,39 +249,13 @@ func TestLeavesAgreeOnZoo(t *testing.T) {
 	}
 }
 
-// TestAVX2LeafSelectedWhereCPUHasIt catches a broken CPU check: every
-// bit-identity test also passes on the Go leaf, so a CPUID or XGETBV bug
-// would only lose the speed. Where the kernel lists avx2 among the CPU
-// flags, init must have selected the AVX2 leaf.
+// TestAVX2LeafSelectedWhereCPUHasIt catches a broken leaf selection:
+// every bit-identity test also passes on the Go leaf, so a bad switch
+// would only lose the speed. init must select the AVX2 leaf exactly
+// where the module's CPU probe reports AVX2; simd's
+// TestHasAVX2MatchesCPUInfo holds the probe to /proc/cpuinfo.
 func TestAVX2LeafSelectedWhereCPUHasIt(t *testing.T) {
-	if runtime.GOOS != "linux" || runtime.GOARCH != "amd64" {
-		t.Skipf("reads the CPU flags of a linux/amd64 host, not %s/%s", runtime.GOOS, runtime.GOARCH)
+	if got, want := avx2Leaf != nil, simd.HasAVX2(); got != want {
+		t.Fatalf("AVX2 leaf selected: %v, but simd.HasAVX2 reports %v", got, want)
 	}
-	info, err := os.ReadFile("/proc/cpuinfo")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !cpuFlag(info, "avx2") {
-		t.Skip("/proc/cpuinfo lists no avx2 flag: the Go leaf is the only leaf")
-	}
-	if avx2Leaf == nil {
-		t.Fatal("/proc/cpuinfo lists avx2, but init did not select the AVX2 leaf")
-	}
-}
-
-// cpuFlag reports whether the first "flags" line of a /proc/cpuinfo
-// listing names flag.
-func cpuFlag(info []byte, flag string) bool {
-	for _, line := range bytes.Split(info, []byte("\n")) {
-		key, val, ok := bytes.Cut(line, []byte(":"))
-		if ok && string(bytes.TrimSpace(key)) == "flags" {
-			for _, f := range bytes.Fields(val) {
-				if string(f) == flag {
-					return true
-				}
-			}
-			return false
-		}
-	}
-	return false
 }
