@@ -110,6 +110,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzConv2dBackwardShapes -fuzztime $(FUZZTIME) ./internal/exec
 	$(GO) test -run '^$$' -fuzz FuzzAdd -fuzztime $(FUZZTIME) ./internal/simd
 	$(GO) test -run '^$$' -fuzz FuzzFit -fuzztime $(FUZZTIME) ./internal/regress
+	$(GO) test -run '^$$' -fuzz FuzzReadChunk -fuzztime $(FUZZTIME) ./internal/allreduce
 
 # chaos: a fixed seed matrix of real end-to-end chaos runs (resilient
 # training under crashes, drops and corruption), each into its own
@@ -134,7 +135,9 @@ chaos:
 # with exit code 3 after committing its upstream manifests, a resume
 # over the same -dag-dir whose report must be byte-identical to the
 # uninterrupted run's, and obscheck -manifest validating the surviving
-# manifest chain.
+# manifest chain. jq -e checks both -dag-out audits: the crash fired at
+# report@boundary after exp:exttrainfaults was done, and the resume
+# reused exp:exttrainfaults (its one reused node) and finished report.
 dag-smoke:
 	rm -rf .dag-smoke && mkdir -p .dag-smoke
 	$(GO) build -o .dag-smoke/experiments ./cmd/experiments
@@ -144,8 +147,14 @@ dag-smoke:
 		-dag-dir .dag-smoke/run -dag-crash report@boundary \
 		-dag-out .dag-smoke/crashed.json > /dev/null 2> .dag-smoke/crashed.txt; \
 		test $$? -eq 3 || { echo "dag-smoke: crash run must exit 3"; exit 1; }
+	jq -e '.crashed == "report@boundary"' .dag-smoke/crashed.json
+	jq -e '.nodes[] | select(.id == "exp:exttrainfaults") | .state == "done"' .dag-smoke/crashed.json
+	jq -e '.nodes[] | select(.id == "report") | .state == "failed" and .blame == "crash@boundary"' .dag-smoke/crashed.json
 	.dag-smoke/experiments -run exttrainfaults -quick -seed 5 -faults-seed 11 \
 		-dag-dir .dag-smoke/run -dag-out .dag-smoke/resumed.json > .dag-smoke/report-resumed.txt
+	jq -e '.resumed == 1' .dag-smoke/resumed.json
+	jq -e '.nodes[] | select(.id == "exp:exttrainfaults") | .state == "reused"' .dag-smoke/resumed.json
+	jq -e '.nodes[] | select(.id == "report") | .state == "done"' .dag-smoke/resumed.json
 	cmp .dag-smoke/report-clean.txt .dag-smoke/report-resumed.txt
 	$(GO) run ./cmd/obscheck -manifest .dag-smoke/run
 	rm -rf .dag-smoke

@@ -22,8 +22,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -37,68 +39,98 @@ import (
 )
 
 func main() {
-	trace := flag.String("trace", "", "Chrome trace-event JSON file to validate, with the critical-path attribution of every training step in it")
-	drift := flag.String("drift", "", "drift-check JSON snapshot to validate (from -drift-out)")
-	manifestDir := flag.String("manifest", "", "DAG run directory to validate (from experiments -dag-dir): every manifest parses and its content hash verifies, and input hashes resolve to committed manifests")
-	requireFaults := flag.Bool("require-faults", false, "additionally require the -manifest directory's exp:exttrainfaults result to count some faults_<class> > 0 (chaos-run validation)")
-	requireDrift := flag.Bool("require-drift", false, "additionally require at least one drift event in the -drift snapshot (slowdown-run validation)")
-	forbidDrift := flag.Bool("forbid-drift", false, "additionally require zero drift events and an armed stream (state ok) in the -drift snapshot (clean-run validation)")
-	requireBlame := flag.Int("require-blame", -1, "additionally require at least one -trace step blaming this worker (straggler-run validation); -1 disables")
-	forbidBlame := flag.Bool("forbid-blame", false, "additionally require zero blamed steps and at least one analyzed step in the -trace (clean-run validation)")
-	flag.Parse()
-	if *trace == "" && *drift == "" && *manifestDir == "" {
-		fmt.Fprintln(os.Stderr, "obscheck: nothing to check (pass -trace, -drift and/or -manifest)")
+	opts, err := parseOptions(os.Args[1:], os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(0)
+	}
+	if err != nil {
+		// parseOptions has reported the error.
 		os.Exit(2)
 	}
-	if *requireFaults && *manifestDir == "" {
-		fmt.Fprintln(os.Stderr, "obscheck: -require-faults needs -manifest")
-		os.Exit(2)
-	}
-	if (*requireDrift || *forbidDrift) && *drift == "" {
-		fmt.Fprintln(os.Stderr, "obscheck: -require-drift/-forbid-drift need -drift")
-		os.Exit(2)
-	}
-	if *requireDrift && *forbidDrift {
-		fmt.Fprintln(os.Stderr, "obscheck: -require-drift and -forbid-drift are mutually exclusive")
-		os.Exit(2)
-	}
-	if (*requireBlame >= 0 || *forbidBlame) && *trace == "" {
-		fmt.Fprintln(os.Stderr, "obscheck: -require-blame/-forbid-blame need -trace")
-		os.Exit(2)
-	}
-	if *requireBlame >= 0 && *forbidBlame {
-		fmt.Fprintln(os.Stderr, "obscheck: -require-blame and -forbid-blame are mutually exclusive")
-		os.Exit(2)
-	}
-	if *trace != "" {
-		spans, err := checkTrace(*trace)
+	if opts.trace != "" {
+		spans, err := checkTrace(opts.trace)
 		if err == nil {
-			err = checkBlame(*trace, critpath.Analyze(spans), *requireBlame, *forbidBlame)
+			err = checkBlame(opts.trace, critpath.Analyze(spans), opts.requireBlame, opts.forbidBlame)
 		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "obscheck:", err)
 			os.Exit(1)
 		}
-		fmt.Printf("obscheck: %s ok\n", *trace)
+		fmt.Printf("obscheck: %s ok\n", opts.trace)
 	}
-	if *drift != "" {
-		if err := checkDrift(*drift, *requireDrift, *forbidDrift); err != nil {
+	if opts.drift != "" {
+		if err := checkDrift(opts.drift, opts.requireDrift, opts.forbidDrift); err != nil {
 			fmt.Fprintln(os.Stderr, "obscheck:", err)
 			os.Exit(1)
 		}
-		fmt.Printf("obscheck: %s ok\n", *drift)
+		fmt.Printf("obscheck: %s ok\n", opts.drift)
 	}
-	if *manifestDir != "" {
-		err := checkManifests(*manifestDir)
-		if err == nil && *requireFaults {
-			err = checkFaults(*manifestDir)
+	if opts.manifestDir != "" {
+		err := checkManifests(opts.manifestDir)
+		if err == nil && opts.requireFaults {
+			err = checkFaults(opts.manifestDir)
 		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "obscheck:", err)
 			os.Exit(1)
 		}
-		fmt.Printf("obscheck: %s ok\n", *manifestDir)
+		fmt.Printf("obscheck: %s ok\n", opts.manifestDir)
 	}
+}
+
+// options carries the full flag surface of one invocation.
+type options struct {
+	trace, drift, manifestDir                string
+	requireFaults, requireDrift, forbidDrift bool
+	requireBlame                             int
+	forbidBlame                              bool
+}
+
+// parseOptions parses the command line into options and checks that
+// the flags fit together. Errors, -h included, are reported on errOut;
+// a bad flag value also prints the usage.
+func parseOptions(args []string, errOut io.Writer) (options, error) {
+	var o options
+	fs := flag.NewFlagSet("obscheck", flag.ContinueOnError)
+	fs.SetOutput(errOut)
+	fs.StringVar(&o.trace, "trace", "", "Chrome trace-event JSON file to validate, with the critical-path attribution of every training step in it")
+	fs.StringVar(&o.drift, "drift", "", "drift-check JSON snapshot to validate (from -drift-out)")
+	fs.StringVar(&o.manifestDir, "manifest", "", "DAG run directory to validate (from experiments -dag-dir): every manifest parses and its content hash verifies, and input hashes resolve to committed manifests")
+	fs.BoolVar(&o.requireFaults, "require-faults", false, "additionally require the -manifest directory's exp:exttrainfaults result to count some faults_<class> > 0 (chaos-run validation)")
+	fs.BoolVar(&o.requireDrift, "require-drift", false, "additionally require at least one drift event in the -drift snapshot (slowdown-run validation)")
+	fs.BoolVar(&o.forbidDrift, "forbid-drift", false, "additionally require zero drift events and an armed stream (state ok) in the -drift snapshot (clean-run validation)")
+	fs.IntVar(&o.requireBlame, "require-blame", -1, "additionally require at least one -trace step blaming this worker (straggler-run validation); -1 disables")
+	fs.BoolVar(&o.forbidBlame, "forbid-blame", false, "additionally require zero blamed steps and at least one analyzed step in the -trace (clean-run validation)")
+	if err := fs.Parse(args); err != nil {
+		return o, err
+	}
+	if o.requireBlame < -1 {
+		// Reported as the flag package reports any bad value: a typo
+		// must not turn the straggler gate off.
+		err := fmt.Errorf("invalid value \"%d\" for flag -require-blame: want a worker id, or -1 to disable", o.requireBlame)
+		_, _ = fmt.Fprintln(errOut, err)
+		fs.Usage()
+		return o, err
+	}
+	var misuse string
+	switch {
+	case o.trace == "" && o.drift == "" && o.manifestDir == "":
+		misuse = "nothing to check (pass -trace, -drift and/or -manifest)"
+	case o.requireFaults && o.manifestDir == "":
+		misuse = "-require-faults needs -manifest"
+	case (o.requireDrift || o.forbidDrift) && o.drift == "":
+		misuse = "-require-drift/-forbid-drift need -drift"
+	case o.requireDrift && o.forbidDrift:
+		misuse = "-require-drift and -forbid-drift are mutually exclusive"
+	case (o.requireBlame >= 0 || o.forbidBlame) && o.trace == "":
+		misuse = "-require-blame/-forbid-blame need -trace"
+	case o.requireBlame >= 0 && o.forbidBlame:
+		misuse = "-require-blame and -forbid-blame are mutually exclusive"
+	default:
+		return o, nil
+	}
+	_, _ = fmt.Fprintln(errOut, "obscheck:", misuse)
+	return o, errors.New(misuse)
 }
 
 // checkManifests validates a DAG run directory: every *.json file is a

@@ -2,7 +2,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
+	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -509,5 +512,51 @@ func TestCheckTraceRoundTrip(t *testing.T) {
 				t.Fatalf("analysis of the written trace differs from the tracer's:\n%+v\nwant:\n%+v", got, want)
 			}
 		})
+	}
+}
+
+// TestParseOptions: -require-blame takes a worker id or -1 (disabled);
+// any value below -1 is a bad flag value, rejected with the usage, so a
+// typo cannot turn the straggler gate off. The flag combinations that
+// check nothing or contradict each other are refused too.
+func TestParseOptions(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want options
+	}{
+		{[]string{"-trace", "t.json"}, options{trace: "t.json", requireBlame: -1}},
+		{[]string{"-trace", "t.json", "-require-blame", "0"}, options{trace: "t.json", requireBlame: 0}},
+		{[]string{"-trace", "t.json", "-require-blame", "-1", "-forbid-blame"}, options{trace: "t.json", requireBlame: -1, forbidBlame: true}},
+		{[]string{"-manifest", "d", "-require-faults"}, options{manifestDir: "d", requireFaults: true, requireBlame: -1}},
+		{[]string{"-drift", "d.json", "-forbid-drift"}, options{drift: "d.json", forbidDrift: true, requireBlame: -1}},
+	} {
+		got, err := parseOptions(tc.args, io.Discard)
+		if err != nil || got != tc.want {
+			t.Fatalf("%q: options %+v, err %v; want %+v", tc.args, got, err, tc.want)
+		}
+	}
+	for _, v := range []string{"-2", "-100"} {
+		var errOut strings.Builder
+		_, err := parseOptions([]string{"-trace", "t.json", "-require-blame", v}, &errOut)
+		if err == nil || !strings.Contains(errOut.String(), `invalid value "`+v+`" for flag -require-blame`) ||
+			!strings.Contains(errOut.String(), "Usage of obscheck:") {
+			t.Fatalf("-require-blame %s: err=%v stderr=%q, want a bad-value error and the usage", v, err, errOut.String())
+		}
+	}
+	for _, args := range [][]string{
+		{},
+		{"-require-faults", "-trace", "t.json"},
+		{"-forbid-drift", "-trace", "t.json"},
+		{"-drift", "d.json", "-require-drift", "-forbid-drift"},
+		{"-require-blame", "0", "-drift", "d.json"},
+		{"-trace", "t.json", "-require-blame", "0", "-forbid-blame"},
+	} {
+		var errOut strings.Builder
+		if _, err := parseOptions(args, &errOut); err == nil || !strings.HasPrefix(errOut.String(), "obscheck: ") {
+			t.Fatalf("%q: err=%v stderr=%q, want a refusal", args, err, errOut.String())
+		}
+	}
+	if _, err := parseOptions([]string{"-h"}, io.Discard); !errors.Is(err, flag.ErrHelp) {
+		t.Fatalf("-h: err = %v, want flag.ErrHelp", err)
 	}
 }

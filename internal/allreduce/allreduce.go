@@ -14,10 +14,10 @@
 // Options, and has no deadlines, retries, checksums or injected faults.
 // The TCP ring (RingTCPOpts, tcp.go) runs over real loopback sockets,
 // where those faults are physically possible, and is the hardened one:
-// every listener, dial, chunk write and chunk read runs under a deadline
-// (Options.OpTimeout, 2 s when unset), timed-out reads and failed dials
-// retry with exponential backoff and jitter, chunks carry a CRC, and
-// internal/faults can inject deterministic faults. Its failures come
+// the wiring phase, each dial, each chunk write and each chunk read
+// fails at one deadline (Options.OpTimeout, 2 s when unset) and is not
+// retried, chunks carry a CRC, and internal/faults can inject
+// deterministic faults. Its failures come
 // back as *RingError values attributing blame per worker, which the
 // elastic trainer (internal/train) uses to drop dead members and re-form
 // the ring.

@@ -9,62 +9,18 @@ import (
 	"convmeter/internal/obs"
 )
 
-// RetryPolicy bounds per-operation retries on the TCP ring: a timed-out
-// chunk read (or a failed ring dial) is retried up to Attempts times
-// with exponential backoff plus deterministic jitter.
-type RetryPolicy struct {
-	Attempts int           // total attempts per op; <=0 means defaultAttempts
-	Backoff  time.Duration // base backoff between attempts; <=0 means defaultBackoff
-	Max      time.Duration // backoff cap; <=0 means defaultMaxBackoff
-}
-
-const (
-	defaultAttempts   = 3
-	defaultBackoff    = 5 * time.Millisecond
-	defaultMaxBackoff = 100 * time.Millisecond
-	defaultOpTimeout  = 2 * time.Second
-)
-
-func (r RetryPolicy) attempts() int {
-	if r.Attempts <= 0 {
-		return defaultAttempts
-	}
-	return r.Attempts
-}
-
-// Pause returns the pause before retry `attempt` (1-based): exponential
-// growth with ±50% jitter derived from faults.Hash01, so reruns with the
-// same salt pause identically. The TCP ring's dial retry and the
-// trainer's whole-step retry both pause by it.
-func (r RetryPolicy) Pause(attempt int, salt uint64) time.Duration {
-	base, max := r.Backoff, r.Max
-	if base <= 0 {
-		base = defaultBackoff
-	}
-	if max <= 0 {
-		max = defaultMaxBackoff
-	}
-	d := base << (attempt - 1)
-	if d > max || d <= 0 {
-		d = max
-	}
-	jitter := 0.5 + faults.Hash01(int64(salt), uint64(attempt))
-	return time.Duration(float64(d) * jitter)
-}
+// defaultOpTimeout bounds each TCP-ring op when Options.OpTimeout is 0.
+const defaultOpTimeout = 2 * time.Second
 
 // Options configures a TCP ring run (RingTCPOpts); the channel ring
-// takes none. Every listener, dial, chunk write and chunk read runs
-// under OpTimeout, and timed-out reads and failed dials retry under
-// Retry, so the zero Options is a bounded ring with the default
-// deadline and retry budget and no injected faults.
+// takes none. The wiring phase, each dial, each chunk write and each
+// chunk read fails at one OpTimeout deadline, with no retry, so the
+// zero Options is a bounded ring with the default deadline and no
+// injected faults.
 type Options struct {
-	// OpTimeout bounds each dial, chunk write and chunk read, and the
-	// wiring phase's accepts run under Retry's attempts plus one of it;
-	// 0 means defaultOpTimeout (2 s).
+	// OpTimeout bounds the wiring phase, each dial, each chunk write and
+	// each chunk read; 0 means defaultOpTimeout (2 s).
 	OpTimeout time.Duration
-	// Retry bounds the per-op retries on read timeouts and ring-wiring
-	// dials.
-	Retry RetryPolicy
 	// Faults injects deterministic faults into the ring's connections.
 	Faults *faults.Injector
 	// Obs receives each worker's ar.send, ar.wait and ar.recv spans.

@@ -27,24 +27,17 @@ import (
 // The ring is wired as n listeners; worker i dials worker (i+1) mod n, so
 // each worker holds one inbound and one outbound connection.
 //
-// Every socket op is bounded: each dial, chunk write and chunk read
-// runs under Options.OpTimeout (2 s when unset), the wiring phase under
-// that times the retry budget plus one, and timed-out reads and failed
-// dials retry under Options.Retry. So a ring never blocks for good,
-// also when a chunk outgrows the socket buffers and both ends of a link
-// block in Write: the write deadline fails the run with "chunk write
-// timed out". On failure the returned error is a *RingError attributing
-// blame per worker.
+// Every socket op is bounded by one deadline, Options.OpTimeout (2 s
+// when unset): the wiring phase, each dial, each chunk write and each
+// chunk read fails when it passes, and nothing is retried; a caller
+// that wants another try re-runs the ring (the trainer retries the
+// whole step). So a ring never blocks for good, also when a chunk
+// outgrows the socket buffers and both ends of a link block in Write:
+// the write deadline fails the run with "chunk write timed out". On
+// failure the returned error is a *RingError attributing blame per
+// worker.
 func RingTCPOpts(vectors [][]float32, opts Options) error {
-	// The wiring deadline saturates: an OpTimeout too large to multiply
-	// means a far deadline, not a product that wrapped into the past.
-	wiring, k := opts.opTimeout(), time.Duration(opts.Retry.attempts()+1)
-	if wiring > math.MaxInt64/k {
-		wiring = math.MaxInt64
-	} else {
-		wiring *= k
-	}
-	return ringTCP(vectors, opts, time.Now().Add(wiring))
+	return ringTCP(vectors, opts, time.Now().Add(opts.opTimeout()))
 }
 
 // ringTCP is RingTCPOpts with the wiring phase's deadline given.
@@ -86,7 +79,7 @@ func ringTCP(vectors [][]float32, opts Options, deadline time.Time) error {
 		}(i)
 		go func(i int) {
 			defer wg.Done()
-			c, err := dialRetry(listeners[(i+1)%n].Addr().String(), opts, uint64(i))
+			c, err := net.DialTimeout("tcp", listeners[(i+1)%n].Addr().String(), opts.opTimeout())
 			if err != nil {
 				errs[n+i] = err
 				return
@@ -202,22 +195,6 @@ func tcpWorker(me int, v []float32, n, length int, send, recv net.Conn, opts Opt
 	return nil
 }
 
-// dialRetry dials the ring successor, each attempt under the op
-// timeout, retrying failures with exponential backoff + jitter.
-func dialRetry(addr string, opts Options, salt uint64) (net.Conn, error) {
-	d := net.Dialer{Timeout: opts.opTimeout()}
-	for attempt := 1; ; attempt++ {
-		c, err := d.Dial("tcp", addr)
-		if err == nil {
-			return c, nil
-		}
-		if attempt >= opts.Retry.attempts() {
-			return nil, err
-		}
-		time.Sleep(opts.Retry.Pause(attempt, salt))
-	}
-}
-
 // isTimeout reports whether err is a network timeout.
 func isTimeout(err error) bool {
 	var ne net.Error
@@ -274,39 +251,15 @@ func writeChunk(w io.Writer, bufs *chunkBufs, data []float32, ctx obs.SpanContex
 // validating the length prefix against the size of bufs before reading
 // the body into them (a corrupted or malicious peer must not be able to
 // overrun them) and the payload against its CRC. It returns a view of
-// bufs' floats, valid until the next read. On a net.Conn each wait for
-// bytes runs under opts.OpTimeout, and a timed-out read resumes where it
-// left off (partial frames are completed, not restarted) up to the retry
-// budget.
+// bufs' floats, valid until the next read. On a net.Conn the whole
+// frame, header and body, runs under one read deadline, opts.OpTimeout
+// from the call.
 func readChunk(r io.Reader, bufs *chunkBufs, opts Options) ([]float32, obs.SpanContext, error) {
-	attempts := opts.Retry.attempts()
-	conn, _ := r.(net.Conn)
-	readFull := func(buf []byte) error {
-		off, attempt := 0, 1
-		for off < len(buf) {
-			if conn != nil {
-				_ = conn.SetReadDeadline(time.Now().Add(opts.opTimeout()))
-			}
-			m, err := r.Read(buf[off:])
-			off += m
-			if err != nil {
-				if off == len(buf) {
-					break
-				}
-				if isTimeout(err) && attempt < attempts {
-					attempt++
-					continue
-				}
-				if err == io.EOF && off > 0 {
-					return io.ErrUnexpectedEOF
-				}
-				return err
-			}
-		}
-		return nil
+	if conn, ok := r.(net.Conn); ok {
+		_ = conn.SetReadDeadline(time.Now().Add(opts.opTimeout()))
 	}
 	var header [frameHeaderLen]byte
-	if err := readFull(header[:]); err != nil {
+	if _, err := io.ReadFull(r, header[:]); err != nil {
 		return nil, obs.SpanContext{}, err
 	}
 	n := binary.LittleEndian.Uint32(header[:])
@@ -318,7 +271,7 @@ func readChunk(r io.Reader, bufs *chunkBufs, opts Options) ([]float32, obs.SpanC
 		return nil, ctx, fmt.Errorf("allreduce: implausible chunk size %d (max %d)", n, maxElems)
 	}
 	body := bufs.body[:4*int(n)+4]
-	if err := readFull(body); err != nil {
+	if _, err := io.ReadFull(r, body); err != nil {
 		return nil, ctx, err
 	}
 	payload := body[:4*int(n)]

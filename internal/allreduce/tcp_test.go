@@ -169,10 +169,10 @@ func TestRingTCPWiringFailureClosesConns(t *testing.T) {
 	}
 }
 
-// TestRingTCPHugeOpTimeout: an OpTimeout too large to multiply by the
-// retry budget saturates the wiring deadline instead of wrapping it
-// into the past, so a ring meant to wait practically forever wires and
-// reduces.
+// TestRingTCPHugeOpTimeout: an OpTimeout near the largest Duration
+// still puts every deadline in the future (time.Time.Add saturates
+// instead of wrapping into the past), so a ring meant to wait
+// practically forever wires and reduces.
 func TestRingTCPHugeOpTimeout(t *testing.T) {
 	for _, timeout := range []time.Duration{1 << 61, 1 << 62, math.MaxInt64} {
 		vectors, want := makeVectors(3, 64, 11)

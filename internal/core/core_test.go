@@ -1,12 +1,16 @@
 package core
 
 import (
+	"cmp"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
 	"convmeter/internal/metrics"
+	"convmeter/internal/regress"
 )
 
 // synthMetrics fabricates a family of distinct "models".
@@ -263,6 +267,95 @@ func TestEvaluateTrainingLOMO(t *testing.T) {
 	if ev.FwdOverall.N == 0 || ev.BwdOverall.N == 0 || ev.GradOverall.N == 0 {
 		t.Fatal("per-phase reports missing")
 	}
+}
+
+// TestLOMOInvariantUnderSampleOrder is a metamorphic test of the LOMO
+// protocol: shuffling the samples changes only the order of the folds
+// (first appearance) and of the sums inside each fit, so every
+// per-model, overall and per-phase report agrees within 1e-12 relative
+// and Pairs holds the same (model, actual, predicted) points. The
+// samples are noisy, so no error sits near zero.
+func TestLOMOInvariantUnderSampleOrder(t *testing.T) {
+	samples := trainSamples(6, []int{1, 4, 8}, 0.05, 11)
+	infer, err := EvaluateInferenceLOMO(samples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	training, err := EvaluateTrainingLOMO(samples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if infer.Overall.MAPE < 0.01 || training.Overall.MAPE < 0.01 {
+		t.Fatalf("MAPE %g (inference), %g (training): the noise no longer shows", infer.Overall.MAPE, training.Overall.MAPE)
+	}
+	for seed := int64(1); seed <= 10; seed++ {
+		shuffled := append([]Sample(nil), samples...)
+		rand.New(rand.NewSource(seed)).Shuffle(len(shuffled), func(i, j int) {
+			shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+		})
+		gotInfer, err := EvaluateInferenceLOMO(shuffled)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameEvaluation(t, fmt.Sprintf("inference, shuffle %d", seed), gotInfer, infer)
+		gotTraining, err := EvaluateTrainingLOMO(shuffled)
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := fmt.Sprintf("training, shuffle %d", seed)
+		sameEvaluation(t, name, &gotTraining.Evaluation, &training.Evaluation)
+		sameReport(t, name+", fwd", gotTraining.FwdOverall, training.FwdOverall)
+		sameReport(t, name+", bwd", gotTraining.BwdOverall, training.BwdOverall)
+		sameReport(t, name+", grad", gotTraining.GradOverall, training.GradOverall)
+	}
+}
+
+// sameEvaluation fails the test unless got and want hold the same
+// models, the same reports within 1e-12 relative and the same pairs,
+// compared as sets.
+func sameEvaluation(t *testing.T, name string, got, want *Evaluation) {
+	t.Helper()
+	if !slices.Equal(got.Models(), want.Models()) {
+		t.Fatalf("%s: models %v, want %v", name, got.Models(), want.Models())
+	}
+	for _, m := range want.Models() {
+		sameReport(t, name+", "+m, got.PerModel[m], want.PerModel[m])
+	}
+	sameReport(t, name+", overall", got.Overall, want.Overall)
+	sorted := func(pairs []PredPair) []PredPair {
+		out := slices.Clone(pairs)
+		slices.SortFunc(out, func(a, b PredPair) int {
+			return cmp.Or(cmp.Compare(a.Model, b.Model), cmp.Compare(a.Actual, b.Actual))
+		})
+		return out
+	}
+	g, w := sorted(got.Pairs), sorted(want.Pairs)
+	if len(g) != len(w) {
+		t.Fatalf("%s: %d pairs, want %d", name, len(g), len(w))
+	}
+	for i := range w {
+		if g[i].Model != w[i].Model || g[i].Actual != w[i].Actual || !relClose(g[i].Pred, w[i].Pred) {
+			t.Fatalf("%s: pair %+v, want %+v", name, g[i], w[i])
+		}
+	}
+}
+
+// sameReport fails the test unless two reports count the same points
+// and agree within 1e-12 relative on every error metric.
+func sameReport(t *testing.T, name string, got, want regress.Report) {
+	t.Helper()
+	if got.N != want.N || !relClose(got.R2, want.R2) || !relClose(got.RMSE, want.RMSE) ||
+		!relClose(got.NRMSE, want.NRMSE) || !relClose(got.MAPE, want.MAPE) {
+		full := func(r regress.Report) string {
+			return fmt.Sprintf("R2 %.17g RMSE %.17g NRMSE %.17g MAPE %.17g n %d", r.R2, r.RMSE, r.NRMSE, r.MAPE, r.N)
+		}
+		t.Fatalf("%s: report %s, want %s", name, full(got), full(want))
+	}
+}
+
+// relClose reports whether a and b agree within 1e-12 relative.
+func relClose(a, b float64) bool {
+	return math.Abs(a-b) <= 1e-12*math.Max(math.Abs(a), math.Abs(b))
 }
 
 func TestPredictEpochAndThroughput(t *testing.T) {

@@ -22,9 +22,9 @@ func (e *InjectedError) Error() string {
 // Conn wraps a net.Conn with fault injection. The transport assigns each
 // logical chunk operation a sequence number via SetReadSeq/SetWriteSeq
 // before performing it; the first Read/Write of that logical operation
-// consults the injector, and continuation calls (resumed partial reads
-// after a timeout) pass through untouched — so retries never shift the
-// fault schedule.
+// consults the injector, and continuation calls (a frame's later Reads)
+// pass through untouched — so however the bytes arrive, the fault
+// schedule does not shift.
 type Conn struct {
 	net.Conn
 	in        *Injector

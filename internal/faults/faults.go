@@ -10,8 +10,8 @@
 // pure function of (seed, operation identity): the operation names its
 // transport, worker, direction and a caller-assigned logical sequence
 // number, so the same seed yields the identical fault schedule no matter
-// how goroutines interleave or how often a timed-out operation is
-// retried. Transport faults reach the TCP ring through Conn; crashes
+// how goroutines interleave or how many Reads or Writes an operation
+// takes. Transport faults reach the TCP ring through Conn; crashes
 // and slowdowns are step-boundary schedules the trainer consults on
 // either of its transports. Injected faults are recorded as events, counted per class by
 // CountByClass, so a chaos run can be audited after the fact.
@@ -178,9 +178,9 @@ func ByName(name string) (Profile, error) {
 }
 
 // Op identifies one logical transport operation. Seq is assigned by the
-// caller and must be stable across retries of the same logical operation
-// (and distinct across different ones) — that is what makes schedules
-// reproducible under timeouts and re-attempts. The crash and slowdown
+// caller and must be stable across the Reads or Writes of one logical
+// operation (and distinct across different ones) — that is what makes
+// schedules reproducible however the bytes arrive. The crash and slowdown
 // events reuse the shape: transport "train" with direction "crash" or
 // "slow".
 type Op struct {
@@ -218,7 +218,7 @@ type Injector struct {
 	prof Profile
 
 	mu     sync.Mutex
-	seen   map[string]bool // executed-event dedup across retries
+	seen   map[string]bool // executed-event dedup per op
 	events []Event
 }
 
@@ -279,9 +279,9 @@ func (in *Injector) decide(op Op) Fault {
 }
 
 // Decide returns the fault (if any) for a logical operation and records
-// it as executed. Calling Decide again with the same Op — a retry of the
-// same logical operation — returns the same decision and records nothing
-// new, keeping event logs identical across timing-dependent retries.
+// it as executed. Calling Decide again with the same Op returns the same
+// decision and records nothing new, so the event log counts each logical
+// operation once.
 func (in *Injector) Decide(op Op) Fault {
 	if in == nil {
 		return Fault{}
@@ -377,17 +377,6 @@ func (in *Injector) Planned(ops []Op) []Event {
 		}
 	}
 	return out
-}
-
-// Hash01 derives a uniform [0,1) value from a seed and mix-in parts —
-// the deterministic randomness source resilient code uses for retry
-// jitter, so fault-free reruns stay reproducible too.
-func Hash01(seed int64, parts ...uint64) float64 {
-	x := uint64(seed)
-	for _, p := range parts {
-		x = mix(x ^ (p * 0x9e3779b97f4a7c15))
-	}
-	return frac(mix(x))
 }
 
 // mix is the splitmix64 finalizer: a cheap, well-distributed bijection.

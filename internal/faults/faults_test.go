@@ -296,21 +296,6 @@ func TestConnContinuationPassesThrough(t *testing.T) {
 	}
 }
 
-func TestHash01Range(t *testing.T) {
-	for i := uint64(0); i < 1000; i++ {
-		v := Hash01(99, i)
-		if v < 0 || v >= 1 {
-			t.Fatalf("Hash01 out of range: %g", v)
-		}
-	}
-	if Hash01(1, 2) != Hash01(1, 2) {
-		t.Fatal("Hash01 not deterministic")
-	}
-	if Hash01(1, 2) == Hash01(2, 2) {
-		t.Fatal("Hash01 ignores the seed")
-	}
-}
-
 // --- helpers ---
 
 // loopbackPair returns two ends of a real TCP connection, closed at

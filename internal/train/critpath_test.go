@@ -33,7 +33,7 @@ func critpathRun(t *testing.T, transport Transport, prof *faults.Profile, steps 
 	o := obs.New()
 	cfg := Config{Workers: 3, LR: 0.05, Seed: 1, Obs: o, Faults: inj}
 	if transport == TransportTCP {
-		cfg = withTCP(cfg, 500*time.Millisecond)
+		cfg = withTCP(cfg, time.Second)
 	}
 	if _, err := DataParallel(g, cfg, steps, task.Source(3)); err != nil {
 		t.Fatal(err)
@@ -235,7 +235,7 @@ func TestAnalyzeMatchesPerStepWindows(t *testing.T) {
 			o := obs.New()
 			cfg := Config{Workers: 3, LR: 0.05, Seed: 1, Obs: o, Faults: mustInjector(t, 7, prof)}
 			if tc.transport == TransportTCP {
-				cfg = withTCP(cfg, 500*time.Millisecond)
+				cfg = withTCP(cfg, time.Second)
 			}
 			tr, err := NewTrainer(g, cfg)
 			if err != nil {

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"convmeter/internal/allreduce"
 	"convmeter/internal/faults"
 )
 
@@ -20,13 +19,11 @@ func elasticConfig(inj *faults.Injector) Config {
 	return Config{Workers: 3, LR: 0.1, Seed: 7, Faults: inj}
 }
 
-// withTCP moves cfg onto the TCP ring under the given op timeout and a
-// two-attempt retry budget, so that a failing attempt ends quickly.
-// Deadlines and retries are the TCP ring's alone: NewTrainer refuses
-// them on the channel ring.
+// withTCP moves cfg onto the TCP ring under the given op timeout, so
+// that a failing attempt ends quickly. The deadline is the TCP ring's
+// alone: NewTrainer refuses it on the channel ring.
 func withTCP(cfg Config, opTimeout time.Duration) Config {
 	cfg.Transport, cfg.OpTimeout = TransportTCP, opTimeout
-	cfg.Retry = allreduce.RetryPolicy{Attempts: 2, Backoff: time.Millisecond, Max: 5 * time.Millisecond}
 	return cfg
 }
 
@@ -150,7 +147,7 @@ func TestElasticBlameRemovesFaultyWorker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := withTCP(elasticConfig(mustInjector(t, 9, faults.Profile{Drop: 1, Workers: []int{1}})), 50*time.Millisecond)
+	cfg := withTCP(elasticConfig(mustInjector(t, 9, faults.Profile{Drop: 1, Workers: []int{1}})), 100*time.Millisecond)
 	res, err := DataParallel(g, cfg, 3, task.Source(4))
 	if err != nil {
 		t.Fatal(err)
@@ -183,18 +180,17 @@ func TestElasticMinWorkersFloor(t *testing.T) {
 	}
 }
 
-// TestNewTrainerTransportFaultsNeedTCP: transport faults, op deadlines
-// and retries are the TCP ring's. NewTrainer refuses each
-// transport-fault class, a nonzero OpTimeout and a nonzero Retry on the
-// channel ring, naming TransportTCP, and accepts each on TCP; crash and
-// slowdown schedules run on either transport.
+// TestNewTrainerTransportFaultsNeedTCP: transport faults and the op
+// deadline are the TCP ring's. NewTrainer refuses each transport-fault
+// class and a nonzero OpTimeout on the channel ring, naming
+// TransportTCP, and accepts each on TCP; crash and slowdown schedules
+// run on either transport.
 func TestNewTrainerTransportFaultsNeedTCP(t *testing.T) {
 	g := trainNet(t)
 	for _, tc := range []struct {
 		name      string
 		prof      faults.Profile
 		opTimeout time.Duration
-		retry     allreduce.RetryPolicy
 		onChan    bool
 	}{
 		{name: "delay", prof: faults.Profile{Delay: 0.1, MaxDelay: time.Millisecond}},
@@ -203,7 +199,6 @@ func TestNewTrainerTransportFaultsNeedTCP(t *testing.T) {
 		{name: "corrupt", prof: faults.Profile{Corrupt: 0.1}},
 		{name: "truncate", prof: faults.Profile{Truncate: 0.1}},
 		{name: "op-timeout", opTimeout: 50 * time.Millisecond},
-		{name: "retry", retry: allreduce.RetryPolicy{Attempts: 2}},
 		{name: "crash", prof: faults.Profile{Crashes: map[int]int{1: 2}}, onChan: true},
 		{name: "slowdown", prof: faults.Profile{Slowdowns: map[int]int{0: 1}, SlowDelay: time.Millisecond}, onChan: true},
 	} {
@@ -212,7 +207,6 @@ func TestNewTrainerTransportFaultsNeedTCP(t *testing.T) {
 				Workers: 2, LR: 0.1, Seed: 1,
 				Faults:    mustInjector(t, 1, tc.prof),
 				OpTimeout: tc.opTimeout,
-				Retry:     tc.retry,
 			}
 			_, err := NewTrainer(g, cfg)
 			if tc.onChan && err != nil {
@@ -302,7 +296,7 @@ func TestElasticNoGoroutineLeak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := withTCP(elasticConfig(mustInjector(t, 7, prof)), 50*time.Millisecond)
+	cfg := withTCP(elasticConfig(mustInjector(t, 7, prof)), 100*time.Millisecond)
 	cfg.Workers = 4
 	if _, err := DataParallel(g, cfg, 4, task.Source(4)); err != nil {
 		t.Fatal(err)

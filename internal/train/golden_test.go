@@ -80,8 +80,8 @@ func TestTrainStepGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Deadlines generous enough that a loaded host never retries: a
-	// retry leaves the numbers alone, but a blamed worker would not.
+	// Deadlines generous enough that a loaded host never times out: a
+	// step retry leaves the numbers alone, but a blamed worker would not.
 	const deadline = 5 * time.Second
 	for _, c := range []struct {
 		name  string

@@ -19,8 +19,8 @@
 // The trainer is elastic, in the style of the fault-tolerant Horovod
 // deployments the paper's measurements come from: when a worker crashes
 // at a step boundary (injected via internal/faults, on either
-// transport) or the TCP ring declares it dead after all-reduce retry
-// exhaustion, the ring re-forms with N−1 members,
+// transport) or blame names it once a step's TCP all-reduce has failed
+// every attempt, the ring re-forms with N−1 members,
 // gradient averaging renormalises to the survivor count, and data
 // sources built with SourceGlobal recompute the per-device batch
 // b = B/N — keeping the N-dependence of the paper's T_grad model
@@ -74,7 +74,7 @@ type Transport int
 // Available transports. TransportChan runs the ring over in-process
 // channels, which cannot fail; TransportTCP runs it over real loopback
 // sockets, where dropped and reset connections are physically possible,
-// so only it takes transport faults, deadlines and retries.
+// so only it takes transport faults and a deadline.
 const (
 	TransportChan Transport = iota
 	TransportTCP
@@ -101,16 +101,11 @@ type Config struct {
 	// drop, reset, corrupt, truncate) hit the TCP ring's connections;
 	// NewTrainer rejects a profile with any of them on TransportChan.
 	Faults *faults.Injector
-	// OpTimeout bounds each socket op of the TCP ring (wiring, dial,
-	// chunk write, chunk read); 0 keeps the ring's 2 s default. The
-	// channel ring has no deadline, and NewTrainer refuses a nonzero
-	// OpTimeout on TransportChan.
+	// OpTimeout is the one deadline of each socket op of the TCP ring
+	// (wiring, dial, chunk write, chunk read); 0 keeps the ring's 2 s
+	// default. The channel ring has no deadline, and NewTrainer refuses
+	// a nonzero OpTimeout on TransportChan.
 	OpTimeout time.Duration
-	// Retry bounds the TCP ring's transport-level retries (read
-	// timeouts, ring dials) and paces the trainer's step retries; the
-	// zero policy keeps the ring's defaults. NewTrainer refuses a
-	// nonzero Retry on TransportChan.
-	Retry allreduce.RetryPolicy
 }
 
 // Elastic degradation limits.
@@ -174,8 +169,8 @@ func NewTrainer(g *graph.Graph, cfg Config) (*Trainer, error) {
 		if p := cfg.Faults.Profile(); p.Delay > 0 || p.Drop > 0 || p.Reset > 0 || p.Corrupt > 0 || p.Truncate > 0 {
 			return nil, fmt.Errorf("train: transport faults (delay, drop, reset, corrupt, truncate) need TransportTCP; the channel ring takes only crash and slowdown schedules")
 		}
-		if cfg.OpTimeout != 0 || cfg.Retry != (allreduce.RetryPolicy{}) {
-			return nil, fmt.Errorf("train: OpTimeout and Retry need TransportTCP; the channel ring has no deadline or retry")
+		if cfg.OpTimeout != 0 {
+			return nil, fmt.Errorf("train: OpTimeout needs TransportTCP; the channel ring has no deadline")
 		}
 	}
 	t := &Trainer{g: g, cfg: cfg}
@@ -412,7 +407,6 @@ func (t *Trainer) syncGradients(stepObs *obs.Obs, step int, live []int, vectors 
 		}
 		opts := allreduce.Options{
 			OpTimeout: t.cfg.OpTimeout,
-			Retry:     t.cfg.Retry,
 			Faults:    t.cfg.Faults,
 			Obs:       gradObs,
 			WorkerIDs: ids,
@@ -431,7 +425,6 @@ func (t *Trainer) syncGradients(stepObs *obs.Obs, step int, live []int, vectors 
 		attempt++
 		remaining--
 		if remaining > 0 {
-			time.Sleep(t.cfg.Retry.Pause(int(attempt), uint64(step)))
 			continue
 		}
 		// Retry budget exhausted over this live set: declare the blamed
